@@ -14,6 +14,7 @@ const (
 	walPkgPath      = "spatialjoin/internal/wal"
 	parallelPkgPath = "spatialjoin/internal/parallel"
 	geomPkgPath     = "spatialjoin/internal/geom"
+	corePkgPath     = "spatialjoin/internal/core"
 	obsPkgPath      = "spatialjoin/internal/obs"
 	replPkgPath     = "spatialjoin/internal/repl"
 	atomicPkgPath   = "sync/atomic"

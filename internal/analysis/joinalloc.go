@@ -17,9 +17,15 @@ import (
 // nil-trace path free and the recorder ring from flooding).
 // Function literals reset the nesting count: a worker body handed to the
 // parallel pool starts its own loop structure.
+//
+// A tree-descent function — one that iterates a core.Node's children with
+// NumChildren/Child — is held to a stricter rule: its outermost loop
+// already runs once per node examined, so a slice make at loop depth one or
+// deeper is per-node garbage whatever the element type. Scratch slices
+// belong outside the loop, truncated and refilled per node.
 var JoinAlloc = &Analyzer{
 	Name: "joinalloc",
-	Doc:  "in the join-executor packages (core, join, zorder), forbid geometry allocation and observability calls inside inner (nested) loops",
+	Doc:  "in the join-executor packages (core, join, zorder), forbid geometry allocation and observability calls inside inner (nested) loops, and any slice make inside the loops of a tree-descent function",
 	Run:  runJoinAlloc,
 }
 
@@ -37,33 +43,101 @@ func runJoinAlloc(pass *Pass) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				walkAllocDepth(pass, fd.Body, 0)
+				walkAllocDepth(pass, fd.Body, 0, walksChildren(pass, fd.Body))
 			}
 		}
 	}
 }
 
+// walksChildren reports whether body iterates a generalization tree: it
+// calls NumChildren or Child on a core.Node (function literals are judged
+// on their own).
+func walksChildren(pass *Pass, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		switch v := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			fn := calleeFunc(pass, v)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != corePkgPath {
+				return true
+			}
+			if fn.Name() != "NumChildren" && fn.Name() != "Child" {
+				return true
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if named := namedOf(recv.Type()); named != nil && named.Obj().Name() == "Node" {
+					found = true
+				}
+			}
+		}
+		return true
+	})
+	return found
+}
+
 // walkAllocDepth traverses n tracking loop-nesting depth. Loop subtrees
 // (header and body alike — a header expression re-evaluates per
 // iteration) recurse one level deeper; function literals restart at zero.
-func walkAllocDepth(pass *Pass, root ast.Node, depth int) {
+// descent marks the body of a tree-descent function (see walksChildren).
+func walkAllocDepth(pass *Pass, root ast.Node, depth int, descent bool) {
 	ast.Inspect(root, func(n ast.Node) bool {
 		if n == root {
 			return true
 		}
 		switch v := n.(type) {
 		case *ast.FuncLit:
-			walkAllocDepth(pass, v.Body, 0)
+			walkAllocDepth(pass, v.Body, 0, walksChildren(pass, v.Body))
 			return false
 		case *ast.ForStmt, *ast.RangeStmt:
-			walkAllocDepth(pass, v, depth+1)
+			walkAllocDepth(pass, v, depth+1, descent)
 			return false
 		}
 		if depth >= innerLoopDepth {
 			checkAllocNode(pass, n)
 		}
+		if descent && depth >= 1 {
+			checkDescentMake(pass, n, depth)
+		}
 		return true
 	})
+}
+
+// builtinName returns the name of the builtin function call invokes, or ""
+// when it calls anything else.
+func builtinName(pass *Pass, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := pass.Info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
+		}
+	}
+	return ""
+}
+
+// checkDescentMake reports a slice make inside a loop of a tree-descent
+// function. Geometry-backed makes at inner-loop depth already have their
+// own diagnostic.
+func checkDescentMake(pass *Pass, n ast.Node, depth int) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok || builtinName(pass, call) != "make" {
+		return
+	}
+	t := pass.TypeOf(call)
+	if t == nil {
+		return
+	}
+	if _, isSlice := t.Underlying().(*types.Slice); !isSlice {
+		return
+	}
+	if depth >= innerLoopDepth && geomBacked(t) {
+		return
+	}
+	pass.Reportf(call.Pos(),
+		"slice make inside the loop of a tree-descent function allocates once per node examined; hoist the scratch slice out of the loop and refill it per node")
 }
 
 // checkAllocNode reports the forbidden shapes at one inner-loop node:
@@ -72,24 +146,22 @@ func walkAllocDepth(pass *Pass, root ast.Node, depth int) {
 func checkAllocNode(pass *Pass, n ast.Node) {
 	switch v := n.(type) {
 	case *ast.CallExpr:
-		if id, ok := ast.Unparen(v.Fun).(*ast.Ident); ok {
-			if b, ok := pass.Info.Uses[id].(*types.Builtin); ok {
-				switch b.Name() {
-				case "new":
-					if len(v.Args) == 1 && geomBacked(pass.TypeOf(v.Args[0])) {
-						reportGeomAlloc(pass, v.Pos(), "new of geometry")
-					}
-				case "make":
-					if geomBacked(pass.TypeOf(v)) {
-						reportGeomAlloc(pass, v.Pos(), "make of geometry storage")
-					}
-				case "append":
-					if geomBacked(pass.TypeOf(v)) {
-						reportGeomAlloc(pass, v.Pos(), "append of geometry values")
-					}
+		if name := builtinName(pass, v); name != "" {
+			switch name {
+			case "new":
+				if len(v.Args) == 1 && geomBacked(pass.TypeOf(v.Args[0])) {
+					reportGeomAlloc(pass, v.Pos(), "new of geometry")
 				}
-				return
+			case "make":
+				if geomBacked(pass.TypeOf(v)) {
+					reportGeomAlloc(pass, v.Pos(), "make of geometry storage")
+				}
+			case "append":
+				if geomBacked(pass.TypeOf(v)) {
+					reportGeomAlloc(pass, v.Pos(), "append of geometry values")
+				}
 			}
+			return
 		}
 		if fn := calleeFunc(pass, v); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == obsPkgPath {
 			// The flight recorder gets its own message: Record is wait-free,

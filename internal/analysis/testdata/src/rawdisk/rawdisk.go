@@ -34,8 +34,19 @@ func suppressed(d *storage.Disk, id storage.PageID) ([]byte, error) {
 
 // readThroughInterface is just as raw: hiding the device behind the Device
 // interface must not defeat the accounting invariant.
-func readThroughInterface(dev storage.Device, id storage.PageID) ([]byte, error) {
-	return dev.ReadPage(id) // want "raw storage.Device.ReadPage bypasses BufferPool"
+func readThroughInterface(dev storage.Device, id storage.PageID, buf []byte) error {
+	return dev.ReadPageInto(id, buf) // want "raw storage.Device.ReadPageInto bypasses BufferPool"
+}
+
+// readThroughHelper allocates the buffer but transfers the page all the
+// same.
+func readThroughHelper(dev storage.Device, id storage.PageID) ([]byte, error) {
+	return storage.ReadPage(dev, id) // want "raw storage.ReadPage bypasses BufferPool"
+}
+
+// readFaultDisk reads through the fault-injecting wrapper.
+func readFaultDisk(d *fault.Disk, id storage.PageID, buf []byte) error {
+	return d.ReadPageInto(id, buf) // want "raw fault.Disk.ReadPageInto bypasses BufferPool"
 }
 
 // writeFaultDisk hits the fault-injecting wrapper directly, skipping the

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/parallel"
@@ -20,11 +21,11 @@ type Match struct {
 // different strategies — and of serial and parallel runs of the same
 // strategy — are byte-comparable.
 func SortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].R != ms[j].R {
-			return ms[i].R < ms[j].R
+	slices.SortFunc(ms, func(a, b Match) int {
+		if c := cmp.Compare(a.R, b.R); c != 0 {
+			return c
 		}
-		return ms[i].S < ms[j].S
+		return cmp.Compare(a.S, b.S)
 	})
 }
 
@@ -96,7 +97,10 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 		return res, nil
 	}
 
+	// qual is the current QualPairs level; spare is the previous level's
+	// storage, recycled as the buffer the next level is appended into.
 	qual := []qualPair{{rootR, rootS}}
+	var spare []qualPair
 	for level := 0; len(qual) > 0; level++ {
 		if options.Ctx != nil {
 			if err := options.Ctx.Err(); err != nil {
@@ -107,11 +111,11 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 			res.Stats.MaxQueue = len(qual)
 		}
 		if options.Trace == nil {
-			next, err := expandLevel(qual, op, &options, res)
+			next, err := expandLevel(qual, spare[:0], op, &options, res)
 			if err != nil {
 				return nil, err
 			}
-			qual = next
+			qual, spare = next, qual
 			continue
 		}
 		span := options.Trace.Begin(options.TraceParent, "level")
@@ -120,7 +124,7 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 		if options.TraceReads != nil {
 			readsBefore = options.TraceReads()
 		}
-		next, err := expandLevel(qual, op, &options, res)
+		next, err := expandLevel(qual, spare[:0], op, &options, res)
 		attrs := []obs.Attr{
 			obs.Int("level", int64(level)),
 			obs.Int("qualpairs", int64(len(qual))),
@@ -137,7 +141,7 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 			return nil, err
 		}
 		options.Trace.End(span, attrs...)
-		qual = next
+		qual, spare = next, qual
 	}
 	return res, nil
 }
@@ -146,29 +150,29 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 // parents' Θ filters both passed.
 type qualPair struct{ a, b Node }
 
-// expandLevel processes one QualPairs level and returns the next. With
+// expandLevel processes one QualPairs level and returns the next, appended
+// to next (an empty buffer whose storage is reused). With
 // options.Workers > 1 the level is split into contiguous chunks fanned out
 // over a worker pool; per-worker results merge back in chunk order, so
 // pair discovery order and statistics match the sequential descent.
-func expandLevel(qual []qualPair, op pred.Operator, options *JoinOptions,
+func expandLevel(qual, next []qualPair, op pred.Operator, options *JoinOptions,
 	res *JoinResult) ([]qualPair, error) {
 
 	workers := options.Workers
 	if workers <= 1 || len(qual) < 2 {
-		return expandChunk(qual, op, options, res)
+		return expandChunk(qual, next, op, options, res)
 	}
 	chunks := parallel.Chunks(len(qual), workers*4)
 	locals := make([]JoinResult, len(chunks))
 	nexts := make([][]qualPair, len(chunks))
 	err := parallel.RunCtx(ctxOr(options.Ctx), workers, len(chunks), func(ci int) error {
-		nx, err := expandChunk(qual[chunks[ci].Lo:chunks[ci].Hi], op, options, &locals[ci])
+		nx, err := expandChunk(qual[chunks[ci].Lo:chunks[ci].Hi], nil, op, options, &locals[ci])
 		nexts[ci] = nx
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	var next []qualPair
 	for ci := range chunks {
 		res.Pairs = append(res.Pairs, locals[ci].Pairs...)
 		res.Stats.add(locals[ci].Stats)
@@ -178,12 +182,14 @@ func expandLevel(qual []qualPair, op pred.Operator, options *JoinOptions,
 }
 
 // expandChunk runs JOIN2–JOIN4 for a contiguous run of a QualPairs level,
-// accumulating matches and stats into res and returning the qualifying
-// child pairs for the next level.
-func expandChunk(qual []qualPair, op pred.Operator, options *JoinOptions,
+// accumulating matches and stats into res and appending the qualifying
+// child pairs for the next level to next. The per-pair scratch (the
+// children of each side that passed their Θ check) is reused across pairs,
+// so the chunk allocates only when next or res.Pairs grow.
+func expandChunk(qual, next []qualPair, op pred.Operator, options *JoinOptions,
 	res *JoinResult) ([]qualPair, error) {
 
-	var next []qualPair
+	var aPass, bPass []Node
 	for _, p := range qual {
 		a, b := p.a, p.b
 		// JOIN2: Θ check for the pair.
@@ -204,31 +210,31 @@ func expandChunk(qual []qualPair, op pred.Operator, options *JoinOptions,
 			}
 		}
 		// JOIN4: SELECT a against b's subtrees, and b against a's.
-		aKids, bKids := a.Children(), b.Children()
-		bQual := make([]bool, len(bKids))
-		for i, b2 := range bKids {
+		bPass = bPass[:0]
+		for j, nb := 0, b.NumChildren(); j < nb; j++ {
+			b2 := b.Child(j)
 			ok, err := joinSelect(a, b2, op, rightSide, options, res)
 			if err != nil {
 				return nil, err
 			}
-			bQual[i] = ok
+			if ok {
+				bPass = append(bPass, b2)
+			}
 		}
-		aQual := make([]bool, len(aKids))
-		for i, a2 := range aKids {
+		aPass = aPass[:0]
+		for i, na := 0, a.NumChildren(); i < na; i++ {
+			a2 := a.Child(i)
 			ok, err := joinSelect(b, a2, op, leftSide, options, res)
 			if err != nil {
 				return nil, err
 			}
-			aQual[i] = ok
-		}
-		for i, a2 := range aKids {
-			if !aQual[i] {
-				continue
+			if ok {
+				aPass = append(aPass, a2)
 			}
-			for j, b2 := range bKids {
-				if bQual[j] {
-					next = append(next, qualPair{a2, b2})
-				}
+		}
+		for _, a2 := range aPass {
+			for _, b2 := range bPass {
+				next = append(next, qualPair{a2, b2})
 			}
 		}
 	}
@@ -277,8 +283,8 @@ func joinSelect(fixed, n Node, op pred.Operator, s side,
 			}
 		}
 	}
-	for _, c := range n.Children() {
-		if _, err := joinSelect(fixed, c, op, s, opts, res); err != nil {
+	for i, k := 0, n.NumChildren(); i < k; i++ {
+		if _, err := joinSelect(fixed, n.Child(i), op, s, opts, res); err != nil {
 			return false, err
 		}
 	}

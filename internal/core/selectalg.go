@@ -106,7 +106,9 @@ func Select(tree Tree, o geom.Spatial, op pred.Operator, opts *SelectOptions) (*
 		return res, nil
 	}
 	// Breadth-first: QualNodes[j] is the worklist for the current level.
+	// The previous level's storage is recycled as the next level's buffer.
 	qual := []Node{root}
+	var spare []Node
 	for level := 0; len(qual) > 0; level++ {
 		if options.Ctx != nil {
 			if err := options.Ctx.Err(); err != nil {
@@ -117,7 +119,7 @@ func Select(tree Tree, o geom.Spatial, op pred.Operator, opts *SelectOptions) (*
 			res.Stats.MaxQueue = len(qual)
 		}
 		end := traceLevel(&options, res, "level", level, len(qual))
-		var next []Node
+		next := spare[:0]
 		var lvlErr error
 		for _, a := range qual {
 			ok, err := examine(a, o, ob, op, &options, res)
@@ -126,14 +128,16 @@ func Select(tree Tree, o geom.Spatial, op pred.Operator, opts *SelectOptions) (*
 				break
 			}
 			if ok {
-				next = append(next, a.Children()...)
+				for i, k := 0, a.NumChildren(); i < k; i++ {
+					next = append(next, a.Child(i))
+				}
 			}
 		}
 		end(lvlErr)
 		if lvlErr != nil {
 			return nil, lvlErr
 		}
-		qual = next
+		qual, spare = next, qual
 	}
 	return res, nil
 }
@@ -181,8 +185,8 @@ func selectDFS(n Node, o geom.Spatial, ob geom.Rect, op pred.Operator,
 	if err != nil || !ok {
 		return err
 	}
-	for _, c := range n.Children() {
-		if err := selectDFS(c, o, ob, op, opts, res); err != nil {
+	for i, k := 0, n.NumChildren(); i < k; i++ {
+		if err := selectDFS(n.Child(i), o, ob, op, opts, res); err != nil {
 			return err
 		}
 	}

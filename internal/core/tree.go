@@ -33,8 +33,14 @@ type Node interface {
 	// nodes), which participate in filtering but never in results.
 	Tuple() (id int, ok bool)
 
-	// Children returns the node's direct descendants, nil for leaves.
-	Children() []Node
+	// NumChildren returns the number of direct descendants, 0 for leaves.
+	NumChildren() int
+
+	// Child returns the i-th direct descendant, 0 ≤ i < NumChildren().
+	// Iterating by index instead of materializing a slice keeps the
+	// descent allocation-free: implementations hand out pointer-shaped
+	// values, which box into the interface without touching the heap.
+	Child(i int) Node
 }
 
 // Tree is a generalization tree used as a secondary index on one spatial
@@ -82,17 +88,11 @@ func (n *BasicNode) Object() geom.Spatial { return n.Obj }
 // Tuple implements Node.
 func (n *BasicNode) Tuple() (int, bool) { return n.TupleID, n.TupleID >= 0 }
 
-// Children implements Node.
-func (n *BasicNode) Children() []Node {
-	if len(n.Kids) == 0 {
-		return nil
-	}
-	out := make([]Node, len(n.Kids))
-	for i, k := range n.Kids {
-		out[i] = k
-	}
-	return out
-}
+// NumChildren implements Node.
+func (n *BasicNode) NumChildren() int { return len(n.Kids) }
+
+// Child implements Node.
+func (n *BasicNode) Child(i int) Node { return n.Kids[i] }
 
 // BasicTree wraps a BasicNode root as a Tree.
 type BasicTree struct {
@@ -172,8 +172,8 @@ func Walk(tree Tree, f func(n Node, level int) bool) {
 		if !f(e.n, e.level) {
 			return
 		}
-		for _, c := range e.n.Children() {
-			queue = append(queue, entry{c, e.level + 1})
+		for i, k := 0, e.n.NumChildren(); i < k; i++ {
+			queue = append(queue, entry{e.n.Child(i), e.level + 1})
 		}
 	}
 }

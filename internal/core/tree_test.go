@@ -62,11 +62,11 @@ func TestBasicNodeAccessors(t *testing.T) {
 	if _, ok := tech.Tuple(); ok {
 		t.Fatal("negative id must mean technical node")
 	}
-	if n.Children() != nil {
-		t.Fatal("leaf children should be nil")
+	if n.NumChildren() != 0 {
+		t.Fatal("a leaf has no children")
 	}
 	c := n.AddChild(NewBasicNode(geom.NewRect(0, 0, 1, 1), 8))
-	if len(n.Children()) != 1 || n.Children()[0] != Node(c) {
+	if n.NumChildren() != 1 || n.Child(0) != Node(c) {
 		t.Fatal("AddChild wiring broken")
 	}
 }

@@ -44,7 +44,7 @@ func TestCrashAfterWrites(t *testing.T) {
 	if !d.Crashed() {
 		t.Fatal("device not marked crashed")
 	}
-	if _, err := d.ReadPage(ids[0]); err == nil {
+	if _, err := storage.ReadPage(d, ids[0]); err == nil {
 		t.Error("read succeeded on a crashed device")
 	}
 	if err := d.WritePage(ids[0], buf); err == nil {
@@ -77,7 +77,7 @@ func TestCrashAfterWrites(t *testing.T) {
 // checksum, the way the buffer pool and the WAL scanner detect torn pages.
 func checksumOK(t *testing.T, d *Disk, id storage.PageID) bool {
 	t.Helper()
-	buf, err := d.ReadPage(id)
+	buf, err := storage.ReadPage(d, id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,10 +142,11 @@ func (d *Disk) Files() int {
 // the fault schedule.
 func (d *Disk) Checksum(id storage.PageID) (uint32, bool) { return d.inner.Checksum(id) }
 
-// ReadPage runs one physical read attempt through the schedule: injected
-// latency, then possibly a transient failure (no transfer), a permanent
-// failure (lost page), or a transfer with in-flight or at-rest corruption.
-func (d *Disk) ReadPage(id storage.PageID) ([]byte, error) {
+// ReadPageInto runs one physical read attempt through the schedule:
+// injected latency, then possibly a transient failure (no transfer), a
+// permanent failure (lost page), or a transfer into buf with in-flight or
+// at-rest corruption.
+func (d *Disk) ReadPageInto(id storage.PageID, buf []byte) error {
 	d.pause(d.opts.ReadLatency)
 	d.mu.Lock()
 	d.readAttempts[id]++
@@ -156,33 +157,31 @@ func (d *Disk) ReadPage(id storage.PageID) ([]byte, error) {
 
 	if crashed {
 		d.readFaults.Add(1)
-		return nil, &Error{Op: "read", Page: id, Kind: Permanent, Attempt: attempt,
+		return &Error{Op: "read", Page: id, Kind: Permanent, Attempt: attempt,
 			Err: errCrashed}
 	}
 	if lost {
 		d.readFaults.Add(1)
-		return nil, &Error{Op: "read", Page: id, Kind: Permanent, Attempt: attempt}
+		return &Error{Op: "read", Page: id, Kind: Permanent, Attempt: attempt}
 	}
 	if d.decide(saltRead, id, attempt, d.opts.TransientReadRate) {
 		d.readFaults.Add(1)
-		return nil, &Error{Op: "read", Page: id, Kind: Transient, Attempt: attempt}
+		return &Error{Op: "read", Page: id, Kind: Transient, Attempt: attempt}
 	}
-	buf, err := d.inner.ReadPage(id)
-	if err != nil {
-		return nil, err
+	if err := d.inner.ReadPageInto(id, buf); err != nil {
+		return err
 	}
 	if torn {
 		d.readFaults.Add(1)
 		flipBit(buf, 0) // same bit every read: corruption at rest
-		return buf, nil
+		return nil
 	}
 	if d.decide(saltCorrupt, id, attempt, d.opts.CorruptRate) {
 		d.readFaults.Add(1)
 		h := d.hash(saltBit, id, attempt)
 		flipBit(buf, int(h%uint64(len(buf)*8)))
-		return buf, nil
 	}
-	return buf, nil
+	return nil
 }
 
 // WritePage runs one physical write attempt through the schedule. A

@@ -40,7 +40,7 @@ func TestScheduleIsDeterministic(t *testing.T) {
 		var out []bool
 		for round := 0; round < 10; round++ {
 			for _, id := range ids {
-				_, err := fd.ReadPage(id)
+				_, err := storage.ReadPage(fd, id)
 				out = append(out, err != nil)
 			}
 		}
@@ -70,7 +70,7 @@ func TestSeedsGiveDifferentSchedules(t *testing.T) {
 		var out []bool
 		for round := 0; round < 10; round++ {
 			for _, id := range ids {
-				_, err := fd.ReadPage(id)
+				_, err := storage.ReadPage(fd, id)
 				out = append(out, err != nil)
 			}
 		}
@@ -122,18 +122,18 @@ func TestLoseAndHealPage(t *testing.T) {
 	fd := Wrap(inner, Options{Seed: 1})
 
 	fd.LosePage(ids[0])
-	if _, err := fd.ReadPage(ids[0]); !errors.Is(err, ErrPermanent) {
+	if _, err := storage.ReadPage(fd, ids[0]); !errors.Is(err, ErrPermanent) {
 		t.Fatalf("read of lost page: got %v, want ErrPermanent", err)
 	}
 	if err := fd.WritePage(ids[0], make([]byte, inner.PageSize())); !errors.Is(err, ErrPermanent) {
 		t.Fatalf("write of lost page: got %v, want ErrPermanent", err)
 	}
-	if _, err := fd.ReadPage(ids[1]); err != nil {
+	if _, err := storage.ReadPage(fd, ids[1]); err != nil {
 		t.Fatalf("read of healthy page alongside lost one: %v", err)
 	}
 
 	fd.HealPage(ids[0])
-	if _, err := fd.ReadPage(ids[0]); err != nil {
+	if _, err := storage.ReadPage(fd, ids[0]); err != nil {
 		t.Fatalf("read after HealPage: %v", err)
 	}
 	if fd.Stats().ReadFaults == 0 || fd.Stats().WriteFaults == 0 {
@@ -144,14 +144,14 @@ func TestLoseAndHealPage(t *testing.T) {
 func TestTearPageCorruptsEveryRead(t *testing.T) {
 	inner, ids := newDisk(t, 1)
 	fd := Wrap(inner, Options{Seed: 1})
-	clean, err := fd.ReadPage(ids[0])
+	clean, err := storage.ReadPage(fd, ids[0])
 	if err != nil {
 		t.Fatalf("clean read: %v", err)
 	}
 
 	fd.TearPage(ids[0])
 	for i := 0; i < 3; i++ {
-		buf, err := fd.ReadPage(ids[0])
+		buf, err := storage.ReadPage(fd, ids[0])
 		if err != nil {
 			t.Fatalf("torn read %d: %v", i, err)
 		}
@@ -165,7 +165,7 @@ func TestTearPageCorruptsEveryRead(t *testing.T) {
 	}
 
 	fd.MendPage(ids[0])
-	buf, err := fd.ReadPage(ids[0])
+	buf, err := storage.ReadPage(fd, ids[0])
 	if err != nil || !bytes.Equal(buf, clean) {
 		t.Fatalf("read after MendPage: err=%v, clean=%v", err, bytes.Equal(buf, clean))
 	}
@@ -174,7 +174,7 @@ func TestTearPageCorruptsEveryRead(t *testing.T) {
 func TestCorruptRateFlipsBitsSilently(t *testing.T) {
 	inner, ids := newDisk(t, 1)
 	fd := Wrap(inner, Options{Seed: 9, CorruptRate: 1})
-	buf, err := fd.ReadPage(ids[0])
+	buf, err := storage.ReadPage(fd, ids[0])
 	if err != nil {
 		t.Fatalf("corrupted read should report success: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestLatencyInjection(t *testing.T) {
 	opts := Options{Seed: 1, ReadLatency: 3 * time.Millisecond, sleep: func(d time.Duration) { slept += d }}
 	fd := Wrap(inner, opts)
 	for i := 0; i < 4; i++ {
-		if _, err := fd.ReadPage(ids[0]); err != nil {
+		if _, err := storage.ReadPage(fd, ids[0]); err != nil {
 			t.Fatalf("read: %v", err)
 		}
 	}

@@ -21,6 +21,7 @@ package localindex
 
 import (
 	"fmt"
+	"slices"
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/geom"
@@ -99,8 +100,8 @@ func Build(tree core.Tree, op pred.Operator, level, order int) (*Index, Stats, e
 			nodes = append(nodes, entry{node: n, path: path})
 			return
 		}
-		for i, c := range n.Children() {
-			collect(c, depth+1, childPath(path, i))
+		for i, k := 0, n.NumChildren(); i < k; i++ {
+			collect(n.Child(i), depth+1, childPath(path, i))
 		}
 	}
 	if root := tree.Root(); root != nil {
@@ -175,6 +176,9 @@ func (ix *Index) SelfJoin() ([]core.Match, Stats, error) {
 		path string
 	}
 	qual := []pair{{a: root, b: root, same: true, path: ""}}
+	// Per-pair scratch, reused across pairs: which children of each side
+	// passed their Θ check.
+	var aQual, bQual []bool
 	depth := 0
 	for len(qual) > 0 {
 		var next []pair
@@ -206,38 +210,38 @@ func (ix *Index) SelfJoin() ([]core.Match, Stats, error) {
 					}
 				}
 			}
-			aKids, bKids := a.Children(), b.Children()
+			na, nb := a.NumChildren(), b.NumChildren()
 			// Side SELECTs: a against b's subtrees, b against a's — except
 			// when a == b, where both passes would report the symmetric
 			// pairs of the identity descent twice; a single pass plus
 			// mirrored emission handles it (the mirror is exactly the
 			// other pass by symmetry of the descent, not of θ — both
 			// orientations are evaluated explicitly).
-			bQual := make([]bool, len(bKids))
-			for i, b2 := range bKids {
-				ok, err := ix.sideSelect(a, b2, rightSide, &stats, &out)
+			bQual = slices.Grow(bQual[:0], nb)[:nb]
+			for j := range bQual {
+				ok, err := ix.sideSelect(a, b.Child(j), rightSide, &stats, &out)
 				if err != nil {
 					return nil, stats, err
 				}
-				bQual[i] = ok
+				bQual[j] = ok
 			}
-			aQual := make([]bool, len(aKids))
-			for i, a2 := range aKids {
-				ok, err := ix.sideSelect(b, a2, leftSide, &stats, &out)
+			aQual = slices.Grow(aQual[:0], na)[:na]
+			for i := range aQual {
+				ok, err := ix.sideSelect(b, a.Child(i), leftSide, &stats, &out)
 				if err != nil {
 					return nil, stats, err
 				}
 				aQual[i] = ok
 			}
-			for i, a2 := range aKids {
+			for i := range aQual {
 				if !aQual[i] {
 					continue
 				}
-				for j, b2 := range bKids {
+				for j := range bQual {
 					if !bQual[j] {
 						continue
 					}
-					np := pair{a: a2, b: b2}
+					np := pair{a: a.Child(i), b: b.Child(j)}
 					if p.same && i == j {
 						np.same = true
 						np.path = childPath(p.path, i)
@@ -286,8 +290,8 @@ func (ix *Index) sideSelect(fixed, n core.Node, s side, stats *Stats, out *[]cor
 			}
 		}
 	}
-	for _, c := range n.Children() {
-		if _, err := ix.sideSelect(fixed, c, s, stats, out); err != nil {
+	for i, k := 0, n.NumChildren(); i < k; i++ {
+		if _, err := ix.sideSelect(fixed, n.Child(i), s, stats, out); err != nil {
 			return false, err
 		}
 	}

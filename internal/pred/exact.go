@@ -43,11 +43,23 @@ func canonical(s geom.Spatial) shape {
 	}
 }
 
+// bothRects reports whether a and b are both plain rectangles. A rectangle
+// is its own MBR, so for such a pair the MBR pre-test of an exact predicate
+// already is the exact answer — no polygon needs to be built to confirm it.
+func bothRects(a, b geom.Spatial) bool {
+	_, okA := a.(geom.Rect)
+	_, okB := b.(geom.Rect)
+	return okA && okB
+}
+
 // exactIntersects reports whether the geometries of a and b share a point.
 func exactIntersects(a, b geom.Spatial) bool {
 	// MBR pre-test: cheap and always sound.
 	if !a.Bounds().Intersects(b.Bounds()) {
 		return false
+	}
+	if bothRects(a, b) {
+		return true
 	}
 	sa, sb := canonical(a), canonical(b)
 	// Normalize so sa.kind ≤ sb.kind, halving the case analysis.
@@ -91,6 +103,9 @@ func segmentPolygonIntersects(s geom.Segment, pg geom.Polygon) bool {
 func exactContains(a, b geom.Spatial) bool {
 	if !a.Bounds().ContainsRect(b.Bounds()) {
 		return false
+	}
+	if bothRects(a, b) {
+		return true
 	}
 	sa, sb := canonical(a), canonical(b)
 	switch sa.kind {

@@ -319,3 +319,51 @@ func TestDistanceBandFilterTwoSided(t *testing.T) {
 		t.Error("band-straddling pair must pass")
 	}
 }
+
+// TestRectPairAgreesWithPolygonPath pins the Rect×Rect shortcut of the
+// exact predicates to the general path: every registered operator must give
+// the same verdict on a pair of rectangles as on the same two rectangles
+// handed over as four-vertex polygons, which still run the edge and
+// containment tests.
+func TestRectPairAgreesWithPolygonPath(t *testing.T) {
+	cases := []struct {
+		name string
+		a, b geom.Rect
+	}{
+		{"overlapping", geom.NewRect(0, 0, 4, 4), geom.NewRect(2, 2, 6, 6)},
+		{"touching edge", geom.NewRect(0, 0, 4, 4), geom.NewRect(4, 1, 8, 3)},
+		{"touching corner", geom.NewRect(0, 0, 4, 4), geom.NewRect(4, 4, 8, 8)},
+		{"nested", geom.NewRect(0, 0, 10, 10), geom.NewRect(3, 3, 5, 5)},
+		{"nested sharing an edge", geom.NewRect(0, 0, 10, 10), geom.NewRect(0, 3, 5, 5)},
+		{"nested sharing a corner", geom.NewRect(0, 0, 10, 10), geom.NewRect(6, 6, 10, 10)},
+		{"identical", geom.NewRect(1, 1, 3, 3), geom.NewRect(1, 1, 3, 3)},
+		{"crossing", geom.NewRect(0, 4, 10, 6), geom.NewRect(4, 0, 6, 10)},
+		{"disjoint near", geom.NewRect(0, 0, 4, 4), geom.NewRect(5, 0, 9, 4)},
+		{"disjoint far", geom.NewRect(0, 0, 1, 1), geom.NewRect(50, 60, 51, 61)},
+		{"disjoint diagonal", geom.NewRect(0, 0, 2, 2), geom.NewRect(12, 30, 14, 32)},
+		{"line inside", geom.NewRect(0, 0, 10, 10), geom.NewRect(2, 5, 8, 5)},
+		{"line on edge", geom.NewRect(0, 0, 10, 10), geom.NewRect(0, 2, 0, 8)},
+		{"line crossing out", geom.NewRect(0, 0, 10, 10), geom.NewRect(5, 5, 15, 5)},
+		{"line outside", geom.NewRect(0, 0, 10, 10), geom.NewRect(12, 0, 12, 10)},
+		{"point inside", geom.NewRect(0, 0, 10, 10), geom.NewRect(5, 5, 5, 5)},
+		{"point on corner", geom.NewRect(0, 0, 10, 10), geom.NewRect(10, 10, 10, 10)},
+		{"point outside", geom.NewRect(0, 0, 10, 10), geom.NewRect(11, 5, 11, 5)},
+		{"collinear lines overlapping", geom.NewRect(0, 3, 6, 3), geom.NewRect(4, 3, 9, 3)},
+		{"collinear lines nested", geom.NewRect(0, 3, 9, 3), geom.NewRect(4, 3, 6, 3)},
+		{"perpendicular lines crossing", geom.NewRect(0, 3, 6, 3), geom.NewRect(3, 0, 3, 6)},
+		{"same point", geom.NewRect(7, 7, 7, 7), geom.NewRect(7, 7, 7, 7)},
+	}
+	for _, op := range Extended() {
+		for _, c := range cases {
+			for _, pair := range [][2]geom.Rect{{c.a, c.b}, {c.b, c.a}} {
+				a, b := pair[0], pair[1]
+				got := op.Eval(a, b)
+				want := op.Eval(a.ToPolygon(), b.ToPolygon())
+				if got != want {
+					t.Errorf("%s, %s: Eval(%v, %v) = %t on rectangles, %t on their polygons",
+						op.Name(), c.name, a, b, got, want)
+				}
+			}
+		}
+	}
+}

@@ -11,7 +11,11 @@ import (
 // leaf node carrying its tuple ID and exact geometry.
 //
 // The adapter is a live view: it reflects subsequent inserts and deletes.
-// Nodes are materialized lazily per Children() call.
+// A node of the generalization tree is one entry of the R-tree — the root's
+// entry, a child entry of an interior node, or an item slot of a leaf — so
+// the view is a single pointer (boxing it into a core.Node allocates
+// nothing) and its bounds are the entry's rectangle, a load. Like any
+// iterator over the tree, views are invalidated by a mutation.
 func (t *Tree) Generalization() core.Tree { return adapterTree{t: t} }
 
 type adapterTree struct{ t *Tree }
@@ -21,7 +25,7 @@ func (a adapterTree) Root() core.Node {
 	if a.t.size == 0 {
 		return nil
 	}
-	return nodeView{n: a.t.root}
+	return entryView{e: &a.t.top}
 }
 
 // Height implements core.Tree: R-tree levels plus the item level.
@@ -32,42 +36,32 @@ func (a adapterTree) Height() int {
 	return a.t.height + 1
 }
 
-// nodeView adapts an R-tree node (always a technical entity).
-type nodeView struct{ n *node }
+// entryView adapts one entry: with a child it stands for that R-tree node
+// (a technical entity), without one for the stored item.
+type entryView struct{ e *entry }
 
 // Bounds implements core.Node.
-func (v nodeView) Bounds() geom.Rect { return v.n.mbr() }
+func (v entryView) Bounds() geom.Rect { return v.e.rect }
 
-// Object implements core.Node; the node's object is its MBR.
-func (v nodeView) Object() geom.Spatial { return v.n.mbr() }
-
-// Tuple implements core.Node: R-tree nodes never carry tuples.
-func (v nodeView) Tuple() (int, bool) { return 0, false }
-
-// Children implements core.Node.
-func (v nodeView) Children() []core.Node {
-	out := make([]core.Node, len(v.n.entries))
-	for i, e := range v.n.entries {
-		if v.n.leaf {
-			out[i] = itemView{e: e}
-		} else {
-			out[i] = nodeView{n: e.child}
-		}
+// Object implements core.Node: an item's exact geometry for θ evaluation;
+// an R-tree node's object is its MBR.
+func (v entryView) Object() geom.Spatial {
+	if v.e.child == nil {
+		return v.e.item.Obj
 	}
-	return out
+	return v.e.rect
 }
 
-// itemView adapts one stored item as a tuple-bearing leaf.
-type itemView struct{ e entry }
+// Tuple implements core.Node: only items carry tuples.
+func (v entryView) Tuple() (int, bool) { return v.e.item.ID, v.e.child == nil }
 
-// Bounds implements core.Node.
-func (v itemView) Bounds() geom.Rect { return v.e.rect }
+// NumChildren implements core.Node.
+func (v entryView) NumChildren() int {
+	if v.e.child == nil {
+		return 0
+	}
+	return len(v.e.child.entries)
+}
 
-// Object implements core.Node: the exact geometry for θ evaluation.
-func (v itemView) Object() geom.Spatial { return v.e.item.Obj }
-
-// Tuple implements core.Node.
-func (v itemView) Tuple() (int, bool) { return v.e.item.ID, true }
-
-// Children implements core.Node.
-func (v itemView) Children() []core.Node { return nil }
+// Child implements core.Node.
+func (v entryView) Child(i int) core.Node { return entryView{e: &v.e.child.entries[i]} }

@@ -37,7 +37,7 @@ func TestAdapterStructure(t *testing.T) {
 	core.Walk(gt, func(n core.Node, _ int) bool {
 		if id, ok := n.Tuple(); ok {
 			tuples[id]++
-			if n.Children() != nil {
+			if n.NumChildren() != 0 {
 				t.Fatal("item nodes must be leaves")
 			}
 		} else {
@@ -68,7 +68,8 @@ func TestAdapterContainmentInvariant(t *testing.T) {
 	}
 	var check func(n core.Node) bool
 	check = func(n core.Node) bool {
-		for _, c := range n.Children() {
+		for i := 0; i < n.NumChildren(); i++ {
+			c := n.Child(i)
 			if !n.Bounds().ContainsRect(c.Bounds()) {
 				t.Fatalf("child %v escapes parent %v", c.Bounds(), n.Bounds())
 			}

@@ -42,6 +42,7 @@ func BulkLoad(opts Options, items []Item) (*Tree, error) {
 	t.height = height
 	t.size = len(items)
 	fixParents(t.root)
+	t.refreshTop()
 	return t, nil
 }
 

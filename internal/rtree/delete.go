@@ -23,6 +23,7 @@ func (t *Tree) Delete(obj geom.Spatial, id int) bool {
 		t.root.parent = nil
 		t.height--
 	}
+	t.refreshTop()
 	return true
 }
 

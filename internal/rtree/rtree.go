@@ -95,8 +95,12 @@ type node struct {
 	parent  *node
 }
 
-// mbr returns the tight bounding rectangle of the node's entries.
+// mbr returns the tight bounding rectangle of the node's entries (the zero
+// rectangle for an empty root).
 func (n *node) mbr() geom.Rect {
+	if len(n.entries) == 0 {
+		return geom.Rect{}
+	}
 	r := n.entries[0].rect
 	for _, e := range n.entries[1:] {
 		r = r.Union(e.rect)
@@ -110,14 +114,26 @@ type Tree struct {
 	root   *node
 	size   int
 	height int // number of levels below the root; a leaf-root tree has 0
+
+	// top is the entry the root would have in a parent: its MBR and the
+	// root itself. Every other node's MBR already sits in its parent's
+	// entry, kept tight by insert and delete; with top every node's bounds
+	// are one load away, which is what a descent reads per node examined.
+	// Insert, Delete and BulkLoad refresh it.
+	top entry
 }
+
+// refreshTop recomputes the root's entry after the tree changed.
+func (t *Tree) refreshTop() { t.top = entry{rect: t.root.mbr(), child: t.root} }
 
 // New returns an empty R-tree.
 func New(opts Options) (*Tree, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return &Tree{opts: opts, root: &node{leaf: true}}, nil
+	t := &Tree{opts: opts, root: &node{leaf: true}}
+	t.refreshTop()
+	return t, nil
 }
 
 // MustNew is New for static configurations known to be valid; it panics on
@@ -144,7 +160,7 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 	if t.size == 0 {
 		return geom.Rect{}, false
 	}
-	return t.root.mbr(), true
+	return t.top.rect, true
 }
 
 // Insert adds obj with the given tuple ID.
@@ -152,6 +168,7 @@ func (t *Tree) Insert(obj geom.Spatial, id int) {
 	e := entry{rect: obj.Bounds(), item: Item{Obj: obj, ID: id}}
 	t.insertAtLeaf(e)
 	t.size++
+	t.refreshTop()
 }
 
 // insertAtLeaf implements Guttman's Insert: ChooseLeaf, add, split on
@@ -312,6 +329,9 @@ func (t *Tree) Validate() error {
 			}
 		}
 		return nil
+	}
+	if t.top.child != t.root || !geom.SameRect(t.top.rect, t.root.mbr()) {
+		return fmt.Errorf("rtree: stale root entry: stored %v, actual %v", t.top.rect, t.root.mbr())
 	}
 	if t.size == 0 {
 		if !t.root.leaf || len(t.root.entries) != 0 {

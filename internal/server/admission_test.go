@@ -97,7 +97,10 @@ func TestAdmissionControlShedsExcessQueries(t *testing.T) {
 	}
 	// Shed queries never reach the engine, so only the admitted one is in
 	// the latency histogram.
-	if n := reg.Histogram("spatialjoin_server_query_seconds", "", nil).Count(); n != 1 {
+	// (The serving goroutine observes it after the client has its verdict.)
+	latency := reg.Histogram("spatialjoin_server_query_seconds", "", nil)
+	waitFor(t, "latency observation", func() bool { return latency.Count() >= 1 })
+	if n := latency.Count(); n != 1 {
 		t.Errorf("latency histogram count = %d, want 1", n)
 	}
 

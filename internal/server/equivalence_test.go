@@ -101,6 +101,13 @@ func TestWireEquivalence(t *testing.T) {
 			// Exact outcome accounting: every query finished OK, nothing
 			// was shed, and the latency histogram saw each one.
 			total := int64(clients * perClient)
+			// A client sees its verdict before the serving goroutine
+			// observes the latency and releases the query slot.
+			latency := reg.Histogram("spatialjoin_server_query_seconds", "", nil)
+			activeQ := reg.Gauge("spatialjoin_server_active_queries", "")
+			waitFor(t, "query bookkeeping to settle", func() bool {
+				return latency.Count() == total && activeQ.Value() == 0
+			})
 			joins := queriesTotal(reg, "join", wire.StatusOK)
 			sels := queriesTotal(reg, "select", wire.StatusOK)
 			if joins+sels != total {
@@ -109,13 +116,13 @@ func TestWireEquivalence(t *testing.T) {
 			if shed := reg.Counter("spatialjoin_server_queries_shed_total", "").Value(); shed != 0 {
 				t.Errorf("queries_shed_total = %d, want 0", shed)
 			}
-			if n := reg.Histogram("spatialjoin_server_query_seconds", "", nil).Count(); n != total {
+			if n := latency.Count(); n != total {
 				t.Errorf("latency histogram count = %d, want %d", n, total)
 			}
 			if got := reg.Counter("spatialjoin_server_connections_total", "").Value(); got != clients {
 				t.Errorf("connections_total = %d, want %d", got, clients)
 			}
-			if q := reg.Gauge("spatialjoin_server_active_queries", "").Value(); q != 0 {
+			if q := activeQ.Value(); q != 0 {
 				t.Errorf("active_queries settled at %d, want 0", q)
 			}
 		})

@@ -1,9 +1,9 @@
 package storage
 
 import (
-	"container/list"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,12 +37,21 @@ func (s PoolStats) HitRatio() float64 {
 	return 1 - float64(s.Misses)/float64(s.LogicalReads)
 }
 
-// BufferPool caches up to Capacity pages in memory with LRU replacement.
-// Pages can be pinned (the paper locks index roots in main memory); pinned
-// pages are never evicted. BufferPool is safe for concurrent use: the frame
-// table is guarded by a mutex, while the activity counters are atomics so
-// concurrent readers can snapshot statistics without serializing on the
-// frame lock.
+// BufferPool caches up to Capacity pages in memory with exact LRU
+// replacement. Pages can be pinned (the paper locks index roots in main
+// memory); pinned pages are never evicted. BufferPool is safe for
+// concurrent use: the frame table is guarded by a mutex, while the activity
+// counters are atomics so concurrent readers can snapshot statistics
+// without serializing on the frame lock.
+//
+// The frame table is one array of Capacity frames, allocated with the pool
+// and never moved; the recency order is a doubly-linked list threaded
+// through the frames by index, and a map finds a resident page's frame. A
+// frame's page buffer is allocated when the frame is first filled and then
+// stays with the pool: a miss reads into a spare buffer and swaps it with
+// the victim's, so neither a hit nor a steady-state miss allocates. The
+// price is the contract on Fetch: an unpinned page's bytes are only the
+// caller's until the next pool call.
 //
 // Every physical transfer is verified end-to-end: pages read from the
 // device are checked against the device's recorded checksum, so a page
@@ -55,8 +64,12 @@ type BufferPool struct {
 	capacity int
 	retry    RetryPolicy
 	wal      WAL // nil = no write-ahead logging
-	frames   map[PageID]*list.Element
-	lru      *list.List // front = most recently used
+
+	frames     []frame          // frames[:used] hold pages; len == capacity
+	used       int              // frames filled since the pool was last emptied
+	index      map[PageID]int32 // resident page → its frame
+	head, tail int32            // most and least recently used frame; noFrame when empty
+	spare      []byte           // the buffer the next miss reads into; nil until needed
 
 	logicalReads atomic.Int64
 	misses       atomic.Int64
@@ -88,14 +101,21 @@ const lsnUnlogged = int64(-1)
 // all dirty frames is guaranteed to see every image the device is missing,
 // because a transaction's images always carry LSNs at or above its begin
 // record.
+//
+// prev and next link the frame into the recency list (prev towards the most
+// recently used end). page.buf is nil until the frame is first filled.
 type frame struct {
-	id      PageID
-	page    *Page
-	pins    int
-	dirty   bool
-	recLSN  int64
-	redoLSN int64
+	id         PageID
+	page       Page
+	recLSN     int64
+	redoLSN    int64
+	prev, next int32
+	pins       int32
+	dirty      bool
 }
+
+// noFrame terminates the recency list.
+const noFrame = int32(-1)
 
 // NewBufferPool returns a pool of capacity pages over disk, with the
 // default retry policy. Capacity must be at least 1.
@@ -107,9 +127,38 @@ func NewBufferPool(disk Device, capacity int) (*BufferPool, error) {
 		disk:     disk,
 		capacity: capacity,
 		retry:    DefaultRetryPolicy(),
-		frames:   make(map[PageID]*list.Element, capacity),
-		lru:      list.New(),
+		frames:   make([]frame, capacity),
+		index:    make(map[PageID]int32),
+		head:     noFrame,
+		tail:     noFrame,
 	}, nil
+}
+
+// unlinkLocked takes frame i out of the recency list.
+func (bp *BufferPool) unlinkLocked(i int32) {
+	f := &bp.frames[i]
+	if f.prev != noFrame {
+		bp.frames[f.prev].next = f.next
+	} else {
+		bp.head = f.next
+	}
+	if f.next != noFrame {
+		bp.frames[f.next].prev = f.prev
+	} else {
+		bp.tail = f.prev
+	}
+}
+
+// pushFrontLocked links frame i in as the most recently used.
+func (bp *BufferPool) pushFrontLocked(i int32) {
+	f := &bp.frames[i]
+	f.prev, f.next = noFrame, bp.head
+	if bp.head != noFrame {
+		bp.frames[bp.head].prev = i
+	} else {
+		bp.tail = i
+	}
+	bp.head = i
 }
 
 // Capacity returns the pool size in pages (the model's parameter M).
@@ -147,11 +196,26 @@ func (bp *BufferPool) ensureLoggedLocked(f *frame) error {
 	return nil
 }
 
-// readPage drives one logical read against the device, retrying transient
+// writeBackLocked writes one dirty frame to the device under the WAL
+// discipline and marks it clean; on failure the frame stays dirty.
+func (bp *BufferPool) writeBackLocked(f *frame) error {
+	if err := bp.ensureLoggedLocked(f); err != nil {
+		return err
+	}
+	if err := bp.writePage(f.id, f.page.buf); err != nil {
+		return err
+	}
+	f.dirty = false
+	f.recLSN = 0
+	f.redoLSN = 0
+	return nil
+}
+
+// readPage drives one logical read of the page into buf, retrying transient
 // faults and checksum mismatches (in-flight corruption a re-read can fix)
 // under the pool's retry policy. The returned error wraps the last attempt's
 // failure, so errors.Is/As classification survives.
-func (bp *BufferPool) readPage(id PageID) ([]byte, error) {
+func (bp *BufferPool) readPage(id PageID, buf []byte) error {
 	var last error
 	budget := bp.retry.attempts()
 	for attempt := 1; attempt <= budget; attempt++ {
@@ -160,7 +224,7 @@ func (bp *BufferPool) readPage(id PageID) ([]byte, error) {
 			obs.Record(obs.RecFaultRetry, obs.RecCodeRead, 0, int64(id.File), int64(id.Page))
 			bp.retry.pause(attempt-1, id)
 		}
-		buf, err := bp.disk.ReadPage(id)
+		err := bp.disk.ReadPageInto(id, buf)
 		if err == nil {
 			if want, ok := bp.disk.Checksum(id); ok {
 				if got := PageChecksum(buf); got != want {
@@ -168,14 +232,14 @@ func (bp *BufferPool) readPage(id PageID) ([]byte, error) {
 					continue
 				}
 			}
-			return buf, nil
+			return nil
 		}
 		last = err
 		if !IsTransient(err) && !IsChecksum(err) {
 			break
 		}
 	}
-	return nil, fmt.Errorf("storage: read of page %v gave up after retries: %w", id, last)
+	return fmt.Errorf("storage: read of page %v gave up after retries: %w", id, last)
 }
 
 // writePage drives one write-back against the device under the retry
@@ -202,47 +266,72 @@ func (bp *BufferPool) writePage(id PageID, buf []byte) error {
 }
 
 // Fetch returns the page with the given id, loading it from disk on a miss.
-// The returned Page aliases the cached frame: mutations become durable only
-// after MarkDirty + eviction or Flush.
+// The returned Page is the frame's own: mutations become durable only after
+// MarkDirty + eviction or Flush, and — because an evicted frame's buffer is
+// reused for the incoming page — its bytes are valid only until the next
+// call into the pool. A caller that dereferences the page (rather than
+// fetching it for the I/O charge alone) holds a Pin while it does.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	return bp.fetchLocked(id)
-}
-
-func (bp *BufferPool) fetchLocked(id PageID) (*Page, error) {
-	bp.logicalReads.Add(1)
-	if el, ok := bp.frames[id]; ok {
-		bp.lru.MoveToFront(el)
-		return el.Value.(*frame).page, nil
-	}
-	bp.misses.Add(1)
-	buf, err := bp.readPage(id)
+	i, err := bp.fetchLocked(id)
 	if err != nil {
 		return nil, err
 	}
-	if err := bp.evictIfFullLocked(); err != nil {
-		return nil, err
-	}
-	f := &frame{id: id, page: pageFromBytes(buf)}
-	bp.frames[id] = bp.lru.PushFront(f)
-	return f.page, nil
+	return &bp.frames[i].page, nil
 }
 
-// evictIfFullLocked makes room for one more frame, writing back a dirty
-// victim. A victim whose write-back fails permanently is skipped — it stays
-// resident and dirty so the data is not lost — and the next least-recently
-// used unpinned frame is tried instead. Under a WAL, frames dirtied by an
-// open transaction are likewise skipped (no-steal: an uncommitted image
-// must never reach the device), and committed frames force the log durable
-// before the write-back. It fails when every frame is pinned or unwritable.
-func (bp *BufferPool) evictIfFullLocked() error {
-	if bp.lru.Len() < bp.capacity {
-		return nil
+// fetchLocked makes the page resident and most recently used and returns
+// its frame. A miss reads the page before it evicts: a read that fails
+// leaves every resident page where it was.
+func (bp *BufferPool) fetchLocked(id PageID) (int32, error) {
+	bp.logicalReads.Add(1)
+	if i, ok := bp.index[id]; ok {
+		if i != bp.head {
+			bp.unlinkLocked(i)
+			bp.pushFrontLocked(i)
+		}
+		return i, nil
+	}
+	bp.misses.Add(1)
+	if bp.spare == nil {
+		bp.spare = make([]byte, bp.disk.PageSize())
+	}
+	if err := bp.readPage(id, bp.spare); err != nil {
+		return noFrame, err
+	}
+	i, err := bp.freeFrameLocked()
+	if err != nil {
+		return noFrame, err
+	}
+	// The frame takes the buffer just read; the buffer it held (nil if the
+	// frame was never filled) becomes the spare for the next miss.
+	f := &bp.frames[i]
+	old := f.page.buf
+	*f = frame{id: id, page: Page{buf: bp.spare}}
+	bp.spare = old
+	bp.index[id] = i
+	bp.pushFrontLocked(i)
+	return i, nil
+}
+
+// freeFrameLocked returns a frame for an incoming page: the next unused one
+// while the pool is filling, else the least recently used evictable one,
+// writing it back if dirty. A victim whose write-back fails permanently is
+// skipped — it stays resident and dirty so the data is not lost — and the
+// next least-recently used unpinned frame is tried instead. Under a WAL,
+// frames dirtied by an open transaction are likewise skipped (no-steal: an
+// uncommitted image must never reach the device), and committed frames
+// force the log durable before the write-back. It fails when every frame
+// is pinned or unwritable.
+func (bp *BufferPool) freeFrameLocked() (int32, error) {
+	if bp.used < bp.capacity {
+		bp.used++
+		return int32(bp.used - 1), nil
 	}
 	var lastErr error
-	for el := bp.lru.Back(); el != nil; el = el.Prev() {
-		f := el.Value.(*frame)
+	for i := bp.tail; i != noFrame; i = bp.frames[i].prev {
+		f := &bp.frames[i]
 		if f.pins > 0 {
 			continue
 		}
@@ -250,39 +339,33 @@ func (bp *BufferPool) evictIfFullLocked() error {
 			continue
 		}
 		if f.dirty {
-			if err := bp.ensureLoggedLocked(f); err != nil {
+			if err := bp.writeBackLocked(f); err != nil {
 				lastErr = err
 				continue
 			}
-			if err := bp.writePage(f.id, f.page.Bytes()); err != nil {
-				lastErr = err
-				continue
-			}
-			f.dirty = false
-			f.recLSN = 0
-			f.redoLSN = 0
 		}
-		bp.lru.Remove(el)
-		delete(bp.frames, f.id)
+		bp.unlinkLocked(i)
+		delete(bp.index, f.id)
 		bp.evictions.Add(1)
-		return nil
+		return i, nil
 	}
 	if lastErr != nil {
-		return fmt.Errorf("storage: buffer pool full and no victim writable: %w", lastErr)
+		return noFrame, fmt.Errorf("storage: buffer pool full and no victim writable: %w", lastErr)
 	}
-	return fmt.Errorf("storage: buffer pool exhausted: all %d frames pinned or held by an open transaction", bp.capacity)
+	return noFrame, fmt.Errorf("storage: buffer pool exhausted: all %d frames pinned or held by an open transaction", bp.capacity)
 }
 
-// Pin fetches the page and marks it non-evictable until a matching Unpin.
+// Pin fetches the page and marks it non-evictable until a matching Unpin;
+// the returned Page stays valid for as long as the pin is held.
 func (bp *BufferPool) Pin(id PageID) (*Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	p, err := bp.fetchLocked(id)
+	i, err := bp.fetchLocked(id)
 	if err != nil {
 		return nil, err
 	}
-	bp.frames[id].Value.(*frame).pins++
-	return p, nil
+	bp.frames[i].pins++
+	return &bp.frames[i].page, nil
 }
 
 // Unpin releases one pin on the page. Unpinning a page that is not resident
@@ -291,16 +374,24 @@ func (bp *BufferPool) Pin(id PageID) (*Page, error) {
 func (bp *BufferPool) Unpin(id PageID) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	el, ok := bp.frames[id]
-	if !ok {
+	f := bp.residentLocked(id)
+	if f == nil {
 		return fmt.Errorf("storage: unpin of non-resident page %v", id)
 	}
-	f := el.Value.(*frame)
 	if f.pins == 0 {
 		return fmt.Errorf("storage: unpin of unpinned page %v", id)
 	}
 	f.pins--
 	return nil
+}
+
+// residentLocked returns the page's frame, or nil when it is not cached.
+func (bp *BufferPool) residentLocked(id PageID) *frame {
+	i, ok := bp.index[id]
+	if !ok {
+		return nil
+	}
+	return &bp.frames[i]
 }
 
 // MarkDirty records that the cached copy of the page was modified, so it
@@ -310,11 +401,10 @@ func (bp *BufferPool) Unpin(id PageID) error {
 func (bp *BufferPool) MarkDirty(id PageID) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	el, ok := bp.frames[id]
-	if !ok {
+	f := bp.residentLocked(id)
+	if f == nil {
 		return fmt.Errorf("storage: MarkDirty of non-resident page %v", id)
 	}
-	f := el.Value.(*frame)
 	if bp.wal != nil {
 		if !f.dirty {
 			// First dirtying since the last write-back: no committed image
@@ -335,13 +425,12 @@ func (bp *BufferPool) UnloggedDirtyPages() []PageID {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	var ids []PageID
-	for el := bp.lru.Front(); el != nil; el = el.Next() {
-		f := el.Value.(*frame)
-		if f.dirty && f.recLSN == lsnUnlogged {
+	for i := range bp.frames[:bp.used] {
+		if f := &bp.frames[i]; f.dirty && f.recLSN == lsnUnlogged {
 			ids = append(ids, f.id)
 		}
 	}
-	sortPageIDs(ids)
+	slices.SortFunc(ids, comparePageIDs)
 	return ids
 }
 
@@ -351,14 +440,11 @@ func (bp *BufferPool) UnloggedDirtyPages() []PageID {
 func (bp *BufferPool) SnapshotPage(id PageID) ([]byte, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	el, ok := bp.frames[id]
-	if !ok {
+	f := bp.residentLocked(id)
+	if f == nil {
 		return nil, fmt.Errorf("storage: snapshot of non-resident page %v", id)
 	}
-	src := el.Value.(*frame).page.Bytes()
-	buf := make([]byte, len(src))
-	copy(buf, src)
-	return buf, nil
+	return slices.Clone(f.page.buf), nil
 }
 
 // SetPageLSN records that the log covers the frame's current content up to
@@ -371,11 +457,10 @@ func (bp *BufferPool) SnapshotPage(id PageID) ([]byte, error) {
 func (bp *BufferPool) SetPageLSN(id PageID, commitLSN, redoLSN int64) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	el, ok := bp.frames[id]
-	if !ok {
+	f := bp.residentLocked(id)
+	if f == nil {
 		return fmt.Errorf("storage: SetPageLSN of non-resident page %v", id)
 	}
-	f := el.Value.(*frame)
 	f.recLSN = commitLSN
 	if f.redoLSN <= 0 || redoLSN < f.redoLSN {
 		f.redoLSN = redoLSN
@@ -400,13 +485,12 @@ func (bp *BufferPool) DirtyPageTable() []DirtyPage {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	var dpt []DirtyPage
-	for el := bp.lru.Front(); el != nil; el = el.Next() {
-		f := el.Value.(*frame)
-		if f.dirty && f.redoLSN > 0 {
+	for i := range bp.frames[:bp.used] {
+		if f := &bp.frames[i]; f.dirty && f.redoLSN > 0 {
 			dpt = append(dpt, DirtyPage{ID: f.id, RedoLSN: f.redoLSN})
 		}
 	}
-	sort.Slice(dpt, func(i, j int) bool { return pageIDLess(dpt[i].ID, dpt[j].ID) })
+	slices.SortFunc(dpt, func(a, b DirtyPage) int { return comparePageIDs(a.ID, b.ID) })
 	return dpt
 }
 
@@ -422,27 +506,21 @@ func (bp *BufferPool) FlushOneDirty(prev PageID) (id PageID, ok bool, err error)
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	var victim *frame
-	for el := bp.lru.Front(); el != nil; el = el.Next() {
-		f := el.Value.(*frame)
-		if !f.dirty || f.recLSN == lsnUnlogged || !pageIDLess(prev, f.id) {
+	for i := range bp.frames[:bp.used] {
+		f := &bp.frames[i]
+		if !f.dirty || f.recLSN == lsnUnlogged || comparePageIDs(prev, f.id) >= 0 {
 			continue
 		}
-		if victim == nil || pageIDLess(f.id, victim.id) {
+		if victim == nil || comparePageIDs(f.id, victim.id) < 0 {
 			victim = f
 		}
 	}
 	if victim == nil {
 		return PageID{}, false, nil
 	}
-	if err := bp.ensureLoggedLocked(victim); err != nil {
+	if err := bp.writeBackLocked(victim); err != nil {
 		return victim.id, true, err
 	}
-	if err := bp.writePage(victim.id, victim.page.Bytes()); err != nil {
-		return victim.id, true, err
-	}
-	victim.dirty = false
-	victim.recLSN = 0
-	victim.redoLSN = 0
 	return victim.id, true, nil
 }
 
@@ -479,49 +557,28 @@ func (bp *BufferPool) Flush() error {
 }
 
 func (bp *BufferPool) flushLocked() error {
-	dirty := make([]*frame, 0, len(bp.frames))
-	for el := bp.lru.Front(); el != nil; el = el.Next() {
-		if f := el.Value.(*frame); f.dirty {
+	var dirty []*frame
+	for i := range bp.frames[:bp.used] {
+		if f := &bp.frames[i]; f.dirty {
 			dirty = append(dirty, f)
 		}
 	}
-	sortFrames(dirty)
+	slices.SortFunc(dirty, func(a, b *frame) int { return comparePageIDs(a.id, b.id) })
 	var firstErr error
 	for _, f := range dirty {
-		if err := bp.ensureLoggedLocked(f); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		if err := bp.writeBackLocked(f); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		if err := bp.writePage(f.id, f.page.Bytes()); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		f.dirty = false
-		f.recLSN = 0
-		f.redoLSN = 0
 	}
 	return firstErr
 }
 
-// sortFrames orders frames by ascending PageID (file, then page).
-func sortFrames(fs []*frame) {
-	sort.Slice(fs, func(i, j int) bool { return pageIDLess(fs[i].id, fs[j].id) })
-}
-
-// sortPageIDs orders ids ascending (file, then page).
-func sortPageIDs(ids []PageID) {
-	sort.Slice(ids, func(i, j int) bool { return pageIDLess(ids[i], ids[j]) })
-}
-
-func pageIDLess(a, b PageID) bool {
-	if a.File != b.File {
-		return a.File < b.File
+// comparePageIDs orders page ids ascending (file, then page).
+func comparePageIDs(a, b PageID) int {
+	if c := cmp.Compare(a.File, b.File); c != 0 {
+		return c
 	}
-	return a.Page < b.Page
+	return cmp.Compare(a.Page, b.Page)
 }
 
 // DropAll flushes and then empties the pool, so the next access to any page
@@ -533,16 +590,18 @@ func pageIDLess(a, b PageID) bool {
 func (bp *BufferPool) DropAll() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	for el := bp.lru.Front(); el != nil; el = el.Next() {
-		if el.Value.(*frame).pins > 0 {
-			return fmt.Errorf("storage: DropAll with pinned page %v", el.Value.(*frame).id)
+	for i := range bp.frames[:bp.used] {
+		if f := &bp.frames[i]; f.pins > 0 {
+			return fmt.Errorf("storage: DropAll with pinned page %v", f.id)
 		}
 	}
 	if err := bp.flushLocked(); err != nil {
 		return err
 	}
-	bp.frames = make(map[PageID]*list.Element, bp.capacity)
-	bp.lru.Init()
+	// The frames keep their page buffers for the pages that refill them.
+	clear(bp.index)
+	bp.used = 0
+	bp.head, bp.tail = noFrame, noFrame
 	return nil
 }
 
@@ -550,16 +609,15 @@ func (bp *BufferPool) DropAll() error {
 func (bp *BufferPool) Resident(id PageID) bool {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	_, ok := bp.frames[id]
-	return ok
+	return bp.residentLocked(id) != nil
 }
 
 // Dirty reports whether the page is resident with unflushed modifications.
 func (bp *BufferPool) Dirty(id PageID) bool {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	el, ok := bp.frames[id]
-	return ok && el.Value.(*frame).dirty
+	f := bp.residentLocked(id)
+	return f != nil && f.dirty
 }
 
 // Stats returns a snapshot of the pool counters. It does not take the

@@ -80,7 +80,7 @@ func WritePageSetImage(w io.Writer, dev Device, pages []PageID, authoritative []
 		}
 		for p := 0; p < dev.NumPages(id); p++ {
 			pid := PageID{File: id, Page: int32(p)}
-			buf, err := dev.ReadPage(pid)
+			buf, err := ReadPage(dev, pid)
 			if err != nil {
 				return 0, 0, fmt.Errorf("storage: imaging page %v: %w", pid, err)
 			}
@@ -140,7 +140,7 @@ func WritePageSetImage(w io.Writer, dev Device, pages []PageID, authoritative []
 		if err := putU32(uint32(pid.Page)); err != nil {
 			return 0, 0, err
 		}
-		buf, err := dev.ReadPage(pid)
+		buf, err := ReadPage(dev, pid)
 		if err != nil {
 			return 0, 0, fmt.Errorf("storage: imaging page %v: %w", pid, err)
 		}

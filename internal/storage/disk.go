@@ -46,8 +46,11 @@ type Device interface {
 	AllocPage(f FileID) (PageID, error)
 	// NumPages returns the number of pages in file f.
 	NumPages(f FileID) int
-	// ReadPage returns a fresh copy of the page's content.
-	ReadPage(id PageID) ([]byte, error)
+	// ReadPageInto fills buf, which must be exactly one page long, with
+	// the page's content. The caller owns buf: the buffer pool reads every
+	// miss into a buffer it recycles, so a physical read allocates
+	// nothing. On error buf's content is unspecified.
+	ReadPageInto(id PageID, buf []byte) error
 	// WritePage stores buf as the page's content.
 	WritePage(id PageID, buf []byte) error
 	// Checksum returns the expected CRC of the page's current content, as
@@ -66,6 +69,16 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // PageChecksum returns the CRC-32C of a page image.
 func PageChecksum(buf []byte) uint32 { return crc32.Checksum(buf, crcTable) }
+
+// ReadPage reads the page into a fresh buffer the caller owns — the form
+// the log, image and delta readers use, which keep or hand on the bytes.
+func ReadPage(dev Device, id PageID) ([]byte, error) {
+	buf := make([]byte, dev.PageSize())
+	if err := dev.ReadPageInto(id, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
 
 // ChecksumError reports that a page's content did not match the checksum
 // recorded at its last write: the bytes were corrupted on the device or in
@@ -181,26 +194,31 @@ func (d *Disk) NumPages(f FileID) int {
 	return len(d.files[f])
 }
 
-// ReadPage copies the page's content into a fresh buffer, verifies it
-// against the checksum recorded at the last write (the media scrub), and
-// counts one physical read.
-func (d *Disk) ReadPage(id PageID) ([]byte, error) {
+// ReadPageInto copies the page's content into buf, verifies it against the
+// checksum recorded at the last write (the media scrub), and counts one
+// physical read.
+func (d *Disk) ReadPageInto(id PageID, buf []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	pages, ok := d.files[id.File]
 	if !ok || int(id.Page) < 0 || int(id.Page) >= len(pages) {
-		return nil, fmt.Errorf("storage: read of invalid page %v", id)
+		return fmt.Errorf("storage: read of invalid page %v", id)
+	}
+	if len(buf) != d.pageSize {
+		return fmt.Errorf("storage: read of %d-byte page into %d bytes", d.pageSize, len(buf))
 	}
 	d.reads.Add(1)
-	buf := make([]byte, d.pageSize)
 	copy(buf, pages[id.Page])
 	if want, ok := d.sums[id]; ok {
 		if got := PageChecksum(buf); got != want {
-			return nil, &ChecksumError{Page: id, Want: want, Got: got}
+			return &ChecksumError{Page: id, Want: want, Got: got}
 		}
 	}
-	return buf, nil
+	return nil
 }
+
+// ReadPage is ReadPageInto a fresh buffer.
+func (d *Disk) ReadPage(id PageID) ([]byte, error) { return ReadPage(d, id) }
 
 // WritePage stores buf as the page's content, records its checksum, and
 // counts one physical write.

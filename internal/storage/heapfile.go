@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 )
 
 // RID is a record identifier: the page and slot where the record lives.
@@ -54,17 +55,34 @@ func OpenHeapFile(pool *BufferPool, file FileID, fillFactor float64) (*HeapFile,
 	n := pool.Disk().NumPages(file)
 	for pg := 0; pg < n; pg++ {
 		id := PageID{File: file, Page: int32(pg)}
-		p, err := pool.Fetch(id)
-		if err != nil {
+		if err := h.withPage(id, func(p *Page) error {
+			if p.initialized() {
+				h.lastPage, h.hasPage = id, true
+				h.numRecords += p.NumRecords()
+			}
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		if !p.initialized() {
-			continue
-		}
-		h.lastPage, h.hasPage = id, true
-		h.numRecords += p.NumRecords()
 	}
 	return h, nil
+}
+
+// withPage runs f on the page while holding a pin on it. The pool reuses an
+// evicted frame's buffer for the page that replaces it, so page bytes may
+// only be dereferenced under a pin — another goroutine's miss (or f's own
+// nested fetches) would otherwise overwrite them mid-read.
+func (h *HeapFile) withPage(id PageID, f func(*Page) error) (err error) {
+	p, err := h.pool.Pin(id)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if uerr := h.pool.Unpin(id); err == nil {
+			err = uerr
+		}
+	}()
+	return f(p)
 }
 
 // File returns the underlying file id.
@@ -88,22 +106,9 @@ func (h *HeapFile) Append(rec []byte) (RID, error) {
 		return RID{}, fmt.Errorf("storage: record of %d bytes exceeds page budget %d", len(rec), h.budget())
 	}
 	if h.hasPage {
-		p, err := h.pool.Fetch(h.lastPage)
-		if err != nil {
-			return RID{}, err
-		}
-		if h.usedPayload(p)+len(rec)+slotSize <= h.budget() && p.FreeSpace() >= len(rec) {
-			slot, err := p.Insert(rec)
-			if err == nil {
-				if err := h.pool.MarkDirty(h.lastPage); err != nil {
-					return RID{}, err
-				}
-				h.numRecords++
-				return RID{Page: h.lastPage, Slot: int32(slot)}, nil
-			}
-			if err != ErrPageFull {
-				return RID{}, err
-			}
+		rid, ok, err := h.insertInto(h.lastPage, rec, false)
+		if err != nil || ok {
+			return rid, err
 		}
 	}
 	id, err := h.pool.Disk().AllocPage(h.file)
@@ -111,25 +116,36 @@ func (h *HeapFile) Append(rec []byte) (RID, error) {
 		return RID{}, err
 	}
 	h.lastPage, h.hasPage = id, true
-	p, err := h.pool.Fetch(id)
-	if err != nil {
-		return RID{}, err
-	}
-	// A freshly allocated page arrives zeroed; initialize its header.
-	fresh, err := NewPage(h.pool.Disk().PageSize())
-	if err != nil {
-		return RID{}, err
-	}
-	copy(p.Bytes(), fresh.Bytes())
-	slot, err := p.Insert(rec)
-	if err != nil {
-		return RID{}, err
-	}
-	if err := h.pool.MarkDirty(id); err != nil {
-		return RID{}, err
-	}
-	h.numRecords++
-	return RID{Page: id, Slot: int32(slot)}, nil
+	rid, _, err := h.insertInto(id, rec, true)
+	return rid, err
+}
+
+// insertInto stores rec on the page if it fits under the fill-factor
+// budget, reporting ok = false when it does not. A fresh page — just
+// allocated, so it arrives zeroed — has its header initialized in place
+// first, and a record that does not fit it is an error.
+func (h *HeapFile) insertInto(id PageID, rec []byte, fresh bool) (rid RID, ok bool, err error) {
+	err = h.withPage(id, func(p *Page) error {
+		if fresh {
+			p.init()
+		} else if h.usedPayload(p)+len(rec)+slotSize > h.budget() || p.FreeSpace() < len(rec) {
+			return nil
+		}
+		slot, err := p.Insert(rec)
+		if err != nil {
+			if err == ErrPageFull && !fresh {
+				return nil
+			}
+			return err
+		}
+		if err := h.pool.MarkDirty(id); err != nil {
+			return err
+		}
+		h.numRecords++
+		rid, ok = RID{Page: id, Slot: int32(slot)}, true
+		return nil
+	})
+	return rid, ok, err
 }
 
 // usedPayload returns the bytes of payload (records + slots) in use on p.
@@ -140,38 +156,38 @@ func (h *HeapFile) usedPayload(p *Page) int {
 // Get returns a copy of the record at rid, fetching its page through the
 // buffer pool (and therefore charging I/O on a miss).
 func (h *HeapFile) Get(rid RID) ([]byte, error) {
-	p, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := p.Record(int(rid.Slot))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, nil
+	var out []byte
+	err := h.withPage(rid.Page, func(p *Page) error {
+		rec, err := p.Record(int(rid.Slot))
+		out = slices.Clone(rec)
+		return err
+	})
+	return out, err
 }
 
 // Scan calls f for every record in file order. Scanning fetches each page
-// once. f receives the RID and the raw record bytes (valid only during the
-// call); returning false stops the scan.
+// once and keeps it pinned while its records are visited. f receives the
+// RID and the raw record bytes (valid only during the call); returning
+// false stops the scan.
 func (h *HeapFile) Scan(f func(RID, []byte) bool) error {
 	n := h.NumPages()
-	for pg := 0; pg < n; pg++ {
+	stop := false
+	for pg := 0; pg < n && !stop; pg++ {
 		id := PageID{File: h.file, Page: int32(pg)}
-		p, err := h.pool.Fetch(id)
-		if err != nil {
+		if err := h.withPage(id, func(p *Page) error {
+			for s := 0; s < p.NumRecords(); s++ {
+				rec, err := p.Record(s)
+				if err != nil {
+					return err
+				}
+				if !f(RID{Page: id, Slot: int32(s)}, rec) {
+					stop = true
+					return nil
+				}
+			}
+			return nil
+		}); err != nil {
 			return err
-		}
-		for s := 0; s < p.NumRecords(); s++ {
-			rec, err := p.Record(s)
-			if err != nil {
-				return err
-			}
-			if !f(RID{Page: id, Slot: int32(s)}, rec) {
-				return nil
-			}
 		}
 	}
 	return nil

@@ -72,7 +72,7 @@ func WriteDeviceImage(w io.Writer, dev Device) (int, error) {
 			return pages, err
 		}
 		for p := 0; p < n; p++ {
-			buf, err := dev.ReadPage(PageID{File: id, Page: int32(p)})
+			buf, err := ReadPage(dev, PageID{File: id, Page: int32(p)})
 			if err != nil {
 				return pages, fmt.Errorf("storage: imaging page %d of file %d: %w", p, f, err)
 			}

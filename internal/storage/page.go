@@ -43,13 +43,16 @@ func NewPage(size int) (*Page, error) {
 		return nil, fmt.Errorf("storage: page size %d too small", size)
 	}
 	p := &Page{buf: make([]byte, size)}
-	p.setCount(0)
-	p.setFree(pageHeaderSize)
+	p.init()
 	return p, nil
 }
 
-// pageFromBytes wraps an existing buffer (e.g. read from disk) as a Page.
-func pageFromBytes(buf []byte) *Page { return &Page{buf: buf} }
+// init writes the header of an empty slotted page over whatever the buffer
+// held.
+func (p *Page) init() {
+	p.setCount(0)
+	p.setFree(pageHeaderSize)
+}
 
 // Bytes returns the raw page image.
 func (p *Page) Bytes() []byte { return p.buf }
@@ -100,8 +103,8 @@ func (p *Page) Insert(rec []byte) (slot int, err error) {
 }
 
 // Record returns the bytes of the record in the given slot. The returned
-// slice aliases the page buffer; callers that retain it across page
-// evictions must copy.
+// slice aliases the page buffer, which the pool recycles: it is valid only
+// while the page is pinned, and callers that keep the bytes must copy.
 func (p *Page) Record(slot int) ([]byte, error) {
 	if slot < 0 || slot >= p.count() {
 		return nil, fmt.Errorf("storage: slot %d out of range (page has %d records)", slot, p.count())

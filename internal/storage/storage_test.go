@@ -88,7 +88,7 @@ func TestPageFreeSpaceDecreases(t *testing.T) {
 func TestPageSurvivesSerialization(t *testing.T) {
 	p, _ := NewPage(128)
 	p.Insert([]byte("persisted"))
-	clone := pageFromBytes(append([]byte(nil), p.Bytes()...))
+	clone := &Page{buf: append([]byte(nil), p.Bytes()...)}
 	got, err := clone.Record(0)
 	if err != nil || string(got) != "persisted" {
 		t.Fatalf("round trip failed: %q, %v", got, err)
@@ -299,7 +299,7 @@ func TestBufferPoolDirtyWriteBackOnEviction(t *testing.T) {
 	bp.Fetch(b) // evicts a, must write it back
 
 	buf, _ := d.ReadPage(a)
-	rec, err := pageFromBytes(buf).Record(0)
+	rec, err := (&Page{buf: buf}).Record(0)
 	if err != nil || string(rec) != "dirty" {
 		t.Fatalf("dirty page lost on eviction: %q, %v", rec, err)
 	}
@@ -316,7 +316,7 @@ func TestBufferPoolFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf, _ := d.ReadPage(a)
-	if rec, _ := pageFromBytes(buf).Record(0); string(rec) != "flushed" {
+	if rec, _ := (&Page{buf: buf}).Record(0); string(rec) != "flushed" {
 		t.Fatalf("flush did not persist: %q", rec)
 	}
 	if !bp.Resident(a) {
@@ -576,14 +576,13 @@ func (permanentErr) Error() string   { return "flaky: permanent fault" }
 func (permanentErr) Transient() bool { return false }
 func (permanentErr) Permanent() bool { return true }
 
-func (d *flakyDevice) ReadPage(id PageID) ([]byte, error) {
+func (d *flakyDevice) ReadPageInto(id PageID, buf []byte) error {
 	if d.failReads[id] > 0 {
 		d.failReads[id]--
-		return nil, transientErr{}
+		return transientErr{}
 	}
-	buf, err := d.Disk.ReadPage(id)
-	if err != nil {
-		return nil, err
+	if err := d.Disk.ReadPageInto(id, buf); err != nil {
+		return err
 	}
 	if n := d.corrupt[id]; n != 0 {
 		if n > 0 {
@@ -591,7 +590,7 @@ func (d *flakyDevice) ReadPage(id PageID) ([]byte, error) {
 		}
 		buf[0] ^= 0xff
 	}
-	return buf, nil
+	return nil
 }
 
 func (d *flakyDevice) WritePage(id PageID, buf []byte) error {
@@ -752,7 +751,7 @@ func TestEvictionSkipsUnwritableVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf, _ := d.Disk.ReadPage(a)
-	if rec, _ := pageFromBytes(buf).Record(0); string(rec) != "precious" {
+	if rec, _ := (&Page{buf: buf}).Record(0); string(rec) != "precious" {
 		t.Fatalf("modification lost across failed eviction: %q", rec)
 	}
 }
@@ -803,7 +802,7 @@ func TestFlushKeepsFailedFrameDirtyFlushesRest(t *testing.T) {
 		t.Fatal("flush must still write the other dirty frames")
 	}
 	buf, _ := d.Disk.ReadPage(b)
-	if rec, _ := pageFromBytes(buf).Record(0); string(rec) != "fine" {
+	if rec, _ := (&Page{buf: buf}).Record(0); string(rec) != "fine" {
 		t.Fatalf("healthy frame not flushed: %q", rec)
 	}
 
@@ -812,7 +811,7 @@ func TestFlushKeepsFailedFrameDirtyFlushesRest(t *testing.T) {
 		t.Fatalf("flush after heal: %v", err)
 	}
 	buf, _ = d.Disk.ReadPage(a)
-	if rec, _ := pageFromBytes(buf).Record(0); string(rec) != "stuck" {
+	if rec, _ := (&Page{buf: buf}).Record(0); string(rec) != "stuck" {
 		t.Fatalf("retried flush lost the modification: %q", rec)
 	}
 }
@@ -851,7 +850,7 @@ func TestDropAllPartialFailureIsRetryable(t *testing.T) {
 		t.Fatal("retried DropAll must empty the pool")
 	}
 	buf, _ := d.Disk.ReadPage(a)
-	if rec, _ := pageFromBytes(buf).Record(0); string(rec) != "held" {
+	if rec, _ := (&Page{buf: buf}).Record(0); string(rec) != "held" {
 		t.Fatalf("modification lost across retried DropAll: %q", rec)
 	}
 }
@@ -871,7 +870,7 @@ func TestPoolWriteRetriesTransientOnly(t *testing.T) {
 		t.Fatalf("WriteRetries = %d, want 2", s.WriteRetries)
 	}
 	buf, _ := d.Disk.ReadPage(a)
-	if rec, _ := pageFromBytes(buf).Record(0); string(rec) != "retried" {
+	if rec, _ := (&Page{buf: buf}).Record(0); string(rec) != "retried" {
 		t.Fatalf("retried write lost data: %q", rec)
 	}
 }

@@ -87,7 +87,7 @@ func TestFlushAscendingPageOrder(t *testing.T) {
 		t.Fatalf("flushed %d pages, want 8", len(dev.writes))
 	}
 	if !sort.SliceIsSorted(dev.writes, func(i, j int) bool {
-		return pageIDLess(dev.writes[i], dev.writes[j])
+		return comparePageIDs(dev.writes[i], dev.writes[j]) < 0
 	}) {
 		t.Errorf("flush order not ascending: %v", dev.writes)
 	}
@@ -302,7 +302,7 @@ func TestFlushOneDirty(t *testing.T) {
 	if len(flushed) != 4 {
 		t.Fatalf("flushed %d frames, want 4 (unlogged frame must be skipped): %v", len(flushed), flushed)
 	}
-	if !sort.SliceIsSorted(flushed, func(i, j int) bool { return pageIDLess(flushed[i], flushed[j]) }) {
+	if !sort.SliceIsSorted(flushed, func(i, j int) bool { return comparePageIDs(flushed[i], flushed[j]) < 0 }) {
 		t.Errorf("incremental flush order not ascending: %v", flushed)
 	}
 	dpt := bp.DirtyPageTable()

@@ -300,7 +300,7 @@ func (l *Log) TruncateBelow(keep LSN) (int, error) {
 	zero := make([]byte, l.pageSize)
 	for p := l.truncFrom; int(p) < n; p++ {
 		id := storage.PageID{File: LogFileID, Page: p}
-		buf, err := l.dev.ReadPage(id)
+		buf, err := storage.ReadPage(l.dev, id)
 		if err != nil {
 			return zeroed, nil // unreadable: keep it and everything after
 		}

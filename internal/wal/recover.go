@@ -259,7 +259,7 @@ func scanStream(dev storage.Device) (LSN, []byte, int64, error) {
 	var torn int64
 	for p := 0; p < n; p++ {
 		id := storage.PageID{File: LogFileID, Page: int32(p)}
-		buf, err := dev.ReadPage(id)
+		buf, err := storage.ReadPage(dev, id)
 		if err != nil {
 			if storage.IsChecksum(err) {
 				// A page torn by the crash; everything it held is past the

@@ -94,7 +94,7 @@ func (r *TailReader) scan() error {
 	n := r.dev.NumPages(LogFileID)
 	for p := r.next; p < n; p++ {
 		id := storage.PageID{File: LogFileID, Page: int32(p)}
-		buf, err := r.dev.ReadPage(id)
+		buf, err := storage.ReadPage(r.dev, id)
 		if err != nil {
 			if storage.IsChecksum(err) {
 				continue // torn or in flight: revisit next scan

@@ -212,7 +212,7 @@ func TestTornTailPageDiscarded(t *testing.T) {
 	if rstats.TxnsCommitted < 1 {
 		t.Errorf("txn 1 lost: %+v", rstats)
 	}
-	got, err := fd.ReadPage(pid)
+	got, err := storage.ReadPage(fd, pid)
 	if err != nil {
 		t.Fatal(err)
 	}
