@@ -62,7 +62,7 @@ func printWAL(out io.Writer, seed int64, group int, crashAt int64, doRecover boo
 	fmt.Fprintf(out, "== WAL overhead: %d inserts, one txn each (measured, seed %d) ==\n",
 		len(rects), seed)
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(w, "policy\twall ms\tinserts/s\toverhead\tdevice writes\tlog writes\tsyncs\tbytes logged\tpadding\t\n")
+	fmt.Fprintf(w, "policy\twall ms\tinserts/s\toverhead\tdevice writes\tlog writes\tsyncs\tbytes logged\tbytes/insert\timages\tpadding\t\n")
 	var base time.Duration
 	rows := []struct {
 		name   string
@@ -90,10 +90,11 @@ func printWAL(out io.Writer, seed int64, group int, crashAt int64, doRecover boo
 			base = elapsed
 		}
 		ds, ws := db.DiskStats(), db.WALStats()
-		fmt.Fprintf(w, "%s\t%.2f\t%.0f\t%.2fx\t%d\t%d\t%d\t%d\t%d\t\n",
+		fmt.Fprintf(w, "%s\t%.2f\t%.0f\t%.2fx\t%d\t%d\t%d\t%d\t%.0f\t%d\t%d\t\n",
 			row.name, float64(elapsed.Microseconds())/1000,
 			float64(len(rects))/elapsed.Seconds(), float64(elapsed)/float64(base),
-			ds.Writes, ws.PageWrites, ws.Syncs, ws.BytesLogged, ws.PaddingBytes)
+			ds.Writes, ws.PageWrites, ws.Syncs, ws.BytesLogged,
+			float64(ws.BytesLogged)/float64(len(rects)), ws.Images, ws.PaddingBytes)
 	}
 	if err := w.Flush(); err != nil {
 		return err

@@ -14,7 +14,7 @@ func TestWALOverheadOutput(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{"WAL overhead", "wal off", "sync every commit",
-		"group commit 4", "inserts/s", "device writes", "log writes", "bytes logged", "1.00x"} {
+		"group commit 4", "inserts/s", "device writes", "log writes", "bytes logged", "bytes/insert", "images", "1.00x"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("wal output missing %q:\n%s", want, out)
 		}
@@ -23,16 +23,25 @@ func TestWALOverheadOutput(t *testing.T) {
 		t.Fatalf("wal table without -crash-at/-recover must not run recovery:\n%s", out)
 	}
 	// The wal-off row logs nothing; both WAL rows log the same byte stream
-	// (policy changes when syncs happen, not what is logged).
-	var logged []string
+	// (policy changes when syncs happen, not what is logged). The load
+	// never takes a checkpoint, so every page's history starts at slot 0
+	// and no row logs a page image: an insert costs a few hundred bytes.
+	var logged, perInsert, images []string
 	for _, line := range strings.Split(out, "\n") {
 		f := strings.Fields(line)
-		if len(f) >= 9 && strings.HasSuffix(f[len(f)-6], "x") {
-			logged = append(logged, f[len(f)-2])
+		if len(f) >= 11 && strings.HasSuffix(f[len(f)-8], "x") {
+			logged = append(logged, f[len(f)-4])
+			perInsert = append(perInsert, f[len(f)-3])
+			images = append(images, f[len(f)-2])
 		}
 	}
 	if len(logged) != 3 || logged[0] != "0" || logged[1] == "0" || logged[1] != logged[2] {
 		t.Fatalf("bytes-logged column inconsistent: %v\n%s", logged, out)
+	}
+	for i, n := range perInsert {
+		if len(n) > 3 || images[i] != "0" {
+			t.Fatalf("row %d logs %s bytes/insert and %s images, want under 1000 B and no image:\n%s", i, n, images[i], out)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"spatialjoin/internal/fault"
 	"spatialjoin/internal/storage"
+	"spatialjoin/internal/wal"
 )
 
 // crashWorld bounds every workload rectangle; the z-order grid is built
@@ -293,33 +294,27 @@ func stateMatches(db *Database, m crashModel) (bool, error) {
 	return true, nil
 }
 
-// runCrashCase opens a fresh database, arms the given schedule, runs the
-// workload catching the injected crash, reboots and reopens, and asserts
-// the recovered state equals an admissible committed prefix. When the
-// bounded recovery reports an untruncated log (BaseLSN 0), the same device
-// is recovered a second time with checkpoints ignored — a full replay from
-// LSN 0 — and must reconstruct the identical state: the checkpoint's skip
-// decisions may never change the outcome, only the work. It returns the
-// bounded recovery's stats for callers that assert on accounting.
-func runCrashCase(t *testing.T, cfg Config, steps []crashStep, label string, arm func(fd *fault.Disk)) RecoveryStats {
+// runToCrash opens a fresh database, arms the given schedule and runs the
+// workload until the injected crash unwinds it. It returns the database
+// (its device is what survives), the number of steps that returned, and the
+// crash — nil when the schedule never fired and the workload ran through.
+func runToCrash(t *testing.T, cfg Config, steps []crashStep, label string, arm func(fd *fault.Disk)) (db *Database, completed int, crash *fault.Crash) {
 	t.Helper()
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	fd := db.FaultDisk()
 	if arm != nil {
-		arm(fd)
+		arm(db.FaultDisk())
 	}
-	completed := 0
-	crashed := false
 	func() {
 		defer func() {
 			if v := recover(); v != nil {
-				if _, ok := fault.AsCrash(v); !ok {
+				c, ok := fault.AsCrash(v)
+				if !ok {
 					panic(v)
 				}
-				crashed = true
+				crash = c
 			}
 		}()
 		for _, st := range steps {
@@ -330,7 +325,22 @@ func runCrashCase(t *testing.T, cfg Config, steps []crashStep, label string, arm
 		}
 	}()
 	fault.DisarmCrashPoints()
-	if !crashed {
+	return db, completed, crash
+}
+
+// runCrashCase runs the workload to the injected crash, reboots and
+// reopens, and asserts the recovered state equals an admissible committed
+// prefix. When the bounded recovery reports an untruncated log (BaseLSN 0),
+// the same device is recovered a second time with checkpoints ignored — a
+// full replay from LSN 0 — and must reconstruct the identical state: the
+// checkpoint's skip decisions may never change the outcome, only the work.
+// It returns the bounded recovery's stats for callers that assert on
+// accounting.
+func runCrashCase(t *testing.T, cfg Config, steps []crashStep, label string, arm func(fd *fault.Disk)) RecoveryStats {
+	t.Helper()
+	db, completed, crash := runToCrash(t, cfg, steps, label, arm)
+	fd := db.FaultDisk()
+	if crash == nil {
 		// The schedule never fired: the workload ran to completion; the
 		// live database must hold the final state.
 		ok, err := stateMatches(db, steps[len(steps)-1].model)
@@ -548,28 +558,8 @@ func TestCrashGroupCommitPrefix(t *testing.T) {
 	steps := crashSteps()
 	for n := int64(1); n <= writes; n += 3 {
 		label := fmt.Sprintf("group-commit write=%d", n)
-		db, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.FaultDisk().SetCrashAfterWrites(n)
-		crashed := false
-		func() {
-			defer func() {
-				if v := recover(); v != nil {
-					if _, ok := fault.AsCrash(v); !ok {
-						panic(v)
-					}
-					crashed = true
-				}
-			}()
-			for _, st := range steps {
-				if err := st.run(db); err != nil {
-					t.Fatalf("%s: step %s: %v", label, st.name, err)
-				}
-			}
-		}()
-		if !crashed {
+		db, _, crash := runToCrash(t, cfg, steps, label, func(fd *fault.Disk) { fd.SetCrashAfterWrites(n) })
+		if crash == nil {
 			continue
 		}
 		db.FaultDisk().Reboot()
@@ -591,6 +581,118 @@ func TestCrashGroupCommitPrefix(t *testing.T) {
 		}
 		if !matched {
 			t.Fatalf("%s: recovered state is not any committed prefix", label)
+		}
+	}
+}
+
+// tornAppendSteps is the workload behind TestCrashSweepTornAppendedPage:
+// r's heap page is dirty when a fuzzy checkpoint begins, is flushed by the
+// checkpoint's sweep, and is then re-dirtied by three more inserts before a
+// flush writes it back again. All of the page's older log records lie below
+// the checkpoint's begin and its dirty-page table does not list it, so
+// bounded recovery skips them: what rebuilds the page when that last
+// write-back is torn must lie above the checkpoint — the image the first
+// re-dirtying insert logs because the sweep left the frame clean (invariant
+// I1), with the other two inserts' appends on top.
+func tornAppendSteps() (steps []crashStep, checkpoint int) {
+	base := crashSteps()
+	for _, st := range base {
+		if st.name == "flush-1" {
+			break
+		}
+		steps = append(steps, st)
+	}
+	m := steps[len(steps)-1].model
+	checkpoint = len(steps)
+	steps = append(steps, crashStep{name: "checkpoint", model: m, run: func(db *Database) error {
+		_, err := db.checkpoint(false)
+		return err
+	}})
+	for i := 6; i < 9; i++ {
+		i := i
+		m.rectsR = append(append([]Rect(nil), m.rectsR...), crashRect(i))
+		steps = append(steps, crashStep{name: fmt.Sprintf("insert-r%d", i), model: m, run: func(db *Database) error {
+			c, _ := db.Collection("r")
+			_, err := c.Insert(crashRect(i), fmt.Sprintf("r%d", i))
+			return err
+		}})
+	}
+	steps = append(steps, crashStep{name: "flush", model: m, run: func(db *Database) error { return db.Flush() }})
+	return steps, checkpoint
+}
+
+// TestCrashSweepTornAppendedPage kills tornAppendSteps at every physical
+// write after its checkpoint and looks at the crashes whose doomed, torn
+// write is a data page: recovery bounded by the checkpoint and recovery
+// from LSN 0 must both rebuild the page and agree on the committed prefix —
+// at one worker and four, syncing every commit and grouping four. Under
+// group commit the prefix may end before the step in flight; it may never
+// be anything but a prefix.
+func TestCrashSweepTornAppendedPage(t *testing.T) {
+	steps, checkpoint := tornAppendSteps()
+	models := func(j int) crashModel {
+		if j < 0 {
+			return crashModel{}
+		}
+		return steps[j].model
+	}
+	for _, workers := range []int{1, 4} {
+		for _, group := range []int{1, 4} {
+			cfg := crashConfig(workers, group)
+			dry, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runSteps(t, dry, steps)
+			writes := dry.DiskStats().Writes
+			r, _ := dry.Collection("r")
+			heap := storage.PageID{File: r.rel.FileID(), Page: 0}
+
+			tornHeap := false
+			for n := int64(1); n <= writes; n++ {
+				n := n
+				label := fmt.Sprintf("workers=%d/group=%d/write=%d", workers, group, n)
+				db, completed, crash := runToCrash(t, cfg, steps, label, func(fd *fault.Disk) { fd.SetCrashAfterWrites(n) })
+				if crash == nil || completed <= checkpoint || crash.Page.File == wal.LogFileID {
+					continue
+				}
+				tornHeap = tornHeap || crash.Page == heap
+				db.FaultDisk().Reboot()
+				rdb, stats, err := Reopen(cfg, db.Device())
+				if err != nil {
+					t.Fatalf("%s: bounded Reopen with %v torn: %v", label, crash.Page, err)
+				}
+				if stats.CheckpointLSN == 0 || stats.RecordsSkipped == 0 {
+					t.Fatalf("%s: recovery was not bounded by the checkpoint: %+v", label, stats)
+				}
+				oldest := completed - 1
+				if group > 1 {
+					oldest = -1
+				}
+				prefix := completed + 1
+				for j := completed; j >= oldest && prefix > completed; j-- {
+					ok, err := stateMatches(rdb, models(j))
+					if err != nil {
+						t.Fatalf("%s: verifying bounded recovery: %v", label, err)
+					}
+					if ok {
+						prefix = j
+					}
+				}
+				if prefix > completed {
+					t.Fatalf("%s: bounded recovery with %v torn matches no admissible prefix (stats %+v)", label, crash.Page, stats)
+				}
+				fdb, _, err := reopenWith(cfg, db.Device(), true, 0)
+				if err != nil {
+					t.Fatalf("%s: recovery from LSN 0: %v", label, err)
+				}
+				if ok, err := stateMatches(fdb, models(prefix)); err != nil || !ok {
+					t.Fatalf("%s: bounded recovery and recovery from LSN 0 disagree (%v)", label, err)
+				}
+			}
+			if !tornHeap {
+				t.Errorf("workers=%d/group=%d: no crash tore %v, the page the sweep is about", workers, group, heap)
+			}
 		}
 	}
 }

@@ -24,8 +24,9 @@ var errClosed = errors.New("spatialjoin: database is closed")
 // runTxn executes one atomic update and returns the commit LSN (0 without
 // a WAL). Without a WAL it just runs f. With one, it wraps f in
 // begin/commit records: after f mutates pages in the buffer pool (where
-// the no-steal discipline holds them back from the device), the write
-// set's after-images and the commit record are appended to the log, the
+// the no-steal discipline holds them back from the device), the write set
+// the pool recorded — slot appends, or a page image where the log has no
+// base for appends yet — and the commit record are appended to the log, the
 // log is forced durable per the group-commit policy, and only then are the
 // frames released for write-back. A crash at any point therefore leaves
 // the device in either the pre- or the post-transaction committed state.
@@ -66,15 +67,12 @@ func (db *Database) runTxn(f func(txn uint64) error) (wal.LSN, error) {
 		return 0, db.poison(err)
 	}
 	fault.CrashPoint("txn.mutated")
-	dirty := db.pool.UnloggedDirtyPages()
-	for _, id := range dirty {
-		img, err := db.pool.SnapshotPage(id)
-		if err != nil {
-			db.wal.Abort(txn)
-			finish()
-			return 0, db.poison(err)
-		}
-		db.wal.AppendImage(txn, id, img)
+	if err := db.pool.DrainWriteSet(func(w storage.PageWrite) error {
+		return db.wal.AppendPageWrite(txn, w)
+	}); err != nil {
+		db.wal.Abort(txn)
+		finish()
+		return 0, db.poison(err)
 	}
 	fault.CrashPoint("txn.images-logged")
 	lsn, err := db.wal.Commit(txn)
@@ -89,12 +87,7 @@ func (db *Database) runTxn(f func(txn uint64) error) (wal.LSN, error) {
 	// learn their covering LSN: releasing them earlier would let an
 	// eviction persist pages of a transaction that never commits. The
 	// begin LSN rides along as the redo floor the dirty-page table reports.
-	for _, id := range dirty {
-		if err := db.pool.SetPageLSN(id, lsn, beginLSN); err != nil {
-			finish()
-			return 0, db.poison(err)
-		}
-	}
+	db.pool.CoverWriteSet(lsn, beginLSN)
 	finish()
 	fault.CrashPoint("txn.committed")
 	return lsn, nil
@@ -124,9 +117,9 @@ func (db *Database) checkUsable() error {
 
 // Reopen recovers a database from a device that survived a crash: it scans
 // the write-ahead log, discards the torn tail and every uncommitted
-// transaction, replays the page images of committed transactions — bounded
+// transaction, redoes the page changes of committed transactions — bounded
 // below by the last fuzzy checkpoint, whose dirty-page and
-// active-transaction tables prove which older images are already on the
+// active-transaction tables prove which older changes are already on the
 // device — and rebuilds the in-memory catalog (collections, R-trees, join
 // indices). Collections the checkpoint manifest vouches for, whose files
 // replay did not touch, load their R-trees straight from the persisted
@@ -139,7 +132,7 @@ func Reopen(cfg Config, device storage.Device) (*Database, RecoveryStats, error)
 }
 
 // ReopenAt recovers a replica device whose pages are trusted current up to
-// applied: replay skips images below that floor and replays everything at
+// applied: replay skips page records below that floor and replays everything at
 // or above it unconditionally, never consulting the checkpoint dirty-page
 // table (which describes the primary's flush state, not this device's).
 // Pass the NextApplyFloor from the previous recovery's stats; a floor of 1

@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"spatialjoin/internal/storage"
 )
 
 // setDown makes dial fail while the partition holds.
@@ -161,6 +163,65 @@ func TestFollowerResyncsAfterLogTruncation(t *testing.T) {
 	total := int64(p.pages())
 	if shipped := f.deltaPages.Load(); shipped == 0 || shipped >= total {
 		t.Errorf("delta shipped %d pages of a %d-page device, want 0 < shipped < total", shipped, total)
+	}
+}
+
+// TestDeltaResyncAfterAppendOnlyTransactions is the delta path's guard
+// against the log's own economy: once a page's image is in the log, later
+// inserts log only slot appends, and a replica that already applied the
+// image can fall behind by appends alone. The source's dirty-page tracker
+// must count those, or the delta leaves the page out and the replica keeps
+// a copy missing every record the truncated log no longer carries. After
+// the resync the replica must hold the primary's collections and, page for
+// page, the primary's data files.
+func TestDeltaResyncAfterAppendOnlyTransactions(t *testing.T) {
+	p := startPrimary(t, nil)
+	link := newChaosLink(p.addr)
+	f := startFollower(t, p, func(o *FollowerOptions) { o.Dial = link.dial })
+	waitConverged(t, f, p)
+	// The seed's checkpoint left every frame clean: these two inserts log
+	// the images of the four pages all later inserts append to, and the
+	// replica applies them before it is cut off.
+	p.insert(2)
+	waitConverged(t, f, p)
+
+	link.setDown(true)
+	link.sever()
+	images := p.db.WALStats().Images
+	p.insert(6)
+	if got := p.db.WALStats(); got.Images != images || got.Appends == 0 {
+		t.Fatalf("inserts behind the partition logged %d images; the test needs append-only transactions", got.Images-images)
+	}
+	p.truncateLog()
+	link.setDown(false)
+
+	waitConverged(t, f, p)
+	assertEquivalent(t, f, p)
+	if got := p.src.deltas.Load(); got != 1 {
+		t.Fatalf("source shipped %d deltas, want 1", got)
+	}
+	db, release, err := f.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	primary, replica := p.db.Device().(*storage.Disk), db.Device().(*storage.Disk)
+	if primary.Files() != replica.Files() {
+		t.Fatalf("replica holds %d files, primary %d", replica.Files(), primary.Files())
+	}
+	for file := storage.FileID(1); int(file) < primary.Files(); file++ {
+		if primary.NumPages(file) != replica.NumPages(file) {
+			t.Fatalf("file %d: replica holds %d pages, primary %d", file, replica.NumPages(file), primary.NumPages(file))
+		}
+		for pg := 0; pg < primary.NumPages(file); pg++ {
+			// The devices' own CRC-32C of what each page was last written
+			// with: equal sums, equal bytes.
+			id := storage.PageID{File: file, Page: int32(pg)}
+			want, _ := primary.Checksum(id)
+			if got, _ := replica.Checksum(id); got != want {
+				t.Errorf("page %v differs between replica (crc %08x) and primary (crc %08x)", id, got, want)
+			}
+		}
 	}
 }
 

@@ -48,9 +48,10 @@ type SourceOptions struct {
 }
 
 // Source serves replication streams off a live primary. It tracks which
-// pages the log has imaged — by tailing the primary's own log with a
-// TailReader, pinned against checkpoint truncation — so a delta request
-// ships only the pages dirtied since the replica's applied LSN.
+// pages the log has changed — imaged or appended to — by tailing the
+// primary's own log with a TailReader, pinned against checkpoint
+// truncation, so a delta request ships only the pages dirtied since the
+// replica's applied LSN.
 type Source struct {
 	db     *spatialjoin.Database
 	dev    storage.Device
@@ -60,7 +61,7 @@ type Source struct {
 
 	mu         sync.Mutex
 	tracker    *wal.TailReader
-	lastImage  map[storage.PageID]wal.LSN
+	lastChange map[storage.PageID]wal.LSN
 	knownSince wal.LSN
 
 	tailStreams   atomic.Int64
@@ -101,7 +102,7 @@ func NewSource(db *spatialjoin.Database, opts SourceOptions) (*Source, error) {
 		opts:       opts,
 		closed:     make(chan struct{}),
 		tracker:    tracker,
-		lastImage:  make(map[storage.PageID]wal.LSN),
+		lastChange: make(map[storage.PageID]wal.LSN),
 		knownSince: durable,
 	}
 	db.RetainWAL(durable)
@@ -128,7 +129,10 @@ func (s *Source) isClosed() bool {
 }
 
 // catchUpLocked advances the dirty-page tracker to the log's durable end,
-// recording each imaged page's latest LSN, then moves the truncation pin
+// recording the latest LSN at which each page was imaged or appended to (an
+// append-only transaction dirties its pages just as surely, and a delta
+// that left them out would strand the replica's copy below the appends the
+// shipped log builds on), then moves the truncation pin
 // up to the tracker. If the tracker has somehow lost its place — the pin
 // was released, or the log diverged — it restarts at the durable end and
 // the delta horizon moves up with it: older delta requests get full
@@ -143,7 +147,7 @@ func (s *Source) catchUpLocked() error {
 				return rerr
 			}
 			s.tracker = tracker
-			s.lastImage = make(map[storage.PageID]wal.LSN)
+			s.lastChange = make(map[storage.PageID]wal.LSN)
 			s.knownSince = durable
 			s.trackerResets.Add(1)
 			s.db.RetainWAL(durable)
@@ -158,8 +162,8 @@ func (s *Source) catchUpLocked() error {
 			return err
 		}
 		for _, r := range records {
-			if r.Type == wal.RecImage {
-				s.lastImage[r.Page] = r.LSN
+			if r.Type == wal.RecImage || r.Type == wal.RecAppend {
+				s.lastChange[r.Page] = r.LSN
 			}
 		}
 	}
@@ -257,7 +261,7 @@ func (s *Source) OpenSnap(since wal.LSN) (*SnapStream, error) {
 	full := since < s.knownSince
 	var pages []storage.PageID
 	if !full {
-		for id, lsn := range s.lastImage {
+		for id, lsn := range s.lastChange {
 			if lsn >= since {
 				pages = append(pages, id)
 			}

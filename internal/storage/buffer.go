@@ -70,6 +70,7 @@ type BufferPool struct {
 	index      map[PageID]int32 // resident page → its frame
 	head, tail int32            // most and least recently used frame; noFrame when empty
 	spare      []byte           // the buffer the next miss reads into; nil until needed
+	writeSet   []pageTouch      // pages the open transaction changed; always empty without a WAL
 
 	logicalReads atomic.Int64
 	misses       atomic.Int64
@@ -102,6 +103,14 @@ const lsnUnlogged = int64(-1)
 // because a transaction's images always carry LSNs at or above its begin
 // record.
 //
+// anchored is the write-ahead log's image-first flag: the log holds a full
+// image (or a slot-0 append, which rebuilds the page from nothing) of this
+// page that is newer than the frame's last clean state, so later changes may
+// be logged as slot appends on top of it. It is false on a frame just filled
+// and cleared by every write-back: the device copy a torn write-back may
+// destroy is then the only base, and the next logged change must be an
+// image again.
+//
 // prev and next link the frame into the recency list (prev towards the most
 // recently used end). page.buf is nil until the frame is first filled.
 type frame struct {
@@ -112,6 +121,32 @@ type frame struct {
 	prev, next int32
 	pins       int32
 	dirty      bool
+	anchored   bool
+}
+
+// pageTouch is one page of the open transaction's write set: the run of
+// consecutive slots appended to it, or whole when the pool was only told
+// "this page changed" and so can describe the change no better than by the
+// page's image.
+type pageTouch struct {
+	frame    int32
+	first, n int32
+	whole    bool
+}
+
+// PageWrite describes what the open transaction did to one page, for the
+// transaction layer to log. Page is the frame's own and valid only during
+// the DrainWriteSet callback.
+type PageWrite struct {
+	ID   PageID
+	Page *Page
+	// First and N name the slots First..First+N-1 the transaction appended.
+	First, N int
+	// Image demands a full page image rather than N append records: the
+	// change is not a known run of appends, or the log holds no base for
+	// appends to build on (the frame is not anchored and the run does not
+	// start the page over at slot 0).
+	Image bool
 }
 
 // noFrame terminates the recency list.
@@ -206,6 +241,7 @@ func (bp *BufferPool) writeBackLocked(f *frame) error {
 		return err
 	}
 	f.dirty = false
+	f.anchored = false
 	f.recLSN = 0
 	f.redoLSN = 0
 	return nil
@@ -396,76 +432,116 @@ func (bp *BufferPool) residentLocked(id PageID) *frame {
 
 // MarkDirty records that the cached copy of the page was modified, so it
 // will be written back on eviction or Flush. Under a WAL the frame becomes
-// unlogged-dirty: pinned in memory until the transaction layer logs its
-// image and reports the covering commit LSN via SetPageLSN.
+// unlogged-dirty and joins the open transaction's write set as a whole-page
+// change: pinned in memory until the transaction layer logs its image and
+// reports the covering commit LSN via CoverWriteSet.
 func (bp *BufferPool) MarkDirty(id PageID) error {
+	return bp.markDirty(id, -1)
+}
+
+// MarkAppended is MarkDirty for the one mutation the pool can describe:
+// Page.Insert put a record in the given slot. Under a WAL the write set
+// remembers the slot, so the transaction layer can log the record instead
+// of the page; without one it is exactly MarkDirty.
+func (bp *BufferPool) MarkAppended(id PageID, slot int) error {
+	return bp.markDirty(id, slot)
+}
+
+func (bp *BufferPool) markDirty(id PageID, slot int) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	f := bp.residentLocked(id)
-	if f == nil {
+	i, ok := bp.index[id]
+	if !ok {
 		return fmt.Errorf("storage: MarkDirty of non-resident page %v", id)
 	}
+	f := &bp.frames[i]
 	if bp.wal != nil {
 		if !f.dirty {
-			// First dirtying since the last write-back: no committed image
+			// First dirtying since the last write-back: no committed change
 			// is pending yet, so the frame has no redo floor until the
-			// covering transaction reports one via SetPageLSN.
+			// covering transaction reports one via CoverWriteSet.
 			f.redoLSN = lsnUnlogged
 		}
+		bp.touchLocked(i, f.recLSN != lsnUnlogged, slot)
 		f.recLSN = lsnUnlogged
 	}
 	f.dirty = true
 	return nil
 }
 
-// UnloggedDirtyPages returns the pages dirtied since their last logged
-// image, in ascending PageID order — the write set the transaction layer
-// must log before committing.
-func (bp *BufferPool) UnloggedDirtyPages() []PageID {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	var ids []PageID
-	for i := range bp.frames[:bp.used] {
-		if f := &bp.frames[i]; f.dirty && f.recLSN == lsnUnlogged {
-			ids = append(ids, f.id)
+// touchLocked records a change to frame i in the write set. A frame is in
+// the set exactly while it is unlogged, so fresh says whether to add it.
+// Appends extend the frame's run while they stay consecutive; anything else
+// — a whole-page change, a slot out of sequence — degrades the entry to an
+// image, never to a lost update.
+func (bp *BufferPool) touchLocked(i int32, fresh bool, slot int) {
+	if fresh {
+		t := pageTouch{frame: i, whole: true}
+		if slot >= 0 {
+			t = pageTouch{frame: i, first: int32(slot), n: 1}
+		}
+		bp.writeSet = append(bp.writeSet, t)
+		return
+	}
+	// The page a transaction is appending to is almost always the one it
+	// touched last.
+	for k := len(bp.writeSet) - 1; k >= 0; k-- {
+		if t := &bp.writeSet[k]; t.frame == i {
+			if slot >= 0 && !t.whole && int32(slot) == t.first+t.n {
+				t.n++
+			} else {
+				t.whole = true
+			}
+			return
 		}
 	}
-	slices.SortFunc(ids, comparePageIDs)
-	return ids
 }
 
-// SnapshotPage returns a copy of the resident page's current bytes without
-// touching the logical-read counters: it is the transaction layer reading
-// its own write set for logging, not query I/O.
-func (bp *BufferPool) SnapshotPage(id PageID) ([]byte, error) {
+// DrainWriteSet hands the open transaction's write set to emit, one page at
+// a time in ascending PageID order (so crash schedules keyed to write
+// ordinals stay reproducible), and marks every page anchored: the caller
+// must log each PageWrite as asked — an image where Image is set — before
+// committing. The set itself stays until CoverWriteSet.
+func (bp *BufferPool) DrainWriteSet(emit func(PageWrite) error) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	f := bp.residentLocked(id)
-	if f == nil {
-		return nil, fmt.Errorf("storage: snapshot of non-resident page %v", id)
-	}
-	return slices.Clone(f.page.buf), nil
-}
-
-// SetPageLSN records that the log covers the frame's current content up to
-// commitLSN, making it eligible for write-back once the log is durable past
-// it. redoLSN is the begin LSN of the covering transaction: replaying the
-// log from there reconstructs everything the frame holds back from the
-// device. A frame dirtied across several transactions keeps the earliest
-// redo floor until a write-back cleans it, so the checkpoint's dirty-page
-// table never under-reports how far back recovery must start.
-func (bp *BufferPool) SetPageLSN(id PageID, commitLSN, redoLSN int64) error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	f := bp.residentLocked(id)
-	if f == nil {
-		return fmt.Errorf("storage: SetPageLSN of non-resident page %v", id)
-	}
-	f.recLSN = commitLSN
-	if f.redoLSN <= 0 || redoLSN < f.redoLSN {
-		f.redoLSN = redoLSN
+	slices.SortFunc(bp.writeSet, func(a, b pageTouch) int {
+		return comparePageIDs(bp.frames[a.frame].id, bp.frames[b.frame].id)
+	})
+	for _, t := range bp.writeSet {
+		f := &bp.frames[t.frame]
+		w := PageWrite{ID: f.id, Page: &f.page, Image: true}
+		if !t.whole {
+			w.First, w.N = int(t.first), int(t.n)
+			w.Image = !f.anchored && t.first != 0
+		}
+		if err := emit(w); err != nil {
+			return err
+		}
+		f.anchored = true
 	}
 	return nil
+}
+
+// CoverWriteSet records that the log covers the current content of every
+// page in the write set up to commitLSN, making the frames eligible for
+// write-back once the log is durable past it, and empties the set. redoLSN
+// is the begin LSN of the covering transaction: replaying the log from
+// there reconstructs everything the frames hold back from the device. A
+// frame dirtied across several transactions keeps the earliest redo floor
+// until a write-back cleans it, so the checkpoint's dirty-page table never
+// under-reports how far back recovery must start.
+func (bp *BufferPool) CoverWriteSet(commitLSN, redoLSN int64) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for _, t := range bp.writeSet {
+		f := &bp.frames[t.frame]
+		f.recLSN = commitLSN
+		if f.redoLSN <= 0 || redoLSN < f.redoLSN {
+			f.redoLSN = redoLSN
+		}
+	}
+	bp.writeSet = bp.writeSet[:0]
 }
 
 // DirtyPage is one entry of the pool's dirty-page table: a resident page

@@ -138,7 +138,7 @@ func (h *HeapFile) insertInto(id PageID, rec []byte, fresh bool) (rid RID, ok bo
 			}
 			return err
 		}
-		if err := h.pool.MarkDirty(id); err != nil {
+		if err := h.pool.MarkAppended(id, slot); err != nil {
 			return err
 		}
 		h.numRecords++

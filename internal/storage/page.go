@@ -114,3 +114,32 @@ func (p *Page) Record(slot int) ([]byte, error) {
 	n := int(binary.LittleEndian.Uint16(p.buf[sp+2:]))
 	return p.buf[off : off+n], nil
 }
+
+// RedoAppend re-applies a logged slot append to a raw page image — the redo
+// half of Page.Insert, which recovery calls with the very record bytes the
+// forward path inserted, so the replayed page is byte-identical to the one
+// the transaction built. An append at slot 0 starts the page's history over:
+// the buffer is re-initialized to the empty page a fresh allocation holds
+// before the record goes in, whatever it held before. A slot the page
+// already has is a no-op (the device copy was newer than the record), which
+// is what makes replay idempotent from any floor; applied reports whether
+// the page changed. A slot beyond the next free one is a gap — the base is
+// older than the record assumes — and is an error, as is a record the page
+// has no room for.
+func RedoAppend(buf []byte, slot int, rec []byte) (applied bool, err error) {
+	p := Page{buf: buf}
+	if slot == 0 {
+		clear(buf)
+		p.init()
+	}
+	switch n := p.count(); {
+	case slot < n:
+		return false, nil
+	case slot > n:
+		return false, fmt.Errorf("storage: redo of slot %d onto a page holding %d records leaves a gap", slot, n)
+	}
+	if _, err := p.Insert(rec); err != nil {
+		return false, fmt.Errorf("storage: redo of slot %d: %w", slot, err)
+	}
+	return true, nil
+}

@@ -46,28 +46,56 @@ func (w *fakeWAL) Sync() error {
 	return nil
 }
 
-// dirtyPages allocates n pages in one file and dirties them in the given
-// order.
-func dirtyPages(t *testing.T, bp *BufferPool, dev Device, order []int) []PageID {
+// allocPages allocates n pages in one new file.
+func allocPages(t *testing.T, dev Device, n int) []PageID {
 	t.Helper()
 	f := dev.CreateFile()
-	ids := make([]PageID, len(order))
-	for i := range order {
+	ids := make([]PageID, n)
+	for i := range ids {
 		id, err := dev.AllocPage(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = id
 	}
+	return ids
+}
+
+// fetchDirty makes the page resident and marks it dirty as a whole.
+func fetchDirty(t *testing.T, bp *BufferPool, id PageID) {
+	t.Helper()
+	if _, err := bp.Fetch(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.MarkDirty(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dirtyPages allocates n pages in one file and dirties them in the given
+// order.
+func dirtyPages(t *testing.T, bp *BufferPool, dev Device, order []int) []PageID {
+	t.Helper()
+	ids := allocPages(t, dev, len(order))
 	for _, i := range order {
-		if _, err := bp.Fetch(ids[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := bp.MarkDirty(ids[i]); err != nil {
-			t.Fatal(err)
-		}
+		fetchDirty(t, bp, ids[i])
 	}
 	return ids
+}
+
+// drainWriteSet returns what the pool would have the open transaction log,
+// without the page pointers (they are the pool's).
+func drainWriteSet(t *testing.T, bp *BufferPool) []PageWrite {
+	t.Helper()
+	var ws []PageWrite
+	if err := bp.DrainWriteSet(func(w PageWrite) error {
+		w.Page = nil
+		ws = append(ws, w)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ws
 }
 
 // TestFlushAscendingPageOrder checks Flush writes dirty frames in ascending
@@ -119,8 +147,8 @@ func TestUnloggedDirtyBlocksFlushAndEviction(t *testing.T) {
 	if err := bp.MarkDirty(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if got := bp.UnloggedDirtyPages(); len(got) != 1 || got[0] != ids[0] {
-		t.Fatalf("UnloggedDirtyPages = %v", got)
+	if got := drainWriteSet(t, bp); len(got) != 1 || got[0].ID != ids[0] || !got[0].Image {
+		t.Fatalf("write set = %+v, want the image of %v", got, ids[0])
 	}
 	if err := bp.Flush(); err == nil {
 		t.Fatal("Flush persisted an unlogged dirty frame")
@@ -141,9 +169,7 @@ func TestUnloggedDirtyBlocksFlushAndEviction(t *testing.T) {
 
 	// Commit: cover the frame with an LSN the WAL will report durable.
 	w.syncTo = 100
-	if err := bp.SetPageLSN(ids[0], 100, 40); err != nil {
-		t.Fatal(err)
-	}
+	bp.CoverWriteSet(100, 40)
 	if err := bp.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +205,7 @@ func TestFlushSkipsWALSyncWhenAlreadyDurable(t *testing.T) {
 	if err := bp.MarkDirty(id); err != nil {
 		t.Fatal(err)
 	}
-	if err := bp.SetPageLSN(id, 400, 350); err != nil {
-		t.Fatal(err)
-	}
+	bp.CoverWriteSet(400, 350)
 	if err := bp.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,18 +256,17 @@ func TestDirtyPageTable(t *testing.T) {
 	}
 	w := &fakeWAL{durable: 1 << 30}
 	bp.SetWAL(w)
-	ids := dirtyPages(t, bp, dev, []int{2, 0, 1, 3})
-	// Pages 0..2 committed with distinct floors; page 3 stays unlogged
-	// (open transaction) and must not appear.
-	if err := bp.SetPageLSN(ids[0], 100, 90); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.SetPageLSN(ids[1], 200, 150); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.SetPageLSN(ids[2], 300, 250); err != nil {
-		t.Fatal(err)
-	}
+	ids := allocPages(t, dev, 4)
+	// Pages 0..2 committed by three transactions with distinct floors,
+	// dirtied out of page order; page 3 stays unlogged (open transaction)
+	// and must not appear.
+	fetchDirty(t, bp, ids[2])
+	bp.CoverWriteSet(300, 250)
+	fetchDirty(t, bp, ids[0])
+	bp.CoverWriteSet(100, 90)
+	fetchDirty(t, bp, ids[1])
+	bp.CoverWriteSet(200, 150)
+	fetchDirty(t, bp, ids[3])
 	dpt := bp.DirtyPageTable()
 	if len(dpt) != 3 {
 		t.Fatalf("DPT has %d entries, want 3: %v", len(dpt), dpt)
@@ -258,9 +281,7 @@ func TestDirtyPageTable(t *testing.T) {
 	if err := bp.MarkDirty(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := bp.SetPageLSN(ids[0], 900, 850); err != nil {
-		t.Fatal(err)
-	}
+	bp.CoverWriteSet(900, 850)
 	if got := bp.DirtyPageTable()[0].RedoLSN; got != 90 {
 		t.Errorf("re-dirtied frame's redo floor = %d, want the original 90", got)
 	}
@@ -277,15 +298,12 @@ func TestFlushOneDirty(t *testing.T) {
 	}
 	w := &fakeWAL{durable: 1 << 30}
 	bp.SetWAL(w)
-	ids := dirtyPages(t, bp, dev, []int{4, 1, 3, 0, 2})
-	for i, id := range ids {
-		if i == 2 {
-			continue // left unlogged: an open transaction holds it
-		}
-		if err := bp.SetPageLSN(id, int64(1000+i), int64(500+i)); err != nil {
-			t.Fatal(err)
-		}
+	ids := allocPages(t, dev, 5)
+	for _, i := range []int{4, 1, 3, 0} {
+		fetchDirty(t, bp, ids[i])
+		bp.CoverWriteSet(int64(1000+i), int64(500+i))
 	}
+	fetchDirty(t, bp, ids[2]) // left unlogged: an open transaction holds it
 	prev := PageID{File: -1, Page: -1}
 	var flushed []PageID
 	for {
@@ -309,8 +327,8 @@ func TestFlushOneDirty(t *testing.T) {
 	if len(dpt) != 0 {
 		t.Errorf("DPT after incremental flush = %v, want empty (open-txn frame has no committed image)", dpt)
 	}
-	if got := bp.UnloggedDirtyPages(); len(got) != 1 || got[0] != ids[2] {
-		t.Errorf("UnloggedDirtyPages after flush = %v, want [%v]", got, ids[2])
+	if got := drainWriteSet(t, bp); len(got) != 1 || got[0].ID != ids[2] {
+		t.Errorf("write set after flush = %+v, want [%v]", got, ids[2])
 	}
 }
 

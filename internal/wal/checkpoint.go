@@ -21,11 +21,15 @@ import (
 //  4. Log pages wholly below min(DPT floor, Lb, oldest active begin) are
 //     zeroed: nothing below that LSN can ever be needed for redo.
 //
-// Recovery replays a committed image at LSN L onto page P iff
-// L ≥ min(Lb, oldest active begin) or P is in the DPT with DPT[P] ≤ L;
-// everything else is provably already on the device and is skipped.
+// Recovery redoes a committed page record (image or append) at LSN L on
+// page P iff L ≥ min(Lb, oldest active begin) or P is in the DPT with
+// DPT[P] ≤ L; everything else is provably already on the device and is
+// skipped. The rule cuts each page's history at one LSN, so what remains is
+// a suffix (invariant I2), and a dirty frame's redo floor reaches back to
+// the transaction that logged its image (I1), so a page whose write-back a
+// crash tears always finds that image among the records to redo.
 // In-flight transactions may straddle the boundary — the active table plus
-// the no-steal pool make that safe: an uncommitted image is never on the
+// the no-steal pool make that safe: an uncommitted change is never on the
 // device, and its eventual commit lies above the checkpoint's floor.
 
 // DirtyPage is one dirty-page-table entry of a checkpoint: a page whose
@@ -297,15 +301,11 @@ func (l *Log) TruncateBelow(keep LSN) (int, error) {
 	}
 	n := l.dev.NumPages(LogFileID)
 	zeroed := 0
-	zero := make([]byte, l.pageSize)
+	buf := l.page
 	for p := l.truncFrom; int(p) < n; p++ {
 		id := storage.PageID{File: LogFileID, Page: p}
-		buf, err := storage.ReadPage(l.dev, id)
-		if err != nil {
+		if readVerified(l.dev, id, buf) != nil {
 			return zeroed, nil // unreadable: keep it and everything after
-		}
-		if want, ok := l.dev.Checksum(id); !ok || storage.PageChecksum(buf) != want {
-			return zeroed, nil
 		}
 		used := int(binary.LittleEndian.Uint32(buf[0:]))
 		if used == 0 {
@@ -319,7 +319,8 @@ func (l *Log) TruncateBelow(keep LSN) (int, error) {
 		if start+LSN(used) > keep {
 			return zeroed, nil
 		}
-		if err := l.dev.WritePage(id, zero); err != nil {
+		clear(buf)
+		if err := l.dev.WritePage(id, buf); err != nil {
 			return zeroed, fmt.Errorf("wal: truncating log page %v: %w", id, err)
 		}
 		l.stats.PageWrites++

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"spatialjoin/internal/storage"
 )
@@ -11,8 +13,8 @@ import (
 // RecoveryStats summarizes one recovery pass.
 type RecoveryStats struct {
 	RecordsScanned  int64 // complete, checksum-valid records found in the log
-	RecordsReplayed int64 // page images of committed transactions applied
-	RecordsSkipped  int64 // committed images the checkpoint proved already on the device
+	RecordsReplayed int64 // page records (images, appends) of committed transactions redone
+	RecordsSkipped  int64 // committed page records the checkpoint proved already on the device
 	PagesRestored   int64 // distinct pages written during replay
 	TxnsCommitted   int64 // transactions with a durable commit record
 	TxnsAborted     int64 // transactions closed by an explicit abort record
@@ -29,9 +31,11 @@ type RecoveryStats struct {
 	// NextApplyFloor is the safe Options.ApplyFloor for the *next*
 	// recovery of this device once everything scanned here has been
 	// applied: the stream end, lowered to the begin LSN of the oldest
-	// transaction still open at the end of the scan (its images are not
-	// applied yet and must be replayed once its commit arrives). Full-page
-	// redo is idempotent, so the lowering only ever re-replays.
+	// transaction still open at the end of the scan (its changes are not
+	// applied yet and must be replayed once its commit arrives). Redo is
+	// idempotent from any floor — an image restarts its page, an append
+	// whose slot is present is a no-op (invariant I2) — so the lowering
+	// only ever re-replays.
 	NextApplyFloor LSN
 }
 
@@ -39,23 +43,45 @@ type RecoveryStats struct {
 // header; recovery refuses to touch such a device.
 var ErrNotALog = errors.New("wal: device file 0 does not start with a log header")
 
+// RedoError reports a committed slot append recovery could not apply
+// (invariant I3): the page it builds on is unreadable and no image of it is
+// among the records to redo, or the page holds fewer records than the
+// append assumes. Recovery stops rather than leave a page silently short.
+type RedoError struct {
+	Page storage.PageID
+	LSN  LSN // the append that could not be applied
+	Err  error
+}
+
+// Error implements the error interface.
+func (e *RedoError) Error() string {
+	return fmt.Sprintf("wal: cannot redo append at LSN %d onto %v: %v", e.LSN, e.Page, e.Err)
+}
+
+// Unwrap exposes the cause, so a checksum failure of the base page still
+// classifies with storage.IsChecksum.
+func (e *RedoError) Unwrap() error { return e.Err }
+
 // Options configures RecoverWith.
 type Options struct {
 	// GroupCommit is the recovered log's commits-per-sync policy.
 	GroupCommit int
-	// IgnoreCheckpoints makes recovery replay every committed image from
+	// IgnoreCheckpoints makes recovery replay every committed page record from
 	// the scanned base, as if no checkpoint existed. Harnesses use it to
 	// assert that bounded and full recovery reconstruct identical state.
 	// It cannot resurrect records a checkpoint already truncated away.
 	IgnoreCheckpoints bool
 	// ApplyFloor, when positive, replaces checkpoint-bounded redo with an
-	// explicit cut: committed images below the floor are skipped
+	// explicit cut: committed page records below the floor are skipped
 	// unconditionally and everything at or above it is replayed
-	// unconditionally, never consulting the dirty-page table. Checkpoint
+	// unconditionally, never consulting the dirty-page table (per-page redo
+	// is idempotent, so a floor lower than necessary costs work, never
+	// correctness; one higher than the device's true state surfaces as a
+	// *RedoError, not as a silently short page). Checkpoint
 	// decoding (manifest, transaction table) is unaffected. Replication
 	// followers need this because a shipped checkpoint's DPT describes the
 	// *primary's* flush state — bounding a follower's redo by it would
-	// skip images the follower never applied. A follower that has applied
+	// skip records the follower never applied. A follower that has applied
 	// everything below LSN n recovers with ApplyFloor = n; one whose
 	// device state is unknown (fresh seed, delta resync) uses ApplyFloor = 1
 	// to replay the whole surviving stream.
@@ -78,7 +104,7 @@ type Result struct {
 	Stats        RecoveryStats
 }
 
-// Recover scans the log on dev, replays the page images of every committed
+// Recover scans the log on dev, redoes the page changes of every committed
 // transaction onto the device, and returns a Log positioned to append after
 // the last complete record, the committed catalog records in LSN order for
 // the caller to re-register, and the recovery counters. It is the
@@ -96,11 +122,12 @@ func Recover(dev storage.Device, groupCommit int) (*Log, []Record, RecoveryStats
 	return res.Log, res.Catalog, res.Stats, nil
 }
 
-// RecoverWith scans the log on dev and replays exactly the committed images
-// the device is missing. With a checkpoint in the log, redo is bounded: an
-// image below the checkpoint is replayed only when the dirty-page table
-// says its page had not been flushed, or when a straddling transaction's
-// begin LSN reaches down to it; everything else is counted as skipped.
+// RecoverWith scans the log on dev and redoes the committed page changes
+// the device is missing, page by page (invariant I2 of the package
+// comment). With a checkpoint in the log, redo is bounded: a record below
+// the checkpoint is redone only when the dirty-page table says its page had
+// not been flushed, or when a straddling transaction's begin LSN reaches
+// down to it; everything else is counted as skipped.
 //
 // Torn tails are discarded, not erased: the log never rewrites a durable
 // page, so the garbage bytes stay on the device and are superseded by the
@@ -202,16 +229,20 @@ func RecoverWith(dev storage.Device, opts Options) (*Result, error) {
 		}
 	}
 
-	restored := make(map[storage.PageID]bool)
+	// Sort the records to redo by page, keeping LSN order within a page.
+	// The skip rules cut each page's history at a single LSN, so what a page
+	// keeps is a suffix of its committed records.
+	redo := make(map[storage.PageID][]Record)
+	var pages []storage.PageID
 	for _, r := range records {
 		if !committed[r.Txn] {
 			continue
 		}
 		switch r.Type {
-		case RecImage:
+		case RecImage, RecAppend:
 			if opts.ApplyFloor > 0 {
 				if r.LSN < opts.ApplyFloor {
-					// The caller vouches the device holds this image.
+					// The caller vouches the device holds this change.
 					stats.RecordsSkipped++
 					continue
 				}
@@ -223,17 +254,29 @@ func RecoverWith(dev storage.Device, opts Options) (*Result, error) {
 					continue
 				}
 			}
-			if err := replayImage(dev, r); err != nil {
-				return res, err
-			}
 			stats.RecordsReplayed++
 			res.TouchedFiles[r.Page.File] = true
-			if !restored[r.Page] {
-				restored[r.Page] = true
-				stats.PagesRestored++
+			if _, seen := redo[r.Page]; !seen {
+				pages = append(pages, r.Page)
 			}
+			redo[r.Page] = append(redo[r.Page], r)
 		case RecNewCollection, RecNewJoinIndex:
 			res.Catalog = append(res.Catalog, r)
+		}
+	}
+	// Ascending page order, like the pool's flush: a crash schedule keyed to
+	// the n-th write of a recovery lands on the same page every run.
+	slices.SortFunc(pages, func(a, b storage.PageID) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Page, b.Page))
+	})
+	buf := make([]byte, dev.PageSize())
+	for _, id := range pages {
+		wrote, err := redoPage(dev, id, redo[id], buf)
+		if err != nil {
+			return res, err
+		}
+		if wrote {
+			stats.PagesRestored++
 		}
 	}
 
@@ -329,7 +372,7 @@ func parseStream(base LSN, stream []byte) ([]Record, int64) {
 		lsn := LSN(binary.LittleEndian.Uint64(hdr[0:]))
 		typ := RecordType(hdr[8])
 		dataLen := int(binary.LittleEndian.Uint32(hdr[25:]))
-		if lsn != base+LSN(off) || typ < RecHeader || typ > RecCheckpointEnd || dataLen > maxDataLen {
+		if lsn != base+LSN(off) || typ < RecHeader || typ >= recTypeEnd || dataLen > maxDataLen {
 			break
 		}
 		end := off + recHeaderSize + dataLen + recTrailer
@@ -358,27 +401,102 @@ func parseStream(base LSN, stream []byte) ([]Record, int64) {
 	return records, int64(off)
 }
 
-// replayImage writes one committed after-image back to the device, creating
-// the file and allocating pages as needed: the crash may have landed before
-// the first write-back ever materialized them.
-func replayImage(dev storage.Device, r Record) error {
-	if len(r.Data) != dev.PageSize() {
-		return fmt.Errorf("wal: image for %v has %d bytes, device page size is %d",
-			r.Page, len(r.Data), dev.PageSize())
+// redoPage rebuilds one page in buf from its records to redo — an
+// LSN-ordered suffix of the page's committed history — and writes it to the
+// device, reporting whether it did. The base is the latest image or slot-0
+// append among the records, which makes everything before it moot, else the
+// device page; the appends after the base then apply in order. A page
+// rebuilt on the device copy is written only if an append changed it.
+func redoPage(dev storage.Device, id storage.PageID, records []Record, buf []byte) (bool, error) {
+	for i := len(records) - 1; i > 0; i-- {
+		if startsPage(records[i]) {
+			records = records[i:]
+			break
+		}
 	}
-	for int(r.Page.Page) >= dev.NumPages(r.Page.File) {
-		if _, err := dev.AllocPage(r.Page.File); err == nil {
+	// A page rebuilt from the log is written whatever the device holds: its
+	// copy may be torn, and only a write mends it.
+	changed := startsPage(records[0])
+	switch {
+	case !changed:
+		if err := readVerified(dev, id, buf); err != nil {
+			return false, &RedoError{Page: id, LSN: records[0].LSN, Err: err}
+		}
+	case records[0].Type == RecImage:
+		if len(records[0].Data) != len(buf) {
+			return false, fmt.Errorf("wal: image for %v has %d bytes, device page size is %d",
+				id, len(records[0].Data), len(buf))
+		}
+		copy(buf, records[0].Data)
+		records = records[1:]
+	}
+	for _, r := range records {
+		slot, rec, err := r.Append()
+		if err != nil {
+			return false, err
+		}
+		applied, err := storage.RedoAppend(buf, slot, rec)
+		if err != nil {
+			return false, &RedoError{Page: id, LSN: r.LSN, Err: err}
+		}
+		changed = changed || applied
+	}
+	if !changed {
+		return false, nil
+	}
+	if err := materialize(dev, id); err != nil {
+		return false, err
+	}
+	if err := dev.WritePage(id, buf); err != nil {
+		return false, fmt.Errorf("wal: replaying onto %v: %w", id, err)
+	}
+	return true, nil
+}
+
+// startsPage reports whether redo of a page can start from the record with
+// no older state: a full image, or an append at slot 0, which
+// storage.RedoAppend applies to a page it first re-initializes.
+func startsPage(r Record) bool {
+	if r.Type == RecImage {
+		return true
+	}
+	slot, _, err := r.Append()
+	return err == nil && slot == 0
+}
+
+// readVerified reads a device page into buf and checks it against the
+// recorded checksum explicitly: fault devices hand back corrupted bytes
+// rather than an error, and end-to-end verification is the reader's job. A
+// page the device does not hold, or holds no checksum for, is an error.
+func readVerified(dev storage.Device, id storage.PageID, buf []byte) error {
+	if err := dev.ReadPageInto(id, buf); err != nil {
+		return err
+	}
+	want, ok := dev.Checksum(id)
+	if !ok {
+		return fmt.Errorf("wal: device records no checksum for %v", id)
+	}
+	if got := storage.PageChecksum(buf); got != want {
+		return &storage.ChecksumError{Page: id, Want: want, Got: got}
+	}
+	return nil
+}
+
+// materialize makes sure the device holds the page replay is about to
+// write, creating the file and allocating pages as needed: the crash may
+// have landed before the first write-back ever materialized them, and a
+// replica's device starts with none of the primary's files.
+func materialize(dev storage.Device, id storage.PageID) error {
+	for int(id.Page) >= dev.NumPages(id.File) {
+		if _, err := dev.AllocPage(id.File); err == nil {
 			continue
 		}
 		// AllocPage rejects unknown files; file IDs are dense, so creating
 		// files in order eventually materializes the target. Overshooting
 		// it means the failure had another cause.
-		if id := dev.CreateFile(); id > r.Page.File {
-			return fmt.Errorf("wal: cannot materialize file %d for replay of %v", r.Page.File, r.Page)
+		if f := dev.CreateFile(); f > id.File {
+			return fmt.Errorf("wal: cannot materialize file %d for replay of %v", id.File, id)
 		}
-	}
-	if err := dev.WritePage(r.Page, r.Data); err != nil {
-		return fmt.Errorf("wal: replaying image onto %v: %w", r.Page, err)
 	}
 	return nil
 }

@@ -184,7 +184,7 @@ func completePrefix(base LSN, stream []byte, max int) int {
 		lsn := LSN(binary.LittleEndian.Uint64(hdr[0:]))
 		typ := RecordType(hdr[8])
 		dataLen := int(binary.LittleEndian.Uint32(hdr[25:]))
-		if lsn != base+LSN(off) || typ < RecHeader || typ > RecCheckpointEnd || dataLen > maxDataLen {
+		if lsn != base+LSN(off) || typ < RecHeader || typ >= recTypeEnd || dataLen > maxDataLen {
 			break
 		}
 		end := off + recHeaderSize + dataLen + recTrailer
@@ -227,6 +227,10 @@ func (l *Log) AppendRaw(from LSN, data []byte) ([]Record, error) {
 		l.bounds = append(l.bounds, r.LSN)
 		l.stats.Records++
 		switch r.Type {
+		case RecImage:
+			l.stats.Images++
+		case RecAppend:
+			l.stats.Appends++
 		case RecCommit:
 			l.stats.Commits++
 		case RecAbort:
@@ -246,7 +250,7 @@ func (l *Log) AppendRaw(from LSN, data []byte) ([]Record, error) {
 // ParseChunk parses a shipped chunk of complete records whose stream
 // offset is base, requiring the chunk to parse exactly to its end — the
 // contract TailReader.Next guarantees for what it emits. Replication
-// sources use it to watch their own log for page-image records without
+// sources use it to watch their own log for page-changing records without
 // touching the appender.
 func ParseChunk(base LSN, data []byte) ([]Record, error) {
 	records, consumed := parseStream(base, data)

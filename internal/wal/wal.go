@@ -11,13 +11,47 @@
 // that supersede the discarded garbage, and the scanner reconciles the two
 // on the next recovery.
 //
-// The redo discipline is full-page after-images under no-steal buffering:
-// transactions mutate pages only in the buffer pool, the commit path appends
-// one image per dirtied page followed by a commit record, and the pool
+// The redo discipline is physiological — log what a transaction changed,
+// not the pages it touched — under no-steal buffering. Transactions mutate
+// pages only in the buffer pool, and the only page mutator in the engine is
+// the slot append (storage.Page.Insert, reached through HeapFile.Append), so
+// a write set is a list of (page, slot, record bytes). The commit path logs
+// each as a small RecAppend, followed by a commit record, and the pool
 // refuses to write back any frame whose latest changes the log does not yet
-// cover (storage.BufferPool's WAL hook). Recovery therefore never needs undo:
-// it replays the images of committed transactions in LSN order and discards
-// everything else.
+// cover (storage.BufferPool's WAL hook). Recovery never needs undo: it
+// redoes the changes of committed transactions and discards everything else.
+//
+// Appends alone cannot survive a torn page write: they rebuild a page only
+// on top of a base, and a write-back torn by a crash destroys the one on
+// the device. Full page images (RecImage) therefore remain, placed where
+// they are needed rather than everywhere. Three invariants carry the
+// scheme; the tests break each and catch it.
+//
+//   - I1 (image first). Between two clean states of a buffer-pool frame —
+//     loaded from the device, or written back to it — the lowest-LSN record
+//     for its page is a RecImage or an append at slot 0 (which rebuilds the
+//     page from nothing). Every later change while the frame stays dirty is
+//     an append. The flag lives on the frame, not on the checkpoint: a page
+//     that stays dirty across a checkpoint keeps appending, and one the
+//     checkpoint flushed starts over with an image. A change the pool
+//     cannot describe as appends, and a transaction whose appends to one
+//     page would log more bytes than the page, log the image too.
+//
+//   - I2 (replay per page). Recovery groups the records it must redo by
+//     page. A page's redo starts from the latest image (or slot-0 append)
+//     among them if there is one, else from the device page, whose checksum
+//     it verifies; later appends apply in LSN order, and an append whose
+//     slot the page already holds is a no-op. The records to redo are
+//     always an LSN-suffix of the page's committed history, so redo is
+//     idempotent from any lowered floor — Options.ApplyFloor,
+//     IgnoreCheckpoints, a crash during recovery itself. A page rebuilt on
+//     the device copy is written once, and only if an append changed it; a
+//     page rebuilt on a logged image is written once, unconditionally (the
+//     device copy may be torn, and only a write mends it).
+//
+//   - I3 (no silent repair). An append recovery cannot apply — the device
+//     page fails its checksum and no image is among the records, or the
+//     slot would leave a gap — is a *RedoError, never a skipped record.
 package wal
 
 import (
@@ -48,7 +82,8 @@ const (
 	RecHeader RecordType = iota + 1
 	// RecBegin opens a transaction.
 	RecBegin
-	// RecImage is a full after-image of one page, the redo unit.
+	// RecImage is a full after-image of one page: the base later RecAppend
+	// records of the page build on (invariant I1).
 	RecImage
 	// RecCommit makes a transaction's preceding records redo-eligible.
 	RecCommit
@@ -71,6 +106,13 @@ const (
 	// EncodeCheckpoint). A checkpoint counts only when its end record is
 	// durable.
 	RecCheckpointEnd
+	// RecAppend is one record appended to one slot of a page, the common
+	// redo unit: [u16 slot][record bytes] (see Record.Append).
+	RecAppend
+
+	// recTypeEnd is one past the last record type; the parsers reject
+	// anything at or above it as a torn tail.
+	recTypeEnd
 )
 
 // String implements fmt.Stringer.
@@ -94,6 +136,8 @@ func (t RecordType) String() string {
 		return "checkpoint-begin"
 	case RecCheckpointEnd:
 		return "checkpoint-end"
+	case RecAppend:
+		return "append"
 	default:
 		return fmt.Sprintf("RecordType(%d)", uint8(t))
 	}
@@ -108,8 +152,20 @@ type Record struct {
 	LSN  LSN
 	Type RecordType
 	Txn  uint64
-	Page storage.PageID // meaningful for RecImage only
-	Data []byte         // page image or catalog payload
+	Page storage.PageID // meaningful for RecImage and RecAppend only
+	Data []byte         // page image, slot append or catalog payload
+}
+
+// appendHeader is the slot number heading a RecAppend payload.
+const appendHeader = 2
+
+// Append decodes a RecAppend payload into the slot the record went to and
+// the record's bytes (aliasing r.Data).
+func (r Record) Append() (slot int, rec []byte, err error) {
+	if r.Type != RecAppend || len(r.Data) < appendHeader {
+		return 0, nil, fmt.Errorf("wal: %v record of %d bytes at LSN %d is not a slot append", r.Type, len(r.Data), r.LSN)
+	}
+	return int(binary.LittleEndian.Uint16(r.Data)), r.Data[appendHeader:], nil
 }
 
 // Page layout: [u32 used][u64 startLSN][u32 firstRec][payload ...]. used is
@@ -145,7 +201,11 @@ const (
 // the I/O accounting exact); PaddingBytes is the page space wasted by the
 // append-only discipline (each sync seals its final partial page).
 type Stats struct {
-	Records      int64
+	Records int64
+	// Images and Appends split the redo records: full page images (first
+	// touch of a clean frame) and slot appends (everything after).
+	Images       int64
+	Appends      int64
 	Commits      int64
 	Aborts       int64
 	Syncs        int64
@@ -174,6 +234,7 @@ type Log struct {
 	bounds    []LSN  // start LSNs of buffered records, for page firstRec
 	truncFrom int32  // first log page the next TruncateBelow examines
 	retain    LSN    // TruncateBelow keeps records at or above this pin
+	page      []byte // scratch log page: syncLocked assembles in it, TruncateBelow reads into it
 
 	stats    Stats
 	observer func(batchCommits, pagesWritten int)
@@ -199,7 +260,7 @@ func newLog(dev storage.Device, groupCommit int) *Log {
 	if groupCommit < 1 {
 		groupCommit = 1
 	}
-	return &Log{dev: dev, pageSize: dev.PageSize(), group: groupCommit}
+	return &Log{dev: dev, pageSize: dev.PageSize(), group: groupCommit, page: make([]byte, dev.PageSize())}
 }
 
 // payloadCap returns the payload bytes one log page holds.
@@ -237,22 +298,28 @@ func (l *Log) DurableLSN() LSN {
 // append encodes rec at the current end of the stream and returns its LSN.
 // The record stays buffered until the next Sync.
 func (l *Log) append(rec Record) LSN {
-	lsn := l.tailStart + LSN(len(l.tail))
-	var hdr [recHeaderSize]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(lsn))
-	hdr[8] = byte(rec.Type)
-	binary.LittleEndian.PutUint64(hdr[9:], rec.Txn)
-	binary.LittleEndian.PutUint32(hdr[17:], uint32(rec.Page.File))
-	binary.LittleEndian.PutUint32(hdr[21:], uint32(rec.Page.Page))
-	binary.LittleEndian.PutUint32(hdr[25:], uint32(len(rec.Data)))
-	body := append(hdr[:], rec.Data...)
-	var crc [recTrailer]byte
-	binary.LittleEndian.PutUint32(crc[:], storage.PageChecksum(body))
+	return l.appendParts(rec.Type, rec.Txn, rec.Page, nil, rec.Data)
+}
+
+// appendParts encodes one record straight into the buffered tail — its
+// payload is prefix followed by data, so a slot append needs no assembled
+// copy — and checksums it where it lies.
+func (l *Log) appendParts(typ RecordType, txn uint64, page storage.PageID, prefix, data []byte) LSN {
+	start := len(l.tail)
+	lsn := l.tailStart + LSN(start)
+	le := binary.LittleEndian
+	l.tail = le.AppendUint64(l.tail, uint64(lsn))
+	l.tail = append(l.tail, byte(typ))
+	l.tail = le.AppendUint64(l.tail, txn)
+	l.tail = le.AppendUint32(l.tail, uint32(page.File))
+	l.tail = le.AppendUint32(l.tail, uint32(page.Page))
+	l.tail = le.AppendUint32(l.tail, uint32(len(prefix)+len(data)))
+	l.tail = append(l.tail, prefix...)
+	l.tail = append(l.tail, data...)
+	l.tail = le.AppendUint32(l.tail, storage.PageChecksum(l.tail[start:]))
 	l.bounds = append(l.bounds, lsn)
-	l.tail = append(l.tail, body...)
-	l.tail = append(l.tail, crc[:]...)
 	l.stats.Records++
-	l.stats.BytesLogged += int64(len(body) + recTrailer)
+	l.stats.BytesLogged += int64(len(l.tail) - start)
 	return lsn
 }
 
@@ -267,9 +334,45 @@ func (l *Log) Begin(txn uint64) LSN {
 func (l *Log) AppendImage(txn uint64, id storage.PageID, image []byte) LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	img := make([]byte, len(image))
-	copy(img, image)
-	return l.append(Record{Type: RecImage, Txn: txn, Page: id, Data: img})
+	l.stats.Images++
+	return l.append(Record{Type: RecImage, Txn: txn, Page: id, Data: image})
+}
+
+// AppendPageWrite logs what txn did to one page of its write set: the
+// page's image where the pool demands one (invariant I1) or where the
+// appends would log more bytes than the page does, else one RecAppend per
+// appended slot.
+func (l *Log) AppendPageWrite(txn uint64, w storage.PageWrite) error {
+	const framing = recHeaderSize + recTrailer
+	image := w.Image
+	if !image {
+		logged := 0
+		for slot := w.First; slot < w.First+w.N; slot++ {
+			rec, err := w.Page.Record(slot)
+			if err != nil {
+				return fmt.Errorf("wal: logging write set of %v: %w", w.ID, err)
+			}
+			logged += framing + appendHeader + len(rec)
+		}
+		image = logged > framing+w.Page.Size()
+	}
+	if image {
+		l.AppendImage(txn, w.ID, w.Page.Bytes())
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for slot := w.First; slot < w.First+w.N; slot++ {
+		rec, err := w.Page.Record(slot)
+		if err != nil {
+			return fmt.Errorf("wal: logging write set of %v: %w", w.ID, err)
+		}
+		var hdr [appendHeader]byte
+		binary.LittleEndian.PutUint16(hdr[:], uint16(slot))
+		l.stats.Appends++
+		l.appendParts(RecAppend, txn, w.ID, hdr[:], rec)
+	}
+	return nil
 }
 
 // AppendCatalog appends a catalog record (RecNewCollection or
@@ -339,11 +442,21 @@ func (l *Log) syncLocked() error {
 	batch := l.pending
 	pages := 0
 	room := l.payloadCap()
-	for len(l.tail) > 0 {
-		n := len(l.tail)
-		if n > room {
-			n = room
+	// written and consumed count the tail bytes and record boundaries the
+	// device holds; both are dropped from the buffers on every way out, so a
+	// failed sync leaves exactly the unwritten remainder to retry. A drained
+	// buffer keeps its storage for the next batch.
+	written, consumed := 0, 0
+	defer func() {
+		l.tail = l.tail[:copy(l.tail, l.tail[written:])]
+		l.bounds = l.bounds[:copy(l.bounds, l.bounds[consumed:])]
+	}()
+	for written < len(l.tail) {
+		chunk := l.tail[written:]
+		if len(chunk) > room {
+			chunk = chunk[:room]
 		}
+		n := len(chunk)
 		id, err := l.dev.AllocPage(LogFileID)
 		if err != nil {
 			return fmt.Errorf("wal: extending log: %w", err)
@@ -354,33 +467,33 @@ func (l *Log) syncLocked() error {
 		// failed write is retried onto a fresh page, which must carry the
 		// same boundary.
 		first := noFirstRec
-		consumed := 0
+		next := consumed
 		chunkEnd := l.tailStart + LSN(n)
-		for consumed < len(l.bounds) && l.bounds[consumed] < chunkEnd {
+		for next < len(l.bounds) && l.bounds[next] < chunkEnd {
 			if first == noFirstRec {
-				first = uint32(l.bounds[consumed] - l.tailStart)
+				first = uint32(l.bounds[next] - l.tailStart)
 			}
-			consumed++
+			next++
 		}
-		buf := make([]byte, l.pageSize)
+		buf := l.page
 		binary.LittleEndian.PutUint32(buf[0:], uint32(n))
 		binary.LittleEndian.PutUint64(buf[4:], uint64(l.tailStart))
 		binary.LittleEndian.PutUint32(buf[12:], first)
-		copy(buf[pageHeader:], l.tail[:n])
+		clear(buf[pageHeader+copy(buf[pageHeader:], chunk):])
 		if err := l.dev.WritePage(id, buf); err != nil {
 			// The failed page stays allocated with used == 0; the scanner
 			// skips it and a retried sync allocates a fresh successor.
 			return fmt.Errorf("wal: log append: %w", err)
 		}
-		l.bounds = l.bounds[consumed:]
+		consumed = next
+		written += n
+		l.tailStart += LSN(n)
 		l.stats.PageWrites++
 		pages++
 		fault.CrashPoint("wal.sync.page")
 		if n < room {
 			l.stats.PaddingBytes += int64(room - n)
 		}
-		l.tailStart += LSN(n)
-		l.tail = l.tail[n:]
 	}
 	l.durable = l.tailStart
 	l.pending = 0

@@ -81,6 +81,10 @@ func (db *Database) registerMetrics() {
 	if w := db.wal; w != nil {
 		count("spatialjoin_wal_records_total", "Records appended to the write-ahead log.",
 			func() int64 { return w.Stats().Records })
+		count("spatialjoin_wal_images_total", "Full page images logged (first change to a clean frame).",
+			func() int64 { return w.Stats().Images })
+		count("spatialjoin_wal_appends_total", "Slot-append redo records logged.",
+			func() int64 { return w.Stats().Appends })
 		count("spatialjoin_wal_commits_total", "Transactions committed through the log.",
 			func() int64 { return w.Stats().Commits })
 		count("spatialjoin_wal_syncs_total", "Log syncs (group-commit flushes).",

@@ -117,7 +117,8 @@ const deltaVersion = 1
 // DeltaInfo describes an exported or applied snapshot delta.
 type DeltaInfo struct {
 	// SinceLSN is the replica's last-applied LSN the delta was cut against:
-	// every page whose latest logged image is at or above it is included.
+	// every page the log changed (imaged or appended to) at or above it is
+	// included.
 	SinceLSN wal.LSN
 	// WALDurable is the primary log's durable tail at export.
 	WALDurable wal.LSN
@@ -131,12 +132,14 @@ type DeltaInfo struct {
 // ExportDelta streams the pages in pages plus the entire write-ahead log to
 // w as a snapshot delta. The caller — a replication source — is responsible
 // for the protocol around it: checkpoint first so committed content is on
-// the device, derive pages from the log's image records since the replica's
+// the device, derive pages from the log's page records since the replica's
 // applied LSN, and keep the log pinned (RetainWAL) so truncation cannot
 // outrun that derivation. The log ships authoritative: the receiver zeroes
 // whatever log pages the delta does not carry, then replays the shipped log
-// end to end, which rewinds any page content newer than the shipped prefix
-// back to a consistent state the subsequent tail stream rebuilds from.
+// end to end. A shipped page may be newer than the shipped log prefix (the
+// export reads the log first); replay rewinds it where the prefix holds an
+// image of it, and otherwise the appends the tail stream brings later find
+// their slots present and change nothing.
 func (db *Database) ExportDelta(w io.Writer, since wal.LSN, pages []storage.PageID) (DeltaInfo, error) {
 	var info DeltaInfo
 	if db.wal == nil {
