@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"slices"
+	"sync"
 
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/parallel"
@@ -33,8 +34,9 @@ func SortMatches(ms []Match) {
 type JoinOptions struct {
 	// TouchR / TouchS are invoked once per examined node of the respective
 	// tree, before its filter is evaluated; executors charge page I/O here.
-	// With Workers > 1 they are called from multiple goroutines and must be
-	// safe for concurrent use.
+	// Nodes below a technical fixed node of a JOIN4 SELECT pass are not
+	// examined (see Join). With Workers > 1 they are called from multiple
+	// goroutines and must be safe for concurrent use.
 	TouchR func(Node) error
 	TouchS func(Node) error
 	// Workers is the number of goroutines expanding each QualPairs level
@@ -86,6 +88,20 @@ type JoinResult struct {
 // the expected direction. Unlike the paper's pseudocode, iteration continues
 // until QualPairs empties rather than to min(height, height), which also
 // handles ragged (non-balanced) generalization trees.
+//
+// JOIN4 under technical nodes. The paper assumes every node is a tuple (S2),
+// so a SELECT pass of a against b's subtrees can find a match at any depth.
+// Index trees violate S2: an R-tree's interior nodes are technical
+// (Tuple reports false). A pass whose fixed node is technical evaluates Θ
+// against each direct descendant — JOIN4 needs those verdicts to build
+// QualPairs[j+1] — and stops there. Nothing is lost: θ is evaluated only
+// between two tuple-bearing nodes, so the skipped recursion could emit no
+// pair; the verdict a pass returns is the Θ result at its top node, which
+// is computed before any descent; and QualPairs[j+1] is built from those
+// verdicts alone, so every later level sees the same pairs. A match (x, y)
+// with x shallower than y is still found by the pass whose fixed node is x,
+// which bears a tuple and therefore descends. On trees that satisfy S2 the
+// guard is never taken and the descent is the paper's, count for count.
 func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error) {
 	var options JoinOptions
 	if opts != nil {
@@ -97,25 +113,28 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 		return res, nil
 	}
 
-	// qual is the current QualPairs level; spare is the previous level's
-	// storage, recycled as the buffer the next level is appended into.
-	qual := []qualPair{{rootR, rootS}}
-	var spare []qualPair
-	for level := 0; len(qual) > 0; level++ {
+	// sc.qual is the current QualPairs level; sc.spare is the previous
+	// level's storage, recycled as the buffer the next level is appended
+	// into. Both come from a pooled scratch, so a join allocates worklist
+	// storage only when a level outgrows what an earlier join left behind.
+	sc := joinScratchPool.Get().(*joinScratch)
+	defer sc.release()
+	sc.qual = append(sc.qual[:0], qualPair{rootR, rootS})
+	for level := 0; len(sc.qual) > 0; level++ {
 		if options.Ctx != nil {
 			if err := options.Ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		if len(qual) > res.Stats.MaxQueue {
-			res.Stats.MaxQueue = len(qual)
+		if len(sc.qual) > res.Stats.MaxQueue {
+			res.Stats.MaxQueue = len(sc.qual)
 		}
 		if options.Trace == nil {
-			next, err := expandLevel(qual, spare[:0], op, &options, res)
+			next, err := expandLevel(sc, op, &options, res)
 			if err != nil {
 				return nil, err
 			}
-			qual, spare = next, qual
+			sc.qual, sc.spare = next, sc.qual
 			continue
 		}
 		span := options.Trace.Begin(options.TraceParent, "level")
@@ -124,10 +143,10 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 		if options.TraceReads != nil {
 			readsBefore = options.TraceReads()
 		}
-		next, err := expandLevel(qual, spare[:0], op, &options, res)
+		next, err := expandLevel(sc, op, &options, res)
 		attrs := []obs.Attr{
 			obs.Int("level", int64(level)),
-			obs.Int("qualpairs", int64(len(qual))),
+			obs.Int("qualpairs", int64(len(sc.qual))),
 			obs.Int("filter_evals", res.Stats.FilterEvals-before.FilterEvals),
 			obs.Int("exact_evals", res.Stats.ExactEvals-before.ExactEvals),
 			obs.Int("nodes", res.Stats.NodesExamined-before.NodesExamined),
@@ -141,7 +160,7 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 			return nil, err
 		}
 		options.Trace.End(span, attrs...)
-		qual, spare = next, qual
+		sc.qual, sc.spare = next, sc.qual
 	}
 	return res, nil
 }
@@ -150,23 +169,46 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 // parents' Θ filters both passed.
 type qualPair struct{ a, b Node }
 
-// expandLevel processes one QualPairs level and returns the next, appended
-// to next (an empty buffer whose storage is reused). With
-// options.Workers > 1 the level is split into contiguous chunks fanned out
-// over a worker pool; per-worker results merge back in chunk order, so
-// pair discovery order and statistics match the sequential descent.
-func expandLevel(qual, next []qualPair, op pred.Operator, options *JoinOptions,
+// joinScratch is the worklist storage of one sequential descent: the two
+// QualPairs buffers Join alternates between, and the per-pair lists of
+// children that passed their Θ check.
+type joinScratch struct {
+	qual, spare  []qualPair
+	aPass, bPass []Node
+}
+
+var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
+
+// release clears every slot the descent may have written — so a pooled
+// scratch keeps no Node, and through it no index entry, alive — and returns
+// the scratch to the pool.
+func (sc *joinScratch) release() {
+	clear(sc.qual[:cap(sc.qual)])
+	clear(sc.spare[:cap(sc.spare)])
+	clear(sc.aPass[:cap(sc.aPass)])
+	clear(sc.bPass[:cap(sc.bPass)])
+	joinScratchPool.Put(sc)
+}
+
+// expandLevel processes the QualPairs level sc.qual and returns the next,
+// built in sc.spare's storage. With options.Workers > 1 the level is split
+// into contiguous chunks fanned out over a worker pool, each with a scratch
+// of its own; per-worker results merge back in chunk order, so pair
+// discovery order and statistics match the sequential descent.
+func expandLevel(sc *joinScratch, op pred.Operator, options *JoinOptions,
 	res *JoinResult) ([]qualPair, error) {
 
+	qual, next := sc.qual, sc.spare[:0]
 	workers := options.Workers
 	if workers <= 1 || len(qual) < 2 {
-		return expandChunk(qual, next, op, options, res)
+		return expandChunk(qual, next, sc, op, options, res)
 	}
 	chunks := parallel.Chunks(len(qual), workers*4)
 	locals := make([]JoinResult, len(chunks))
 	nexts := make([][]qualPair, len(chunks))
 	err := parallel.RunCtx(ctxOr(options.Ctx), workers, len(chunks), func(ci int) error {
-		nx, err := expandChunk(qual[chunks[ci].Lo:chunks[ci].Hi], nil, op, options, &locals[ci])
+		nx, err := expandChunk(qual[chunks[ci].Lo:chunks[ci].Hi], nil, new(joinScratch),
+			op, options, &locals[ci])
 		nexts[ci] = nx
 		return err
 	})
@@ -183,13 +225,12 @@ func expandLevel(qual, next []qualPair, op pred.Operator, options *JoinOptions,
 
 // expandChunk runs JOIN2–JOIN4 for a contiguous run of a QualPairs level,
 // accumulating matches and stats into res and appending the qualifying
-// child pairs for the next level to next. The per-pair scratch (the
-// children of each side that passed their Θ check) is reused across pairs,
+// child pairs for the next level to next. The per-pair lists in sc (the
+// children of each side that passed their Θ check) are reused across pairs,
 // so the chunk allocates only when next or res.Pairs grow.
-func expandChunk(qual, next []qualPair, op pred.Operator, options *JoinOptions,
-	res *JoinResult) ([]qualPair, error) {
+func expandChunk(qual, next []qualPair, sc *joinScratch, op pred.Operator,
+	options *JoinOptions, res *JoinResult) ([]qualPair, error) {
 
-	var aPass, bPass []Node
 	for _, p := range qual {
 		a, b := p.a, p.b
 		// JOIN2: Θ check for the pair.
@@ -210,30 +251,30 @@ func expandChunk(qual, next []qualPair, op pred.Operator, options *JoinOptions,
 			}
 		}
 		// JOIN4: SELECT a against b's subtrees, and b against a's.
-		bPass = bPass[:0]
+		sc.bPass = sc.bPass[:0]
 		for j, nb := 0, b.NumChildren(); j < nb; j++ {
 			b2 := b.Child(j)
-			ok, err := joinSelect(a, b2, op, rightSide, options, res)
+			ok, err := JoinSelect(a, b2, op, MovingS, options, res)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				bPass = append(bPass, b2)
+				sc.bPass = append(sc.bPass, b2)
 			}
 		}
-		aPass = aPass[:0]
+		sc.aPass = sc.aPass[:0]
 		for i, na := 0, a.NumChildren(); i < na; i++ {
 			a2 := a.Child(i)
-			ok, err := joinSelect(b, a2, op, leftSide, options, res)
+			ok, err := JoinSelect(b, a2, op, MovingR, options, res)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				aPass = append(aPass, a2)
+				sc.aPass = append(sc.aPass, a2)
 			}
 		}
-		for _, a2 := range aPass {
-			for _, b2 := range bPass {
+		for _, a2 := range sc.aPass {
+			for _, b2 := range sc.bPass {
 				next = append(next, qualPair{a2, b2})
 			}
 		}
@@ -241,50 +282,49 @@ func expandChunk(qual, next []qualPair, op pred.Operator, options *JoinOptions,
 	return next, nil
 }
 
-// side distinguishes which tree the moving node of a join-side SELECT pass
-// belongs to, so operands stay in R-before-S order.
-type side uint8
+// Side names the tree the moving node of a JOIN4 SELECT pass belongs to, so
+// operands stay in R-before-S order.
+type Side uint8
 
 const (
-	rightSide side = iota // fixed node is from R, moving subtree from S
-	leftSide              // fixed node is from S, moving subtree from R
+	MovingS Side = iota // fixed node is from R, moving subtree from S
+	MovingR             // fixed node is from S, moving subtree from R
 )
 
-// joinSelect runs a SELECT pass of JOIN4: fixed is compared against the
-// subtree rooted at n. It reports whether the Θ filter passed at n itself
-// (the qualification JOIN4 uses to build QualPairs[j+1]).
-func joinSelect(fixed, n Node, op pred.Operator, s side,
+// JoinSelect runs a SELECT pass of JOIN4: fixed is compared against the
+// subtree rooted at n, matches and work accumulate into res. It reports
+// whether the Θ filter passed at n itself (the qualification JOIN4 uses to
+// build QualPairs[j+1]). The pass descends below n only when fixed bears a
+// tuple: under a technical fixed node no θ can be evaluated, so nothing
+// below n is examined (see Join). Callers running their own level loop
+// (package localindex) use it so there is one SELECT pass, not two.
+func JoinSelect(fixed, n Node, op pred.Operator, s Side,
 	opts *JoinOptions, res *JoinResult) (bool, error) {
 
 	if err := touch1(n, s, opts, res); err != nil {
 		return false, err
 	}
-	res.Stats.FilterEvals++
-	var pass bool
-	if s == rightSide {
-		pass = op.Filter(fixed.Bounds(), n.Bounds())
-	} else {
-		pass = op.Filter(n.Bounds(), fixed.Bounds())
+	r, sn := fixed, n
+	if s == MovingR {
+		r, sn = n, fixed
 	}
-	if !pass {
+	res.Stats.FilterEvals++
+	if !op.Filter(r.Bounds(), sn.Bounds()) {
 		return false, nil
 	}
-	if fid, okF := fixed.Tuple(); okF {
-		if nid, okN := n.Tuple(); okN {
-			res.Stats.ExactEvals++
-			if s == rightSide {
-				if op.Eval(fixed.Object(), n.Object()) {
-					res.Pairs = append(res.Pairs, Match{R: fid, S: nid})
-				}
-			} else {
-				if op.Eval(n.Object(), fixed.Object()) {
-					res.Pairs = append(res.Pairs, Match{R: nid, S: fid})
-				}
-			}
+	if _, ok := fixed.Tuple(); !ok {
+		return true, nil
+	}
+	if _, ok := n.Tuple(); ok {
+		res.Stats.ExactEvals++
+		if op.Eval(r.Object(), sn.Object()) {
+			rid, _ := r.Tuple()
+			sid, _ := sn.Tuple()
+			res.Pairs = append(res.Pairs, Match{R: rid, S: sid})
 		}
 	}
 	for i, k := 0, n.NumChildren(); i < k; i++ {
-		if _, err := joinSelect(fixed, n.Child(i), op, s, opts, res); err != nil {
+		if _, err := JoinSelect(fixed, n.Child(i), op, s, opts, res); err != nil {
 			return false, err
 		}
 	}
@@ -311,19 +351,17 @@ func touch2(a, b Node, opts *JoinOptions, res *JoinResult) error {
 }
 
 // touch1 charges a node examination on the moving side of a SELECT pass.
-func touch1(n Node, s side, opts *JoinOptions, res *JoinResult) error {
+func touch1(n Node, s Side, opts *JoinOptions, res *JoinResult) error {
 	res.Stats.NodesExamined++
 	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined); err != nil {
 		return err
 	}
-	if s == rightSide {
-		if opts.TouchS != nil {
-			return opts.TouchS(n)
-		}
+	touch := opts.TouchR
+	if s == MovingS {
+		touch = opts.TouchS
+	}
+	if touch == nil {
 		return nil
 	}
-	if opts.TouchR != nil {
-		return opts.TouchR(n)
-	}
-	return nil
+	return touch(n)
 }

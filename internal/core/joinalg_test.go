@@ -305,3 +305,79 @@ func TestStatsAdd(t *testing.T) {
 		t.Fatalf("add result = %+v", a)
 	}
 }
+
+// buildMixedTree builds a ragged generalization tree (0–3 children per
+// node, leaves at different depths down to maxDepth) whose interior nodes
+// are randomly technical or tuple-bearing. Depth-1 nodes always bear a
+// tuple and have children, so with technicalRoot every tree has a technical
+// node directly over a tuple-bearing interior node; leaves always bear
+// tuples.
+func buildMixedTree(rng *rand.Rand, root geom.Rect, maxDepth, firstID int, technicalRoot bool) *BasicTree {
+	id := firstID
+	var grow func(n *BasicNode, depth int)
+	grow = func(n *BasicNode, depth int) {
+		kids := 0
+		if depth < maxDepth {
+			kids = rng.Intn(4)
+			if depth <= 1 && kids == 0 {
+				kids = 2
+			}
+		}
+		technical := rng.Intn(2) == 0
+		switch {
+		case depth == 0:
+			technical = technicalRoot
+		case depth == 1 || kids == 0:
+			technical = false
+		}
+		if !technical {
+			n.TupleID = id
+			id++
+		}
+		for c := 0; c < kids; c++ {
+			grow(n.AddChild(NewBasicNode(subRect(rng, n.Bounds()), -1)), depth+1)
+		}
+	}
+	rootNode := NewBasicNode(root, -1)
+	grow(rootNode, 0)
+	return NewBasicTree(rootNode)
+}
+
+func TestJoinMixedTechnicalAndTupleNodes(t *testing.T) {
+	// The SELECT pass of JOIN4 descends only under a tuple-bearing fixed
+	// node. On trees mixing both kinds at every depth — unequal heights,
+	// both operand orders, so the asymmetric operators see each tree on
+	// each side — the result must still be the exhaustive one, and the
+	// worker fan-out must reproduce the sequential pairs and counts.
+	rng := rand.New(rand.NewSource(191))
+	for trial := 0; trial < 40; trial++ {
+		tr := buildMixedTree(rng, geom.NewRect(0, 0, 100, 100), 2+trial%3, 0, trial%2 == 0)
+		ts := buildMixedTree(rng, geom.NewRect(10, 10, 110, 110), 4-trial%3, 1000, trial%4 < 2)
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, trees := range [][2]Tree{{tr, ts}, {ts, tr}} {
+			for _, op := range pred.Table1() {
+				want := bruteJoin(trees[0], trees[1], op)
+				serial, err := Join(trees[0], trees[1], op, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fanned, err := Join(trees[0], trees[1], op, &JoinOptions{Workers: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !equalMatches(serial.Pairs, fanned.Pairs) || serial.Stats != fanned.Stats {
+					t.Fatalf("trial %d, %s: Workers=4 found %d pairs with %+v, serial %d with %+v",
+						trial, op.Name(), len(fanned.Pairs), fanned.Stats, len(serial.Pairs), serial.Stats)
+				}
+				got := append([]Match(nil), serial.Pairs...)
+				sortMatches(got)
+				if !equalMatches(got, want) {
+					t.Fatalf("trial %d, %s: Join found %d pairs, brute force %d",
+						trial, op.Name(), len(got), len(want))
+				}
+			}
+		}
+	}
+}

@@ -303,26 +303,28 @@ func TreeSelectCtx(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, o
 }
 
 // TreeJoin computes R ⋈θ S with algorithm JOIN over two generalization
-// trees with the default single worker. See TreeJoinWorkers.
+// trees with the default single worker. See TreeJoinCtx.
 func TreeJoin(trR core.Tree, r Table, trS core.Tree, s Table,
 	op pred.Operator) ([]core.Match, Stats, error) {
 	return TreeJoinWorkers(trR, r, trS, s, op, 1)
 }
 
-// TreeJoinWorkers computes R ⋈θ S with algorithm JOIN over two
-// generalization trees, charging page accesses for tuple-bearing node
-// examinations on either side. With workers > 1 (≤ 0 meaning GOMAXPROCS)
-// each QualPairs level of the synchronized descent is expanded by a worker
-// pool; predicate counts and the match set are identical to the sequential
-// descent, while measured page reads can differ slightly because
-// concurrent workers interleave their fetches on the shared LRU pool.
+// TreeJoinWorkers is TreeJoinCtx without a deadline.
 func TreeJoinWorkers(trR core.Tree, r Table, trS core.Tree, s Table,
 	op pred.Operator, workers int) ([]core.Match, Stats, error) {
 	return TreeJoinCtx(context.Background(), trR, r, trS, s, op, workers)
 }
 
-// TreeJoinCtx is TreeJoinWorkers bounded by a context, checked during the
-// synchronized descent per core.JoinOptions.Ctx.
+// TreeJoinCtx computes R ⋈θ S with algorithm JOIN over two generalization
+// trees, charging a page access for each tuple-bearing node examined on
+// either side; ctx is checked during the synchronized descent per
+// core.JoinOptions.Ctx. With workers > 1 (≤ 0 meaning GOMAXPROCS) each
+// QualPairs level is expanded by a worker pool. The contract across worker
+// counts: the match set and the Θ and θ evaluation counts are identical to
+// the sequential descent; Stats.PageReads is not, because the same node
+// examinations reach the shared LRU pool in a different order and a small
+// pool then evicts differently (with every page resident it is identical
+// too).
 func TreeJoinCtx(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Table,
 	op pred.Operator, workers int) ([]core.Match, Stats, error) {
 

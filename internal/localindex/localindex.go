@@ -153,10 +153,16 @@ func (ix *Index) Pairs() int {
 
 // SelfJoin computes the full self-join R ⋈θ R: spanning pairs (lowest
 // common ancestor above λ) by hierarchical descent, intra-subtree pairs by
-// local-index lookup.
-func (ix *Index) SelfJoin() ([]core.Match, Stats, error) {
-	var stats Stats
-	var out []core.Match
+// local-index lookup. The descent is algorithm JOIN's level loop with one
+// change — an identity pair at level λ is answered from its anchor — and
+// its JOIN4 SELECT passes are core's own, accumulating into a
+// core.JoinResult whose counts become the returned Stats.
+func (ix *Index) SelfJoin() (_ []core.Match, stats Stats, _ error) {
+	var live core.JoinResult
+	var opts core.JoinOptions
+	defer func() {
+		stats.FilterEvals, stats.ExactEvals = live.Stats.FilterEvals, live.Stats.ExactEvals
+	}()
 
 	byPath := make(map[string]*joinindex.Index, len(ix.anchors))
 	for _, a := range ix.anchors {
@@ -165,7 +171,7 @@ func (ix *Index) SelfJoin() ([]core.Match, Stats, error) {
 
 	root := ix.tree.Root()
 	if root == nil {
-		return out, stats, nil
+		return nil, stats, nil
 	}
 	// same marks identity pairs (both members the same node), tracked
 	// structurally so interface values are never compared; path is the
@@ -192,34 +198,29 @@ func (ix *Index) SelfJoin() ([]core.Match, Stats, error) {
 					return nil, stats, fmt.Errorf("localindex: missing anchor at level %d", depth)
 				}
 				ji.AllPairs(func(r, s int) bool {
-					out = append(out, core.Match{R: r, S: s})
+					live.Pairs = append(live.Pairs, core.Match{R: r, S: s})
 					return true
 				})
 				stats.IndexReads += indexPages(ji, ix.order)
 				continue
 			}
-			stats.FilterEvals++
+			live.Stats.FilterEvals++
 			if !ix.op.Filter(a.Bounds(), b.Bounds()) {
 				continue
 			}
 			if ra, okA := a.Tuple(); okA {
 				if sb, okB := b.Tuple(); okB {
-					stats.ExactEvals++
+					live.Stats.ExactEvals++
 					if ix.op.Eval(a.Object(), b.Object()) {
-						out = append(out, core.Match{R: ra, S: sb})
+						live.Pairs = append(live.Pairs, core.Match{R: ra, S: sb})
 					}
 				}
 			}
 			na, nb := a.NumChildren(), b.NumChildren()
-			// Side SELECTs: a against b's subtrees, b against a's — except
-			// when a == b, where both passes would report the symmetric
-			// pairs of the identity descent twice; a single pass plus
-			// mirrored emission handles it (the mirror is exactly the
-			// other pass by symmetry of the descent, not of θ — both
-			// orientations are evaluated explicitly).
+			// JOIN4: SELECT a against b's subtrees, and b against a's.
 			bQual = slices.Grow(bQual[:0], nb)[:nb]
 			for j := range bQual {
-				ok, err := ix.sideSelect(a, b.Child(j), rightSide, &stats, &out)
+				ok, err := core.JoinSelect(a, b.Child(j), ix.op, core.MovingS, &opts, &live)
 				if err != nil {
 					return nil, stats, err
 				}
@@ -227,7 +228,7 @@ func (ix *Index) SelfJoin() ([]core.Match, Stats, error) {
 			}
 			aQual = slices.Grow(aQual[:0], na)[:na]
 			for i := range aQual {
-				ok, err := ix.sideSelect(b, a.Child(i), leftSide, &stats, &out)
+				ok, err := core.JoinSelect(b, a.Child(i), ix.op, core.MovingR, &opts, &live)
 				if err != nil {
 					return nil, stats, err
 				}
@@ -253,49 +254,7 @@ func (ix *Index) SelfJoin() ([]core.Match, Stats, error) {
 		qual = next
 		depth++
 	}
-	return out, stats, nil
-}
-
-type side uint8
-
-const (
-	rightSide side = iota
-	leftSide
-)
-
-// sideSelect is the JOIN4 SELECT pass of the spanning descent; identical in
-// structure to core's, but accumulating into the local Stats.
-func (ix *Index) sideSelect(fixed, n core.Node, s side, stats *Stats, out *[]core.Match) (bool, error) {
-	stats.FilterEvals++
-	var pass bool
-	if s == rightSide {
-		pass = ix.op.Filter(fixed.Bounds(), n.Bounds())
-	} else {
-		pass = ix.op.Filter(n.Bounds(), fixed.Bounds())
-	}
-	if !pass {
-		return false, nil
-	}
-	if fid, okF := fixed.Tuple(); okF {
-		if nid, okN := n.Tuple(); okN {
-			stats.ExactEvals++
-			if s == rightSide {
-				if ix.op.Eval(fixed.Object(), n.Object()) {
-					*out = append(*out, core.Match{R: fid, S: nid})
-				}
-			} else {
-				if ix.op.Eval(n.Object(), fixed.Object()) {
-					*out = append(*out, core.Match{R: nid, S: fid})
-				}
-			}
-		}
-	}
-	for i, k := 0, n.NumChildren(); i < k; i++ {
-		if _, err := ix.sideSelect(fixed, n.Child(i), s, stats, out); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
+	return live.Pairs, stats, nil
 }
 
 // AnchorFor returns the index of the anchor whose subtree region contains

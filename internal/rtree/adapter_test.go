@@ -2,11 +2,13 @@ package rtree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/obs"
 	"spatialjoin/internal/pred"
 )
 
@@ -168,5 +170,118 @@ func TestAdapterIsLiveView(t *testing.T) {
 	}
 	if len(res.Tuples) != 1 {
 		t.Fatalf("live view select found %d", len(res.Tuples))
+	}
+}
+
+// TestJoinWorkGuardOnRTrees pins the work of algorithm JOIN over two R-tree
+// adapters, whose interior nodes are all technical: a JOIN4 SELECT pass
+// under a technical fixed node stops at depth 1, so the join evaluates Θ
+// once per QualPairs entry plus once per child of each passing pair, and
+// during level j touches only nodes of depths j and j+1. The expectation
+// comes from an independent level-by-level walk that has no SELECT pass at
+// all; the test fails if the pass descends where no result can come from.
+func TestJoinWorkGuardOnRTrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	trA := MustNew(Options{MinEntries: 2, MaxEntries: 6})
+	trB := MustNew(Options{MinEntries: 2, MaxEntries: 6})
+	for i := 0; i < 600; i++ {
+		trA.Insert(randRect(rng, 300), i)
+		trB.Insert(randRect(rng, 300), i)
+	}
+	if trA.Height() != trB.Height() || trA.Height() < 3 {
+		t.Fatalf("heights %d and %d: the count below needs equal heights ≥ 3", trA.Height(), trB.Height())
+	}
+	ga, gb := trA.Generalization(), trB.Generalization()
+	op := pred.Overlaps{}
+
+	// The reference walk: QualPairs level by level, counting what a guarded
+	// descent must do at each.
+	type pair struct{ a, b core.Node }
+	var wantQual, wantEvals []int64    // per level
+	var wantTouchA, wantTouchB []int64 // per node depth
+	bump := func(s *[]int64, i int, by int64) {
+		if by == 0 {
+			return
+		}
+		for len(*s) <= i {
+			*s = append(*s, 0)
+		}
+		(*s)[i] += by
+	}
+	for level, qual := 0, []pair{{ga.Root(), gb.Root()}}; len(qual) > 0; level++ {
+		bump(&wantQual, level, int64(len(qual)))
+		var next []pair
+		for _, p := range qual {
+			bump(&wantEvals, level, 1)
+			bump(&wantTouchA, level, 1)
+			bump(&wantTouchB, level, 1)
+			if !op.Filter(p.a.Bounds(), p.b.Bounds()) {
+				continue
+			}
+			na, nb := p.a.NumChildren(), p.b.NumChildren()
+			bump(&wantEvals, level, int64(na+nb))
+			bump(&wantTouchA, level+1, int64(na))
+			bump(&wantTouchB, level+1, int64(nb))
+			for i := 0; i < na; i++ {
+				a2 := p.a.Child(i)
+				if !op.Filter(a2.Bounds(), p.b.Bounds()) {
+					continue
+				}
+				for j := 0; j < nb; j++ {
+					if b2 := p.b.Child(j); op.Filter(p.a.Bounds(), b2.Bounds()) {
+						next = append(next, pair{a2, b2})
+					}
+				}
+			}
+		}
+		qual = next
+	}
+
+	depthOf := func(tree core.Tree) map[core.Node]int {
+		m := map[core.Node]int{}
+		core.Walk(tree, func(n core.Node, level int) bool { m[n] = level; return true })
+		return m
+	}
+	depthA, depthB := depthOf(ga), depthOf(gb)
+	var gotTouchA, gotTouchB []int64
+	trace := obs.NewTrace()
+	res, err := core.Join(ga, gb, op, &core.JoinOptions{
+		TouchR: func(n core.Node) error { bump(&gotTouchA, depthA[n], 1); return nil },
+		TouchS: func(n core.Node) error { bump(&gotTouchB, depthB[n], 1); return nil },
+		Trace:  trace,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var sumEvals, maxQual int64
+	for level, q := range wantQual {
+		sumEvals += wantEvals[level]
+		maxQual = max(maxQual, q)
+	}
+	if res.Stats.FilterEvals != sumEvals {
+		t.Errorf("FilterEvals = %d, want %d (Σ|QualPairs| + children of passing pairs)",
+			res.Stats.FilterEvals, sumEvals)
+	}
+	if int64(res.Stats.MaxQueue) != maxQual {
+		t.Errorf("MaxQueue = %d, want %d", res.Stats.MaxQueue, maxQual)
+	}
+	spans := trace.SpansNamed("level")
+	if len(spans) != len(wantQual) {
+		t.Fatalf("%d level spans, want %d", len(spans), len(wantQual))
+	}
+	for level, sp := range spans {
+		if q, _ := sp.IntAttr("qualpairs"); q != wantQual[level] {
+			t.Errorf("level %d: qualpairs = %d, want %d", level, q, wantQual[level])
+		}
+		if e, _ := sp.IntAttr("filter_evals"); e != wantEvals[level] {
+			t.Errorf("level %d: filter_evals = %d, want %d", level, e, wantEvals[level])
+		}
+	}
+	if !slices.Equal(gotTouchA, wantTouchA) {
+		t.Errorf("TouchR per node depth = %v, want %v", gotTouchA, wantTouchA)
+	}
+	if !slices.Equal(gotTouchB, wantTouchB) {
+		t.Errorf("TouchS per node depth = %v, want %v", gotTouchB, wantTouchB)
 	}
 }
