@@ -27,7 +27,8 @@ type CheckpointStats struct {
 	// ActiveTxns is the number of transactions in flight at the begin
 	// record.
 	ActiveTxns int
-	// PagesTruncated is the number of log pages zeroed below the floor.
+	// PagesTruncated is the number of log pages that fell wholly below the
+	// floor: no recovery or tail reader reads them again.
 	PagesTruncated int
 	Duration       time.Duration
 }
@@ -46,8 +47,8 @@ type CheckpointTotals struct {
 // floor. It runs concurrently with mutations: writers are blocked only for
 // the instants the transaction table is snapshotted and the end record is
 // assembled, never for the page flushing in between. After it returns,
-// recovery replays only records at or above the floor, and the log holds
-// only pages a recovery could still need.
+// recovery replays only records at or above the floor, and reads only the
+// log pages a recovery could still need.
 func (db *Database) Checkpoint() (CheckpointStats, error) {
 	return db.checkpoint(true)
 }
@@ -119,7 +120,7 @@ func (db *Database) checkpoint(truncate bool) (CheckpointStats, error) {
 	db.mu.Unlock()
 
 	cp := wal.Checkpoint{BeginLSN: lb, NextTxn: nextTxn, Active: active, DPT: wdpt, Manifest: manifest}
-	end, err := db.wal.AppendCheckpointEnd(cp)
+	end, err := db.wal.AppendCheckpointEnd(cp, truncate)
 	if err != nil {
 		return cs, err
 	}
@@ -129,14 +130,10 @@ func (db *Database) checkpoint(truncate bool) (CheckpointStats, error) {
 	cs.DirtyPages = len(wdpt)
 	cs.ActiveTxns = len(active)
 	if truncate {
-		n, err := db.wal.TruncateBelow(cs.RedoFloor)
-		if err != nil {
-			return cs, err
-		}
-		cs.PagesTruncated = n
+		cs.PagesTruncated = db.wal.TruncateBelow(cs.RedoFloor)
 	}
 	cs.Duration = time.Since(start)
-	obs.Record(obs.RecCheckpointEnd, 0, 0, int64(cs.PagesFlushed), cs.Duration.Nanoseconds())
+	obs.Record(obs.RecCheckpointEnd, 0, 0, int64(cs.PagesFlushed), int64(db.wal.ScanFloor()))
 
 	db.ckptMu.Lock()
 	db.ckptTotals.Checkpoints++

@@ -182,8 +182,8 @@ func runWAL(out io.Writer, o walOptions) (err error) {
 		if rerr != nil {
 			return fmt.Errorf("recovering: %w", rerr)
 		}
-		fmt.Fprintf(out, "recovery: %d records scanned, %d replayed onto %d pages, %d skipped below checkpoint %d, %d txns committed, %d discarded, %d torn tail bytes (%d torn pages), %d index rebuilds skipped\n",
-			stats.RecordsScanned, stats.RecordsReplayed, stats.PagesRestored,
+		fmt.Fprintf(out, "recovery: %d log pages read from page %d, %d records scanned, %d replayed onto %d pages, %d skipped below checkpoint %d, %d txns committed, %d discarded, %d torn tail bytes (%d torn pages), %d index rebuilds skipped\n",
+			stats.LogPagesRead, stats.HeadPage, stats.RecordsScanned, stats.RecordsReplayed, stats.PagesRestored,
 			stats.RecordsSkipped, stats.CheckpointLSN,
 			stats.TxnsCommitted, stats.TxnsDiscarded, stats.TornTailBytes, stats.TornPages,
 			stats.IndexRebuildsSkipped)

@@ -150,8 +150,9 @@ func run() error {
 		if s, ok = db.Collection("s"); !ok {
 			return fmt.Errorf("snapshot %s has no collection s", *seedFrom)
 		}
-		fmt.Printf("sjoind: seeded from %s (%d pages, checkpoint LSN %d) in %v\n",
-			*seedFrom, info.Pages, info.CheckpointLSN, time.Since(start).Round(time.Millisecond))
+		rec := db.RecoveryInfo()
+		fmt.Printf("sjoind: seeded from %s (%d pages, checkpoint LSN %d; recovery read %d log pages from page %d) in %v\n",
+			*seedFrom, info.Pages, info.CheckpointLSN, rec.LogPagesRead, rec.HeadPage, time.Since(start).Round(time.Millisecond))
 	} else {
 		var err error
 		db, err = spatialjoin.Open(cfg)
@@ -339,6 +340,7 @@ func runReplica(reg *obs.Registry, cfg spatialjoin.Config, from string, maxLag t
 		if aerr == nil {
 			r, okR := db.Collection("r")
 			s, okS := db.Collection("s")
+			rec := db.RecoveryInfo()
 			var fp uint64
 			var ferr error
 			if okR && okS {
@@ -353,7 +355,8 @@ func runReplica(reg *obs.Registry, cfg spatialjoin.Config, from string, maxLag t
 				f.Close()
 				return ferr
 			}
-			fmt.Printf("sjoind: seeded from %s in %v\n", from, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("sjoind: seeded from %s (recovery read %d log pages from page %d) in %v\n",
+				from, rec.LogPagesRead, rec.HeadPage, time.Since(start).Round(time.Millisecond))
 			fmt.Printf("sjoind: dataset fingerprint %016x\n", fp)
 			break
 		}

@@ -185,10 +185,11 @@ func checkpointCrashSteps() []crashStep {
 	return steps
 }
 
-// stepsWithCheckpointEvery inserts a non-truncating fuzzy checkpoint after
-// every k-th workload step; k <= 0 returns the plain workload. The fuzzer
-// sweeps k to move the checkpoint boundary across every step transition.
-func stepsWithCheckpointEvery(k int) []crashStep {
+// stepsWithCheckpointEvery inserts a fuzzy checkpoint — truncating or not —
+// after every k-th workload step; k <= 0 returns the plain workload. The
+// fuzzer sweeps k to move the checkpoint boundary across every step
+// transition.
+func stepsWithCheckpointEvery(k int, truncate bool) []crashStep {
 	base := crashSteps()
 	if k <= 0 {
 		return base
@@ -200,7 +201,7 @@ func stepsWithCheckpointEvery(k int) []crashStep {
 			c := crashStep{
 				name: fmt.Sprintf("checkpoint-%d", i),
 				run: func(db *Database) error {
-					_, err := db.checkpoint(false)
+					_, err := db.checkpoint(truncate)
 					return err
 				},
 				model: st.model,

@@ -28,7 +28,9 @@ const (
 	// RecCheckpointBegin: a fuzzy checkpoint started. A: begin LSN.
 	RecCheckpointBegin
 	// RecCheckpointEnd: a fuzzy checkpoint completed. A: pages flushed.
-	// B: duration in nanoseconds.
+	// B: the log's scan floor after it — the LSN below which no recovery
+	// or tail reader reads. The duration is the distance to the begin
+	// event's timestamp.
 	RecCheckpointEnd
 	// RecReplState: the replication follower changed state. Code: the new
 	// state (RecCodeSeeding..RecCodeStalled). A: the previous state code.

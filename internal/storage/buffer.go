@@ -247,35 +247,15 @@ func (bp *BufferPool) writeBackLocked(f *frame) error {
 	return nil
 }
 
-// readPage drives one logical read of the page into buf, retrying transient
-// faults and checksum mismatches (in-flight corruption a re-read can fix)
-// under the pool's retry policy. The returned error wraps the last attempt's
-// failure, so errors.Is/As classification survives.
+// readPage drives one logical read of the page into buf under the pool's
+// retry policy (see ReadVerified), counting and recording each retry.
 func (bp *BufferPool) readPage(id PageID, buf []byte) error {
-	var last error
-	budget := bp.retry.attempts()
-	for attempt := 1; attempt <= budget; attempt++ {
-		if attempt > 1 {
-			bp.readRetries.Add(1)
-			obs.Record(obs.RecFaultRetry, obs.RecCodeRead, 0, int64(id.File), int64(id.Page))
-			bp.retry.pause(attempt-1, id)
-		}
-		err := bp.disk.ReadPageInto(id, buf)
-		if err == nil {
-			if want, ok := bp.disk.Checksum(id); ok {
-				if got := PageChecksum(buf); got != want {
-					last = &ChecksumError{Page: id, Want: want, Got: got}
-					continue
-				}
-			}
-			return nil
-		}
-		last = err
-		if !IsTransient(err) && !IsChecksum(err) {
-			break
-		}
+	retries, err := ReadVerified(bp.disk, id, buf, bp.retry)
+	for range retries {
+		bp.readRetries.Add(1)
+		obs.Record(obs.RecFaultRetry, obs.RecCodeRead, 0, int64(id.File), int64(id.Page))
 	}
-	return fmt.Errorf("storage: read of page %v gave up after retries: %w", id, last)
+	return err
 }
 
 // writePage drives one write-back against the device under the retry

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"time"
 )
 
@@ -36,6 +37,41 @@ type RetryPolicy struct {
 // budget is the behavior under test.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Microsecond, MaxDelay: 2 * time.Millisecond}
+}
+
+// ReadVerified drives one logical read of page id into buf, which must be
+// one page long: each physical attempt is checked against the checksum the
+// device recorded at the page's last write (fault devices hand back damaged
+// bytes rather than an error — end-to-end verification is the reader's
+// job), and transient faults and checksum mismatches — which may be
+// in-flight corruption a re-read fixes — are retried under p. It is the one
+// read path of everything that must not trust a single transfer: the buffer
+// pool's misses and the log's recovery. retries counts the attempts after
+// the first; the error wraps the last attempt's failure, so errors.Is/As
+// classification survives.
+func ReadVerified(dev Device, id PageID, buf []byte, p RetryPolicy) (retries int, _ error) {
+	var last error
+	for attempt := 1; attempt <= p.attempts(); attempt++ {
+		if attempt > 1 {
+			retries++
+			p.pause(attempt-1, id)
+		}
+		err := dev.ReadPageInto(id, buf)
+		if err == nil {
+			if want, ok := dev.Checksum(id); ok {
+				if got := PageChecksum(buf); got != want {
+					last = &ChecksumError{Page: id, Want: want, Got: got}
+					continue
+				}
+			}
+			return retries, nil
+		}
+		last = err
+		if !IsTransient(err) && !IsChecksum(err) {
+			break
+		}
+	}
+	return retries, fmt.Errorf("storage: read of page %v gave up after retries: %w", id, last)
 }
 
 // attempts returns the effective attempt budget.

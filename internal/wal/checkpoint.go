@@ -18,8 +18,10 @@ import (
 //     (page → redo floor), the active-transaction table (txn → begin LSN),
 //     the catalog manifest, and the next transaction id; then the log is
 //     forced durable. Only a durable end record makes the checkpoint real.
-//  4. Log pages wholly below min(DPT floor, Lb, oldest active begin) are
-//     zeroed: nothing below that LSN can ever be needed for redo.
+//  4. The final page of that sync raises the log's scan floor to
+//     min(DPT floor, Lb, oldest active begin): nothing below that LSN can
+//     ever be needed for redo, and no scan reads the pages wholly below it
+//     again (invariant I4 of the package comment).
 //
 // Recovery redoes a committed page record (image or append) at LSN L on
 // page P iff L ≥ min(Lb, oldest active begin) or P is in the DPT with
@@ -64,9 +66,9 @@ type ManifestJoinIndex struct {
 	CoveringLSN LSN
 }
 
-// Manifest is the catalog snapshot a checkpoint carries. Truncation
-// destroys catalog records below the floor, so the manifest — not the
-// record stream — is the authoritative list of pre-checkpoint objects;
+// Manifest is the catalog snapshot a checkpoint carries. Truncation puts
+// catalog records below the floor out of every scan's reach, so the manifest
+// — not the record stream — is the authoritative list of pre-checkpoint objects;
 // post-checkpoint registrations still arrive as ordinary records.
 type Manifest struct {
 	Collections []ManifestCollection
@@ -274,64 +276,68 @@ func (l *Log) AppendCheckpointBegin() LSN {
 
 // AppendCheckpointEnd appends the checkpoint payload and forces the log
 // durable: a checkpoint the recovery scanner may trust exists only once
-// this returns nil.
-func (l *Log) AppendCheckpointEnd(cp Checkpoint) (LSN, error) {
+// this returns nil. With truncate, the sync's final page raises the scan
+// floor to the checkpoint's redo floor, clipped by the Retain pin: the
+// truncation is durable in the same write that completes the record
+// justifying it (invariant I4), and costs no I/O of its own.
+func (l *Log) AppendCheckpointEnd(cp Checkpoint, truncate bool) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	lsn := l.append(Record{Type: RecCheckpointEnd, Data: EncodeCheckpoint(cp)})
-	if err := l.syncLocked(); err != nil {
+	floor := l.floor
+	if truncate {
+		keep := cp.RedoFloor()
+		if l.retain > 0 && l.retain < keep {
+			keep = l.retain
+		}
+		floor = max(floor, keep)
+	}
+	if err := l.syncStamped(floor); err != nil {
 		return lsn, err
 	}
 	l.stats.Checkpoints++
 	return lsn, nil
 }
 
-// TruncateBelow zeroes every log page whose payload lies wholly below keep,
-// reclaiming the space bounded recovery no longer needs. Zeroed pages look
-// like unwritten allocations to the scanner; the first surviving page's
-// firstRec offset re-synchronizes parsing at a record boundary. The scan
-// resumes where the previous truncation stopped, stops at the first page
-// it must keep, and is conservative about anything unreadable — under-
-// truncating is always safe.
-func (l *Log) TruncateBelow(keep LSN) (int, error) {
+// ScanFloor returns the LSN below which no scan of the log reads: the floor
+// the last truncating checkpoint made durable.
+func (l *Log) ScanFloor() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.retain > 0 && l.retain < keep {
-		keep = l.retain
-	}
-	n := l.dev.NumPages(LogFileID)
-	zeroed := 0
-	buf := l.page
-	for p := l.truncFrom; int(p) < n; p++ {
-		id := storage.PageID{File: LogFileID, Page: p}
-		if readVerified(l.dev, id, buf) != nil {
-			return zeroed, nil // unreadable: keep it and everything after
-		}
-		used := int(binary.LittleEndian.Uint32(buf[0:]))
-		if used == 0 {
-			l.truncFrom = p + 1 // already dead (failed write or prior truncation)
-			continue
-		}
-		if used > len(buf)-pageHeader {
-			return zeroed, nil
-		}
-		start := LSN(binary.LittleEndian.Uint64(buf[4:]))
-		if start+LSN(used) > keep {
-			return zeroed, nil
-		}
-		clear(buf)
-		if err := l.dev.WritePage(id, buf); err != nil {
-			return zeroed, fmt.Errorf("wal: truncating log page %v: %w", id, err)
-		}
-		l.stats.PageWrites++
-		l.stats.TruncatedPages++
-		l.truncFrom = p + 1
-		zeroed++
-	}
-	return zeroed, nil
+	return l.floor
 }
 
-// Retain pins truncation: TruncateBelow will not zero records at or above
+// TruncateBelow reclaims the log pages wholly below keep, clipped to the
+// durable scan floor, and returns how many there were. On this device
+// reclaiming is bookkeeping — the pages are forgotten and counted, nothing
+// is read or written; it is the point where a file-backed device would
+// return them (punch a hole, unlink a segment). It stops at the first page
+// it must keep.
+func (l *Log) TruncateBelow(keep LSN) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	keep = min(keep, l.floor)
+	n := 0
+	for n < len(l.live) && l.live[n].end <= keep {
+		n++
+	}
+	l.live = l.live[:copy(l.live, l.live[n:])]
+	l.stats.TruncatedPages += int64(n)
+	return n
+}
+
+// HeadPage returns the first log page TruncateBelow has not reclaimed: every
+// page below it is dead, and nothing that copies the log need carry one.
+func (l *Log) HeadPage() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.live) == 0 {
+		return 0
+	}
+	return int(l.live[0].page)
+}
+
+// Retain pins truncation: a checkpoint will not raise the scan floor above
 // lsn until the pin moves or clears (lsn 0). A replication source holds the
 // pin at its reader's position so checkpoint truncation cannot outrun it —
 // the write-ahead-log cousin of a replication slot. An over-slow reader is

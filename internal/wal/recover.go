@@ -22,6 +22,8 @@ type RecoveryStats struct {
 	TornTailBytes   int64 // stream bytes after the last complete record
 	TornPages       int64 // log pages whose checksum did not verify
 	BaseLSN         LSN   // stream offset recovery scanned from (>0 after truncation)
+	LogPagesRead    int64 // log pages read to find the head and assemble the stream
+	HeadPage        int64 // first log page the scan read; pages below it are dead
 	CheckpointLSN   LSN   // begin LSN of the checkpoint recovery bounded redo by; 0 = none
 	// IndexRebuildsSkipped counts persisted indices the catalog layer
 	// loaded from the checkpoint manifest instead of rebuilding from a
@@ -104,24 +106,6 @@ type Result struct {
 	Stats        RecoveryStats
 }
 
-// Recover scans the log on dev, redoes the page changes of every committed
-// transaction onto the device, and returns a Log positioned to append after
-// the last complete record, the committed catalog records in LSN order for
-// the caller to re-register, and the recovery counters. It is the
-// checkpoint-aware RecoverWith with the compatibility signature earlier
-// callers used.
-func Recover(dev storage.Device, groupCommit int) (*Log, []Record, RecoveryStats, error) {
-	res, err := RecoverWith(dev, Options{GroupCommit: groupCommit})
-	if err != nil {
-		var stats RecoveryStats
-		if res != nil {
-			stats = res.Stats
-		}
-		return nil, nil, stats, err
-	}
-	return res.Log, res.Catalog, res.Stats, nil
-}
-
 // RecoverWith scans the log on dev and redoes the committed page changes
 // the device is missing, page by page (invariant I2 of the package
 // comment). With a checkpoint in the log, redo is bounded: a record below
@@ -133,14 +117,22 @@ func Recover(dev storage.Device, groupCommit int) (*Log, []Record, RecoveryStats
 // page, so the garbage bytes stay on the device and are superseded by the
 // stream offsets of post-recovery appends (see the package comment).
 func RecoverWith(dev storage.Device, opts Options) (*Result, error) {
+	return recoverFrom(dev, opts, findHead(dev))
+}
+
+// recoverFrom is RecoverWith over a scan that starts at head.
+func recoverFrom(dev storage.Device, opts Options, head logHead) (*Result, error) {
 	res := &Result{TouchedFiles: make(map[storage.FileID]bool)}
 	stats := &res.Stats
-	base, stream, tornPages, err := scanStream(dev)
+	stats.HeadPage = int64(head.page)
+	sc, err := scanStream(dev, &head)
+	stats.LogPagesRead = head.reads
 	if err != nil {
 		return res, err
 	}
-	stats.TornPages = tornPages
-	stats.BaseLSN = base
+	stats.TornPages = sc.torn
+	stats.BaseLSN = sc.base
+	base, stream := sc.base, sc.stream
 	records, consumed := parseStream(base, stream)
 	stats.RecordsScanned = int64(len(records))
 	stats.TornTailBytes = int64(len(stream)) - consumed
@@ -283,81 +275,161 @@ func RecoverWith(dev storage.Device, opts Options) (*Result, error) {
 	l := newLog(dev, opts.GroupCommit)
 	l.tailStart = base + consumed
 	l.durable = base + consumed
+	l.floor = head.floor
+	l.live = sc.live
 	res.Log = l
 	return res, nil
 }
 
-// scanStream reads every log page in order and assembles the logical record
-// stream, returning the stream's base LSN. In an untruncated log the base
-// is 0; after checkpoint truncation the leading pages are zeroed and the
-// first surviving page's firstRec offset re-synchronizes the scan at a
-// record boundary. Pages that never made it to the device (zero-filled
-// allocations) or arrive corrupted are skipped and reported; a page whose
-// startLSN rewinds below the assembled length marks a post-recovery resume,
-// so the superseded garbage is truncated away before appending its payload.
-func scanStream(dev storage.Device) (LSN, []byte, int64, error) {
+// recoveryRetry is the policy every raw device read of recovery runs under
+// (storage.ReadVerified): a transient fault costs a retry, as it would
+// through the buffer pool, not the recovery.
+var recoveryRetry = storage.DefaultRetryPolicy()
+
+// readLogPage reads one log page, verified, into a buffer the caller owns.
+func readLogPage(dev storage.Device, p int) ([]byte, error) {
+	buf := make([]byte, dev.PageSize())
+	_, err := storage.ReadVerified(dev, storage.PageID{File: LogFileID, Page: int32(p)}, buf, recoveryRetry)
+	return buf, err
+}
+
+// logHead is where a scan of the log starts, and what finding that cost.
+type logHead struct {
+	page  int       // first page the scan reads; every page below it is dead
+	floor LSN       // the stamp that chose page; 0 when the scan starts at page 0
+	kept  keptPages // live pages as the search read them, for the scan to take
+	reads int64     // log pages read so far, the search's and then the scan's
+}
+
+// keptPages holds verified log pages by page number, so a scan need not read
+// again what the head search already did.
+type keptPages map[int][]byte
+
+// take hands over page p if it was kept, nil if not.
+func (k keptPages) take(p int) []byte {
+	buf := k[p]
+	delete(k, p)
+	return buf
+}
+
+// findHead locates the live head of the log without reading a dead page:
+// the last valid page's stamp is the scan floor F (invariant I4 — a complete
+// checkpoint lies at or above it), and the head is the last page at or below
+// that one that starts at or below F, found by walking back. No later page
+// starts at or below F, so none can rewind the stream below the head, and a
+// scan from the head assembles exactly the bytes at and above F that a scan
+// from page 0 would. The pages walked over are kept for that scan, so each
+// live page is read once. Any doubt — no valid page, stamp 0, an unreadable
+// page on the way, a head that does not open a record at or below F — starts
+// the scan at page 0: under-truncating is always safe.
+func findHead(dev storage.Device) logHead {
+	h := logHead{kept: make(keptPages)}
+	pageSize := dev.PageSize()
+	for p := dev.NumPages(LogFileID) - 1; p >= 0; p-- {
+		h.reads++
+		buf, err := readLogPage(dev, p)
+		hd := parseHeader(buf)
+		if err != nil || !hd.live(pageSize) {
+			if len(h.kept) > 0 && err != nil && !storage.IsChecksum(err) {
+				break // below the last valid page, and no telling what it held
+			}
+			continue // torn, failed or in flight: the scan decides what to report
+		}
+		if len(h.kept) == 0 {
+			h.floor = hd.floor
+		}
+		h.kept[p] = buf
+		if h.floor <= 0 {
+			break
+		}
+		if hd.start > h.floor {
+			continue
+		}
+		if hd.first == noFirstRec || hd.start+LSN(hd.first) > h.floor {
+			break // F is not a record boundary of this page: trust nothing
+		}
+		h.page = p
+		return h
+	}
+	h.page, h.floor = 0, 0
+	return h
+}
+
+// scan is the logical stream scanStream assembled and the pages it came
+// from.
+type scan struct {
+	base   LSN       // stream offset of stream[0]
+	stream []byte    // the record stream from base on
+	torn   int64     // pages whose checksum or length did not verify
+	live   []pageEnd // each live page read and where its payload ends, in page order
+}
+
+// scanStream reads the log pages from head on, in order, and assembles the
+// logical record stream. In an untruncated log the stream's base is 0; after
+// checkpoint truncation the head page's firstRec offset re-synchronizes the
+// scan at a record boundary. Pages that never made it to the device
+// (zero-filled allocations) or arrive corrupted are skipped and reported; a
+// page whose startLSN rewinds below the assembled length marks a
+// post-recovery resume, so the superseded garbage is cut off before its
+// payload is appended.
+func scanStream(dev storage.Device, head *logHead) (scan, error) {
 	n := dev.NumPages(LogFileID)
-	base := LSN(-1)
-	var stream []byte
-	var torn int64
-	for p := 0; p < n; p++ {
-		id := storage.PageID{File: LogFileID, Page: int32(p)}
-		buf, err := storage.ReadPage(dev, id)
-		if err != nil {
-			if storage.IsChecksum(err) {
-				// A page torn by the crash; everything it held is past the
-				// last durable sync, so skipping it discards only tail bytes.
-				torn++
+	pageSize := dev.PageSize()
+	sc := scan{base: -1}
+	for p := head.page; p < n; p++ {
+		buf := head.kept.take(p)
+		if buf == nil {
+			head.reads++
+			var err error
+			if buf, err = readLogPage(dev, p); err != nil {
+				if storage.IsChecksum(err) {
+					// A page torn by the crash; everything it held is past the
+					// last durable sync, so skipping it discards only tail bytes.
+					sc.torn++
+					continue
+				}
+				return sc, fmt.Errorf("wal: reading log page %d: %w", p, err)
+			}
+		}
+		hd := parseHeader(buf)
+		if hd.used == 0 {
+			continue // allocated but never written
+		}
+		if !hd.live(pageSize) {
+			sc.torn++
+			continue
+		}
+		sc.live = append(sc.live, pageEnd{page: int32(p), end: hd.start + LSN(hd.used)})
+		payload := buf[pageHeader : pageHeader+hd.used]
+		if sc.base < 0 {
+			// First live page: every byte before its first record boundary
+			// is the tail of a record whose head lies in the dead pages
+			// below — only parseable bytes join the stream.
+			if hd.first == noFirstRec || int(hd.first) >= hd.used {
 				continue
 			}
-			return 0, nil, 0, fmt.Errorf("wal: reading log page %v: %w", id, err)
-		}
-		// Verify against the recorded checksum explicitly: fault devices
-		// return corrupted bytes rather than erroring (end-to-end
-		// verification is the reader's job), and trusting a torn page's
-		// header fields could truncate the stream at a garbage startLSN.
-		if want, ok := dev.Checksum(id); !ok || storage.PageChecksum(buf) != want {
-			torn++
+			sc.base = hd.start + LSN(hd.first)
+			sc.stream = append(sc.stream, payload[hd.first:]...)
 			continue
 		}
-		used := int(binary.LittleEndian.Uint32(buf[0:]))
-		if used == 0 {
-			continue // allocated but never written, or truncated away
-		}
-		if used > len(buf)-pageHeader {
-			torn++
-			continue
-		}
-		start := LSN(binary.LittleEndian.Uint64(buf[4:]))
-		if base < 0 {
-			// First surviving page: every byte before its first record
-			// boundary is the tail of a record whose head was truncated
-			// with the pages below — only parseable bytes join the stream.
-			first := binary.LittleEndian.Uint32(buf[12:])
-			if first == noFirstRec || int(first) >= used {
-				continue
-			}
-			base = start + LSN(first)
-			stream = append(stream, buf[pageHeader+first:pageHeader+uint32(used)]...)
-			continue
-		}
+		end := sc.base + LSN(len(sc.stream))
 		switch {
-		case start < base:
+		case hd.start < sc.base:
 			// Below the resync point: stale garbage; trust nothing after.
-			return base, stream, torn, nil
-		case start < base+LSN(len(stream)):
-			stream = stream[:start-base]
-		case start > base+LSN(len(stream)):
+			return sc, nil
+		case hd.start < end:
+			sc.stream = sc.stream[:hd.start-sc.base]
+		case hd.start > end:
 			// A gap means the pages between were lost wholesale; nothing
 			// after them can be trusted to be contiguous.
-			return base, stream, torn, nil
+			return sc, nil
 		}
-		stream = append(stream, buf[pageHeader:pageHeader+used]...)
+		sc.stream = append(sc.stream, payload...)
 	}
-	if base < 0 {
-		base = 0
+	if sc.base < 0 {
+		sc.base = 0
 	}
-	return base, stream, torn, nil
+	return sc, nil
 }
 
 // parseStream decodes records until the stream ends or turns invalid,
@@ -419,7 +491,7 @@ func redoPage(dev storage.Device, id storage.PageID, records []Record, buf []byt
 	changed := startsPage(records[0])
 	switch {
 	case !changed:
-		if err := readVerified(dev, id, buf); err != nil {
+		if _, err := storage.ReadVerified(dev, id, buf, recoveryRetry); err != nil {
 			return false, &RedoError{Page: id, LSN: records[0].LSN, Err: err}
 		}
 	case records[0].Type == RecImage:
@@ -462,24 +534,6 @@ func startsPage(r Record) bool {
 	}
 	slot, _, err := r.Append()
 	return err == nil && slot == 0
-}
-
-// readVerified reads a device page into buf and checks it against the
-// recorded checksum explicitly: fault devices hand back corrupted bytes
-// rather than an error, and end-to-end verification is the reader's job. A
-// page the device does not hold, or holds no checksum for, is an error.
-func readVerified(dev storage.Device, id storage.PageID, buf []byte) error {
-	if err := dev.ReadPageInto(id, buf); err != nil {
-		return err
-	}
-	want, ok := dev.Checksum(id)
-	if !ok {
-		return fmt.Errorf("wal: device records no checksum for %v", id)
-	}
-	if got := storage.PageChecksum(buf); got != want {
-		return &storage.ChecksumError{Page: id, Want: want, Got: got}
-	}
-	return nil
 }
 
 // materialize makes sure the device holds the page replay is about to

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,6 +22,9 @@ type redoWorld struct {
 	pool  *storage.BufferPool
 	files []*storage.HeapFile
 	txn   uint64
+	// truncate makes the world's checkpoints truncating: each raises the
+	// scan floor, so recovery starts at the live head instead of page 0.
+	truncate bool
 }
 
 func newRedoWorld(t *testing.T, pageSize, frames, files int) *redoWorld {
@@ -44,6 +48,46 @@ func newRedoWorld(t *testing.T, pageSize, frames, files int) *redoWorld {
 		w.files = append(w.files, hf)
 	}
 	return w
+}
+
+// register logs each file as a collection, one committed catalog
+// transaction apiece, so the world's checkpoints have a manifest to carry.
+func (w *redoWorld) register() {
+	w.t.Helper()
+	for i, hf := range w.files {
+		w.txn++
+		w.log.Begin(w.txn)
+		payload := EncodeNewCollection(NewCollection{Name: fmt.Sprintf("f%d", i), HeapFile: hf.File()})
+		if _, err := w.log.AppendCatalog(w.txn, RecNewCollection, payload); err != nil {
+			w.log.Abort(w.txn)
+			w.t.Fatal(err)
+		}
+		if _, err := w.log.Commit(w.txn); err != nil {
+			w.t.Fatal(err)
+		}
+	}
+}
+
+// collections lists the collections a recovery would re-register: the
+// checkpoint manifest's, then the committed catalog records not in it.
+func collections(t *testing.T, res *Result) []string {
+	t.Helper()
+	var names []string
+	if res.Checkpoint != nil {
+		for _, c := range res.Checkpoint.Manifest.Collections {
+			names = append(names, c.Name)
+		}
+	}
+	for _, r := range res.Catalog {
+		nc, err := DecodeNewCollection(r.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(names, nc.Name) {
+			names = append(names, nc.Name)
+		}
+	}
+	return names
 }
 
 // insert runs one committed transaction appending each record to its file,
@@ -102,15 +146,18 @@ func (w *redoWorld) forward() map[storage.PageID][]byte {
 
 // crashCopy clones the device as a crash would leave it: whatever the pool
 // still holds back is lost.
-func (w *redoWorld) crashCopy() *storage.Disk {
-	w.t.Helper()
+func (w *redoWorld) crashCopy() *storage.Disk { return cloneDisk(w.t, w.dev) }
+
+// cloneDisk copies every page of dev onto a fresh disk.
+func cloneDisk(t *testing.T, dev storage.Device) *storage.Disk {
+	t.Helper()
 	var img bytes.Buffer
-	if _, err := storage.WriteDeviceImage(&img, w.dev); err != nil {
-		w.t.Fatal(err)
+	if _, err := storage.WriteDeviceImage(&img, dev); err != nil {
+		t.Fatal(err)
 	}
 	disk, err := storage.ReadDeviceImage(&img)
 	if err != nil {
-		w.t.Fatal(err)
+		t.Fatal(err)
 	}
 	return disk
 }
@@ -119,11 +166,7 @@ func (w *redoWorld) crashCopy() *storage.Disk {
 // page, in LSN order.
 func pageHistory(t *testing.T, dev storage.Device, id storage.PageID) []Record {
 	t.Helper()
-	base, stream, _, err := scanStream(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	records, _ := parseStream(base, stream)
+	_, records := streamOf(t, dev)
 	var out []Record
 	for _, r := range records {
 		if (r.Type == RecImage || r.Type == RecAppend) && r.Page == id {
@@ -137,7 +180,7 @@ func checkPages(t *testing.T, label string, dev storage.Device, want map[storage
 	t.Helper()
 	buf := make([]byte, dev.PageSize())
 	for id, w := range want {
-		if err := readVerified(dev, id, buf); err != nil {
+		if _, err := storage.ReadVerified(dev, id, buf, storage.RetryPolicy{}); err != nil {
 			t.Fatalf("%s: page %v: %v", label, id, err)
 		}
 		if !bytes.Equal(buf, w) {
@@ -167,9 +210,15 @@ func (w *redoWorld) checkpoint(rng *rand.Rand) LSN {
 	for _, d := range w.pool.DirtyPageTable() {
 		cp.DPT = append(cp.DPT, DirtyPage{Page: d.ID, RecLSN: d.RedoLSN})
 	}
-	if _, err := w.log.AppendCheckpointEnd(cp); err != nil {
+	for i, hf := range w.files {
+		cp.Manifest.Collections = append(cp.Manifest.Collections, ManifestCollection{
+			NewCollection: NewCollection{Name: fmt.Sprintf("f%d", i), HeapFile: hf.File()},
+		})
+	}
+	if _, err := w.log.AppendCheckpointEnd(cp, w.truncate); err != nil {
 		w.t.Fatal(err)
 	}
+	w.log.TruncateBelow(cp.RedoFloor())
 	return cp.RedoFloor()
 }
 
@@ -182,10 +231,16 @@ func (w *redoWorld) checkpoint(rng *rand.Rand) LSN {
 //   - redo bounded by the last checkpoint, redo from LSN 0 and redo from a
 //     random honest floor each rebuild every page byte for byte (I2), torn
 //     pages included (I1 put their image among the records to redo);
+//   - the same redo over the same device bytes by a scan from page 0, which
+//     trusts no stamp, rebuilds the same pages, the same catalog and the same
+//     log position (I4: the bounded scan lost nothing recovery needs);
 //   - redoing again from any floor changes nothing (I2, idempotence);
 //   - with the image of a torn page cut off by the floor, redo fails with a
 //     *RedoError naming the page and its checksum (I3).
-func runPageRedo(t *testing.T, seed int64) {
+//
+// With truncate the world's checkpoints raise the scan floor, so every
+// recovery above starts at the live head.
+func runPageRedo(t *testing.T, seed int64, truncate bool) {
 	rng := rand.New(rand.NewSource(seed))
 	// Half the worlds have a pool too small for their pages, so evictions
 	// clean frames too; the other half keep every page resident, so a page
@@ -195,6 +250,8 @@ func runPageRedo(t *testing.T, seed int64) {
 		frames = 64
 	}
 	w := newRedoWorld(t, 512, frames, 2+rng.Intn(2))
+	w.truncate = truncate
+	w.register()
 	cleanLSN := LSN(1) // every change below it is on the device
 	randRec := func() []byte {
 		rec := make([]byte, 4+rng.Intn(40))
@@ -229,11 +286,12 @@ func runPageRedo(t *testing.T, seed int64) {
 	end := w.log.DurableLSN()
 
 	// The crash: the device as it is, with some of the pages a write-back
-	// could have been in flight for torn.
-	fd := fault.Wrap(w.crashCopy(), fault.Options{})
+	// could have been in flight for torn — twice over, for the two scans.
+	fd, fd0 := fault.Wrap(w.crashCopy(), fault.Options{}), fault.Wrap(w.crashCopy(), fault.Options{})
 	for _, id := range w.pages() {
 		if w.pool.Dirty(id) && rng.Intn(4) != 0 {
 			fd.TearPage(id)
+			fd0.TearPage(id)
 		}
 	}
 	opts := Options{} // bounded by the last checkpoint
@@ -245,10 +303,30 @@ func runPageRedo(t *testing.T, seed int64) {
 	case 2:
 		opts = Options{ApplyFloor: 1 + rng.Int63n(int64(cleanLSN))}
 	}
-	if _, err := RecoverWith(fd, opts); err != nil {
+	bounded, err := RecoverWith(fd, opts)
+	if err != nil {
 		t.Fatalf("seed %d: redo with %+v (clean below %d): %v", seed, opts, cleanLSN, err)
 	}
 	checkPages(t, fmt.Sprintf("seed %d: redo with %+v", seed, opts), fd, want)
+	if bounded.Log.ScanFloor() > 0 && bounded.Stats.HeadPage == 0 {
+		t.Fatalf("seed %d: recovery under scan floor %d started at page 0", seed, bounded.Log.ScanFloor())
+	}
+	full, err := recoverFrom(fd0, opts, logHead{})
+	if err != nil {
+		t.Fatalf("seed %d: redo with %+v scanning from page 0: %v", seed, opts, err)
+	}
+	checkPages(t, fmt.Sprintf("seed %d: redo with %+v scanning from page 0", seed, opts), fd0, want)
+	if b, f := bounded.Log.DurableLSN(), full.Log.DurableLSN(); b != f {
+		t.Fatalf("seed %d: bounded scan resumes the log at LSN %d, the scan from page 0 at %d", seed, b, f)
+	}
+	if !opts.IgnoreCheckpoints { // ignoring the end record forfeits what only it remembers below the floor
+		if b, f := bounded.Stats.NextTxn, full.Stats.NextTxn; b != f {
+			t.Fatalf("seed %d: bounded scan resumes at txn %d, the scan from page 0 at %d", seed, b, f)
+		}
+		if b, f := collections(t, bounded), collections(t, full); !slices.Equal(b, f) || len(b) != len(w.files) {
+			t.Fatalf("seed %d: bounded scan recovers collections %v, the scan from page 0 %v", seed, b, f)
+		}
+	}
 
 	// Twice equals once, from any floor: the device now holds everything.
 	again := 1 + rng.Int63n(int64(end))
@@ -292,9 +370,10 @@ func runPageRedo(t *testing.T, seed int64) {
 // test on every `go test`.
 func FuzzPageRedo(f *testing.F) {
 	for seed := int64(1); seed <= 60; seed++ {
-		f.Add(seed)
+		f.Add(seed, false)
+		f.Add(seed, true) // every checkpoint stamps a raised floor
 	}
-	f.Fuzz(func(t *testing.T, seed int64) { runPageRedo(t, seed) })
+	f.Fuzz(func(t *testing.T, seed int64, truncate bool) { runPageRedo(t, seed, truncate) })
 }
 
 // TestImageFirst pins invariant I1 on the log itself: the first record a
@@ -416,7 +495,6 @@ func TestRedoPerPage(t *testing.T) {
 	// appends, no device read, one write each.
 	dev := w.crashCopy()
 	before := dev.Stats()
-	logPages := int64(dev.NumPages(LogFileID))
 	res, err := RecoverWith(dev, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +503,7 @@ func TestRedoPerPage(t *testing.T) {
 	if got := after.Writes - before.Writes; got != 2 || res.Stats.PagesRestored != 2 {
 		t.Errorf("redo of 12 appends over 2 pages wrote %d pages (PagesRestored %d), want 2", got, res.Stats.PagesRestored)
 	}
-	if got := after.Reads - before.Reads - logPages; got != 0 {
+	if got := after.Reads - before.Reads - res.Stats.LogPagesRead; got != 0 {
 		t.Errorf("redo from slot-0 appends read %d data pages, want 0", got)
 	}
 	if res.Stats.RecordsReplayed != 12 {
@@ -445,7 +523,7 @@ func TestRedoPerPage(t *testing.T) {
 	if got := after.Writes - before.Writes; got != 0 || res.Stats.PagesRestored != 0 {
 		t.Errorf("re-redo of present slots wrote %d pages, want 0", got)
 	}
-	if got := after.Reads - before.Reads - logPages; got != 2 {
+	if got := after.Reads - before.Reads - res.Stats.LogPagesRead; got != 2 {
 		t.Errorf("re-redo read %d data pages, want 2 (one per page, not one per record)", got)
 	}
 	checkPages(t, "re-redo", dev, want)

@@ -16,7 +16,7 @@ import (
 )
 
 // ErrTruncatedAway reports that a tail read could not resume at the
-// requested LSN: the log's surviving pages begin above it (a checkpoint
+// requested LSN: the log's live pages begin above it (a checkpoint
 // truncated the history the reader wanted) or continuity to it was lost.
 // No amount of retrying brings the bytes back — a replication follower
 // receiving it must fall back to a snapshot-delta resync.
@@ -34,10 +34,11 @@ var ErrTruncatedAway = errors.New("wal: requested LSN truncated from the log")
 // owns its own.
 type TailReader struct {
 	dev  storage.Device
-	next int // first log page not yet confirmed consumed
-	pos  LSN // stream offset of the next byte Next will emit
+	kept keptPages // pages the head search read, for the first scan to take
+	next int       // first log page not yet confirmed consumed
+	pos  LSN       // stream offset of the next byte Next will emit
 	// end is the stream offset the assembled prefix reaches; -1 until the
-	// scan anchors at the first surviving record boundary. Bytes in
+	// scan anchors at the first live record boundary. Bytes in
 	// [pos, end) sit in carry; bytes below pos were either emitted or are
 	// below the caller's starting LSN and were skipped without copying.
 	end     LSN
@@ -46,14 +47,18 @@ type TailReader struct {
 }
 
 // OpenTail positions a reader over dev's log at LSN from, verifying the
-// surviving pages still reach down to it. It returns ErrTruncatedAway when
-// a checkpoint has truncated the log above from.
+// live pages still reach down to it. It returns ErrTruncatedAway when a
+// checkpoint has truncated the log above from — without reading a page
+// below the scan floor (findHead).
 func OpenTail(dev storage.Device, from LSN) (*TailReader, error) {
 	if from < 0 {
 		return nil, fmt.Errorf("wal: cannot tail from negative LSN %d", from)
 	}
-	r := &TailReader{dev: dev, pos: from, end: -1}
-	if err := r.scan(); err != nil {
+	head := findHead(dev)
+	r := &TailReader{dev: dev, kept: head.kept, next: head.page, pos: from, end: -1}
+	err := r.scan()
+	r.kept = nil // whatever the first scan left is stale by the next
+	if err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -93,40 +98,42 @@ func (r *TailReader) Next(max int) (LSN, []byte, error) {
 func (r *TailReader) scan() error {
 	n := r.dev.NumPages(LogFileID)
 	for p := r.next; p < n; p++ {
-		id := storage.PageID{File: LogFileID, Page: int32(p)}
-		buf, err := storage.ReadPage(r.dev, id)
-		if err != nil {
-			if storage.IsChecksum(err) {
-				continue // torn or in flight: revisit next scan
+		buf := r.kept.take(p)
+		if buf == nil {
+			id := storage.PageID{File: LogFileID, Page: int32(p)}
+			var err error
+			if buf, err = storage.ReadPage(r.dev, id); err != nil {
+				if storage.IsChecksum(err) {
+					continue // torn or in flight: revisit next scan
+				}
+				return fmt.Errorf("wal: tailing log page %v: %w", id, err)
 			}
-			return fmt.Errorf("wal: tailing log page %v: %w", id, err)
+			if want, ok := r.dev.Checksum(id); !ok || storage.PageChecksum(buf) != want {
+				continue // corrupted in transit: revisit next scan
+			}
 		}
-		if want, ok := r.dev.Checksum(id); !ok || storage.PageChecksum(buf) != want {
-			continue // corrupted in transit: revisit next scan
-		}
-		used := int(binary.LittleEndian.Uint32(buf[0:]))
-		if used == 0 || used > len(buf)-pageHeader {
+		hd := parseHeader(buf)
+		if !hd.live(len(buf)) {
 			continue // unwritten allocation, possibly in flight: revisit
 		}
-		start := LSN(binary.LittleEndian.Uint64(buf[4:]))
-		payload := buf[pageHeader : pageHeader+used]
+		start := hd.start
+		payload := buf[pageHeader : pageHeader+hd.used]
 		if r.end < 0 {
-			// Anchoring: the first surviving page must open a record for
-			// the stream to resynchronize; a pure continuation page lost
-			// its head with the truncated pages below and is durable, so
-			// it can be consumed for good.
-			first := binary.LittleEndian.Uint32(buf[12:])
-			if first == noFirstRec || int(first) >= used {
+			// Anchoring: the first live page must open a record for the
+			// stream to resynchronize; a pure continuation page has its
+			// head in the dead pages below and is durable, so it can be
+			// consumed for good.
+			if hd.first == noFirstRec || int(hd.first) >= hd.used {
 				r.next = p + 1
 				continue
 			}
-			base := start + LSN(first)
+			base := start + LSN(hd.first)
 			if r.pos < base {
 				return ErrTruncatedAway
 			}
 			r.end = base
 			start = base
-			payload = payload[first:]
+			payload = payload[hd.first:]
 		}
 		if err := r.absorb(start, payload); err != nil {
 			return err

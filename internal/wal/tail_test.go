@@ -30,15 +30,23 @@ func appendTxns(t *testing.T, dev *storage.Disk, l *Log, dataFile storage.FileID
 	}
 }
 
-// streamOf reassembles a device's full logical record stream.
-func streamOf(t *testing.T, dev storage.Device) (LSN, []Record) {
+// scanLog assembles a device's live logical stream, as recovery does.
+func scanLog(t *testing.T, dev storage.Device) scan {
 	t.Helper()
-	base, stream, _, err := scanStream(dev)
+	head := findHead(dev)
+	sc, err := scanStream(dev, &head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, _ := parseStream(base, stream)
-	return base, records
+	return sc
+}
+
+// streamOf reassembles a device's live logical record stream.
+func streamOf(t *testing.T, dev storage.Device) (LSN, []Record) {
+	t.Helper()
+	sc := scanLog(t, dev)
+	records, _ := parseStream(sc.base, sc.stream)
+	return sc.base, records
 }
 
 // assertSameRecords fails unless the two record slices are identical.
@@ -131,12 +139,8 @@ func TestTailChunkBoundaries(t *testing.T) {
 	if start != 0 {
 		t.Fatalf("stream started at %d, want 0", start)
 	}
-	base, stream, _, err := scanStream(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base != 0 || !bytes.Equal(shipped, stream) {
-		t.Fatalf("shipped bytes diverge from the device stream (base %d, %d vs %d bytes)", base, len(shipped), len(stream))
+	if sc := scanLog(t, dev); sc.base != 0 || !bytes.Equal(shipped, sc.stream) {
+		t.Fatalf("shipped bytes diverge from the device stream (base %d, %d vs %d bytes)", sc.base, len(shipped), len(sc.stream))
 	}
 }
 
@@ -180,18 +184,19 @@ func TestTailTruncatedAway(t *testing.T) {
 	dataFile := dev.CreateFile()
 	appendTxns(t, dev, l, dataFile, 1, 6)
 	begin := l.AppendCheckpointBegin()
-	if _, err := l.AppendCheckpointEnd(Checkpoint{BeginLSN: begin, NextTxn: 7}); err != nil {
+	if _, err := l.AppendCheckpointEnd(Checkpoint{BeginLSN: begin, NextTxn: 7}, true); err != nil {
 		t.Fatal(err)
 	}
-	zeroed, err := l.TruncateBelow(begin)
-	if err != nil {
-		t.Fatal(err)
+	dead := l.TruncateBelow(begin)
+	if dead == 0 {
+		t.Fatal("truncation reclaimed nothing; the test needs a truncated prefix")
 	}
-	if zeroed == 0 {
-		t.Fatal("truncation zeroed nothing; the test needs a truncated prefix")
-	}
+	before := dev.Stats().Reads
 	if _, err := OpenTail(dev, 0); !errors.Is(err, ErrTruncatedAway) {
 		t.Fatalf("OpenTail(0) after truncation: err=%v, want ErrTruncatedAway", err)
+	}
+	if reads, live := dev.Stats().Reads-before, int64(dev.NumPages(LogFileID)-dead); reads > live {
+		t.Fatalf("OpenTail(0) read %d log pages to refuse, more than the %d live ones: it read a dead page", reads, live)
 	}
 	r, err := OpenTail(dev, l.DurableLSN())
 	if err != nil {
@@ -306,7 +311,7 @@ func TestApplyFloorIgnoresDPT(t *testing.T) {
 	// The checkpoint's empty DPT says every earlier image is on the
 	// primary's device.
 	begin := l.AppendCheckpointBegin()
-	if _, err := l.AppendCheckpointEnd(Checkpoint{BeginLSN: begin, NextTxn: 2}); err != nil {
+	if _, err := l.AppendCheckpointEnd(Checkpoint{BeginLSN: begin, NextTxn: 2}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -362,8 +367,8 @@ func TestApplyFloorIgnoresDPT(t *testing.T) {
 // TestTailAcrossTruncationUnderReader checks truncation under live
 // readers: one that drained the stream keeps streaming afterwards, and one
 // that opened before the truncation still delivers the full pre-truncation
-// stream it buffered — zeroing durable pages never corrupts a reader that
-// already consumed them.
+// stream it buffered — raising the floor never corrupts a reader that
+// already consumed the pages below it.
 func TestTailAcrossTruncationUnderReader(t *testing.T) {
 	dev, l := newLogOnDisk(t, 1)
 	dataFile := dev.CreateFile()
@@ -382,11 +387,11 @@ func TestTailAcrossTruncationUnderReader(t *testing.T) {
 	}
 
 	begin := l.AppendCheckpointBegin()
-	if _, err := l.AppendCheckpointEnd(Checkpoint{BeginLSN: begin, NextTxn: 5}); err != nil {
+	if _, err := l.AppendCheckpointEnd(Checkpoint{BeginLSN: begin, NextTxn: 5}, true); err != nil {
 		t.Fatal(err)
 	}
-	if zeroed, err := l.TruncateBelow(begin); err != nil || zeroed == 0 {
-		t.Fatalf("truncation: zeroed=%d err=%v", zeroed, err)
+	if dead := l.TruncateBelow(begin); dead == 0 {
+		t.Fatal("truncation reclaimed nothing; the test needs a truncated prefix")
 	}
 	appendTxns(t, dev, l, dataFile, 5, 1)
 

@@ -52,6 +52,18 @@
 //   - I3 (no silent repair). An append recovery cannot apply — the device
 //     page fails its checksum and no image is among the records, or the
 //     slot would leave a gap — is a *RedoError, never a skipped record.
+//
+//   - I4 (the stamp proves the checkpoint). Truncation is a number, not a
+//     sweep: every log page carries the scan floor in force when it was
+//     written, and a checkpoint raises the floor on the final page of the
+//     sync that completes its end record, never earlier. A checksum-valid
+//     page stamped F therefore proves a complete checkpoint whose end
+//     record lies at or above F in the stream, so a scan may start at the
+//     page holding F and still find a manifest. A crash that tears that
+//     final page leaves the previous stamp — and the previous checkpoint —
+//     in force. Anything short of proof (no valid stamp, stamp 0, no
+//     readable page at the floor) starts the scan at page 0:
+//     under-truncating is always safe.
 package wal
 
 import (
@@ -168,21 +180,51 @@ func (r Record) Append() (slot int, rec []byte, err error) {
 	return int(binary.LittleEndian.Uint16(r.Data)), r.Data[appendHeader:], nil
 }
 
-// Page layout: [u32 used][u64 startLSN][u32 firstRec][payload ...]. used is
-// the number of payload bytes; startLSN is the logical stream offset of the
-// first payload byte; firstRec is the payload offset of the first record
-// that *begins* in this page (noFirstRec when every byte continues a record
-// started earlier). A page with used == 0 is an unwritten allocation and
-// contributes nothing to the stream.
+// Page layout: [u32 used][u64 startLSN][u32 firstRec][u64 floor][payload ...].
+// used is the number of payload bytes; startLSN is the logical stream offset
+// of the first payload byte; firstRec is the payload offset of the first
+// record that *begins* in this page (noFirstRec when every byte continues a
+// record started earlier); floor is the scan floor in force when the page
+// was written (invariant I4). A page with used == 0 is an unwritten
+// allocation and contributes nothing to the stream.
 //
-// firstRec exists for log truncation: a checkpoint zeroes whole pages below
-// the redo floor, and the first surviving page may open mid-record — its
-// head lost with the truncated pages. The scanner re-synchronizes at
-// startLSN+firstRec, the first byte that starts a parseable record.
+// firstRec exists for log truncation: pages wholly below the floor are dead,
+// and the first live page may open mid-record — its head lies in the dead
+// pages. The scanner re-synchronizes at startLSN+firstRec, the first byte
+// that starts a parseable record.
 const (
-	pageHeader = 16
+	pageHeader = 24
 	noFirstRec = ^uint32(0)
 )
+
+// header is a log page's decoded header.
+type header struct {
+	used  int
+	start LSN
+	first uint32
+	floor LSN
+}
+
+func parseHeader(buf []byte) header {
+	le := binary.LittleEndian
+	return header{
+		used:  int(le.Uint32(buf[0:])),
+		start: LSN(le.Uint64(buf[4:])),
+		first: le.Uint32(buf[12:]),
+		floor: LSN(le.Uint64(buf[16:])),
+	}
+}
+
+// live reports whether a checksum-valid page of pageSize bytes with this
+// header carries stream bytes: it was written, and its length is possible.
+func (h header) live(pageSize int) bool { return h.used > 0 && h.used <= pageSize-pageHeader }
+
+// pageEnd is one entry of the in-memory table truncation counts from: a
+// written log page and the stream offset its payload ends at.
+type pageEnd struct {
+	page int32
+	end  LSN
+}
 
 // Record layout within the stream:
 // [u64 lsn][u8 type][u64 txn][i32 file][i32 page][u32 dataLen][data][u32 crc]
@@ -196,8 +238,8 @@ const (
 	maxDataLen = 1 << 24
 )
 
-// Stats counts the log's activity. PageWrites are physical page transfers
-// to the device (they also appear in the device's DiskStats.Writes, keeping
+// Stats counts the log's activity. PageWrites are the log pages appended to
+// the device (they also appear in the device's DiskStats.Writes, keeping
 // the I/O accounting exact); PaddingBytes is the page space wasted by the
 // append-only discipline (each sync seals its final partial page).
 type Stats struct {
@@ -213,7 +255,7 @@ type Stats struct {
 	BytesLogged  int64
 	PaddingBytes int64
 	// Checkpoints counts durable checkpoint end records;
-	// TruncatedPages counts log pages zeroed below the redo floor.
+	// TruncatedPages counts log pages that fell wholly below the scan floor.
 	Checkpoints    int64
 	TruncatedPages int64
 }
@@ -227,14 +269,15 @@ type Log struct {
 	pageSize int
 	group    int // commits per sync; <= 1 means sync every commit
 
-	tail      []byte // appended records not yet written to the device
-	tailStart LSN    // stream offset of tail[0]
-	durable   LSN    // everything below this offset is on the device
-	pending   int    // commits appended since the last sync
-	bounds    []LSN  // start LSNs of buffered records, for page firstRec
-	truncFrom int32  // first log page the next TruncateBelow examines
-	retain    LSN    // TruncateBelow keeps records at or above this pin
-	page      []byte // scratch log page: syncLocked assembles in it, TruncateBelow reads into it
+	tail      []byte    // appended records not yet written to the device
+	tailStart LSN       // stream offset of tail[0]
+	durable   LSN       // everything below this offset is on the device
+	pending   int       // commits appended since the last sync
+	bounds    []LSN     // start LSNs of buffered records, for page firstRec
+	floor     LSN       // scan floor stamped on every page written (invariant I4)
+	live      []pageEnd // the written pages TruncateBelow has not yet reclaimed, in page order
+	retain    LSN       // a checkpoint raises the floor no higher than this pin
+	page      []byte    // scratch log page syncStamped assembles in
 
 	stats    Stats
 	observer func(batchCommits, pagesWritten int)
@@ -428,11 +471,18 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
-// syncLocked writes the buffered tail to freshly allocated log pages in
-// ascending order. Pages are never rewritten: the remainder of the final
-// partial page is sealed as padding, so a crash can tear only the page
-// being written, and every earlier page stays durable.
-func (l *Log) syncLocked() error {
+// syncLocked writes the buffered tail under the scan floor in force.
+func (l *Log) syncLocked() error { return l.syncStamped(l.floor) }
+
+// syncStamped writes the buffered tail to freshly allocated log pages in
+// ascending order and, once every page is down, makes final the scan floor
+// in force. Only the last page carries final — the earlier ones carry the
+// floor they were written under — so a raised floor reaches the device
+// exactly when the record that justifies it is complete (invariant I4).
+// Pages are never rewritten: the remainder of the final partial page is
+// sealed as padding, so a crash can tear only the page being written, and
+// every earlier page stays durable.
+func (l *Log) syncStamped(final LSN) error {
 	if len(l.tail) == 0 {
 		l.pending = 0
 		return nil
@@ -453,8 +503,9 @@ func (l *Log) syncLocked() error {
 	}()
 	for written < len(l.tail) {
 		chunk := l.tail[written:]
+		stamp := final
 		if len(chunk) > room {
-			chunk = chunk[:room]
+			chunk, stamp = chunk[:room], l.floor
 		}
 		n := len(chunk)
 		id, err := l.dev.AllocPage(LogFileID)
@@ -479,6 +530,7 @@ func (l *Log) syncLocked() error {
 		binary.LittleEndian.PutUint32(buf[0:], uint32(n))
 		binary.LittleEndian.PutUint64(buf[4:], uint64(l.tailStart))
 		binary.LittleEndian.PutUint32(buf[12:], first)
+		binary.LittleEndian.PutUint64(buf[16:], uint64(stamp))
 		clear(buf[pageHeader+copy(buf[pageHeader:], chunk):])
 		if err := l.dev.WritePage(id, buf); err != nil {
 			// The failed page stays allocated with used == 0; the scanner
@@ -488,6 +540,7 @@ func (l *Log) syncLocked() error {
 		consumed = next
 		written += n
 		l.tailStart += LSN(n)
+		l.live = append(l.live, pageEnd{page: id.Page, end: l.tailStart})
 		l.stats.PageWrites++
 		pages++
 		fault.CrashPoint("wal.sync.page")
@@ -495,6 +548,7 @@ func (l *Log) syncLocked() error {
 			l.stats.PaddingBytes += int64(room - n)
 		}
 	}
+	l.floor = final
 	l.durable = l.tailStart
 	l.pending = 0
 	if l.observer != nil {

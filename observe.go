@@ -106,7 +106,7 @@ func (db *Database) registerMetrics() {
 		})
 		count("spatialjoin_wal_aborts_total", "Transactions aborted through the log.",
 			func() int64 { return w.Stats().Aborts })
-		count("spatialjoin_wal_truncated_pages_total", "Log pages reclaimed by checkpoint truncation.",
+		count("spatialjoin_wal_truncated_pages_total", "Log pages that fell wholly below the scan floor at a checkpoint.",
 			func() int64 { return w.Stats().TruncatedPages })
 		count("spatialjoin_checkpoints_total", "Fuzzy checkpoints completed.",
 			func() int64 { return w.Stats().Checkpoints })
@@ -126,6 +126,10 @@ func (db *Database) registerMetrics() {
 			func() float64 { return float64(rec.RecordsSkipped) })
 		m.GaugeFunc("spatialjoin_recovery_index_rebuilds_skipped", "Persisted indices loaded from the manifest instead of rebuilt.",
 			func() float64 { return float64(rec.IndexRebuildsSkipped) })
+		m.GaugeFunc("spatialjoin_recovery_log_pages_read", "Log pages recovery read to find the live head and assemble the stream.",
+			func() float64 { return float64(rec.LogPagesRead) })
+		m.GaugeFunc("spatialjoin_recovery_head_page", "First log page recovery scanned; the pages below it are dead.",
+			func() float64 { return float64(rec.HeadPage) })
 	}
 
 	parallel.EnableMetrics()

@@ -2,7 +2,9 @@ package spatialjoin
 
 // FuzzRecovery drives the crash-sweep harness from fuzzed inputs: an
 // arbitrary crash point (by physical write ordinal), worker count,
-// group-commit policy, and checkpoint interval. The invariant is the
+// group-commit policy, checkpoint interval, and whether the checkpoints
+// truncate (each then stamps a raised scan floor into the log, and recovery
+// starts at the live head). The invariant is the
 // tentpole guarantee itself — reopening a crashed device never errors,
 // and the recovered database is byte-identical to a committed prefix of
 // the workload for every strategy, wherever the checkpoint boundary
@@ -24,6 +26,11 @@ func FuzzRecovery(f *testing.F) {
 	f.Add(int64(63), uint8(1), uint8(1), uint8(1), true)
 	f.Add(int64(150), uint8(1), uint8(1), uint8(3), true)
 	f.Add(int64(1000), uint8(3), uint8(8), uint8(2), false)
+	// Truncating checkpoints (ckpt in 5..9): a stamped floor under the crash.
+	f.Add(int64(39), uint8(2), uint8(1), uint8(7), false)
+	f.Add(int64(52), uint8(1), uint8(1), uint8(6), true)
+	f.Add(int64(30), uint8(1), uint8(1), uint8(8), false)
+	f.Add(int64(61), uint8(4), uint8(4), uint8(9), false)
 	f.Fuzz(func(t *testing.T, crashAt int64, workers, group, ckpt uint8, seedReplica bool) {
 		w := 1 + int(workers%8)
 		g := 1 + int(group%8)
@@ -34,8 +41,9 @@ func FuzzRecovery(f *testing.F) {
 			n = -n
 		}
 		// 0 = no checkpoints; 1..4 = a fuzzy checkpoint after every k-th
-		// workload step, sliding the boundary across the whole workload.
-		steps := stepsWithCheckpointEvery(int(ckpt % 5))
+		// workload step, sliding the boundary across the whole workload;
+		// the next digit up says whether the checkpoints truncate.
+		steps := stepsWithCheckpointEvery(int(ckpt%5), ckpt/5%2 == 1)
 		cfg := crashConfig(w, g)
 		if g > 1 {
 			// Group commit relaxes the in-flight-step ambiguity to the

@@ -31,7 +31,7 @@ type SnapshotInfo struct {
 // ExportSnapshot checkpoints the database and streams a self-verifying
 // device image to w, suitable for seeding a replica with SeedFromSnapshot.
 // The checkpoint first forces everything committed onto the device and
-// truncates the log, so the image is both consistent and minimal; writers
+// truncates the log, so the image is consistent and its replay bounded; writers
 // may run concurrently — anything committed after the checkpoint's begin
 // record simply rides along in the imaged log and is replayed on the
 // replica. The stream ends in a CRC-32C trailer, so a torn or truncated
@@ -129,14 +129,14 @@ type DeltaInfo struct {
 	LogPages int
 }
 
-// ExportDelta streams the pages in pages plus the entire write-ahead log to
-// w as a snapshot delta. The caller — a replication source — is responsible
+// ExportDelta streams the pages in pages plus the live write-ahead log — the
+// pages from the truncation head on — to w as a snapshot delta. The caller — a replication source — is responsible
 // for the protocol around it: checkpoint first so committed content is on
 // the device, derive pages from the log's page records since the replica's
 // applied LSN, and keep the log pinned (RetainWAL) so truncation cannot
 // outrun that derivation. The log ships authoritative: the receiver zeroes
-// whatever log pages the delta does not carry, then replays the shipped log
-// end to end. A shipped page may be newer than the shipped log prefix (the
+// whatever log pages the delta does not carry — the dead pages below the
+// head among them — then replays the shipped log end to end. A shipped page may be newer than the shipped log prefix (the
 // export reads the log first); replay rewinds it where the prefix holds an
 // image of it, and otherwise the appends the tail stream brings later find
 // their slots present and change nothing.
@@ -159,8 +159,34 @@ func (db *Database) ExportDelta(w io.Writer, since wal.LSN, pages []storage.Page
 	}
 	var err error
 	info.DataPages, info.LogPages, err = storage.WritePageSetImage(
-		w, db.Device(), pages, []storage.FileID{wal.LogFileID})
+		w, liveLog{db.Device(), int32(db.wal.HeadPage())}, pages, []storage.FileID{wal.LogFileID})
 	return info, err
+}
+
+// liveLog is the device as a delta images it: log pages below head — dead
+// since a checkpoint moved the scan floor past them, but still on a device
+// that never returns them — read as unwritten, so the page-set codec leaves
+// them out as it leaves out every zero page of an authoritative file.
+type liveLog struct {
+	storage.Device
+	head int32
+}
+
+func (v liveLog) ReadPageInto(id storage.PageID, buf []byte) error {
+	if id.File == wal.LogFileID && id.Page < v.head {
+		clear(buf)
+		return nil
+	}
+	//sjlint:ignore rawdisk a Device view forwarding to the device it wraps; the codec reading through it is the accounted reader
+	return v.Device.ReadPageInto(id, buf)
+}
+
+// Files forwards the enumeration hook the image codecs need.
+func (v liveLog) Files() int {
+	if fc, ok := v.Device.(interface{ Files() int }); ok {
+		return fc.Files()
+	}
+	return 0
 }
 
 // ApplySnapshotDelta patches a replica's raw disk in place from a delta
