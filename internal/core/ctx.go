@@ -9,11 +9,12 @@ import "context"
 // common case free.
 const ctxStride = 64
 
-// ctxStep returns the context's error on every ctxStride-th node
-// examination. nodes is the caller's running examination count; ctx may be
-// nil (never cancelled).
-func ctxStep(ctx context.Context, nodes int64) error {
-	if ctx == nil || nodes%ctxStride != 0 {
+// ctxStep returns the context's error when the added (1 or 2) examinations
+// that brought the caller's running count to nodes carried it onto or over
+// a multiple of ctxStride; testing for equality would let a run of two-node
+// steps from an odd count pass every multiple unchecked. ctx may be nil.
+func ctxStep(ctx context.Context, nodes, added int64) error {
+	if ctx == nil || nodes%ctxStride >= added {
 		return nil
 	}
 	return ctx.Err()

@@ -34,9 +34,11 @@ func SortMatches(ms []Match) {
 type JoinOptions struct {
 	// TouchR / TouchS are invoked once per examined node of the respective
 	// tree, before its filter is evaluated; executors charge page I/O here.
-	// Nodes below a technical fixed node of a JOIN4 SELECT pass are not
-	// examined (see Join). With Workers > 1 they are called from multiple
-	// goroutines and must be safe for concurrent use.
+	// Nodes below a technical fixed node of a JOIN4 SELECT pass, and a's
+	// children when no child of a technical b qualified, are not examined;
+	// a childless pair is touched right after the passes that formed it
+	// (see Join). With Workers > 1 they are called from multiple goroutines
+	// and must be safe for concurrent use.
 	TouchR func(Node) error
 	TouchS func(Node) error
 	// Workers is the number of goroutines expanding each QualPairs level
@@ -102,6 +104,17 @@ type JoinResult struct {
 // with x shallower than y is still found by the pass whose fixed node is x,
 // which bears a tuple and therefore descends. On trees that satisfy S2 the
 // guard is never taken and the descent is the paper's, count for count.
+//
+// A page is read only while it can still pay: two more departures from the
+// pseudocode (argument and measurements in DESIGN.md §3). (i) When the
+// first pass qualified no child of a technical b, the second pass is not
+// run: with b as its fixed node it can emit no pair, and its verdicts would
+// be crossed with an empty list. (ii) When the qualifying children are
+// crossed, a pair of two childless nodes is decided on the spot (JOIN2 and
+// JOIN3; its JOIN4 would be empty) instead of being queued, while a small
+// pool still holds the pages the passes just touched. JOIN keeps no state
+// across pairs but counters and an output every caller sorts, so only the
+// discovery order moves, and on S2 trees every count is the paper's.
 func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error) {
 	var options JoinOptions
 	if opts != nil {
@@ -169,12 +182,15 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 // parents' Θ filters both passed.
 type qualPair struct{ a, b Node }
 
-// joinScratch is the worklist storage of one sequential descent: the two
-// QualPairs buffers Join alternates between, and the per-pair lists of
-// children that passed their Θ check.
+// joinScratch is the worklist storage of one sequential descent, or of one
+// chunk of a level under Workers > 1: the two QualPairs buffers Join
+// alternates between (a chunk builds its share of the next level in spare),
+// the per-pair lists of children that passed their Θ check, and a chunk's
+// matches and stats until they are merged.
 type joinScratch struct {
 	qual, spare  []qualPair
 	aPass, bPass []Node
+	part         JoinResult
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
@@ -192,8 +208,8 @@ func (sc *joinScratch) release() {
 
 // expandLevel processes the QualPairs level sc.qual and returns the next,
 // built in sc.spare's storage. With options.Workers > 1 the level is split
-// into contiguous chunks fanned out over a worker pool, each with a scratch
-// of its own; per-worker results merge back in chunk order, so pair
+// into contiguous chunks fanned out over a worker pool, each with a pooled
+// scratch of its own; per-chunk results merge back in chunk order, so pair
 // discovery order and statistics match the sequential descent.
 func expandLevel(sc *joinScratch, op pred.Operator, options *JoinOptions,
 	res *JoinResult) ([]qualPair, error) {
@@ -204,23 +220,26 @@ func expandLevel(sc *joinScratch, op pred.Operator, options *JoinOptions,
 		return expandChunk(qual, next, sc, op, options, res)
 	}
 	chunks := parallel.Chunks(len(qual), workers*4)
-	locals := make([]JoinResult, len(chunks))
-	nexts := make([][]qualPair, len(chunks))
-	err := parallel.RunCtx(ctxOr(options.Ctx), workers, len(chunks), func(ci int) error {
-		nx, err := expandChunk(qual[chunks[ci].Lo:chunks[ci].Hi], nil, new(joinScratch),
-			op, options, &locals[ci])
-		nexts[ci] = nx
+	scs := make([]*joinScratch, len(chunks))
+	for ci := range scs {
+		scs[ci] = joinScratchPool.Get().(*joinScratch)
+	}
+	err := parallel.RunCtx(ctxOr(options.Ctx), workers, len(chunks), func(ci int) (err error) {
+		c := scs[ci]
+		c.part = JoinResult{Pairs: c.part.Pairs[:0]}
+		c.spare, err = expandChunk(qual[chunks[ci].Lo:chunks[ci].Hi], c.spare[:0], c,
+			op, options, &c.part)
 		return err
 	})
-	if err != nil {
-		return nil, err
+	for _, c := range scs {
+		if err == nil {
+			res.Pairs = append(res.Pairs, c.part.Pairs...)
+			res.Stats.add(c.part.Stats)
+			next = append(next, c.spare...)
+		}
+		c.release()
 	}
-	for ci := range chunks {
-		res.Pairs = append(res.Pairs, locals[ci].Pairs...)
-		res.Stats.add(locals[ci].Stats)
-		next = append(next, nexts[ci]...)
-	}
-	return next, nil
+	return next, err
 }
 
 // expandChunk runs JOIN2–JOIN4 for a contiguous run of a QualPairs level,
@@ -233,22 +252,12 @@ func expandChunk(qual, next []qualPair, sc *joinScratch, op pred.Operator,
 
 	for _, p := range qual {
 		a, b := p.a, p.b
-		// JOIN2: Θ check for the pair.
-		if err := touch2(a, b, options, res); err != nil {
+		ok, err := joinPair(a, b, op, options, res)
+		if err != nil {
 			return nil, err
 		}
-		res.Stats.FilterEvals++
-		if !op.Filter(a.Bounds(), b.Bounds()) {
+		if !ok {
 			continue
-		}
-		// JOIN3: exact match of the pair itself.
-		if ra, okA := a.Tuple(); okA {
-			if sb, okB := b.Tuple(); okB {
-				res.Stats.ExactEvals++
-				if op.Eval(a.Object(), b.Object()) {
-					res.Pairs = append(res.Pairs, Match{R: ra, S: sb})
-				}
-			}
 		}
 		// JOIN4: SELECT a against b's subtrees, and b against a's.
 		sc.bPass = sc.bPass[:0]
@@ -262,6 +271,9 @@ func expandChunk(qual, next []qualPair, sc *joinScratch, op pred.Operator,
 				sc.bPass = append(sc.bPass, b2)
 			}
 		}
+		if _, tuple := b.Tuple(); !tuple && len(sc.bPass) == 0 {
+			continue // the second pass could emit nothing and qualify for nothing
+		}
 		sc.aPass = sc.aPass[:0]
 		for i, na := 0, a.NumChildren(); i < na; i++ {
 			a2 := a.Child(i)
@@ -274,12 +286,41 @@ func expandChunk(qual, next []qualPair, sc *joinScratch, op pred.Operator,
 			}
 		}
 		for _, a2 := range sc.aPass {
+			aDescends := a2.NumChildren() != 0
 			for _, b2 := range sc.bPass {
-				next = append(next, qualPair{a2, b2})
+				// Only a pair with a descent left is queued; a childless
+				// one is decided here, its nodes touched a moment ago.
+				if aDescends || b2.NumChildren() != 0 {
+					next = append(next, qualPair{a2, b2})
+				} else if _, err := joinPair(a2, b2, op, options, res); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
 	return next, nil
+}
+
+// joinPair runs JOIN2 and JOIN3 for one pair: both nodes are examined, Θ is
+// evaluated, and if it passes and both bear tuples, θ decides the match. It
+// reports the Θ verdict, which gates the pair's JOIN4.
+func joinPair(a, b Node, op pred.Operator, options *JoinOptions, res *JoinResult) (bool, error) {
+	if err := touch2(a, b, options, res); err != nil {
+		return false, err
+	}
+	res.Stats.FilterEvals++
+	if !op.Filter(a.Bounds(), b.Bounds()) {
+		return false, nil
+	}
+	if ra, okA := a.Tuple(); okA {
+		if sb, okB := b.Tuple(); okB {
+			res.Stats.ExactEvals++
+			if op.Eval(a.Object(), b.Object()) {
+				res.Pairs = append(res.Pairs, Match{R: ra, S: sb})
+			}
+		}
+	}
+	return true, nil
 }
 
 // Side names the tree the moving node of a JOIN4 SELECT pass belongs to, so
@@ -334,7 +375,7 @@ func JoinSelect(fixed, n Node, op pred.Operator, s Side,
 // touch2 charges node examinations for both members of a QualPairs pair.
 func touch2(a, b Node, opts *JoinOptions, res *JoinResult) error {
 	res.Stats.NodesExamined += 2
-	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined); err != nil {
+	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined, 2); err != nil {
 		return err
 	}
 	if opts.TouchR != nil {
@@ -353,7 +394,7 @@ func touch2(a, b Node, opts *JoinOptions, res *JoinResult) error {
 // touch1 charges a node examination on the moving side of a SELECT pass.
 func touch1(n Node, s Side, opts *JoinOptions, res *JoinResult) error {
 	res.Stats.NodesExamined++
-	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined); err != nil {
+	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined, 1); err != nil {
 		return err
 	}
 	touch := opts.TouchR

@@ -20,6 +20,7 @@ type Stats struct {
 	// NodesExamined is the number of node visits (Touch calls).
 	NodesExamined int64
 	// MaxQueue is the peak size of the traversal worklist, a memory proxy.
+	// For Join, the largest QualPairs level; childless pairs are not queued.
 	MaxQueue int
 }
 
@@ -201,7 +202,7 @@ func examine(a Node, o geom.Spatial, ob geom.Rect, op pred.Operator,
 	opts *SelectOptions, res *SelectResult) (descend bool, err error) {
 
 	res.Stats.NodesExamined++
-	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined); err != nil {
+	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined, 1); err != nil {
 		return false, err
 	}
 	if opts.Touch != nil {

@@ -348,36 +348,45 @@ func TestNestedLoopSmallPoolStillCorrect(t *testing.T) {
 	equalMatchSets(t, "blocked vs reference", nl, ref)
 }
 
+// newRTreeTable bulk-loads n uniform rectangles drawn from rng into a
+// relation behind pool, in tuple-ID order, and indexes them with an R-tree
+// whose generalization (technical interior nodes, one leaf per tuple) it
+// returns beside the table.
+func newRTreeTable(t *testing.T, pool *storage.BufferPool, rng *rand.Rand, name string,
+	n int, world geom.Rect, opts rtree.Options) (Table, core.Tree) {
+	t.Helper()
+	sch, err := relation.NewSchema(
+		relation.Column{Name: "id", Type: relation.TypeInt64},
+		relation.Column{Name: "mbr", Type: relation.TypeRect},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := make([]relation.Tuple, n)
+	rt := rtree.MustNew(opts)
+	for i, r := range datagen.UniformRects(rng, n, world, 2, 30) {
+		tuples[i] = relation.Tuple{int64(i), r}
+		rt.Insert(r, i)
+	}
+	rel, err := relation.BulkLoad(pool, name, sch, tuples, relation.PlaceSequential, 0.75, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := NewTable(rel, 1, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab, rt.Generalization()
+}
+
 func TestTreeJoinOverRTreesMatchesNestedLoop(t *testing.T) {
 	// End-to-end: R-tree indices (technical interior nodes) as the
 	// generalization trees over stored relations.
 	pool := newPool(t, 64)
 	rng := rand.New(rand.NewSource(17))
 	world := geom.NewRect(0, 0, 500, 500)
-	sch, _ := relation.NewSchema(
-		relation.Column{Name: "id", Type: relation.TypeInt64},
-		relation.Column{Name: "mbr", Type: relation.TypeRect},
-	)
-	mk := func(name string, n int) (Table, core.Tree) {
-		rects := datagen.UniformRects(rng, n, world, 2, 30)
-		tuples := make([]relation.Tuple, n)
-		rt := rtree.MustNew(rtree.DefaultOptions())
-		for i, r := range rects {
-			tuples[i] = relation.Tuple{int64(i), r}
-			rt.Insert(r, i)
-		}
-		rel, err := relation.BulkLoad(pool, name, sch, tuples, relation.PlaceSequential, 0.75, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab, err := NewTable(rel, 1, pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab, rt.Generalization()
-	}
-	rTab, rTree := mk("r", 150)
-	sTab, sTree := mk("s", 150)
+	rTab, rTree := newRTreeTable(t, pool, rng, "r", 150, world, rtree.DefaultOptions())
+	sTab, sTree := newRTreeTable(t, pool, rng, "s", 150, world, rtree.DefaultOptions())
 	nl, _, err := NestedLoop(rTab, sTab, pred.Overlaps{})
 	if err != nil {
 		t.Fatal(err)

@@ -318,7 +318,10 @@ func TreeJoinWorkers(trR core.Tree, r Table, trS core.Tree, s Table,
 // TreeJoinCtx computes R ⋈θ S with algorithm JOIN over two generalization
 // trees, charging a page access for each tuple-bearing node examined on
 // either side; ctx is checked during the synchronized descent per
-// core.JoinOptions.Ctx. With workers > 1 (≤ 0 meaning GOMAXPROCS) each
+// core.JoinOptions.Ctx. A pair of childless nodes (two items) is examined
+// by the level that forms it, while a pool of |a| + |b| frames still holds
+// both pages, so a traced join has no "level" span for the item depth. With
+// workers > 1 (≤ 0 meaning GOMAXPROCS) each
 // QualPairs level is expanded by a worker pool. The contract across worker
 // counts: the match set and the Θ and θ evaluation counts are identical to
 // the sequential descent; Stats.PageReads is not, because the same node

@@ -138,26 +138,28 @@ func RunCtx(ctx context.Context, workers, n int, task func(i int) error) error {
 		}
 		return nil
 	}
-	var (
-		cursor  atomic.Int64
-		failed  atomic.Bool
-		errOnce sync.Once
-		firstE  error
-		wg      sync.WaitGroup
-	)
-	worker := func(w int) {
-		defer wg.Done()
-		for !failed.Load() {
+	// One struct, one allocation; a worker draws its slot, so go takes no args.
+	var st struct {
+		cursor, slot atomic.Int64
+		failed       atomic.Bool
+		errOnce      sync.Once
+		firstE       error
+		wg           sync.WaitGroup
+	}
+	worker := func() {
+		defer st.wg.Done()
+		w := int(st.slot.Add(1)) - 1
+		for !st.failed.Load() {
 			if done != nil {
 				select {
 				case <-done:
-					errOnce.Do(func() { firstE = ctx.Err() })
-					failed.Store(true)
+					st.errOnce.Do(func() { st.firstE = ctx.Err() })
+					st.failed.Store(true)
 					return
 				default:
 				}
 			}
-			i := int(cursor.Add(1)) - 1
+			i := int(st.cursor.Add(1)) - 1
 			if i >= n {
 				return
 			}
@@ -168,18 +170,18 @@ func RunCtx(ctx context.Context, workers, n int, task func(i int) error) error {
 				err = task(i)
 			}
 			if err != nil {
-				errOnce.Do(func() { firstE = err })
-				failed.Store(true)
+				st.errOnce.Do(func() { st.firstE = err })
+				st.failed.Store(true)
 				return
 			}
 		}
 	}
-	wg.Add(workers)
+	st.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go worker(w)
+		go worker()
 	}
-	wg.Wait()
-	return firstE
+	st.wg.Wait()
+	return st.firstE
 }
 
 // Chunk is a half-open index interval [Lo, Hi).

@@ -174,12 +174,17 @@ func TestAdapterIsLiveView(t *testing.T) {
 }
 
 // TestJoinWorkGuardOnRTrees pins the work of algorithm JOIN over two R-tree
-// adapters, whose interior nodes are all technical: a JOIN4 SELECT pass
-// under a technical fixed node stops at depth 1, so the join evaluates Θ
-// once per QualPairs entry plus once per child of each passing pair, and
-// during level j touches only nodes of depths j and j+1. The expectation
-// comes from an independent level-by-level walk that has no SELECT pass at
-// all; the test fails if the pass descends where no result can come from.
+// adapters, whose interior nodes are all technical. A JOIN4 SELECT pass
+// under a technical fixed node stops at depth 1; the second pass is not run
+// when the first qualified no child of a technical b; and a pair of items
+// is decided by the level that formed it instead of being queued. So level
+// j evaluates Θ once per QualPairs entry, once per child of b for each
+// passing pair, once per child of a where some child of b passed, and once
+// per item pair it forms — touching only nodes of depths j and j+1 — and
+// the item level has no QualPairs of its own. The expectation comes from an
+// independent level-by-level walk that has no SELECT pass at all; the test
+// fails if the pass descends where no result can come from, if the second
+// pass runs for nothing, or if item pairs get a level to themselves.
 func TestJoinWorkGuardOnRTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	trA := MustNew(Options{MinEntries: 2, MaxEntries: 6})
@@ -219,22 +224,40 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 				continue
 			}
 			na, nb := p.a.NumChildren(), p.b.NumChildren()
-			bump(&wantEvals, level, int64(na+nb))
-			bump(&wantTouchA, level+1, int64(na))
+			bump(&wantEvals, level, int64(nb))
 			bump(&wantTouchB, level+1, int64(nb))
+			var bPass []core.Node
+			for j := 0; j < nb; j++ {
+				if b2 := p.b.Child(j); op.Filter(p.a.Bounds(), b2.Bounds()) {
+					bPass = append(bPass, b2)
+				}
+			}
+			if _, tuple := p.b.Tuple(); !tuple && len(bPass) == 0 {
+				continue // a's children are not examined
+			}
+			bump(&wantEvals, level, int64(na))
+			bump(&wantTouchA, level+1, int64(na))
 			for i := 0; i < na; i++ {
 				a2 := p.a.Child(i)
 				if !op.Filter(a2.Bounds(), p.b.Bounds()) {
 					continue
 				}
-				for j := 0; j < nb; j++ {
-					if b2 := p.b.Child(j); op.Filter(p.a.Bounds(), b2.Bounds()) {
+				for _, b2 := range bPass {
+					if a2.NumChildren() > 0 || b2.NumChildren() > 0 {
 						next = append(next, pair{a2, b2})
+						continue
 					}
+					// An item pair: its Θ and touches belong to this level.
+					bump(&wantEvals, level, 1)
+					bump(&wantTouchA, level+1, 1)
+					bump(&wantTouchB, level+1, 1)
 				}
 			}
 		}
 		qual = next
+	}
+	if len(wantQual) != ga.Height() {
+		t.Fatalf("reference walk has %d levels, want %d: every depth but the items'", len(wantQual), ga.Height())
 	}
 
 	depthOf := func(tree core.Tree) map[core.Node]int {
@@ -260,7 +283,7 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 		maxQual = max(maxQual, q)
 	}
 	if res.Stats.FilterEvals != sumEvals {
-		t.Errorf("FilterEvals = %d, want %d (Σ|QualPairs| + children of passing pairs)",
+		t.Errorf("FilterEvals = %d, want %d (Σ|QualPairs| + children examined + item pairs)",
 			res.Stats.FilterEvals, sumEvals)
 	}
 	if int64(res.Stats.MaxQueue) != maxQual {
