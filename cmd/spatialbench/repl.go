@@ -24,7 +24,7 @@ type replRow struct {
 	seedPages  int
 	tailBytes  int
 	deltaBytes int
-	deltaInfo  spatialjoin.DeltaInfo
+	deltaInfo  spatialjoin.SnapshotInfo
 	fullBytes  int
 	fullPages  int
 }
@@ -142,8 +142,8 @@ func measureReplRow(seed int64, base, divergence int) (replRow, error) {
 // and diverges by a different insert count, so rows are independent and
 // deterministic in the seed. The point is the shape — tail cost tracks
 // the divergence, delta cost tracks the dirtied page set, full-snapshot
-// cost tracks the whole database — which is why the follower prefers
-// them in exactly that order.
+// cost tracks the database's non-zero pages and live log — which is why
+// the follower prefers them in exactly that order.
 func printRepl(out io.Writer, seed int64) error {
 	const baseRects = 2000
 	rows := make([]replRow, 0, 3)
@@ -169,7 +169,8 @@ func printRepl(out io.Writer, seed int64) error {
 		return err
 	}
 	fmt.Fprintln(out, "tail ships only the records behind the position; the delta ships the dirtied")
-	fmt.Fprintln(out, "pages plus the whole log; the full snapshot ships every page of the device.")
+	fmt.Fprintln(out, "pages plus the live log; the full snapshot ships every non-zero data page plus")
+	fmt.Fprintln(out, "the live log. Zero pages and log pages below the head travel as implied zeros.")
 	return nil
 }
 

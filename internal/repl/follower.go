@@ -428,17 +428,16 @@ func (f *Follower) resync(conn net.Conn, req uint64) error {
 		return err
 	}
 	r := &snapReader{f: f, conn: conn, req: req}
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return err
-	}
-	full, err := spatialjoin.SniffSnapshot(m[:])
+	var hdr bytes.Buffer
+	info, err := spatialjoin.ReadSnapshotHeader(io.TeeReader(r, &hdr))
 	if err != nil {
-		f.corrupt.Add(1)
+		if hdr.Len() > 0 { // it arrived and does not parse
+			f.corrupt.Add(1)
+		}
 		return err
 	}
-	rr := io.MultiReader(bytes.NewReader(m[:]), r)
-	if full {
+	rr := io.MultiReader(&hdr, r)
+	if info.SinceLSN == 0 {
 		db, _, serr := spatialjoin.SeedFromSnapshot(f.opts.Config, rr)
 		if serr != nil {
 			return serr
@@ -456,13 +455,12 @@ func (f *Follower) resync(conn net.Conn, req uint64) error {
 	if old != nil {
 		old.Close()
 	}
-	info, aerr := spatialjoin.ApplySnapshotDelta(disk, rr)
-	if aerr != nil {
+	if info, err = spatialjoin.ApplySnapshotDelta(disk, rr); err != nil {
 		// The disk may be half-patched: discard it so the next session
 		// reseeds from a full snapshot instead of trusting torn state.
 		f.dropDisk()
 		f.corrupt.Add(1)
-		return aerr
+		return err
 	}
 	if err := r.drain(); err != nil {
 		f.dropDisk()
@@ -473,7 +471,7 @@ func (f *Follower) resync(conn net.Conn, req uint64) error {
 		f.dropDisk()
 		return rerr
 	}
-	f.deltaPages.Add(int64(info.DataPages + info.LogPages))
+	f.deltaPages.Add(int64(info.Pages))
 	f.mu.Lock()
 	f.db = db
 	f.applied = stats.NextApplyFloor
@@ -649,7 +647,7 @@ func (r *snapReader) Read(p []byte) (int, error) {
 }
 
 // drain consumes the stream through its closing Done frame; the decoders
-// stop reading at the image trailer, one frame shy of it.
+// stop reading at the snapshot's trailer, one frame shy of it.
 func (r *snapReader) drain() error {
 	var scratch [4096]byte
 	for !r.done {

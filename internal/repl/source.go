@@ -1,7 +1,7 @@
 // Package repl keeps read-only replicas of a spatialjoin database
 // continuously current over the wire protocol. The primary side is a
 // Source: it serves WAL tail streams (raw CRC-checked records from a
-// requested LSN) and snapshot streams (a full device image, or a delta of
+// requested LSN) and snapshot streams (a full snapshot, or a delta of
 // just the pages dirtied since the replica's last-applied LSN). The
 // replica side is a Follower: a state machine that seeds itself from a
 // snapshot, tails the log through ordinary recovery, detects when the

@@ -148,15 +148,17 @@ func (w *redoWorld) forward() map[storage.PageID][]byte {
 // still holds back is lost.
 func (w *redoWorld) crashCopy() *storage.Disk { return cloneDisk(w.t, w.dev) }
 
-// cloneDisk copies every page of dev onto a fresh disk.
+// cloneDisk copies every page of dev onto a fresh disk, as a page set that
+// carries every file whole.
 func cloneDisk(t *testing.T, dev storage.Device) *storage.Disk {
 	t.Helper()
 	var img bytes.Buffer
-	if _, err := storage.WriteDeviceImage(&img, dev); err != nil {
+	every := func(storage.FileID) (int32, bool) { return 0, true }
+	if _, err := storage.WritePageSet(&img, dev, nil, nil, every); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := storage.ReadDeviceImage(&img)
-	if err != nil {
+	disk := storage.NewDisk(dev.PageSize())
+	if _, err := storage.ApplyPageSet(&img, disk, nil); err != nil {
 		t.Fatal(err)
 	}
 	return disk

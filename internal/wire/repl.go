@@ -42,7 +42,7 @@ type WALChunk struct {
 
 // SnapChunk is one streamed slice of an encoded snapshot: Data holds
 // bytes [Offset, Offset+len(Data)) of the snapshot stream, whose own
-// magic says whether it is a full device image or a page delta.
+// header says whether it is a full snapshot or a delta.
 type SnapChunk struct {
 	Offset uint64
 	Data   []byte

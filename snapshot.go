@@ -1,6 +1,7 @@
 package spatialjoin
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,86 +11,180 @@ import (
 	"spatialjoin/internal/wal"
 )
 
-// snapMagic heads a snapshot stream: a header naming the checkpoint the
-// image is consistent as of, wrapped around a storage device image.
+// A snapshot stream is one header followed by a storage page set:
+//
+//	magic "SJSNAP1\n" | u32 version | u64 checkpoint LSN | u64 WAL durable | u64 since LSN
+//	page set (internal/storage): geometry, header CRC, pages, trailer CRC
+//
+// A full snapshot names the checkpoint it was cut after and carries every
+// file whole; a delta names the LSN it was cut against and carries the
+// pages dirtied since, plus the log whole. Exactly one of the two LSNs is
+// set, so since 0 means full. Either way the log travels from its head: the
+// pages below it are dead and arrive as implied zeros.
+//
+// The page set's checksums cover the header fields after the checkpoint
+// LSN. The checkpoint LSN itself is vouched for by the seed's recovery,
+// which must find the very checkpoint the header names.
 var snapMagic = []byte("SJSNAP1\n")
 
-const snapVersion = 1
+const (
+	snapVersion   = 2
+	snapHeaderLen = 36
+	// snapSealed is where the header bytes the page set's checksums cover
+	// begin: just past the checkpoint LSN.
+	snapSealed = 20
+)
 
-// SnapshotInfo describes an exported or imported snapshot.
+// SnapshotInfo describes an exported or imported snapshot or delta.
 type SnapshotInfo struct {
-	// CheckpointLSN is the begin LSN of the checkpoint taken immediately
-	// before the image was cut; the image is consistent as of its end.
+	// CheckpointLSN is the begin LSN of the checkpoint a full snapshot was
+	// cut after; it is consistent as of the checkpoint's end. Zero in a
+	// delta.
 	CheckpointLSN wal.LSN
 	// WALDurable is the log's durable tail at export — where the replica's
 	// log resumes appending.
 	WALDurable wal.LSN
-	// Pages is the number of device pages in the image.
-	Pages int
+	// SinceLSN is the replica's last-applied LSN a delta was cut against:
+	// every page the log changed at or above it is included. Zero in a full
+	// snapshot.
+	SinceLSN wal.LSN
+	// Pages is the number of pages shipped: DataPages plus LogPages.
+	Pages     int
+	DataPages int
+	LogPages  int
 }
 
-// ExportSnapshot checkpoints the database and streams a self-verifying
-// device image to w, suitable for seeding a replica with SeedFromSnapshot.
-// The checkpoint first forces everything committed onto the device and
-// truncates the log, so the image is consistent and its replay bounded; writers
-// may run concurrently — anything committed after the checkpoint's begin
-// record simply rides along in the imaged log and is replayed on the
+// ExportSnapshot checkpoints the database and streams a self-verifying full
+// snapshot to w, suitable for seeding a replica with SeedFromSnapshot. The
+// checkpoint first forces everything committed onto the device and
+// truncates the log, so the snapshot is consistent and its replay bounded;
+// writers may run concurrently — anything committed after the checkpoint's
+// begin record simply rides along in the shipped log and is replayed on the
 // replica. The stream ends in a CRC-32C trailer, so a torn or truncated
 // copy fails loudly at import instead of silently seeding a prefix.
 func (db *Database) ExportSnapshot(w io.Writer) (SnapshotInfo, error) {
-	var info SnapshotInfo
 	cs, err := db.checkpoint(true)
 	if err != nil {
-		return info, err
+		return SnapshotInfo{}, err
 	}
 	fault.CrashPoint("snapshot.export")
-	info.CheckpointLSN = cs.BeginLSN
-	info.WALDurable = wal.LSN(db.wal.DurableLSN())
-	if _, err := w.Write(snapMagic); err != nil {
+	return db.exportPages(w, SnapshotInfo{CheckpointLSN: cs.BeginLSN}, nil)
+}
+
+// ExportDelta streams the pages in pages plus the live write-ahead log to w
+// as a snapshot delta. The caller — a replication source — is responsible
+// for the protocol around it: checkpoint first so committed content is on
+// the device, derive pages from the log's page records since the replica's
+// applied LSN, and keep the log pinned (RetainWAL) so truncation cannot
+// outrun that derivation. The log ships whole: the receiver zeroes whatever
+// log pages the delta does not carry, then replays the shipped log end to
+// end. A shipped page may be newer than the shipped log prefix (the export
+// reads the log first); replay rewinds it where the prefix holds an image
+// of it, and otherwise the appends the tail stream brings later find their
+// slots present and change nothing.
+func (db *Database) ExportDelta(w io.Writer, since wal.LSN, pages []storage.PageID) (SnapshotInfo, error) {
+	if db.wal == nil {
+		return SnapshotInfo{}, fmt.Errorf("spatialjoin: ExportDelta requires Config.WAL")
+	}
+	if since == 0 {
+		return SnapshotInfo{}, fmt.Errorf("spatialjoin: a delta since LSN 0 is a full snapshot; use ExportSnapshot")
+	}
+	return db.exportPages(w, SnapshotInfo{SinceLSN: since}, pages)
+}
+
+// exportPages writes info's header and the page set: pages, plus every
+// file whole in a full snapshot or only the log in a delta, the log from
+// its head.
+func (db *Database) exportPages(w io.Writer, info SnapshotInfo, pages []storage.PageID) (SnapshotInfo, error) {
+	info.WALDurable = db.wal.DurableLSN()
+	hdr := info.header()
+	if _, err := w.Write(hdr); err != nil {
 		return info, err
 	}
-	var hdr [20]byte
-	binary.LittleEndian.PutUint32(hdr[0:], snapVersion)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(info.CheckpointLSN))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(info.WALDurable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return info, err
-	}
-	info.Pages, err = storage.WriteDeviceImage(w, db.Device())
+	head, full := int32(db.wal.HeadPage()), info.SinceLSN == 0
+	shipped, err := storage.WritePageSet(w, db.Device(), hdr[snapSealed:], pages,
+		func(f storage.FileID) (int32, bool) {
+			if f == wal.LogFileID {
+				return head, true
+			}
+			return 0, full
+		})
+	info.count(shipped)
 	return info, err
 }
 
-// SeedFromSnapshot materializes a fresh database from a snapshot stream: a
-// brand-new healthy device is built page for page from the image, then
-// opened through ordinary checkpoint-bounded recovery — the imaged log
-// carries the checkpoint manifest and whatever committed past it. cfg
-// plays the role it does for Reopen and must match the exporter's page
-// geometry; cfg.Fault, when set, wraps the replica's device so chaos
-// harnesses can torment the seeded copy too.
-func SeedFromSnapshot(cfg Config, r io.Reader) (*Database, SnapshotInfo, error) {
+// ReadSnapshotHeader reads and validates the header of a snapshot stream —
+// the one parser every reader uses, and the way a replica tells a full
+// snapshot (SinceLSN 0) from a delta before choosing where to apply it.
+func ReadSnapshotHeader(r io.Reader) (SnapshotInfo, error) {
 	var info SnapshotInfo
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil || string(m[:]) != string(snapMagic) {
-		return nil, info, fmt.Errorf("spatialjoin: stream is not a snapshot")
+	var hdr [snapHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:len(snapMagic)]); err != nil || !bytes.Equal(hdr[:len(snapMagic)], snapMagic) {
+		return info, fmt.Errorf("spatialjoin: stream is not a snapshot")
 	}
-	var hdr [20]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, info, fmt.Errorf("spatialjoin: truncated snapshot header: %w", err)
+	if _, err := io.ReadFull(r, hdr[len(snapMagic):]); err != nil {
+		return info, fmt.Errorf("spatialjoin: truncated snapshot header: %w", err)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[0:]); v != snapVersion {
-		return nil, info, fmt.Errorf("spatialjoin: snapshot version %d, want %d", v, snapVersion)
+	le := binary.LittleEndian
+	if v := le.Uint32(hdr[8:]); v != snapVersion {
+		return info, fmt.Errorf("spatialjoin: snapshot version %d, want %d", v, snapVersion)
 	}
-	info.CheckpointLSN = wal.LSN(binary.LittleEndian.Uint64(hdr[4:]))
-	info.WALDurable = wal.LSN(binary.LittleEndian.Uint64(hdr[12:]))
-	disk, err := storage.ReadDeviceImage(r)
+	info.CheckpointLSN = wal.LSN(le.Uint64(hdr[12:]))
+	info.WALDurable = wal.LSN(le.Uint64(hdr[20:]))
+	info.SinceLSN = wal.LSN(le.Uint64(hdr[28:]))
+	if (info.CheckpointLSN == 0) == (info.SinceLSN == 0) {
+		return info, fmt.Errorf("spatialjoin: snapshot header names checkpoint %d and since %d; exactly one must be set",
+			info.CheckpointLSN, info.SinceLSN)
+	}
+	return info, nil
+}
+
+// header encodes info as a stream header.
+func (info SnapshotInfo) header() []byte {
+	le := binary.LittleEndian
+	hdr := le.AppendUint32(append([]byte(nil), snapMagic...), snapVersion)
+	hdr = le.AppendUint64(hdr, uint64(info.CheckpointLSN))
+	hdr = le.AppendUint64(hdr, uint64(info.WALDurable))
+	return le.AppendUint64(hdr, uint64(info.SinceLSN))
+}
+
+// apply patches disk from the page set that follows info's header.
+func (info *SnapshotInfo) apply(r io.Reader, disk *storage.Disk) error {
+	shipped, err := storage.ApplyPageSet(r, disk, info.header()[snapSealed:])
+	info.count(shipped)
+	return err
+}
+
+// count splits the shipped pages into data and log pages.
+func (info *SnapshotInfo) count(shipped []storage.PageID) {
+	info.Pages = len(shipped)
+	for _, id := range shipped {
+		if id.File == wal.LogFileID {
+			info.LogPages++
+		}
+	}
+	info.DataPages = info.Pages - info.LogPages
+}
+
+// SeedFromSnapshot materializes a fresh database from a full snapshot
+// stream: the page set is applied onto a brand-new healthy device, which
+// then opens through ordinary checkpoint-bounded recovery — the shipped log
+// carries the checkpoint manifest and whatever committed past it. cfg plays
+// the role it does for Reopen and must match the exporter's page geometry;
+// cfg.Fault, when set, wraps the replica's device so chaos harnesses can
+// torment the seeded copy too.
+func SeedFromSnapshot(cfg Config, r io.Reader) (*Database, SnapshotInfo, error) {
+	info, err := ReadSnapshotHeader(r)
 	if err != nil {
 		return nil, info, err
 	}
-	if disk.PageSize() != cfg.PageSize {
-		return nil, info, fmt.Errorf("spatialjoin: snapshot page size %d != configured %d",
-			disk.PageSize(), cfg.PageSize)
+	if info.SinceLSN != 0 {
+		return nil, info, fmt.Errorf("spatialjoin: stream is a snapshot delta, not a full snapshot")
 	}
-	info.Pages = countPages(disk)
+	disk := storage.NewDisk(cfg.PageSize)
+	if err := info.apply(r, disk); err != nil {
+		return nil, info, err
+	}
 	var device storage.Device = disk
 	if cfg.Fault != nil {
 		device = fault.Wrap(device, *cfg.Fault)
@@ -108,133 +203,20 @@ func SeedFromSnapshot(cfg Config, r io.Reader) (*Database, SnapshotInfo, error) 
 	return db, info, nil
 }
 
-// deltaMagic heads a snapshot-delta stream: the same length as snapMagic,
-// so a receiver dispatches on the first eight bytes of either stream.
-var deltaMagic = []byte("SJDELTA1")
-
-const deltaVersion = 1
-
-// DeltaInfo describes an exported or applied snapshot delta.
-type DeltaInfo struct {
-	// SinceLSN is the replica's last-applied LSN the delta was cut against:
-	// every page the log changed (imaged or appended to) at or above it is
-	// included.
-	SinceLSN wal.LSN
-	// WALDurable is the primary log's durable tail at export.
-	WALDurable wal.LSN
-	// DataPages is the number of dirtied data pages shipped.
-	DataPages int
-	// LogPages is the number of log pages shipped (the log travels whole —
-	// it is the delta's authority on what committed).
-	LogPages int
-}
-
-// ExportDelta streams the pages in pages plus the live write-ahead log — the
-// pages from the truncation head on — to w as a snapshot delta. The caller — a replication source — is responsible
-// for the protocol around it: checkpoint first so committed content is on
-// the device, derive pages from the log's page records since the replica's
-// applied LSN, and keep the log pinned (RetainWAL) so truncation cannot
-// outrun that derivation. The log ships authoritative: the receiver zeroes
-// whatever log pages the delta does not carry — the dead pages below the
-// head among them — then replays the shipped log end to end. A shipped page may be newer than the shipped log prefix (the
-// export reads the log first); replay rewinds it where the prefix holds an
-// image of it, and otherwise the appends the tail stream brings later find
-// their slots present and change nothing.
-func (db *Database) ExportDelta(w io.Writer, since wal.LSN, pages []storage.PageID) (DeltaInfo, error) {
-	var info DeltaInfo
-	if db.wal == nil {
-		return info, fmt.Errorf("spatialjoin: ExportDelta requires Config.WAL")
-	}
-	info.SinceLSN = since
-	info.WALDurable = db.wal.DurableLSN()
-	if _, err := w.Write(deltaMagic); err != nil {
-		return info, err
-	}
-	var hdr [20]byte
-	binary.LittleEndian.PutUint32(hdr[0:], deltaVersion)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(info.SinceLSN))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(info.WALDurable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return info, err
-	}
-	var err error
-	info.DataPages, info.LogPages, err = storage.WritePageSetImage(
-		w, liveLog{db.Device(), int32(db.wal.HeadPage())}, pages, []storage.FileID{wal.LogFileID})
-	return info, err
-}
-
-// liveLog is the device as a delta images it: log pages below head — dead
-// since a checkpoint moved the scan floor past them, but still on a device
-// that never returns them — read as unwritten, so the page-set codec leaves
-// them out as it leaves out every zero page of an authoritative file.
-type liveLog struct {
-	storage.Device
-	head int32
-}
-
-func (v liveLog) ReadPageInto(id storage.PageID, buf []byte) error {
-	if id.File == wal.LogFileID && id.Page < v.head {
-		clear(buf)
-		return nil
-	}
-	//sjlint:ignore rawdisk a Device view forwarding to the device it wraps; the codec reading through it is the accounted reader
-	return v.Device.ReadPageInto(id, buf)
-}
-
-// Files forwards the enumeration hook the image codecs need.
-func (v liveLog) Files() int {
-	if fc, ok := v.Device.(interface{ Files() int }); ok {
-		return fc.Files()
-	}
-	return 0
-}
-
 // ApplySnapshotDelta patches a replica's raw disk in place from a delta
 // stream. The caller must have closed the database using the disk first and
 // must reopen it through full-log recovery (ReopenAt with floor 1) after:
 // the shipped log is the only authority on which of the patched pages'
 // contents are committed. On error the disk may be half-patched and must be
 // discarded in favor of a full reseed.
-func ApplySnapshotDelta(disk *storage.Disk, r io.Reader) (DeltaInfo, error) {
-	var info DeltaInfo
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil || string(m[:]) != string(deltaMagic) {
-		return info, fmt.Errorf("spatialjoin: stream is not a snapshot delta")
+func ApplySnapshotDelta(disk *storage.Disk, r io.Reader) (SnapshotInfo, error) {
+	info, err := ReadSnapshotHeader(r)
+	if err != nil {
+		return info, err
 	}
-	var hdr [20]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return info, fmt.Errorf("spatialjoin: truncated delta header: %w", err)
+	if info.SinceLSN == 0 {
+		return info, fmt.Errorf("spatialjoin: stream is a full snapshot, not a delta")
 	}
-	if v := binary.LittleEndian.Uint32(hdr[0:]); v != deltaVersion {
-		return info, fmt.Errorf("spatialjoin: delta version %d, want %d", v, deltaVersion)
-	}
-	info.SinceLSN = wal.LSN(binary.LittleEndian.Uint64(hdr[4:]))
-	info.WALDurable = wal.LSN(binary.LittleEndian.Uint64(hdr[12:]))
-	var err error
-	info.DataPages, info.LogPages, err = storage.ApplyPageSetImage(r, disk)
+	err = info.apply(r, disk)
 	return info, err
-}
-
-// SniffSnapshot inspects the eight-byte prefix of a seeding stream and
-// reports whether it heads a full snapshot (true) or a snapshot delta
-// (false). Replicas use it to dispatch a resync response, since a primary
-// answers a delta request with a full snapshot when its dirty-page
-// tracking does not reach back far enough.
-func SniffSnapshot(prefix []byte) (bool, error) {
-	switch {
-	case string(prefix) == string(snapMagic):
-		return true, nil
-	case string(prefix) == string(deltaMagic):
-		return false, nil
-	}
-	return false, fmt.Errorf("spatialjoin: stream is neither a snapshot nor a delta")
-}
-
-// countPages totals the pages of every file on a freshly imaged disk.
-func countPages(d *storage.Disk) int {
-	total := 0
-	for f := 0; f < d.Files(); f++ {
-		total += d.NumPages(storage.FileID(f))
-	}
-	return total
 }

@@ -193,10 +193,10 @@ func TestCrashSweepMultiPageCheckpointEnd(t *testing.T) {
 	}
 }
 
-// TestDeltaShipsOnlyTheLiveLog checks a snapshot delta carries the log from
-// the truncation head on: the dead pages a checkpoint left below the floor
-// stay on this device, but never travel.
-func TestDeltaShipsOnlyTheLiveLog(t *testing.T) {
+// TestSnapshotsShipOnlyTheLiveLog checks a snapshot delta and a full
+// snapshot both carry the log from the truncation head on: the dead pages a
+// checkpoint left below the floor stay on this device, but never travel.
+func TestSnapshotsShipOnlyTheLiveLog(t *testing.T) {
 	cfg := crashConfig(1, 1)
 	db, err := Open(cfg)
 	if err != nil {
@@ -217,5 +217,15 @@ func TestDeltaShipsOnlyTheLiveLog(t *testing.T) {
 	if cs.PagesTruncated == 0 || info.LogPages != pages-cs.PagesTruncated {
 		t.Errorf("delta shipped %d log pages of %d with %d dead, want exactly the live ones",
 			info.LogPages, pages, cs.PagesTruncated)
+	}
+
+	full, err := db.ExportSnapshot(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, head := db.Device().NumPages(wal.LogFileID), db.wal.HeadPage()
+	if head == 0 || full.LogPages != pages-head {
+		t.Errorf("full snapshot shipped %d log pages of %d with head %d, want exactly the live ones",
+			full.LogPages, pages, head)
 	}
 }
