@@ -18,7 +18,6 @@ import (
 
 	"spatialjoin/internal/fault"
 	"spatialjoin/internal/storage"
-	"spatialjoin/internal/wal"
 )
 
 // crashWorld bounds every workload rectangle; the z-order grid is built
@@ -622,6 +621,12 @@ func tornAppendSteps() (steps []crashStep, checkpoint int) {
 	return steps, checkpoint
 }
 
+// isLogFile reports whether f is one of the files db's log writes.
+func isLogFile(db *Database, f storage.FileID) bool {
+	_, ok := db.logFiles()[f]
+	return ok
+}
+
 // TestCrashSweepTornAppendedPage kills tornAppendSteps at every physical
 // write after its checkpoint and looks at the crashes whose doomed, torn
 // write is a data page: recovery bounded by the checkpoint and recovery
@@ -654,7 +659,7 @@ func TestCrashSweepTornAppendedPage(t *testing.T) {
 				n := n
 				label := fmt.Sprintf("workers=%d/group=%d/write=%d", workers, group, n)
 				db, completed, crash := runToCrash(t, cfg, steps, label, func(fd *fault.Disk) { fd.SetCrashAfterWrites(n) })
-				if crash == nil || completed <= checkpoint || crash.Page.File == wal.LogFileID {
+				if crash == nil || completed <= checkpoint || isLogFile(db, crash.Page.File) {
 					continue
 				}
 				tornHeap = tornHeap || crash.Page == heap

@@ -342,6 +342,16 @@ func (db *Database) WALStats() wal.Stats {
 	return db.wal.Stats()
 }
 
+// WALSegments returns the device files the write-ahead log holds, oldest
+// first, each with the first page of it a copy of the log must carry; nil
+// when WAL is off. Every other file of the device is data.
+func (db *Database) WALSegments() []wal.Segment {
+	if db.wal == nil {
+		return nil
+	}
+	return db.wal.Segments()
+}
+
 // Name returns the collection's name.
 func (c *Collection) Name() string { return c.name }
 

@@ -128,14 +128,12 @@ func (d *Disk) AllocPage(f storage.FileID) (storage.PageID, error) { return d.in
 // NumPages returns the inner device's page count for f.
 func (d *Disk) NumPages(f storage.FileID) int { return d.inner.NumPages(f) }
 
-// Files reports the inner device's file count when it exposes one, so a
-// snapshot export can enumerate files through the fault wrapper.
-func (d *Disk) Files() int {
-	if fc, ok := d.inner.(interface{ Files() int }); ok {
-		return fc.Files()
-	}
-	return 0
-}
+// Files returns the inner device's file count.
+func (d *Disk) Files() int { return d.inner.Files() }
+
+// DropFile drops a file on the inner device; like allocation it is
+// metadata the schedule does not touch.
+func (d *Disk) DropFile(f storage.FileID) error { return d.inner.DropFile(f) }
 
 // Checksum returns the inner device's recorded checksum — the ground truth
 // the buffer pool verifies transfers against, deliberately out of reach of

@@ -50,6 +50,9 @@ const (
 	// Code: RecCodeBusy or RecCodeShuttingDown. Trace: the propagated
 	// trace ID, when the shed request carried one.
 	RecAdmissionShed
+	// RecLogSegmentDrop: a log segment wholly below the scan floor was given
+	// back to the device. A: its file ID. B: the pages it held.
+	RecLogSegmentDrop
 )
 
 // String names the kind for dumps.
@@ -75,6 +78,8 @@ func (k RecKind) String() string {
 		return "fault_retry"
 	case RecAdmissionShed:
 		return "admission_shed"
+	case RecLogSegmentDrop:
+		return "log_segment_drop"
 	default:
 		return fmt.Sprintf("kind_%d", uint8(k))
 	}

@@ -34,14 +34,22 @@ type DiskStats struct {
 
 // Device is the disk surface the buffer pool drives: a collection of files,
 // each an extendable array of fixed-size pages, with per-page checksums and
-// physical-transfer accounting. Disk is the healthy in-memory
-// implementation; internal/fault wraps any Device with an injected fault
-// schedule. All implementations must be safe for concurrent use.
+// physical-transfer accounting. File IDs are dense and never reused: the
+// files are exactly 0..Files()-1, and a dropped file stays in that range
+// with no pages. Disk is the healthy in-memory implementation;
+// internal/fault wraps any Device with an injected fault schedule. All
+// implementations must be safe for concurrent use.
 type Device interface {
 	// PageSize returns the page size in bytes.
 	PageSize() int
 	// CreateFile allocates a new empty file.
 	CreateFile() FileID
+	// Files returns the number of files ever created.
+	Files() int
+	// DropFile gives a file's pages back to the device: afterwards the
+	// file holds no pages and no checksums. Dropping is metadata, not a
+	// transfer.
+	DropFile(f FileID) error
 	// AllocPage appends a fresh zeroed page to the file.
 	AllocPage(f FileID) (PageID, error)
 	// NumPages returns the number of pages in file f.
@@ -153,9 +161,7 @@ func NewDisk(pageSize int) *Disk {
 // PageSize returns the disk's page size in bytes.
 func (d *Disk) PageSize() int { return d.pageSize }
 
-// Files returns the number of files on the disk. File IDs are dense, so
-// the files are exactly 0..Files()-1 — the enumeration a snapshot export
-// walks to stream every page.
+// Files returns the number of files ever created on the disk.
 func (d *Disk) Files() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -170,6 +176,42 @@ func (d *Disk) CreateFile() FileID {
 	d.nextFile++
 	d.files[id] = nil
 	return id
+}
+
+// DropFile deletes a file's pages and their checksums. The ID stays
+// spent: the file reads as empty, and CreateFile never hands it out again.
+func (d *Disk) DropFile(f FileID) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	pages, ok := d.files[f]
+	if !ok {
+		return fmt.Errorf("storage: drop of unknown file %d", f)
+	}
+	for p := range pages {
+		delete(d.sums, PageID{File: f, Page: int32(p)})
+	}
+	delete(d.files, f)
+	return nil
+}
+
+// resize sets file f to exactly n pages: the pages past n go with their
+// checksums, and the ones added are zero. A page set names a file's exact
+// geometry this way, which brings back a file this disk had dropped.
+func (d *Disk) resize(f FileID, n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	pages := d.files[f]
+	for p := n; p < len(pages); p++ {
+		delete(d.sums, PageID{File: f, Page: int32(p)})
+	}
+	if n < len(pages) {
+		pages = pages[:n:n]
+	}
+	for p := len(pages); p < n; p++ {
+		pages = append(pages, make([]byte, d.pageSize))
+		d.sums[PageID{File: f, Page: int32(p)}] = d.zeroSum
+	}
+	d.files[f] = pages
 }
 
 // AllocPage appends a fresh zeroed page to the file and returns its id.

@@ -26,10 +26,10 @@ import (
 //
 // pages is the file's page count on the source; the applier grows the
 // destination file to at least that many. A whole file is reproduced
-// exactly: every destination page of it that no entry carries reads as zero
-// afterwards, so its zero pages — and its dead pages below the first live
-// one — travel as implied zeros. Other files keep their content outside the
-// shipped entries.
+// exactly: it is cut to that many pages, and every one of them that no
+// entry carries reads as zero afterwards, so its zero pages — and its dead
+// pages below the first live one — travel as implied zeros. Other files
+// keep their content outside the shipped entries.
 //
 // The header has a checksum of its own so that the applier trusts no
 // declared geometry — no file to create, no page to allocate or zero —
@@ -46,11 +46,7 @@ const maxFiles = 1 << 20
 // once each. hdr is the caller's header, already written ahead of the page
 // set; both checksums cover it, so it needs none of its own.
 func WritePageSet(w io.Writer, dev Device, hdr []byte, pages []PageID, whole func(FileID) (from int32, ok bool)) ([]PageID, error) {
-	fc, ok := dev.(interface{ Files() int })
-	if !ok {
-		return nil, fmt.Errorf("storage: device %T cannot enumerate its files", dev)
-	}
-	files := fc.Files()
+	files := dev.Files()
 	le := binary.LittleEndian
 	head := le.AppendUint32(nil, uint32(dev.PageSize()))
 	head = le.AppendUint32(head, uint32(files))
@@ -124,57 +120,58 @@ func WritePageSet(w io.Writer, dev Device, hdr []byte, pages []PageID, whole fun
 }
 
 // ApplyPageSet patches disk in place from a page-set stream and returns the
-// pages it carried. Nothing touches the disk until the header's checksum
-// holds; then files are created and grown to the declared geometry, every
-// page of each whole file is zeroed, and the entries are written over the
-// top as they arrive. The trailer is checked last, so on any error after
+// pages it carried and, per file, whether it travelled whole. Nothing
+// touches the disk until the header's checksum holds; then files are
+// created and sized to the declared geometry — whole files exactly, others
+// grown to at least it — every page of each whole file is zeroed, and the
+// entries are written over the top as they arrive. The trailer is checked last, so on any error after
 // the header the disk is half-patched and must be discarded. hdr is the
 // caller's header, as it was given to WritePageSet.
-func ApplyPageSet(r io.Reader, disk *Disk, hdr []byte) ([]PageID, error) {
+func ApplyPageSet(r io.Reader, disk *Disk, hdr []byte) ([]PageID, []bool, error) {
 	le := binary.LittleEndian
 	var head bytes.Buffer
 	if _, err := io.CopyN(&head, r, 8); err != nil {
-		return nil, fmt.Errorf("storage: truncated snapshot header: %w", err)
+		return nil, nil, fmt.Errorf("storage: truncated snapshot header: %w", err)
 	}
 	files := le.Uint32(head.Bytes()[4:])
 	if files > maxFiles {
-		return nil, fmt.Errorf("storage: snapshot declares %d files", files)
+		return nil, nil, fmt.Errorf("storage: snapshot declares %d files", files)
 	}
 	if _, err := io.CopyN(&head, r, 5*int64(files)+8); err != nil {
-		return nil, fmt.Errorf("storage: truncated snapshot header: %w", err)
+		return nil, nil, fmt.Errorf("storage: truncated snapshot header: %w", err)
 	}
 	b := head.Bytes()
 	end := len(b) - 4
 	crc := crc32.Update(crc32.Update(0, crcTable, hdr), crcTable, b[:end])
 	if le.Uint32(b[end:]) != crc {
-		return nil, fmt.Errorf("storage: snapshot header checksum mismatch")
+		return nil, nil, fmt.Errorf("storage: snapshot header checksum mismatch")
 	}
 	if ps := le.Uint32(b); int(ps) != disk.PageSize() {
-		return nil, fmt.Errorf("storage: snapshot page size %d != device's %d", ps, disk.PageSize())
+		return nil, nil, fmt.Errorf("storage: snapshot page size %d != device's %d", ps, disk.PageSize())
 	}
 	geometry := b[8:end]
 	target := func(f uint32) int { return int(le.Uint32(geometry[5*f:])) }
 
 	zero := make([]byte, disk.PageSize())
+	whole := make([]bool, files)
 	for f := uint32(0); f < files; f++ {
 		id := FileID(f)
 		for disk.Files() <= int(f) {
 			disk.CreateFile()
 		}
-		had := disk.NumPages(id)
-		for p := had; p < target(f); p++ {
-			if _, err := disk.AllocPage(id); err != nil {
-				return nil, err
-			}
+		had, size := disk.NumPages(id), max(disk.NumPages(id), target(f))
+		if whole[f] = geometry[5*f+4] != 0; whole[f] {
+			size = target(f)
 		}
-		if geometry[5*f+4] == 0 {
+		disk.resize(id, size)
+		if !whole[f] {
 			continue
 		}
 		// Freshly allocated pages are zero already; only what the disk
 		// held before can be stale.
-		for p := 0; p < had; p++ {
+		for p := 0; p < min(had, size); p++ {
 			if err := disk.WritePage(PageID{File: id, Page: int32(p)}, zero); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
@@ -184,32 +181,32 @@ func ApplyPageSet(r io.Reader, disk *Disk, hdr []byte) ([]PageID, error) {
 	buf := make([]byte, disk.PageSize())
 	for i := le.Uint32(geometry[5*files:]); i > 0; i-- {
 		if _, err := io.ReadFull(r, entry[:]); err != nil {
-			return nil, fmt.Errorf("storage: truncated snapshot: %w", err)
+			return nil, nil, fmt.Errorf("storage: truncated snapshot: %w", err)
 		}
 		fv, pv := le.Uint32(entry[0:]), le.Uint32(entry[4:])
 		if fv >= files || int(pv) >= target(fv) {
-			return nil, fmt.Errorf("storage: snapshot entry f%d:p%d outside declared geometry", fv, pv)
+			return nil, nil, fmt.Errorf("storage: snapshot entry f%d:p%d outside declared geometry", fv, pv)
 		}
 		pid := PageID{File: FileID(fv), Page: int32(pv)}
 		if n := len(shipped); n > 0 && (pid.File < shipped[n-1].File ||
 			pid.File == shipped[n-1].File && pid.Page <= shipped[n-1].Page) {
-			return nil, fmt.Errorf("storage: snapshot entries out of order at %v", pid)
+			return nil, nil, fmt.Errorf("storage: snapshot entries out of order at %v", pid)
 		}
 		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("storage: truncated snapshot: %w", err)
+			return nil, nil, fmt.Errorf("storage: truncated snapshot: %w", err)
 		}
 		crc = crc32.Update(crc32.Update(crc, crcTable, entry[:]), crcTable, buf)
 		if err := disk.WritePage(pid, buf); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		shipped = append(shipped, pid)
 	}
 	var trailer [4]byte
 	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return nil, fmt.Errorf("storage: snapshot missing trailer: %w", err)
+		return nil, nil, fmt.Errorf("storage: snapshot missing trailer: %w", err)
 	}
 	if le.Uint32(trailer[:]) != crc {
-		return nil, fmt.Errorf("storage: snapshot checksum mismatch (torn or corrupted stream; discard the device)")
+		return nil, nil, fmt.Errorf("storage: snapshot checksum mismatch (torn or corrupted stream; discard the device)")
 	}
-	return shipped, nil
+	return shipped, whole, nil
 }

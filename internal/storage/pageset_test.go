@@ -76,14 +76,14 @@ func TestApplyPageSetVerifiesHeaderFirst(t *testing.T) {
 		before := shape(dst)
 		bad := bytes.Clone(stream)
 		bad[i] ^= 0xFF
-		if _, err := ApplyPageSet(bytes.NewReader(bad), dst, callerHeader); err == nil {
+		if _, _, err := ApplyPageSet(bytes.NewReader(bad), dst, callerHeader); err == nil {
 			t.Errorf("byte %d flipped: applied", i)
 		}
 		if after := shape(dst); after != before {
 			t.Errorf("byte %d flipped: destination went from %s to %s", i, before, after)
 		}
 	}
-	if _, err := ApplyPageSet(bytes.NewReader(stream), NewDisk(64), []byte("other header")); err == nil {
+	if _, _, err := ApplyPageSet(bytes.NewReader(stream), NewDisk(64), []byte("other header")); err == nil {
 		t.Error("a page set applied under a caller header it was not written with")
 	}
 }
@@ -96,7 +96,7 @@ func FuzzApplyPageSet(f *testing.F) {
 	f.Add(pageSetStream(f, src, []PageID{{File: 1, Page: 0}, {File: 2, Page: 1}}, deltaSet))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := pageSetSource(t)
-		shipped, err := ApplyPageSet(bytes.NewReader(data), dst, callerHeader)
+		shipped, _, err := ApplyPageSet(bytes.NewReader(data), dst, callerHeader)
 		if err != nil {
 			return
 		}

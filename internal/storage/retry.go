@@ -48,9 +48,11 @@ func DefaultRetryPolicy() RetryPolicy {
 // read path of everything that must not trust a single transfer: the buffer
 // pool's misses and the log's recovery. retries counts the attempts after
 // the first; the error wraps the last attempt's failure, so errors.Is/As
-// classification survives.
+// classification survives — except that a checksum mismatch outranks a
+// later transient fault: bytes that reached the reader and failed
+// verification say more about the page than an attempt that never did.
 func ReadVerified(dev Device, id PageID, buf []byte, p RetryPolicy) (retries int, _ error) {
-	var last error
+	var last, mismatch error
 	for attempt := 1; attempt <= p.attempts(); attempt++ {
 		if attempt > 1 {
 			retries++
@@ -61,15 +63,21 @@ func ReadVerified(dev Device, id PageID, buf []byte, p RetryPolicy) (retries int
 			if want, ok := dev.Checksum(id); ok {
 				if got := PageChecksum(buf); got != want {
 					last = &ChecksumError{Page: id, Want: want, Got: got}
+					mismatch = last
 					continue
 				}
 			}
 			return retries, nil
 		}
 		last = err
-		if !IsTransient(err) && !IsChecksum(err) {
+		if IsChecksum(err) {
+			mismatch = err
+		} else if !IsTransient(err) {
 			break
 		}
+	}
+	if mismatch != nil && IsTransient(last) {
+		last = mismatch
 	}
 	return retries, fmt.Errorf("storage: read of page %v gave up after retries: %w", id, last)
 }

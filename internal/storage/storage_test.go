@@ -123,6 +123,55 @@ func TestDiskCreateAllocReadWrite(t *testing.T) {
 	}
 }
 
+// TestDropFileGivesPagesBack checks a dropped file keeps no page and no
+// checksum, stays in the file range with no pages, and is never handed out
+// or extended again.
+func TestDropFileGivesPagesBack(t *testing.T) {
+	d := NewDisk(64)
+	f, other := d.CreateFile(), d.CreateFile()
+	var ids []PageID
+	for i := 0; i < 3; i++ {
+		id, err := d.AllocPage(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WritePage(id, bytes.Repeat([]byte{byte(i + 1)}, 64)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	keep, err := d.AllocPage(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.DropFile(f); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if _, ok := d.Checksum(id); ok {
+			t.Errorf("dropped page %v still has a checksum", id)
+		}
+		if _, err := d.ReadPage(id); err == nil {
+			t.Errorf("dropped page %v still reads", id)
+		}
+	}
+	if _, ok := d.Checksum(keep); !ok {
+		t.Error("dropping one file lost another's checksum")
+	}
+	if d.Files() != 2 || d.NumPages(f) != 0 {
+		t.Errorf("after the drop: %d files, the dropped one with %d pages; want 2 and 0", d.Files(), d.NumPages(f))
+	}
+	if _, err := d.AllocPage(f); err == nil {
+		t.Error("a dropped file was extended")
+	}
+	if err := d.DropFile(f); err == nil {
+		t.Error("a file was dropped twice")
+	}
+	if next := d.CreateFile(); next == f {
+		t.Errorf("CreateFile handed out the dropped file %d again", f)
+	}
+}
+
 func TestDiskInvalidAccess(t *testing.T) {
 	d := NewDisk(128)
 	if _, err := d.ReadPage(PageID{File: 99, Page: 0}); err == nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"spatialjoin/internal/fault"
 	"spatialjoin/internal/storage"
 )
 
@@ -22,6 +23,8 @@ import (
 //     min(DPT floor, Lb, oldest active begin): nothing below that LSN can
 //     ever be needed for redo, and no scan reads the pages wholly below it
 //     again (invariant I4 of the package comment).
+//  5. TruncateBelow gives back every segment that now lies wholly below
+//     the floor.
 //
 // Recovery redoes a committed page record (image or append) at LSN L on
 // page P iff L ≥ min(Lb, oldest active begin) or P is in the DPT with
@@ -292,7 +295,7 @@ func (l *Log) AppendCheckpointEnd(cp Checkpoint, truncate bool) (LSN, error) {
 		}
 		floor = max(floor, keep)
 	}
-	if err := l.syncStamped(floor); err != nil {
+	if err := l.syncStamped(floor, true); err != nil {
 		return lsn, err
 	}
 	l.stats.Checkpoints++
@@ -308,11 +311,12 @@ func (l *Log) ScanFloor() LSN {
 }
 
 // TruncateBelow reclaims the log pages wholly below keep, clipped to the
-// durable scan floor, and returns how many there were. On this device
-// reclaiming is bookkeeping — the pages are forgotten and counted, nothing
-// is read or written; it is the point where a file-backed device would
-// return them (punch a hole, unlink a segment). It stops at the first page
-// it must keep.
+// durable scan floor, and returns how many there were. It stops at the
+// first page it must keep and gives back to the device every segment before
+// the one holding that page — metadata: nothing is read or written. A
+// dropped segment lies wholly below a floor a checksum-valid stamp has
+// already made durable (invariant I4), so the oldest segment left still
+// reaches down to the floor.
 func (l *Log) TruncateBelow(keep LSN) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -323,18 +327,56 @@ func (l *Log) TruncateBelow(keep LSN) int {
 	}
 	l.live = l.live[:copy(l.live, l.live[n:])]
 	l.stats.TruncatedPages += int64(n)
+
+	// Segments are created in file order, so the dead ones are the files
+	// below the head's.
+	dead := func() bool { return len(l.segs) > 1 && (len(l.live) == 0 || l.segs[0].file < l.live[0].file) }
+	if dead() {
+		fault.CrashPoint("wal.drop-segment")
+	}
+	for dead() && dropSegment(l.dev, l.segs[0].file) == nil {
+		l.segs = l.segs[1:]
+		l.stats.SegmentsDropped++
+	}
 	return n
 }
 
-// HeadPage returns the first log page TruncateBelow has not reclaimed: every
-// page below it is dead, and nothing that copies the log need carry one.
+// HeadPage returns the first log page TruncateBelow has not reclaimed,
+// numbered in log order — counting every page the log has written, the
+// dropped segments' included: every page below it is dead.
 func (l *Log) HeadPage() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.live) == 0 {
 		return 0
 	}
-	return int(l.live[0].page)
+	for _, s := range l.segs {
+		if s.file == l.live[0].file {
+			return s.ord*segPages + int(l.live[0].page)
+		}
+	}
+	return 0
+}
+
+// Segment names one file of the log and the first of its pages a copy of
+// the log must carry.
+type Segment struct {
+	File storage.FileID
+	From int32 // the head page in the segment holding it, else 0
+}
+
+// Segments returns the files the log holds, oldest first.
+func (l *Log) Segments() []Segment {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	segs := make([]Segment, len(l.segs))
+	for i, s := range l.segs {
+		segs[i].File = s.file
+		if len(l.live) > 0 && l.live[0].file == s.file {
+			segs[i].From = l.live[0].page
+		}
+	}
+	return segs
 }
 
 // Retain pins truncation: a checkpoint will not raise the scan floor above

@@ -23,7 +23,9 @@ type RecoveryStats struct {
 	TornPages       int64 // log pages whose checksum did not verify
 	BaseLSN         LSN   // stream offset recovery scanned from (>0 after truncation)
 	LogPagesRead    int64 // log pages read to find the head and assemble the stream
-	HeadPage        int64 // first log page the scan read; pages below it are dead
+	ProbePagesRead  int64 // other pages read to tell the newest log segment from the files above it
+	HeadPage        int64 // first log page the scan read, in log order; pages below it are dead
+	SegmentsDropped int64 // segments a crash left wholly below the floor, given back now
 	CheckpointLSN   LSN   // begin LSN of the checkpoint recovery bounded redo by; 0 = none
 	// IndexRebuildsSkipped counts persisted indices the catalog layer
 	// loaded from the checkpoint manifest instead of rebuilding from a
@@ -41,9 +43,10 @@ type RecoveryStats struct {
 	NextApplyFloor LSN
 }
 
-// ErrNotALog reports that the device's first file does not begin with a WAL
-// header; recovery refuses to touch such a device.
-var ErrNotALog = errors.New("wal: device file 0 does not start with a log header")
+// ErrNotALog reports that no file of the device is a log segment, or that
+// the log does not begin with a WAL header; recovery refuses to touch such
+// a device.
+var ErrNotALog = errors.New("wal: device holds no log")
 
 // RedoError reports a committed slot append recovery could not apply
 // (invariant I3): the page it builds on is unreadable and no image of it is
@@ -124,9 +127,11 @@ func RecoverWith(dev storage.Device, opts Options) (*Result, error) {
 func recoverFrom(dev storage.Device, opts Options, head logHead) (*Result, error) {
 	res := &Result{TouchedFiles: make(map[storage.FileID]bool)}
 	stats := &res.Stats
-	stats.HeadPage = int64(head.page)
 	sc, err := scanStream(dev, &head)
-	stats.LogPagesRead = head.reads
+	stats.LogPagesRead, stats.ProbePagesRead = head.reads, head.probes
+	if len(head.segs) > 0 {
+		stats.HeadPage = int64(head.segs[0].ord*segPages) + int64(head.page)
+	}
 	if err != nil {
 		return res, err
 	}
@@ -276,7 +281,16 @@ func recoverFrom(dev storage.Device, opts Options, head logHead) (*Result, error
 	l.tailStart = base + consumed
 	l.durable = base + consumed
 	l.floor = head.floor
+	l.segs = head.segs
 	l.live = sc.live
+	// Segments a crash stranded below the head lie wholly below a proven
+	// floor; nothing reads them again.
+	for _, s := range head.stale {
+		if dropSegment(dev, s.file) == nil {
+			stats.SegmentsDropped++
+		}
+	}
+	l.stats.SegmentsDropped = stats.SegmentsDropped
 	res.Log = l
 	return res, nil
 }
@@ -286,72 +300,92 @@ func recoverFrom(dev storage.Device, opts Options, head logHead) (*Result, error
 // through the buffer pool, not the recovery.
 var recoveryRetry = storage.DefaultRetryPolicy()
 
-// readLogPage reads one log page, verified, into a buffer the caller owns.
-func readLogPage(dev storage.Device, p int) ([]byte, error) {
+// readLogPage reads the log page at a, verified, into a buffer the caller
+// owns. a is file<<32 | page (logAddr), so the first segment's pages are
+// their page numbers.
+func readLogPage(dev storage.Device, a int) ([]byte, error) {
 	buf := make([]byte, dev.PageSize())
-	_, err := storage.ReadVerified(dev, storage.PageID{File: LogFileID, Page: int32(p)}, buf, recoveryRetry)
+	_, err := storage.ReadVerified(dev, storage.PageID{File: storage.FileID(a >> 32), Page: int32(a)}, buf, recoveryRetry)
 	return buf, err
 }
 
-// logHead is where a scan of the log starts, and what finding that cost.
+// logAddr is the address readLogPage takes for page id.
+func logAddr(id storage.PageID) int { return int(id.File)<<32 | int(id.Page) }
+
+// logHead is where a scan of the log starts, and what finding that cost. A
+// zero logHead, which no search produced, scans from the oldest page.
 type logHead struct {
-	page  int       // first page the scan reads; every page below it is dead
-	floor LSN       // the stamp that chose page; 0 when the scan starts at page 0
-	kept  keptPages // live pages as the search read them, for the scan to take
-	reads int64     // log pages read so far, the search's and then the scan's
+	segs   []segment // the segments the scan reads, oldest first
+	page   int32     // first page of segs[0] the scan reads; every log page below it is dead
+	floor  LSN       // the stamp that chose page; 0 when the scan starts at the oldest page
+	stale  []segment // segments wholly below the head a crash kept from being dropped
+	kept   keptPages // log pages as the search read them, for the scan to take
+	reads  int64     // log pages read so far, the search's and then the scan's
+	probes int64     // pages of other files the search for the newest segment read
 }
 
-// keptPages holds verified log pages by page number, so a scan need not read
-// again what the head search already did.
-type keptPages map[int][]byte
+// keptPages holds verified log pages, so a scan need not read again what
+// the head search already did.
+type keptPages map[storage.PageID][]byte
 
-// take hands over page p if it was kept, nil if not.
-func (k keptPages) take(p int) []byte {
-	buf := k[p]
-	delete(k, p)
+// take hands over page id if it was kept, nil if not.
+func (k keptPages) take(id storage.PageID) []byte {
+	buf := k[id]
+	delete(k, id)
 	return buf
 }
 
 // findHead locates the live head of the log without reading a dead page:
 // the last valid page's stamp is the scan floor F (invariant I4 — a complete
 // checkpoint lies at or above it), and the head is the last page at or below
-// that one that starts at or below F, found by walking back. No later page
-// starts at or below F, so none can rewind the stream below the head, and a
-// scan from the head assembles exactly the bytes at and above F that a scan
-// from page 0 would. The pages walked over are kept for that scan, so each
-// live page is read once. Any doubt — no valid page, stamp 0, an unreadable
-// page on the way, a head that does not open a record at or below F — starts
-// the scan at page 0: under-truncating is always safe.
+// that one that starts at or below F, found by walking back through the
+// segments. No later page starts at or below F, so none can rewind the
+// stream below the head, and a scan from the head assembles exactly the
+// bytes at and above F that a scan from the oldest page would. The pages
+// walked over are kept for that scan, so each live page is read once; only
+// the head segment's page 0, whose header numbers the chain, may cost one
+// read more. Any doubt — no valid page, stamp 0, an unreadable page on the
+// way, a head that does not open a record at or below F — starts the scan at
+// the oldest page: under-truncating is always safe.
 func findHead(dev storage.Device) logHead {
 	h := logHead{kept: make(keptPages)}
-	pageSize := dev.PageSize()
-	for p := dev.NumPages(LogFileID) - 1; p >= 0; p-- {
-		h.reads++
-		buf, err := readLogPage(dev, p)
-		hd := parseHeader(buf)
-		if err != nil || !hd.live(pageSize) {
-			if len(h.kept) > 0 && err != nil && !storage.IsChecksum(err) {
-				break // below the last valid page, and no telling what it held
+	segs, last := h.chain(dev)
+	h.segs = segs
+	seen := false
+walk:
+	for i := len(segs) - 1; i >= 0; i-- {
+		p := int32(dev.NumPages(segs[i].file) - 1)
+		if i == len(segs)-1 {
+			p = last
+		}
+		for ; p >= 0; p-- {
+			id := storage.PageID{File: segs[i].file, Page: p}
+			buf, err := h.read(dev, id)
+			hd := parseHeader(buf)
+			if err != nil || !hd.live(dev.PageSize()) || payload(buf, p, hd) == nil {
+				if seen && err != nil && !storage.IsChecksum(err) {
+					break walk // below the last valid page, and no telling what it held
+				}
+				continue // torn, failed or in flight: the scan decides what to report
 			}
-			continue // torn, failed or in flight: the scan decides what to report
+			if !seen {
+				seen, h.floor = true, hd.floor
+			}
+			h.kept[id] = buf
+			if h.floor <= 0 {
+				break walk
+			}
+			if hd.start > h.floor {
+				continue
+			}
+			if hd.first == noFirstRec || hd.start+LSN(hd.first) > h.floor {
+				break walk // F is not a record boundary of this page: trust nothing
+			}
+			h.segs, h.stale, h.page = segs[i:], segs[:i], p
+			return h
 		}
-		if len(h.kept) == 0 {
-			h.floor = hd.floor
-		}
-		h.kept[p] = buf
-		if h.floor <= 0 {
-			break
-		}
-		if hd.start > h.floor {
-			continue
-		}
-		if hd.first == noFirstRec || hd.start+LSN(hd.first) > h.floor {
-			break // F is not a record boundary of this page: trust nothing
-		}
-		h.page = p
-		return h
 	}
-	h.page, h.floor = 0, 0
+	h.floor = 0
 	return h
 }
 
@@ -361,70 +395,80 @@ type scan struct {
 	base   LSN       // stream offset of stream[0]
 	stream []byte    // the record stream from base on
 	torn   int64     // pages whose checksum or length did not verify
-	live   []pageEnd // each live page read and where its payload ends, in page order
+	live   []pageEnd // each live page read and where its payload ends, in log order
 }
 
-// scanStream reads the log pages from head on, in order, and assembles the
-// logical record stream. In an untruncated log the stream's base is 0; after
-// checkpoint truncation the head page's firstRec offset re-synchronizes the
-// scan at a record boundary. Pages that never made it to the device
-// (zero-filled allocations) or arrive corrupted are skipped and reported; a
-// page whose startLSN rewinds below the assembled length marks a
-// post-recovery resume, so the superseded garbage is cut off before its
-// payload is appended.
+// scanStream reads the log pages from head on, segment by segment, in order,
+// and assembles the logical record stream. In an untruncated log the
+// stream's base is 0; after checkpoint truncation the head page's firstRec
+// offset re-synchronizes the scan at a record boundary. Pages that never
+// made it to the device (zero-filled allocations) or arrive corrupted are
+// skipped and reported; a page whose startLSN rewinds below the assembled
+// length marks a post-recovery resume, so the superseded garbage is cut off
+// before its payload is appended.
 func scanStream(dev storage.Device, head *logHead) (scan, error) {
-	n := dev.NumPages(LogFileID)
+	if head.kept == nil {
+		head.kept = make(keptPages)
+		head.segs, _ = head.chain(dev)
+	}
 	pageSize := dev.PageSize()
 	sc := scan{base: -1}
-	for p := head.page; p < n; p++ {
-		buf := head.kept.take(p)
-		if buf == nil {
-			head.reads++
-			var err error
-			if buf, err = readLogPage(dev, p); err != nil {
-				if storage.IsChecksum(err) {
-					// A page torn by the crash; everything it held is past the
-					// last durable sync, so skipping it discards only tail bytes.
-					sc.torn++
-					continue
+	for i, s := range head.segs {
+		p := int32(0)
+		if i == 0 {
+			p = head.page
+		}
+		for n := int32(dev.NumPages(s.file)); p < n; p++ {
+			id := storage.PageID{File: s.file, Page: p}
+			buf := head.kept.take(id)
+			if buf == nil {
+				head.reads++
+				var err error
+				if buf, err = readLogPage(dev, logAddr(id)); err != nil {
+					if storage.IsChecksum(err) {
+						// A page torn by the crash; everything it held is past the
+						// last durable sync, so skipping it discards only tail bytes.
+						sc.torn++
+						continue
+					}
+					return sc, fmt.Errorf("wal: reading log page %v: %w", id, err)
 				}
-				return sc, fmt.Errorf("wal: reading log page %d: %w", p, err)
 			}
-		}
-		hd := parseHeader(buf)
-		if hd.used == 0 {
-			continue // allocated but never written
-		}
-		if !hd.live(pageSize) {
-			sc.torn++
-			continue
-		}
-		sc.live = append(sc.live, pageEnd{page: int32(p), end: hd.start + LSN(hd.used)})
-		payload := buf[pageHeader : pageHeader+hd.used]
-		if sc.base < 0 {
-			// First live page: every byte before its first record boundary
-			// is the tail of a record whose head lies in the dead pages
-			// below — only parseable bytes join the stream.
-			if hd.first == noFirstRec || int(hd.first) >= hd.used {
+			hd := parseHeader(buf)
+			if hd.used == 0 {
+				continue // allocated but never written
+			}
+			data := payload(buf, p, hd)
+			if !hd.live(pageSize) || data == nil {
+				sc.torn++
 				continue
 			}
-			sc.base = hd.start + LSN(hd.first)
-			sc.stream = append(sc.stream, payload[hd.first:]...)
-			continue
+			sc.live = append(sc.live, pageEnd{file: s.file, page: p, end: hd.start + LSN(hd.used)})
+			if sc.base < 0 {
+				// First live page: every byte before its first record boundary
+				// is the tail of a record whose head lies in the dead pages
+				// below — only parseable bytes join the stream.
+				if hd.first == noFirstRec || int(hd.first) >= hd.used {
+					continue
+				}
+				sc.base = hd.start + LSN(hd.first)
+				sc.stream = append(sc.stream, data[hd.first:]...)
+				continue
+			}
+			end := sc.base + LSN(len(sc.stream))
+			switch {
+			case hd.start < sc.base:
+				// Below the resync point: stale garbage; trust nothing after.
+				return sc, nil
+			case hd.start < end:
+				sc.stream = sc.stream[:hd.start-sc.base]
+			case hd.start > end:
+				// A gap means the pages between were lost wholesale; nothing
+				// after them can be trusted to be contiguous.
+				return sc, nil
+			}
+			sc.stream = append(sc.stream, data...)
 		}
-		end := sc.base + LSN(len(sc.stream))
-		switch {
-		case hd.start < sc.base:
-			// Below the resync point: stale garbage; trust nothing after.
-			return sc, nil
-		case hd.start < end:
-			sc.stream = sc.stream[:hd.start-sc.base]
-		case hd.start > end:
-			// A gap means the pages between were lost wholesale; nothing
-			// after them can be trusted to be contiguous.
-			return sc, nil
-		}
-		sc.stream = append(sc.stream, payload...)
 	}
 	if sc.base < 0 {
 		sc.base = 0

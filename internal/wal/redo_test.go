@@ -158,7 +158,7 @@ func cloneDisk(t *testing.T, dev storage.Device) *storage.Disk {
 		t.Fatal(err)
 	}
 	disk := storage.NewDisk(dev.PageSize())
-	if _, err := storage.ApplyPageSet(&img, disk, nil); err != nil {
+	if _, _, err := storage.ApplyPageSet(&img, disk, nil); err != nil {
 		t.Fatal(err)
 	}
 	return disk
@@ -505,7 +505,7 @@ func TestRedoPerPage(t *testing.T) {
 	if got := after.Writes - before.Writes; got != 2 || res.Stats.PagesRestored != 2 {
 		t.Errorf("redo of 12 appends over 2 pages wrote %d pages (PagesRestored %d), want 2", got, res.Stats.PagesRestored)
 	}
-	if got := after.Reads - before.Reads - res.Stats.LogPagesRead; got != 0 {
+	if got := after.Reads - before.Reads - res.Stats.LogPagesRead - res.Stats.ProbePagesRead; got != 0 {
 		t.Errorf("redo from slot-0 appends read %d data pages, want 0", got)
 	}
 	if res.Stats.RecordsReplayed != 12 {
@@ -525,7 +525,7 @@ func TestRedoPerPage(t *testing.T) {
 	if got := after.Writes - before.Writes; got != 0 || res.Stats.PagesRestored != 0 {
 		t.Errorf("re-redo of present slots wrote %d pages, want 0", got)
 	}
-	if got := after.Reads - before.Reads - res.Stats.LogPagesRead; got != 2 {
+	if got := after.Reads - before.Reads - res.Stats.LogPagesRead - res.Stats.ProbePagesRead; got != 2 {
 		t.Errorf("re-redo read %d data pages, want 2 (one per page, not one per record)", got)
 	}
 	checkPages(t, "re-redo", dev, want)

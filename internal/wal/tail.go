@@ -34,9 +34,10 @@ var ErrTruncatedAway = errors.New("wal: requested LSN truncated from the log")
 // owns its own.
 type TailReader struct {
 	dev  storage.Device
-	kept keptPages // pages the head search read, for the first scan to take
-	next int       // first log page not yet confirmed consumed
-	pos  LSN       // stream offset of the next byte Next will emit
+	kept keptPages      // pages read ahead of the scan — the head search's, a successor's first — for it to take
+	seg  storage.FileID // the segment the scan is reading
+	next int32          // first page of seg not yet confirmed consumed
+	pos  LSN            // stream offset of the next byte Next will emit
 	// end is the stream offset the assembled prefix reaches; -1 until the
 	// scan anchors at the first live record boundary. Bytes in
 	// [pos, end) sit in carry; bytes below pos were either emitted or are
@@ -55,7 +56,10 @@ func OpenTail(dev storage.Device, from LSN) (*TailReader, error) {
 		return nil, fmt.Errorf("wal: cannot tail from negative LSN %d", from)
 	}
 	head := findHead(dev)
-	r := &TailReader{dev: dev, kept: head.kept, next: head.page, pos: from, end: -1}
+	if len(head.segs) == 0 {
+		return nil, ErrNotALog
+	}
+	r := &TailReader{dev: dev, kept: head.kept, seg: head.segs[0].file, next: head.page, pos: from, end: -1}
 	err := r.scan()
 	r.kept = nil // whatever the first scan left is stale by the next
 	if err != nil {
@@ -89,35 +93,57 @@ func (r *TailReader) Next(max int) (LSN, []byte, error) {
 	return base, data, nil
 }
 
-// scan consumes durable log pages into carry, mirroring scanStream's
-// reconciliation rules incrementally. Pages that fail their checksum or
-// read as unwritten are not consumed: they may be mid-write by the
-// appender, so the scan leaves next pointing at the first such page and
+// scan consumes durable log pages into carry, segment by segment,
+// mirroring scanStream's reconciliation rules incrementally. The appender
+// opens a segment's successor only after its last write to it, so a
+// successor found before the scan proves the scan sees the whole segment.
+// A reader whose segment was dropped with its successor lost pages it had
+// not read.
+func (r *TailReader) scan() error {
+	for {
+		n := int32(r.dev.NumPages(r.seg))
+		var succ storage.FileID
+		ok := false
+		if n == 0 || n >= segPages {
+			succ, ok = r.successor()
+		}
+		if err := r.scanPages(n); err != nil {
+			return err
+		}
+		if !ok {
+			if n == 0 {
+				return ErrTruncatedAway
+			}
+			return nil
+		}
+		r.seg, r.next = succ, 0
+	}
+}
+
+// scanPages consumes seg's pages from next up to n. Pages that fail their
+// checksum or read as unwritten are not consumed: they may be mid-write by
+// the appender, so the scan leaves next pointing at the first such page and
 // revisits it. A later durable page proves the skipped ones dead (the
 // appender seals pages in order), at which point next advances past them.
-func (r *TailReader) scan() error {
-	n := r.dev.NumPages(LogFileID)
+func (r *TailReader) scanPages(n int32) error {
 	for p := r.next; p < n; p++ {
-		buf := r.kept.take(p)
+		id := storage.PageID{File: r.seg, Page: p}
+		buf := r.kept.take(id)
 		if buf == nil {
-			id := storage.PageID{File: LogFileID, Page: int32(p)}
 			var err error
-			if buf, err = storage.ReadPage(r.dev, id); err != nil {
-				if storage.IsChecksum(err) {
-					continue // torn or in flight: revisit next scan
-				}
-				return fmt.Errorf("wal: tailing log page %v: %w", id, err)
+			if buf, err = readTailPage(r.dev, id); err != nil {
+				return err
 			}
-			if want, ok := r.dev.Checksum(id); !ok || storage.PageChecksum(buf) != want {
-				continue // corrupted in transit: revisit next scan
+			if buf == nil {
+				continue // torn or in flight: revisit next scan
 			}
 		}
 		hd := parseHeader(buf)
-		if !hd.live(len(buf)) {
+		data := payload(buf, p, hd)
+		if !hd.live(len(buf)) || data == nil {
 			continue // unwritten allocation, possibly in flight: revisit
 		}
 		start := hd.start
-		payload := buf[pageHeader : pageHeader+hd.used]
 		if r.end < 0 {
 			// Anchoring: the first live page must open a record for the
 			// stream to resynchronize; a pure continuation page has its
@@ -133,14 +159,56 @@ func (r *TailReader) scan() error {
 			}
 			r.end = base
 			start = base
-			payload = payload[hd.first:]
+			data = data[hd.first:]
 		}
-		if err := r.absorb(start, payload); err != nil {
+		if err := r.absorb(start, data); err != nil {
 			return err
 		}
 		r.next = p + 1
 	}
 	return nil
+}
+
+// successor finds the segment after seg: the first file above it whose
+// first page opens a segment naming seg as its predecessor. The page is
+// kept for the scan.
+func (r *TailReader) successor() (storage.FileID, bool) {
+	for f := r.seg + 1; int(f) < r.dev.Files(); f++ {
+		if r.dev.NumPages(f) == 0 {
+			continue
+		}
+		id := storage.PageID{File: f}
+		buf, err := readTailPage(r.dev, id)
+		if err != nil || buf == nil {
+			continue
+		}
+		if s, ok := parseSegHeader(f, buf); ok && s.prev == r.seg {
+			if r.kept == nil {
+				r.kept = make(keptPages)
+			}
+			r.kept[id] = buf
+			return f, true
+		}
+	}
+	return 0, false
+}
+
+// readTailPage reads a log page the appender may be writing concurrently.
+// It returns nil without an error for a page that is not durable yet —
+// torn, in flight, corrupted in transit — or whose segment was dropped
+// under the reader.
+func readTailPage(dev storage.Device, id storage.PageID) ([]byte, error) {
+	buf, err := storage.ReadPage(dev, id)
+	if err != nil {
+		if storage.IsChecksum(err) || dev.NumPages(id.File) <= int(id.Page) {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("wal: tailing log page %v: %w", id, err)
+	}
+	if want, ok := dev.Checksum(id); !ok || storage.PageChecksum(buf) != want {
+		return nil, nil
+	}
+	return buf, nil
 }
 
 // absorb reconciles one durable page's payload, covering stream bytes
@@ -212,7 +280,8 @@ func completePrefix(base LSN, stream []byte, max int) int {
 
 // AppendRaw appends a chunk of pre-encoded records — the bytes a
 // TailReader emitted on another device — to the log and forces them
-// durable. from must be exactly the log's current stream end, and the
+// durable, into the newest segment whatever its size (a follower's log
+// never rolls; see segment.go). from must be exactly the log's current stream end, and the
 // chunk must parse entirely as complete, checksum-valid records; anything
 // else is rejected wholesale and the log is left untouched, so a corrupt
 // shipped segment can never enter the local stream. The parsed records are
@@ -248,7 +317,7 @@ func (l *Log) AppendRaw(from LSN, data []byte) ([]Record, error) {
 	}
 	l.tail = append(l.tail, data...)
 	l.stats.BytesLogged += int64(len(data))
-	if err := l.syncLocked(); err != nil {
+	if err := l.syncStamped(l.floor, false); err != nil {
 		return nil, err
 	}
 	return records, nil

@@ -1,8 +1,9 @@
 // Package wal implements the write-ahead log behind crash-consistent
 // updates: a redo-only, CRC-32C-checksummed, LSN-ordered log persisted
-// through its own append-only region of the simulated disk.
+// through its own append-only files of the simulated disk.
 //
-// The log owns the first file of the device (LogFileID) and treats it as an
+// The log is a chain of segment files (see segment.go), the first of which
+// is the first file of the device (LogFileID). It treats them as an
 // append-only page device: log pages are allocated and written exactly once,
 // never rewritten, so any prefix of successfully written pages is durable no
 // matter where a crash lands. Each page carries the logical stream offset of
@@ -62,8 +63,11 @@
 //     page holding F and still find a manifest. A crash that tears that
 //     final page leaves the previous stamp — and the previous checkpoint —
 //     in force. Anything short of proof (no valid stamp, stamp 0, no
-//     readable page at the floor) starts the scan at page 0:
-//     under-truncating is always safe.
+//     readable page at the floor) starts the scan at the oldest page the
+//     device still holds: under-truncating is always safe. A checkpoint
+//     gives back a segment only once it lies wholly below a durable floor,
+//     so the oldest segment left always reaches down to the floor in force
+//     and a scan from it still finds the checkpoint that floor proves.
 package wal
 
 import (
@@ -80,9 +84,10 @@ import (
 // recovery LSNs without importing this package.
 type LSN = int64
 
-// LogFileID is the device file the log owns. The log must be created before
-// any other file so that a recovering process can find it without a
-// catalog — the catalog itself lives in the log.
+// LogFileID is the device file of the log's first segment: Create claims
+// the first file of an empty device. Later segments take whatever file the
+// device hands out next, and recovery finds them without a catalog (the
+// catalog itself lives in the log) by their segment headers.
 const LogFileID storage.FileID = 0
 
 // RecordType tags one log record.
@@ -155,8 +160,8 @@ func (t RecordType) String() string {
 	}
 }
 
-// magic is the RecHeader payload; a first record that does not carry it
-// means the file is not a log and recovery must not touch the device.
+// magic is the RecHeader payload and opens every segment header; a device
+// with no page carrying it holds no log, and recovery must not touch it.
 var magic = []byte("SJWAL1")
 
 // Record is one decoded log record.
@@ -222,6 +227,7 @@ func (h header) live(pageSize int) bool { return h.used > 0 && h.used <= pageSiz
 // pageEnd is one entry of the in-memory table truncation counts from: a
 // written log page and the stream offset its payload ends at.
 type pageEnd struct {
+	file storage.FileID
 	page int32
 	end  LSN
 }
@@ -255,9 +261,11 @@ type Stats struct {
 	BytesLogged  int64
 	PaddingBytes int64
 	// Checkpoints counts durable checkpoint end records;
-	// TruncatedPages counts log pages that fell wholly below the scan floor.
-	Checkpoints    int64
-	TruncatedPages int64
+	// TruncatedPages counts log pages that fell wholly below the scan floor;
+	// SegmentsDropped counts the segments given back to the device for it.
+	Checkpoints     int64
+	TruncatedPages  int64
+	SegmentsDropped int64
 }
 
 // Log is the append-only write-ahead log. It is safe for concurrent use:
@@ -275,7 +283,8 @@ type Log struct {
 	pending   int       // commits appended since the last sync
 	bounds    []LSN     // start LSNs of buffered records, for page firstRec
 	floor     LSN       // scan floor stamped on every page written (invariant I4)
-	live      []pageEnd // the written pages TruncateBelow has not yet reclaimed, in page order
+	segs      []segment // the segments on the device, oldest first; the log appends to the last
+	live      []pageEnd // the written pages TruncateBelow has not yet reclaimed, in log order
 	retain    LSN       // a checkpoint raises the floor no higher than this pin
 	page      []byte    // scratch log page syncStamped assembles in
 
@@ -283,15 +292,16 @@ type Log struct {
 	observer func(batchCommits, pagesWritten int)
 }
 
-// Create makes a fresh log on dev, which must be empty: the log claims the
-// device's first file so recovery can locate it. groupCommit is the number
-// of commits batched per sync (values <= 1 sync on every commit).
+// Create makes a fresh log on dev, which must be empty: the log's first
+// segment claims the device's first file. groupCommit is the number of
+// commits batched per sync (values <= 1 sync on every commit).
 func Create(dev storage.Device, groupCommit int) (*Log, error) {
 	id := dev.CreateFile()
 	if id != LogFileID {
 		return nil, fmt.Errorf("wal: log must own file %d of the device, got %d (device not empty)", LogFileID, id)
 	}
 	l := newLog(dev, groupCommit)
+	l.segs = []segment{{file: id}}
 	l.append(Record{Type: RecHeader, Data: magic})
 	if err := l.Sync(); err != nil {
 		return nil, fmt.Errorf("wal: writing log header: %w", err)
@@ -305,12 +315,6 @@ func newLog(dev storage.Device, groupCommit int) *Log {
 	}
 	return &Log{dev: dev, pageSize: dev.PageSize(), group: groupCommit, page: make([]byte, dev.PageSize())}
 }
-
-// payloadCap returns the payload bytes one log page holds.
-func (l *Log) payloadCap() int { return l.pageSize - pageHeader }
-
-// File returns the device file the log writes.
-func (l *Log) File() storage.FileID { return LogFileID }
 
 // Stats returns a snapshot of the log counters.
 func (l *Log) Stats() Stats {
@@ -472,7 +476,7 @@ func (l *Log) Sync() error {
 }
 
 // syncLocked writes the buffered tail under the scan floor in force.
-func (l *Log) syncLocked() error { return l.syncStamped(l.floor) }
+func (l *Log) syncLocked() error { return l.syncStamped(l.floor, true) }
 
 // syncStamped writes the buffered tail to freshly allocated log pages in
 // ascending order and, once every page is down, makes final the scan floor
@@ -481,8 +485,10 @@ func (l *Log) syncLocked() error { return l.syncStamped(l.floor) }
 // exactly when the record that justifies it is complete (invariant I4).
 // Pages are never rewritten: the remainder of the final partial page is
 // sealed as padding, so a crash can tear only the page being written, and
-// every earlier page stays durable.
-func (l *Log) syncStamped(final LSN) error {
+// every earlier page stays durable. With roll, a full segment hands over to
+// a fresh one; a follower's log, whose files mirror the primary's, never
+// rolls.
+func (l *Log) syncStamped(final LSN, roll bool) error {
 	if len(l.tail) == 0 {
 		l.pending = 0
 		return nil
@@ -491,7 +497,6 @@ func (l *Log) syncStamped(final LSN) error {
 	l.stats.Syncs++
 	batch := l.pending
 	pages := 0
-	room := l.payloadCap()
 	// written and consumed count the tail bytes and record boundaries the
 	// device holds; both are dropped from the buffers on every way out, so a
 	// failed sync leaves exactly the unwritten remainder to retry. A drained
@@ -502,16 +507,18 @@ func (l *Log) syncStamped(final LSN) error {
 		l.bounds = l.bounds[:copy(l.bounds, l.bounds[consumed:])]
 	}()
 	for written < len(l.tail) {
+		id, err := l.allocPage(roll)
+		if err != nil {
+			return fmt.Errorf("wal: extending log: %w", err)
+		}
+		off := payloadAt(id.Page)
+		room := l.pageSize - off
 		chunk := l.tail[written:]
 		stamp := final
 		if len(chunk) > room {
 			chunk, stamp = chunk[:room], l.floor
 		}
 		n := len(chunk)
-		id, err := l.dev.AllocPage(LogFileID)
-		if err != nil {
-			return fmt.Errorf("wal: extending log: %w", err)
-		}
 		// The first buffered record boundary inside this page's payload
 		// window, so a scanner can re-synchronize here after truncation.
 		// Boundaries are consumed only after the page write succeeds: a
@@ -531,16 +538,26 @@ func (l *Log) syncStamped(final LSN) error {
 		binary.LittleEndian.PutUint64(buf[4:], uint64(l.tailStart))
 		binary.LittleEndian.PutUint32(buf[12:], first)
 		binary.LittleEndian.PutUint64(buf[16:], uint64(stamp))
-		clear(buf[pageHeader+copy(buf[pageHeader:], chunk):])
+		if id.Page == 0 {
+			putSegHeader(buf, l.segs[len(l.segs)-1])
+		}
+		clear(buf[off+copy(buf[off:], chunk):])
 		if err := l.dev.WritePage(id, buf); err != nil {
 			// The failed page stays allocated with used == 0; the scanner
-			// skips it and a retried sync allocates a fresh successor.
+			// skips it and a retried sync allocates a fresh successor. A
+			// fresh segment whose header never landed is given back whole,
+			// so the retry opens another one with its header on page 0.
+			if id.Page == 0 && len(l.segs) > 1 {
+				l.segs = l.segs[:len(l.segs)-1]
+				//sjlint:ignore errdrop an unwritten segment nothing reads; a failed drop leaks one zero page
+				l.dev.DropFile(id.File)
+			}
 			return fmt.Errorf("wal: log append: %w", err)
 		}
 		consumed = next
 		written += n
 		l.tailStart += LSN(n)
-		l.live = append(l.live, pageEnd{page: id.Page, end: l.tailStart})
+		l.live = append(l.live, pageEnd{file: id.File, page: id.Page, end: l.tailStart})
 		l.stats.PageWrites++
 		pages++
 		fault.CrashPoint("wal.sync.page")
@@ -556,4 +573,15 @@ func (l *Log) syncStamped(final LSN) error {
 	}
 	fault.CrashPoint("wal.synced")
 	return nil
+}
+
+// allocPage allocates the next log page: in the newest segment, or — when
+// that one is full and roll is set — on page 0 of a fresh one.
+func (l *Log) allocPage(roll bool) (storage.PageID, error) {
+	cur := l.segs[len(l.segs)-1]
+	if roll && l.dev.NumPages(cur.file) >= segPages {
+		cur = segment{file: l.dev.CreateFile(), ord: cur.ord + 1, prev: cur.file}
+		l.segs = append(l.segs, cur)
+	}
+	return l.dev.AllocPage(cur.file)
 }

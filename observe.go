@@ -108,6 +108,16 @@ func (db *Database) registerMetrics() {
 			func() int64 { return w.Stats().Aborts })
 		count("spatialjoin_wal_truncated_pages_total", "Log pages that fell wholly below the scan floor at a checkpoint.",
 			func() int64 { return w.Stats().TruncatedPages })
+		count("spatialjoin_wal_segments_dropped_total", "Log segments given back to the device once wholly below the scan floor.",
+			func() int64 { return w.Stats().SegmentsDropped })
+		m.GaugeFunc("spatialjoin_wal_log_pages", "Pages the log's segments hold on the device: the space the log costs.",
+			func() float64 {
+				n := 0
+				for _, s := range w.Segments() {
+					n += disk.NumPages(s.File)
+				}
+				return float64(n)
+			})
 		count("spatialjoin_checkpoints_total", "Fuzzy checkpoints completed.",
 			func() int64 { return w.Stats().Checkpoints })
 		count("spatialjoin_checkpoint_pages_flushed_total", "Dirty frames written back by checkpoint sweeps.",

@@ -11,8 +11,6 @@ package spatialjoin
 import (
 	"fmt"
 	"testing"
-
-	"spatialjoin/internal/wal"
 )
 
 func BenchmarkReopen(b *testing.B) {
@@ -46,9 +44,9 @@ func BenchmarkReopen(b *testing.B) {
 					b.Fatal(err)
 				}
 				dev := db.Device()
-				// Truncation moves the scan floor without shrinking the file,
-				// so the live log is the allocation minus the dead pages.
-				logPages := dev.NumPages(wal.LogFileID) - truncated
+				// The live log is every page the log has allocated minus the
+				// dead ones below the head.
+				logPages := logEnd(db) - truncated
 				var stats RecoveryStats
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -19,8 +19,10 @@ import (
 // A full snapshot names the checkpoint it was cut after and carries every
 // file whole; a delta names the LSN it was cut against and carries the
 // pages dirtied since, plus the log whole. Exactly one of the two LSNs is
-// set, so since 0 means full. Either way the log travels from its head: the
-// pages below it are dead and arrive as implied zeros.
+// set, so since 0 means full. Either way each segment of the log travels
+// whole, the oldest from its head: the pages below the head are dead and
+// arrive as implied zeros, and a segment the log has given back travels as
+// the empty file it now is.
 //
 // The page set's checksums cover the header fields after the checkpoint
 // LSN. The checkpoint LSN itself is vouched for by the seed's recovery,
@@ -48,7 +50,9 @@ type SnapshotInfo struct {
 	// every page the log changed at or above it is included. Zero in a full
 	// snapshot.
 	SinceLSN wal.LSN
-	// Pages is the number of pages shipped: DataPages plus LogPages.
+	// Pages is the number of pages shipped: DataPages plus LogPages. A
+	// delta's applier tells them apart by the files that travel whole;
+	// SeedFromSnapshot, by the log it recovers.
 	Pages     int
 	DataPages int
 	LogPages  int
@@ -94,23 +98,35 @@ func (db *Database) ExportDelta(w io.Writer, since wal.LSN, pages []storage.Page
 
 // exportPages writes info's header and the page set: pages, plus every
 // file whole in a full snapshot or only the log in a delta, the log from
-// its head.
+// its head. A delta also sends every empty file whole — among them the
+// segments the log has dropped — so a replica's stale copy of one is
+// cleared rather than left to pose as log.
 func (db *Database) exportPages(w io.Writer, info SnapshotInfo, pages []storage.PageID) (SnapshotInfo, error) {
 	info.WALDurable = db.wal.DurableLSN()
 	hdr := info.header()
 	if _, err := w.Write(hdr); err != nil {
 		return info, err
 	}
-	head, full := int32(db.wal.HeadPage()), info.SinceLSN == 0
-	shipped, err := storage.WritePageSet(w, db.Device(), hdr[snapSealed:], pages,
+	dev, logFiles, full := db.Device(), db.logFiles(), info.SinceLSN == 0
+	shipped, err := storage.WritePageSet(w, dev, hdr[snapSealed:], pages,
 		func(f storage.FileID) (int32, bool) {
-			if f == wal.LogFileID {
-				return head, true
+			if from, ok := logFiles[f]; ok {
+				return from, true
 			}
-			return 0, full
+			return 0, full || dev.NumPages(f) == 0
 		})
-	info.count(shipped)
+	info.count(shipped, func(f storage.FileID) bool { _, ok := logFiles[f]; return ok })
 	return info, err
+}
+
+// logFiles maps each file of the log to the first page of it a copy of the
+// log must carry.
+func (db *Database) logFiles() map[storage.FileID]int32 {
+	files := make(map[storage.FileID]int32)
+	for _, s := range db.WALSegments() {
+		files[s.File] = s.From
+	}
+	return files
 }
 
 // ReadSnapshotHeader reads and validates the header of a snapshot stream —
@@ -148,18 +164,20 @@ func (info SnapshotInfo) header() []byte {
 	return le.AppendUint64(hdr, uint64(info.SinceLSN))
 }
 
-// apply patches disk from the page set that follows info's header.
-func (info *SnapshotInfo) apply(r io.Reader, disk *storage.Disk) error {
-	shipped, err := storage.ApplyPageSet(r, disk, info.header()[snapSealed:])
-	info.count(shipped)
-	return err
+// apply patches disk from the page set that follows info's header and
+// returns the pages it carried. A delta's are counted here: only the log
+// (and files with no pages) travels whole in one.
+func (info *SnapshotInfo) apply(r io.Reader, disk *storage.Disk) ([]storage.PageID, error) {
+	shipped, whole, err := storage.ApplyPageSet(r, disk, info.header()[snapSealed:])
+	info.count(shipped, func(f storage.FileID) bool { return info.SinceLSN != 0 && whole[f] })
+	return shipped, err
 }
 
 // count splits the shipped pages into data and log pages.
-func (info *SnapshotInfo) count(shipped []storage.PageID) {
-	info.Pages = len(shipped)
+func (info *SnapshotInfo) count(shipped []storage.PageID, isLog func(storage.FileID) bool) {
+	info.Pages, info.LogPages = len(shipped), 0
 	for _, id := range shipped {
-		if id.File == wal.LogFileID {
+		if isLog(id.File) {
 			info.LogPages++
 		}
 	}
@@ -182,7 +200,8 @@ func SeedFromSnapshot(cfg Config, r io.Reader) (*Database, SnapshotInfo, error) 
 		return nil, info, fmt.Errorf("spatialjoin: stream is a snapshot delta, not a full snapshot")
 	}
 	disk := storage.NewDisk(cfg.PageSize)
-	if err := info.apply(r, disk); err != nil {
+	shipped, err := info.apply(r, disk)
+	if err != nil {
 		return nil, info, err
 	}
 	var device storage.Device = disk
@@ -200,6 +219,8 @@ func SeedFromSnapshot(cfg Config, r io.Reader) (*Database, SnapshotInfo, error) 
 		return nil, info, fmt.Errorf("spatialjoin: snapshot names checkpoint %d but recovery found %d (corrupt or mismatched stream)",
 			info.CheckpointLSN, stats.CheckpointLSN)
 	}
+	logFiles := db.logFiles()
+	info.count(shipped, func(f storage.FileID) bool { _, ok := logFiles[f]; return ok })
 	return db, info, nil
 }
 
@@ -217,6 +238,6 @@ func ApplySnapshotDelta(disk *storage.Disk, r io.Reader) (SnapshotInfo, error) {
 	if info.SinceLSN == 0 {
 		return info, fmt.Errorf("spatialjoin: stream is a full snapshot, not a delta")
 	}
-	err = info.apply(r, disk)
+	_, err = info.apply(r, disk)
 	return info, err
 }

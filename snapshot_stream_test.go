@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"spatialjoin/internal/storage"
-	"spatialjoin/internal/wal"
 )
 
 // smallStreams exports a full snapshot and a delta of a database small
@@ -95,7 +94,7 @@ func TestSnapshotStreamRejectsEveryTornOrFlippedByte(t *testing.T) {
 func TestSnapshotRoundTripReproducesDevice(t *testing.T) {
 	cfg := crashConfig(1, 1)
 	src, stream, _ := exportWorkload(t, cfg)
-	head := src.wal.HeadPage()
+	head, logFiles := src.wal.HeadPage(), src.logFiles()
 	if head == 0 {
 		t.Fatal("the workload left no dead log pages")
 	}
@@ -105,11 +104,11 @@ func TestSnapshotRoundTripReproducesDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := storage.NewDisk(cfg.PageSize)
-	if err := info.apply(r, dst); err != nil {
+	if _, err := info.apply(r, dst); err != nil {
 		t.Fatal(err)
 	}
 	dev := src.Device()
-	if files := dev.(interface{ Files() int }).Files(); dst.Files() != files {
+	if files := dev.Files(); dst.Files() != files {
 		t.Fatalf("fresh disk has %d files, source %d", dst.Files(), files)
 	}
 	zero := storage.PageChecksum(make([]byte, cfg.PageSize))
@@ -122,7 +121,7 @@ func TestSnapshotRoundTripReproducesDevice(t *testing.T) {
 		for p := 0; p < dev.NumPages(id); p++ {
 			pid := storage.PageID{File: id, Page: int32(p)}
 			want, _ := dev.Checksum(pid)
-			if id == wal.LogFileID && p < head {
+			if from, ok := logFiles[id]; ok && int32(p) < from {
 				want = zero
 			}
 			if got, _ := dst.Checksum(pid); got != want {
@@ -130,4 +129,99 @@ func TestSnapshotRoundTripReproducesDevice(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSnapshotsAfterDropsMatchGeometry seeds a replica from a full snapshot
+// and then patches it from a delta, each taken after checkpoints have given
+// log segments back: either way the replica holds exactly the source's
+// files, page count for page count — a dropped segment arrives as the empty
+// file it is — and reopens onto the source's collection.
+func TestSnapshotsAfterDropsMatchGeometry(t *testing.T) {
+	cfg := crashConfig(1, 1)
+	cfg.Fault = nil
+	src, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	c, err := src.CreateCollection("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := func(from, n int) {
+		for round := from; round < from+n; round++ {
+			insertRects(t, c, 10*round, 10)
+			if _, err := src.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sameGeometry := func(label string, dev storage.Device) {
+		t.Helper()
+		want := src.Device()
+		if dev.Files() != want.Files() {
+			t.Fatalf("%s: replica has %d files, source %d", label, dev.Files(), want.Files())
+		}
+		for f := storage.FileID(0); int(f) < want.Files(); f++ {
+			if dev.NumPages(f) != want.NumPages(f) {
+				t.Errorf("%s: file %d holds %d pages on the replica, %d on the source", label, f, dev.NumPages(f), want.NumPages(f))
+			}
+		}
+	}
+	holds := func(label string, db *Database) {
+		t.Helper()
+		if rc, _ := db.Collection("r"); rc == nil || rc.Len() != c.Len() {
+			t.Fatalf("%s: replica does not hold the source's %d objects", label, c.Len())
+		}
+	}
+
+	rounds(0, 8)
+	dropped := src.WALStats().SegmentsDropped
+	if dropped == 0 {
+		t.Fatal("no segment dropped before the full snapshot; the test needs one")
+	}
+	var full bytes.Buffer
+	if _, err := src.ExportSnapshot(&full); err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := SeedFromSnapshot(cfg, &full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGeometry("full snapshot", rep.Device())
+	holds("full snapshot", rep)
+	since := rep.RecoveryInfo().NextApplyFloor
+	disk := rep.Device().(*storage.Disk)
+	if err := rep.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rounds(8, 8)
+	if src.WALStats().SegmentsDropped == dropped {
+		t.Fatal("no segment dropped between the snapshots; the test needs one")
+	}
+	var pages []storage.PageID
+	logFiles := src.logFiles()
+	for f := storage.FileID(0); int(f) < src.Device().Files(); f++ {
+		if _, ok := logFiles[f]; ok {
+			continue
+		}
+		for p := 0; p < src.Device().NumPages(f); p++ {
+			pages = append(pages, storage.PageID{File: f, Page: int32(p)})
+		}
+	}
+	var delta bytes.Buffer
+	if _, err := src.ExportDelta(&delta, since, pages); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ApplySnapshotDelta(disk, &delta); err != nil {
+		t.Fatal(err)
+	}
+	sameGeometry("delta", disk)
+	rep, _, err = ReopenAt(cfg, disk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	holds("delta", rep)
 }

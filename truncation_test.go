@@ -8,11 +8,15 @@ package spatialjoin
 // it, wherever a crash lands in a multi-page end record.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"spatialjoin/internal/fault"
+	"spatialjoin/internal/obs"
+	"spatialjoin/internal/storage"
 	"spatialjoin/internal/wal"
 )
 
@@ -84,7 +88,7 @@ func TestReopenReadsOnlyTheLiveLog(t *testing.T) {
 		}
 		insertRects(t, c, n, 5) // the tail every recovery must read
 		dev := db.Device()
-		pages := dev.NumPages(wal.LogFileID)
+		pages := logEnd(db)
 		dead := int(db.CheckpointTotals().PagesTruncated)
 		rdb, stats, err := Reopen(cfg, dev)
 		if err != nil {
@@ -145,11 +149,11 @@ func TestCrashSweepMultiPageCheckpointEnd(t *testing.T) {
 	defer fault.DisarmCrashPoints()
 	runSteps(t, dry, steps[:last])
 	before, writesBefore := fault.RecordedCrashPoints(), dry.DiskStats().Writes-opened
-	logBefore := dry.Device().NumPages(wal.LogFileID)
+	logBefore := logEnd(dry)
 	runSteps(t, dry, steps[last:])
 	inside, writesAfter := fault.RecordedCrashPoints(), dry.DiskStats().Writes-opened
 	fault.DisarmCrashPoints()
-	if span := dry.Device().NumPages(wal.LogFileID) - logBefore; span < 3 {
+	if span := logEnd(dry) - logBefore; span < 3 {
 		t.Fatalf("the last checkpoint appended %d log pages; the sweep needs an end record spanning at least 3", span)
 	}
 
@@ -195,7 +199,8 @@ func TestCrashSweepMultiPageCheckpointEnd(t *testing.T) {
 
 // TestSnapshotsShipOnlyTheLiveLog checks a snapshot delta and a full
 // snapshot both carry the log from the truncation head on: the dead pages a
-// checkpoint left below the floor stay on this device, but never travel.
+// checkpoint left below the floor in the head segment stay on this device,
+// but never travel.
 func TestSnapshotsShipOnlyTheLiveLog(t *testing.T) {
 	cfg := crashConfig(1, 1)
 	db, err := Open(cfg)
@@ -213,7 +218,7 @@ func TestSnapshotsShipOnlyTheLiveLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages := db.Device().NumPages(wal.LogFileID)
+	pages := logEnd(db)
 	if cs.PagesTruncated == 0 || info.LogPages != pages-cs.PagesTruncated {
 		t.Errorf("delta shipped %d log pages of %d with %d dead, want exactly the live ones",
 			info.LogPages, pages, cs.PagesTruncated)
@@ -223,9 +228,193 @@ func TestSnapshotsShipOnlyTheLiveLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages, head := db.Device().NumPages(wal.LogFileID), db.wal.HeadPage()
+	pages, head := logEnd(db), db.wal.HeadPage()
 	if head == 0 || full.LogPages != pages-head {
 		t.Errorf("full snapshot shipped %d log pages of %d with head %d, want exactly the live ones",
 			full.LogPages, pages, head)
+	}
+}
+
+// logEnd is one past the last page db's log has allocated, numbered like
+// HeadPage: the head's segment starts HeadPage-From pages into the log, and
+// every segment but the newest is full.
+func logEnd(db *Database) int {
+	segs := db.WALSegments()
+	end := db.wal.HeadPage() - int(segs[0].From)
+	for _, s := range segs {
+		end += db.Device().NumPages(s.File)
+	}
+	return end
+}
+
+// logSpace reports the pages db's log holds on the device, its live pages
+// (head to end), and any page of a file that is neither the log's nor one
+// of the given data files — space nothing accounts for.
+func logSpace(t *testing.T, db *Database, data ...storage.FileID) (held, live, orphaned int) {
+	t.Helper()
+	dev := db.Device()
+	owned := make(map[storage.FileID]bool)
+	for _, f := range data {
+		owned[f] = true
+	}
+	for _, s := range db.WALSegments() {
+		owned[s.File] = true
+		held += dev.NumPages(s.File)
+	}
+	for f := storage.FileID(0); int(f) < dev.Files(); f++ {
+		if !owned[f] {
+			orphaned += dev.NumPages(f)
+		}
+	}
+	return held, logEnd(db) - db.wal.HeadPage(), orphaned
+}
+
+// segmentPages is the log's segment size: the most dead log a checkpoint
+// may leave on the device, the dead head of the segment it keeps.
+const segmentPages = 32
+
+// TestLogGivesSpaceBack runs 20 insert-then-checkpoint rounds: after each,
+// the log holds at most one segment's worth of pages beyond its live ones,
+// and every other page of the device belongs to the collection. Without
+// segment drops the log's pages grow with every round. The space is
+// watched, not inferred: /metrics reports the pages the log holds and the
+// segments dropped, and the flight recorder holds one event per drop.
+func TestLogGivesSpaceBack(t *testing.T) {
+	cfg := crashConfig(1, 1)
+	cfg.Metrics = obs.NewRegistry()
+	var lastSeq uint64
+	for _, e := range obs.Events() {
+		lastSeq = max(lastSeq, e.Seq)
+	}
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := db.CreateCollection("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []storage.FileID{c.rel.FileID(), c.IndexFileID()}
+	for round := 0; round < 20; round++ {
+		insertRects(t, c, 10*round, 10)
+		if _, err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		held, live, orphaned := logSpace(t, db, data...)
+		if held > live+segmentPages || orphaned != 0 {
+			t.Fatalf("round %d: the log holds %d device pages for %d live ones, and %d pages belong to no one; want at most %d and none",
+				round, held, live, orphaned, live+segmentPages)
+		}
+	}
+	dropped := db.WALStats().SegmentsDropped
+	if dropped == 0 {
+		t.Fatal("20 checkpoints dropped no segment; the test needs a log longer than one")
+	}
+	var scrape bytes.Buffer
+	if err := cfg.Metrics.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	held, _, _ := logSpace(t, db, data...)
+	for _, line := range []string{
+		fmt.Sprintf("spatialjoin_wal_log_pages %d\n", held),
+		fmt.Sprintf("spatialjoin_wal_segments_dropped_total %d\n", dropped),
+	} {
+		if !strings.Contains(scrape.String(), line) {
+			t.Errorf("scrape lacks %q", line)
+		}
+	}
+	var events int64
+	for _, e := range obs.Events() {
+		if e.Seq > lastSeq && e.Kind == obs.RecLogSegmentDrop {
+			events++
+		}
+	}
+	if events != dropped {
+		t.Errorf("the flight recorder holds %d segment drops, the log counted %d", events, dropped)
+	}
+	rdb, _, err := Reopen(cfg, db.Device())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc, _ := rdb.Collection("r"); rc == nil || rc.Len() != 200 {
+		t.Fatal("recovery after the drops lost objects")
+	}
+}
+
+// TestCrashBeforeSegmentDrop crashes a truncating checkpoint after its end
+// record is durable but before it gives back the segments below the floor,
+// at every such checkpoint of the workload. Recovery must drop them: the
+// recovered device holds no log pages beyond the live log's segments, and
+// it has emptied exactly the files an uncrashed run of the same steps does.
+func TestCrashBeforeSegmentDrop(t *testing.T) {
+	cfg := crashConfig(1, 1)
+	var steps []crashStep
+	steps = append(steps, crashStep{name: "create", run: func(db *Database) error {
+		_, err := db.CreateCollection("r")
+		return err
+	}})
+	for round := 0; round < 12; round++ {
+		round := round
+		steps = append(steps, crashStep{name: fmt.Sprintf("round-%d", round), run: func(db *Database) error {
+			c, _ := db.Collection("r")
+			for i := 10 * round; i < 10*round+10; i++ {
+				if _, err := c.Insert(crashRect(i), "x"); err != nil {
+					return err
+				}
+			}
+			_, err := db.Checkpoint()
+			return err
+		}})
+	}
+
+	fault.StartCrashPointRecording()
+	dry, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSteps(t, dry, steps)
+	drops := fault.RecordedCrashPoints()["wal.drop-segment"]
+	fault.DisarmCrashPoints()
+	if drops == 0 {
+		t.Fatal("no checkpoint of the workload drops a segment")
+	}
+
+	for k := 1; k <= drops; k++ {
+		label := fmt.Sprintf("wal.drop-segment#%d", k)
+		db, completed, crash := runToCrash(t, cfg, steps, label, func(*fault.Disk) { fault.ArmCrashPoint("wal.drop-segment", k) })
+		if crash == nil {
+			t.Fatalf("%s: the crash point never fired", label)
+		}
+		db.FaultDisk().Reboot()
+		rdb, stats, err := Reopen(cfg, db.Device())
+		if err != nil {
+			t.Fatalf("%s: Reopen: %v", label, err)
+		}
+		if stats.SegmentsDropped == 0 {
+			t.Errorf("%s: recovery dropped no stranded segment", label)
+		}
+		c, _ := rdb.Collection("r")
+		if c == nil || c.Len() != 10*completed {
+			t.Fatalf("%s: recovered collection does not hold the %d committed rounds", label, completed)
+		}
+		held, live, orphaned := logSpace(t, rdb, c.rel.FileID(), c.IndexFileID())
+		if held > live+segmentPages || orphaned != 0 {
+			t.Errorf("%s: the recovered log holds %d device pages for %d live ones, and %d pages belong to no one",
+				label, held, live, orphaned)
+		}
+		twin, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runSteps(t, twin, steps[:completed+1])
+		dev, want := rdb.Device(), twin.Device()
+		if dev.Files() != want.Files() {
+			t.Fatalf("%s: %d files after recovery, %d in the uncrashed run", label, dev.Files(), want.Files())
+		}
+		for f := storage.FileID(0); int(f) < dev.Files(); f++ {
+			if (dev.NumPages(f) == 0) != (want.NumPages(f) == 0) {
+				t.Errorf("%s: file %d holds %d pages after recovery, %d in the uncrashed run", label, f, dev.NumPages(f), want.NumPages(f))
+			}
+		}
 	}
 }
