@@ -27,9 +27,13 @@ type Advice struct {
 // AdviseJoin estimates the join selectivity by sampling object pairs, maps
 // the database's physical configuration onto the paper's cost model, and
 // prices the executable strategies: nested loop (D_I), generalization tree
-// (D_IIb — collections are loaded in insertion order, which clusters
-// spatially correlated inserts about as well as the model's clustered
-// case), and — when one exists for (r, s, op) — the join index (D_III).
+// (D_IIb), and — when one exists for (r, s, op) — the join index (D_III).
+// D_IIb is a known approximation. It assumes S2 (every node is a tuple, read
+// when examined) and the clustered placement, where the served R-trees have
+// technical interiors, read an item's tuple only for θ, and sit on heaps in
+// insertion order, which leaves the items under one leaf on unrelated pages
+// (the unclustered case). It stands until a leaf-tuple D_II priced by
+// measured clustering replaces it (ROADMAP.md, item 3b).
 //
 // The model is used the way the paper uses it: to rank strategies, not to
 // predict wall-clock times. Empty collections default to TreeStrategy.

@@ -263,6 +263,92 @@ func TestChaosHeapLossIsTyped(t *testing.T) {
 	}
 }
 
+// TestChaosHeapLossSurfacesOnlyWhereTheJoinReads loses base heap pages
+// under a tree join, which reads an R-tree item's page only when θ reads the
+// item, not when Θ examines it. A lost page holding a θ candidate still
+// fails the join with the permanent classification; a lost page whose
+// tuples Θ examines but no θ reads leaves the answer byte-identical and
+// records no downgrade, although a scan of the same collection fails on it.
+func TestChaosHeapLossSurfacesOnlyWhereTheJoinReads(t *testing.T) {
+	rs, ss, world := chaosRects()
+	nearR := len(rs)
+	// Past the world, a 12×12 checkerboard of squares: S takes the even
+	// cells, R the odd ones, appended after the rest. The two sides' leaves
+	// there overlap, so Θ examines R's squares, but no square overlaps one
+	// of the other side, so θ never reads them.
+	const cell, side = 40.0, 12
+	for i := 0; i < side*side; i++ {
+		x, y := world.MaxX+cell*float64(1+i%side), world.MaxY+cell*float64(1+i/side)
+		sq := geom.NewRect(x+5, y+5, x+cell-5, y+cell-5)
+		if (i%side+i/side)%2 == 0 {
+			ss = append(ss, sq)
+		} else {
+			rs = append(rs, sq)
+		}
+	}
+	healthy, err := Open(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := healthy.Join(loadRects(t, healthy, "r", rs), loadRects(t, healthy, "s", ss),
+		Overlaps(), ScanStrategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, workers := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		cfg.BufferPages = 48
+		cfg.Fault = &fault.Options{Seed: 9009}
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, s := loadRects(t, db, "r", rs), loadRects(t, db, "s", ss)
+		pageOf := func(id int) storage.PageID {
+			rid, err := r.rel.RID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rid.Page
+		}
+		// The candidate page holds a matched tuple; the idle page is the last
+		// square's, and no tuple from the world may share it.
+		candidate, idle := pageOf(want[0].R), pageOf(len(rs)-1)
+		for id := 0; id < nearR; id++ {
+			if pageOf(id) == idle {
+				t.Fatalf("near tuple %d shares the idle page %v", id, idle)
+			}
+		}
+
+		for _, tc := range []struct {
+			name string
+			page storage.PageID
+			fail bool
+		}{{"candidate", candidate, true}, {"idle", idle, false}} {
+			if err := db.DropCache(); err != nil {
+				t.Fatal(err)
+			}
+			db.FaultDisk().LosePage(tc.page)
+			ms, stats, err := db.Join(r, s, Overlaps(), TreeStrategy)
+			switch {
+			case tc.fail && (err == nil || !fault.IsPermanent(err)):
+				t.Errorf("workers=%d %s page lost: tree join err = %v, want a permanent fault", workers, tc.name, err)
+			case !tc.fail && err != nil:
+				t.Errorf("workers=%d %s page lost: tree join failed: %v", workers, tc.name, err)
+			case !tc.fail && (matchKey(ms) != matchKey(want) || stats.Downgrades != 0):
+				t.Errorf("workers=%d %s page lost: %d matches (want %d), %d downgrades",
+					workers, tc.name, len(ms), len(want), stats.Downgrades)
+			}
+			if _, _, err := db.Join(r, s, Overlaps(), ScanStrategy); !fault.IsPermanent(err) {
+				t.Errorf("workers=%d %s page lost: the scan must read it and fail, got %v", workers, tc.name, err)
+			}
+			db.FaultDisk().HealPage(tc.page)
+		}
+	}
+}
+
 // TestChaosPreCancelledContext asserts an already-cancelled context aborts
 // every strategy promptly with context.Canceled.
 func TestChaosPreCancelledContext(t *testing.T) {

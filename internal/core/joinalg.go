@@ -32,11 +32,14 @@ func SortMatches(ms []Match) {
 
 // JoinOptions tunes algorithm JOIN.
 type JoinOptions struct {
-	// TouchR / TouchS are invoked once per examined node of the respective
-	// tree, before its filter is evaluated; executors charge page I/O here.
+	// TouchR / TouchS are where executors charge page I/O for a node of the
+	// respective tree, at the point its tuple is read (Node.ContainsTuple):
+	// a node that contains its tuple once per examination, before its Θ
+	// filter; a node that only references it once per θ evaluation it takes
+	// part in, immediately before θ reads its object, and never for Θ alone.
 	// Nodes below a technical fixed node of a JOIN4 SELECT pass, and a's
 	// children when no child of a technical b qualified, are not examined;
-	// a childless pair is touched right after the passes that formed it
+	// a childless pair is decided right after the passes that formed it
 	// (see Join). With Workers > 1 they are called from multiple goroutines
 	// and must be safe for concurrent use.
 	TouchR func(Node) error
@@ -111,10 +114,11 @@ type JoinResult struct {
 // run: with b as its fixed node it can emit no pair, and its verdicts would
 // be crossed with an empty list. (ii) When the qualifying children are
 // crossed, a pair of two childless nodes is decided on the spot (JOIN2 and
-// JOIN3; its JOIN4 would be empty) instead of being queued, while a small
-// pool still holds the pages the passes just touched. JOIN keeps no state
-// across pairs but counters and an output every caller sorts, so only the
-// discovery order moves, and on S2 trees every count is the paper's.
+// JOIN3; its JOIN4 would be empty) instead of being queued. JOIN keeps no
+// state across pairs but counters and an output every caller sorts, so only
+// the discovery order moves, and on S2 trees every count is the paper's.
+// Where a node's tuple is charged follows Node.ContainsTuple: an index
+// entry's tuple is read only for θ (see JoinOptions.TouchR).
 func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error) {
 	var options JoinOptions
 	if opts != nil {
@@ -315,6 +319,9 @@ func joinPair(a, b Node, op pred.Operator, options *JoinOptions, res *JoinResult
 	if ra, okA := a.Tuple(); okA {
 		if sb, okB := b.Tuple(); okB {
 			res.Stats.ExactEvals++
+			if err := charge2(a, b, options, false); err != nil {
+				return false, err
+			}
 			if op.Eval(a.Object(), b.Object()) {
 				res.Pairs = append(res.Pairs, Match{R: ra, S: sb})
 			}
@@ -358,6 +365,9 @@ func JoinSelect(fixed, n Node, op pred.Operator, s Side,
 	}
 	if _, ok := n.Tuple(); ok {
 		res.Stats.ExactEvals++
+		if err := charge2(r, sn, opts, false); err != nil {
+			return false, err
+		}
 		if op.Eval(r.Object(), sn.Object()) {
 			rid, _ := r.Tuple()
 			sid, _ := sn.Tuple()
@@ -372,26 +382,16 @@ func JoinSelect(fixed, n Node, op pred.Operator, s Side,
 	return true, nil
 }
 
-// touch2 charges node examinations for both members of a QualPairs pair.
+// touch2 counts the examination of both members of a QualPairs pair.
 func touch2(a, b Node, opts *JoinOptions, res *JoinResult) error {
 	res.Stats.NodesExamined += 2
 	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined, 2); err != nil {
 		return err
 	}
-	if opts.TouchR != nil {
-		if err := opts.TouchR(a); err != nil {
-			return err
-		}
-	}
-	if opts.TouchS != nil {
-		if err := opts.TouchS(b); err != nil {
-			return err
-		}
-	}
-	return nil
+	return charge2(a, b, opts, true)
 }
 
-// touch1 charges a node examination on the moving side of a SELECT pass.
+// touch1 counts a node examination on the moving side of a SELECT pass.
 func touch1(n Node, s Side, opts *JoinOptions, res *JoinResult) error {
 	res.Stats.NodesExamined++
 	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined, 1); err != nil {
@@ -401,7 +401,22 @@ func touch1(n Node, s Side, opts *JoinOptions, res *JoinResult) error {
 	if s == MovingS {
 		touch = opts.TouchS
 	}
-	if touch == nil {
+	return charge(touch, n, true)
+}
+
+// charge2 charges an R-side and an S-side node at one point (see charge).
+func charge2(r, s Node, opts *JoinOptions, examined bool) error {
+	if err := charge(opts.TouchR, r, examined); err != nil {
+		return err
+	}
+	return charge(opts.TouchS, s, examined)
+}
+
+// charge invokes touch for n at the one point n's tuple is read: when n is
+// examined (examined true) if it contains its tuple, immediately before θ
+// reads its object (examined false) if it only references it.
+func charge(touch func(Node) error, n Node, examined bool) error {
+	if touch == nil || n.ContainsTuple() != examined {
 		return nil
 	}
 	return touch(n)

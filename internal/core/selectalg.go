@@ -10,14 +10,16 @@ import (
 
 // Stats counts the work an algorithm performed, in the units of the paper's
 // cost model: Θ filter evaluations (charged C_Θ each), exact θ evaluations,
-// and node examinations (each of which the executor layer may turn into a
-// page access).
+// and node examinations. The page accesses the executor layer charges follow
+// Node.ContainsTuple: one per examination of a node that contains its tuple,
+// one per θ operand that only references it.
 type Stats struct {
 	// FilterEvals is the number of Θ evaluations.
 	FilterEvals int64
 	// ExactEvals is the number of θ evaluations.
 	ExactEvals int64
-	// NodesExamined is the number of node visits (Touch calls).
+	// NodesExamined is the number of node visits. It equals the number of
+	// Touch calls only on trees whose nodes contain their tuples.
 	NodesExamined int64
 	// MaxQueue is the peak size of the traversal worklist, a memory proxy.
 	// For Join, the largest QualPairs level; childless pairs are not queued.
@@ -51,9 +53,11 @@ const (
 type SelectOptions struct {
 	// Traversal is the search order; the zero value is BreadthFirst.
 	Traversal Traversal
-	// Touch, when non-nil, is invoked once per examined node, before its Θ
-	// filter is evaluated. Executors use it to charge page I/O for reading
-	// the node's tuple.
+	// Touch, when non-nil, is where executors charge page I/O for reading a
+	// node's tuple, at the point it is read (Node.ContainsTuple): once per
+	// examined node that contains its tuple, before its Θ filter; for a node
+	// that only references it, immediately before θ reads its object, so a
+	// node Θ rejects is never touched.
 	Touch func(Node) error
 	// Ctx, when non-nil, bounds the traversal: it is checked between
 	// breadth-first levels and every ctxStride node examinations, and its
@@ -205,10 +209,8 @@ func examine(a Node, o geom.Spatial, ob geom.Rect, op pred.Operator,
 	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined, 1); err != nil {
 		return false, err
 	}
-	if opts.Touch != nil {
-		if err := opts.Touch(a); err != nil {
-			return false, err
-		}
+	if err := charge(opts.Touch, a, true); err != nil {
+		return false, err
 	}
 	res.Stats.FilterEvals++
 	if !op.Filter(ob, a.Bounds()) {
@@ -216,6 +218,9 @@ func examine(a Node, o geom.Spatial, ob geom.Rect, op pred.Operator,
 	}
 	if _, hasTuple := a.Tuple(); hasTuple {
 		res.Stats.ExactEvals++
+		if err := charge(opts.Touch, a, false); err != nil {
+			return false, err
+		}
 		if op.Eval(o, a.Object()) {
 			id, _ := a.Tuple()
 			res.Tuples = append(res.Tuples, id)

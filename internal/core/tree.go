@@ -41,6 +41,15 @@ type Node interface {
 	// descent allocation-free: implementations hand out pointer-shaped
 	// values, which box into the interface without touching the heap.
 	Child(i int) Node
+
+	// ContainsTuple reports where the node's tuple is read, and so when
+	// executors are asked to charge for it. True for a node stored with its
+	// tuple (the paper's S2, §4.1): examining it reads the tuple, so it is
+	// charged when examined, before Θ. False for a node that only references
+	// its tuple, such as an index entry that stores its MBR: Θ reads only
+	// the entry, and the node is charged immediately before θ reads
+	// Object(), so a node Θ rejects costs no tuple read.
+	ContainsTuple() bool
 }
 
 // Tree is a generalization tree used as a secondary index on one spatial
@@ -93,6 +102,9 @@ func (n *BasicNode) NumChildren() int { return len(n.Kids) }
 
 // Child implements Node.
 func (n *BasicNode) Child(i int) Node { return n.Kids[i] }
+
+// ContainsTuple implements Node: a materialized node is its tuple (S2).
+func (n *BasicNode) ContainsTuple() bool { return true }
 
 // BasicTree wraps a BasicNode root as a Tree.
 type BasicTree struct {

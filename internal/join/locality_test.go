@@ -15,11 +15,12 @@ import (
 // levelOrderJoin is the join's descent with every pair, item pairs
 // included, decided in a QualPairs level of its own — the order algorithm
 // JOIN had before childless pairs were decided where they are formed. It
-// issues exactly the touches and Θ evaluations core.Join does (the second
-// pass is skipped under a technical b that no child qualified for), only
-// later, and is written for index trees of equal height alone: a node with
-// children must be technical and is never paired with an item, so no SELECT
-// pass ever descends.
+// issues exactly the Θ evaluations core.Join does (the second pass is
+// skipped under a technical b that no child qualified for), only later, and
+// touches every node it examines, as core.Join did before an item's page was
+// read only for θ. It is written for index trees of equal height alone: a
+// node with children must be technical and is never paired with an item, so
+// no SELECT pass ever descends.
 func levelOrderJoin(t *testing.T, trR, trS core.Tree, op pred.Operator,
 	touchR, touchS func(core.Node) error) (matches []core.Match, filterEvals, itemPairs int64) {
 
@@ -82,24 +83,22 @@ func levelOrderJoin(t *testing.T, trR, trS core.Tree, op pred.Operator,
 	return matches, filterEvals, itemPairs
 }
 
+// parentJoinReads is what the tree join below read on these trees when
+// every examined item was touched before its Θ filter.
+const parentJoinReads = 10635
+
 // TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident is the locality
 // pin of the tree join over two R-tree collections behind a 16-frame pool.
-// Against the level-order walk above, through the same pool dropped before
-// each run, the join returns the same matches from the same Θ count and
-// reads at least 20 % fewer pages: the walk re-reads at the item level the
-// tuple pages its leaf level had just read, after every other leaf pair has
-// been through the 16 frames. Traced, the join has no item level and its
-// per-level reads sum to Stats.PageReads. And the touches of the pairs
-// decided in place never miss: the two SELECT passes over a pair of leaves
-// touch at most MaxEntries + MaxEntries = 16 distinct pages, every one of
-// which the pool still holds when the item pairs are crossed.
+// Against the level-order walk above, which touches every node it examines,
+// through the same pool dropped before each run, the join returns the same
+// matches from the same Θ count; it reads at most a third of the walk's
+// pages and at most half of parentJoinReads, because an item's page is read
+// only when θ reads the item. Traced, the join has no item level and its
+// per-level reads sum to Stats.PageReads. And the touches are exactly θ's
+// operands: two per θ evaluation, none of a technical node.
 func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
-	const frames = 16
 	opts := rtree.DefaultOptions()
-	if 2*opts.MaxEntries > frames {
-		t.Fatalf("MaxEntries %d: a pair of leaves must fit the %d-frame pool", opts.MaxEntries, frames)
-	}
-	pool := newPool(t, frames)
+	pool := newPool(t, 16)
 	rng := rand.New(rand.NewSource(5))
 	world := geom.NewRect(0, 0, 1000, 1000)
 	rTab, rTree := newRTreeTable(t, pool, rng, "r", 2000, world, opts)
@@ -139,11 +138,16 @@ func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
 	if stats.FilterEvals != wantEvals {
 		t.Errorf("FilterEvals = %d, the level-order walk evaluated %d", stats.FilterEvals, wantEvals)
 	}
-	if stats.PageReads*5 > walkReads*4 {
-		t.Errorf("tree join read %d pages, the level-order walk %d: want at least 20%% fewer",
+	if stats.PageReads*3 > walkReads {
+		t.Errorf("tree join read %d pages, the level-order walk %d: want at most a third",
 			stats.PageReads, walkReads)
 	}
-	t.Logf("reads: join %d, level-order walk %d; %d item pairs", stats.PageReads, walkReads, itemPairs)
+	if stats.PageReads*2 > parentJoinReads {
+		t.Errorf("tree join read %d pages, %d when items were touched for Θ: want at most half",
+			stats.PageReads, parentJoinReads)
+	}
+	t.Logf("reads: join %d, level-order walk %d; %d item pairs, %d θ evaluations",
+		stats.PageReads, walkReads, itemPairs, stats.ExactEvals)
 	levels := trace.SpansNamed("level")
 	if len(levels) != rTree.Height() {
 		t.Errorf("%d level spans, want %d: the item depth gets no level", len(levels), rTree.Height())
@@ -157,35 +161,20 @@ func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
 		t.Errorf("level reads sum to %d, PageReads = %d", levelReads, stats.PageReads)
 	}
 
-	// Within the processing of one pair of leaves (it begins when TouchR
-	// sees the technical R-side leaf), the passes touch each item once; a
-	// repeated touch of an item belongs to a pair decided in place.
-	var inPlace, inPlaceMisses int64
-	seen := map[core.Node]bool{}
-	hook := func(tab Table) func(core.Node) error {
-		return func(n core.Node) error {
-			if _, ok := n.Tuple(); !ok {
-				clear(seen)
-				return nil
-			}
-			before := misses()
-			err := tupleTouch(tab, n)
-			if seen[n] {
-				inPlace++
-				inPlaceMisses += misses() - before
-			}
-			seen[n] = true
-			return err
+	var touches, technical int64
+	hook := func(n core.Node) error {
+		touches++
+		if _, ok := n.Tuple(); !ok {
+			technical++
 		}
+		return nil
 	}
-	drop()
-	if _, err := core.Join(rTree, sTree, op, &core.JoinOptions{TouchR: hook(rTab), TouchS: hook(sTab)}); err != nil {
+	res, err := core.Join(rTree, sTree, op, &core.JoinOptions{TouchR: hook, TouchS: hook})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if inPlace != 2*itemPairs {
-		t.Errorf("%d touches by pairs decided in place, want 2 × %d item pairs", inPlace, itemPairs)
-	}
-	if inPlaceMisses != 0 {
-		t.Errorf("%d of the %d in-place touches missed the pool", inPlaceMisses, inPlace)
+	if touches != 2*res.Stats.ExactEvals || technical != 0 {
+		t.Errorf("%d touches (%d of technical nodes), want 2 × %d θ evaluations and none technical",
+			touches, technical, res.Stats.ExactEvals)
 	}
 }

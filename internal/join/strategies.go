@@ -253,9 +253,11 @@ func ExhaustiveSelectCtx(ctx context.Context, r Table, o geom.Spatial, op pred.O
 }
 
 // TreeSelect computes the spatial selection with algorithm SELECT over the
-// generalization tree tr, charging one page access per tuple-bearing node
-// examined (the tree nodes "contain the complete tuples", §4.1, so touching
-// a node means reading its tuple's page). Technical index nodes are free.
+// generalization tree tr, charging a page access where a tuple is read
+// (core.Node.ContainsTuple). A node that contains its tuple (§4.1: the tree
+// nodes "contain the complete tuples") is charged when examined; an R-tree
+// item, whose MBR is in its leaf entry, only when θ reads it. Technical
+// index nodes are free.
 func TreeSelect(tr core.Tree, r Table, o geom.Spatial, op pred.Operator,
 	traversal core.Traversal) ([]int, Stats, error) {
 	return TreeSelectCtx(context.Background(), tr, r, o, op, traversal)
@@ -316,16 +318,17 @@ func TreeJoinWorkers(trR core.Tree, r Table, trS core.Tree, s Table,
 }
 
 // TreeJoinCtx computes R ⋈θ S with algorithm JOIN over two generalization
-// trees, charging a page access for each tuple-bearing node examined on
-// either side; ctx is checked during the synchronized descent per
-// core.JoinOptions.Ctx. A pair of childless nodes (two items) is examined
-// by the level that forms it, while a pool of |a| + |b| frames still holds
-// both pages, so a traced join has no "level" span for the item depth. With
-// workers > 1 (≤ 0 meaning GOMAXPROCS) each
+// trees, charging a page access where a tuple-bearing node's tuple is read
+// on either side: when it is examined if it contains its tuple, before each
+// θ evaluation it takes part in if, like an R-tree item, it only references
+// it (core.JoinOptions.TouchR). ctx is checked during the synchronized
+// descent per core.JoinOptions.Ctx. A pair of childless nodes (two items)
+// is decided by the level that forms it, so a traced join has no "level"
+// span for the item depth. With workers > 1 (≤ 0 meaning GOMAXPROCS) each
 // QualPairs level is expanded by a worker pool. The contract across worker
 // counts: the match set and the Θ and θ evaluation counts are identical to
-// the sequential descent; Stats.PageReads is not, because the same node
-// examinations reach the shared LRU pool in a different order and a small
+// the sequential descent; Stats.PageReads is not, because the same touches
+// reach the shared LRU pool in a different order and a small
 // pool then evicts differently (with every page resident it is identical
 // too).
 func TreeJoinCtx(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Table,

@@ -65,3 +65,7 @@ func (v entryView) NumChildren() int {
 
 // Child implements core.Node.
 func (v entryView) Child(i int) core.Node { return entryView{e: &v.e.child.entries[i]} }
+
+// ContainsTuple implements core.Node: an item's MBR is stored in its leaf
+// entry, so Θ never needs its tuple; only θ reads it.
+func (v entryView) ContainsTuple() bool { return false }

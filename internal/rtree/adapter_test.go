@@ -180,11 +180,14 @@ func TestAdapterIsLiveView(t *testing.T) {
 // is decided by the level that formed it instead of being queued. So level
 // j evaluates Θ once per QualPairs entry, once per child of b for each
 // passing pair, once per child of a where some child of b passed, and once
-// per item pair it forms — touching only nodes of depths j and j+1 — and
-// the item level has no QualPairs of its own. The expectation comes from an
-// independent level-by-level walk that has no SELECT pass at all; the test
-// fails if the pass descends where no result can come from, if the second
-// pass runs for nothing, or if item pairs get a level to themselves.
+// per item pair it forms — and the item level has no QualPairs of its own.
+// An R-tree node only references its tuple, so the touch callbacks fire at
+// the item depth alone, once per side for each θ evaluation, immediately
+// before θ reads the items; a Θ test touches nothing. The expectation comes
+// from an independent level-by-level walk that has no SELECT pass at all;
+// the test fails if the pass descends where no result can come from, if the
+// second pass runs for nothing, if item pairs get a level to themselves, or
+// if a node is touched for its Θ filter.
 func TestJoinWorkGuardOnRTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	trA := MustNew(Options{MinEntries: 2, MaxEntries: 6})
@@ -204,6 +207,7 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 	type pair struct{ a, b core.Node }
 	var wantQual, wantEvals []int64    // per level
 	var wantTouchA, wantTouchB []int64 // per node depth
+	var wantExact int64
 	bump := func(s *[]int64, i int, by int64) {
 		if by == 0 {
 			return
@@ -218,14 +222,11 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 		var next []pair
 		for _, p := range qual {
 			bump(&wantEvals, level, 1)
-			bump(&wantTouchA, level, 1)
-			bump(&wantTouchB, level, 1)
 			if !op.Filter(p.a.Bounds(), p.b.Bounds()) {
 				continue
 			}
 			na, nb := p.a.NumChildren(), p.b.NumChildren()
 			bump(&wantEvals, level, int64(nb))
-			bump(&wantTouchB, level+1, int64(nb))
 			var bPass []core.Node
 			for j := 0; j < nb; j++ {
 				if b2 := p.b.Child(j); op.Filter(p.a.Bounds(), b2.Bounds()) {
@@ -236,7 +237,6 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 				continue // a's children are not examined
 			}
 			bump(&wantEvals, level, int64(na))
-			bump(&wantTouchA, level+1, int64(na))
 			for i := 0; i < na; i++ {
 				a2 := p.a.Child(i)
 				if !op.Filter(a2.Bounds(), p.b.Bounds()) {
@@ -247,10 +247,14 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 						next = append(next, pair{a2, b2})
 						continue
 					}
-					// An item pair: its Θ and touches belong to this level.
+					// An item pair: its Θ belongs to this level, and only
+					// its θ touches the two items.
 					bump(&wantEvals, level, 1)
-					bump(&wantTouchA, level+1, 1)
-					bump(&wantTouchB, level+1, 1)
+					if op.Filter(a2.Bounds(), b2.Bounds()) {
+						wantExact++
+						bump(&wantTouchA, level+1, 1)
+						bump(&wantTouchB, level+1, 1)
+					}
 				}
 			}
 		}
@@ -285,6 +289,9 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 	if res.Stats.FilterEvals != sumEvals {
 		t.Errorf("FilterEvals = %d, want %d (Σ|QualPairs| + children examined + item pairs)",
 			res.Stats.FilterEvals, sumEvals)
+	}
+	if res.Stats.ExactEvals != wantExact {
+		t.Errorf("ExactEvals = %d, want %d (item pairs whose Θ passed)", res.Stats.ExactEvals, wantExact)
 	}
 	if int64(res.Stats.MaxQueue) != maxQual {
 		t.Errorf("MaxQueue = %d, want %d", res.Stats.MaxQueue, maxQual)

@@ -61,7 +61,9 @@ func (db *Database) Select(c *Collection, o Spatial, op Operator, strategy Strat
 // collection's backing index file is scrubbed — read and checksum-verified,
 // charged to Stats.IndexReads — and a permanent storage fault on the index
 // degrades the query to the exhaustive scan, recorded in Stats.Downgrades,
-// still returning the correct result.
+// still returning the correct result. Faults on the heap file surface as
+// typed errors, and only where the query reads: a tree-strategy selection
+// reads an object's heap page when θ evaluates the object.
 func (db *Database) SelectContext(ctx context.Context, c *Collection, o Spatial, op Operator, strategy Strategy) ([]int, Stats, error) {
 	if c == nil || o == nil || op == nil {
 		return nil, Stats{}, fmt.Errorf("spatialjoin: nil select argument")
@@ -142,7 +144,9 @@ func (db *Database) Join(r, s *Collection, op Operator, strategy Strategy) ([]Ma
 // degrades the query to the nested-loop scan over the base heap files,
 // recorded in Stats.Downgrades, still returning the byte-identical correct
 // match set. Faults on the heap files themselves are not recoverable and
-// surface as typed errors.
+// surface as typed errors, but only where the query reads: a tree-strategy
+// join reads an object's heap page when θ evaluates the object, so a lost
+// page none of whose objects passes a Θ filter leaves the join unaffected.
 func (db *Database) JoinContext(ctx context.Context, r, s *Collection, op Operator, strategy Strategy) ([]Match, Stats, error) {
 	if r == nil || s == nil || op == nil {
 		return nil, Stats{}, fmt.Errorf("spatialjoin: nil join argument")
