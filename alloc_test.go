@@ -3,6 +3,9 @@ package spatialjoin
 import (
 	"runtime/debug"
 	"testing"
+
+	"spatialjoin/internal/obs"
+	"spatialjoin/internal/zorder"
 )
 
 // raceDetector reports whether the test binary was built with -race, read
@@ -18,17 +21,36 @@ func raceDetector() bool {
 	return false
 }
 
-// TestResidentTreeJoinAllocatesPerLevelNotPerNode guards the descent's
-// allocation discipline: with every page resident, a tree join examines
-// tens of thousands of nodes and may allocate only where the result grows
-// or a level's worklist outgrows the pooled scratch — at most 64
-// allocations per join, whatever its Θ count. (Before the index-based Node
-// interface it allocated once per node examined; before the pooled scratch
-// it regrew the worklist at every level.) The ceiling is the same with
+// lastEventSeq returns the sequence number of the flight recorder's newest
+// event.
+func lastEventSeq() uint64 {
+	evs := obs.Events()
+	if len(evs) == 0 {
+		return 0
+	}
+	return evs[len(evs)-1].Seq
+}
+
+// TestResidentTreeJoinAllocatesPerLevelNotPerNode guards the per-pair path
+// of every join executor. With every page resident, the tree join and tree
+// selection examine thousands of nodes, the nested-loop scan evaluates θ
+// four million times and the z-order merge forms half a million candidate
+// pairs; each may allocate where its result or a level's worklist grows, or
+// once per tuple decoded, but not per node examined or per candidate pair.
+// So each gets a ceiling of one allocation per `per` evaluations (Θ for the
+// tree algorithms, θ for the scan, merge candidates for z-order), with
+// headroom over what each allocated when the ceilings were set: a slice
+// made per node of a descent, or geometry allocated per pair, fails it.
+// Nor may a join emit flight-recorder events beyond a query's start and
+// finish: Record does not allocate, so only the recorder's sequence number
+// can show a per-pair emission flooding the ring. The ceilings hold with
 // Workers = 4, whose per-chunk worklists come from the same pool — except
 // under the race detector, where sync.Pool deliberately drops a quarter of
 // what is put back and sixteen scratches a level make that certain to show.
 func TestResidentTreeJoinAllocatesPerLevelNotPerNode(t *testing.T) {
+	const zLevel = 10
+	world := NewRect(0, 0, 1000, 1000)
+	window := NewRect(100, 100, 400, 400)
 	for _, workers := range []int{1, 4} {
 		cfg := DefaultConfig()
 		cfg.Workers = workers
@@ -39,26 +61,60 @@ func TestResidentTreeJoinAllocatesPerLevelNotPerNode(t *testing.T) {
 		}
 		r, _ := db.CreateCollection("r")
 		s, _ := db.CreateCollection("s")
-		loadRandomRects(t, r, 1, 2000)
-		loadRandomRects(t, s, 2, 2000)
+		rs := loadRandomRects(t, r, 1, 2000)
+		ss := loadRandomRects(t, s, 2, 2000)
+		g, err := zorder.NewGrid(world, zLevel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, zstats := g.OverlapJoin(rs, ss, zorder.JoinOptions{Dedup: true, Exact: true})
 
-		var stats Stats
-		join := func() {
-			var err error
-			if _, stats, err = db.Join(r, s, Overlaps(), TreeStrategy); err != nil {
-				t.Fatal(err)
+		for _, c := range []struct {
+			name   string
+			per    int64  // evaluations per allocation allowed
+			events uint64 // flight-recorder events per call: a query's start and finish
+			run    func() (evals int64, st Stats, err error)
+		}{
+			{"tree", 1024, 2, func() (int64, Stats, error) {
+				_, st, err := db.Join(r, s, Overlaps(), TreeStrategy)
+				return st.FilterEvals, st, err
+			}},
+			{"select", 8, 2, func() (int64, Stats, error) {
+				_, st, err := db.Select(r, window, Overlaps(), TreeStrategy)
+				return st.FilterEvals, st, err
+			}},
+			{"scan", 100, 2, func() (int64, Stats, error) {
+				_, st, err := db.Join(r, s, Overlaps(), ScanStrategy)
+				return st.ExactEvals, st, err
+			}},
+			{"zorder", 8, 0, func() (int64, Stats, error) {
+				_, err := ZOverlapJoinWorkers(rs, ss, world, zLevel, workers)
+				return int64(zstats.Candidates), Stats{}, err
+			}},
+		} {
+			var evals int64
+			var st Stats
+			run := func() {
+				if evals, st, err = c.run(); err != nil {
+					t.Fatalf("workers=%d %s: %v", workers, c.name, err)
+				}
 			}
+			run() // warm: every page resident from here on
+			const runs = 3
+			before := lastEventSeq()
+			allocs := testing.AllocsPerRun(runs, run)
+			if st.PageReads != 0 {
+				t.Fatalf("workers=%d %s: read %d pages; the guard needs a resident pool", workers, c.name, st.PageReads)
+			}
+			if got, want := lastEventSeq()-before, (runs+1)*c.events; got != want {
+				t.Errorf("workers=%d %s: %d flight-recorder events over %d calls, want %d",
+					workers, c.name, got, runs+1, want)
+			}
+			if ceiling := float64(evals / c.per); allocs > ceiling && !(workers > 1 && raceDetector()) {
+				t.Errorf("workers=%d %s: %.0f allocations for %d evaluations, want <= %.0f",
+					workers, c.name, allocs, evals, ceiling)
+			}
+			t.Logf("workers=%d %s: %.0f allocations, %d evaluations", workers, c.name, allocs, evals)
 		}
-		join() // warm: every page resident from here on
-		allocs := testing.AllocsPerRun(5, join)
-		if stats.PageReads != 0 {
-			t.Fatalf("workers=%d: join read %d pages; the guard needs a resident pool", workers, stats.PageReads)
-		}
-		if allocs > 64 && !(workers > 1 && raceDetector()) {
-			t.Errorf("workers=%d: resident tree join: %.0f allocations for %d filter evaluations, want <= 64",
-				workers, allocs, stats.FilterEvals)
-		}
-		t.Logf("workers=%d: %.0f allocations, %d filter evaluations, %d exact",
-			workers, allocs, stats.FilterEvals, stats.ExactEvals)
 	}
 }

@@ -256,7 +256,7 @@ func BenchmarkMeasuredSelect(b *testing.B) {
 				if err := pool.DropAll(); err != nil {
 					b.Fatal(err)
 				}
-				_, stats, err := join.TreeSelect(tree, tab, q, pred.Overlaps{}, core.BreadthFirst)
+				_, stats, err := join.TreeSelect(context.Background(), tree, tab, q, pred.Overlaps{}, core.BreadthFirst)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -279,7 +279,7 @@ func BenchmarkMeasuredJoin(b *testing.B) {
 			if err := pool.DropAll(); err != nil {
 				b.Fatal(err)
 			}
-			_, stats, err := join.NestedLoop(r, s, op)
+			_, stats, err := join.NestedLoop(context.Background(), r, s, op, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func BenchmarkMeasuredJoin(b *testing.B) {
 			if err := pool.DropAll(); err != nil {
 				b.Fatal(err)
 			}
-			_, stats, err := join.TreeJoin(trR, r, trS, s, op)
+			_, stats, err := join.TreeJoin(context.Background(), trR, r, trS, s, op, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -312,7 +312,7 @@ func BenchmarkMeasuredJoin(b *testing.B) {
 			if err := pool.DropAll(); err != nil {
 				b.Fatal(err)
 			}
-			_, stats, err := join.IndexJoin(ix, r, s)
+			_, stats, err := join.IndexJoin(context.Background(), ix, r, s, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -408,7 +408,7 @@ func BenchmarkFig8TraceOverhead(b *testing.B) {
 			if err := pool.DropAll(); err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := join.TreeSelectCtx(ctx, tree, tab, q, op, core.BreadthFirst); err != nil {
+			if _, _, err := join.TreeSelect(ctx, tree, tab, q, op, core.BreadthFirst); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -420,7 +420,7 @@ func BenchmarkFig8TraceOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			ctx, trace := obs.WithTrace(context.Background())
-			if _, _, err := join.TreeSelectCtx(ctx, tree, tab, q, op, core.BreadthFirst); err != nil {
+			if _, _, err := join.TreeSelect(ctx, tree, tab, q, op, core.BreadthFirst); err != nil {
 				b.Fatal(err)
 			}
 			spans = len(trace.Spans())
@@ -464,7 +464,7 @@ func BenchmarkAblationSelectTraversal(b *testing.B) {
 				if err := pool.DropAll(); err != nil {
 					b.Fatal(err)
 				}
-				_, stats, err := join.TreeSelect(tree, tab, q, pred.Overlaps{}, trav.t)
+				_, stats, err := join.TreeSelect(context.Background(), tree, tab, q, pred.Overlaps{}, trav.t)
 				if err != nil {
 					b.Fatal(err)
 				}

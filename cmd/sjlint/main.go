@@ -3,17 +3,15 @@
 // library's go/parser + go/types, and runs the domain-specific analyzers
 // from internal/analysis concurrently over each package:
 //
-//	rawdisk        all physical I/O must flow through storage.BufferPool
-//	atomiccounter  fields documented atomic are accessed atomically only
 //	floateq        no raw ==/!= on float geometry values
-//	errdrop        storage/pool errors must be checked
-//	ctxpool        parallel.Run/RunChunks errors must be checked
+//	statsreset     experiment binaries reset I/O counters before a snapshot
+//	thetapair      every θ-operator declares its Θ filter, a Name and a registry entry
 //	pinunpin       successful BufferPool.Pin reaches Unpin on every path
 //	lockbalance    manual Lock/Unlock balance; no double-lock
 //	spanclose      obs spans are ended on every outcome
 //	semrelease     admission tokens are released on every path
-//
-// (and more; see -list for the full suite.)
+//	txnatomic      a WAL transaction reaches Commit or Abort on every path
+//	streamclose    replication streams reach Close on every outcome
 //
 // Findings can be suppressed with a trailing or preceding line comment:
 //

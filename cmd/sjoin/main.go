@@ -330,7 +330,7 @@ func run(out io.Writer, o options) (err error) {
 			if err := cold(); err != nil {
 				return err
 			}
-			ids, st, err := join.ExhaustiveSelectCtx(ctx, r.table, sel, op)
+			ids, st, err := join.ExhaustiveSelect(ctx, r.table, sel, op)
 			if err != nil {
 				return err
 			}
@@ -340,7 +340,7 @@ func run(out io.Writer, o options) (err error) {
 			if err := cold(); err != nil {
 				return err
 			}
-			ids, st, err := join.TreeSelectCtx(ctx, r.tree, r.table, sel, op, core.BreadthFirst)
+			ids, st, err := join.TreeSelect(ctx, r.tree, r.table, sel, op, core.BreadthFirst)
 			if err != nil {
 				return err
 			}
@@ -360,7 +360,7 @@ func run(out io.Writer, o options) (err error) {
 		if err := cold(); err != nil {
 			return err
 		}
-		pairs, st, err := join.NestedLoopCtx(ctx, r.table, s.table, op, 1)
+		pairs, st, err := join.NestedLoop(ctx, r.table, s.table, op, 1)
 		if err != nil {
 			return err
 		}
@@ -370,7 +370,7 @@ func run(out io.Writer, o options) (err error) {
 		if err := cold(); err != nil {
 			return err
 		}
-		pairs, st, err := join.TreeJoinCtx(ctx, r.tree, r.table, s.tree, s.table, op, 1)
+		pairs, st, err := join.TreeJoin(ctx, r.tree, r.table, s.tree, s.table, op, 1)
 		if err != nil {
 			return err
 		}
@@ -385,7 +385,7 @@ func run(out io.Writer, o options) (err error) {
 		if err := cold(); err != nil {
 			return err
 		}
-		pairs, st, err := join.IndexJoinCtx(ctx, ix, r.table, s.table, 1)
+		pairs, st, err := join.IndexJoin(ctx, ix, r.table, s.table, 1)
 		if err != nil {
 			return err
 		}

@@ -576,12 +576,12 @@ func printTraceOverhead(out io.Writer) error {
 			return err
 		}},
 		{"nil-trace", "shipped default: context lookup + nil checks", func() error {
-			_, _, err := join.TreeSelectCtx(context.Background(), tree, tab, q, op, core.BreadthFirst)
+			_, _, err := join.TreeSelect(context.Background(), tree, tab, q, op, core.BreadthFirst)
 			return err
 		}},
 		{"full-trace", "obs.WithTrace armed per query", func() error {
 			ctx, _ := obs.WithTrace(context.Background())
-			_, _, err := join.TreeSelectCtx(ctx, tree, tab, q, op, core.BreadthFirst)
+			_, _, err := join.TreeSelect(ctx, tree, tab, q, op, core.BreadthFirst)
 			return err
 		}},
 	}

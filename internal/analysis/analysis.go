@@ -1,9 +1,14 @@
 // Package analysis is sjlint's in-repo static-analysis framework: a small,
 // stdlib-only (go/parser, go/ast, go/types) analogue of
 // golang.org/x/tools/go/analysis hosting the domain-specific analyzers that
-// mechanically enforce this repository's invariants — pool-mediated disk
-// I/O, atomic-only counter access, epsilon-safe float comparison, and
-// checked errors on storage and parallel-execution operations.
+// enforce the invariants no test holds on every path: that each acquired
+// resource — a buffer-pool pin, a mutex, a trace span, an admission token,
+// a WAL transaction, a replication stream — is released on every path out
+// of the function (a control-flow graph, cfg.go, and one paired-resource
+// solver, paired.go, carry the six flow-sensitive analyzers), that float
+// geometry is compared only through geom's helpers, that every θ-operator
+// of Table 1 carries its Θ filter, and that experiment binaries open a
+// measurement window before they snapshot I/O counters.
 //
 // Each Analyzer inspects one type-checked package and reports diagnostics
 // at token positions. The driver (cmd/sjlint) loads packages with Loader,
@@ -35,7 +40,7 @@ type Analyzer struct {
 	// SkipTests drops this analyzer's findings in _test.go files when a
 	// package is loaded with tests: the invariant it enforces is a
 	// production-code discipline that test code legitimately violates
-	// (raw device I/O in storage tests, exact float goldens, ...).
+	// (exact float goldens).
 	SkipTests bool
 }
 
@@ -83,14 +88,9 @@ func (d Diagnostic) String() string {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		RawDisk,
-		AtomicCounter,
 		FloatEq,
-		ErrDrop,
-		CtxPool,
 		StatsReset,
 		ThetaPair,
-		JoinAlloc,
 		PinUnpin,
 		LockBalance,
 		SpanClose,

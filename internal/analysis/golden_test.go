@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -9,9 +10,9 @@ import (
 	"testing"
 )
 
-// sharedLoader memoizes type-checked packages (including the stdlib and
-// the storage/parallel/geom dependencies the fixtures import) across the
-// whole test run.
+// sharedLoader memoizes type-checked packages (the standard library, the
+// module's packages the fixtures import, and the whole module once
+// moduleLint has walked it) across the test run.
 var sharedLoader = sync.OnceValues(func() (*Loader, error) {
 	return NewLoader(".")
 })
@@ -110,75 +111,113 @@ func runGolden(t *testing.T, a *Analyzer) {
 	}
 }
 
-func TestRawDiskGolden(t *testing.T)       { runGolden(t, RawDisk) }
-func TestAtomicCounterGolden(t *testing.T) { runGolden(t, AtomicCounter) }
-func TestFloatEqGolden(t *testing.T)       { runGolden(t, FloatEq) }
-func TestErrDropGolden(t *testing.T)       { runGolden(t, ErrDrop) }
-func TestCtxPoolGolden(t *testing.T)       { runGolden(t, CtxPool) }
-func TestStatsResetGolden(t *testing.T)    { runGolden(t, StatsReset) }
-func TestThetaPairGolden(t *testing.T)     { runGolden(t, ThetaPair) }
-func TestJoinAllocGolden(t *testing.T)     { runGolden(t, JoinAlloc) }
-func TestPinUnpinGolden(t *testing.T)      { runGolden(t, PinUnpin) }
-func TestLockBalanceGolden(t *testing.T)   { runGolden(t, LockBalance) }
-func TestSpanCloseGolden(t *testing.T)     { runGolden(t, SpanClose) }
-func TestSemReleaseGolden(t *testing.T)    { runGolden(t, SemRelease) }
-func TestTxnAtomicGolden(t *testing.T)     { runGolden(t, TxnAtomic) }
-func TestStreamCloseGolden(t *testing.T)   { runGolden(t, StreamClose) }
+func TestFloatEqGolden(t *testing.T)     { runGolden(t, FloatEq) }
+func TestStatsResetGolden(t *testing.T)  { runGolden(t, StatsReset) }
+func TestThetaPairGolden(t *testing.T)   { runGolden(t, ThetaPair) }
+func TestPinUnpinGolden(t *testing.T)    { runGolden(t, PinUnpin) }
+func TestLockBalanceGolden(t *testing.T) { runGolden(t, LockBalance) }
+func TestSpanCloseGolden(t *testing.T)   { runGolden(t, SpanClose) }
+func TestSemReleaseGolden(t *testing.T)  { runGolden(t, SemRelease) }
+func TestTxnAtomicGolden(t *testing.T)   { runGolden(t, TxnAtomic) }
+func TestStreamCloseGolden(t *testing.T) { runGolden(t, StreamClose) }
 
-// TestRepoIsClean is the self-hosting gate: the entire module must pass
-// every analyzer with zero findings, so a regression anywhere in the tree
-// fails `go test` as well as CI's explicit sjlint step.
-func TestRepoIsClean(t *testing.T) {
+// moduleLint is the one place a test run loads and lints the whole module:
+// every package with its _test.go files (external _test packages surface as
+// their own), bench/ included, under every analyzer. The test-inclusive
+// view carries every production file and only SkipTests analyzers drop
+// findings, and only in _test.go files, so one pass serves both self-hosting
+// gates below. The shared loader's production packages serve as the
+// dependencies, so the standard library is type-checked once per test
+// binary.
+var moduleLint = sync.OnceValues(func() (*lintedModule, error) {
 	l, err := sharedLoader()
 	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
+		return nil, fmt.Errorf("NewLoader: %w", err)
 	}
+	l.IncludeTests = true
+	defer func() { l.IncludeTests = false }()
 	pkgs, err := l.Load("./...")
 	if err != nil {
-		t.Fatalf("loading module: %v", err)
+		return nil, fmt.Errorf("loading module with tests: %w", err)
 	}
-	if len(pkgs) < 10 {
-		t.Fatalf("loaded only %d packages; pattern expansion is broken", len(pkgs))
+	m := &lintedModule{pkgs: pkgs, results: make([]RunResult, len(pkgs))}
+	for i, pkg := range pkgs {
+		m.results[i] = RunAll(pkg, All())
 	}
-	for _, pkg := range pkgs {
-		for _, d := range Run(pkg, All()) {
-			t.Errorf("%s", d)
+	return m, nil
+})
+
+// lintedModule pairs each loaded package with its lint result.
+type lintedModule struct {
+	pkgs    []*Package
+	results []RunResult
+}
+
+func lintModule(t *testing.T) *lintedModule {
+	t.Helper()
+	m, err := moduleLint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.pkgs) < 10 {
+		t.Fatalf("loaded only %d packages; pattern expansion is broken", len(m.pkgs))
+	}
+	return m
+}
+
+func isTestFile(name string) bool { return strings.HasSuffix(name, "_test.go") }
+
+// TestRepoIsClean is the self-hosting gate for the production tree: every
+// non-test file of the module must pass every analyzer with zero findings
+// and no bare suppression, so a regression anywhere in the tree fails
+// `go test` as well as CI's explicit sjlint step.
+func TestRepoIsClean(t *testing.T) {
+	m := lintModule(t)
+	sawProdFile := false
+	for i, pkg := range m.pkgs {
+		for _, d := range m.results[i].Diagnostics {
+			if !isTestFile(d.Pos.Filename) {
+				t.Errorf("%s", d)
+			}
 		}
+		for _, pos := range m.results[i].BareDirectives {
+			if !isTestFile(pos.Filename) {
+				t.Errorf("%s:%d: ignore directive without a justification", pos.Filename, pos.Line)
+			}
+		}
+		for _, f := range pkg.Files {
+			sawProdFile = sawProdFile || !isTestFile(pkg.Fset.Position(f.Pos()).Filename)
+		}
+	}
+	if !sawProdFile {
+		t.Fatal("the walk loaded no production files; the gate is vacuous")
 	}
 }
 
-// TestRepoIsCleanWithTests extends the self-hosting gate to test code: with
-// IncludeTests set the loader augments every package with its _test.go
-// files (and surfaces external _test packages), and the suite must still
-// come back clean — every real finding in test code is fixed or carries a
-// justified suppression.
+// TestRepoIsCleanWithTests extends the gate to test code: every real
+// finding in a _test.go file is fixed or carries a justified
+// //sjlint:ignore. It is also the only tier-1 step that type-checks bench/,
+// a module of its own, against the engine.
 func TestRepoIsCleanWithTests(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	l.IncludeTests = true
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		t.Fatalf("loading module with tests: %v", err)
-	}
-	sawTestFile := false
-	for _, pkg := range pkgs {
-		res := RunAll(pkg, All())
-		for _, d := range res.Diagnostics {
+	m := lintModule(t)
+	sawTestFile, sawBench := false, false
+	for i, pkg := range m.pkgs {
+		sawBench = sawBench || pkg.Path == "spatialjoin/bench"
+		for _, d := range m.results[i].Diagnostics {
 			t.Errorf("%s", d)
 		}
-		for _, pos := range res.BareDirectives {
+		for _, pos := range m.results[i].BareDirectives {
 			t.Errorf("%s:%d: ignore directive without a justification", pos.Filename, pos.Line)
 		}
 		for _, f := range pkg.Files {
-			if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
-				sawTestFile = true
-			}
+			sawTestFile = sawTestFile || isTestFile(pkg.Fset.Position(f.Pos()).Filename)
 		}
 	}
 	if !sawTestFile {
 		t.Fatal("IncludeTests loaded no test files; the gate is vacuous")
+	}
+	if !sawBench {
+		t.Fatal("the walk did not reach bench/; nothing type-checks it against the engine")
 	}
 }
 

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -132,11 +133,11 @@ func TestAllJoinStrategiesAgree(t *testing.T) {
 	fr := newFixture(t, pool, 1, 3, 3, relation.PlaceSequential)
 	fs := newFixture(t, pool, 2, 3, 3, relation.PlaceShuffled)
 	for _, op := range []pred.Operator{pred.Overlaps{}, pred.WithinDistance{D: 120}, pred.NorthwestOf{}} {
-		nl, nlStats, err := NestedLoop(fr.table, fs.table, op)
+		nl, nlStats, err := NestedLoop(context.Background(), fr.table, fs.table, op, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tj, tjStats, err := TreeJoin(fr.tree, fr.table, fs.tree, fs.table, op)
+		tj, tjStats, err := TreeJoin(context.Background(), fr.tree, fr.table, fs.tree, fs.table, op, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func TestAllJoinStrategiesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ij, ijStats, err := IndexJoin(ix, fr.table, fs.table)
+		ij, ijStats, err := IndexJoin(context.Background(), ix, fr.table, fs.table, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,15 +168,15 @@ func TestAllSelectStrategiesAgree(t *testing.T) {
 	f := newFixture(t, pool, 3, 3, 3, relation.PlaceSequential)
 	o := geom.NewRect(100, 100, 420, 380)
 	for _, op := range []pred.Operator{pred.Overlaps{}, pred.WithinDistance{D: 150}} {
-		ex, exStats, err := ExhaustiveSelect(f.table, o, op)
+		ex, exStats, err := ExhaustiveSelect(context.Background(), f.table, o, op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, _, err := TreeSelect(f.tree, f.table, o, op, core.BreadthFirst)
+		tb, _, err := TreeSelect(context.Background(), f.tree, f.table, o, op, core.BreadthFirst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		td, _, err := TreeSelect(f.tree, f.table, o, op, core.DepthFirst)
+		td, _, err := TreeSelect(context.Background(), f.tree, f.table, o, op, core.DepthFirst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +212,7 @@ func TestIndexSelectMatchesTreeSelect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := TreeSelect(fs.tree, fs.table, obj, op, core.BreadthFirst)
+		want, _, err := TreeSelect(context.Background(), fs.tree, fs.table, obj, op, core.BreadthFirst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +245,7 @@ func TestClusteredLayoutReducesSelectIO(t *testing.T) {
 		f := newFixture(t, pool, 6, 4, 3, placement)
 		pool.DropAll()
 		pool.ResetStats()
-		_, stats, err := TreeSelect(f.tree, f.table, geom.NewRect(0, 0, 400, 400),
+		_, stats, err := TreeSelect(context.Background(), f.tree, f.table, geom.NewRect(0, 0, 400, 400),
 			pred.Overlaps{}, core.BreadthFirst)
 		if err != nil {
 			t.Fatal(err)
@@ -262,7 +263,7 @@ func TestNestedLoopRequiresSharedPool(t *testing.T) {
 	p1, p2 := newPool(t, 16), newPool(t, 16)
 	f1 := newFixture(t, p1, 7, 2, 2, relation.PlaceSequential)
 	f2 := newFixture(t, p2, 8, 2, 2, relation.PlaceSequential)
-	if _, _, err := NestedLoop(f1.table, f2.table, pred.Overlaps{}); err == nil {
+	if _, _, err := NestedLoop(context.Background(), f1.table, f2.table, pred.Overlaps{}, 1); err == nil {
 		t.Fatal("separate pools must be rejected")
 	}
 }
@@ -273,7 +274,7 @@ func TestTreeJoinSeparatePoolsCounted(t *testing.T) {
 	f2 := newFixture(t, p2, 10, 3, 2, relation.PlaceSequential)
 	p1.DropAll()
 	p2.DropAll()
-	pairs, stats, err := TreeJoin(f1.tree, f1.table, f2.tree, f2.table, pred.Overlaps{})
+	pairs, stats, err := TreeJoin(context.Background(), f1.tree, f1.table, f2.tree, f2.table, pred.Overlaps{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestIndexJoinChargesIndexPages(t *testing.T) {
 	if buildStats.ExactEvals == 0 {
 		t.Fatal("build must evaluate pairs")
 	}
-	_, stats, err := IndexJoin(ix, fr.table, fs.table)
+	_, stats, err := IndexJoin(context.Background(), ix, fr.table, fs.table, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestIndexJoinEmptyIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A join of objects that essentially never match centerpoint-exactly.
-	pairs, stats, err := IndexJoin(ix, fr.table, fs.table)
+	pairs, stats, err := IndexJoin(context.Background(), ix, fr.table, fs.table, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestNestedLoopSmallPoolStillCorrect(t *testing.T) {
 	pool := newPool(t, 12)
 	fr := newFixture(t, pool, 15, 3, 2, relation.PlaceShuffled)
 	fs := newFixture(t, pool, 16, 3, 2, relation.PlaceShuffled)
-	nl, _, err := NestedLoop(fr.table, fs.table, pred.Overlaps{})
+	nl, _, err := NestedLoop(context.Background(), fr.table, fs.table, pred.Overlaps{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +342,7 @@ func TestNestedLoopSmallPoolStillCorrect(t *testing.T) {
 	pool2 := newPool(t, 256)
 	fr2 := newFixture(t, pool2, 15, 3, 2, relation.PlaceShuffled)
 	fs2 := newFixture(t, pool2, 16, 3, 2, relation.PlaceShuffled)
-	ref, _, err := NestedLoop(fr2.table, fs2.table, pred.Overlaps{})
+	ref, _, err := NestedLoop(context.Background(), fr2.table, fs2.table, pred.Overlaps{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,11 +388,11 @@ func TestTreeJoinOverRTreesMatchesNestedLoop(t *testing.T) {
 	world := geom.NewRect(0, 0, 500, 500)
 	rTab, rTree := newRTreeTable(t, pool, rng, "r", 150, world, rtree.DefaultOptions())
 	sTab, sTree := newRTreeTable(t, pool, rng, "s", 150, world, rtree.DefaultOptions())
-	nl, _, err := NestedLoop(rTab, sTab, pred.Overlaps{})
+	nl, _, err := NestedLoop(context.Background(), rTab, sTab, pred.Overlaps{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tj, _, err := TreeJoin(rTree, rTab, sTree, sTab, pred.Overlaps{})
+	tj, _, err := TreeJoin(context.Background(), rTree, rTab, sTree, sTab, pred.Overlaps{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
 
 	drop()
 	ctx, trace := obs.WithTrace(context.Background())
-	got, stats, err := TreeJoinCtx(ctx, rTree, rTab, sTree, sTab, op, 1)
+	got, stats, err := TreeJoin(ctx, rTree, rTab, sTree, sTab, op, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

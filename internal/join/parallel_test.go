@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"testing"
 
 	"spatialjoin/internal/core"
@@ -18,11 +19,11 @@ func TestParallelStrategiesMatchSequential(t *testing.T) {
 	s := newFixture(t, pool, 22, 4, 3, 0)
 	op := pred.Overlaps{}
 
-	wantNL, nlStats, err := NestedLoopWorkers(r.table, s.table, op, 1)
+	wantNL, nlStats, err := NestedLoop(context.Background(), r.table, s.table, op, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTJ, tjStats, err := TreeJoinWorkers(r.tree, r.table, s.tree, s.table, op, 1)
+	wantTJ, tjStats, err := TreeJoin(context.Background(), r.tree, r.table, s.tree, s.table, op, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestParallelStrategiesMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantIJ, _, err := IndexJoinWorkers(ix, r.table, s.table, 1)
+	wantIJ, _, err := IndexJoin(context.Background(), ix, r.table, s.table, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestParallelStrategiesMatchSequential(t *testing.T) {
 		append([]core.Match(nil), wantTJ...))
 
 	for _, workers := range []int{2, 3, 8, 0} {
-		got, stats, err := NestedLoopWorkers(r.table, s.table, op, workers)
+		got, stats, err := NestedLoop(context.Background(), r.table, s.table, op, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestParallelStrategiesMatchSequential(t *testing.T) {
 			}
 		}
 
-		got, stats, err = TreeJoinWorkers(r.tree, r.table, s.tree, s.table, op, workers)
+		got, stats, err = TreeJoin(context.Background(), r.tree, r.table, s.tree, s.table, op, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestParallelStrategiesMatchSequential(t *testing.T) {
 				stats.FilterEvals, stats.ExactEvals, tjStats.FilterEvals, tjStats.ExactEvals)
 		}
 
-		got, _, err = IndexJoinWorkers(ix, r.table, s.table, workers)
+		got, _, err = IndexJoin(context.Background(), ix, r.table, s.table, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,14 +83,14 @@ func TestParallelJoinSeparatePools(t *testing.T) {
 	r.table.Pool.DropAll()
 	s.table.Pool.DropAll()
 	op := pred.Overlaps{}
-	want, wantStats, err := TreeJoinWorkers(r.tree, r.table, s.tree, s.table, op, 1)
+	want, wantStats, err := TreeJoin(context.Background(), r.tree, r.table, s.tree, s.table, op, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wantStats.PageReads == 0 {
 		t.Error("cold tree join measured no page reads")
 	}
-	got, _, err := TreeJoinWorkers(r.tree, r.table, s.tree, s.table, op, 4)
+	got, _, err := TreeJoin(context.Background(), r.tree, r.table, s.tree, s.table, op, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

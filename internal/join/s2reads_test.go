@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -96,7 +97,7 @@ func s2ReadCases(t *testing.T) []string {
 	run := func(name string, r, s fixture) {
 		for _, op := range ops {
 			drop(r)
-			ms, stats, err := TreeJoin(r.tree, r.table, s.tree, s.table, op)
+			ms, stats, err := TreeJoin(context.Background(), r.tree, r.table, s.tree, s.table, op, 1)
 			if err != nil {
 				t.Fatalf("%s join %s: %v", name, op.Name(), err)
 			}
@@ -104,7 +105,7 @@ func s2ReadCases(t *testing.T) []string {
 		}
 		for trav, tname := range []string{core.BreadthFirst: "bfs", core.DepthFirst: "dfs"} {
 			drop(r)
-			ids, stats, err := TreeSelect(s.tree, s.table, window, pred.Overlaps{}, core.Traversal(trav))
+			ids, stats, err := TreeSelect(context.Background(), s.tree, s.table, window, pred.Overlaps{}, core.Traversal(trav))
 			if err != nil {
 				t.Fatalf("%s select: %v", name, err)
 			}

@@ -57,15 +57,10 @@ func endExec(trace *obs.Trace, span obs.SpanID, stats Stats, err error) {
 	)
 }
 
-// NestedLoop computes R ⋈θ S by the paper's strategy I with the default
-// single worker. See NestedLoopWorkers.
-func NestedLoop(r, s Table, op pred.Operator) ([]core.Match, Stats, error) {
-	return NestedLoopWorkers(r, s, op, 1)
-}
-
-// NestedLoopWorkers computes R ⋈θ S by the paper's strategy I: blocks of R
-// filling most of main memory (M−10 pages worth of tuples), each scanned
-// against the whole of S. Both tables must share one buffer pool.
+// NestedLoop computes R ⋈θ S by the paper's strategy I: blocks of R filling
+// most of main memory (M−10 pages worth of tuples), each scanned against the
+// whole of S. Both tables must share one buffer pool. ctx is checked between
+// blocks and every ctxStride S-tuples inside a scan.
 //
 // With workers > 1 (≤ 0 meaning GOMAXPROCS) each block's scan of S is split
 // into contiguous tuple-ID chunks fanned out over a worker pool; per-worker
@@ -74,13 +69,7 @@ func NestedLoop(r, s Table, op pred.Operator) ([]core.Match, Stats, error) {
 // measured across the whole join on the shared pool; with concurrent
 // workers the LRU interleaving — and therefore the exact miss count — can
 // differ from the sequential schedule.
-func NestedLoopWorkers(r, s Table, op pred.Operator, workers int) ([]core.Match, Stats, error) {
-	return NestedLoopCtx(context.Background(), r, s, op, workers)
-}
-
-// NestedLoopCtx is NestedLoopWorkers bounded by a context, checked between
-// blocks and every ctxStride S-tuples inside a scan.
-func NestedLoopCtx(ctx context.Context, r, s Table, op pred.Operator, workers int) ([]core.Match, Stats, error) {
+func NestedLoop(ctx context.Context, r, s Table, op pred.Operator, workers int) ([]core.Match, Stats, error) {
 	if r.Pool != s.Pool {
 		return nil, Stats{}, fmt.Errorf("join: nested loop requires a shared buffer pool")
 	}
@@ -220,14 +209,9 @@ func NestedLoopCtx(ctx context.Context, r, s Table, op pred.Operator, workers in
 }
 
 // ExhaustiveSelect computes the spatial selection {a ∈ R | o θ a} by a full
-// scan — the degenerate strategy I of §4.3.
-func ExhaustiveSelect(r Table, o geom.Spatial, op pred.Operator) ([]int, Stats, error) {
-	return ExhaustiveSelectCtx(context.Background(), r, o, op)
-}
-
-// ExhaustiveSelectCtx is ExhaustiveSelect bounded by a context, checked
-// every ctxStride tuples.
-func ExhaustiveSelectCtx(ctx context.Context, r Table, o geom.Spatial, op pred.Operator) ([]int, Stats, error) {
+// scan — the degenerate strategy I of §4.3. ctx is checked every ctxStride
+// tuples.
+func ExhaustiveSelect(ctx context.Context, r Table, o geom.Spatial, op pred.Operator) ([]int, Stats, error) {
 	trace, span, ctx := execSpan(ctx, "scan")
 	var stats Stats
 	var out []int
@@ -257,15 +241,9 @@ func ExhaustiveSelectCtx(ctx context.Context, r Table, o geom.Spatial, op pred.O
 // (core.Node.ContainsTuple). A node that contains its tuple (§4.1: the tree
 // nodes "contain the complete tuples") is charged when examined; an R-tree
 // item, whose MBR is in its leaf entry, only when θ reads it. Technical
-// index nodes are free.
-func TreeSelect(tr core.Tree, r Table, o geom.Spatial, op pred.Operator,
-	traversal core.Traversal) ([]int, Stats, error) {
-	return TreeSelectCtx(context.Background(), tr, r, o, op, traversal)
-}
-
-// TreeSelectCtx is TreeSelect bounded by a context, checked during the
-// descent per core.SelectOptions.Ctx.
-func TreeSelectCtx(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op pred.Operator,
+// index nodes are free. ctx is checked during the descent per
+// core.SelectOptions.Ctx.
+func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op pred.Operator,
 	traversal core.Traversal) ([]int, Stats, error) {
 
 	trace, span, ctx := execSpan(ctx, "treeselect")
@@ -305,19 +283,6 @@ func TreeSelectCtx(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, o
 }
 
 // TreeJoin computes R ⋈θ S with algorithm JOIN over two generalization
-// trees with the default single worker. See TreeJoinCtx.
-func TreeJoin(trR core.Tree, r Table, trS core.Tree, s Table,
-	op pred.Operator) ([]core.Match, Stats, error) {
-	return TreeJoinWorkers(trR, r, trS, s, op, 1)
-}
-
-// TreeJoinWorkers is TreeJoinCtx without a deadline.
-func TreeJoinWorkers(trR core.Tree, r Table, trS core.Tree, s Table,
-	op pred.Operator, workers int) ([]core.Match, Stats, error) {
-	return TreeJoinCtx(context.Background(), trR, r, trS, s, op, workers)
-}
-
-// TreeJoinCtx computes R ⋈θ S with algorithm JOIN over two generalization
 // trees, charging a page access where a tuple-bearing node's tuple is read
 // on either side: when it is examined if it contains its tuple, before each
 // θ evaluation it takes part in if, like an R-tree item, it only references
@@ -331,7 +296,7 @@ func TreeJoinWorkers(trR core.Tree, r Table, trS core.Tree, s Table,
 // reach the shared LRU pool in a different order and a small
 // pool then evicts differently (with every page resident it is identical
 // too).
-func TreeJoinCtx(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Table,
+func TreeJoin(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Table,
 	op pred.Operator, workers int) ([]core.Match, Stats, error) {
 
 	trace, span, ctx := execSpan(ctx, "treejoin")
@@ -424,26 +389,15 @@ func BuildIndex(r, s Table, op pred.Operator, order int) (*joinindex.Index, Stat
 	return ix, stats, err
 }
 
-// IndexJoin computes the join from a precomputed index with the default
-// single worker. See IndexJoinWorkers.
-func IndexJoin(ix *joinindex.Index, r, s Table) ([]core.Match, Stats, error) {
-	return IndexJoinWorkers(ix, r, s, 1)
-}
-
-// IndexJoinWorkers computes the join from a precomputed index: read the
-// pairs and fetch the corresponding tuples — no predicate evaluations at
-// all. Index pages are charged per the B+-tree's fill (|J|/z), plus the
-// tuple fetches through the buffer pool. With workers > 1 (≤ 0 meaning
-// GOMAXPROCS) the pair list is read sequentially from the B+-tree and the
-// tuple probes are fanned out over contiguous chunks of it; the pair list
-// itself is already in canonical (R, S) order.
-func IndexJoinWorkers(ix *joinindex.Index, r, s Table, workers int) ([]core.Match, Stats, error) {
-	return IndexJoinCtx(context.Background(), ix, r, s, workers)
-}
-
-// IndexJoinCtx is IndexJoinWorkers bounded by a context, checked between
-// probe chunks and every ctxStride pairs inside a chunk.
-func IndexJoinCtx(ctx context.Context, ix *joinindex.Index, r, s Table, workers int) ([]core.Match, Stats, error) {
+// IndexJoin computes the join from a precomputed index: read the pairs and
+// fetch the corresponding tuples — no predicate evaluations at all. Index
+// pages are charged per the B+-tree's fill (|J|/z), plus the tuple fetches
+// through the buffer pool. With workers > 1 (≤ 0 meaning GOMAXPROCS) the
+// pair list is read sequentially from the B+-tree and the tuple probes are
+// fanned out over contiguous chunks of it; the pair list itself is already
+// in canonical (R, S) order. ctx is checked between probe chunks and every
+// ctxStride pairs inside a chunk.
+func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int) ([]core.Match, Stats, error) {
 	trace, span, ctx := execSpan(ctx, "indexjoin")
 	var stats Stats
 	pools := []*poolDelta{newPoolDelta(r.Pool)}

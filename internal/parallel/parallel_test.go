@@ -176,7 +176,7 @@ func TestRunCtxLeavesNoGoroutines(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		//sjlint:ignore ctxpool outcome races with cancel; this test only counts leftover goroutines
+		// The outcome races with cancel; this test only counts leftover goroutines.
 		_ = RunCtx(ctx, 8, 1000, func(int) error {
 			if ran.Add(1) == 10 {
 				cancel()

@@ -186,8 +186,9 @@ func TestAdapterIsLiveView(t *testing.T) {
 // before θ reads the items; a Θ test touches nothing. The expectation comes
 // from an independent level-by-level walk that has no SELECT pass at all;
 // the test fails if the pass descends where no result can come from, if the
-// second pass runs for nothing, if item pairs get a level to themselves, or
-// if a node is touched for its Θ filter.
+// second pass runs for nothing, if item pairs get a level to themselves, if
+// a node is touched for its Θ filter, or if the trace holds anything but
+// the level spans (a span or event per pair).
 func TestJoinWorkGuardOnRTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	trA := MustNew(Options{MinEntries: 2, MaxEntries: 6})
@@ -297,8 +298,9 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 		t.Errorf("MaxQueue = %d, want %d", res.Stats.MaxQueue, maxQual)
 	}
 	spans := trace.SpansNamed("level")
-	if len(spans) != len(wantQual) {
-		t.Fatalf("%d level spans, want %d", len(spans), len(wantQual))
+	if len(spans) != len(wantQual) || len(trace.Spans()) != len(wantQual) || len(trace.Events()) != 0 {
+		t.Fatalf("%d level spans of %d, %d events; want %d level spans and nothing else",
+			len(spans), len(trace.Spans()), len(trace.Events()), len(wantQual))
 	}
 	for level, sp := range spans {
 		if q, _ := sp.IntAttr("qualpairs"); q != wantQual[level] {

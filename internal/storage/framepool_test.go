@@ -139,7 +139,10 @@ func TestFailedReadEvictsNothing(t *testing.T) {
 // TestHeapFileGetUnderRecycledBuffers has two goroutines read every record
 // of a 64-page file through a 2-frame pool. Every miss recycles the other
 // goroutine's buffer, so a reader that dereferenced its page without a pin
-// would return another record's bytes — and trip the race detector.
+// would return another record's bytes — and trip the race detector. One of
+// them also resets the pool's counters every round, which the other's
+// fetches are counting into: a counter written other than atomically trips
+// it too.
 func TestHeapFileGetUnderRecycledBuffers(t *testing.T) {
 	_, bp := newPoolT(t, 128, 2)
 	h, err := NewHeapFile(bp, 1)
@@ -174,6 +177,9 @@ func TestHeapFileGetUnderRecycledBuffers(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
+				if g == 1 {
+					bp.ResetStats()
+				}
 				for k := 0; k < pages; k++ {
 					// The goroutines walk in opposite directions so their
 					// misses interleave on different pages.

@@ -13,8 +13,8 @@ import (
 // full snapshot that seeds a replica and the delta that catches one up are
 // both page sets, differing only in which pages they select. It lives in
 // the storage layer because it is physical I/O by definition — pages are
-// read straight off the device (the rawdisk lint confines that to here) and
-// written straight onto a raw Disk before any pool or recovery runs over it.
+// read straight off the device and written straight onto a raw Disk before
+// any pool or recovery runs over it.
 //
 // Stream layout (all integers little-endian):
 //

@@ -154,3 +154,101 @@ func TestTailCrossesSegments(t *testing.T) {
 		t.Fatalf("reader whose unread segments were dropped: err=%v, want ErrTruncatedAway", err)
 	}
 }
+
+// TestTailReadsEachFileAboveItsSegmentOnce parks a reader on a full newest
+// segment below data files. Every poll looks above the segment for its
+// successor, but a data file's page 0 is read by the first poll only: the
+// polls after it read nothing, however many files and polls there are. An
+// empty file is never read, and neither is a file whose page 0 is allocated
+// but unwritten — the appender's window when it opens a segment — which
+// stays undecided: once its page 0 lands, the reader crosses into it.
+func TestTailReadsEachFileAboveItsSegmentOnce(t *testing.T) {
+	const dataFiles, polls = 8, 25
+	// twin logs the same transactions on a device without data files; its
+	// second segment's first page is the one dev's log would write next.
+	dev, l := newLogOnDisk(t, 1)
+	twin, lt := newLogOnDisk(t, 1)
+	commit := func(l *Log, txn uint64) {
+		t.Helper()
+		l.Begin(txn)
+		if _, err := l.Commit(txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Empty transactions: every commit syncs one page.
+	txn := uint64(1)
+	for ; dev.NumPages(LogFileID) < segPages; txn++ {
+		commit(l, txn)
+		commit(lt, txn)
+	}
+	if n := len(l.Segments()); n != 1 || dev.NumPages(LogFileID) != segPages {
+		t.Fatalf("%d segments, %d pages in the first; the test needs one full segment", n, dev.NumPages(LogFileID))
+	}
+	for i := 0; i < dataFiles; i++ {
+		page, err := storage.NewPage(dev.PageSize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := page.Insert([]byte{byte(i), 1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+		id, err := dev.AllocPage(dev.CreateFile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.WritePage(id, page.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev.CreateFile() // empty
+
+	r, err := OpenTail(dev, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll := func() []byte {
+		t.Helper()
+		_, data, err := r.Next(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for poll() != nil {
+	}
+	parked := func(what string) {
+		t.Helper()
+		before := dev.Stats().Reads
+		for i := 0; i < polls; i++ {
+			if data := poll(); data != nil {
+				t.Fatalf("%s, poll %d: %d bytes from a log that did not grow", what, i, len(data))
+			}
+		}
+		if reads := dev.Stats().Reads - before; reads != 0 {
+			t.Fatalf("%s: %d polls below %d data files read %d pages, want 0", what, polls, dataFiles, reads)
+		}
+	}
+	parked("full segment")
+
+	commit(lt, txn)
+	if segs := lt.Segments(); len(segs) != 2 || twin.NumPages(segs[1].File) != 1 {
+		t.Fatal("the twin's commit after a full segment did not open a one-page segment")
+	}
+	next, err := twin.ReadPage(storage.PageID{File: lt.Segments()[1].File})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := dev.AllocPage(dev.CreateFile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked("segment page 0 allocated")
+	if err := dev.WritePage(id, next); err != nil {
+		t.Fatal(err)
+	}
+	for poll() != nil {
+	}
+	if r.Pos() != lt.DurableLSN() {
+		t.Fatalf("reader at %d once the segment's page 0 landed, the log is durable to %d", r.Pos(), lt.DurableLSN())
+	}
+}

@@ -45,6 +45,11 @@ type TailReader struct {
 	end     LSN
 	carry   []byte
 	emitted bool
+	// notLog holds the files above seg whose written page 0 opens no
+	// segment, so successor reads each of them once; zero is the checksum
+	// of a page never written.
+	notLog map[storage.FileID]bool
+	zero   uint32
 }
 
 // OpenTail positions a reader over dev's log at LSN from, verifying the
@@ -59,7 +64,8 @@ func OpenTail(dev storage.Device, from LSN) (*TailReader, error) {
 	if len(head.segs) == 0 {
 		return nil, ErrNotALog
 	}
-	r := &TailReader{dev: dev, kept: head.kept, seg: head.segs[0].file, next: head.page, pos: from, end: -1}
+	r := &TailReader{dev: dev, kept: head.kept, seg: head.segs[0].file, next: head.page, pos: from, end: -1,
+		notLog: make(map[storage.FileID]bool), zero: storage.PageChecksum(make([]byte, dev.PageSize()))}
 	err := r.scan()
 	r.kept = nil // whatever the first scan left is stale by the next
 	if err != nil {
@@ -171,18 +177,27 @@ func (r *TailReader) scanPages(n int32) error {
 
 // successor finds the segment after seg: the first file above it whose
 // first page opens a segment naming seg as its predecessor. The page is
-// kept for the scan.
+// kept for the scan. An empty file, or one whose page 0 is unwritten or not
+// durable, may be a segment being opened and is looked at again on the
+// next call; one whose durable page 0 opens no segment never will (a log
+// page is written once, and no data page parses as one), so it is read
+// only once per reader.
 func (r *TailReader) successor() (storage.FileID, bool) {
 	for f := r.seg + 1; int(f) < r.dev.Files(); f++ {
-		if r.dev.NumPages(f) == 0 {
+		id := storage.PageID{File: f}
+		if sum, ok := r.dev.Checksum(id); r.notLog[f] || !ok || sum == r.zero {
 			continue
 		}
-		id := storage.PageID{File: f}
 		buf, err := readTailPage(r.dev, id)
 		if err != nil || buf == nil {
 			continue
 		}
-		if s, ok := parseSegHeader(f, buf); ok && s.prev == r.seg {
+		s, ok := parseSegHeader(f, buf)
+		if !ok {
+			r.notLog[f] = true
+			continue
+		}
+		if s.prev == r.seg {
 			if r.kept == nil {
 				r.kept = make(keptPages)
 			}

@@ -549,8 +549,8 @@ func (l *Log) syncStamped(final LSN, roll bool) error {
 			// so the retry opens another one with its header on page 0.
 			if id.Page == 0 && len(l.segs) > 1 {
 				l.segs = l.segs[:len(l.segs)-1]
-				//sjlint:ignore errdrop an unwritten segment nothing reads; a failed drop leaks one zero page
-				l.dev.DropFile(id.File)
+				// Nothing reads an unwritten segment; a failed drop leaks one zero page.
+				_ = l.dev.DropFile(id.File)
 			}
 			return fmt.Errorf("wal: log append: %w", err)
 		}

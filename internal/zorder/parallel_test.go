@@ -1,6 +1,8 @@
 package zorder
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -64,6 +66,12 @@ func TestParallelOverlapJoinMatchesSequential(t *testing.T) {
 						t.Fatalf("workers=%d: output not sorted at %d", workers, i)
 					}
 				}
+			}
+			// A cancelled run reports the context's error, never a partial answer.
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if got, _, err := g.ParallelOverlapJoinCtx(ctx, rs, ss, 8); !errors.Is(err, context.Canceled) || got != nil {
+				t.Fatalf("cancelled run: %d pairs, err %v; want context.Canceled", len(got), err)
 			}
 		})
 	}

@@ -97,13 +97,13 @@ func (db *Database) SelectContext(ctx context.Context, c *Collection, o Spatial,
 func (db *Database) selectOnce(ctx context.Context, c *Collection, o Spatial, op Operator, strategy Strategy) ([]int, Stats, error) {
 	switch strategy {
 	case ScanStrategy:
-		return join.ExhaustiveSelectCtx(ctx, c.table, o, op)
+		return join.ExhaustiveSelect(ctx, c.table, o, op)
 	case TreeStrategy:
 		scrubbed, err := db.scrubFiles(ctx, c.indexFile.File())
 		if err != nil {
 			return nil, Stats{IndexReads: scrubbed}, err
 		}
-		ids, stats, err := join.TreeSelectCtx(ctx, c.index.Generalization(), c.table, o, op, core.BreadthFirst)
+		ids, stats, err := join.TreeSelect(ctx, c.index.Generalization(), c.table, o, op, core.BreadthFirst)
 		stats.IndexReads += scrubbed
 		return ids, stats, err
 	case IndexStrategy:
@@ -180,13 +180,13 @@ func (db *Database) JoinContext(ctx context.Context, r, s *Collection, op Operat
 func (db *Database) joinOnce(ctx context.Context, r, s *Collection, op Operator, strategy Strategy) ([]Match, Stats, error) {
 	switch strategy {
 	case ScanStrategy:
-		return join.NestedLoopCtx(ctx, r.table, s.table, op, db.cfg.Workers)
+		return join.NestedLoop(ctx, r.table, s.table, op, db.cfg.Workers)
 	case TreeStrategy:
 		scrubbed, err := db.scrubFiles(ctx, r.indexFile.File(), s.indexFile.File())
 		if err != nil {
 			return nil, Stats{IndexReads: scrubbed}, err
 		}
-		ms, stats, err := join.TreeJoinCtx(ctx, r.index.Generalization(), r.table,
+		ms, stats, err := join.TreeJoin(ctx, r.index.Generalization(), r.table,
 			s.index.Generalization(), s.table, op, db.cfg.Workers)
 		stats.IndexReads += scrubbed
 		return ms, stats, err
@@ -200,7 +200,7 @@ func (db *Database) joinOnce(ctx context.Context, r, s *Collection, op Operator,
 		if err != nil {
 			return nil, Stats{IndexReads: scrubbed}, err
 		}
-		ms, stats, err := join.IndexJoinCtx(ctx, ix.ix, r.table, s.table, db.cfg.Workers)
+		ms, stats, err := join.IndexJoin(ctx, ix.ix, r.table, s.table, db.cfg.Workers)
 		stats.IndexReads += scrubbed
 		return ms, stats, err
 	default:
