@@ -156,26 +156,18 @@ func (db *Database) CheckpointTotals() CheckpointTotals {
 // database; all zero for a database that came from Open.
 func (db *Database) RecoveryInfo() RecoveryStats { return db.recovered }
 
-// manifestLocked snapshots the catalog — every registered collection and
-// join index with the commit LSN its files cover — in deterministic (name,
-// key) order. Caller holds db.mu.
-func (db *Database) manifestLocked() wal.Manifest {
-	var m wal.Manifest
+// manifestLocked snapshots the catalog — the registration of every
+// collection, then of every join index — in deterministic (name, key)
+// order. Caller holds db.mu.
+func (db *Database) manifestLocked() []wal.Record {
+	var m []wal.Record
 	names := make([]string, 0, len(db.collections))
 	for name := range db.collections {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		c := db.collections[name]
-		m.Collections = append(m.Collections, wal.ManifestCollection{
-			NewCollection: wal.NewCollection{
-				Name:      c.name,
-				HeapFile:  c.rel.FileID(),
-				IndexFile: c.indexFile.File(),
-			},
-			CoveringLSN: c.lastLSN,
-		})
+		m = append(m, db.collections[name].registration())
 	}
 	keys := make([]string, 0, len(db.joinIndices))
 	for key := range db.joinIndices {
@@ -183,13 +175,7 @@ func (db *Database) manifestLocked() wal.Manifest {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		ji := db.joinIndices[key]
-		m.JoinIndices = append(m.JoinIndices, wal.ManifestJoinIndex{
-			NewJoinIndex: wal.NewJoinIndex{
-				R: ji.r.name, S: ji.s.name, Operator: ji.op.Name(), PairFile: ji.file.File(),
-			},
-			CoveringLSN: ji.lastLSN,
-		})
+		m = append(m, db.joinIndices[key].registration())
 	}
 	return m
 }

@@ -106,9 +106,8 @@ type Database struct {
 	closed      bool
 
 	// mu guards the transaction bookkeeping a fuzzy checkpoint must see
-	// atomically: nextTxn, activeTxns, the catalog maps' membership, and
-	// each object's lastLSN stamp. Queries and in-transaction page work
-	// never hold it.
+	// atomically: nextTxn, activeTxns and the catalog maps' membership.
+	// Queries and in-transaction page work never hold it.
 	mu sync.Mutex
 	// activeTxns maps every in-flight transaction to its begin LSN, from
 	// before its begin record is appended until after its frames learn
@@ -120,22 +119,28 @@ type Database struct {
 	recovered  RecoveryStats // stats of the Reopen that produced this db
 }
 
+// validate rejects a configuration no database can run under; Open and
+// every reopen path share it.
+func (cfg Config) validate() error {
+	switch {
+	case cfg.PageSize <= 0 || cfg.BufferPages <= 0:
+		return fmt.Errorf("spatialjoin: page size and buffer pages must be positive")
+	case cfg.FillFactor <= 0 || cfg.FillFactor > 1:
+		return fmt.Errorf("spatialjoin: fill factor %g out of (0,1]", cfg.FillFactor)
+	case cfg.JoinIndexOrder < 3:
+		return fmt.Errorf("spatialjoin: join index order %d < 3", cfg.JoinIndexOrder)
+	case cfg.Workers < 0:
+		return fmt.Errorf("spatialjoin: negative worker count %d", cfg.Workers)
+	case cfg.QueryTimeout < 0:
+		return fmt.Errorf("spatialjoin: negative query timeout %v", cfg.QueryTimeout)
+	}
+	return nil
+}
+
 // Open creates an empty database.
 func Open(cfg Config) (*Database, error) {
-	if cfg.PageSize <= 0 || cfg.BufferPages <= 0 {
-		return nil, fmt.Errorf("spatialjoin: page size and buffer pages must be positive")
-	}
-	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {
-		return nil, fmt.Errorf("spatialjoin: fill factor %g out of (0,1]", cfg.FillFactor)
-	}
-	if cfg.JoinIndexOrder < 3 {
-		return nil, fmt.Errorf("spatialjoin: join index order %d < 3", cfg.JoinIndexOrder)
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("spatialjoin: negative worker count %d", cfg.Workers)
-	}
-	if cfg.QueryTimeout < 0 {
-		return nil, fmt.Errorf("spatialjoin: negative query timeout %v", cfg.QueryTimeout)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	var device storage.Device = storage.NewDisk(cfg.PageSize)
 	var fd *fault.Disk
@@ -181,12 +186,13 @@ func Open(cfg Config) (*Database, error) {
 func (db *Database) Metrics() *obs.Registry { return db.cfg.Metrics }
 
 // Collection is a named set of spatial objects, stored in a heap file and
-// indexed by an R-tree generalization tree. The R-tree itself is rebuilt
-// in memory, but every entry is also persisted to a backing index file on
-// the simulated disk: that file is what a tree-strategy query scrubs —
-// reads and checksum-verifies — before trusting the index, so a lost or
-// corrupted index page is detected (and triggers degradation to the scan
-// strategy) instead of silently shaping the result.
+// indexed by an R-tree generalization tree. The R-tree lives in memory and
+// is derived from the heap: Reopen rebuilds it from a heap scan. Every entry
+// is also appended to a backing index file on the simulated disk, but only
+// as a scrub target — a tree-strategy query reads and checksum-verifies its
+// pages before trusting the index, so a lost or corrupted index page is
+// detected (and triggers degradation to the scan strategy) instead of
+// silently shaping the result. Nothing reads the entries back.
 type Collection struct {
 	db        *Database
 	name      string
@@ -194,10 +200,6 @@ type Collection struct {
 	table     join.Table
 	index     *rtree.Tree
 	indexFile *storage.HeapFile
-	// lastLSN is the commit LSN of the newest transaction that touched the
-	// collection's files; checkpoints record it in the manifest. Guarded by
-	// db.mu.
-	lastLSN wal.LSN
 }
 
 // collectionSchema is the fixed schema of every collection: an arbitrary
@@ -220,7 +222,7 @@ func (db *Database) CreateCollection(name string) (*Collection, error) {
 		return nil, fmt.Errorf("spatialjoin: collection %q already exists", name)
 	}
 	var c *Collection
-	lsn, err := db.runTxn(func(txn uint64) error {
+	err := db.runTxn(func(txn uint64) error {
 		sch, err := collectionSchema()
 		if err != nil {
 			return err
@@ -243,12 +245,8 @@ func (db *Database) CreateCollection(name string) (*Collection, error) {
 		}
 		c = &Collection{db: db, name: name, rel: rel, table: table, index: index, indexFile: indexFile}
 		if db.wal != nil {
-			_, err = db.wal.AppendCatalog(txn, wal.RecNewCollection,
-				wal.EncodeNewCollection(wal.NewCollection{
-					Name:      name,
-					HeapFile:  rel.FileID(),
-					IndexFile: indexFile.File(),
-				}))
+			reg := c.registration()
+			_, err = db.wal.AppendCatalog(txn, reg.Type, reg.Data)
 			return err
 		}
 		return nil
@@ -257,10 +255,17 @@ func (db *Database) CreateCollection(name string) (*Collection, error) {
 		return nil, err
 	}
 	db.mu.Lock()
-	c.lastLSN = lsn
 	db.collections[name] = c
 	db.mu.Unlock()
 	return c, nil
+}
+
+// registration is the catalog record naming c's files: logged when c is
+// created, and carried by every checkpoint manifest after that.
+func (c *Collection) registration() wal.Record {
+	return wal.Record{Type: wal.RecNewCollection, Data: wal.EncodeNewCollection(wal.NewCollection{
+		Name: c.name, HeapFile: c.rel.FileID(), IndexFile: c.indexFile.File(),
+	})}
 }
 
 // Collection returns the named collection.
@@ -364,16 +369,14 @@ func (c *Collection) Pages() int { return c.rel.NumPages() }
 // IndexHeight returns the height of the collection's R-tree.
 func (c *Collection) IndexHeight() int { return c.index.Height() }
 
-// IndexFileID returns the disk file backing the collection's persisted
-// index entries — the pages a tree-strategy query scrubs before trusting
-// the R-tree. Chaos tests target these pages to simulate index loss.
+// IndexFileID returns the disk file of the collection's index entries —
+// the pages a tree-strategy query scrubs before trusting the R-tree. Chaos
+// tests target these pages to simulate index loss.
 func (c *Collection) IndexFileID() storage.FileID { return c.indexFile.File() }
 
-// appendIndexEntry persists one R-tree entry (tuple id + exact geometry) to
-// the collection's backing index file. Storing the full shape — not just
-// the MBR — lets a checkpoint-bounded recovery rebuild the R-tree from this
-// file alone, without re-scanning the heap: the tree's leaves feed exact
-// predicate evaluation, so an MBR-only entry would not be enough.
+// appendIndexEntry appends one R-tree entry (tuple id + exact geometry) to
+// the collection's backing index file, the pages a tree query scrubs. The
+// file is a scrub target only: no recovery path reads its geometry back.
 func (c *Collection) appendIndexEntry(id int, shape Spatial) error {
 	var idb [8]byte
 	binary.LittleEndian.PutUint64(idb[0:], uint64(id))
@@ -393,7 +396,7 @@ func (c *Collection) Insert(shape Spatial, payload string) (int, error) {
 		return 0, fmt.Errorf("spatialjoin: nil shape")
 	}
 	var id int
-	lsn, err := c.db.runTxn(func(uint64) error {
+	err := c.db.runTxn(func(uint64) error {
 		var err error
 		id, err = c.rel.Insert(relation.Tuple{payload, shape})
 		if err != nil {
@@ -408,15 +411,6 @@ func (c *Collection) Insert(shape Spatial, payload string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	db := c.db
-	db.mu.Lock()
-	c.lastLSN = lsn
-	for _, ji := range db.joinIndices {
-		if ji.r == c || ji.s == c {
-			ji.lastLSN = lsn
-		}
-	}
-	db.mu.Unlock()
 	return id, nil
 }
 

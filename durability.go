@@ -1,7 +1,6 @@
 package spatialjoin
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -21,8 +20,8 @@ type RecoveryStats = wal.RecoveryStats
 // errClosed refuses work after an orderly Close.
 var errClosed = errors.New("spatialjoin: database is closed")
 
-// runTxn executes one atomic update and returns the commit LSN (0 without
-// a WAL). Without a WAL it just runs f. With one, it wraps f in
+// runTxn executes one atomic update. Without a WAL it just runs f. With one,
+// it wraps f in
 // begin/commit records: after f mutates pages in the buffer pool (where
 // the no-steal discipline holds them back from the device), the write set
 // the pool recorded — slot appends, or a page image where the log has no
@@ -39,15 +38,15 @@ var errClosed = errors.New("spatialjoin: database is closed")
 // under the same lock a checkpoint snapshots the table with: a fuzzy
 // checkpoint therefore always either sees the transaction as active or
 // sees its pages' redo floors, never neither.
-func (db *Database) runTxn(f func(txn uint64) error) (wal.LSN, error) {
+func (db *Database) runTxn(f func(txn uint64) error) error {
 	if db.poisoned != nil {
-		return 0, db.poisoned
+		return db.poisoned
 	}
 	if db.closed {
-		return 0, errClosed
+		return errClosed
 	}
 	if db.wal == nil {
-		return 0, f(0)
+		return f(0)
 	}
 	fault.CrashPoint("txn.begin")
 	db.mu.Lock()
@@ -64,7 +63,7 @@ func (db *Database) runTxn(f func(txn uint64) error) (wal.LSN, error) {
 	if err := f(txn); err != nil {
 		db.wal.Abort(txn)
 		finish()
-		return 0, db.poison(err)
+		return db.poison(err)
 	}
 	fault.CrashPoint("txn.mutated")
 	if err := db.pool.DrainWriteSet(func(w storage.PageWrite) error {
@@ -72,7 +71,7 @@ func (db *Database) runTxn(f func(txn uint64) error) (wal.LSN, error) {
 	}); err != nil {
 		db.wal.Abort(txn)
 		finish()
-		return 0, db.poison(err)
+		return db.poison(err)
 	}
 	fault.CrashPoint("txn.images-logged")
 	lsn, err := db.wal.Commit(txn)
@@ -81,7 +80,7 @@ func (db *Database) runTxn(f func(txn uint64) error) (wal.LSN, error) {
 		// failed; the transaction may be durable, so it must not be
 		// aborted — recovery decides.
 		finish()
-		return 0, db.poison(err)
+		return db.poison(err)
 	}
 	// Only now, with the commit record (at least) appended, may the frames
 	// learn their covering LSN: releasing them earlier would let an
@@ -90,7 +89,7 @@ func (db *Database) runTxn(f func(txn uint64) error) (wal.LSN, error) {
 	db.pool.CoverWriteSet(lsn, beginLSN)
 	finish()
 	fault.CrashPoint("txn.committed")
-	return lsn, nil
+	return nil
 }
 
 // poison marks the database as needing recovery after a failed WAL
@@ -120,13 +119,13 @@ func (db *Database) checkUsable() error {
 // transaction, redoes the page changes of committed transactions — bounded
 // below by the last fuzzy checkpoint, whose dirty-page and
 // active-transaction tables prove which older changes are already on the
-// device — and rebuilds the in-memory catalog (collections, R-trees, join
-// indices). Collections the checkpoint manifest vouches for, whose files
-// replay did not touch, load their R-trees straight from the persisted
-// index file instead of re-scanning the heap; Stats.IndexRebuildsSkipped
-// counts them. cfg must have WAL set and should otherwise match the crashed
-// instance's configuration. The device is used as-is — pass the crashed
-// database's Device() after rebooting any fault wrapper.
+// device — and rebuilds the in-memory catalog from the checkpoint's manifest
+// and the scanned catalog records. Each collection's R-tree is rebuilt in the
+// same single heap scan that reassigns its tuple IDs, and each join index is
+// replayed from its pair file. cfg must have WAL set, pass the checks Open
+// makes, and should otherwise match the crashed instance's configuration.
+// The device is used as-is — pass the crashed database's Device() after
+// rebooting any fault wrapper.
 func Reopen(cfg Config, device storage.Device) (*Database, RecoveryStats, error) {
 	return reopenWith(cfg, device, false, 0)
 }
@@ -154,14 +153,8 @@ func reopenWith(cfg Config, device storage.Device, ignoreCheckpoints bool, apply
 	if !cfg.WAL {
 		return nil, stats, fmt.Errorf("spatialjoin: Reopen requires Config.WAL")
 	}
-	if cfg.PageSize <= 0 || cfg.BufferPages <= 0 {
-		return nil, stats, fmt.Errorf("spatialjoin: page size and buffer pages must be positive")
-	}
-	if cfg.FillFactor <= 0 || cfg.FillFactor > 1 {
-		return nil, stats, fmt.Errorf("spatialjoin: fill factor %g out of (0,1]", cfg.FillFactor)
-	}
-	if cfg.JoinIndexOrder < 3 {
-		return nil, stats, fmt.Errorf("spatialjoin: join index order %d < 3", cfg.JoinIndexOrder)
+	if err := cfg.validate(); err != nil {
+		return nil, stats, err
 	}
 	if device.PageSize() != cfg.PageSize {
 		return nil, stats, fmt.Errorf("spatialjoin: device page size %d != configured %d",
@@ -199,24 +192,10 @@ func reopenWith(cfg Config, device storage.Device, ignoreCheckpoints bool, apply
 		nextTxn:     stats.NextTxn,
 		activeTxns:  make(map[uint64]wal.LSN),
 	}
-	// The manifest registers pre-checkpoint objects first — truncation may
-	// have destroyed their catalog records — then the scanned records add
+	// The manifest's registrations come first — truncation may have
+	// destroyed their catalog records — then the scanned records add
 	// post-checkpoint objects. Both reopen helpers skip names already
 	// registered, so a surviving record for a manifest object is a no-op.
-	if cp := res.Checkpoint; cp != nil {
-		for _, mc := range cp.Manifest.Collections {
-			if err := db.reopenCollection(mc.NewCollection, mc.CoveringLSN,
-				!res.TouchedFiles[mc.HeapFile] && !res.TouchedFiles[mc.IndexFile], &stats); err != nil {
-				return nil, stats, fmt.Errorf("spatialjoin: recovering collection %q: %w", mc.Name, err)
-			}
-		}
-		for _, mj := range cp.Manifest.JoinIndices {
-			if err := db.reopenJoinIndex(mj.NewJoinIndex, mj.CoveringLSN); err != nil {
-				return nil, stats, fmt.Errorf("spatialjoin: recovering join index %s ⋈ %s on %s: %w",
-					mj.R, mj.S, mj.Operator, err)
-			}
-		}
-	}
 	for _, rec := range res.Catalog {
 		switch rec.Type {
 		case wal.RecNewCollection:
@@ -224,7 +203,7 @@ func reopenWith(cfg Config, device storage.Device, ignoreCheckpoints bool, apply
 			if err != nil {
 				return nil, stats, err
 			}
-			if err := db.reopenCollection(nc, rec.LSN, false, &stats); err != nil {
+			if err := db.reopenCollection(nc); err != nil {
 				return nil, stats, fmt.Errorf("spatialjoin: recovering collection %q: %w", nc.Name, err)
 			}
 		case wal.RecNewJoinIndex:
@@ -232,7 +211,7 @@ func reopenWith(cfg Config, device storage.Device, ignoreCheckpoints bool, apply
 			if err != nil {
 				return nil, stats, err
 			}
-			if err := db.reopenJoinIndex(nj, rec.LSN); err != nil {
+			if err := db.reopenJoinIndex(nj); err != nil {
 				return nil, stats, fmt.Errorf("spatialjoin: recovering join index %s ⋈ %s on %s: %w",
 					nj.R, nj.S, nj.Operator, err)
 			}
@@ -275,14 +254,12 @@ func (db *Database) RetainWAL(lsn wal.LSN) {
 	}
 }
 
-// reopenCollection rebuilds one collection from its recovered files. When
-// trusted is set — the checkpoint manifest vouches for the collection and
-// replay wrote into neither of its files — the R-tree loads straight from
-// the persisted index file, whose entries carry the exact geometry in
-// insertion order; otherwise it is rebuilt from a heap scan (tuple IDs come
-// back in heap order, equal to insertion order for sequentially grown
-// collections). Both paths produce the identical tree.
-func (db *Database) reopenCollection(nc wal.NewCollection, lsn wal.LSN, trusted bool, stats *RecoveryStats) error {
+// reopenCollection rebuilds one collection from its recovered files in one
+// heap scan: the scan that reassigns tuple IDs in heap order also inserts
+// each shape into a fresh R-tree under its ID. Heap order is insertion order
+// for sequentially grown collections, so the tree is the one the inserts
+// built. The index file is reattached, never read back.
+func (db *Database) reopenCollection(nc wal.NewCollection) error {
 	if _, dup := db.collections[nc.Name]; dup {
 		return nil
 	}
@@ -290,7 +267,19 @@ func (db *Database) reopenCollection(nc wal.NewCollection, lsn wal.LSN, trusted 
 	if err != nil {
 		return err
 	}
-	rel, err := relation.Open(db.pool, nc.Name, sch, nc.HeapFile, db.cfg.FillFactor)
+	index, err := rtree.New(db.cfg.IndexOptions)
+	if err != nil {
+		return err
+	}
+	rel, err := relation.Open(db.pool, nc.Name, sch, nc.HeapFile, db.cfg.FillFactor,
+		func(id int, t relation.Tuple) error {
+			shape, err := sch.SpatialValue(t, 1)
+			if err != nil {
+				return err
+			}
+			index.Insert(shape, id)
+			return nil
+		})
 	if err != nil {
 		return err
 	}
@@ -298,67 +287,20 @@ func (db *Database) reopenCollection(nc wal.NewCollection, lsn wal.LSN, trusted 
 	if err != nil {
 		return err
 	}
-	index, err := rtree.New(db.cfg.IndexOptions)
-	if err != nil {
-		return err
-	}
 	indexFile, err := storage.OpenHeapFile(db.pool, nc.IndexFile, db.cfg.FillFactor)
 	if err != nil {
 		return err
 	}
-	if trusted {
-		if err := loadIndexEntries(indexFile, index); err != nil {
-			return err
-		}
-		stats.IndexRebuildsSkipped++
-	} else if err := rel.Scan(func(id int, t relation.Tuple) (bool, error) {
-		shape, err := rel.Schema().SpatialValue(t, 1)
-		if err != nil {
-			return false, err
-		}
-		index.Insert(shape, id)
-		return true, nil
-	}); err != nil {
-		return err
-	}
 	db.collections[nc.Name] = &Collection{
 		db: db, name: nc.Name, rel: rel, table: table, index: index, indexFile: indexFile,
-		lastLSN: lsn,
 	}
 	return nil
-}
-
-// loadIndexEntries replays a persisted index file — [u64 id][geometry]
-// records in insertion order — into a fresh R-tree.
-func loadIndexEntries(indexFile *storage.HeapFile, index *rtree.Tree) error {
-	var scanErr error
-	if err := indexFile.Scan(func(_ storage.RID, rec []byte) bool {
-		if len(rec) < 8 {
-			scanErr = fmt.Errorf("spatialjoin: index entry of %d bytes, want >= 8", len(rec))
-			return false
-		}
-		id := int(binary.LittleEndian.Uint64(rec[0:]))
-		shape, n, err := relation.DecodeGeometry(rec[8:])
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if 8+n != len(rec) {
-			scanErr = fmt.Errorf("spatialjoin: index entry has %d trailing bytes", len(rec)-8-n)
-			return false
-		}
-		index.Insert(shape, id)
-		return true
-	}); err != nil {
-		return err
-	}
-	return scanErr
 }
 
 // reopenJoinIndex rebuilds one join index by replaying its recovered pair
 // file into a fresh B+-tree (Add de-duplicates, so the file needs no
 // compaction discipline).
-func (db *Database) reopenJoinIndex(nj wal.NewJoinIndex, lsn wal.LSN) error {
+func (db *Database) reopenJoinIndex(nj wal.NewJoinIndex) error {
 	r, ok := db.collections[nj.R]
 	if !ok {
 		return fmt.Errorf("collection %q not recovered", nj.R)
@@ -401,7 +343,7 @@ func (db *Database) reopenJoinIndex(nj wal.NewJoinIndex, lsn wal.LSN) error {
 		return addErr
 	}
 	db.joinIndices[joinIndexKey(r, s, op)] = &JoinIndex{
-		r: r, s: s, op: op, ix: ix, file: file, lastLSN: lsn,
+		r: r, s: s, op: op, ix: ix, file: file,
 	}
 	return nil
 }

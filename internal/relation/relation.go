@@ -89,20 +89,31 @@ func BulkLoad(pool *storage.BufferPool, name string, schema Schema,
 // Open reattaches to a relation's existing heap file after a restart,
 // reassigning tuple IDs in physical scan order. For relations grown by
 // sequential Insert — the database's collections — physical order equals
-// the original insertion order, so IDs are stable across restarts.
+// the original insertion order, so IDs are stable across restarts. The same
+// scan hands visit every tuple with its new ID, in ID order, so whatever a
+// caller derives from the relation (an index) is rebuilt without a second
+// pass; an error from visit stops the scan and is returned.
 func Open(pool *storage.BufferPool, name string, schema Schema,
-	file storage.FileID, fillFactor float64) (*Relation, error) {
+	file storage.FileID, fillFactor float64, visit func(id int, t Tuple) error) (*Relation, error) {
 
 	h, err := storage.OpenHeapFile(pool, file, fillFactor)
 	if err != nil {
 		return nil, err
 	}
 	r := &Relation{name: name, schema: schema, heap: h}
-	if err := h.Scan(func(rid storage.RID, _ []byte) bool {
+	var verr error
+	if err := h.Scan(func(rid storage.RID, rec []byte) bool {
+		var t Tuple
+		if t, verr = schema.Decode(rec); verr == nil {
+			verr = visit(len(r.rids), t)
+		}
 		r.rids = append(r.rids, rid)
-		return true
+		return verr == nil
 	}); err != nil {
 		return nil, err
+	}
+	if verr != nil {
+		return nil, verr
 	}
 	return r, nil
 }
@@ -174,41 +185,4 @@ func (r *Relation) Spatial(id, col int) (geom.Spatial, error) {
 		return nil, err
 	}
 	return r.schema.SpatialValue(t, col)
-}
-
-// Scan calls f for every tuple in *physical* page order — the access
-// pattern of a relation scan. f receives the tuple ID and the decoded
-// tuple; returning false stops the scan.
-func (r *Relation) Scan(f func(id int, t Tuple) (bool, error)) error {
-	// Invert the rid table so physical order can report logical IDs.
-	byRID := make(map[storage.RID]int, len(r.rids))
-	for id, rid := range r.rids {
-		byRID[rid] = id
-	}
-	var stop bool
-	var ferr error
-	err := r.heap.Scan(func(rid storage.RID, rec []byte) bool {
-		id, ok := byRID[rid]
-		if !ok {
-			ferr = fmt.Errorf("relation %s: orphan record %v", r.name, rid)
-			return false
-		}
-		t, err := r.schema.Decode(rec)
-		if err != nil {
-			ferr = err
-			return false
-		}
-		cont, err := f(id, t)
-		if err != nil {
-			ferr = err
-			return false
-		}
-		stop = !cont
-		return cont
-	})
-	if err != nil {
-		return err
-	}
-	_ = stop
-	return ferr
 }

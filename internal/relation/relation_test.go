@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -295,57 +296,103 @@ func TestBulkLoadShuffleDeterministic(t *testing.T) {
 	}
 }
 
+// grown creates a relation of n tuples by sequential Insert, the way the
+// database grows its collections.
+func grown(t *testing.T, pool *storage.BufferPool, n int) *Relation {
+	t.Helper()
+	r, err := Create(pool, "grown", testSchema(t), 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := r.Insert(testTuple(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// TestRelationScanVisitsAllOnce checks the one relation scan Open makes
+// hands the visitor every tuple once, decoded, under the ID it reassigns —
+// which for a sequentially grown relation is its insertion ID.
 func TestRelationScanVisitsAllOnce(t *testing.T) {
 	pool := newPool(t)
-	tuples := make([]Tuple, 70)
-	for i := range tuples {
-		tuples[i] = testTuple(i)
-	}
-	r, _ := BulkLoad(pool, "scan", testSchema(t), tuples, PlaceShuffled, 0.75, 3)
-	seen := make(map[int]bool)
-	err := r.Scan(func(id int, tup Tuple) (bool, error) {
-		if seen[id] {
-			t.Fatalf("tuple %d visited twice", id)
+	r := grown(t, pool, 70)
+	next := 0
+	o, err := Open(pool, "grown", testSchema(t), r.FileID(), 0.75, func(id int, tup Tuple) error {
+		if id != next || tup[0].(int64) != int64(id) {
+			t.Fatalf("visit %d got id %d holding tuple %v", next, id, tup[0])
 		}
-		seen[id] = true
-		if tup[0].(int64) != int64(id) {
-			t.Fatalf("tuple %d decoded wrong id %v", id, tup[0])
-		}
-		return true, nil
+		next++
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 70 {
-		t.Fatalf("scan saw %d tuples, want 70", len(seen))
+	if next != 70 || o.Len() != 70 {
+		t.Fatalf("Open visited %d tuples and reattached %d, want 70", next, o.Len())
+	}
+	for id := 0; id < 70; id++ {
+		if a, b := mustRID(t, r, id), mustRID(t, o, id); a != b {
+			t.Fatalf("tuple %d at %v after Open, inserted at %v", id, b, a)
+		}
 	}
 }
 
+func mustRID(t *testing.T, r *Relation, id int) storage.RID {
+	t.Helper()
+	rid, err := r.RID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rid
+}
+
+// TestRelationScanEarlyStop checks a visitor error ends Open's scan at the
+// tuple that raised it.
 func TestRelationScanEarlyStop(t *testing.T) {
 	pool := newPool(t)
-	tuples := make([]Tuple, 30)
-	for i := range tuples {
-		tuples[i] = testTuple(i)
-	}
-	r, _ := BulkLoad(pool, "stop", testSchema(t), tuples, PlaceSequential, 0.75, 0)
+	r := grown(t, pool, 30)
 	count := 0
-	r.Scan(func(int, Tuple) (bool, error) {
-		count++
-		return count < 5, nil
+	Open(pool, "grown", testSchema(t), r.FileID(), 0.75, func(int, Tuple) error {
+		if count++; count == 5 {
+			return fmt.Errorf("stop")
+		}
+		return nil
 	})
 	if count != 5 {
 		t.Fatalf("scan visited %d, want 5", count)
 	}
 }
 
+// TestRelationScanPropagatesError checks the visitor's error is what Open
+// returns.
 func TestRelationScanPropagatesError(t *testing.T) {
 	pool := newPool(t)
-	r, _ := Create(pool, "err", testSchema(t), 0.75)
-	r.Insert(testTuple(0))
+	r := grown(t, pool, 1)
 	wantErr := fmt.Errorf("boom")
-	err := r.Scan(func(int, Tuple) (bool, error) { return false, wantErr })
-	if err == nil || err.Error() != "boom" {
-		t.Fatalf("scan error = %v", err)
+	_, err := Open(pool, "grown", testSchema(t), r.FileID(), 0.75, func(int, Tuple) error { return wantErr })
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("Open error = %v, want %v", err, wantErr)
+	}
+}
+
+// TestOpenRejectsUndecodableTuple checks Open decodes what it reattaches: a
+// heap whose records do not decode under the schema is an error, and the
+// visitor never sees a tuple.
+func TestOpenRejectsUndecodableTuple(t *testing.T) {
+	pool := newPool(t)
+	r := grown(t, pool, 3)
+	other, err := NewSchema(Column{"id", TypeInt64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(pool, "grown", other, r.FileID(), 0.75, func(int, Tuple) error {
+		t.Fatal("visitor called with a tuple that does not decode")
+		return nil
+	})
+	if err == nil {
+		t.Fatal("Open accepted records the schema cannot decode")
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // The catalog lives in the log: collection and join-index registrations are
 // ordinary records inside the transaction that created the object, so a
 // crash either preserves both the object's pages and its registration or
-// neither. Payloads are length-prefixed strings followed by file IDs.
+// neither. Payloads are length-prefixed strings followed by file IDs. A
+// checkpoint's manifest carries the same records, so one codec reads both.
 
 // NewCollection is the decoded payload of a RecNewCollection record.
 type NewCollection struct {
@@ -73,10 +74,10 @@ func DecodeNewCollection(data []byte) (NewCollection, error) {
 	if c.HeapFile, data, err = getFile(data); err != nil {
 		return c, err
 	}
-	if c.IndexFile, _, err = getFile(data); err != nil {
+	if c.IndexFile, data, err = getFile(data); err != nil {
 		return c, err
 	}
-	return c, nil
+	return c, noTrailing(data)
 }
 
 // EncodeNewJoinIndex serializes a join-index registration.
@@ -100,8 +101,44 @@ func DecodeNewJoinIndex(data []byte) (NewJoinIndex, error) {
 	if j.Operator, data, err = getString(data); err != nil {
 		return j, err
 	}
-	if j.PairFile, _, err = getFile(data); err != nil {
+	if j.PairFile, data, err = getFile(data); err != nil {
 		return j, err
 	}
-	return j, nil
+	return j, noTrailing(data)
+}
+
+// noTrailing rejects the bytes a decoder left over.
+func noTrailing(rest []byte) error {
+	if len(rest) != 0 {
+		return fmt.Errorf("wal: %d trailing bytes after payload", len(rest))
+	}
+	return nil
+}
+
+// putCatalog appends one manifest entry: [u8 type][u32 length][payload].
+func putCatalog(buf []byte, r Record) []byte {
+	return putString(append(buf, byte(r.Type)), string(r.Data))
+}
+
+// getCatalog reads one manifest entry and checks its payload with the
+// registration's own decoder.
+func getCatalog(buf []byte) (Record, []byte, error) {
+	if len(buf) < 1 {
+		return Record{}, nil, fmt.Errorf("wal: truncated catalog entry")
+	}
+	r := Record{Type: RecordType(buf[0])}
+	data, rest, err := getString(buf[1:])
+	if err != nil {
+		return r, nil, err
+	}
+	r.Data = []byte(data)
+	switch r.Type {
+	case RecNewCollection:
+		_, err = DecodeNewCollection(r.Data)
+	case RecNewJoinIndex:
+		_, err = DecodeNewJoinIndex(r.Data)
+	default:
+		err = fmt.Errorf("wal: %v is not a catalog record type", r.Type)
+	}
+	return r, rest, err
 }

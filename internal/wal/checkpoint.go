@@ -17,8 +17,9 @@ import (
 //     dirty-page table while transactions keep running.
 //  3. RecCheckpointEnd is appended carrying the residual dirty-page table
 //     (page → redo floor), the active-transaction table (txn → begin LSN),
-//     the catalog manifest, and the next transaction id; then the log is
-//     forced durable. Only a durable end record makes the checkpoint real.
+//     the catalog manifest (the registration record of every object), and
+//     the next transaction id; then the log is forced durable. Only a
+//     durable end record makes the checkpoint real.
 //  4. The final page of that sync raises the log's scan floor to
 //     min(DPT floor, Lb, oldest active begin): nothing below that LSN can
 //     ever be needed for redo, and no scan reads the pages wholly below it
@@ -53,38 +54,20 @@ type ActiveTxn struct {
 	BeginLSN LSN
 }
 
-// ManifestCollection names one collection the checkpoint vouches for: its
-// catalog registration plus the commit LSN its persisted files cover. A
-// recovery that replays nothing newer onto the collection's files may load
-// the R-tree straight from the persisted index file instead of rebuilding
-// it from a heap scan.
-type ManifestCollection struct {
-	NewCollection
-	CoveringLSN LSN
-}
-
-// ManifestJoinIndex names one join index the checkpoint vouches for.
-type ManifestJoinIndex struct {
-	NewJoinIndex
-	CoveringLSN LSN
-}
-
-// Manifest is the catalog snapshot a checkpoint carries. Truncation puts
-// catalog records below the floor out of every scan's reach, so the manifest
-// — not the record stream — is the authoritative list of pre-checkpoint objects;
-// post-checkpoint registrations still arrive as ordinary records.
-type Manifest struct {
-	Collections []ManifestCollection
-	JoinIndices []ManifestJoinIndex
-}
-
 // Checkpoint is the decoded payload of a RecCheckpointEnd record.
 type Checkpoint struct {
 	BeginLSN LSN
 	NextTxn  uint64
 	Active   []ActiveTxn
 	DPT      []DirtyPage
-	Manifest Manifest
+	// Manifest is the catalog when the checkpoint was cut: one
+	// RecNewCollection or RecNewJoinIndex registration (Type and Data only)
+	// per object, every collection before any join index over it.
+	// Truncation puts catalog records below the floor out of every scan's
+	// reach, so the manifest — not the record stream — is the authoritative
+	// list of pre-checkpoint objects; post-checkpoint registrations still
+	// arrive as ordinary records.
+	Manifest []Record
 }
 
 // RedoFloor returns the LSN recovery redo must start at: the minimum over
@@ -164,20 +147,16 @@ func EncodeCheckpoint(cp Checkpoint) []byte {
 		buf = putCount(buf, int(d.Page.Page))
 		buf = putU64(buf, uint64(d.RecLSN))
 	}
-	buf = putCount(buf, len(cp.Manifest.Collections))
-	for _, c := range cp.Manifest.Collections {
-		buf = append(buf, EncodeNewCollection(c.NewCollection)...)
-		buf = putU64(buf, uint64(c.CoveringLSN))
-	}
-	buf = putCount(buf, len(cp.Manifest.JoinIndices))
-	for _, j := range cp.Manifest.JoinIndices {
-		buf = append(buf, EncodeNewJoinIndex(j.NewJoinIndex)...)
-		buf = putU64(buf, uint64(j.CoveringLSN))
+	buf = putCount(buf, len(cp.Manifest))
+	for _, r := range cp.Manifest {
+		buf = putCatalog(buf, r)
 	}
 	return buf
 }
 
-// DecodeCheckpoint parses a RecCheckpointEnd payload.
+// DecodeCheckpoint parses a RecCheckpointEnd payload. It accepts exactly
+// the payloads EncodeCheckpoint produces: every manifest entry must decode
+// as its registration, and no byte may follow the manifest.
 func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	var cp Checkpoint
 	var err error
@@ -227,46 +206,13 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 		return cp, err
 	}
 	for i := 0; i < n; i++ {
-		var c ManifestCollection
-		if c.Name, data, err = getString(data); err != nil {
+		var r Record
+		if r, data, err = getCatalog(data); err != nil {
 			return cp, err
 		}
-		if c.HeapFile, data, err = getFile(data); err != nil {
-			return cp, err
-		}
-		if c.IndexFile, data, err = getFile(data); err != nil {
-			return cp, err
-		}
-		if v, data, err = getU64(data); err != nil {
-			return cp, err
-		}
-		c.CoveringLSN = LSN(v)
-		cp.Manifest.Collections = append(cp.Manifest.Collections, c)
+		cp.Manifest = append(cp.Manifest, r)
 	}
-	if n, data, err = getCount(data); err != nil {
-		return cp, err
-	}
-	for i := 0; i < n; i++ {
-		var j ManifestJoinIndex
-		if j.R, data, err = getString(data); err != nil {
-			return cp, err
-		}
-		if j.S, data, err = getString(data); err != nil {
-			return cp, err
-		}
-		if j.Operator, data, err = getString(data); err != nil {
-			return cp, err
-		}
-		if j.PairFile, data, err = getFile(data); err != nil {
-			return cp, err
-		}
-		if v, data, err = getU64(data); err != nil {
-			return cp, err
-		}
-		j.CoveringLSN = LSN(v)
-		cp.Manifest.JoinIndices = append(cp.Manifest.JoinIndices, j)
-	}
-	return cp, nil
+	return cp, noTrailing(data)
 }
 
 // AppendCheckpointBegin appends the begin marker of a fuzzy checkpoint and

@@ -5,16 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"spatialjoin/internal/fault"
 	"spatialjoin/internal/storage"
 )
 
-// TestCheckpointCodecRoundTrip checks the end-record payload carries every
-// table through encode/decode unchanged.
-func TestCheckpointCodecRoundTrip(t *testing.T) {
-	cp := Checkpoint{
+// sampleCheckpoint is a checkpoint with every table populated: active
+// transactions, a dirty-page table, and a manifest holding collections and
+// a join index.
+func sampleCheckpoint() Checkpoint {
+	return Checkpoint{
 		BeginLSN: 12345,
 		NextTxn:  42,
 		Active: []ActiveTxn{
@@ -25,25 +27,85 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 			{Page: storage.PageID{File: 2, Page: 5}, RecLSN: 9000},
 			{Page: storage.PageID{File: 3, Page: 0}, RecLSN: 10500},
 		},
-		Manifest: Manifest{
-			Collections: []ManifestCollection{
-				{NewCollection: NewCollection{Name: "roads", HeapFile: 1, IndexFile: 2}, CoveringLSN: 8000},
-			},
-			JoinIndices: []ManifestJoinIndex{
-				{NewJoinIndex: NewJoinIndex{R: "roads", S: "cities", Operator: "overlaps", PairFile: 4}, CoveringLSN: 9500},
-			},
+		Manifest: []Record{
+			{Type: RecNewCollection, Data: EncodeNewCollection(NewCollection{Name: "roads", HeapFile: 1, IndexFile: 2})},
+			{Type: RecNewCollection, Data: EncodeNewCollection(NewCollection{Name: "cities", HeapFile: 3, IndexFile: 5})},
+			{Type: RecNewJoinIndex, Data: EncodeNewJoinIndex(NewJoinIndex{R: "roads", S: "cities", Operator: "overlaps", PairFile: 4})},
 		},
 	}
-	got, err := DecodeCheckpoint(EncodeCheckpoint(cp))
+}
+
+// TestCheckpointCodecRoundTrip checks the end-record payload carries every
+// table through encode/decode unchanged, and that a truncated payload, a
+// trailing byte and a manifest entry that is no registration are errors.
+func TestCheckpointCodecRoundTrip(t *testing.T) {
+	cp := sampleCheckpoint()
+	enc := EncodeCheckpoint(cp)
+	got, err := DecodeCheckpoint(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, cp) {
 		t.Fatalf("round trip mismatch:\n got  %+v\n want %+v", got, cp)
 	}
-	if _, err := DecodeCheckpoint(EncodeCheckpoint(cp)[:10]); err == nil {
+	if _, err := DecodeCheckpoint(enc[:10]); err == nil {
 		t.Error("truncated payload decoded without error")
 	}
+	if _, err := DecodeCheckpoint(append(bytes.Clone(enc), 0)); err == nil {
+		t.Error("payload with a trailing byte decoded without error")
+	}
+	bad := cp
+	bad.Manifest = []Record{{Type: RecNewCollection, Data: EncodeNewJoinIndex(NewJoinIndex{R: "a", S: "b", Operator: "c"})}}
+	if _, err := DecodeCheckpoint(EncodeCheckpoint(bad)); err == nil {
+		t.Error("manifest entry whose payload is not its registration decoded without error")
+	}
+	bad.Manifest = []Record{{Type: RecCommit}}
+	if _, err := DecodeCheckpoint(EncodeCheckpoint(bad)); err == nil {
+		t.Error("manifest entry of a non-catalog type decoded without error")
+	}
+}
+
+// TestCheckpointCatalogOverrunAllocatesNothing checks a manifest entry whose
+// length prefix claims far more bytes than the payload holds is rejected
+// before anything of that size is allocated.
+func TestCheckpointCatalogOverrunAllocatesNothing(t *testing.T) {
+	cp := sampleCheckpoint()
+	cp.Manifest = nil
+	enc := EncodeCheckpoint(cp)
+	enc = putCount(enc[:len(enc)-4], 1) // the manifest count, 0 → 1
+	enc = append(enc, byte(RecNewCollection))
+	enc = putCount(enc, 1<<30)
+	enc = append(enc, "short"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeCheckpoint(enc)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("catalog entry running 1 GiB past the payload decoded without error")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting the overrun allocated %d bytes", grew)
+	}
+}
+
+// FuzzDecodeCheckpoint feeds arbitrary bytes to the checkpoint payload
+// decoder: it must never panic, and any payload it accepts must re-encode
+// to exactly the same bytes.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	cp := sampleCheckpoint()
+	f.Add(EncodeCheckpoint(cp))
+	f.Add(EncodeCheckpoint(Checkpoint{BeginLSN: 1, NextTxn: 1}))
+	cp.Active, cp.DPT = nil, nil
+	f.Add(EncodeCheckpoint(cp))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := DecodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if got := EncodeCheckpoint(cp); !bytes.Equal(got, data) {
+			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", data, got)
+		}
+	})
 }
 
 // TestCheckpointFloors checks RedoFloor and replayStart honor the DPT and
@@ -170,9 +232,6 @@ func TestCheckpointDPTForcesReplay(t *testing.T) {
 	}
 	if !bytes.Equal(got, img) {
 		t.Error("dirty-page-table image was not replayed")
-	}
-	if !res.TouchedFiles[pid.File] {
-		t.Error("TouchedFiles does not name the replayed file")
 	}
 }
 
@@ -408,9 +467,9 @@ func fatCheckpoint(t *testing.T) (*fault.Disk, *Log, storage.PageID, []byte, Che
 	traffic(5)
 	cp := Checkpoint{BeginLSN: l.AppendCheckpointBegin(), NextTxn: 9}
 	for i := 0; i < 40; i++ {
-		cp.Manifest.Collections = append(cp.Manifest.Collections, ManifestCollection{
-			NewCollection: NewCollection{Name: fmt.Sprintf("collection-%02d", i), HeapFile: storage.FileID(2 * i), IndexFile: storage.FileID(2*i + 1)},
-		})
+		cp.Manifest = append(cp.Manifest, Record{Type: RecNewCollection, Data: EncodeNewCollection(NewCollection{
+			Name: fmt.Sprintf("collection-%02d", i), HeapFile: storage.FileID(2 * i), IndexFile: storage.FileID(2*i + 1),
+		})})
 	}
 	return fd, l, pid, img, cp
 }

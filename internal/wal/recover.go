@@ -27,9 +27,9 @@ type RecoveryStats struct {
 	HeadPage        int64 // first log page the scan read, in log order; pages below it are dead
 	SegmentsDropped int64 // segments a crash left wholly below the floor, given back now
 	CheckpointLSN   LSN   // begin LSN of the checkpoint recovery bounded redo by; 0 = none
-	// IndexRebuildsSkipped counts persisted indices the catalog layer
-	// loaded from the checkpoint manifest instead of rebuilding from a
-	// heap scan. The wal package never sets it — Reopen does.
+	// IndexRebuildsSkipped is always 0: every Reopen rebuilds each R-tree
+	// from its heap. The field stays only for the benchmark harness, which
+	// still reports it.
 	IndexRebuildsSkipped int64
 	NextTxn              uint64
 	// NextApplyFloor is the safe Options.ApplyFloor for the *next*
@@ -96,17 +96,16 @@ type Options struct {
 // Result is everything RecoverWith hands back to the catalog layer.
 type Result struct {
 	Log *Log
-	// Catalog holds the committed RecNewCollection/RecNewJoinIndex records
-	// found in the scanned stream, in LSN order. Objects registered before
-	// a truncating checkpoint appear only in the checkpoint's manifest.
+	// Catalog holds every registration to re-create, in order: the
+	// checkpoint's manifest, then the committed RecNewCollection and
+	// RecNewJoinIndex records of the scanned stream, in LSN order. An object
+	// registered before a non-truncating checkpoint appears twice; the
+	// first wins.
 	Catalog []Record
 	// Checkpoint is the last complete checkpoint, nil when none was found
 	// (or checkpoints were ignored).
 	Checkpoint *Checkpoint
-	// TouchedFiles names every file replay wrote into — the files whose
-	// persisted index state the manifest can no longer vouch for.
-	TouchedFiles map[storage.FileID]bool
-	Stats        RecoveryStats
+	Stats      RecoveryStats
 }
 
 // RecoverWith scans the log on dev and redoes the committed page changes
@@ -125,7 +124,7 @@ func RecoverWith(dev storage.Device, opts Options) (*Result, error) {
 
 // recoverFrom is RecoverWith over a scan that starts at head.
 func recoverFrom(dev storage.Device, opts Options, head logHead) (*Result, error) {
-	res := &Result{TouchedFiles: make(map[storage.FileID]bool)}
+	res := &Result{}
 	stats := &res.Stats
 	sc, err := scanStream(dev, &head)
 	stats.LogPagesRead, stats.ProbePagesRead = head.reads, head.probes
@@ -216,6 +215,7 @@ func recoverFrom(dev storage.Device, opts Options, head logHead) (*Result, error
 	replayStart := LSN(0)
 	dpt := make(map[storage.PageID]LSN)
 	if cp := res.Checkpoint; cp != nil {
+		res.Catalog = append(res.Catalog, cp.Manifest...)
 		stats.CheckpointLSN = cp.BeginLSN
 		if cp.NextTxn > stats.NextTxn {
 			stats.NextTxn = cp.NextTxn
@@ -252,7 +252,6 @@ func recoverFrom(dev storage.Device, opts Options, head logHead) (*Result, error
 				}
 			}
 			stats.RecordsReplayed++
-			res.TouchedFiles[r.Page.File] = true
 			if _, seen := redo[r.Page]; !seen {
 				pages = append(pages, r.Page)
 			}

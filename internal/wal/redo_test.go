@@ -69,15 +69,10 @@ func (w *redoWorld) register() {
 }
 
 // collections lists the collections a recovery would re-register: the
-// checkpoint manifest's, then the committed catalog records not in it.
+// catalog's entries, the checkpoint manifest's first, without repeats.
 func collections(t *testing.T, res *Result) []string {
 	t.Helper()
 	var names []string
-	if res.Checkpoint != nil {
-		for _, c := range res.Checkpoint.Manifest.Collections {
-			names = append(names, c.Name)
-		}
-	}
 	for _, r := range res.Catalog {
 		nc, err := DecodeNewCollection(r.Data)
 		if err != nil {
@@ -213,9 +208,9 @@ func (w *redoWorld) checkpoint(rng *rand.Rand) LSN {
 		cp.DPT = append(cp.DPT, DirtyPage{Page: d.ID, RecLSN: d.RedoLSN})
 	}
 	for i, hf := range w.files {
-		cp.Manifest.Collections = append(cp.Manifest.Collections, ManifestCollection{
-			NewCollection: NewCollection{Name: fmt.Sprintf("f%d", i), HeapFile: hf.File()},
-		})
+		cp.Manifest = append(cp.Manifest, Record{Type: RecNewCollection, Data: EncodeNewCollection(NewCollection{
+			Name: fmt.Sprintf("f%d", i), HeapFile: hf.File(),
+		})})
 	}
 	if _, err := w.log.AppendCheckpointEnd(cp, w.truncate); err != nil {
 		w.t.Fatal(err)

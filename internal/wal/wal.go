@@ -119,8 +119,10 @@ const (
 	// RecCheckpointBegin marks the LSN a fuzzy checkpoint started at.
 	RecCheckpointBegin
 	// RecCheckpointEnd carries the checkpoint payload: dirty-page table,
-	// active-transaction table, and the catalog/index manifest (see
-	// EncodeCheckpoint). A checkpoint counts only when its end record is
+	// active-transaction table, and the manifest — every object's catalog
+	// registration, encoded as its RecNewCollection or RecNewJoinIndex
+	// payload (see EncodeCheckpoint). It names files; it vouches for no
+	// file's contents. A checkpoint counts only when its end record is
 	// durable.
 	RecCheckpointEnd
 	// RecAppend is one record appended to one slot of a page, the common

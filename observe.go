@@ -134,8 +134,6 @@ func (db *Database) registerMetrics() {
 			func() float64 { return float64(rec.RecordsReplayed) })
 		m.GaugeFunc("spatialjoin_recovery_records_skipped", "Committed images the checkpoint proved already durable.",
 			func() float64 { return float64(rec.RecordsSkipped) })
-		m.GaugeFunc("spatialjoin_recovery_index_rebuilds_skipped", "Persisted indices loaded from the manifest instead of rebuilt.",
-			func() float64 { return float64(rec.IndexRebuildsSkipped) })
 		m.GaugeFunc("spatialjoin_recovery_log_pages_read", "Log pages recovery read to find the live head and assemble the stream.",
 			func() float64 { return float64(rec.LogPagesRead) })
 		m.GaugeFunc("spatialjoin_recovery_head_page", "First log page recovery scanned; the pages below it are dead.",

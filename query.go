@@ -271,9 +271,14 @@ type JoinIndex struct {
 	op   Operator
 	ix   *joinindex.Index
 	file *storage.HeapFile
-	// lastLSN is the commit LSN of the newest transaction that touched the
-	// pair file; checkpoints record it in the manifest. Guarded by db.mu.
-	lastLSN wal.LSN
+}
+
+// registration is the catalog record naming ji's pair file: logged when ji
+// is built, and carried by every checkpoint manifest after that.
+func (ji *JoinIndex) registration() wal.Record {
+	return wal.Record{Type: wal.RecNewJoinIndex, Data: wal.EncodeNewJoinIndex(wal.NewJoinIndex{
+		R: ji.r.name, S: ji.s.name, Operator: ji.op.Name(), PairFile: ji.file.File(),
+	})}
 }
 
 // Pairs returns the number of precomputed matching pairs |J|.
@@ -338,7 +343,7 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 		return nil, stats, err
 	}
 	var ji *JoinIndex
-	lsn, err := db.runTxn(func(txn uint64) error {
+	err = db.runTxn(func(txn uint64) error {
 		file, err := storage.NewHeapFile(db.pool, db.cfg.FillFactor)
 		if err != nil {
 			return err
@@ -353,10 +358,8 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 			return werr
 		}
 		if db.wal != nil {
-			_, err = db.wal.AppendCatalog(txn, wal.RecNewJoinIndex,
-				wal.EncodeNewJoinIndex(wal.NewJoinIndex{
-					R: r.name, S: s.name, Operator: op.Name(), PairFile: file.File(),
-				}))
+			reg := ji.registration()
+			_, err = db.wal.AppendCatalog(txn, reg.Type, reg.Data)
 			return err
 		}
 		return nil
@@ -365,7 +368,6 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 		return nil, stats, err
 	}
 	db.mu.Lock()
-	ji.lastLSN = lsn
 	db.joinIndices[key] = ji
 	db.mu.Unlock()
 	return ji, stats, nil

@@ -3,10 +3,11 @@ package spatialjoin
 // BenchmarkReopen measures checkpoint-bounded recovery: how long Reopen
 // takes on a device holding n committed inserts, with and without a
 // truncating checkpoint before the crash. Without a checkpoint, recovery
-// replays every image and rebuilds the R-tree from the heap, so the cost
-// grows with n; with one, replay is empty, the index fast-loads from the
-// manifest's persisted file, and the time stays flat. The replayed/op,
-// logpages and logreads/op metrics feed the EXPERIMENTS.md recovery table.
+// replays every logged append, so redo grows with n; with one, replay is
+// empty and the log read is a constant two pages. Either way Reopen then
+// rebuilds the R-tree in one scan of the heap, which grows with n in both
+// rows. The replayed/op, logpages and logreads/op metrics feed the
+// EXPERIMENTS.md recovery table.
 
 import (
 	"fmt"

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 func openT(t *testing.T) *Database {
@@ -36,18 +37,42 @@ func loadRandomRects(t *testing.T, c *Collection, seed int64, n int) []Rect {
 	return out
 }
 
+// TestOpenValidation runs one table of bad configurations through both Open
+// and Reopen (over a healthy logged device): each must be rejected by both,
+// with the same error.
 func TestOpenValidation(t *testing.T) {
-	bad := []Config{
-		{PageSize: 0, BufferPages: 8, FillFactor: 0.5, JoinIndexOrder: 10},
-		{PageSize: 2000, BufferPages: 0, FillFactor: 0.5, JoinIndexOrder: 10},
-		{PageSize: 2000, BufferPages: 8, FillFactor: 0, JoinIndexOrder: 10},
-		{PageSize: 2000, BufferPages: 8, FillFactor: 0.5, JoinIndexOrder: 1},
+	good := DefaultConfig()
+	good.WAL = true
+	db, err := Open(good)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, cfg := range bad {
-		cfg.IndexOptions = DefaultConfig().IndexOptions
-		if _, err := Open(cfg); err == nil {
-			t.Errorf("config %d must be rejected", i)
+	if _, err := db.CreateCollection("c"); err != nil {
+		t.Fatal(err)
+	}
+	bad := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"zero page size", func(c *Config) { c.PageSize = 0 }},
+		{"zero buffer pages", func(c *Config) { c.BufferPages = 0 }},
+		{"zero fill factor", func(c *Config) { c.FillFactor = 0 }},
+		{"fill factor above 1", func(c *Config) { c.FillFactor = 1.5 }},
+		{"join index order 1", func(c *Config) { c.JoinIndexOrder = 1 }},
+		{"negative workers", func(c *Config) { c.Workers = -1 }},
+		{"negative query timeout", func(c *Config) { c.QueryTimeout = -time.Second }},
+	}
+	for _, b := range bad {
+		cfg := good
+		b.set(&cfg)
+		_, openErr := Open(cfg)
+		_, _, reopenErr := Reopen(cfg, db.Device())
+		if openErr == nil || reopenErr == nil || openErr.Error() != reopenErr.Error() {
+			t.Errorf("%s: Open error %v, Reopen error %v; want the same rejection from both", b.name, openErr, reopenErr)
 		}
+	}
+	if _, _, err := Reopen(good, db.Device()); err != nil {
+		t.Fatalf("the good configuration no longer reopens: %v", err)
 	}
 }
 
