@@ -61,11 +61,11 @@ func (db *Database) Checkpoint() (CheckpointStats, error) {
 // appending the begin record, under db.mu — the same lock runTxn registers
 // under — so every transaction is either in the snapshot or begins above
 // Lb. Committed dirty frames are then flushed incrementally in ascending
-// page order; whatever remains dirty (re-dirtied during the sweep, or
-// covered only by still-open transactions) lands in the end record's
-// dirty-page table with its redo floor. Only the durable end record makes
-// the checkpoint real; a crash in between leaves a begin marker recovery
-// ignores.
+// page order; whatever remains dirty (re-dirtied during the sweep, pinned
+// by a writer, or covered only by still-open transactions) lands in the end
+// record's dirty-page table with its redo floor. Only the durable end record
+// makes the checkpoint real; a crash in between leaves a begin marker
+// recovery ignores.
 func (db *Database) checkpoint(truncate bool) (CheckpointStats, error) {
 	var cs CheckpointStats
 	if db.wal == nil {

@@ -1,7 +1,6 @@
 package spatialjoin
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -88,7 +87,9 @@ func DefaultConfig() Config {
 
 // Database is an embedded spatial database over a simulated paged disk.
 // All collections share one buffer pool, so measured page I/O reflects real
-// cache contention between the inner and outer relations of a join.
+// cache contention between the inner and outer relations of a join. The
+// device holds one heap file per collection, one pair file per join index
+// and, under a WAL, the log's segments.
 //
 // Read-only operations (Join, Select, SelectStored, Get, IOStats) are safe
 // to call from multiple goroutines concurrently. Mutations — Insert,
@@ -185,21 +186,16 @@ func Open(cfg Config) (*Database, error) {
 // Metrics returns the registry configured at Open, or nil.
 func (db *Database) Metrics() *obs.Registry { return db.cfg.Metrics }
 
-// Collection is a named set of spatial objects, stored in a heap file and
+// Collection is a named set of spatial objects, stored in one heap file and
 // indexed by an R-tree generalization tree. The R-tree lives in memory and
-// is derived from the heap: Reopen rebuilds it from a heap scan. Every entry
-// is also appended to a backing index file on the simulated disk, but only
-// as a scrub target — a tree-strategy query reads and checksum-verifies its
-// pages before trusting the index, so a lost or corrupted index page is
-// detected (and triggers degradation to the scan strategy) instead of
-// silently shaping the result. Nothing reads the entries back.
+// is derived from the heap: Reopen rebuilds it from a heap scan, so the
+// collection owns no other file.
 type Collection struct {
-	db        *Database
-	name      string
-	rel       *relation.Relation
-	table     join.Table
-	index     *rtree.Tree
-	indexFile *storage.HeapFile
+	db    *Database
+	name  string
+	rel   *relation.Relation
+	table join.Table
+	index *rtree.Tree
 }
 
 // collectionSchema is the fixed schema of every collection: an arbitrary
@@ -239,11 +235,7 @@ func (db *Database) CreateCollection(name string) (*Collection, error) {
 		if err != nil {
 			return err
 		}
-		indexFile, err := storage.NewHeapFile(db.pool, db.cfg.FillFactor)
-		if err != nil {
-			return err
-		}
-		c = &Collection{db: db, name: name, rel: rel, table: table, index: index, indexFile: indexFile}
+		c = &Collection{db: db, name: name, rel: rel, table: table, index: index}
 		if db.wal != nil {
 			reg := c.registration()
 			_, err = db.wal.AppendCatalog(txn, reg.Type, reg.Data)
@@ -260,11 +252,11 @@ func (db *Database) CreateCollection(name string) (*Collection, error) {
 	return c, nil
 }
 
-// registration is the catalog record naming c's files: logged when c is
+// registration is the catalog record naming c's heap file: logged when c is
 // created, and carried by every checkpoint manifest after that.
 func (c *Collection) registration() wal.Record {
 	return wal.Record{Type: wal.RecNewCollection, Data: wal.EncodeNewCollection(wal.NewCollection{
-		Name: c.name, HeapFile: c.rel.FileID(), IndexFile: c.indexFile.File(),
+		Name: c.name, HeapFile: c.rel.FileID(),
 	})}
 }
 
@@ -369,22 +361,6 @@ func (c *Collection) Pages() int { return c.rel.NumPages() }
 // IndexHeight returns the height of the collection's R-tree.
 func (c *Collection) IndexHeight() int { return c.index.Height() }
 
-// IndexFileID returns the disk file of the collection's index entries —
-// the pages a tree-strategy query scrubs before trusting the R-tree. Chaos
-// tests target these pages to simulate index loss.
-func (c *Collection) IndexFileID() storage.FileID { return c.indexFile.File() }
-
-// appendIndexEntry appends one R-tree entry (tuple id + exact geometry) to
-// the collection's backing index file, the pages a tree query scrubs. The
-// file is a scrub target only: no recovery path reads its geometry back.
-func (c *Collection) appendIndexEntry(id int, shape Spatial) error {
-	var idb [8]byte
-	binary.LittleEndian.PutUint64(idb[0:], uint64(id))
-	rec := relation.EncodeGeometry(idb[:], shape)
-	_, err := c.indexFile.Append(rec)
-	return err
-}
-
 // Insert stores the object with an arbitrary payload string and returns its
 // ID. Any precomputed join index involving this collection is maintained
 // incrementally — at the full cost the paper warns about. Under a WAL the
@@ -403,9 +379,6 @@ func (c *Collection) Insert(shape Spatial, payload string) (int, error) {
 			return err
 		}
 		c.index.Insert(shape, id)
-		if err := c.appendIndexEntry(id, shape); err != nil {
-			return err
-		}
 		return c.db.maintainJoinIndices(c, id, shape)
 	})
 	if err != nil {

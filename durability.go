@@ -258,7 +258,7 @@ func (db *Database) RetainWAL(lsn wal.LSN) {
 // heap scan: the scan that reassigns tuple IDs in heap order also inserts
 // each shape into a fresh R-tree under its ID. Heap order is insertion order
 // for sequentially grown collections, so the tree is the one the inserts
-// built. The index file is reattached, never read back.
+// built.
 func (db *Database) reopenCollection(nc wal.NewCollection) error {
 	if _, dup := db.collections[nc.Name]; dup {
 		return nil
@@ -287,13 +287,7 @@ func (db *Database) reopenCollection(nc wal.NewCollection) error {
 	if err != nil {
 		return err
 	}
-	indexFile, err := storage.OpenHeapFile(db.pool, nc.IndexFile, db.cfg.FillFactor)
-	if err != nil {
-		return err
-	}
-	db.collections[nc.Name] = &Collection{
-		db: db, name: nc.Name, rel: rel, table: table, index: index, indexFile: indexFile,
-	}
+	db.collections[nc.Name] = &Collection{db: db, name: nc.Name, rel: rel, table: table, index: index}
 	return nil
 }
 

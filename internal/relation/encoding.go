@@ -236,9 +236,3 @@ func appendFloat(buf []byte, f float64) []byte {
 func readFloat(b []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
-
-// EncodeGeometry appends the canonical tagged encoding of s — the same
-// bytes a TypeGeometry column stores inside heap tuples.
-func EncodeGeometry(buf []byte, s geom.Spatial) []byte {
-	return appendGeometry(buf, s)
-}

@@ -76,7 +76,7 @@ func TestFollowerSurvivesLinkKills(t *testing.T) {
 func TestFollowerSurvivesSeedKilledMidApply(t *testing.T) {
 	p := startPrimary(t, nil)
 	link := newChaosLink(p.addr)
-	link.armKill(4096) // well inside the image, past the header
+	link.armKill(2048) // well inside the image, past the header
 	f := startFollower(t, p, func(o *FollowerOptions) { o.Dial = link.dial })
 	waitConverged(t, f, p)
 	assertEquivalent(t, f, p)

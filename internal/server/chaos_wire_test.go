@@ -75,13 +75,13 @@ func TestWireChaosTransientInvisible(t *testing.T) {
 	}
 }
 
-// TestWireChaosIndexLossDegrades marks the outer collection's index
-// backing page permanently lost: a tree join over the wire must answer
-// StatusDegraded carrying the exact baseline (computed by fallback over
-// the intact heaps) with the downgrade visible in the Done stats, while a
-// scan join — which never touches the lost page — stays StatusOK.
+// TestWireChaosIndexLossDegrades marks a page of the join index's pair file
+// permanently lost: an index join over the wire must answer StatusDegraded
+// carrying the exact baseline (computed by fallback over the intact heaps)
+// with the downgrade visible in the Done stats, while a scan join — which
+// never touches the lost page — stays StatusOK.
 func TestWireChaosIndexLossDegrades(t *testing.T) {
-	db, r, s := newServerDB(t, false, func(c *spatialjoin.Config) {
+	db, r, s := newServerDB(t, true, func(c *spatialjoin.Config) {
 		c.Fault = &fault.Options{Seed: 4200}
 	})
 	want, _, err := db.Join(r, s, spatialjoin.Overlaps(), spatialjoin.ScanStrategy)
@@ -91,19 +91,22 @@ func TestWireChaosIndexLossDegrades(t *testing.T) {
 	if err := db.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	db.FaultDisk().LosePage(storage.PageID{File: r.IndexFileID(), Page: 0})
+	// The pair file is the last file the device created: one heap file per
+	// collection came before it, and there is no log.
+	pairs := storage.FileID(db.Device().Files() - 1)
+	db.FaultDisk().LosePage(storage.PageID{File: pairs, Page: 0})
 
 	reg := obs.NewRegistry()
 	_, addr := startServer(t, db, server.Options{Metrics: reg})
 	cli := dialClient(t, addr)
 	ctx := context.Background()
 
-	res, err := cli.Join(ctx, "r", "s", wire.Overlaps(), wire.StrategyTree)
+	res, err := cli.Join(ctx, "r", "s", wire.Overlaps(), wire.StrategyIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != wire.StatusDegraded {
-		t.Fatalf("tree join after index loss: status %s (%s), want degraded", res.Status, res.Message)
+		t.Fatalf("index join after index loss: status %s (%s), want degraded", res.Status, res.Message)
 	}
 	if res.Flags&wire.FlagShed != 0 {
 		t.Error("degraded query carries FlagShed; it was executed")
@@ -114,7 +117,7 @@ func TestWireChaosIndexLossDegrades(t *testing.T) {
 	if res.Err() != nil {
 		t.Errorf("degraded results are exact; Err() = %v, want nil", res.Err())
 	}
-	assertSameMatches(t, "degraded tree join", res.Matches, want)
+	assertSameMatches(t, "degraded index join", res.Matches, want)
 
 	res, err = cli.Join(ctx, "r", "s", wire.Overlaps(), wire.StrategyScan)
 	if err != nil {

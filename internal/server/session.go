@@ -151,7 +151,7 @@ func adoptTrace(f wire.Frame) queryTrace {
 }
 
 // ctx arms the trace on the engine context so engine spans (query, levels,
-// scrubs) nest under the server root span.
+// the join-index scrub) nest under the server root span.
 func (qt queryTrace) ctx(base context.Context) context.Context {
 	if qt.tr == nil {
 		return base

@@ -286,7 +286,8 @@ func (bp *BufferPool) writePage(id PageID, buf []byte) error {
 // MarkDirty + eviction or Flush, and — because an evicted frame's buffer is
 // reused for the incoming page — its bytes are valid only until the next
 // call into the pool. A caller that dereferences the page (rather than
-// fetching it for the I/O charge alone) holds a Pin while it does.
+// fetching it for the I/O charge alone) holds a Pin while it does, and a
+// caller that writes its bytes must: see Pin.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -372,7 +373,11 @@ func (bp *BufferPool) freeFrameLocked() (int32, error) {
 }
 
 // Pin fetches the page and marks it non-evictable until a matching Unpin;
-// the returned Page stays valid for as long as the pin is held.
+// the returned Page stays valid for as long as the pin is held. Page bytes
+// are written only under a pin, and the write-backs that may run beside a
+// writer — eviction and the checkpoint's FlushOneDirty — copy a dirty frame
+// to the device only when it is unpinned, so neither reads a page a writer
+// is halfway through. Flush, Close and DropAll run with no writer active.
 func (bp *BufferPool) Pin(id PageID) (*Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -555,16 +560,18 @@ func (bp *BufferPool) DirtyPageTable() []DirtyPage {
 // checkpointer can interleave with concurrent readers and writers instead
 // of stalling them behind one long stop-the-world flush. Frames held by an
 // open transaction are skipped (no-steal: their bytes may not touch the
-// device), as are frames re-dirtied behind the cursor — the dirty-page
-// table snapshot taken after the incremental pass accounts for both. ok is
-// false when no eligible frame remains above prev.
+// device), as are pinned frames (a pin holder may be writing the bytes, as
+// an insert does before MarkAppended) and frames re-dirtied behind the
+// cursor — each stays dirty, and the dirty-page table snapshot taken after
+// the incremental pass accounts for all three. ok is false when no eligible
+// frame remains above prev.
 func (bp *BufferPool) FlushOneDirty(prev PageID) (id PageID, ok bool, err error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	var victim *frame
 	for i := range bp.frames[:bp.used] {
 		f := &bp.frames[i]
-		if !f.dirty || f.recLSN == lsnUnlogged || comparePageIDs(prev, f.id) >= 0 {
+		if !f.dirty || f.recLSN == lsnUnlogged || f.pins > 0 || comparePageIDs(prev, f.id) >= 0 {
 			continue
 		}
 		if victim == nil || comparePageIDs(f.id, victim.id) < 0 {

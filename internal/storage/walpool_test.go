@@ -332,6 +332,54 @@ func TestFlushOneDirty(t *testing.T) {
 	}
 }
 
+// TestFlushOneDirtySkipsPinnedFrames checks the checkpoint's flush leaves a
+// pinned committed-dirty frame alone — its pin holder may be writing the
+// bytes, as an insert does before MarkAppended — and that the frame stays in
+// the dirty-page table, so recovery still redoes it. Unpinned, the next
+// sweep writes it back.
+func TestFlushOneDirtySkipsPinnedFrames(t *testing.T) {
+	dev := &orderDevice{Device: NewDisk(64)}
+	bp, err := NewBufferPool(dev, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.SetWAL(&fakeWAL{durable: 1 << 30})
+	ids := allocPages(t, dev, 2)
+	for _, id := range ids {
+		fetchDirty(t, bp, id)
+	}
+	bp.CoverWriteSet(100, 50)
+	start := PageID{File: -1, Page: -1}
+	func() {
+		if _, err := bp.Pin(ids[0]); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := bp.Unpin(ids[0]); err != nil {
+				t.Error(err)
+			}
+		}()
+		if id, ok, err := bp.FlushOneDirty(start); err != nil || !ok || id != ids[1] {
+			t.Fatalf("FlushOneDirty = %v, %v, %v; want %v, the unpinned frame", id, ok, err, ids[1])
+		}
+		if id, ok, err := bp.FlushOneDirty(ids[1]); err != nil || ok {
+			t.Fatalf("FlushOneDirty above %v = %v, %v, %v; want nothing left", ids[1], id, ok, err)
+		}
+		if len(dev.writes) != 1 || !bp.Dirty(ids[0]) {
+			t.Fatalf("device writes %v, pinned frame dirty %v; want only %v written", dev.writes, bp.Dirty(ids[0]), ids[1])
+		}
+		if dpt := bp.DirtyPageTable(); len(dpt) != 1 || dpt[0] != (DirtyPage{ID: ids[0], RedoLSN: 50}) {
+			t.Fatalf("DPT = %v, want the pinned frame at floor 50", dpt)
+		}
+	}()
+	if id, ok, err := bp.FlushOneDirty(start); err != nil || !ok || id != ids[0] {
+		t.Fatalf("FlushOneDirty after Unpin = %v, %v, %v; want %v", id, ok, err, ids[0])
+	}
+	if dpt := bp.DirtyPageTable(); len(dpt) != 0 {
+		t.Fatalf("DPT after the unpinned sweep = %v, want empty", dpt)
+	}
+}
+
 // TestOpenHeapFileSkipsUninitializedPages checks OpenHeapFile tolerates
 // trailing zeroed pages, which recovery leaves behind when a crash lands
 // after AllocPage but before the first image of the page commits.

@@ -15,9 +15,8 @@ import (
 
 // NewCollection is the decoded payload of a RecNewCollection record.
 type NewCollection struct {
-	Name      string
-	HeapFile  storage.FileID
-	IndexFile storage.FileID
+	Name     string
+	HeapFile storage.FileID
 }
 
 // NewJoinIndex is the decoded payload of a RecNewJoinIndex record.
@@ -59,9 +58,7 @@ func getFile(buf []byte) (storage.FileID, []byte, error) {
 
 // EncodeNewCollection serializes a collection registration.
 func EncodeNewCollection(c NewCollection) []byte {
-	buf := putString(nil, c.Name)
-	buf = putFile(buf, c.HeapFile)
-	return putFile(buf, c.IndexFile)
+	return putFile(putString(nil, c.Name), c.HeapFile)
 }
 
 // DecodeNewCollection parses a RecNewCollection payload.
@@ -72,9 +69,6 @@ func DecodeNewCollection(data []byte) (NewCollection, error) {
 		return c, err
 	}
 	if c.HeapFile, data, err = getFile(data); err != nil {
-		return c, err
-	}
-	if c.IndexFile, data, err = getFile(data); err != nil {
 		return c, err
 	}
 	return c, noTrailing(data)

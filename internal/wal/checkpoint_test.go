@@ -28,8 +28,8 @@ func sampleCheckpoint() Checkpoint {
 			{Page: storage.PageID{File: 3, Page: 0}, RecLSN: 10500},
 		},
 		Manifest: []Record{
-			{Type: RecNewCollection, Data: EncodeNewCollection(NewCollection{Name: "roads", HeapFile: 1, IndexFile: 2})},
-			{Type: RecNewCollection, Data: EncodeNewCollection(NewCollection{Name: "cities", HeapFile: 3, IndexFile: 5})},
+			{Type: RecNewCollection, Data: EncodeNewCollection(NewCollection{Name: "roads", HeapFile: 1})},
+			{Type: RecNewCollection, Data: EncodeNewCollection(NewCollection{Name: "cities", HeapFile: 3})},
 			{Type: RecNewJoinIndex, Data: EncodeNewJoinIndex(NewJoinIndex{R: "roads", S: "cities", Operator: "overlaps", PairFile: 4})},
 		},
 	}
@@ -468,7 +468,7 @@ func fatCheckpoint(t *testing.T) (*fault.Disk, *Log, storage.PageID, []byte, Che
 	cp := Checkpoint{BeginLSN: l.AppendCheckpointBegin(), NextTxn: 9}
 	for i := 0; i < 40; i++ {
 		cp.Manifest = append(cp.Manifest, Record{Type: RecNewCollection, Data: EncodeNewCollection(NewCollection{
-			Name: fmt.Sprintf("collection-%02d", i), HeapFile: storage.FileID(2 * i), IndexFile: storage.FileID(2*i + 1),
+			Name: fmt.Sprintf("collection-%02d", i), HeapFile: storage.FileID(i),
 		})})
 	}
 	return fd, l, pid, img, cp

@@ -104,8 +104,8 @@ const (
 	RecImage
 	// RecCommit makes a transaction's preceding records redo-eligible.
 	RecCommit
-	// RecNewCollection registers a collection: name plus the heap and
-	// index file it owns (see EncodeNewCollection).
+	// RecNewCollection registers a collection: name plus the heap file it
+	// owns (see EncodeNewCollection).
 	RecNewCollection
 	// RecNewJoinIndex registers a precomputed join index: the two
 	// collection names, the operator name, and the backing pair file.

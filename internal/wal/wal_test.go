@@ -281,7 +281,7 @@ func TestResumeAfterRecovery(t *testing.T) {
 // Recover returns committed catalog records in order.
 func TestCatalogRoundTrip(t *testing.T) {
 	dev, l := newLogOnDisk(t, 1)
-	nc := NewCollection{Name: "roads", HeapFile: 3, IndexFile: 4}
+	nc := NewCollection{Name: "roads", HeapFile: 3}
 	nj := NewJoinIndex{R: "roads", S: "cities", Operator: "overlaps", PairFile: 9}
 	//sjlint:ignore txnatomic t.Fatal exits abandon the test txn; only the committed path matters
 	l.Begin(1)

@@ -114,21 +114,25 @@ func TestTraceSelectReadSum(t *testing.T) {
 	}
 }
 
-// TestDegradedQueryTraceComplete kills the index backing pages and asserts
-// a degraded query still emits a complete trace: a "downgrade" event, an
-// "error" event on the failed attempt, every span closed, and the final
-// Downgrades count on the query span.
+// TestDegradedQueryTraceComplete kills a join-index pair-file page and
+// asserts a degraded query still emits a complete trace: a "downgrade"
+// event, an "error" event on the failed attempt, every span closed, and the
+// final Downgrades count on the query span.
 func TestDegradedQueryTraceComplete(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault = &fault.Options{Seed: 7007}
 	db, r, s := traceDB(t, cfg)
+	ji, _, err := db.BuildJoinIndex(r, s, Overlaps())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := db.DropCache(); err != nil {
 		t.Fatal(err)
 	}
-	db.FaultDisk().LosePage(storage.PageID{File: r.IndexFileID(), Page: 0})
+	db.FaultDisk().LosePage(storage.PageID{File: ji.FileID(), Page: 0})
 
 	ctx, trace := WithTrace(context.Background())
-	_, stats, err := db.JoinContext(ctx, r, s, Overlaps(), TreeStrategy)
+	_, stats, err := db.JoinContext(ctx, r, s, Overlaps(), IndexStrategy)
 	if err != nil {
 		t.Fatalf("degradation failed: %v", err)
 	}
@@ -161,7 +165,7 @@ func TestDegradedQueryTraceComplete(t *testing.T) {
 		}
 	}
 	// The fallback ran: a nestedloop executor span exists alongside the
-	// aborted scrub/treejoin spans.
+	// aborted scrub span.
 	if len(trace.SpansNamed("nestedloop")) != 1 {
 		t.Error("trace missing the fallback nestedloop span")
 	}

@@ -57,13 +57,10 @@ func (db *Database) Select(c *Collection, o Spatial, op Operator, strategy Strat
 }
 
 // SelectContext is Select bounded by a context (composed with
-// Config.QueryTimeout when set). Before a tree-strategy selection the
-// collection's backing index file is scrubbed — read and checksum-verified,
-// charged to Stats.IndexReads — and a permanent storage fault on the index
-// degrades the query to the exhaustive scan, recorded in Stats.Downgrades,
-// still returning the correct result. Faults on the heap file surface as
-// typed errors, and only where the query reads: a tree-strategy selection
-// reads an object's heap page when θ evaluates the object.
+// Config.QueryTimeout when set). A tree-strategy selection descends the
+// heap-derived R-tree, which reads no page, and reads an object's heap page
+// when θ evaluates the object; a storage fault on that page surfaces as a
+// typed error, and only where the query reads.
 func (db *Database) SelectContext(ctx context.Context, c *Collection, o Spatial, op Operator, strategy Strategy) ([]int, Stats, error) {
 	if c == nil || o == nil || op == nil {
 		return nil, Stats{}, fmt.Errorf("spatialjoin: nil select argument")
@@ -99,13 +96,7 @@ func (db *Database) selectOnce(ctx context.Context, c *Collection, o Spatial, op
 	case ScanStrategy:
 		return join.ExhaustiveSelect(ctx, c.table, o, op)
 	case TreeStrategy:
-		scrubbed, err := db.scrubFiles(ctx, c.indexFile.File())
-		if err != nil {
-			return nil, Stats{IndexReads: scrubbed}, err
-		}
-		ids, stats, err := join.TreeSelect(ctx, c.index.Generalization(), c.table, o, op, core.BreadthFirst)
-		stats.IndexReads += scrubbed
-		return ids, stats, err
+		return join.TreeSelect(ctx, c.index.Generalization(), c.table, o, op, core.BreadthFirst)
 	case IndexStrategy:
 		return nil, Stats{}, fmt.Errorf("spatialjoin: join indices cannot answer ad-hoc selections; use SelectStored")
 	default:
@@ -138,15 +129,16 @@ func (db *Database) Join(r, s *Collection, op Operator, strategy Strategy) ([]Ma
 }
 
 // JoinContext is Join bounded by a context (composed with
-// Config.QueryTimeout when set). Before a tree- or index-strategy join the
-// backing index files are scrubbed — read and checksum-verified, charged to
-// Stats.IndexReads — and a permanent storage fault on an index structure
-// degrades the query to the nested-loop scan over the base heap files,
-// recorded in Stats.Downgrades, still returning the byte-identical correct
-// match set. Faults on the heap files themselves are not recoverable and
-// surface as typed errors, but only where the query reads: a tree-strategy
-// join reads an object's heap page when θ evaluates the object, so a lost
-// page none of whose objects passes a Θ filter leaves the join unaffected.
+// Config.QueryTimeout when set). Before an index-strategy join the join
+// index's pair file is scrubbed — read and checksum-verified, charged to
+// Stats.IndexReads — and a permanent storage fault on it degrades the query
+// to the nested-loop scan over the base heap files, recorded in
+// Stats.Downgrades, still returning the byte-identical correct match set. A
+// tree-strategy join descends the heap-derived R-trees, which read no page.
+// Faults on the heap files themselves are not recoverable and surface as
+// typed errors, but only where the query reads: a tree-strategy join reads
+// an object's heap page when θ evaluates the object, so a lost page none of
+// whose objects passes a Θ filter leaves the join unaffected.
 func (db *Database) JoinContext(ctx context.Context, r, s *Collection, op Operator, strategy Strategy) ([]Match, Stats, error) {
 	if r == nil || s == nil || op == nil {
 		return nil, Stats{}, fmt.Errorf("spatialjoin: nil join argument")
@@ -182,14 +174,8 @@ func (db *Database) joinOnce(ctx context.Context, r, s *Collection, op Operator,
 	case ScanStrategy:
 		return join.NestedLoop(ctx, r.table, s.table, op, db.cfg.Workers)
 	case TreeStrategy:
-		scrubbed, err := db.scrubFiles(ctx, r.indexFile.File(), s.indexFile.File())
-		if err != nil {
-			return nil, Stats{IndexReads: scrubbed}, err
-		}
-		ms, stats, err := join.TreeJoin(ctx, r.index.Generalization(), r.table,
+		return join.TreeJoin(ctx, r.index.Generalization(), r.table,
 			s.index.Generalization(), s.table, op, db.cfg.Workers)
-		stats.IndexReads += scrubbed
-		return ms, stats, err
 	case IndexStrategy:
 		ix, ok := db.joinIndexFor(r, s, op)
 		if !ok {
@@ -219,13 +205,13 @@ func (db *Database) queryCtx(ctx context.Context) (context.Context, context.Canc
 	return ctx, func() {}
 }
 
-// scrubFiles fetches every page of the given files through the buffer pool,
-// whose end-to-end verification rejects lost or corrupted pages before the
-// strategy trusts the index structures the files back. The returned count
+// scrubFiles fetches every page of a join index's pair file through the
+// buffer pool, whose end-to-end verification rejects lost or corrupted pages
+// before the strategy trusts the B+-tree the file backs. The returned count
 // is the physical reads the scrub caused (the executor charges them as
 // index I/O); it is returned even alongside an error so partial scrub work
 // stays visible in the statistics.
-func (db *Database) scrubFiles(ctx context.Context, files ...storage.FileID) (int64, error) {
+func (db *Database) scrubFiles(ctx context.Context, file storage.FileID) (int64, error) {
 	trace := obs.TraceFrom(ctx)
 	span := trace.Begin(obs.SpanFromContext(ctx), "scrub")
 	before := db.pool.Stats().Misses
@@ -236,24 +222,18 @@ func (db *Database) scrubFiles(ctx context.Context, files ...storage.FileID) (in
 		if err != nil {
 			trace.Event(span, "error", obs.Str("error", err.Error()))
 		}
-		trace.End(span,
-			obs.Int("files", int64(len(files))),
-			obs.Int("reads", db.pool.Stats().Misses-before),
-		)
+		trace.End(span, obs.Int("reads", db.pool.Stats().Misses-before))
 	}
-	device := db.pool.Disk()
-	for _, f := range files {
-		n := device.NumPages(f)
-		for p := 0; p < n; p++ {
-			if err := ctx.Err(); err != nil {
-				endScrub(err)
-				return db.pool.Stats().Misses - before, err
-			}
-			if _, err := db.pool.Fetch(storage.PageID{File: f, Page: int32(p)}); err != nil {
-				err = fmt.Errorf("spatialjoin: index scrub of file %d: %w", f, err)
-				endScrub(err)
-				return db.pool.Stats().Misses - before, err
-			}
+	n := db.pool.Disk().NumPages(file)
+	for p := 0; p < n; p++ {
+		if err := ctx.Err(); err != nil {
+			endScrub(err)
+			return db.pool.Stats().Misses - before, err
+		}
+		if _, err := db.pool.Fetch(storage.PageID{File: file, Page: int32(p)}); err != nil {
+			err = fmt.Errorf("spatialjoin: index scrub of file %d: %w", file, err)
+			endScrub(err)
+			return db.pool.Stats().Misses - before, err
 		}
 	}
 	endScrub(nil)

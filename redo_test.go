@@ -15,8 +15,8 @@ func redoConfig() Config {
 }
 
 // TestInsertLogsBytesNotPages is the tier-1 guard on the write path's log
-// volume: an insert logs what it changed — two slot appends between a begin
-// and a commit record — not the two pages it touched, except the first time
+// volume: an insert logs what it changed — one slot append between a begin
+// and a commit record — not the heap page it touched, except the first time
 // it touches a page that is clean (invariant I1: a checkpoint flushed it, so
 // the log holds no base for appends and the insert logs the page's image).
 func TestInsertLogsBytesNotPages(t *testing.T) {
@@ -38,32 +38,32 @@ func TestInsertLogsBytesNotPages(t *testing.T) {
 		after := db.WALStats()
 		return after.BytesLogged - before.BytesLogged, after.Images - before.Images, after.Appends - before.Appends
 	}
-	// The very first insert starts both of its pages at slot 0: a fresh
-	// page's history begins from nothing, so not even it logs an image.
-	if bytes, images, appends := insert(0); images != 0 || appends != 2 || bytes > 300 {
-		t.Errorf("first insert logged %d B, %d images, %d appends; want two slot-0 appends in <= 300 B", bytes, images, appends)
+	// The very first insert starts its page at slot 0: a fresh page's
+	// history begins from nothing, so not even it logs an image.
+	if bytes, images, appends := insert(0); images != 0 || appends != 1 || bytes > 150 {
+		t.Errorf("first insert logged %d B, %d images, %d appends; want one slot-0 append in <= 150 B", bytes, images, appends)
 	}
 	for i := 1; i < 8; i++ {
-		if bytes, images, appends := insert(i); images != 0 || appends != 2 || bytes > 300 {
-			t.Errorf("steady-state insert %d logged %d B, %d images, %d appends; want 2 appends in <= 300 B", i, bytes, images, appends)
+		if bytes, images, appends := insert(i); images != 0 || appends != 1 || bytes > 150 {
+			t.Errorf("steady-state insert %d logged %d B, %d images, %d appends; want 1 append in <= 150 B", i, bytes, images, appends)
 		}
 	}
 
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// The checkpoint wrote both pages back: the next insert finds them
-	// clean and must log exactly one image per page it touches.
+	// The checkpoint wrote the page back: the next insert finds it clean
+	// and must log its image.
 	bytes, images, appends := insert(8)
-	if images != 2 || appends != 0 {
-		t.Errorf("first insert after a checkpoint logged %d images and %d appends, want 2 images (one per touched page)", images, appends)
+	if images != 1 || appends != 0 {
+		t.Errorf("first insert after a checkpoint logged %d images and %d appends, want 1 image", images, appends)
 	}
-	if min := int64(2 * cfg.PageSize); bytes < min {
-		t.Errorf("first insert after a checkpoint logged %d B, less than two %d-byte pages", bytes, cfg.PageSize)
+	if min := int64(cfg.PageSize); bytes < min {
+		t.Errorf("first insert after a checkpoint logged %d B, less than one %d-byte page", bytes, cfg.PageSize)
 	}
-	// With the images in the log the pages are anchored again.
-	if bytes, images, appends := insert(9); images != 0 || appends != 2 || bytes > 300 {
-		t.Errorf("second insert after a checkpoint logged %d B, %d images, %d appends; want 2 appends in <= 300 B", bytes, images, appends)
+	// With the image in the log the page is anchored again.
+	if bytes, images, appends := insert(9); images != 0 || appends != 1 || bytes > 150 {
+		t.Errorf("second insert after a checkpoint logged %d B, %d images, %d appends; want 1 append in <= 150 B", bytes, images, appends)
 	}
 
 	rdb, _, err := Reopen(cfg, db.Device())

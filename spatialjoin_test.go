@@ -6,6 +6,9 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"spatialjoin/internal/fault"
+	"spatialjoin/internal/storage"
 )
 
 func openT(t *testing.T) *Database {
@@ -410,5 +413,84 @@ func TestCostModelFacade(t *testing.T) {
 	}
 	if js, err := JoinFigure(prm, DistHiLoc, ps); err != nil || len(js) != 4 {
 		t.Fatalf("JoinFigure: %v", err)
+	}
+}
+
+// TestTreeQueriesReadOnlyHeapFiles holds a collection to its heap: after
+// loading, the device holds only log segments, one file per collection and
+// one per join index, and a cold tree join and a cold tree selection read
+// nothing but the two collections' heap files. Every other page of the
+// device is lost before the queries run, so a read anywhere else fails or
+// degrades the query; neither may happen, and neither may charge an index
+// read.
+func TestTreeQueriesReadOnlyHeapFiles(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		cfg.BufferPages = 16
+		cfg.WAL = true
+		cfg.Fault = &fault.Options{Seed: 3203}
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, ss, _ := chaosRects()
+		r, s := loadRects(t, db, "r", rs), loadRects(t, db, "s", ss)
+		ji, _, err := db.BuildJoinIndex(r, s, Overlaps())
+		if err != nil {
+			t.Fatal(err)
+		}
+		heaps := map[storage.FileID]bool{r.rel.FileID(): true, s.rel.FileID(): true}
+		owned := map[storage.FileID]bool{r.rel.FileID(): true, s.rel.FileID(): true, ji.FileID(): true}
+		for _, seg := range db.WALSegments() {
+			owned[seg.File] = true
+		}
+		dev := db.Device()
+		for f := storage.FileID(0); int(f) < dev.Files(); f++ {
+			if dev.NumPages(f) > 0 && !owned[f] {
+				t.Fatalf("workers=%d: file %d holds %d pages and is neither a log segment, a heap nor a pair file",
+					workers, f, dev.NumPages(f))
+			}
+		}
+
+		wantJoin, _, err := db.Join(r, s, Overlaps(), ScanStrategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		window := NewRect(100, 100, 400, 400)
+		wantSelect, _, err := db.Select(s, window, Overlaps(), ScanStrategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		for f := storage.FileID(0); int(f) < dev.Files(); f++ {
+			for p := 0; p < dev.NumPages(f) && !heaps[f]; p++ {
+				db.FaultDisk().LosePage(storage.PageID{File: f, Page: int32(p)})
+			}
+		}
+
+		ms, stats, err := db.Join(r, s, Overlaps(), TreeStrategy)
+		if err != nil || stats.Downgrades != 0 || stats.IndexReads != 0 || stats.PageReads == 0 {
+			t.Fatalf("workers=%d: cold tree join: err %v, %d downgrades, %d index reads, %d page reads; want heap reads only",
+				workers, err, stats.Downgrades, stats.IndexReads, stats.PageReads)
+		}
+		if matchKey(ms) != matchKey(wantJoin) {
+			t.Fatalf("workers=%d: cold tree join diverged (%d vs %d matches)", workers, len(ms), len(wantJoin))
+		}
+		if err := db.DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		ids, stats, err := db.Select(s, window, Overlaps(), TreeStrategy)
+		if err != nil || stats.Downgrades != 0 || stats.IndexReads != 0 || stats.PageReads == 0 {
+			t.Fatalf("workers=%d: cold tree selection: err %v, %d downgrades, %d index reads, %d page reads; want heap reads only",
+				workers, err, stats.Downgrades, stats.IndexReads, stats.PageReads)
+		}
+		sort.Ints(ids)
+		sort.Ints(wantSelect)
+		if fmt.Sprint(ids) != fmt.Sprint(wantSelect) {
+			t.Fatalf("workers=%d: cold tree selection returned %v, want %v", workers, ids, wantSelect)
+		}
 	}
 }

@@ -294,7 +294,7 @@ func TestLogGivesSpaceBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := []storage.FileID{c.rel.FileID(), c.IndexFileID()}
+	data := []storage.FileID{c.rel.FileID()}
 	for round := 0; round < 20; round++ {
 		insertRects(t, c, 10*round, 10)
 		if _, err := db.Checkpoint(); err != nil {
@@ -397,7 +397,7 @@ func TestCrashBeforeSegmentDrop(t *testing.T) {
 		if c == nil || c.Len() != 10*completed {
 			t.Fatalf("%s: recovered collection does not hold the %d committed rounds", label, completed)
 		}
-		held, live, orphaned := logSpace(t, rdb, c.rel.FileID(), c.IndexFileID())
+		held, live, orphaned := logSpace(t, rdb, c.rel.FileID())
 		if held > live+segmentPages || orphaned != 0 {
 			t.Errorf("%s: the recovered log holds %d device pages for %d live ones, and %d pages belong to no one",
 				label, held, live, orphaned)
