@@ -21,13 +21,14 @@ type Match struct {
 // strategy sorts its result this way before returning, so the outputs of
 // different strategies — and of serial and parallel runs of the same
 // strategy — are byte-comparable.
-func SortMatches(ms []Match) {
-	slices.SortFunc(ms, func(a, b Match) int {
-		if c := cmp.Compare(a.R, b.R); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.S, b.S)
-	})
+func SortMatches(ms []Match) { slices.SortFunc(ms, compareMatches) }
+
+// compareMatches is the canonical (R, S) order.
+func compareMatches(a, b Match) int {
+	if c := cmp.Compare(a.R, b.R); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.S, b.S)
 }
 
 // JoinOptions tunes algorithm JOIN.
@@ -39,8 +40,11 @@ type JoinOptions struct {
 	// part in, immediately before θ reads its object, and never for Θ alone.
 	// Nodes below a technical fixed node of a JOIN4 SELECT pass, and a's
 	// children when no child of a technical b qualified, are not examined;
-	// a childless pair is decided right after the passes that formed it
-	// (see Join). With Workers > 1 they are called from multiple goroutines
+	// a childless pair is decided in the level that formed it (see Join).
+	// Two nodes that only reference their tuples are charged after their
+	// level's Θ filter, pair by pair in (R, S) tuple-ID order, so over a
+	// run of such pairs TouchR repeats one node's tuple while TouchS
+	// ascends. With Workers > 1 they are called from multiple goroutines
 	// and must be safe for concurrent use.
 	TouchR func(Node) error
 	TouchS func(Node) error
@@ -72,8 +76,10 @@ type JoinOptions struct {
 
 // JoinResult is the output of algorithm JOIN.
 type JoinResult struct {
-	// Pairs are the matching tuple pairs in discovery order. Each matching
-	// pair appears exactly once.
+	// Pairs are the matching tuple pairs in discovery order, except that
+	// the matches between index entries a level decides (each chunk's, under
+	// Workers > 1) come out (R, S)-sorted, the order θ ran in (see Join).
+	// Each matching pair appears exactly once.
 	Pairs []Match
 	// Stats is the work performed across both trees.
 	Stats Stats
@@ -108,17 +114,22 @@ type JoinResult struct {
 // which bears a tuple and therefore descends. On trees that satisfy S2 the
 // guard is never taken and the descent is the paper's, count for count.
 //
-// A page is read only while it can still pay: two more departures from the
-// pseudocode (argument and measurements in DESIGN.md §3). (i) When the
-// first pass qualified no child of a technical b, the second pass is not
-// run: with b as its fixed node it can emit no pair, and its verdicts would
-// be crossed with an empty list. (ii) When the qualifying children are
-// crossed, a pair of two childless nodes is decided on the spot (JOIN2 and
-// JOIN3; its JOIN4 would be empty) instead of being queued. JOIN keeps no
-// state across pairs but counters and an output every caller sorts, so only
-// the discovery order moves, and on S2 trees every count is the paper's.
-// Where a node's tuple is charged follows Node.ContainsTuple: an index
-// entry's tuple is read only for θ (see JoinOptions.TouchR).
+// A page is read only while it can still pay, and in page order: three more
+// departures from the pseudocode (argument and measurements in DESIGN.md
+// §3). (i) When the first pass qualified no child of a technical b, the
+// second pass is not run: with b as its fixed node it can emit no pair, and
+// its verdicts would be crossed with an empty list. (ii) When the qualifying
+// children are crossed, a pair of two childless nodes is decided in the
+// level that formed it (JOIN2 and JOIN3; its JOIN4 would be empty) instead
+// of being queued. (iii) When a Θ-passing pair is two nodes that only
+// reference their tuples (two R-tree items), its JOIN3 waits for the end of
+// the level's chunk, where θ runs on all such pairs sorted by (R, S) tuple
+// ID: the filter step, then the refinement step, in heap-page order when IDs
+// follow appends. JOIN keeps no state across pairs but counters and an
+// output every caller sorts, so only the order of θ and of the matches
+// moves, and on S2 trees every count is the paper's. Where a node's tuple
+// is charged follows Node.ContainsTuple: an index entry's tuple is read
+// only for θ (see JoinOptions.TouchR).
 func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error) {
 	var options JoinOptions
 	if opts != nil {
@@ -189,12 +200,21 @@ type qualPair struct{ a, b Node }
 // joinScratch is the worklist storage of one sequential descent, or of one
 // chunk of a level under Workers > 1: the two QualPairs buffers Join
 // alternates between (a chunk builds its share of the next level in spare),
-// the per-pair lists of children that passed their Θ check, and a chunk's
-// matches and stats until they are merged.
+// the per-pair lists of children that passed their Θ check, the pairs of
+// index entries waiting for θ, and a chunk's matches and stats until they
+// are merged.
 type joinScratch struct {
 	qual, spare  []qualPair
 	aPass, bPass []Node
+	refine       []refinement
 	part         JoinResult
+}
+
+// refinement is a Θ-passing pair of two nodes that only reference their
+// tuples, and the tuple IDs θ would emit.
+type refinement struct {
+	a, b Node
+	m    Match
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
@@ -207,14 +227,16 @@ func (sc *joinScratch) release() {
 	clear(sc.spare[:cap(sc.spare)])
 	clear(sc.aPass[:cap(sc.aPass)])
 	clear(sc.bPass[:cap(sc.bPass)])
+	clear(sc.refine[:cap(sc.refine)])
 	joinScratchPool.Put(sc)
 }
 
 // expandLevel processes the QualPairs level sc.qual and returns the next,
 // built in sc.spare's storage. With options.Workers > 1 the level is split
 // into contiguous chunks fanned out over a worker pool, each with a pooled
-// scratch of its own; per-chunk results merge back in chunk order, so pair
-// discovery order and statistics match the sequential descent.
+// scratch of its own; per-chunk results merge back in chunk order, so the
+// statistics match the sequential descent, and so does the pair order but
+// for the refinements each chunk sorts on its own.
 func expandLevel(sc *joinScratch, op pred.Operator, options *JoinOptions,
 	res *JoinResult) ([]qualPair, error) {
 
@@ -248,15 +270,17 @@ func expandLevel(sc *joinScratch, op pred.Operator, options *JoinOptions,
 
 // expandChunk runs JOIN2–JOIN4 for a contiguous run of a QualPairs level,
 // accumulating matches and stats into res and appending the qualifying
-// child pairs for the next level to next. The per-pair lists in sc (the
-// children of each side that passed their Θ check) are reused across pairs,
-// so the chunk allocates only when next or res.Pairs grow.
+// child pairs for the next level to next, then refines the pairs of index
+// entries it deferred. The per-pair lists in sc (the children of each side
+// that passed their Θ check) and its refinement list are reused, so the
+// chunk allocates only when next, res.Pairs or a pooled list grow.
 func expandChunk(qual, next []qualPair, sc *joinScratch, op pred.Operator,
 	options *JoinOptions, res *JoinResult) ([]qualPair, error) {
 
+	sc.refine = sc.refine[:0]
 	for _, p := range qual {
 		a, b := p.a, p.b
-		ok, err := joinPair(a, b, op, options, res)
+		ok, err := joinPair(a, b, op, options, sc, res)
 		if err != nil {
 			return nil, err
 		}
@@ -293,22 +317,29 @@ func expandChunk(qual, next []qualPair, sc *joinScratch, op pred.Operator,
 			aDescends := a2.NumChildren() != 0
 			for _, b2 := range sc.bPass {
 				// Only a pair with a descent left is queued; a childless
-				// one is decided here, its nodes touched a moment ago.
+				// one is decided in this level.
 				if aDescends || b2.NumChildren() != 0 {
 					next = append(next, qualPair{a2, b2})
-				} else if _, err := joinPair(a2, b2, op, options, res); err != nil {
+				} else if _, err := joinPair(a2, b2, op, options, sc, res); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
+	if err := refine(sc.refine, op, options, res); err != nil {
+		return nil, err
+	}
 	return next, nil
 }
 
 // joinPair runs JOIN2 and JOIN3 for one pair: both nodes are examined, Θ is
-// evaluated, and if it passes and both bear tuples, θ decides the match. It
-// reports the Θ verdict, which gates the pair's JOIN4.
-func joinPair(a, b Node, op pred.Operator, options *JoinOptions, res *JoinResult) (bool, error) {
+// evaluated, and if it passes and both bear tuples, θ decides the match —
+// on the spot, or, for two nodes that only reference their tuples, in the
+// chunk's refinement (sc.refine). It reports the Θ verdict, which gates the
+// pair's JOIN4.
+func joinPair(a, b Node, op pred.Operator, options *JoinOptions, sc *joinScratch,
+	res *JoinResult) (bool, error) {
+
 	if err := touch2(a, b, options, res); err != nil {
 		return false, err
 	}
@@ -316,18 +347,53 @@ func joinPair(a, b Node, op pred.Operator, options *JoinOptions, res *JoinResult
 	if !op.Filter(a.Bounds(), b.Bounds()) {
 		return false, nil
 	}
-	if ra, okA := a.Tuple(); okA {
-		if sb, okB := b.Tuple(); okB {
-			res.Stats.ExactEvals++
-			if err := charge2(a, b, options, false); err != nil {
-				return false, err
-			}
-			if op.Eval(a.Object(), b.Object()) {
-				res.Pairs = append(res.Pairs, Match{R: ra, S: sb})
-			}
+	ra, okA := a.Tuple()
+	sb, okB := b.Tuple()
+	switch {
+	case !okA || !okB:
+	case !a.ContainsTuple() && !b.ContainsTuple():
+		sc.refine = append(sc.refine, refinement{a, b, Match{R: ra, S: sb}})
+	default:
+		if err := theta(a, b, Match{R: ra, S: sb}, op, options, res); err != nil {
+			return false, err
 		}
 	}
 	return true, nil
+}
+
+// refine runs θ on a chunk's deferred pairs of index entries in (R, S)
+// tuple-ID order. A collection appends its tuples, so that is heap-page
+// order: consecutive evaluations share their R page and sweep the S pages
+// upward, and the matches come out sorted. The context is checked before
+// every evaluation, which may fetch two pages: the examination count that
+// paces ctxStep does not advance here.
+func refine(rs []refinement, op pred.Operator, opts *JoinOptions, res *JoinResult) error {
+	slices.SortFunc(rs, func(x, y refinement) int { return compareMatches(x.m, y.m) })
+	for _, p := range rs {
+		if opts.Ctx != nil {
+			if err := opts.Ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if err := theta(p.a, p.b, p.m, op, opts, res); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// theta runs JOIN3 for a Θ-passing pair of tuple-bearing nodes r and s:
+// it charges each that only references its tuple, evaluates θ, and emits m
+// (their tuple IDs) on a match.
+func theta(r, s Node, m Match, op pred.Operator, opts *JoinOptions, res *JoinResult) error {
+	res.Stats.ExactEvals++
+	if err := charge2(r, s, opts, false); err != nil {
+		return err
+	}
+	if op.Eval(r.Object(), s.Object()) {
+		res.Pairs = append(res.Pairs, m)
+	}
+	return nil
 }
 
 // Side names the tree the moving node of a JOIN4 SELECT pass belongs to, so
@@ -364,14 +430,10 @@ func JoinSelect(fixed, n Node, op pred.Operator, s Side,
 		return true, nil
 	}
 	if _, ok := n.Tuple(); ok {
-		res.Stats.ExactEvals++
-		if err := charge2(r, sn, opts, false); err != nil {
+		rid, _ := r.Tuple()
+		sid, _ := sn.Tuple()
+		if err := theta(r, sn, Match{R: rid, S: sid}, op, opts, res); err != nil {
 			return false, err
-		}
-		if op.Eval(r.Object(), sn.Object()) {
-			rid, _ := r.Tuple()
-			sid, _ := sn.Tuple()
-			res.Pairs = append(res.Pairs, Match{R: rid, S: sid})
 		}
 	}
 	for i, k := 0, n.NumChildren(); i < k; i++ {

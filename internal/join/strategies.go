@@ -289,8 +289,12 @@ func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op p
 // it (core.JoinOptions.TouchR). ctx is checked during the synchronized
 // descent per core.JoinOptions.Ctx. A pair of childless nodes (two items)
 // is decided by the level that forms it, so a traced join has no "level"
-// span for the item depth. With workers > 1 (≤ 0 meaning GOMAXPROCS) each
-// QualPairs level is expanded by a worker pool. The contract across worker
+// span for the item depth, and its θ runs after that level's Θ filter in
+// (R, S) tuple-ID order: over a collection, whose IDs follow its heap
+// appends, a run of θ evaluations keeps its R page and sweeps the S pages
+// upward instead of fetching them in leaf-pair order. With workers > 1
+// (≤ 0 meaning GOMAXPROCS) each QualPairs level is expanded by a worker
+// pool. The contract across worker
 // counts: the match set and the Θ and θ evaluation counts are identical to
 // the sequential descent; Stats.PageReads is not, because the same touches
 // reach the shared LRU pool in a different order and a small
