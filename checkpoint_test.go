@@ -6,9 +6,12 @@ package spatialjoin
 // fuzzy checkpoint runs safely alongside a writer.
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+
+	"spatialjoin/internal/storage"
 )
 
 // runSteps drives a workload prefix against db, failing the test on any
@@ -216,6 +219,68 @@ func TestReopenRebuildsTheSameTree(t *testing.T) {
 			t.Errorf("%s: recovered tree counts differently:\n got  %+v\n live %+v", tc.name, got.counts, live.counts)
 		}
 	}
+}
+
+// TestSelfJoinIndexPersistsEachPairOnce maintains a WAL-backed self-join
+// index through inserts and requires its pair file to hold exactly Pairs()
+// records, before and after Reopen: an insert into the one collection must
+// write its (id, id) pair once, not once per side.
+func TestSelfJoinIndexPersistsEachPairOnce(t *testing.T) {
+	cfg := crashConfig(1, 1)
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := db.CreateCollection("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := c.Insert(crashRect(i), fmt.Sprint(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ji, _, err := db.BuildJoinIndex(c, c, Overlaps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 5; i < 10; i++ {
+		if _, err := c.Insert(crashRect(i), fmt.Sprint(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ji.Pairs() < 10 {
+		t.Fatalf("self-join index holds %d pairs, want at least the 10 (id, id) pairs", ji.Pairs())
+	}
+	if n := pairRecords(t, ji); n != ji.Pairs() {
+		t.Fatalf("live: pair file holds %d records for %d pairs", n, ji.Pairs())
+	}
+
+	rdb, _, err := Reopen(cfg, db.Device())
+	if err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	rc, _ := rdb.Collection("c")
+	rji, ok := rdb.joinIndexFor(rc, rc, Overlaps())
+	if !ok {
+		t.Fatal("self-join index not recovered")
+	}
+	if rji.Pairs() != ji.Pairs() {
+		t.Fatalf("recovered index holds %d pairs, live %d", rji.Pairs(), ji.Pairs())
+	}
+	if n := pairRecords(t, rji); n != rji.Pairs() {
+		t.Fatalf("recovered: pair file holds %d records for %d pairs", n, rji.Pairs())
+	}
+}
+
+// pairRecords counts the records in ji's pair file.
+func pairRecords(t *testing.T, ji *JoinIndex) int {
+	t.Helper()
+	n := 0
+	if err := ji.file.Scan(func(storage.RID, []byte) bool { n++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestCheckpointConcurrentWithWriters runs the workload from one goroutine

@@ -178,96 +178,29 @@ func TestAllAscending(t *testing.T) {
 	}
 }
 
-func TestDeleteBasic(t *testing.T) {
-	tr := MustNew(4)
-	for i := uint64(0); i < 300; i++ {
-		tr.Insert(key(i, i))
-	}
-	for i := uint64(0); i < 300; i += 3 {
-		if !tr.Delete(key(i, i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	if tr.Len() != 200 {
-		t.Fatalf("len = %d", tr.Len())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 300; i++ {
-		found, _ := tr.Contains(key(i, i))
-		if i%3 == 0 && found {
-			t.Fatalf("deleted key %d still present", i)
-		}
-		if i%3 != 0 && !found {
-			t.Fatalf("surviving key %d lost", i)
-		}
-	}
-}
-
-func TestDeleteMissing(t *testing.T) {
-	tr := MustNew(4)
-	tr.Insert(key(1, 1))
-	if tr.Delete(key(2, 2)) {
-		t.Fatal("deleting absent key must report false")
-	}
-	if tr.Len() != 1 {
-		t.Fatal("failed delete must not change size")
-	}
-}
-
-func TestDeleteAllThenReuse(t *testing.T) {
-	tr := MustNew(3) // smallest legal order stresses merges hardest
-	const n = 500
-	perm := rand.New(rand.NewSource(2)).Perm(n)
-	for i := 0; i < n; i++ {
-		tr.Insert(key(uint64(i), 0))
-	}
-	for step, i := range perm {
-		if !tr.Delete(key(uint64(i), 0)) {
-			t.Fatalf("delete of %d failed at step %d", i, step)
-		}
-		if step%50 == 0 {
-			if err := tr.Validate(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-		}
-	}
-	if tr.Len() != 0 || tr.Height() != 0 {
-		t.Fatalf("emptied tree: len=%d height=%d", tr.Len(), tr.Height())
-	}
-	tr.Insert(key(9, 9))
-	if found, _ := tr.Contains(key(9, 9)); !found {
-		t.Fatal("reuse after emptying failed")
-	}
-}
-
 func TestRandomInsertDeleteAgainstModel(t *testing.T) {
+	// Random inserts, duplicates included, checked against a map model:
+	// Insert's report, Contains, Range over random bounds, and Validate.
 	for _, order := range []int{3, 4, 7, 100} {
 		tr := MustNew(order)
 		rng := rand.New(rand.NewSource(int64(order)))
 		model := make(map[Key]bool)
 		for step := 0; step < 4000; step++ {
-			k := key(uint64(rng.Intn(40)), uint64(rng.Intn(40)))
-			if rng.Float64() < 0.55 {
-				got := tr.Insert(k)
-				want := !model[k]
-				if got != want {
-					t.Fatalf("order %d step %d: Insert(%v)=%t, model %t", order, step, k, got, want)
-				}
-				model[k] = true
-			} else {
-				got := tr.Delete(k)
-				want := model[k]
-				if got != want {
-					t.Fatalf("order %d step %d: Delete(%v)=%t, model %t", order, step, k, got, want)
-				}
-				delete(model, k)
+			k := key(uint64(rng.Intn(80)), uint64(rng.Intn(80)))
+			got := tr.Insert(k)
+			if want := !model[k]; got != want {
+				t.Fatalf("order %d step %d: Insert(%v)=%t, model %t", order, step, k, got, want)
+			}
+			model[k] = true
+			probe := key(uint64(rng.Intn(80)), uint64(rng.Intn(80)))
+			if found, _ := tr.Contains(probe); found != model[probe] {
+				t.Fatalf("order %d step %d: Contains(%v)=%t, model %t", order, step, probe, found, model[probe])
 			}
 			if step%500 == 0 {
 				if err := tr.Validate(); err != nil {
 					t.Fatalf("order %d step %d: %v", order, step, err)
 				}
+				checkRangeAgainstModel(t, tr, model, rng)
 			}
 		}
 		if tr.Len() != len(model) {
@@ -275,6 +208,35 @@ func TestRandomInsertDeleteAgainstModel(t *testing.T) {
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
+		}
+		checkRangeAgainstModel(t, tr, model, rng)
+	}
+}
+
+// checkRangeAgainstModel compares Range over random bounds with the model's
+// keys in those bounds, in ascending order.
+func checkRangeAgainstModel(t *testing.T, tr *Tree, model map[Key]bool, rng *rand.Rand) {
+	t.Helper()
+	lo := key(uint64(rng.Intn(80)), uint64(rng.Intn(80)))
+	hi := key(uint64(rng.Intn(80)), uint64(rng.Intn(80)))
+	if hi.Less(lo) {
+		lo, hi = hi, lo
+	}
+	var want []Key
+	for k := range model {
+		if !k.Less(lo) && !hi.Less(k) {
+			want = append(want, k)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
+	var got []Key
+	tr.Range(lo, hi, func(k Key) bool { got = append(got, k); return true })
+	if len(got) != len(want) {
+		t.Fatalf("order %d: Range(%v, %v) returned %d keys, model %d", tr.Order(), lo, hi, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("order %d: Range(%v, %v) key %d = %v, model %v", tr.Order(), lo, hi, i, got[i], want[i])
 		}
 	}
 }

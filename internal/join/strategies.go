@@ -432,14 +432,14 @@ func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int
 		for _, pd := range pools {
 			st.PageReads += pd.delta()
 		}
-		st.IndexReads = indexPages(ix)
+		st.IndexReads = ix.Pages()
 		endExec(trace, span, st, err)
 		return nil, stats, err
 	}
 	for _, pd := range pools {
 		stats.PageReads += pd.delta()
 	}
-	stats.IndexReads = indexPages(ix)
+	stats.IndexReads = ix.Pages()
 	trace.Annotate(span, obs.Int("pairs", int64(len(out))))
 	endExec(trace, span, stats, nil)
 	return out, stats, nil
@@ -469,18 +469,6 @@ func IndexSelect(ix *joinindex.Index, rID int, s Table) ([]int, Stats, error) {
 	stats.PageReads = reads
 	stats.IndexReads = int64(visits)
 	return out, stats, nil
-}
-
-// indexPages estimates the pages a full scan of the join index touches:
-// its leaves, ⌈|J|/z⌉ with z the tree order (matching the model's paging
-// charge for strategy III).
-func indexPages(ix *joinindex.Index) int64 {
-	n := ix.Len()
-	if n == 0 {
-		return 0
-	}
-	z := ix.Order()
-	return int64((n + z - 1) / z)
 }
 
 // poolDelta tracks a buffer pool's miss counter from a start point.

@@ -1,14 +1,14 @@
 // Package joinindex implements Valduriez-style join indices (the paper's
 // strategy III): the result of a join R ⋈θ S precomputed as a binary
-// relation of matching tuple-ID pairs, stored in B+-trees (modeling
+// relation of matching tuple-ID pairs, stored in a B+-tree (modeling
 // assumption S4).
 //
-// Two trees are kept — forward (r, s) and reverse (s, r) — so matches can be
-// enumerated from either side in logarithmic time. The paper's key
-// observations about this strategy are directly visible in the API: lookups
-// are cheap (Matches* walks a small key range), but maintenance is expensive
-// because every inserted tuple must be checked against the entire other
-// relation (MaintainInsert* take a full candidate enumeration).
+// The tree is keyed (r, s), so the matches of one R tuple are one key range.
+// The paper's key observations about this strategy are directly visible in
+// the API: lookups are cheap (MatchesOfR walks a small key range), but
+// maintenance is expensive because every inserted tuple must be checked
+// against the entire other relation (MaintainInsert* take a full candidate
+// enumeration). Pairs are only ever added: the engine has no delete path.
 package joinindex
 
 import (
@@ -20,22 +20,17 @@ import (
 // Index is a precomputed join index between two relations R and S for one
 // fixed θ-operator.
 type Index struct {
-	forward *btree.Tree // keys (r, s)
-	reverse *btree.Tree // keys (s, r)
+	tree *btree.Tree // keys (r, s)
 }
 
-// New returns an empty join index whose B+-trees have the given order (the
+// New returns an empty join index whose B+-tree has the given order (the
 // paper's z, Table 3: 100).
 func New(order int) (*Index, error) {
-	fwd, err := btree.New(order)
+	tree, err := btree.New(order)
 	if err != nil {
 		return nil, err
 	}
-	rev, err := btree.New(order)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{forward: fwd, reverse: rev}, nil
+	return &Index{tree: tree}, nil
 }
 
 // MustNew is New that panics on error.
@@ -48,15 +43,22 @@ func MustNew(order int) *Index {
 }
 
 // Len returns the number of stored pairs (the join cardinality |J|).
-func (ix *Index) Len() int { return ix.forward.Len() }
+func (ix *Index) Len() int { return ix.tree.Len() }
 
-// Order returns the underlying B+-trees' order (the paper's z).
-func (ix *Index) Order() int { return ix.forward.Order() }
+// Order returns the underlying B+-tree's order (the paper's z).
+func (ix *Index) Order() int { return ix.tree.Order() }
 
-// Height returns the forward tree's height, the paper's parameter d minus
+// Pages is strategy III's paging charge for a full scan of the index: its
+// leaves, ⌈|J|/z⌉ (the model's C_III and D_III).
+func (ix *Index) Pages() int64 {
+	n, z := ix.Len(), ix.Order()
+	return int64((n + z - 1) / z)
+}
+
+// Height returns the tree's height, the paper's parameter d minus
 // one (the paper counts pages on a root-to-leaf path, with the root pinned
 // in memory).
-func (ix *Index) Height() int { return ix.forward.Height() }
+func (ix *Index) Height() int { return ix.tree.Height() }
 
 // Add records that tuples r ∈ R and s ∈ S match. It reports whether the
 // pair is new. Negative IDs are rejected.
@@ -64,23 +66,7 @@ func (ix *Index) Add(r, s int) (bool, error) {
 	if r < 0 || s < 0 {
 		return false, fmt.Errorf("joinindex: negative tuple id (%d, %d)", r, s)
 	}
-	added := ix.forward.Insert(btree.Key{Hi: uint64(r), Lo: uint64(s)})
-	if added {
-		ix.reverse.Insert(btree.Key{Hi: uint64(s), Lo: uint64(r)})
-	}
-	return added, nil
-}
-
-// Remove deletes the pair, reporting whether it was present.
-func (ix *Index) Remove(r, s int) bool {
-	if r < 0 || s < 0 {
-		return false
-	}
-	removed := ix.forward.Delete(btree.Key{Hi: uint64(r), Lo: uint64(s)})
-	if removed {
-		ix.reverse.Delete(btree.Key{Hi: uint64(s), Lo: uint64(r)})
-	}
-	return removed
+	return ix.tree.Insert(btree.Key{Hi: uint64(r), Lo: uint64(s)}), nil
 }
 
 // Contains reports whether the pair is stored.
@@ -88,7 +74,7 @@ func (ix *Index) Contains(r, s int) bool {
 	if r < 0 || s < 0 {
 		return false
 	}
-	found, _ := ix.forward.Contains(btree.Key{Hi: uint64(r), Lo: uint64(s)})
+	found, _ := ix.tree.Contains(btree.Key{Hi: uint64(r), Lo: uint64(s)})
 	return found
 }
 
@@ -99,50 +85,16 @@ func (ix *Index) MatchesOfR(r int, f func(s int) bool) (visits int) {
 	if r < 0 {
 		return 0
 	}
-	return ix.forward.Range(
+	return ix.tree.Range(
 		btree.Key{Hi: uint64(r), Lo: 0},
 		btree.Key{Hi: uint64(r), Lo: ^uint64(0)},
 		func(k btree.Key) bool { return f(int(k.Lo)) },
 	)
 }
 
-// MatchesOfS calls f with every r matching s, in ascending order, returning
-// index-node visits.
-func (ix *Index) MatchesOfS(s int, f func(r int) bool) (visits int) {
-	if s < 0 {
-		return 0
-	}
-	return ix.reverse.Range(
-		btree.Key{Hi: uint64(s), Lo: 0},
-		btree.Key{Hi: uint64(s), Lo: ^uint64(0)},
-		func(k btree.Key) bool { return f(int(k.Lo)) },
-	)
-}
-
 // AllPairs calls f for every stored pair in (r, s) order.
 func (ix *Index) AllPairs(f func(r, s int) bool) {
-	ix.forward.All(func(k btree.Key) bool { return f(int(k.Hi), int(k.Lo)) })
-}
-
-// DeleteR removes every pair involving tuple r of R (called when r is
-// deleted from its relation). It returns the number of pairs removed.
-func (ix *Index) DeleteR(r int) int {
-	var ss []int
-	ix.MatchesOfR(r, func(s int) bool { ss = append(ss, s); return true })
-	for _, s := range ss {
-		ix.Remove(r, s)
-	}
-	return len(ss)
-}
-
-// DeleteS removes every pair involving tuple s of S.
-func (ix *Index) DeleteS(s int) int {
-	var rs []int
-	ix.MatchesOfS(s, func(r int) bool { rs = append(rs, r); return true })
-	for _, r := range rs {
-		ix.Remove(r, s)
-	}
-	return len(rs)
+	ix.tree.All(func(k btree.Key) bool { return f(int(k.Hi), int(k.Lo)) })
 }
 
 // MaintainCost describes the work a maintenance operation performed, in the
@@ -194,29 +146,10 @@ func (ix *Index) MaintainInsertS(s, rCount int, match func(r int) (bool, error))
 	return cost, nil
 }
 
-// Validate cross-checks the forward and reverse trees.
+// Validate checks the B+-tree's invariants.
 func (ix *Index) Validate() error {
-	if err := ix.forward.Validate(); err != nil {
-		return fmt.Errorf("joinindex forward: %w", err)
-	}
-	if err := ix.reverse.Validate(); err != nil {
-		return fmt.Errorf("joinindex reverse: %w", err)
-	}
-	if ix.forward.Len() != ix.reverse.Len() {
-		return fmt.Errorf("joinindex: forward has %d pairs, reverse %d",
-			ix.forward.Len(), ix.reverse.Len())
-	}
-	ok := true
-	ix.forward.All(func(k btree.Key) bool {
-		found, _ := ix.reverse.Contains(btree.Key{Hi: k.Lo, Lo: k.Hi})
-		if !found {
-			ok = false
-			return false
-		}
-		return true
-	})
-	if !ok {
-		return fmt.Errorf("joinindex: forward pair missing from reverse tree")
+	if err := ix.tree.Validate(); err != nil {
+		return fmt.Errorf("joinindex: %w", err)
 	}
 	return nil
 }

@@ -24,15 +24,6 @@ func TestAddContainsRemove(t *testing.T) {
 	if ix.Len() != 1 {
 		t.Fatalf("len = %d", ix.Len())
 	}
-	if !ix.Remove(1, 2) {
-		t.Fatal("Remove of present pair failed")
-	}
-	if ix.Remove(1, 2) {
-		t.Fatal("double Remove must fail")
-	}
-	if ix.Len() != 0 {
-		t.Fatalf("len after remove = %d", ix.Len())
-	}
 }
 
 func TestNegativeIDsRejected(t *testing.T) {
@@ -43,14 +34,11 @@ func TestNegativeIDsRejected(t *testing.T) {
 	if _, err := ix.Add(1, -2); err == nil {
 		t.Fatal("negative s must error")
 	}
-	if ix.Remove(-1, 0) || ix.Contains(-1, 0) {
+	if ix.Contains(-1, 0) {
 		t.Fatal("negative ids must be inert")
 	}
 	if ix.MatchesOfR(-1, func(int) bool { return true }) != 0 {
 		t.Fatal("negative MatchesOfR must visit nothing")
-	}
-	if ix.MatchesOfS(-1, func(int) bool { return true }) != 0 {
-		t.Fatal("negative MatchesOfS must visit nothing")
 	}
 }
 
@@ -68,7 +56,7 @@ func TestNewRejectsBadOrder(t *testing.T) {
 
 func TestMatchesBothDirections(t *testing.T) {
 	ix := MustNew(4)
-	// r=3 matches s ∈ {1, 5, 9}; s=5 matches r ∈ {2, 3}.
+	// r=3 matches s ∈ {1, 5, 9}; r=2 matches s=5 only.
 	pairs := [][2]int{{3, 1}, {3, 5}, {3, 9}, {2, 5}}
 	for _, p := range pairs {
 		ix.Add(p[0], p[1])
@@ -78,10 +66,10 @@ func TestMatchesBothDirections(t *testing.T) {
 	if len(ss) != 3 || ss[0] != 1 || ss[1] != 5 || ss[2] != 9 {
 		t.Fatalf("MatchesOfR(3) = %v", ss)
 	}
-	var rs []int
-	ix.MatchesOfS(5, func(r int) bool { rs = append(rs, r); return true })
-	if len(rs) != 2 || rs[0] != 2 || rs[1] != 3 {
-		t.Fatalf("MatchesOfS(5) = %v", rs)
+	ss = nil
+	ix.MatchesOfR(2, func(s int) bool { ss = append(ss, s); return true })
+	if len(ss) != 1 || ss[0] != 5 {
+		t.Fatalf("MatchesOfR(2) = %v", ss)
 	}
 	// Early stop.
 	n := 0
@@ -115,34 +103,6 @@ func TestAllPairsOrdered(t *testing.T) {
 		if !want[p] {
 			t.Fatalf("phantom pair %v", p)
 		}
-	}
-}
-
-func TestDeleteRAndS(t *testing.T) {
-	ix := MustNew(4)
-	for s := 0; s < 10; s++ {
-		ix.Add(7, s)
-	}
-	for r := 0; r < 5; r++ {
-		ix.Add(r, 3)
-	}
-	if n := ix.DeleteR(7); n != 10 {
-		t.Fatalf("DeleteR removed %d, want 10", n)
-	}
-	if ix.Contains(7, 3) {
-		t.Fatal("pair (7,3) survived DeleteR")
-	}
-	if !ix.Contains(2, 3) {
-		t.Fatal("unrelated pair lost")
-	}
-	if n := ix.DeleteS(3); n != 5 {
-		t.Fatalf("DeleteS removed %d, want 5", n)
-	}
-	if ix.Len() != 0 {
-		t.Fatalf("len = %d after full cleanup", ix.Len())
-	}
-	if err := ix.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -214,9 +174,11 @@ func TestValidateDetectsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 1000; i++ {
 		ix.Add(rng.Intn(100), rng.Intn(100))
-	}
-	for i := 0; i < 300; i++ {
-		ix.Remove(rng.Intn(100), rng.Intn(100))
+		if i%250 == 0 {
+			if err := ix.Validate(); err != nil {
+				t.Fatalf("after %d adds: %v", i+1, err)
+			}
+		}
 	}
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
@@ -242,5 +204,15 @@ func TestOrderAccessor(t *testing.T) {
 	ix := MustNew(42)
 	if ix.Order() != 42 {
 		t.Fatalf("Order = %d", ix.Order())
+	}
+}
+
+func TestPagesIsLeafCharge(t *testing.T) {
+	ix := MustNew(4)
+	for i, want := range []int64{0, 1, 1, 1, 1, 2, 2, 2, 2, 3} {
+		if got := ix.Pages(); got != want {
+			t.Fatalf("%d pairs: Pages = %d, want ⌈%d/4⌉ = %d", i, got, i, want)
+		}
+		ix.Add(i, i)
 	}
 }

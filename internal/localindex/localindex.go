@@ -63,7 +63,6 @@ type Index struct {
 	tree    core.Tree
 	op      pred.Operator
 	level   int
-	order   int
 	anchors []anchor
 }
 
@@ -88,7 +87,7 @@ func Build(tree core.Tree, op pred.Operator, level, order int) (*Index, Stats, e
 	if level < 0 {
 		return nil, stats, fmt.Errorf("localindex: negative anchor level %d", level)
 	}
-	idx := &Index{tree: tree, op: op, level: level, order: order}
+	idx := &Index{tree: tree, op: op, level: level}
 	type entry struct {
 		node core.Node
 		path string
@@ -201,7 +200,7 @@ func (ix *Index) SelfJoin() (_ []core.Match, stats Stats, _ error) {
 					live.Pairs = append(live.Pairs, core.Match{R: r, S: s})
 					return true
 				})
-				stats.IndexReads += indexPages(ji, ix.order)
+				stats.IndexReads += ji.Pages()
 				continue
 			}
 			live.Stats.FilterEvals++
@@ -322,13 +321,4 @@ func (ix *Index) Validate() error {
 		}
 	}
 	return nil
-}
-
-// indexPages is the strategy-III paging charge for one anchor: ⌈pairs/z⌉.
-func indexPages(ji *joinindex.Index, order int) int64 {
-	n := ji.Len()
-	if n == 0 {
-		return 0
-	}
-	return int64((n + order - 1) / order)
 }

@@ -10,7 +10,7 @@ import (
 // nodes appear as technical nodes (no tuple); each stored item appears as a
 // leaf node carrying its tuple ID and exact geometry.
 //
-// The adapter is a live view: it reflects subsequent inserts and deletes.
+// The adapter is a live view: it reflects subsequent inserts.
 // A node of the generalization tree is one entry of the R-tree — the root's
 // entry, a child entry of an interior node, or an item slot of a leaf — so
 // the view is a single pointer (boxing it into a core.Node allocates

@@ -117,9 +117,9 @@ type Tree struct {
 
 	// top is the entry the root would have in a parent: its MBR and the
 	// root itself. Every other node's MBR already sits in its parent's
-	// entry, kept tight by insert and delete; with top every node's bounds
-	// are one load away, which is what a descent reads per node examined.
-	// Insert, Delete and BulkLoad refresh it.
+	// entry, kept tight by insert; with top every node's bounds are one
+	// load away, which is what a descent reads per node examined. Insert
+	// and BulkLoad refresh it.
 	top entry
 }
 
@@ -163,20 +163,15 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 	return t.top.rect, true
 }
 
-// Insert adds obj with the given tuple ID.
+// Insert adds obj with the given tuple ID. It is Guttman's Insert:
+// ChooseLeaf, add, split on overflow, AdjustTree.
 func (t *Tree) Insert(obj geom.Spatial, id int) {
 	e := entry{rect: obj.Bounds(), item: Item{Obj: obj, ID: id}}
-	t.insertAtLeaf(e)
-	t.size++
-	t.refreshTop()
-}
-
-// insertAtLeaf implements Guttman's Insert: ChooseLeaf, add, split on
-// overflow, AdjustTree.
-func (t *Tree) insertAtLeaf(e entry) {
 	leaf := t.chooseLeaf(e.rect)
 	leaf.entries = append(leaf.entries, e)
 	t.adjustTree(leaf)
+	t.size++
+	t.refreshTop()
 }
 
 // chooseLeaf descends to the leaf whose MBR needs the least enlargement to

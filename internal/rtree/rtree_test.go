@@ -176,120 +176,42 @@ func TestAllVisitsEverything(t *testing.T) {
 	}
 }
 
-func TestDeleteBasic(t *testing.T) {
-	tr := MustNew(Options{MinEntries: 2, MaxEntries: 4})
-	rects := []geom.Rect{}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 100; i++ {
-		r := randRect(rng, 200)
-		rects = append(rects, r)
-		tr.Insert(r, i)
-	}
-	for i := 0; i < 100; i += 2 {
-		if !tr.Delete(rects[i], i) {
-			t.Fatalf("delete of item %d failed", i)
-		}
-	}
-	if tr.Len() != 50 {
-		t.Fatalf("len after deletes = %d", tr.Len())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Deleted items are gone; surviving items remain findable.
-	for i := 0; i < 100; i++ {
-		found := false
-		tr.Search(rects[i], func(it Item) bool {
-			if it.ID == i {
-				found = true
-				return false
-			}
-			return true
-		})
-		if i%2 == 0 && found {
-			t.Fatalf("deleted item %d still found", i)
-		}
-		if i%2 == 1 && !found {
-			t.Fatalf("surviving item %d lost", i)
-		}
-	}
-}
-
-func TestDeleteMissingReturnsFalse(t *testing.T) {
-	tr := MustNew(DefaultOptions())
-	tr.Insert(geom.NewRect(0, 0, 1, 1), 1)
-	if tr.Delete(geom.NewRect(5, 5, 6, 6), 1) {
-		t.Fatal("delete with wrong rect must fail")
-	}
-	if tr.Delete(geom.NewRect(0, 0, 1, 1), 2) {
-		t.Fatal("delete with wrong id must fail")
-	}
-	if !tr.Delete(geom.NewRect(0, 0, 1, 1), 1) {
-		t.Fatal("delete of present item must succeed")
-	}
-	if tr.Delete(geom.NewRect(0, 0, 1, 1), 1) {
-		t.Fatal("double delete must fail")
-	}
-}
-
-func TestDeleteToEmptyAndReuse(t *testing.T) {
-	tr := MustNew(Options{MinEntries: 2, MaxEntries: 4})
-	rng := rand.New(rand.NewSource(6))
-	var rects []geom.Rect
-	for i := 0; i < 60; i++ {
-		r := randRect(rng, 50)
-		rects = append(rects, r)
-		tr.Insert(r, i)
-	}
-	for i := 59; i >= 0; i-- {
-		if !tr.Delete(rects[i], i) {
-			t.Fatalf("delete %d failed", i)
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("after deleting %d: %v", i, err)
-		}
-	}
-	if tr.Len() != 0 || tr.Height() != 0 {
-		t.Fatalf("emptied tree: len=%d height=%d", tr.Len(), tr.Height())
-	}
-	// The tree must be fully reusable.
-	tr.Insert(geom.NewRect(0, 0, 1, 1), 7)
-	if tr.Len() != 1 {
-		t.Fatal("reuse after emptying failed")
-	}
-}
-
 func TestRandomInsertDeleteInvariants(t *testing.T) {
-	// Property test: under a random interleaving of inserts and deletes,
-	// every Validate() invariant holds and search agrees with a model map.
+	// Property test: under random inserts, every Validate() invariant holds
+	// and search agrees with a model map.
 	for _, split := range []SplitStrategy{QuadraticSplit, LinearSplit} {
 		tr := MustNew(Options{MinEntries: 2, MaxEntries: 5, Split: split})
 		rng := rand.New(rand.NewSource(7))
 		live := make(map[int]geom.Rect)
-		nextID := 0
-		for step := 0; step < 2000; step++ {
-			if len(live) == 0 || rng.Float64() < 0.6 {
-				r := randRect(rng, 300)
-				tr.Insert(r, nextID)
-				live[nextID] = r
-				nextID++
-			} else {
-				// Delete a random live item.
-				var id int
-				for id = range live {
-					break
-				}
-				if !tr.Delete(live[id], id) {
-					t.Fatalf("%v: delete of live item %d failed at step %d", split, id, step)
-				}
-				delete(live, id)
-			}
-			if step%200 == 0 {
+		for id := 0; id < 2000; id++ {
+			r := randRect(rng, 300)
+			tr.Insert(r, id)
+			live[id] = r
+			if id%200 == 0 {
 				if err := tr.Validate(); err != nil {
-					t.Fatalf("%v: step %d: %v", split, step, err)
+					t.Fatalf("%v: step %d: %v", split, id, err)
 				}
 				if tr.Len() != len(live) {
-					t.Fatalf("%v: step %d: len %d != model %d", split, step, tr.Len(), len(live))
+					t.Fatalf("%v: step %d: len %d != model %d", split, id, tr.Len(), len(live))
+				}
+				// Search against a brute-force scan of the model.
+				q := randRect(rng, 300)
+				want := 0
+				for _, lr := range live {
+					if lr.Intersects(q) {
+						want++
+					}
+				}
+				got := 0
+				tr.Search(q, func(it Item) bool {
+					if !live[it.ID].Intersects(q) {
+						t.Fatalf("%v: step %d: search returned non-intersecting item %d", split, id, it.ID)
+					}
+					got++
+					return true
+				})
+				if got != want {
+					t.Fatalf("%v: step %d: search found %d items, model %d", split, id, got, want)
 				}
 			}
 		}
@@ -318,11 +240,6 @@ func TestBoundsTracksContent(t *testing.T) {
 	b, ok := tr.Bounds()
 	if !ok || b != geom.NewRect(0, 0, 10, 10) {
 		t.Fatalf("bounds = %v, %t", b, ok)
-	}
-	tr.Delete(geom.NewRect(9, 9, 10, 10), 1)
-	b, _ = tr.Bounds()
-	if b != geom.NewRect(0, 0, 1, 1) {
-		t.Fatalf("bounds after delete = %v", b)
 	}
 }
 

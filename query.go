@@ -358,8 +358,9 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 // collection (the paper's U_III cost).
 func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) error {
 	for _, ji := range db.joinIndices {
-		// Both branches run for a self-join index (ji.r == ji.s == c); the
-		// index de-duplicates pairs.
+		// Both branches run for a self-join index (ji.r == ji.s == c). The
+		// R branch already decided (id, id), so the S branch skips it: θ
+		// runs once and the pair is written once.
 		if ji.r == c {
 			_, err := ji.ix.MaintainInsertR(id, ji.s.rel.Len(), func(sid int) (bool, error) {
 				other, _, err := ji.s.Get(sid)
@@ -377,6 +378,9 @@ func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) er
 		}
 		if ji.s == c {
 			_, err := ji.ix.MaintainInsertS(id, ji.r.rel.Len(), func(rid int) (bool, error) {
+				if ji.r == c && rid == id {
+					return false, nil
+				}
 				other, _, err := ji.r.Get(rid)
 				if err != nil {
 					return false, err
