@@ -374,21 +374,7 @@ func BenchmarkFig8TraceOverhead(b *testing.B) {
 	op := pred.Overlaps{}
 
 	b.Run("uninstrumented", func(b *testing.B) {
-		opts := &core.SelectOptions{
-			Traversal: core.BreadthFirst,
-			Touch: func(n core.Node) error {
-				id, ok := n.Tuple()
-				if !ok {
-					return nil
-				}
-				rid, err := tab.Rel.RID(id)
-				if err != nil {
-					return err
-				}
-				_, err = tab.Pool.Fetch(rid.Page)
-				return err
-			},
-		}
+		opts := &core.SelectOptions{Traversal: core.BreadthFirst, Read: tab.Reader()}
 		var reads int64
 		for i := 0; i < b.N; i++ {
 			if err := pool.DropAll(); err != nil {
@@ -485,7 +471,7 @@ func BenchmarkAblationLocalIndexLambda(b *testing.B) {
 	op := pred.Overlaps{}
 	for lambda := 0; lambda <= 4; lambda++ {
 		b.Run(fmt.Sprintf("lambda_%d", lambda), func(b *testing.B) {
-			ix, _, err := localindex.Build(tree, op, lambda, 100)
+			ix, _, err := localindex.Build(tree, op, lambda, 100, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -553,10 +539,19 @@ func BenchmarkAblationGridVsTreeJoin(b *testing.B) {
 		for i, s := range ss {
 			trS.Insert(s, i)
 		}
+		// An item stores its MBR and tuple ID; θ reads the rectangle by ID.
+		readOf := func(objs []geom.Rect) core.Reader {
+			return func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
+				id, _ := n.Tuple()
+				*dst = objs[id]
+				return dst, nil
+			}
+		}
+		opts := &core.JoinOptions{ReadR: readOf(rs), ReadS: readOf(ss)}
 		var evals int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := core.Join(trR.Generalization(), trS.Generalization(), op, nil)
+			res, err := core.Join(trR.Generalization(), trS.Generalization(), op, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -575,7 +570,7 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 	rects := datagen.UniformRects(rng, 5000, world, 1, 20)
 	items := make([]rtree.Item, len(rects))
 	for i, r := range rects {
-		items[i] = rtree.Item{Obj: r, ID: i}
+		items[i] = rtree.Item{Rect: r, ID: i}
 	}
 	opts := rtree.Options{MinEntries: 4, MaxEntries: 8}
 	query := geom.NewRect(300, 300, 500, 500)
@@ -585,7 +580,7 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tr := rtree.MustNew(opts)
 			for _, it := range items {
-				tr.Insert(it.Obj, it.ID)
+				tr.Insert(it.Rect, it.ID)
 			}
 			visits = tr.Search(query, func(rtree.Item) bool { return true })
 		}

@@ -553,25 +553,13 @@ func printTraceOverhead(out io.Writer) error {
 	op := pred.Overlaps{}
 	const reps = 300
 
-	touch := func(n core.Node) error {
-		id, ok := n.Tuple()
-		if !ok {
-			return nil
-		}
-		rid, err := tab.Rel.RID(id)
-		if err != nil {
-			return err
-		}
-		_, err = tab.Pool.Fetch(rid.Page)
-		return err
-	}
 	rows := []struct {
 		name  string
 		note  string
 		query func() error
 	}{
 		{"off", "pre-hook call path, no trace plumbing", func() error {
-			opts := &core.SelectOptions{Traversal: core.BreadthFirst, Touch: touch}
+			opts := &core.SelectOptions{Traversal: core.BreadthFirst, Read: tab.Reader()}
 			_, err := core.Select(tree, q, op, opts)
 			return err
 		}},

@@ -378,7 +378,7 @@ func (c *Collection) Insert(shape Spatial, payload string) (int, error) {
 		if err != nil {
 			return err
 		}
-		c.index.Insert(shape, id)
+		c.index.Insert(shape.Bounds(), id)
 		return c.db.maintainJoinIndices(c, id, shape)
 	})
 	if err != nil {
@@ -393,9 +393,5 @@ func (c *Collection) Get(id int) (Spatial, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	shape, err := c.rel.Schema().SpatialValue(t, 1)
-	if err != nil {
-		return nil, "", err
-	}
-	return shape, t[0].(string), nil
+	return t[1].(Spatial), t[0].(string), nil
 }

@@ -273,11 +273,7 @@ func (db *Database) reopenCollection(nc wal.NewCollection) error {
 	}
 	rel, err := relation.Open(db.pool, nc.Name, sch, nc.HeapFile, db.cfg.FillFactor,
 		func(id int, t relation.Tuple) error {
-			shape, err := sch.SpatialValue(t, 1)
-			if err != nil {
-				return err
-			}
-			index.Insert(shape, id)
+			index.Insert(t[1].(Spatial).Bounds(), id)
 			return nil
 		})
 	if err != nil {

@@ -36,7 +36,7 @@ func TestCtxStepFiresOnCrossing(t *testing.T) {
 
 // TestJoinObservesCancelAtEitherParity cancels a join in the middle of its
 // longest run of two-node examinations — the item pairs of two wide,
-// shallow trees, decided one touch2 after another — and requires the join
+// shallow trees, decided one examine2 after another — and requires the join
 // to stop within ctxStride + 2 further examinations and to return the
 // context's error. With rootKids children on both sides the run starts on
 // an even count; with one more on the S side, on an odd one, where a step
@@ -60,14 +60,14 @@ func TestJoinObservesCancelAtEitherParity(t *testing.T) {
 		cancelAt := passes + 10
 		ctx, cancel := context.WithCancel(context.Background())
 		var examined int64
-		touch := func(Node) error {
+		read := func(Node, *geom.Rect) (geom.Spatial, error) {
 			if examined++; examined == cancelAt {
 				cancel()
 			}
-			return nil
+			return nil, nil
 		}
 		res, err := Join(wide(rootKids), wide(sKids), pred.Overlaps{},
-			&JoinOptions{Ctx: ctx, TouchR: touch, TouchS: touch})
+			&JoinOptions{Ctx: ctx, ReadR: read, ReadS: read})
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%d × %d children (run starts on count %d): err = %v, result %v; want context.Canceled",

@@ -3,9 +3,11 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"slices"
 	"sync"
 
+	"spatialjoin/internal/geom"
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/parallel"
 	"spatialjoin/internal/pred"
@@ -33,21 +35,22 @@ func compareMatches(a, b Match) int {
 
 // JoinOptions tunes algorithm JOIN.
 type JoinOptions struct {
-	// TouchR / TouchS are where executors charge page I/O for a node of the
-	// respective tree, at the point its tuple is read (Node.ContainsTuple):
-	// a node that contains its tuple once per examination, before its Θ
-	// filter; a node that only references it once per θ evaluation it takes
-	// part in, immediately before θ reads its object, and never for Θ alone.
-	// Nodes below a technical fixed node of a JOIN4 SELECT pass, and a's
-	// children when no child of a technical b qualified, are not examined;
-	// a childless pair is decided in the level that formed it (see Join).
-	// Two nodes that only reference their tuples are charged after their
-	// level's Θ filter, pair by pair in (R, S) tuple-ID order, so over a
-	// run of such pairs TouchR repeats one node's tuple while TouchS
+	// ReadR / ReadS read the tuple of a node of the respective tree, at the
+	// point its tuple is read (Node.ContainsTuple): a node that contains its
+	// tuple once per examination, before its Θ filter, with no dst because
+	// the node carries the value; a node that only references it
+	// once per θ evaluation it takes part in, immediately before θ, and the
+	// value is θ's operand. Such a node is never read for Θ alone, and one
+	// that reaches θ with no reader fails the join rather than evaluate θ
+	// on its MBR. Nodes below a technical fixed node of a JOIN4 SELECT
+	// pass, and a's children when no child of a technical b qualified, are
+	// not examined; a childless pair is decided in the level that formed it
+	// (see Join). Two nodes that only reference their tuples are read after
+	// their level's Θ filter, pair by pair in (R, S) tuple-ID order, so over
+	// a run of such pairs ReadR repeats one node's tuple while ReadS
 	// ascends. With Workers > 1 they are called from multiple goroutines
 	// and must be safe for concurrent use.
-	TouchR func(Node) error
-	TouchS func(Node) error
+	ReadR, ReadS Reader
 	// Workers is the number of goroutines expanding each QualPairs level
 	// concurrently; values ≤ 1 keep the paper's sequential descent. The
 	// result is identical either way: each level's pair list is split into
@@ -83,6 +86,12 @@ type JoinResult struct {
 	Pairs []Match
 	// Stats is the work performed across both trees.
 	Stats Stats
+
+	// dstR and dstS are where ReadR and ReadS store a rectangle operand.
+	// A JoinResult lives on the heap (one per descent, one per worker
+	// chunk in its pooled scratch), so handing their addresses to a reader
+	// allocates nothing per θ, as a stack local's would.
+	dstR, dstS geom.Rect
 }
 
 // Join implements algorithm JOIN (§3.3): the general spatial join R ⋈θ S of
@@ -128,8 +137,8 @@ type JoinResult struct {
 // follow appends. JOIN keeps no state across pairs but counters and an
 // output every caller sorts, so only the order of θ and of the matches
 // moves, and on S2 trees every count is the paper's. Where a node's tuple
-// is charged follows Node.ContainsTuple: an index entry's tuple is read
-// only for θ (see JoinOptions.TouchR).
+// is read follows Node.ContainsTuple: an index entry's tuple is read only
+// for θ, and is θ's operand (see JoinOptions.ReadR).
 func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error) {
 	var options JoinOptions
 	if opts != nil {
@@ -340,7 +349,7 @@ func expandChunk(qual, next []qualPair, sc *joinScratch, op pred.Operator,
 func joinPair(a, b Node, op pred.Operator, options *JoinOptions, sc *joinScratch,
 	res *JoinResult) (bool, error) {
 
-	if err := touch2(a, b, options, res); err != nil {
+	if err := examine2(a, b, options, res); err != nil {
 		return false, err
 	}
 	res.Stats.FilterEvals++
@@ -354,7 +363,7 @@ func joinPair(a, b Node, op pred.Operator, options *JoinOptions, sc *joinScratch
 	case !a.ContainsTuple() && !b.ContainsTuple():
 		sc.refine = append(sc.refine, refinement{a, b, Match{R: ra, S: sb}})
 	default:
-		if err := theta(a, b, Match{R: ra, S: sb}, op, options, res); err != nil {
+		if err := Theta(a, b, op, options, res); err != nil {
 			return false, err
 		}
 	}
@@ -365,7 +374,7 @@ func joinPair(a, b Node, op pred.Operator, options *JoinOptions, sc *joinScratch
 // tuple-ID order. A collection appends its tuples, so that is heap-page
 // order: consecutive evaluations share their R page and sweep the S pages
 // upward, and the matches come out sorted. The context is checked before
-// every evaluation, which may fetch two pages: the examination count that
+// every evaluation, which may read two pages: the examination count that
 // paces ctxStep does not advance here.
 func refine(rs []refinement, op pred.Operator, opts *JoinOptions, res *JoinResult) error {
 	slices.SortFunc(rs, func(x, y refinement) int { return compareMatches(x.m, y.m) })
@@ -375,23 +384,32 @@ func refine(rs []refinement, op pred.Operator, opts *JoinOptions, res *JoinResul
 				return err
 			}
 		}
-		if err := theta(p.a, p.b, p.m, op, opts, res); err != nil {
+		if err := Theta(p.a, p.b, op, opts, res); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// theta runs JOIN3 for a Θ-passing pair of tuple-bearing nodes r and s:
-// it charges each that only references its tuple, evaluates θ, and emits m
-// (their tuple IDs) on a match.
-func theta(r, s Node, m Match, op pred.Operator, opts *JoinOptions, res *JoinResult) error {
+// Theta runs JOIN3 for a Θ-passing pair of tuple-bearing nodes r and s,
+// accumulating into res: it takes each operand from the node or, for a node
+// that only references its tuple, from the options' reader, evaluates θ, and
+// emits the pair's tuple IDs on a match. Callers running their own level
+// loop (package localindex) use it so there is one θ step, not two.
+func Theta(r, s Node, op pred.Operator, opts *JoinOptions, res *JoinResult) error {
 	res.Stats.ExactEvals++
-	if err := charge2(r, s, opts, false); err != nil {
+	ro, err := Operand(opts.ReadR, r, &res.dstR)
+	if err != nil {
 		return err
 	}
-	if op.Eval(r.Object(), s.Object()) {
-		res.Pairs = append(res.Pairs, m)
+	so, err := Operand(opts.ReadS, s, &res.dstS)
+	if err != nil {
+		return err
+	}
+	if op.Eval(ro, so) {
+		rid, _ := r.Tuple()
+		sid, _ := s.Tuple()
+		res.Pairs = append(res.Pairs, Match{R: rid, S: sid})
 	}
 	return nil
 }
@@ -415,7 +433,7 @@ const (
 func JoinSelect(fixed, n Node, op pred.Operator, s Side,
 	opts *JoinOptions, res *JoinResult) (bool, error) {
 
-	if err := touch1(n, s, opts, res); err != nil {
+	if err := examine1(n, s, opts, res); err != nil {
 		return false, err
 	}
 	r, sn := fixed, n
@@ -430,9 +448,7 @@ func JoinSelect(fixed, n Node, op pred.Operator, s Side,
 		return true, nil
 	}
 	if _, ok := n.Tuple(); ok {
-		rid, _ := r.Tuple()
-		sid, _ := sn.Tuple()
-		if err := theta(r, sn, Match{R: rid, S: sid}, op, opts, res); err != nil {
+		if err := Theta(r, sn, op, opts, res); err != nil {
 			return false, err
 		}
 	}
@@ -444,42 +460,51 @@ func JoinSelect(fixed, n Node, op pred.Operator, s Side,
 	return true, nil
 }
 
-// touch2 counts the examination of both members of a QualPairs pair.
-func touch2(a, b Node, opts *JoinOptions, res *JoinResult) error {
+// examine2 counts the examination of both members of a QualPairs pair.
+func examine2(a, b Node, opts *JoinOptions, res *JoinResult) error {
 	res.Stats.NodesExamined += 2
 	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined, 2); err != nil {
 		return err
 	}
-	return charge2(a, b, opts, true)
+	if err := readExamined(opts.ReadR, a); err != nil {
+		return err
+	}
+	return readExamined(opts.ReadS, b)
 }
 
-// touch1 counts a node examination on the moving side of a SELECT pass.
-func touch1(n Node, s Side, opts *JoinOptions, res *JoinResult) error {
+// examine1 counts a node examination on the moving side of a SELECT pass.
+func examine1(n Node, s Side, opts *JoinOptions, res *JoinResult) error {
 	res.Stats.NodesExamined++
 	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined, 1); err != nil {
 		return err
 	}
-	touch := opts.TouchR
 	if s == MovingS {
-		touch = opts.TouchS
+		return readExamined(opts.ReadS, n)
 	}
-	return charge(touch, n, true)
+	return readExamined(opts.ReadR, n)
 }
 
-// charge2 charges an R-side and an S-side node at one point (see charge).
-func charge2(r, s Node, opts *JoinOptions, examined bool) error {
-	if err := charge(opts.TouchR, r, examined); err != nil {
-		return err
-	}
-	return charge(opts.TouchS, s, examined)
-}
-
-// charge invokes touch for n at the one point n's tuple is read: when n is
-// examined (examined true) if it contains its tuple, immediately before θ
-// reads its object (examined false) if it only references it.
-func charge(touch func(Node) error, n Node, examined bool) error {
-	if touch == nil || n.ContainsTuple() != examined {
+// readExamined reads the tuple of an examined node that contains it with
+// no dst: the node carries the value, so none is built. A node that only
+// references its tuple is read by operand, for θ alone.
+func readExamined(read Reader, n Node) error {
+	if read == nil || !n.ContainsTuple() {
 		return nil
 	}
-	return touch(n)
+	_, err := read(n, nil)
+	return err
+}
+
+// Operand returns θ's operand for the tuple-bearing node n: the object a
+// node that contains its tuple carries (its reader ran when it was
+// examined), or else the tuple read now. A node that only references its
+// tuple stores no more than its MBR, and θ never runs on that.
+func Operand(read Reader, n Node, dst *geom.Rect) (geom.Spatial, error) {
+	if n.ContainsTuple() {
+		return n.Object(), nil
+	}
+	if read == nil {
+		return nil, errors.New("core: θ needs the tuple of a node that only references it, and no reader was given")
+	}
+	return read(n, dst)
 }

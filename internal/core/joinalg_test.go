@@ -243,26 +243,26 @@ func TestJoinTouchHooksSeeRightTrees(t *testing.T) {
 	_ = nS
 	var touchedR, touchedS int
 	_, err := Join(tr, ts, pred.Overlaps{}, &JoinOptions{
-		TouchR: func(n Node) error {
+		ReadR: func(n Node, _ *geom.Rect) (geom.Spatial, error) {
 			if id, ok := n.Tuple(); ok && id >= 100 {
-				return fmt.Errorf("S node %d leaked into TouchR", id)
+				return nil, fmt.Errorf("S node %d leaked into ReadR", id)
 			}
 			touchedR++
-			return nil
+			return nil, nil
 		},
-		TouchS: func(n Node) error {
+		ReadS: func(n Node, _ *geom.Rect) (geom.Spatial, error) {
 			if id, ok := n.Tuple(); ok && id < 100 {
-				return fmt.Errorf("R node %d leaked into TouchS", id)
+				return nil, fmt.Errorf("R node %d leaked into ReadS", id)
 			}
 			touchedS++
-			return nil
+			return nil, nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if touchedR == 0 || touchedS == 0 {
-		t.Fatalf("touch hooks not called: R=%d S=%d", touchedR, touchedS)
+		t.Fatalf("readers not called: R=%d S=%d", touchedR, touchedS)
 	}
 }
 
@@ -272,7 +272,7 @@ func TestJoinTouchErrorAborts(t *testing.T) {
 	ts, _ := buildUniformTree(rng, geom.NewRect(0, 0, 50, 50), 2, 2, 0, false)
 	boom := errors.New("disk died")
 	_, err := Join(tr, ts, pred.Overlaps{}, &JoinOptions{
-		TouchS: func(Node) error { return boom },
+		ReadS: func(Node, *geom.Rect) (geom.Spatial, error) { return nil, boom },
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want disk died", err)

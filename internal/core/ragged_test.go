@@ -79,7 +79,7 @@ func TestJoinChildlessAgainstDeepTrees(t *testing.T) {
 					{sName + " ⋈ " + dName, s, d},
 					{dName + " ⋈ " + sName, d, s},
 				} {
-					res, err := core.Join(c.tr, c.ts, op, nil)
+					res, err := core.Join(c.tr, c.ts, op, &core.JoinOptions{ReadR: readRect, ReadS: readRect})
 					if err != nil {
 						t.Fatalf("%s %s: %v", c.name, op.Name(), err)
 					}

@@ -39,6 +39,43 @@ func rtreePair(t *testing.T, n int) (core.Tree, core.Tree) {
 	return tr, ts
 }
 
+// readRect is the reader of a rectangle-only test tree: a rectangle is its
+// own MBR, so the tuple an item references is the rectangle it stores. A
+// read with no dst is one whose value the node carries, and builds none.
+func readRect(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
+	if dst == nil {
+		return nil, nil
+	}
+	*dst = n.Bounds()
+	return dst, nil
+}
+
+// TestReferenceOnlyNodeWithoutReaderFails runs a join and a selection over
+// R-trees, whose items store only their MBRs, with no reader: θ has no
+// operand, so both fail instead of evaluating θ on the MBR. With readers
+// they succeed and find matches.
+func TestReferenceOnlyNodeWithoutReaderFails(t *testing.T) {
+	tr, ts := rtreePair(t, 200)
+	if _, err := core.Join(tr, ts, pred.Overlaps{}, nil); err == nil {
+		t.Error("a join over R-trees with no reader succeeded")
+	}
+	if _, err := core.Join(tr, ts, pred.Overlaps{}, &core.JoinOptions{ReadR: readRect}); err == nil {
+		t.Error("a join over R-trees with no S reader succeeded")
+	}
+	window := geom.NewRect(0, 0, 500, 500)
+	if _, err := core.Select(tr, window, pred.Overlaps{}, nil); err == nil {
+		t.Error("a selection over an R-tree with no reader succeeded")
+	}
+	res, err := core.Join(tr, ts, pred.Overlaps{}, &core.JoinOptions{ReadR: readRect, ReadS: readRect})
+	if err != nil || len(res.Pairs) == 0 {
+		t.Fatalf("join with readers: %d matches, err %v", len(res.Pairs), err)
+	}
+	sel, err := core.Select(tr, window, pred.Overlaps{}, &core.SelectOptions{Read: readRect})
+	if err != nil || len(sel.Tuples) == 0 {
+		t.Fatalf("selection with a reader: %d matches, err %v", len(sel.Tuples), err)
+	}
+}
+
 func compareMatches(a, b core.Match) int {
 	if c := cmp.Compare(a.R, b.R); c != 0 {
 		return c
@@ -47,8 +84,8 @@ func compareMatches(a, b core.Match) int {
 }
 
 // TestJoinRefinesInTupleOrder joins two R-tree generalizations at one
-// worker and records every touch, split into levels where the descent
-// samples TraceReads. Within each level the touches come in (R, S) pairs,
+// worker and records every read, split into levels where the descent
+// samples TraceReads. Within each level the reads come in (R, S) pairs,
 // one per θ evaluation and none of a technical node, and the pairs are in
 // nondecreasing (R, S) tuple-ID order: θ runs after the level's Θ filter,
 // sorted, not as each pair of items passes it. The matches come out sorted.
@@ -60,18 +97,18 @@ func TestJoinRefinesInTupleOrder(t *testing.T) {
 		technical bool
 	}
 	levels := [][]touch{nil}
-	record := func(side byte) func(core.Node) error {
-		return func(n core.Node) error {
+	record := func(side byte) core.Reader {
+		return func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
 			id, ok := n.Tuple()
 			last := len(levels) - 1
 			levels[last] = append(levels[last], touch{side, id, !ok})
-			return nil
+			return readRect(n, dst)
 		}
 	}
 	res, err := core.Join(tr, ts, pred.Overlaps{}, &core.JoinOptions{
-		TouchR: record('R'),
-		TouchS: record('S'),
-		Trace:  obs.NewTrace(),
+		ReadR: record('R'),
+		ReadS: record('S'),
+		Trace: obs.NewTrace(),
 		TraceReads: func() int64 {
 			levels = append(levels, nil)
 			return 0
@@ -112,15 +149,15 @@ func TestJoinRefinesInTupleOrder(t *testing.T) {
 	}
 }
 
-// TestJoinRefinementHonoursCancel cancels a join from inside TouchR halfway
+// TestJoinRefinementHonoursCancel cancels a join from inside ReadR halfway
 // through its θ evaluations, all of which the refinement runs on R-trees.
 // The examination count that paces the descent's context checks does not
 // move there, so the refinement checks the context before every θ: the θ
-// whose touch cancelled completes, each other worker completes at most the
+// whose read cancelled completes, each other worker completes at most the
 // one it had begun, and the join returns context.Canceled.
 func TestJoinRefinementHonoursCancel(t *testing.T) {
 	tr, ts := rtreePair(t, 1000)
-	full, err := core.Join(tr, ts, pred.Overlaps{}, nil)
+	full, err := core.Join(tr, ts, pred.Overlaps{}, &core.JoinOptions{ReadR: readRect, ReadS: readRect})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +168,16 @@ func TestJoinRefinementHonoursCancel(t *testing.T) {
 		res, err := core.Join(tr, ts, pred.Overlaps{}, &core.JoinOptions{
 			Workers: workers,
 			Ctx:     ctx,
-			TouchR: func(core.Node) error {
-				switch n := touched.Add(1); {
-				case n == cancelAt:
+			ReadR: func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
+				switch k := touched.Add(1); {
+				case k == cancelAt:
 					cancel()
-				case n > cancelAt:
+				case k > cancelAt:
 					after.Add(1)
 				}
-				return nil
+				return readRect(n, dst)
 			},
+			ReadS: readRect,
 		})
 		cancel()
 		if !errors.Is(err, context.Canceled) {

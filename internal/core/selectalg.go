@@ -10,16 +10,16 @@ import (
 
 // Stats counts the work an algorithm performed, in the units of the paper's
 // cost model: Θ filter evaluations (charged C_Θ each), exact θ evaluations,
-// and node examinations. The page accesses the executor layer charges follow
-// Node.ContainsTuple: one per examination of a node that contains its tuple,
-// one per θ operand that only references it.
+// and node examinations. The page accesses the executor layer's readers make
+// follow Node.ContainsTuple: one per examination of a node that contains its
+// tuple, one per θ operand that only references it.
 type Stats struct {
 	// FilterEvals is the number of Θ evaluations.
 	FilterEvals int64
 	// ExactEvals is the number of θ evaluations.
 	ExactEvals int64
 	// NodesExamined is the number of node visits. It equals the number of
-	// Touch calls only on trees whose nodes contain their tuples.
+	// reader calls only on trees whose nodes contain their tuples.
 	NodesExamined int64
 	// MaxQueue is the peak size of the traversal worklist, a memory proxy.
 	// For Join, the largest QualPairs level; childless pairs are not queued.
@@ -53,12 +53,13 @@ const (
 type SelectOptions struct {
 	// Traversal is the search order; the zero value is BreadthFirst.
 	Traversal Traversal
-	// Touch, when non-nil, is where executors charge page I/O for reading a
-	// node's tuple, at the point it is read (Node.ContainsTuple): once per
-	// examined node that contains its tuple, before its Θ filter; for a node
-	// that only references it, immediately before θ reads its object, so a
-	// node Θ rejects is never touched.
-	Touch func(Node) error
+	// Read reads a node's tuple at the point it is read
+	// (Node.ContainsTuple): once per examined node that contains its tuple,
+	// before its Θ filter, with no dst since the node carries the value; for a
+	// node that only references it, immediately before θ, whose operand it
+	// returns, so a node Θ rejects is never read. A node of the second kind
+	// that reaches θ with no reader fails the selection.
+	Read Reader
 	// Ctx, when non-nil, bounds the traversal: it is checked between
 	// breadth-first levels and every ctxStride node examinations, and its
 	// error aborts the selection.
@@ -81,6 +82,9 @@ type SelectResult struct {
 	Tuples []int
 	// Stats is the work performed.
 	Stats Stats
+
+	// dst is where Read stores a rectangle operand (see JoinResult).
+	dst geom.Rect
 }
 
 // Select implements algorithm SELECT (§3.2): given a selector object o and a
@@ -198,10 +202,11 @@ func selectDFS(n Node, o geom.Spatial, ob geom.Rect, op pred.Operator,
 	return nil
 }
 
-// examine performs the per-node work of SELECT2: touch the node, evaluate
-// the Θ filter and — if it passes — the exact θ predicate, recording a
-// match for tuple-bearing nodes. It reports whether the node's children
-// should be searched.
+// examine performs the per-node work of SELECT2: count the node (reading
+// its tuple if it contains it), evaluate the Θ filter and — if it passes —
+// the exact θ predicate on the node's operand, recording a match for
+// tuple-bearing nodes. It reports whether the node's children should be
+// searched.
 func examine(a Node, o geom.Spatial, ob geom.Rect, op pred.Operator,
 	opts *SelectOptions, res *SelectResult) (descend bool, err error) {
 
@@ -209,20 +214,20 @@ func examine(a Node, o geom.Spatial, ob geom.Rect, op pred.Operator,
 	if err := ctxStep(opts.Ctx, res.Stats.NodesExamined, 1); err != nil {
 		return false, err
 	}
-	if err := charge(opts.Touch, a, true); err != nil {
+	if err := readExamined(opts.Read, a); err != nil {
 		return false, err
 	}
 	res.Stats.FilterEvals++
 	if !op.Filter(ob, a.Bounds()) {
 		return false, nil
 	}
-	if _, hasTuple := a.Tuple(); hasTuple {
+	if id, hasTuple := a.Tuple(); hasTuple {
 		res.Stats.ExactEvals++
-		if err := charge(opts.Touch, a, false); err != nil {
+		obj, err := Operand(opts.Read, a, &res.dst)
+		if err != nil {
 			return false, err
 		}
-		if op.Eval(o, a.Object()) {
-			id, _ := a.Tuple()
+		if op.Eval(o, obj) {
 			res.Tuples = append(res.Tuples, id)
 		}
 	}

@@ -186,7 +186,7 @@ func TestSelectTouchCalledOncePerExaminedNode(t *testing.T) {
 	tree, _ := buildUniformTree(rng, geom.NewRect(0, 0, 100, 100), 3, 2, 0, false)
 	touches := 0
 	res, err := Select(tree, geom.NewRect(0, 0, 100, 100), pred.Overlaps{},
-		&SelectOptions{Touch: func(Node) error { touches++; return nil }})
+		&SelectOptions{Read: func(Node, *geom.Rect) (geom.Spatial, error) { touches++; return nil, nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +206,12 @@ func TestSelectTouchErrorAborts(t *testing.T) {
 	for _, trav := range []Traversal{BreadthFirst, DepthFirst} {
 		n := 0
 		_, err := Select(tree, geom.NewRect(0, 0, 100, 100), pred.Overlaps{},
-			&SelectOptions{Traversal: trav, Touch: func(Node) error {
+			&SelectOptions{Traversal: trav, Read: func(Node, *geom.Rect) (geom.Spatial, error) {
 				n++
 				if n == 3 {
-					return boom
+					return nil, boom
 				}
-				return nil
+				return nil, nil
 			}})
 		if !errors.Is(err, boom) {
 			t.Fatalf("traversal %d: err = %v, want io failure", trav, err)

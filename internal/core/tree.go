@@ -24,8 +24,11 @@ type Node interface {
 	// evaluated on this rectangle.
 	Bounds() geom.Rect
 
-	// Object returns the node's exact geometry for θ evaluation. Index
-	// nodes whose object is the MBR itself simply return Bounds().
+	// Object returns the spatial object the node stores. A node that
+	// contains its tuple returns the tuple's exact geometry, θ's operand.
+	// A node that only references its tuple (an R-tree entry) stores just
+	// its MBR and returns that: θ's operand is then read from the tuple by
+	// the executor's Reader, never taken from Object.
 	Object() geom.Spatial
 
 	// Tuple returns the ID of the relation tuple this node corresponds to.
@@ -43,14 +46,25 @@ type Node interface {
 	Child(i int) Node
 
 	// ContainsTuple reports where the node's tuple is read, and so when
-	// executors are asked to charge for it. True for a node stored with its
-	// tuple (the paper's S2, §4.1): examining it reads the tuple, so it is
-	// charged when examined, before Θ. False for a node that only references
-	// its tuple, such as an index entry that stores its MBR: Θ reads only
-	// the entry, and the node is charged immediately before θ reads
-	// Object(), so a node Θ rejects costs no tuple read.
+	// the executor's Reader is called for it. True for a node stored with
+	// its tuple (the paper's S2, §4.1): examining it reads the tuple, so the
+	// reader is called when it is examined, before Θ, and θ evaluates
+	// Object(). False for a node that only references its tuple, such as an
+	// index entry that stores its MBR: Θ reads only the entry, and the
+	// reader is called immediately before θ, whose operand is what it
+	// returns, so a node Θ rejects costs no tuple read.
 	ContainsTuple() bool
 }
+
+// Reader reads the tuple of node n from storage and returns its spatial
+// value, θ's operand when n only references its tuple (Node.ContainsTuple).
+// A rectangle may be returned as dst, with its value stored there, so that
+// reading one allocates nothing; the result is valid until dst is reused.
+// With dst nil, where the value is discarded (a node that contains its
+// tuple is read when examined), it reads the tuple without building the
+// value and may return nil. For a technical node, which has no tuple, it
+// returns nil.
+type Reader func(n Node, dst *geom.Rect) (geom.Spatial, error)
 
 // Tree is a generalization tree used as a secondary index on one spatial
 // column of one relation.

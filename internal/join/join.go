@@ -11,6 +11,7 @@ package join
 import (
 	"fmt"
 
+	"spatialjoin/internal/core"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/relation"
 	"spatialjoin/internal/storage"
@@ -70,20 +71,26 @@ func NewTable(rel *relation.Relation, col int, pool *storage.BufferPool) (Table,
 	return Table{Rel: rel, Col: col, Pool: pool}, nil
 }
 
-// spatial fetches the tuple's spatial value (charging page I/O through the
-// pool on a miss).
-func (t Table) spatial(id int) (geom.Spatial, error) {
-	return t.Rel.Spatial(id, t.Col)
+// read decodes the tuple's spatial value from its heap page, one pool
+// access that charges page I/O on a miss. A rectangle lands in dst; with
+// dst nil, where the caller discards the value, the record is only checked
+// (see relation.Relation.Spatial). Every strategy reads its tuples here,
+// so the I/O they are charged is the read that produced their θ operands.
+func (t Table) read(id int, dst *geom.Rect) (geom.Spatial, error) {
+	return t.Rel.Spatial(id, t.Col, dst)
 }
 
-// touch fetches the page holding the tuple without decoding it.
-func (t Table) touch(id int) error {
-	rid, err := t.Rel.RID(id)
-	if err != nil {
-		return err
+// Reader returns the core.Reader for a generalization tree whose tuple IDs
+// are t's: a tuple-bearing node is read through read, a technical one is
+// not read at all.
+func (t Table) Reader() core.Reader {
+	return func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
+		id, ok := n.Tuple()
+		if !ok {
+			return nil, nil
+		}
+		return t.read(id, dst)
 	}
-	_, err = t.Pool.Fetch(rid.Page)
-	return err
 }
 
 // measure runs f and returns the physical-read delta it caused on pool.

@@ -208,7 +208,8 @@ func TestIndexSelectMatchesTreeSelect(t *testing.T) {
 	}
 	// For every R tuple, the index's answer must equal a fresh selection.
 	for rid := 0; rid < fr.table.Rel.Len(); rid += 7 {
-		obj, err := fr.table.Rel.Spatial(rid, fr.table.Col)
+		var dst geom.Rect
+		obj, err := fr.table.Rel.Spatial(rid, fr.table.Col, &dst)
 		if err != nil {
 			t.Fatal(err)
 		}

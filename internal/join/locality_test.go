@@ -17,18 +17,22 @@ import (
 // JOIN had before childless pairs were decided where they are formed. It
 // issues exactly the Θ evaluations core.Join does (the second pass is
 // skipped under a technical b that no child qualified for), only later, and
-// touches every node it examines, as core.Join did before an item's page was
-// read only for θ. It is written for index trees of equal height alone: a
-// node with children must be technical and is never paired with an item, so
-// no SELECT pass ever descends.
+// reads every node it examines, as core.Join did before an item's page was
+// read only for θ; θ evaluates what the readers returned for the pair. It is
+// written for index trees of equal height alone: a node with children must
+// be technical and is never paired with an item, so no SELECT pass ever
+// descends.
 func levelOrderJoin(t *testing.T, trR, trS core.Tree, op pred.Operator,
-	touchR, touchS func(core.Node) error) (matches []core.Match, filterEvals, itemPairs int64) {
+	readR, readS core.Reader) (matches []core.Match, filterEvals, itemPairs int64) {
 
 	t.Helper()
-	touch := func(f func(core.Node) error, n core.Node) {
-		if err := f(n); err != nil {
+	var dstA, dstB, dstChild geom.Rect
+	read := func(f core.Reader, n core.Node, dst *geom.Rect) geom.Spatial {
+		v, err := f(n, dst)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return v
 	}
 	type pair struct{ a, b core.Node }
 	for qual := []pair{{trR.Root(), trS.Root()}}; len(qual) > 0; {
@@ -43,19 +47,19 @@ func levelOrderJoin(t *testing.T, trR, trS core.Tree, op pred.Operator,
 			if tupleA {
 				itemPairs++
 			}
-			touch(touchR, a)
-			touch(touchS, b)
+			objA := read(readR, a, &dstA)
+			objB := read(readS, b, &dstB)
 			filterEvals++
 			if !op.Filter(a.Bounds(), b.Bounds()) {
 				continue
 			}
-			if tupleA && tupleB && op.Eval(a.Object(), b.Object()) {
+			if tupleA && tupleB && op.Eval(objA, objB) {
 				matches = append(matches, core.Match{R: ra, S: sb})
 			}
 			var aPass, bPass []core.Node
 			for j := 0; j < b.NumChildren(); j++ {
 				b2 := b.Child(j)
-				touch(touchS, b2)
+				read(readS, b2, &dstChild)
 				filterEvals++
 				if op.Filter(a.Bounds(), b2.Bounds()) {
 					bPass = append(bPass, b2)
@@ -66,7 +70,7 @@ func levelOrderJoin(t *testing.T, trR, trS core.Tree, op pred.Operator,
 			}
 			for i := 0; i < a.NumChildren(); i++ {
 				a2 := a.Child(i)
-				touch(touchR, a2)
+				read(readR, a2, &dstChild)
 				filterEvals++
 				if op.Filter(a2.Bounds(), b.Bounds()) {
 					aPass = append(aPass, a2)
@@ -92,12 +96,12 @@ const maxTupleOrderJoinReads = 3200
 
 // TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident is the locality
 // pin of the tree join over two R-tree collections behind a 16-frame pool.
-// Against the level-order walk above, which touches every node it examines,
+// Against the level-order walk above, which reads every node it examines,
 // through the same pool dropped before each run, the join returns the same
 // matches from the same Θ count; it reads at most a third of the walk's
 // pages, because an item's page is read only when θ reads the item, and at
 // most maxTupleOrderJoinReads, because θ reads the items in heap order. Traced, the join has no item level and its
-// per-level reads sum to Stats.PageReads. And the touches are exactly θ's
+// per-level reads sum to Stats.PageReads. And the reads are exactly θ's
 // operands: two per θ evaluation, none of a technical node.
 func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
 	opts := rtree.DefaultOptions()
@@ -117,18 +121,10 @@ func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tupleTouch := func(tab Table, n core.Node) error {
-		if id, ok := n.Tuple(); ok {
-			return tab.touch(id)
-		}
-		return nil
-	}
 
 	drop()
 	before := misses()
-	want, wantEvals, itemPairs := levelOrderJoin(t, rTree, sTree, op,
-		func(n core.Node) error { return tupleTouch(rTab, n) },
-		func(n core.Node) error { return tupleTouch(sTab, n) })
+	want, wantEvals, itemPairs := levelOrderJoin(t, rTree, sTree, op, rTab.Reader(), sTab.Reader())
 	walkReads := misses() - before
 
 	drop()
@@ -165,14 +161,16 @@ func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
 	}
 
 	var touches, technical int64
-	hook := func(n core.Node) error {
-		touches++
-		if _, ok := n.Tuple(); !ok {
-			technical++
+	count := func(read core.Reader) core.Reader {
+		return func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
+			touches++
+			if _, ok := n.Tuple(); !ok {
+				technical++
+			}
+			return read(n, dst)
 		}
-		return nil
 	}
-	res, err := core.Join(rTree, sTree, op, &core.JoinOptions{TouchR: hook, TouchS: hook})
+	res, err := core.Join(rTree, sTree, op, &core.JoinOptions{ReadR: count(rTab.Reader()), ReadS: count(sTab.Reader())})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,11 +112,12 @@ func NestedLoop(ctx context.Context, r, s Table, op pred.Operator, workers int) 
 	}
 	reads, err := measure(r.Pool, func() error {
 		runBlock := func(start, end int) error {
-			// Load the block and decode its geometries once.
+			// Load the block and decode its geometries once, each into a
+			// rectangle of its own.
 			var block []rTuple
 			for _, g := range groups[start:end] {
 				for _, id := range g.ids {
-					obj, err := r.spatial(id)
+					obj, err := r.read(id, new(geom.Rect))
 					if err != nil {
 						return err
 					}
@@ -127,11 +128,12 @@ func NestedLoop(ctx context.Context, r, s Table, op pred.Operator, workers int) 
 			scan := func(lo, hi int) ([]core.Match, int64, error) {
 				var found []core.Match
 				var evals int64
+				var dst geom.Rect
 				for sid := lo; sid < hi; sid++ {
 					if err := ctxStep(ctx, sid); err != nil {
 						return nil, evals, err
 					}
-					sobj, err := s.spatial(sid)
+					sobj, err := s.read(sid, &dst)
 					if err != nil {
 						return nil, evals, err
 					}
@@ -216,11 +218,12 @@ func ExhaustiveSelect(ctx context.Context, r Table, o geom.Spatial, op pred.Oper
 	var stats Stats
 	var out []int
 	reads, err := measure(r.Pool, func() error {
+		var dst geom.Rect
 		for id := 0; id < r.Rel.Len(); id++ {
 			if err := ctxStep(ctx, id); err != nil {
 				return err
 			}
-			obj, err := r.spatial(id)
+			obj, err := r.read(id, &dst)
 			if err != nil {
 				return err
 			}
@@ -237,12 +240,12 @@ func ExhaustiveSelect(ctx context.Context, r Table, o geom.Spatial, op pred.Oper
 }
 
 // TreeSelect computes the spatial selection with algorithm SELECT over the
-// generalization tree tr, charging a page access where a tuple is read
+// generalization tree tr, reading a tuple from r where it is read
 // (core.Node.ContainsTuple). A node that contains its tuple (§4.1: the tree
-// nodes "contain the complete tuples") is charged when examined; an R-tree
-// item, whose MBR is in its leaf entry, only when θ reads it. Technical
-// index nodes are free. ctx is checked during the descent per
-// core.SelectOptions.Ctx.
+// nodes "contain the complete tuples") is read when examined; an R-tree
+// item, whose MBR is in its leaf entry, only for θ, whose operand is the
+// geometry read. Technical index nodes are free. ctx is checked during the
+// descent per core.SelectOptions.Ctx.
 func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op pred.Operator,
 	traversal core.Traversal) ([]int, Stats, error) {
 
@@ -250,17 +253,7 @@ func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op p
 	var stats Stats
 	var res *core.SelectResult
 	reads, err := measure(r.Pool, func() error {
-		opts := &core.SelectOptions{
-			Traversal: traversal,
-			Ctx:       ctx,
-			Touch: func(n core.Node) error {
-				id, ok := n.Tuple()
-				if !ok {
-					return nil
-				}
-				return r.touch(id)
-			},
-		}
+		opts := &core.SelectOptions{Traversal: traversal, Ctx: ctx, Read: r.Reader()}
 		if trace != nil {
 			opts.Trace, opts.TraceParent = trace, span
 			opts.TraceReads = func() int64 { return r.Pool.Stats().Misses }
@@ -283,10 +276,11 @@ func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op p
 }
 
 // TreeJoin computes R ⋈θ S with algorithm JOIN over two generalization
-// trees, charging a page access where a tuple-bearing node's tuple is read
-// on either side: when it is examined if it contains its tuple, before each
-// θ evaluation it takes part in if, like an R-tree item, it only references
-// it (core.JoinOptions.TouchR). ctx is checked during the synchronized
+// trees, reading a tuple-bearing node's tuple from its table where it is
+// read on either side: when it is examined if it contains its tuple, before
+// each θ evaluation it takes part in if, like an R-tree item, it only
+// references it, and then the geometry read is θ's operand
+// (core.JoinOptions.ReadR). ctx is checked during the synchronized
 // descent per core.JoinOptions.Ctx. A pair of childless nodes (two items)
 // is decided by the level that forms it, so a traced join has no "level"
 // span for the item depth, and its θ runs after that level's Θ filter in
@@ -296,7 +290,7 @@ func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op p
 // (≤ 0 meaning GOMAXPROCS) each QualPairs level is expanded by a worker
 // pool. The contract across worker
 // counts: the match set and the Θ and θ evaluation counts are identical to
-// the sequential descent; Stats.PageReads is not, because the same touches
+// the sequential descent; Stats.PageReads is not, because the same reads
 // reach the shared LRU pool in a different order and a small
 // pool then evicts differently (with every page resident it is identical
 // too).
@@ -306,15 +300,6 @@ func TreeJoin(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Tabl
 	trace, span, ctx := execSpan(ctx, "treejoin")
 	var stats Stats
 	var res *core.JoinResult
-	touch := func(t Table) func(core.Node) error {
-		return func(n core.Node) error {
-			id, ok := n.Tuple()
-			if !ok {
-				return nil
-			}
-			return t.touch(id)
-		}
-	}
 	// The two tables may share a pool or use separate ones; measure both
 	// without double counting.
 	pools := []*poolDelta{newPoolDelta(r.Pool)}
@@ -322,8 +307,8 @@ func TreeJoin(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Tabl
 		pools = append(pools, newPoolDelta(s.Pool))
 	}
 	opts := &core.JoinOptions{
-		TouchR:  touch(r),
-		TouchS:  touch(s),
+		ReadR:   r.Reader(),
+		ReadS:   s.Reader(),
 		Workers: parallel.Workers(workers),
 		Ctx:     ctx,
 	}
@@ -369,13 +354,14 @@ func BuildIndex(r, s Table, op pred.Operator, order int) (*joinindex.Index, Stat
 	}
 	var stats Stats
 	reads, err := measure(r.Pool, func() error {
+		var dstR, dstS geom.Rect
 		for rid := 0; rid < r.Rel.Len(); rid++ {
-			robj, err := r.spatial(rid)
+			robj, err := r.read(rid, &dstR)
 			if err != nil {
 				return err
 			}
 			for sid := 0; sid < s.Rel.Len(); sid++ {
-				sobj, err := s.spatial(sid)
+				sobj, err := s.read(sid, &dstS)
 				if err != nil {
 					return err
 				}
@@ -394,7 +380,7 @@ func BuildIndex(r, s Table, op pred.Operator, order int) (*joinindex.Index, Stat
 }
 
 // IndexJoin computes the join from a precomputed index: read the pairs and
-// fetch the corresponding tuples — no predicate evaluations at all. Index
+// read the corresponding tuples — no predicate evaluations at all. Index
 // pages are charged per the B+-tree's fill (|J|/z), plus the tuple fetches
 // through the buffer pool. With workers > 1 (≤ 0 meaning GOMAXPROCS) the
 // pair list is read sequentially from the B+-tree and the tuple probes are
@@ -418,10 +404,10 @@ func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int
 			if err := ctxStep(ctx, i); err != nil {
 				return err
 			}
-			if err := r.touch(out[i].R); err != nil {
+			if _, err := r.read(out[i].R, nil); err != nil {
 				return err
 			}
-			if err := s.touch(out[i].S); err != nil {
+			if _, err := s.read(out[i].S, nil); err != nil {
 				return err
 			}
 		}
@@ -446,7 +432,7 @@ func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int
 }
 
 // IndexSelect answers a spatial selection for a selector that is tuple rID
-// of R, using the join index: look up its matches and fetch the S tuples.
+// of R, using the join index: look up its matches and read the S tuples.
 func IndexSelect(ix *joinindex.Index, rID int, s Table) ([]int, Stats, error) {
 	var stats Stats
 	var out []int
@@ -454,7 +440,7 @@ func IndexSelect(ix *joinindex.Index, rID int, s Table) ([]int, Stats, error) {
 	reads, err := measure(s.Pool, func() error {
 		var ferr error
 		visits = ix.MatchesOfR(rID, func(sid int) bool {
-			if err := s.touch(sid); err != nil {
+			if _, err := s.read(sid, nil); err != nil {
 				ferr = err
 				return false
 			}

@@ -64,6 +64,8 @@ type Index struct {
 	op      pred.Operator
 	level   int
 	anchors []anchor
+	// opts carries the tree's tuple reader to every θ (core.Theta).
+	opts core.JoinOptions
 }
 
 // subtree adapts a node as a core.Tree rooted at it.
@@ -78,8 +80,11 @@ func (s subtree) Height() int { return 0 }
 
 // Build constructs the local indices: one per level-λ node, each filled by
 // a hierarchical self-join of that node's subtree. order is the B+-tree
-// order z of each local index.
-func Build(tree core.Tree, op pred.Operator, level, order int) (*Index, Stats, error) {
+// order z of each local index. read reads the tuple of a node that only
+// references it (core.Reader), for every θ the index evaluates, now and in
+// SelfJoin and MaintainInsert; it may be nil for a tree whose nodes contain
+// their tuples.
+func Build(tree core.Tree, op pred.Operator, level, order int, read core.Reader) (*Index, Stats, error) {
 	var stats Stats
 	if tree == nil || op == nil {
 		return nil, stats, fmt.Errorf("localindex: nil tree or operator")
@@ -87,7 +92,8 @@ func Build(tree core.Tree, op pred.Operator, level, order int) (*Index, Stats, e
 	if level < 0 {
 		return nil, stats, fmt.Errorf("localindex: negative anchor level %d", level)
 	}
-	idx := &Index{tree: tree, op: op, level: level}
+	idx := &Index{tree: tree, op: op, level: level,
+		opts: core.JoinOptions{ReadR: read, ReadS: read}}
 	type entry struct {
 		node core.Node
 		path string
@@ -107,7 +113,7 @@ func Build(tree core.Tree, op pred.Operator, level, order int) (*Index, Stats, e
 		collect(root, 0, "")
 	}
 	for _, v := range nodes {
-		res, err := core.Join(subtree{v.node}, subtree{v.node}, op, nil)
+		res, err := core.Join(subtree{v.node}, subtree{v.node}, op, &idx.opts)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -158,7 +164,7 @@ func (ix *Index) Pairs() int {
 // core.JoinResult whose counts become the returned Stats.
 func (ix *Index) SelfJoin() (_ []core.Match, stats Stats, _ error) {
 	var live core.JoinResult
-	var opts core.JoinOptions
+	opts := &ix.opts
 	defer func() {
 		stats.FilterEvals, stats.ExactEvals = live.Stats.FilterEvals, live.Stats.ExactEvals
 	}()
@@ -207,11 +213,10 @@ func (ix *Index) SelfJoin() (_ []core.Match, stats Stats, _ error) {
 			if !ix.op.Filter(a.Bounds(), b.Bounds()) {
 				continue
 			}
-			if ra, okA := a.Tuple(); okA {
-				if sb, okB := b.Tuple(); okB {
-					live.Stats.ExactEvals++
-					if ix.op.Eval(a.Object(), b.Object()) {
-						live.Pairs = append(live.Pairs, core.Match{R: ra, S: sb})
+			if _, okA := a.Tuple(); okA {
+				if _, okB := b.Tuple(); okB {
+					if err := core.Theta(a, b, ix.op, opts, &live); err != nil {
+						return nil, stats, err
 					}
 				}
 			}
@@ -219,7 +224,7 @@ func (ix *Index) SelfJoin() (_ []core.Match, stats Stats, _ error) {
 			// JOIN4: SELECT a against b's subtrees, and b against a's.
 			bQual = slices.Grow(bQual[:0], nb)[:nb]
 			for j := range bQual {
-				ok, err := core.JoinSelect(a, b.Child(j), ix.op, core.MovingS, &opts, &live)
+				ok, err := core.JoinSelect(a, b.Child(j), ix.op, core.MovingS, opts, &live)
 				if err != nil {
 					return nil, stats, err
 				}
@@ -227,7 +232,7 @@ func (ix *Index) SelfJoin() (_ []core.Match, stats Stats, _ error) {
 			}
 			aQual = slices.Grow(aQual[:0], na)[:na]
 			for i := range aQual {
-				ok, err := core.JoinSelect(b, a.Child(i), ix.op, core.MovingR, &opts, &live)
+				ok, err := core.JoinSelect(b, a.Child(i), ix.op, core.MovingR, opts, &live)
 				if err != nil {
 					return nil, stats, err
 				}
@@ -271,44 +276,37 @@ func (ix *Index) AnchorFor(r geom.Rect) (int, bool) {
 // MaintainInsert updates the given anchor after a tuple-bearing node for
 // (id, obj) was attached somewhere in that anchor's subtree: the new object
 // is evaluated against every tuple in the subtree — including itself — in
-// both operand orders. It returns the number of evaluations, the quantity
-// to compare against strategy III's full-relation scan.
+// both operand orders, on the neighbour's tuple read once (core.Operand). It
+// returns the number of evaluations, the quantity to compare against
+// strategy III's full-relation scan.
 func (ix *Index) MaintainInsert(anchorIdx, id int, obj geom.Spatial) (int, error) {
 	if anchorIdx < 0 || anchorIdx >= len(ix.anchors) {
 		return 0, fmt.Errorf("localindex: anchor %d out of range", anchorIdx)
 	}
 	a := ix.anchors[anchorIdx]
 	evals := 0
+	var dst geom.Rect
 	var ferr error
+	eval := func(r, s geom.Spatial, rid, sid int) {
+		evals++
+		if ferr == nil && ix.op.Eval(r, s) {
+			_, ferr = a.ix.Add(rid, sid)
+		}
+	}
 	core.Walk(subtree{a.node}, func(n core.Node, _ int) bool {
 		nid, ok := n.Tuple()
-		if !ok {
-			return true
-		}
-		if nid == id {
-			evals++
-			if ix.op.Eval(obj, obj) {
-				if _, err := a.ix.Add(id, id); err != nil {
-					ferr = err
-					return false
-				}
-			}
-			return true
-		}
-		evals += 2
-		if ix.op.Eval(obj, n.Object()) {
-			if _, err := a.ix.Add(id, nid); err != nil {
-				ferr = err
-				return false
+		switch {
+		case !ok:
+		case nid == id:
+			eval(obj, obj, id, id)
+		default:
+			var other geom.Spatial
+			if other, ferr = core.Operand(ix.opts.ReadR, n, &dst); ferr == nil {
+				eval(obj, other, id, nid)
+				eval(other, obj, nid, id)
 			}
 		}
-		if ix.op.Eval(n.Object(), obj) {
-			if _, err := a.ix.Add(nid, id); err != nil {
-				ferr = err
-				return false
-			}
-		}
-		return true
+		return ferr == nil
 	})
 	return evals, ferr
 }

@@ -52,16 +52,16 @@ func modelTree(t *testing.T, seed int64, k, height int) core.Tree {
 
 func TestBuildValidation(t *testing.T) {
 	tree := modelTree(t, 1, 2, 2)
-	if _, _, err := Build(nil, pred.Overlaps{}, 1, 10); err == nil {
+	if _, _, err := Build(nil, pred.Overlaps{}, 1, 10, nil); err == nil {
 		t.Error("nil tree must fail")
 	}
-	if _, _, err := Build(tree, nil, 1, 10); err == nil {
+	if _, _, err := Build(tree, nil, 1, 10, nil); err == nil {
 		t.Error("nil operator must fail")
 	}
-	if _, _, err := Build(tree, pred.Overlaps{}, -1, 10); err == nil {
+	if _, _, err := Build(tree, pred.Overlaps{}, -1, 10, nil); err == nil {
 		t.Error("negative level must fail")
 	}
-	if _, _, err := Build(tree, pred.Overlaps{}, 1, 1); err == nil {
+	if _, _, err := Build(tree, pred.Overlaps{}, 1, 1, nil); err == nil {
 		t.Error("bad order must fail")
 	}
 }
@@ -73,7 +73,7 @@ func TestSelfJoinMatchesBruteForceAllLevels(t *testing.T) {
 		for _, op := range ops {
 			want := bruteSelfJoin(tree, op)
 			for level := 0; level <= 4; level++ {
-				ix, _, err := Build(tree, op, level, 25)
+				ix, _, err := Build(tree, op, level, 25, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +102,7 @@ func TestSelfJoinMatchesBruteForceAllLevels(t *testing.T) {
 func TestNoDuplicatePairs(t *testing.T) {
 	tree := modelTree(t, 4, 3, 3)
 	for level := 0; level <= 3; level++ {
-		ix, _, err := Build(tree, pred.Overlaps{}, level, 25)
+		ix, _, err := Build(tree, pred.Overlaps{}, level, 25, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestLambdaZeroIsGlobalIndex(t *testing.T) {
 	// λ = 0 anchors one index at the root: the whole join precomputed, and
 	// the live part does nothing.
 	tree := modelTree(t, 5, 3, 2)
-	ix, _, err := Build(tree, pred.Overlaps{}, 0, 25)
+	ix, _, err := Build(tree, pred.Overlaps{}, 0, 25, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestLambdaZeroIsGlobalIndex(t *testing.T) {
 
 func TestLambdaBeyondHeightIsPureTree(t *testing.T) {
 	tree := modelTree(t, 6, 3, 2)
-	ix, _, err := Build(tree, pred.Overlaps{}, 5, 25)
+	ix, _, err := Build(tree, pred.Overlaps{}, 5, 25, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestLiveEvaluationsShrinkAsLambdaDecreases(t *testing.T) {
 	tree := modelTree(t, 7, 4, 3)
 	var prevEvals int64 = -1
 	for level := 3; level >= 0; level-- {
-		ix, _, err := Build(tree, pred.Overlaps{}, level, 25)
+		ix, _, err := Build(tree, pred.Overlaps{}, level, 25, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestMaintainInsertCheaperThanGlobalScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	basic, n := datagen.ModelTree(rng, geom.NewRect(0, 0, 500, 500), 4, 3)
 	op := pred.Overlaps{}
-	ix, _, err := Build(basic, op, 1, 25)
+	ix, _, err := Build(basic, op, 1, 25, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func subRectOf(rng *rand.Rand, parent geom.Rect) geom.Rect {
 
 func TestMaintainInsertValidation(t *testing.T) {
 	tree := modelTree(t, 9, 2, 2)
-	ix, _, err := Build(tree, pred.Overlaps{}, 1, 10)
+	ix, _, err := Build(tree, pred.Overlaps{}, 1, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestMaintainInsertValidation(t *testing.T) {
 
 func TestAnchorFor(t *testing.T) {
 	tree := modelTree(t, 10, 3, 2)
-	ix, _, err := Build(tree, pred.Overlaps{}, 1, 10)
+	ix, _, err := Build(tree, pred.Overlaps{}, 1, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestCostTradeoffAcrossLambda(t *testing.T) {
 	}
 	var pts []point
 	for level := 0; level <= 4; level++ {
-		ix, _, err := Build(tree, op, level, 100)
+		ix, _, err := Build(tree, op, level, 100, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func TestCostTradeoffAcrossLambda(t *testing.T) {
 
 func TestLevelAndSubtreeHeightAccessors(t *testing.T) {
 	tree := modelTree(t, 12, 2, 2)
-	ix, _, err := Build(tree, pred.Overlaps{}, 1, 10)
+	ix, _, err := Build(tree, pred.Overlaps{}, 1, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

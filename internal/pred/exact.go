@@ -38,18 +38,27 @@ func canonical(s geom.Spatial) shape {
 		return shape{kind: kindPolygon, poly: v}
 	case geom.Rect:
 		return shape{kind: kindPolygon, poly: v.ToPolygon()}
+	case *geom.Rect:
+		return shape{kind: kindPolygon, poly: v.ToPolygon()}
 	default:
 		return shape{kind: kindPolygon, poly: s.Bounds().ToPolygon()}
 	}
 }
 
-// bothRects reports whether a and b are both plain rectangles. A rectangle
-// is its own MBR, so for such a pair the MBR pre-test of an exact predicate
+// bothRects reports whether a and b are both plain rectangles, by value or
+// by pointer (a rectangle read into a caller's scratch). A rectangle is its
+// own MBR, so for such a pair the MBR pre-test of an exact predicate
 // already is the exact answer — no polygon needs to be built to confirm it.
 func bothRects(a, b geom.Spatial) bool {
-	_, okA := a.(geom.Rect)
-	_, okB := b.(geom.Rect)
-	return okA && okB
+	return isRect(a) && isRect(b)
+}
+
+func isRect(s geom.Spatial) bool {
+	switch s.(type) {
+	case geom.Rect, *geom.Rect:
+		return true
+	}
+	return false
 }
 
 // exactIntersects reports whether the geometries of a and b share a point.

@@ -324,7 +324,8 @@ func TestDistanceBandFilterTwoSided(t *testing.T) {
 // exact predicates to the general path: every registered operator must give
 // the same verdict on a pair of rectangles as on the same two rectangles
 // handed over as four-vertex polygons, which still run the edge and
-// containment tests.
+// containment tests — by value and by pointer, the form a rectangle read
+// into a reader's scratch takes.
 func TestRectPairAgreesWithPolygonPath(t *testing.T) {
 	cases := []struct {
 		name string
@@ -357,11 +358,12 @@ func TestRectPairAgreesWithPolygonPath(t *testing.T) {
 		for _, c := range cases {
 			for _, pair := range [][2]geom.Rect{{c.a, c.b}, {c.b, c.a}} {
 				a, b := pair[0], pair[1]
-				got := op.Eval(a, b)
 				want := op.Eval(a.ToPolygon(), b.ToPolygon())
-				if got != want {
-					t.Errorf("%s, %s: Eval(%v, %v) = %t on rectangles, %t on their polygons",
-						op.Name(), c.name, a, b, got, want)
+				for _, operands := range [][2]geom.Spatial{{a, b}, {&a, &b}, {&a, b}, {a, &b}} {
+					if got := op.Eval(operands[0], operands[1]); got != want {
+						t.Errorf("%s, %s: Eval(%T %v, %T %v) = %t on rectangles, %t on their polygons",
+							op.Name(), c.name, operands[0], a, operands[1], b, got, want)
+					}
 				}
 			}
 		}

@@ -21,23 +21,13 @@ func (s Schema) Encode(t Tuple) ([]byte, error) {
 		case TypeInt64:
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(t[i].(int64)))
 		case TypeFloat64:
-			buf = appendFloat(buf, t[i].(float64))
+			buf = appendFloats(buf, t[i].(float64))
 		case TypeString:
 			v := t[i].(string)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
 			buf = append(buf, v...)
-		case TypePoint:
-			p := t[i].(geom.Point)
-			buf = appendFloat(buf, p.X)
-			buf = appendFloat(buf, p.Y)
-		case TypeRect:
-			r := t[i].(geom.Rect)
-			buf = appendFloat(buf, r.MinX)
-			buf = appendFloat(buf, r.MinY)
-			buf = appendFloat(buf, r.MaxX)
-			buf = appendFloat(buf, r.MaxY)
-		case TypePolygon:
-			buf = appendPolygon(buf, t[i].(geom.Polygon))
+		case TypePoint, TypeRect, TypePolygon:
+			buf = appendShape(buf, t[i].(geom.Spatial))
 		case TypeGeometry:
 			buf = appendGeometry(buf, t[i].(geom.Spatial))
 		}
@@ -45,7 +35,9 @@ func (s Schema) Encode(t Tuple) ([]byte, error) {
 	return buf, nil
 }
 
-// Geometry tags for TypeGeometry values.
+// Geometry tags for TypeGeometry values. A point, rectangle or polygon
+// column stores its values untagged in the encoding of its tag (tagOf), so
+// one decoder, keyed on the tag, reads both.
 const (
 	geomTagPoint   = 1
 	geomTagRect    = 2
@@ -53,115 +45,55 @@ const (
 	geomTagSegment = 4
 )
 
-func appendPolygon(buf []byte, pg geom.Polygon) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pg)))
-	for _, p := range pg {
-		buf = appendFloat(buf, p.X)
-		buf = appendFloat(buf, p.Y)
-	}
-	return buf
-}
+var tagOf = [...]byte{TypePoint: geomTagPoint, TypeRect: geomTagRect, TypePolygon: geomTagPolygon}
 
-func appendGeometry(buf []byte, s geom.Spatial) []byte {
+// appendShape appends a spatial value untagged: a point's coordinates, a
+// polygon's vertex count and vertices, a segment's end points, and for a
+// rectangle — or, keeping Encode total, any other shape, though Validate
+// admits none — the MBR's corners.
+func appendShape(buf []byte, s geom.Spatial) []byte {
 	switch v := s.(type) {
 	case geom.Point:
-		buf = append(buf, geomTagPoint)
-		buf = appendFloat(buf, v.X)
-		return appendFloat(buf, v.Y)
-	case geom.Rect:
-		buf = append(buf, geomTagRect)
-		buf = appendFloat(buf, v.MinX)
-		buf = appendFloat(buf, v.MinY)
-		buf = appendFloat(buf, v.MaxX)
-		return appendFloat(buf, v.MaxY)
+		return appendFloats(buf, v.X, v.Y)
 	case geom.Polygon:
-		buf = append(buf, geomTagPolygon)
-		return appendPolygon(buf, v)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
+		for _, p := range v {
+			buf = appendFloats(buf, p.X, p.Y)
+		}
+		return buf
 	case geom.Segment:
-		buf = append(buf, geomTagSegment)
-		buf = appendFloat(buf, v.A.X)
-		buf = appendFloat(buf, v.A.Y)
-		buf = appendFloat(buf, v.B.X)
-		return appendFloat(buf, v.B.Y)
+		return appendFloats(buf, v.A.X, v.A.Y, v.B.X, v.B.Y)
 	default:
-		// Validate guarantees one of the cases above; keep Encode total by
-		// degrading unknown implementations to their MBR.
-		buf = append(buf, geomTagRect)
 		r := s.Bounds()
-		buf = appendFloat(buf, r.MinX)
-		buf = appendFloat(buf, r.MinY)
-		buf = appendFloat(buf, r.MaxX)
-		return appendFloat(buf, r.MaxY)
+		return appendFloats(buf, r.MinX, r.MinY, r.MaxX, r.MaxY)
 	}
+}
+
+// appendGeometry appends a TypeGeometry value: its tag, then the shape.
+func appendGeometry(buf []byte, s geom.Spatial) []byte {
+	tag := byte(geomTagRect)
+	switch s.(type) {
+	case geom.Point:
+		tag = geomTagPoint
+	case geom.Polygon:
+		tag = geomTagPolygon
+	case geom.Segment:
+		tag = geomTagSegment
+	}
+	return appendShape(append(buf, tag), s)
 }
 
 // Decode deserializes a record produced by Encode.
 func (s Schema) Decode(rec []byte) (Tuple, error) {
 	t := make(Tuple, len(s.Columns))
 	off := 0
-	need := func(n int) error {
-		if off+n > len(rec) {
-			return fmt.Errorf("relation: truncated record (need %d bytes at offset %d of %d)", n, off, len(rec))
-		}
-		return nil
-	}
 	for i, c := range s.Columns {
-		switch c.Type {
-		case TypeInt64:
-			if err := need(8); err != nil {
-				return nil, err
-			}
-			t[i] = int64(binary.LittleEndian.Uint64(rec[off:]))
-			off += 8
-		case TypeFloat64:
-			if err := need(8); err != nil {
-				return nil, err
-			}
-			t[i] = readFloat(rec[off:])
-			off += 8
-		case TypeString:
-			if err := need(4); err != nil {
-				return nil, err
-			}
-			n := int(binary.LittleEndian.Uint32(rec[off:]))
-			off += 4
-			if err := need(n); err != nil {
-				return nil, err
-			}
-			t[i] = string(rec[off : off+n])
-			off += n
-		case TypePoint:
-			if err := need(16); err != nil {
-				return nil, err
-			}
-			t[i] = geom.Point{X: readFloat(rec[off:]), Y: readFloat(rec[off+8:])}
-			off += 16
-		case TypeRect:
-			if err := need(32); err != nil {
-				return nil, err
-			}
-			t[i] = geom.Rect{
-				MinX: readFloat(rec[off:]),
-				MinY: readFloat(rec[off+8:]),
-				MaxX: readFloat(rec[off+16:]),
-				MaxY: readFloat(rec[off+24:]),
-			}
-			off += 32
-		case TypePolygon:
-			pg, n, err := decodePolygon(rec[off:])
-			if err != nil {
-				return nil, err
-			}
-			t[i] = pg
-			off += n
-		case TypeGeometry:
-			v, n, err := decodeGeometry(rec[off:])
-			if err != nil {
-				return nil, err
-			}
-			t[i] = v
-			off += n
+		v, n, err := decodeValue(c.Type, rec[off:])
+		if err != nil {
+			return nil, err
 		}
+		t[i] = v
+		off += n
 	}
 	if off != len(rec) {
 		return nil, fmt.Errorf("relation: %d trailing bytes after decoding", len(rec)-off)
@@ -169,68 +101,163 @@ func (s Schema) Decode(rec []byte) (Tuple, error) {
 	return t, nil
 }
 
-// decodePolygon reads a length-prefixed polygon, returning it and the bytes
-// consumed.
-func decodePolygon(rec []byte) (geom.Polygon, int, error) {
-	if len(rec) < 4 {
-		return nil, 0, fmt.Errorf("relation: truncated polygon header")
+// decodeSpatial decodes only the spatial column col of a record produced by
+// Encode: the columns before it are skipped by their lengths, the ones
+// after it are not read, and no Tuple is built. A rectangle is stored in
+// *dst and returned as dst, so reading one allocates nothing; every other
+// value is copied out of rec. With dst nil the caller discards the value:
+// the column is only checked to be whole, and nil is returned.
+func (s Schema) decodeSpatial(rec []byte, col int, dst *geom.Rect) (geom.Spatial, error) {
+	if col < 0 || col >= len(s.Columns) {
+		return nil, fmt.Errorf("relation: column %d out of range", col)
 	}
-	n := int(binary.LittleEndian.Uint32(rec))
-	off := 4
-	if len(rec) < off+16*n {
-		return nil, 0, fmt.Errorf("relation: truncated polygon body (%d vertices)", n)
+	if !s.Columns[col].Type.Spatial() {
+		return nil, fmt.Errorf("relation: column %q is not spatial", s.Columns[col].Name)
 	}
-	pg := make(geom.Polygon, n)
-	for j := 0; j < n; j++ {
-		pg[j] = geom.Point{X: readFloat(rec[off:]), Y: readFloat(rec[off+8:])}
-		off += 16
+	off := 0
+	for _, c := range s.Columns[:col] {
+		n, err := valueLen(c.Type, rec[off:])
+		if err != nil {
+			return nil, err
+		}
+		off += n
 	}
-	return pg, off, nil
+	if dst == nil {
+		_, err := valueLen(s.Columns[col].Type, rec[off:])
+		return nil, err
+	}
+	v, _, err := decodeShape(s.Columns[col].Type, rec[off:], dst)
+	return v, err
 }
 
-// decodeGeometry reads a tagged geometry value, returning it and the bytes
-// consumed.
-func decodeGeometry(rec []byte) (geom.Spatial, int, error) {
-	if len(rec) < 1 {
-		return nil, 0, fmt.Errorf("relation: truncated geometry tag")
+// valueLen returns the length of the encoded value of type typ at the front
+// of rec, or an error when rec is too short to hold it or a geometry tag is
+// unknown.
+func valueLen(typ Type, rec []byte) (int, error) {
+	switch typ {
+	case TypeInt64, TypeFloat64:
+		return fits(8, rec)
+	case TypeString:
+		return prefixed(1, rec)
 	}
-	tag := rec[0]
-	body := rec[1:]
+	tag, hdr, err := shapeTag(typ, rec)
+	if err != nil {
+		return 0, err
+	}
+	n, err := shapeLen(tag, rec[hdr:])
+	return hdr + n, err
+}
+
+// shapeTag returns the geometry tag of the spatial value of type typ at the
+// front of rec and how many bytes hold it: a TypeGeometry value's own tag,
+// or for a point, rectangle or polygon column the tag it is encoded as,
+// stored nowhere.
+func shapeTag(typ Type, rec []byte) (tag byte, n int, err error) {
+	switch typ {
+	case TypePoint, TypeRect, TypePolygon:
+		return tagOf[typ], 0, nil
+	case TypeGeometry:
+		if len(rec) < 1 || rec[0] < geomTagPoint || rec[0] > geomTagSegment {
+			return 0, 0, fmt.Errorf("relation: missing or unknown geometry tag")
+		}
+		return rec[0], 1, nil
+	}
+	return 0, 0, fmt.Errorf("relation: unknown column type %d", typ)
+}
+
+// shapeLen returns the length of the untagged shape of geometry tag tag at
+// the front of rec.
+func shapeLen(tag byte, rec []byte) (int, error) {
 	switch tag {
 	case geomTagPoint:
-		if len(body) < 16 {
-			return nil, 0, fmt.Errorf("relation: truncated point")
-		}
-		return geom.Point{X: readFloat(body), Y: readFloat(body[8:])}, 17, nil
-	case geomTagRect:
-		if len(body) < 32 {
-			return nil, 0, fmt.Errorf("relation: truncated rect")
-		}
-		return geom.Rect{
-			MinX: readFloat(body), MinY: readFloat(body[8:]),
-			MaxX: readFloat(body[16:]), MaxY: readFloat(body[24:]),
-		}, 33, nil
+		return fits(16, rec)
 	case geomTagPolygon:
-		pg, n, err := decodePolygon(body)
-		if err != nil {
-			return nil, 0, err
-		}
-		return pg, 1 + n, nil
-	case geomTagSegment:
-		if len(body) < 32 {
-			return nil, 0, fmt.Errorf("relation: truncated segment")
-		}
-		return geom.Segment{
-			A: geom.Point{X: readFloat(body), Y: readFloat(body[8:])},
-			B: geom.Point{X: readFloat(body[16:]), Y: readFloat(body[24:])},
-		}, 33, nil
-	default:
-		return nil, 0, fmt.Errorf("relation: unknown geometry tag %d", tag)
+		return prefixed(16, rec)
+	}
+	return fits(32, rec) // a rectangle's corners or a segment's end points
+}
+
+// prefixed returns the length of a uint32 count and that many unit-byte
+// elements at the front of rec.
+func prefixed(unit int, rec []byte) (int, error) {
+	if len(rec) < 4 {
+		return 0, fmt.Errorf("relation: truncated length prefix")
+	}
+	return fits(4+unit*int(binary.LittleEndian.Uint32(rec)), rec)
+}
+
+// fits returns n, or an error when rec is shorter than n bytes.
+func fits(n int, rec []byte) (int, error) {
+	if n > len(rec) {
+		return 0, fmt.Errorf("relation: truncated record (need %d bytes of %d)", n, len(rec))
+	}
+	return n, nil
+}
+
+// decodeValue decodes the value of type typ at the front of rec and returns
+// it with its encoded length.
+func decodeValue(typ Type, rec []byte) (any, int, error) {
+	if typ.Spatial() {
+		return decodeShape(typ, rec, nil)
+	}
+	n, err := valueLen(typ, rec)
+	if err != nil {
+		return nil, 0, err
+	}
+	switch typ {
+	case TypeInt64:
+		return int64(binary.LittleEndian.Uint64(rec)), n, nil
+	case TypeFloat64:
+		return readFloat(rec), n, nil
+	default: // TypeString
+		return string(rec[4:n]), n, nil
 	}
 }
 
-func appendFloat(buf []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+// decodeShape decodes the value of spatial column type typ at the front of
+// rec and returns it with its encoded length. With dst non-nil a rectangle
+// is stored in *dst and returned as dst.
+func decodeShape(typ Type, rec []byte, dst *geom.Rect) (geom.Spatial, int, error) {
+	tag, hdr, err := shapeTag(typ, rec)
+	if err != nil {
+		return nil, 0, err
+	}
+	rec = rec[hdr:]
+	n, err := shapeLen(tag, rec)
+	if err != nil {
+		return nil, 0, err
+	}
+	switch tag {
+	case geomTagPoint:
+		return readPoint(rec), hdr + n, nil
+	case geomTagRect:
+		r := geom.Rect{MinX: readFloat(rec), MinY: readFloat(rec[8:]),
+			MaxX: readFloat(rec[16:]), MaxY: readFloat(rec[24:])}
+		if dst == nil {
+			return r, hdr + n, nil
+		}
+		*dst = r
+		return dst, hdr + n, nil
+	case geomTagPolygon:
+		pg := make(geom.Polygon, (n-4)/16)
+		for j := range pg {
+			pg[j] = readPoint(rec[4+16*j:])
+		}
+		return pg, hdr + n, nil
+	default: // geomTagSegment
+		return geom.Segment{A: readPoint(rec), B: readPoint(rec[16:])}, hdr + n, nil
+	}
+}
+
+func readPoint(b []byte) geom.Point {
+	return geom.Point{X: readFloat(b), Y: readFloat(b[8:])}
+}
+
+func appendFloats(buf []byte, fs ...float64) []byte {
+	for _, f := range fs {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+	}
+	return buf
 }
 
 func readFloat(b []byte) float64 {

@@ -6,7 +6,7 @@ import (
 	"spatialjoin/internal/geom"
 )
 
-func geomSchema(t *testing.T) Schema {
+func geomSchema(t testing.TB) Schema {
 	t.Helper()
 	s, err := NewSchema(
 		Column{"name", TypeString},
@@ -48,9 +48,9 @@ func TestGeometryRoundTripAllKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shape %d: %v", i, err)
 		}
-		got, err := s.SpatialValue(out, 1)
-		if err != nil {
-			t.Fatal(err)
+		got, ok := out[1].(geom.Spatial)
+		if !ok {
+			t.Fatalf("shape %d: decoded %T, not a shape", i, out[1])
 		}
 		if got.Bounds() != shape.Bounds() {
 			t.Fatalf("shape %d: bounds %v != %v", i, got.Bounds(), shape.Bounds())
@@ -102,12 +102,12 @@ func TestGeometryDecodeErrors(t *testing.T) {
 
 func TestGeometryUnknownSpatialDegradesToMBR(t *testing.T) {
 	buf := appendGeometry(nil, customSpatial{})
-	v, n, err := decodeGeometry(buf)
+	v, n, err := decodeShape(TypeGeometry, buf, nil)
 	if err != nil || n != len(buf) {
 		t.Fatalf("decode: %v, %d of %d", err, n, len(buf))
 	}
 	if v.Bounds() != geom.NewRect(1, 2, 3, 4) {
-		t.Fatalf("MBR fallback = %v", v.Bounds())
+		t.Fatalf("MBR fallback = %v", v)
 	}
 }
 

@@ -149,15 +149,15 @@ func (r *Relation) Insert(t Tuple) (int, error) {
 
 // Get fetches the tuple with the given ID, touching its page through the
 // buffer pool.
-func (r *Relation) Get(id int) (Tuple, error) {
+func (r *Relation) Get(id int) (t Tuple, err error) {
 	if id < 0 || id >= len(r.rids) {
 		return nil, fmt.Errorf("relation %s: tuple id %d out of range [0,%d)", r.name, id, len(r.rids))
 	}
-	rec, err := r.heap.Get(r.rids[id])
-	if err != nil {
-		return nil, err
-	}
-	return r.schema.Decode(rec)
+	err = r.heap.Read(r.rids[id], func(rec []byte) (err error) {
+		t, err = r.schema.Decode(rec)
+		return err
+	})
+	return t, err
 }
 
 // RID returns the physical record id of the tuple, letting callers reason
@@ -178,11 +178,20 @@ func (r *Relation) PageOf(id int) (int, error) {
 	return int(rid.Page.Page), nil
 }
 
-// Spatial returns the spatial value of the given column of the tuple.
-func (r *Relation) Spatial(id, col int) (geom.Spatial, error) {
-	t, err := r.Get(id)
+// Spatial reads the spatial column col of the tuple straight from its
+// record, in one access to its page through the buffer pool
+// (Schema.decodeSpatial): a rectangle lands in *dst and is returned as
+// dst, so reading one allocates nothing. With dst nil the value is not
+// wanted: the record is read and the column checked, nothing is built,
+// and nil is returned.
+func (r *Relation) Spatial(id, col int, dst *geom.Rect) (v geom.Spatial, err error) {
+	rid, err := r.RID(id)
 	if err != nil {
 		return nil, err
 	}
-	return r.schema.SpatialValue(t, col)
+	err = r.heap.Read(rid, func(rec []byte) (err error) {
+		v, err = r.schema.decodeSpatial(rec, col, dst)
+		return err
+	})
+	return v, err
 }

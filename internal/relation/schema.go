@@ -146,18 +146,3 @@ func (s Schema) Validate(t Tuple) error {
 	}
 	return nil
 }
-
-// SpatialValue returns the value of column col as a geom.Spatial.
-func (s Schema) SpatialValue(t Tuple, col int) (geom.Spatial, error) {
-	if col < 0 || col >= len(s.Columns) {
-		return nil, fmt.Errorf("relation: column %d out of range", col)
-	}
-	if !s.Columns[col].Type.Spatial() {
-		return nil, fmt.Errorf("relation: column %q is not spatial", s.Columns[col].Name)
-	}
-	sp, ok := t[col].(geom.Spatial)
-	if !ok {
-		return nil, fmt.Errorf("relation: column %q holds %T, not a spatial value", s.Columns[col].Name, t[col])
-	}
-	return sp, nil
-}

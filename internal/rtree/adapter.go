@@ -8,7 +8,9 @@ import (
 // Generalization adapts the R-tree to the core.Tree interface so the
 // hierarchical SELECT and JOIN algorithms can run over it. Interior R-tree
 // nodes appear as technical nodes (no tuple); each stored item appears as a
-// leaf node carrying its tuple ID and exact geometry.
+// leaf node carrying its MBR and tuple ID. An item only references its
+// tuple, so θ's operand is read from the tuple through the executor's
+// reader (core.Node.ContainsTuple), not from the tree.
 //
 // The adapter is a live view: it reflects subsequent inserts.
 // A node of the generalization tree is one entry of the R-tree — the root's
@@ -43,17 +45,11 @@ type entryView struct{ e *entry }
 // Bounds implements core.Node.
 func (v entryView) Bounds() geom.Rect { return v.e.rect }
 
-// Object implements core.Node: an item's exact geometry for θ evaluation;
-// an R-tree node's object is its MBR.
-func (v entryView) Object() geom.Spatial {
-	if v.e.child == nil {
-		return v.e.item.Obj
-	}
-	return v.e.rect
-}
+// Object implements core.Node: every entry stores only its MBR.
+func (v entryView) Object() geom.Spatial { return v.e.rect }
 
 // Tuple implements core.Node: only items carry tuples.
-func (v entryView) Tuple() (int, bool) { return v.e.item.ID, v.e.child == nil }
+func (v entryView) Tuple() (int, bool) { return v.e.id, v.e.child == nil }
 
 // NumChildren implements core.Node.
 func (v entryView) NumChildren() int {
@@ -66,6 +62,6 @@ func (v entryView) NumChildren() int {
 // Child implements core.Node.
 func (v entryView) Child(i int) core.Node { return entryView{e: &v.e.child.entries[i]} }
 
-// ContainsTuple implements core.Node: an item's MBR is stored in its leaf
-// entry, so Θ never needs its tuple; only θ reads it.
+// ContainsTuple implements core.Node: a leaf entry stores an item's MBR and
+// tuple ID, so Θ never needs its tuple; θ reads it from the tuple.
 func (v entryView) ContainsTuple() bool { return false }

@@ -12,6 +12,13 @@ import (
 	"spatialjoin/internal/pred"
 )
 
+// readRect is the reader of a rectangle-only test tree: a rectangle is its
+// own MBR, so the tuple an item references is the rectangle it stores.
+func readRect(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
+	*dst = n.Bounds()
+	return dst, nil
+}
+
 func TestAdapterEmptyTree(t *testing.T) {
 	tr := MustNew(DefaultOptions())
 	gt := tr.Generalization()
@@ -94,7 +101,7 @@ func TestSelectOverRTree(t *testing.T) {
 		tr.Insert(r, i)
 	}
 	query := geom.NewRect(100, 100, 180, 180)
-	res, err := core.Select(tr.Generalization(), query, pred.Overlaps{}, nil)
+	res, err := core.Select(tr.Generalization(), query, pred.Overlaps{}, &core.SelectOptions{Read: readRect})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +140,8 @@ func TestJoinOverTwoRTrees(t *testing.T) {
 		trA.Insert(a, i)
 		trB.Insert(b, i)
 	}
-	res, err := core.Join(trA.Generalization(), trB.Generalization(), pred.Overlaps{}, nil)
+	res, err := core.Join(trA.Generalization(), trB.Generalization(), pred.Overlaps{},
+		&core.JoinOptions{ReadR: readRect, ReadS: readRect})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +172,7 @@ func TestAdapterIsLiveView(t *testing.T) {
 	if gt.Root() == nil {
 		t.Fatal("adapter must see the insert")
 	}
-	res, err := core.Select(gt, geom.NewRect(0, 0, 2, 2), pred.Overlaps{}, nil)
+	res, err := core.Select(gt, geom.NewRect(0, 0, 2, 2), pred.Overlaps{}, &core.SelectOptions{Read: readRect})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +189,13 @@ func TestAdapterIsLiveView(t *testing.T) {
 // j evaluates Θ once per QualPairs entry, once per child of b for each
 // passing pair, once per child of a where some child of b passed, and once
 // per item pair it forms — and the item level has no QualPairs of its own.
-// An R-tree node only references its tuple, so the touch callbacks fire at
+// An R-tree node only references its tuple, so the readers are called at
 // the item depth alone, once per side for each θ evaluation, immediately
-// before θ reads the items; a Θ test touches nothing. The expectation comes
+// before θ evaluates what they read; a Θ test reads nothing. The expectation comes
 // from an independent level-by-level walk that has no SELECT pass at all;
 // the test fails if the pass descends where no result can come from, if the
 // second pass runs for nothing, if item pairs get a level to themselves, if
-// a node is touched for its Θ filter, or if the trace holds anything but
+// a node is read for its Θ filter, or if the trace holds anything but
 // the level spans (a span or event per pair).
 func TestJoinWorkGuardOnRTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -249,7 +257,7 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 						continue
 					}
 					// An item pair: its Θ belongs to this level, and only
-					// its θ touches the two items.
+					// its θ reads the two items.
 					bump(&wantEvals, level, 1)
 					if op.Filter(a2.Bounds(), b2.Bounds()) {
 						wantExact++
@@ -274,9 +282,15 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 	var gotTouchA, gotTouchB []int64
 	trace := obs.NewTrace()
 	res, err := core.Join(ga, gb, op, &core.JoinOptions{
-		TouchR: func(n core.Node) error { bump(&gotTouchA, depthA[n], 1); return nil },
-		TouchS: func(n core.Node) error { bump(&gotTouchB, depthB[n], 1); return nil },
-		Trace:  trace,
+		ReadR: func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
+			bump(&gotTouchA, depthA[n], 1)
+			return readRect(n, dst)
+		},
+		ReadS: func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
+			bump(&gotTouchB, depthB[n], 1)
+			return readRect(n, dst)
+		},
+		Trace: trace,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -311,9 +325,9 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 		}
 	}
 	if !slices.Equal(gotTouchA, wantTouchA) {
-		t.Errorf("TouchR per node depth = %v, want %v", gotTouchA, wantTouchA)
+		t.Errorf("ReadR per node depth = %v, want %v", gotTouchA, wantTouchA)
 	}
 	if !slices.Equal(gotTouchB, wantTouchB) {
-		t.Errorf("TouchS per node depth = %v, want %v", gotTouchB, wantTouchB)
+		t.Errorf("ReadS per node depth = %v, want %v", gotTouchB, wantTouchB)
 	}
 }

@@ -26,7 +26,7 @@ func BulkLoad(opts Options, items []Item) (*Tree, error) {
 	}
 	entries := make([]entry, len(items))
 	for i, it := range items {
-		entries[i] = entry{rect: it.Obj.Bounds(), item: it}
+		entries[i] = entry{rect: it.Rect, id: it.ID}
 	}
 	level := packSTR(entries, opts.MaxEntries, true)
 	height := 0

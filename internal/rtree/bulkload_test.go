@@ -13,7 +13,7 @@ func randomItems(seed int64, n int) []Item {
 	out := make([]Item, n)
 	for i := range out {
 		r := randRect(rng, 1000)
-		out[i] = Item{Obj: r, ID: i}
+		out[i] = Item{Rect: r, ID: i}
 	}
 	return out
 }
@@ -73,7 +73,7 @@ func TestBulkLoadSearchMatchesBruteForce(t *testing.T) {
 		query := randRect(rng, 1000).Expand(rng.Float64() * 50)
 		var want []int
 		for _, it := range items {
-			if it.Obj.Bounds().Intersects(query) {
+			if it.Rect.Intersects(query) {
 				want = append(want, it.ID)
 			}
 		}
@@ -120,7 +120,7 @@ func TestBulkLoadPacksTighterThanInsertion(t *testing.T) {
 	}
 	inserted := MustNew(opts)
 	for _, it := range items {
-		inserted.Insert(it.Obj, it.ID)
+		inserted.Insert(it.Rect, it.ID)
 	}
 	// Packed trees answer the same query visiting no more nodes than
 	// insertion-built ones (usually far fewer).

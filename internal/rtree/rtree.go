@@ -3,11 +3,12 @@
 // height-balanced hierarchy of nested rectangles with configurable node
 // capacity and either the quadratic or the linear split heuristic.
 //
-// The tree stores (rectangle, exact geometry, tuple ID) entries. Interior
-// nodes are "technical entities of no interest to the user" (§3.1): when the
-// tree is adapted to core.Tree (see Adapter), interior nodes expose no
-// tuple, so the hierarchical SELECT/JOIN algorithms use them purely for
-// Θ-filter pruning.
+// A leaf entry is Guttman's (MBR, tuple pointer): the object's rectangle and
+// its tuple ID, never the object itself, whose one copy is the stored tuple.
+// Interior nodes are "technical entities of no interest to the user" (§3.1):
+// when the tree is adapted to core.Tree (see Generalization), interior nodes
+// expose no tuple, so the hierarchical SELECT/JOIN algorithms use them purely
+// for Θ-filter pruning.
 package rtree
 
 import (
@@ -72,20 +73,19 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Item is one indexed object.
+// Item is one indexed object as a leaf entry holds it: its MBR and the ID
+// of the tuple that holds its exact geometry.
 type Item struct {
-	// Obj is the exact geometry (used for θ evaluation by the join layer).
-	Obj geom.Spatial
-	// ID is the tuple ID the object belongs to.
-	ID int
+	Rect geom.Rect
+	ID   int
 }
 
-// entry is a slot in a node: either a child pointer (interior) or an item
-// (leaf).
+// entry is a slot in a node: a rectangle with either a child pointer
+// (interior) or the item's tuple ID (leaf).
 type entry struct {
 	rect  geom.Rect
 	child *node
-	item  Item
+	id    int
 }
 
 // node is one R-tree node.
@@ -163,10 +163,10 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 	return t.top.rect, true
 }
 
-// Insert adds obj with the given tuple ID. It is Guttman's Insert:
-// ChooseLeaf, add, split on overflow, AdjustTree.
-func (t *Tree) Insert(obj geom.Spatial, id int) {
-	e := entry{rect: obj.Bounds(), item: Item{Obj: obj, ID: id}}
+// Insert adds an item with MBR r for the given tuple ID. It is Guttman's
+// Insert: ChooseLeaf, add, split on overflow, AdjustTree.
+func (t *Tree) Insert(r geom.Rect, id int) {
+	e := entry{rect: r, id: id}
 	leaf := t.chooseLeaf(e.rect)
 	leaf.entries = append(leaf.entries, e)
 	t.adjustTree(leaf)
@@ -252,7 +252,7 @@ func (t *Tree) search(n *node, r geom.Rect, f func(Item) bool, visited *int, sto
 			continue
 		}
 		if n.leaf {
-			if !f(e.item) {
+			if !f(Item{Rect: e.rect, ID: e.id}) {
 				*stop = true
 				return
 			}
@@ -268,7 +268,7 @@ func (t *Tree) All(f func(Item) bool) {
 	walk = func(n *node) bool {
 		for _, e := range n.entries {
 			if n.leaf {
-				if !f(e.item) {
+				if !f(Item{Rect: e.rect, ID: e.id}) {
 					return false
 				}
 			} else if !walk(e.child) {

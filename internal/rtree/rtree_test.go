@@ -243,17 +243,27 @@ func TestBoundsTracksContent(t *testing.T) {
 	}
 }
 
+// TestPolygonItemsRoundTrip indexes a polygon: the tree keeps its MBR and
+// tuple ID, as a leaf entry does, and its adapter node returns that MBR as
+// its object. The exact polygon lives only in its tuple, which θ reads
+// (the root package's TestThetaReadsTheHeapTuple covers that).
 func TestPolygonItemsRoundTrip(t *testing.T) {
 	tr := MustNew(DefaultOptions())
 	pg := geom.RegularPolygon(geom.Pt(5, 5), 2, 6)
-	tr.Insert(pg, 42)
+	tr.Insert(pg.Bounds(), 42)
 	var got Item
 	tr.Search(pg.Bounds(), func(it Item) bool { got = it; return false })
-	if got.ID != 42 {
-		t.Fatalf("item id = %d", got.ID)
+	if got.ID != 42 || got.Rect != pg.Bounds() {
+		t.Fatalf("item = %+v, want ID 42 and the polygon's bounds %v", got, pg.Bounds())
 	}
-	if _, ok := got.Obj.(geom.Polygon); !ok {
-		t.Fatalf("exact geometry lost: %T", got.Obj)
+	leaf := tr.Generalization().Root()
+	if leaf.NumChildren() != 1 {
+		t.Fatalf("root has %d children, want the one item", leaf.NumChildren())
+	}
+	item := leaf.Child(0)
+	if obj := item.Object(); obj != geom.Spatial(pg.Bounds()) || item.ContainsTuple() {
+		t.Fatalf("item object %v (contains tuple %t), want its MBR %v and a reference to its tuple",
+			obj, item.ContainsTuple(), pg.Bounds())
 	}
 }
 

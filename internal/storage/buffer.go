@@ -46,12 +46,12 @@ func (s PoolStats) HitRatio() float64 {
 //
 // The frame table is one array of Capacity frames, allocated with the pool
 // and never moved; the recency order is a doubly-linked list threaded
-// through the frames by index, and a map finds a resident page's frame. A
-// frame's page buffer is allocated when the frame is first filled and then
-// stays with the pool: a miss reads into a spare buffer and swaps it with
-// the victim's, so neither a hit nor a steady-state miss allocates. The
-// price is the contract on Fetch: an unpinned page's bytes are only the
-// caller's until the next pool call.
+// through the frames by index, and a directory indexed by file and page
+// finds a resident page's frame. A frame's page buffer is allocated when
+// the frame is first filled and then stays with the pool: a miss reads into
+// a spare buffer and swaps it with the victim's, so neither a hit nor a
+// steady-state miss allocates. The price is the contract on Fetch: an
+// unpinned page's bytes are only the caller's until the next pool call.
 //
 // Every physical transfer is verified end-to-end: pages read from the
 // device are checked against the device's recorded checksum, so a page
@@ -65,12 +65,12 @@ type BufferPool struct {
 	retry    RetryPolicy
 	wal      WAL // nil = no write-ahead logging
 
-	frames     []frame          // frames[:used] hold pages; len == capacity
-	used       int              // frames filled since the pool was last emptied
-	index      map[PageID]int32 // resident page → its frame
-	head, tail int32            // most and least recently used frame; noFrame when empty
-	spare      []byte           // the buffer the next miss reads into; nil until needed
-	writeSet   []pageTouch      // pages the open transaction changed; always empty without a WAL
+	frames     []frame     // frames[:used] hold pages; len == capacity
+	used       int         // frames filled since the pool was last emptied
+	dir        [][]int32   // dir[file][page]: the page's frame + 1, or 0 when not resident
+	head, tail int32       // most and least recently used frame; noFrame when empty
+	spare      []byte      // the buffer the next miss reads into; nil until needed
+	writeSet   []pageTouch // pages the open transaction changed; always empty without a WAL
 
 	logicalReads atomic.Int64
 	misses       atomic.Int64
@@ -163,10 +163,34 @@ func NewBufferPool(disk Device, capacity int) (*BufferPool, error) {
 		capacity: capacity,
 		retry:    DefaultRetryPolicy(),
 		frames:   make([]frame, capacity),
-		index:    make(map[PageID]int32),
 		head:     noFrame,
 		tail:     noFrame,
 	}, nil
+}
+
+// frameOf returns the frame holding page id, if it is resident: two indexed
+// loads, where a map would hash and probe, on every tuple read's page access.
+func (bp *BufferPool) frameOf(id PageID) (int32, bool) {
+	if id.File < 0 || int(id.File) >= len(bp.dir) {
+		return noFrame, false
+	}
+	pages := bp.dir[id.File]
+	if id.Page < 0 || int(id.Page) >= len(pages) || pages[id.Page] == 0 {
+		return noFrame, false
+	}
+	return pages[id.Page] - 1, true
+}
+
+// setFrame sets page id's directory entry to v, a frame + 1 or 0, growing
+// the directory to reach it: the device numbers files and pages densely.
+func (bp *BufferPool) setFrame(id PageID, v int32) {
+	if n := int(id.File) + 1; n > len(bp.dir) {
+		bp.dir = append(bp.dir, make([][]int32, n-len(bp.dir))...)
+	}
+	if n := int(id.Page) + 1; n > len(bp.dir[id.File]) {
+		bp.dir[id.File] = append(bp.dir[id.File], make([]int32, n-len(bp.dir[id.File]))...)
+	}
+	bp.dir[id.File][id.Page] = v
 }
 
 // unlinkLocked takes frame i out of the recency list.
@@ -298,12 +322,25 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	return &bp.frames[i].page, nil
 }
 
+// Read calls f with the page under the pool's lock, fetched as by Fetch: one
+// lock where Pin and Unpin take two. The page cannot be evicted while f
+// runs, so f reads it without a pin; f must not call into the pool.
+func (bp *BufferPool) Read(id PageID, f func(*Page) error) error {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	i, err := bp.fetchLocked(id)
+	if err != nil {
+		return err
+	}
+	return f(&bp.frames[i].page)
+}
+
 // fetchLocked makes the page resident and most recently used and returns
 // its frame. A miss reads the page before it evicts: a read that fails
 // leaves every resident page where it was.
 func (bp *BufferPool) fetchLocked(id PageID) (int32, error) {
 	bp.logicalReads.Add(1)
-	if i, ok := bp.index[id]; ok {
+	if i, ok := bp.frameOf(id); ok {
 		if i != bp.head {
 			bp.unlinkLocked(i)
 			bp.pushFrontLocked(i)
@@ -327,7 +364,7 @@ func (bp *BufferPool) fetchLocked(id PageID) (int32, error) {
 	old := f.page.buf
 	*f = frame{id: id, page: Page{buf: bp.spare}}
 	bp.spare = old
-	bp.index[id] = i
+	bp.setFrame(id, i+1)
 	bp.pushFrontLocked(i)
 	return i, nil
 }
@@ -362,7 +399,7 @@ func (bp *BufferPool) freeFrameLocked() (int32, error) {
 			}
 		}
 		bp.unlinkLocked(i)
-		delete(bp.index, f.id)
+		bp.setFrame(f.id, 0)
 		bp.evictions.Add(1)
 		return i, nil
 	}
@@ -408,7 +445,7 @@ func (bp *BufferPool) Unpin(id PageID) error {
 
 // residentLocked returns the page's frame, or nil when it is not cached.
 func (bp *BufferPool) residentLocked(id PageID) *frame {
-	i, ok := bp.index[id]
+	i, ok := bp.frameOf(id)
 	if !ok {
 		return nil
 	}
@@ -435,7 +472,7 @@ func (bp *BufferPool) MarkAppended(id PageID, slot int) error {
 func (bp *BufferPool) markDirty(id PageID, slot int) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	i, ok := bp.index[id]
+	i, ok := bp.frameOf(id)
 	if !ok {
 		return fmt.Errorf("storage: MarkDirty of non-resident page %v", id)
 	}
@@ -662,7 +699,9 @@ func (bp *BufferPool) DropAll() error {
 		return err
 	}
 	// The frames keep their page buffers for the pages that refill them.
-	clear(bp.index)
+	for _, pages := range bp.dir {
+		clear(pages)
+	}
 	bp.used = 0
 	bp.head, bp.tail = noFrame, noFrame
 	return nil

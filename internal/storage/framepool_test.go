@@ -187,7 +187,7 @@ func TestHeapFileGetUnderRecycledBuffers(t *testing.T) {
 					if g == 1 {
 						i = pages - 1 - k
 					}
-					got, err := h.Get(rids[i])
+					got, err := getRecord(h, rids[i])
 					if err != nil {
 						t.Errorf("goroutine %d: Get(%v): %v", g, rids[i], err)
 						return

@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // RID is a record identifier: the page and slot where the record lives.
 type RID struct {
@@ -153,16 +150,18 @@ func (h *HeapFile) usedPayload(p *Page) int {
 	return (p.free() - pageHeaderSize) + p.NumRecords()*slotSize
 }
 
-// Get returns a copy of the record at rid, fetching its page through the
-// buffer pool (and therefore charging I/O on a miss).
-func (h *HeapFile) Get(rid RID) ([]byte, error) {
-	var out []byte
-	err := h.withPage(rid.Page, func(p *Page) error {
+// Read calls f with the record at rid in one access to its page through
+// the buffer pool (BufferPool.Read, charging I/O on a miss). The bytes are
+// the page's own, valid only during the call: f copies out what it keeps
+// and must not call into the pool.
+func (h *HeapFile) Read(rid RID, f func(rec []byte) error) error {
+	return h.pool.Read(rid.Page, func(p *Page) error {
 		rec, err := p.Record(int(rid.Slot))
-		out = slices.Clone(rec)
-		return err
+		if err != nil {
+			return err
+		}
+		return f(rec)
 	})
-	return out, err
 }
 
 // Scan calls f for every record in file order. Scanning fetches each page

@@ -7,6 +7,15 @@ import (
 	"time"
 )
 
+// getRecord copies the record at rid out of its page.
+func getRecord(h *HeapFile, rid RID) (rec []byte, err error) {
+	err = h.Read(rid, func(b []byte) error {
+		rec = append([]byte(nil), b...)
+		return nil
+	})
+	return rec, err
+}
+
 func TestNewPageRejectsTinySizes(t *testing.T) {
 	if _, err := NewPage(16); err == nil {
 		t.Fatal("expected error for tiny page")
@@ -425,7 +434,7 @@ func TestHeapFileAppendGet(t *testing.T) {
 		t.Fatalf("NumRecords = %d", h.NumRecords())
 	}
 	for i, rid := range rids {
-		rec, err := h.Get(rid)
+		rec, err := getRecord(h, rid)
 		if err != nil {
 			t.Fatalf("get %d: %v", i, err)
 		}
@@ -519,7 +528,7 @@ func TestHeapFileSurvivesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rid := range rids {
-		rec, err := h.Get(rid)
+		rec, err := getRecord(h, rid)
 		if err != nil {
 			t.Fatal(err)
 		}

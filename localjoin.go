@@ -45,7 +45,8 @@ func (db *Database) BuildLocalJoinIndex(c *Collection, op Operator, level int) (
 	if c == nil || op == nil {
 		return nil, fmt.Errorf("spatialjoin: nil local-index argument")
 	}
-	ix, _, err := localindex.Build(c.index.Generalization(), op, level, db.cfg.JoinIndexOrder)
+	ix, _, err := localindex.Build(c.index.Generalization(), op, level, db.cfg.JoinIndexOrder,
+		c.table.Reader())
 	if err != nil {
 		return nil, err
 	}
