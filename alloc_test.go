@@ -118,3 +118,45 @@ func TestResidentTreeJoinAllocatesPerLevelNotPerNode(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinIndexMaintenanceReadsOnlyTheOperand inserts into a collection
+// with a registered join index over 500 others. Maintenance evaluates θ
+// against every other tuple (the paper's U_III), and reads each one's shape
+// into one scratch rectangle: an insert allocates a small constant, not
+// once per probed tuple, as decoding each record, payload included, did.
+func TestJoinIndexMaintenanceReadsOnlyTheOperand(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	r, err := db.CreateCollection("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := db.CreateCollection("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		x := float64(i % 25 * 40)
+		y := float64(i / 25 * 40)
+		if _, err := s.Insert(NewRect(x, y, x+30, y+30), "payload"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := db.BuildJoinIndex(r, s, Overlaps()); err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 20
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := r.Insert(NewRect(100, 100, 150, 150), "new"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Errorf("an insert under a join index over 500 tuples allocates %.1f times, want at most %d", allocs, ceiling)
+	}
+}

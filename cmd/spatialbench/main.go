@@ -318,6 +318,28 @@ func printValidate(out io.Writer) error {
 				jn.Predicted, jn.Measured, jn.Ratio())
 		}
 	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	const frames, order = 16, 100
+	fmt.Fprintf(out, "\n== Strategy III retrieval: tuple pages read vs D_III's (R, S = two stored copies, M=%d frames, z=%d, cold pool) ==\n",
+		frames, order)
+	w = tabwriter.NewWriter(out, 2, 4, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintf(w, "distribution\tp\t|J|\tD_III tuple pages\tmeasured\tratio\t\n")
+	for _, dist := range costmodel.Distributions() {
+		for _, p := range []float64{0.1, 0.5, 1} {
+			m, err := costmodel.NewModel(prm, dist, p)
+			if err != nil {
+				return err
+			}
+			ij, pairs, err := modelcheck.MeasureIndexJoin(m, frames, order)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "%v\t%.2g\t%d\t%.1f\t%.0f\t%.2f\t\n",
+				dist, p, pairs, ij.Predicted, ij.Measured, ij.Ratio())
+		}
+	}
 	return w.Flush()
 }
 

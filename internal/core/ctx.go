@@ -28,3 +28,11 @@ func ctxOr(ctx context.Context) context.Context {
 	}
 	return ctx
 }
+
+// ctxErr returns ctx's error, nil for a nil ctx.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}

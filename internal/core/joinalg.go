@@ -38,19 +38,26 @@ type JoinOptions struct {
 	// ReadR / ReadS read the tuple of a node of the respective tree, at the
 	// point its tuple is read (Node.ContainsTuple): a node that contains its
 	// tuple once per examination, before its Θ filter, with no dst because
-	// the node carries the value; a node that only references it
-	// once per θ evaluation it takes part in, immediately before θ, and the
-	// value is θ's operand. Such a node is never read for Θ alone, and one
-	// that reaches θ with no reader fails the join rather than evaluate θ
-	// on its MBR. Nodes below a technical fixed node of a JOIN4 SELECT
-	// pass, and a's children when no child of a technical b qualified, are
-	// not examined; a childless pair is decided in the level that formed it
-	// (see Join). Two nodes that only reference their tuples are read after
-	// their level's Θ filter, pair by pair in (R, S) tuple-ID order, so over
-	// a run of such pairs ReadR repeats one node's tuple while ReadS
-	// ascends. With Workers > 1 they are called from multiple goroutines
-	// and must be safe for concurrent use.
+	// the node carries the value; a node that only references it when θ
+	// needs it, and the value is θ's operand. Such a node is never read for
+	// Θ alone, and one that reaches θ with no reader fails the join rather
+	// than evaluate θ on its MBR. Nodes below a technical fixed node of a
+	// JOIN4 SELECT pass, and a's children when no child of a technical b
+	// qualified, are not examined; a childless pair is decided in the level
+	// that formed it (see Join). Two nodes that only reference their tuples
+	// are read after their level's Θ filter in Refine's block schedule: per
+	// block, ReadR once for each distinct R tuple in (R page, R) order, then
+	// ReadS once for each distinct S tuple in (S page, S) order. With
+	// Workers > 1 they are called from multiple goroutines and must be safe
+	// for concurrent use.
 	ReadR, ReadS Reader
+	// PagesR and PagesS place R's and S's tuples on their heap pages, and
+	// Block is the most distinct R tuples whose operands a refinement block
+	// holds: the paper's m·(M−10), m tuples of R per page and M the pool's
+	// frames (see Refine). A nil Pages puts each tuple on a page of its
+	// own; Block ≤ 0 makes each refinement one block.
+	PagesR, PagesS Pages
+	Block          int
 	// Workers is the number of goroutines expanding each QualPairs level
 	// concurrently; values ≤ 1 keep the paper's sequential descent. The
 	// result is identical either way: each level's pair list is split into
@@ -81,8 +88,9 @@ type JoinOptions struct {
 type JoinResult struct {
 	// Pairs are the matching tuple pairs in discovery order, except that
 	// the matches between index entries a level decides (each chunk's, under
-	// Workers > 1) come out (R, S)-sorted, the order θ ran in (see Join).
-	// Each matching pair appears exactly once.
+	// Workers > 1) come out block by block in Refine's schedule, each
+	// block's in (R page, R, S) order (see Join). Each matching pair
+	// appears exactly once.
 	Pairs []Match
 	// Stats is the work performed across both trees.
 	Stats Stats
@@ -132,13 +140,14 @@ type JoinResult struct {
 // level that formed it (JOIN2 and JOIN3; its JOIN4 would be empty) instead
 // of being queued. (iii) When a Θ-passing pair is two nodes that only
 // reference their tuples (two R-tree items), its JOIN3 waits for the end of
-// the level's chunk, where θ runs on all such pairs sorted by (R, S) tuple
-// ID: the filter step, then the refinement step, in heap-page order when IDs
-// follow appends. JOIN keeps no state across pairs but counters and an
-// output every caller sorts, so only the order of θ and of the matches
-// moves, and on S2 trees every count is the paper's. Where a node's tuple
-// is read follows Node.ContainsTuple: an index entry's tuple is read only
-// for θ, and is θ's operand (see JoinOptions.ReadR).
+// the level's chunk, where Refine runs θ on all such pairs in the paper's
+// block schedule: the filter step, then the refinement step, with each
+// block's R operands read once and S's pages swept once per block. JOIN
+// keeps no state across pairs but counters and an output every caller
+// sorts, so only the order of θ and of the matches moves, and on S2 trees
+// every count is the paper's. Where a node's tuple is read follows
+// Node.ContainsTuple: an index entry's tuple is read only for θ, and is
+// θ's operand (see JoinOptions.ReadR).
 func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error) {
 	var options JoinOptions
 	if opts != nil {
@@ -210,20 +219,17 @@ type qualPair struct{ a, b Node }
 // chunk of a level under Workers > 1: the two QualPairs buffers Join
 // alternates between (a chunk builds its share of the next level in spare),
 // the per-pair lists of children that passed their Θ check, the pairs of
-// index entries waiting for θ, and a chunk's matches and stats until they
-// are merged.
+// index entries waiting for θ, the decoded R operands of a refinement block
+// (rects holds the rectangles among them), and a chunk's matches and stats
+// until they are merged.
 type joinScratch struct {
 	qual, spare  []qualPair
 	aPass, bPass []Node
-	refine       []refinement
+	refine       []Candidate
+	rKeys, sKeys []refKey
+	ops          []geom.Spatial
+	rects        []geom.Rect
 	part         JoinResult
-}
-
-// refinement is a Θ-passing pair of two nodes that only reference their
-// tuples, and the tuple IDs θ would emit.
-type refinement struct {
-	a, b Node
-	m    Match
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
@@ -237,6 +243,7 @@ func (sc *joinScratch) release() {
 	clear(sc.aPass[:cap(sc.aPass)])
 	clear(sc.bPass[:cap(sc.bPass)])
 	clear(sc.refine[:cap(sc.refine)])
+	clear(sc.ops[:cap(sc.ops)])
 	joinScratchPool.Put(sc)
 }
 
@@ -335,7 +342,7 @@ func expandChunk(qual, next []qualPair, sc *joinScratch, op pred.Operator,
 			}
 		}
 	}
-	if err := refine(sc.refine, op, options, res); err != nil {
+	if err := sc.refineBlocks(sc.refine, op, options, res); err != nil {
 		return nil, err
 	}
 	return next, nil
@@ -356,39 +363,18 @@ func joinPair(a, b Node, op pred.Operator, options *JoinOptions, sc *joinScratch
 	if !op.Filter(a.Bounds(), b.Bounds()) {
 		return false, nil
 	}
-	ra, okA := a.Tuple()
-	sb, okB := b.Tuple()
+	_, okA := a.Tuple()
+	_, okB := b.Tuple()
 	switch {
 	case !okA || !okB:
 	case !a.ContainsTuple() && !b.ContainsTuple():
-		sc.refine = append(sc.refine, refinement{a, b, Match{R: ra, S: sb}})
+		sc.refine = append(sc.refine, Candidate{R: a, S: b})
 	default:
 		if err := Theta(a, b, op, options, res); err != nil {
 			return false, err
 		}
 	}
 	return true, nil
-}
-
-// refine runs θ on a chunk's deferred pairs of index entries in (R, S)
-// tuple-ID order. A collection appends its tuples, so that is heap-page
-// order: consecutive evaluations share their R page and sweep the S pages
-// upward, and the matches come out sorted. The context is checked before
-// every evaluation, which may read two pages: the examination count that
-// paces ctxStep does not advance here.
-func refine(rs []refinement, op pred.Operator, opts *JoinOptions, res *JoinResult) error {
-	slices.SortFunc(rs, func(x, y refinement) int { return compareMatches(x.m, y.m) })
-	for _, p := range rs {
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if err := Theta(p.a, p.b, op, opts, res); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Theta runs JOIN3 for a Θ-passing pair of tuple-bearing nodes r and s,

@@ -83,13 +83,29 @@ func compareMatches(a, b core.Match) int {
 	return cmp.Compare(a.S, b.S)
 }
 
-// TestJoinRefinesInTupleOrder joins two R-tree generalizations at one
-// worker and records every read, split into levels where the descent
-// samples TraceReads. Within each level the reads come in (R, S) pairs,
-// one per θ evaluation and none of a technical node, and the pairs are in
-// nondecreasing (R, S) tuple-ID order: θ runs after the level's Θ filter,
-// sorted, not as each pair of items passes it. The matches come out sorted.
-func TestJoinRefinesInTupleOrder(t *testing.T) {
+// pagesOf places tuple id on page id/k, k tuples a page, as a relation
+// that appends them does.
+type pagesOf int
+
+func (k pagesOf) PageOf(id int) (int, error) { return id / int(k), nil }
+
+// blockOpts is a block schedule of many blocks for rtreePair's trees: 8
+// tuples a page and blocks of 3 pages' worth of R tuples.
+func blockOpts() *core.JoinOptions {
+	return &core.JoinOptions{PagesR: pagesOf(8), PagesS: pagesOf(8), Block: 24}
+}
+
+// TestJoinRefinesInBlockOrder joins two R-tree generalizations at one
+// worker in a block schedule of many blocks and records every read, split
+// into levels where the descent samples TraceReads, and each level into
+// blocks where an R read follows an S read. Within each level the reads
+// are of items only, and each block reads its R operands first — each
+// distinct R tuple once, at most Block of them, in (R page, R) order that
+// continues the previous block's — and then its S operands, each once, in
+// (S page, S) order. A block ends on an R-page boundary unless its one
+// page alone fills it. The θ count and the match set are those of a
+// refinement that is one block, whose matches come out (R, S)-sorted.
+func TestJoinRefinesInBlockOrder(t *testing.T) {
 	tr, ts := rtreePair(t, 1000)
 	type touch struct {
 		side      byte
@@ -105,91 +121,171 @@ func TestJoinRefinesInTupleOrder(t *testing.T) {
 			return readRect(n, dst)
 		}
 	}
-	res, err := core.Join(tr, ts, pred.Overlaps{}, &core.JoinOptions{
-		ReadR: record('R'),
-		ReadS: record('S'),
-		Trace: obs.NewTrace(),
-		TraceReads: func() int64 {
-			levels = append(levels, nil)
-			return 0
-		},
-	})
+	opts := blockOpts()
+	opts.ReadR, opts.ReadS = record('R'), record('S')
+	opts.Trace = obs.NewTrace()
+	opts.TraceReads = func() int64 {
+		levels = append(levels, nil)
+		return 0
+	}
+	res, err := core.Join(tr, ts, pred.Overlaps{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var touches int64
+	// Both sides use the same placement, pagesOf(8).
+	type placed struct{ page, id int }
+	place := func(x touch) placed { return placed{x.id / 8, x.id} }
+	before := func(a, b placed) bool { return a.page < b.page || a.page == b.page && a.id < b.id }
+	var blocks int
 	for l, group := range levels {
-		touches += int64(len(group))
-		if len(group)%2 != 0 {
-			t.Fatalf("level group %d: %d touches, not pairs", l, len(group))
-		}
-		var prev core.Match
-		for i := 0; i < len(group); i += 2 {
-			r, s := group[i], group[i+1]
-			if r.side != 'R' || s.side != 'S' || r.technical || s.technical {
-				t.Fatalf("level group %d, θ %d: touches %+v, %+v; want an R item then an S item",
-					l, i/2, r, s)
+		lastR, lastLen, lastFirst := placed{-1, -1}, 0, -1
+		for i := 0; i < len(group); {
+			// One block: a run of R reads, then a run of S reads.
+			j := i
+			for j < len(group) && group[j].side == 'R' {
+				j++
 			}
-			m := core.Match{R: r.id, S: s.id}
-			if i > 0 && compareMatches(prev, m) > 0 {
-				t.Fatalf("level group %d: θ on %+v after %+v, out of (R, S) order", l, m, prev)
+			k := j
+			for k < len(group) && group[k].side == 'S' {
+				k++
 			}
-			prev = m
+			rs, ss := group[i:j], group[j:k]
+			if len(rs) == 0 || len(ss) == 0 {
+				t.Fatalf("level group %d, block at read %d: %d R reads, %d S reads; want both",
+					l, i, len(rs), len(ss))
+			}
+			if len(rs) > opts.Block {
+				t.Errorf("level group %d, block at read %d: %d R operands, want at most %d",
+					l, i, len(rs), opts.Block)
+			}
+			for _, run := range [][]touch{rs, ss} {
+				for x := range run {
+					if run[x].technical {
+						t.Fatalf("level group %d: read of a technical node %+v", l, run[x])
+					}
+					if x > 0 && !before(place(run[x-1]), place(run[x])) {
+						t.Fatalf("level group %d: %c read %d after %d, out of (page, ID) order or repeated in a block",
+							l, run[x].side, run[x].id, run[x-1].id)
+					}
+				}
+			}
+			first := place(rs[0])
+			if !before(lastR, first) {
+				t.Fatalf("level group %d: block begins at R %d after R %d, out of (R page, R) order",
+					l, first.id, lastR.id)
+			}
+			if lastR.page == first.page && (lastFirst != lastR.page || lastLen != opts.Block) {
+				t.Errorf("level group %d: R page %d split between blocks after a block of %d R operands from page %d on; only a page that alone fills a block of %d is split",
+					l, lastR.page, lastLen, lastFirst, opts.Block)
+			}
+			lastR, lastLen, lastFirst = place(rs[len(rs)-1]), len(rs), first.page
+			blocks++
+			i = k
 		}
 	}
-	if res.Stats.ExactEvals == 0 || len(res.Pairs) == 0 {
-		t.Fatalf("%d θ evaluations, %d matches: the order check is vacuous",
-			res.Stats.ExactEvals, len(res.Pairs))
+	if blocks < 10 || res.Stats.ExactEvals == 0 || len(res.Pairs) == 0 {
+		t.Fatalf("%d blocks, %d θ evaluations, %d matches: the order check is vacuous",
+			blocks, res.Stats.ExactEvals, len(res.Pairs))
 	}
-	if touches != 2*res.Stats.ExactEvals {
-		t.Errorf("%d touches, want 2 × %d θ evaluations", touches, res.Stats.ExactEvals)
+	one, err := core.Join(tr, ts, pred.Overlaps{}, &core.JoinOptions{ReadR: readRect, ReadS: readRect})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !slices.IsSortedFunc(res.Pairs, compareMatches) {
-		t.Error("the matches of one worker's refinement are not (R, S)-sorted")
+	if res.Stats != one.Stats {
+		t.Errorf("stats %+v in blocks, %+v in one block", res.Stats, one.Stats)
+	}
+	if !slices.IsSortedFunc(one.Pairs, compareMatches) {
+		t.Error("the matches of a one-block refinement are not (R, S)-sorted")
+	}
+	got := slices.Clone(res.Pairs)
+	core.SortMatches(got)
+	if !slices.Equal(got, one.Pairs) {
+		t.Errorf("%d matches in blocks, %d in one block, or a different set", len(got), len(one.Pairs))
 	}
 }
 
-// TestJoinRefinementHonoursCancel cancels a join from inside ReadR halfway
-// through its θ evaluations, all of which the refinement runs on R-trees.
-// The examination count that paces the descent's context checks does not
-// move there, so the refinement checks the context before every θ: the θ
-// whose read cancelled completes, each other worker completes at most the
-// one it had begun, and the join returns context.Canceled.
+// TestJoinRefinementHonoursCancel cancels a join from inside a reader
+// halfway through the refinement's R reads — inside a block's R decode —
+// and again halfway through its S reads, in a block schedule of many
+// blocks over R-trees, where the refinement makes every read. The
+// examination count that paces the descent's context checks does not move
+// there, so the refinement checks the context before every read and every
+// θ: the read that cancelled completes, each other worker begins at most
+// the one read it had passed its check for, and the join returns
+// context.Canceled.
 func TestJoinRefinementHonoursCancel(t *testing.T) {
 	tr, ts := rtreePair(t, 1000)
-	full, err := core.Join(tr, ts, pred.Overlaps{}, &core.JoinOptions{ReadR: readRect, ReadS: readRect})
-	if err != nil {
+	var readsR, readsS int64
+	full := blockOpts()
+	full.ReadR = func(n core.Node, dst *geom.Rect) (geom.Spatial, error) { readsR++; return readRect(n, dst) }
+	full.ReadS = func(n core.Node, dst *geom.Rect) (geom.Spatial, error) { readsS++; return readRect(n, dst) }
+	if _, err := core.Join(tr, ts, pred.Overlaps{}, full); err != nil {
 		t.Fatal(err)
 	}
-	cancelAt := full.Stats.ExactEvals / 2
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var touched, after atomic.Int64
-		res, err := core.Join(tr, ts, pred.Overlaps{}, &core.JoinOptions{
-			Workers: workers,
-			Ctx:     ctx,
-			ReadR: func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
-				switch k := touched.Add(1); {
-				case k == cancelAt:
-					cancel()
-				case k > cancelAt:
-					after.Add(1)
+	for _, side := range []byte{'R', 'S'} {
+		cancelAt := readsR / 2
+		if side == 'S' {
+			cancelAt = readsS / 2
+		}
+		for _, workers := range []int{1, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var touched, after atomic.Int64
+			var cancelled atomic.Bool
+			reader := func(cancels bool) core.Reader {
+				return func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
+					if cancelled.Load() {
+						after.Add(1)
+					} else if cancels && touched.Add(1) == cancelAt {
+						cancel()
+						cancelled.Store(true)
+					}
+					return readRect(n, dst)
 				}
-				return readRect(n, dst)
-			},
-			ReadS: readRect,
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("workers %d: err = %v, result %v; want context.Canceled", workers, err, res != nil)
+			}
+			opts := blockOpts()
+			opts.Workers, opts.Ctx = workers, ctx
+			opts.ReadR, opts.ReadS = reader(side == 'R'), reader(side == 'S')
+			res, err := core.Join(tr, ts, pred.Overlaps{}, opts)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%c side, workers %d: err = %v, result %v; want context.Canceled",
+					side, workers, err, res != nil)
+			}
+			if !cancelled.Load() {
+				t.Fatalf("%c side, workers %d: the join stopped at read %d, before the cancel at %d",
+					side, workers, touched.Load(), cancelAt)
+			}
+			if n := after.Load(); n > int64(workers-1) {
+				t.Errorf("%c side, workers %d: %d reads began after the cancel, want ≤ %d",
+					side, workers, n, workers-1)
+			}
 		}
-		if touched.Load() < cancelAt {
-			t.Fatalf("workers %d: the join stopped at θ %d, before the cancel at %d",
-				workers, touched.Load(), cancelAt)
+	}
+}
+
+// lostPages fails every page lookup.
+type lostPages struct{}
+
+func (lostPages) PageOf(id int) (int, error) { return 0, errLostPage }
+
+var errLostPage = errors.New("page lookup failed")
+
+// TestJoinRefinementReturnsPageLookupErrors joins R-trees whose tuples
+// cannot be placed on their pages, on either side: the refinement cannot
+// schedule its reads, so the join fails with the lookup's error instead of
+// refining in some other order.
+func TestJoinRefinementReturnsPageLookupErrors(t *testing.T) {
+	tr, ts := rtreePair(t, 200)
+	for _, side := range []string{"R", "S"} {
+		opts := blockOpts()
+		opts.ReadR, opts.ReadS = readRect, readRect
+		if side == "R" {
+			opts.PagesR = lostPages{}
+		} else {
+			opts.PagesS = lostPages{}
 		}
-		if n := after.Load(); n > int64(workers-1) {
-			t.Errorf("workers %d: %d θ evaluations began after the cancel, want ≤ %d",
-				workers, n, workers-1)
+		if _, err := core.Join(tr, ts, pred.Overlaps{}, opts); !errors.Is(err, errLostPage) {
+			t.Errorf("%s pages lost: err = %v, want the lookup's error", side, err)
 		}
 	}
 }

@@ -3,10 +3,12 @@ package join
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/joinindex"
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/pred"
 	"spatialjoin/internal/rtree"
@@ -88,11 +90,12 @@ func levelOrderJoin(t *testing.T, trR, trS core.Tree, op pred.Operator,
 }
 
 // maxTupleOrderJoinReads bounds what the tree join below reads now that θ
-// runs on a level's pairs of items after its Θ filter, in (R, S) tuple-ID
-// order: 3,081 pages. It read 3,648 when θ ran on each pair of items as the
+// runs on a level's pairs of items after its Θ filter, in the paper's
+// block schedule: 590 pages. It read 3,081 when θ ran pair by pair in
+// (R, S) tuple-ID order, 3,648 when θ ran on each pair of items as the
 // level formed it, and 10,635 when every examined item was touched before
 // its Θ filter.
-const maxTupleOrderJoinReads = 3200
+const maxTupleOrderJoinReads = 619
 
 // TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident is the locality
 // pin of the tree join over two R-tree collections behind a 16-frame pool.
@@ -100,9 +103,12 @@ const maxTupleOrderJoinReads = 3200
 // through the same pool dropped before each run, the join returns the same
 // matches from the same Θ count; it reads at most a third of the walk's
 // pages, because an item's page is read only when θ reads the item, and at
-// most maxTupleOrderJoinReads, because θ reads the items in heap order. Traced, the join has no item level and its
-// per-level reads sum to Stats.PageReads. And the reads are exactly θ's
-// operands: two per θ evaluation, none of a technical node.
+// most maxTupleOrderJoinReads, because θ reads the items in blocks, in
+// heap order. Traced, the join has no item level and its per-level reads
+// sum to Stats.PageReads. And the reads are exactly θ's operands: with no
+// pages given, a level's refinement is one block, which reads each
+// distinct item of a θ candidate once per side, and none is of a
+// technical node.
 func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
 	opts := rtree.DefaultOptions()
 	pool := newPool(t, 16)
@@ -174,8 +180,186 @@ func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if touches != 2*res.Stats.ExactEvals || technical != 0 {
-		t.Errorf("%d touches (%d of technical nodes), want 2 × %d θ evaluations and none technical",
-			touches, technical, res.Stats.ExactEvals)
+	cands := candidatePairs(t, rTab, sTab, op)
+	if _, want := blockReads(t, cands, rTab, sTab, 0); touches != want || technical != 0 {
+		t.Errorf("%d touches (%d of technical nodes), want %d, one per distinct item of a θ candidate, and none technical",
+			touches, technical, want)
+	}
+	if res.Stats.ExactEvals != int64(len(cands)) {
+		t.Errorf("%d θ evaluations, want one per candidate pair: %d", res.Stats.ExactEvals, len(cands))
+	}
+}
+
+// candidatePairs is what the tree join refines over two R-tree tables of
+// equal height, found by brute force: every pair of items whose MBRs pass
+// the Θ filter, read from the heap.
+func candidatePairs(t *testing.T, r, s Table, op pred.Operator) []core.Match {
+	t.Helper()
+	rects := func(tab Table) []geom.Rect {
+		out := make([]geom.Rect, tab.Rel.Len())
+		for id := range out {
+			if _, err := tab.read(id, &out[id]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	rs, ss := rects(r), rects(s)
+	var out []core.Match
+	for i := range rs {
+		for j := range ss {
+			if op.Filter(rs[i], ss[j]) {
+				out = append(out, core.Match{R: i, S: j})
+			}
+		}
+	}
+	return out
+}
+
+// blockReads is the block schedule's work over the candidate pairs, found
+// independently of core.Refine: R's pages are taken in order, whole while
+// the block's distinct R tuples stay at most block (a page that alone holds
+// more is cut every block tuples), and each block reads its distinct R
+// pages and then its distinct S pages once — so many reads through a cold
+// pool — and calls the readers once per distinct R and S tuple (touches).
+// block 0 is one block.
+func blockReads(t *testing.T, cands []core.Match, r, s Table, block int) (reads, touches int64) {
+	t.Helper()
+	page := func(tab Table, id int) int {
+		p, err := tab.Rel.PageOf(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	partners := map[int][]int{} // R tuple → its S candidates
+	byPage := map[int][]int{}   // R page → its distinct R candidates
+	for _, c := range cands {
+		if len(partners[c.R]) == 0 {
+			byPage[page(r, c.R)] = append(byPage[page(r, c.R)], c.R)
+		}
+		partners[c.R] = append(partners[c.R], c.S)
+	}
+	var pages []int
+	for p := range byPage {
+		pages = append(pages, p)
+	}
+	slices.Sort(pages)
+	var blocks [][]int
+	var cur []int
+	closeBlock := func() {
+		if len(cur) > 0 {
+			blocks = append(blocks, cur)
+			cur = nil
+		}
+	}
+	for _, p := range pages {
+		ids := byPage[p]
+		slices.Sort(ids)
+		if block > 0 && len(cur)+len(ids) > block {
+			closeBlock()
+		}
+		for _, id := range ids {
+			if block > 0 && len(cur) == block {
+				closeBlock()
+			}
+			cur = append(cur, id)
+		}
+	}
+	closeBlock()
+	for _, b := range blocks {
+		rPages, sPages, sIDs := map[int]bool{}, map[int]bool{}, map[int]bool{}
+		for _, id := range b {
+			rPages[page(r, id)] = true
+			for _, sid := range partners[id] {
+				sPages[page(s, sid)], sIDs[sid] = true, true
+			}
+		}
+		reads += int64(len(rPages) + len(sPages))
+		touches += int64(len(b) + len(sIDs))
+	}
+	return reads, touches
+}
+
+// TestTreeJoinReadsCandidatePagesOncePerBlock joins two R-tree collections
+// of equal height through a cold 16-frame pool and through a cold pool big
+// enough for one block, and pins Stats.PageReads to blockReads' count over
+// the brute-force candidate pairs, with blocks of m·(M−10) distinct R
+// tuples: each block reads its distinct R pages and its distinct S pages
+// once. At four workers the match set and the Θ and θ counts are the
+// sequential join's. A join index over the matches is retrieved
+// (strategy III) in the same schedule: its reads are blockReads' count
+// over the stored pairs.
+func TestTreeJoinReadsCandidatePagesOncePerBlock(t *testing.T) {
+	opts := rtree.DefaultOptions()
+	op := pred.Overlaps{}
+	for _, frames := range []int{16, 256} {
+		rng := rand.New(rand.NewSource(5))
+		world := geom.NewRect(0, 0, 1000, 1000)
+		pool := newPool(t, frames)
+		rTab, rTree := newRTreeTable(t, pool, rng, "r", 2000, world, opts)
+		sTab, sTree := newRTreeTable(t, pool, rng, "s", 2000, world, opts)
+		if rTree.Height() != sTree.Height() {
+			t.Fatalf("heights %d and %d: item pairs form only between trees of equal height",
+				rTree.Height(), sTree.Height())
+		}
+		m := rTab.Rel.Len() / rTab.Rel.NumPages()
+		block := m * (frames - 10)
+		if frames > 16 && block < rTab.Rel.Len() {
+			t.Fatalf("%d frames: blocks of %d R tuples, want one block for all %d", frames, block, rTab.Rel.Len())
+		}
+		cands := candidatePairs(t, rTab, sTab, op)
+		want, _ := blockReads(t, cands, rTab, sTab, block)
+		var seq []core.Match
+		var seqStats Stats
+		for _, workers := range []int{1, 4} {
+			if err := pool.DropAll(); err != nil {
+				t.Fatal(err)
+			}
+			got, stats, err := TreeJoin(context.Background(), rTree, rTab, sTree, sTab, op, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 {
+				seq, seqStats = got, stats
+				if stats.PageReads != want {
+					t.Errorf("%d frames (blocks of %d R tuples): %d page reads, want %d: each block's distinct R and S pages once",
+						frames, block, stats.PageReads, want)
+				}
+				if stats.ExactEvals != int64(len(cands)) {
+					t.Errorf("%d frames: %d θ evaluations, want one per candidate: %d",
+						frames, stats.ExactEvals, len(cands))
+				}
+				t.Logf("%d frames, blocks of %d: %d reads, %d candidates", frames, block, stats.PageReads, len(cands))
+				continue
+			}
+			equalMatchSets(t, "workers 4 vs 1", got, seq)
+			if stats.FilterEvals != seqStats.FilterEvals || stats.ExactEvals != seqStats.ExactEvals {
+				t.Errorf("%d frames, workers %d: Θ %d, θ %d; workers 1: Θ %d, θ %d", frames, workers,
+					stats.FilterEvals, stats.ExactEvals, seqStats.FilterEvals, seqStats.ExactEvals)
+			}
+		}
+
+		// Strategy III retrieves the stored pairs in the same schedule.
+		ix, err := joinindex.New(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range seq {
+			if _, err := ix.Add(m.R, m.S); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pool.DropAll(); err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := IndexJoin(context.Background(), ix, rTab, sTab, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := blockReads(t, seq, rTab, sTab, block); stats.PageReads != want {
+			t.Errorf("%d frames: index join read %d pages, want %d: each block's distinct R and S pages once",
+				frames, stats.PageReads, want)
+		}
 	}
 }

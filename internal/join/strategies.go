@@ -277,23 +277,23 @@ func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op p
 
 // TreeJoin computes R ⋈θ S with algorithm JOIN over two generalization
 // trees, reading a tuple-bearing node's tuple from its table where it is
-// read on either side: when it is examined if it contains its tuple, before
-// each θ evaluation it takes part in if, like an R-tree item, it only
-// references it, and then the geometry read is θ's operand
-// (core.JoinOptions.ReadR). ctx is checked during the synchronized
-// descent per core.JoinOptions.Ctx. A pair of childless nodes (two items)
-// is decided by the level that forms it, so a traced join has no "level"
-// span for the item depth, and its θ runs after that level's Θ filter in
-// (R, S) tuple-ID order: over a collection, whose IDs follow its heap
-// appends, a run of θ evaluations keeps its R page and sweeps the S pages
-// upward instead of fetching them in leaf-pair order. With workers > 1
-// (≤ 0 meaning GOMAXPROCS) each QualPairs level is expanded by a worker
-// pool. The contract across worker
-// counts: the match set and the Θ and θ evaluation counts are identical to
-// the sequential descent; Stats.PageReads is not, because the same reads
-// reach the shared LRU pool in a different order and a small
-// pool then evicts differently (with every page resident it is identical
-// too).
+// read on either side: when it is examined if it contains its tuple, for θ
+// if, like an R-tree item, it only references it, and then the geometry
+// read is θ's operand (core.JoinOptions.ReadR). ctx is checked during the
+// synchronized descent per core.JoinOptions.Ctx. A pair of childless nodes
+// (two items) is decided by the level that forms it, so a traced join has
+// no "level" span for the item depth, and its θ runs after that level's Θ
+// filter in the paper's block schedule (core.Refine): the candidate pairs
+// are cut, in R heap-page order, into blocks of at most m·(M−10) distinct
+// R tuples (refineBlock), each block's R operands are read once, and S's
+// pages are swept once per block, so through a cold pool a level reads
+// each block's distinct R and S pages once. With workers > 1 (≤ 0 meaning
+// GOMAXPROCS) each QualPairs level is expanded by a worker pool, and each
+// chunk refines its own pairs. The contract across worker counts: the
+// match set and the Θ and θ evaluation counts are identical to the
+// sequential descent; Stats.PageReads is not, because the chunks cut
+// blocks of their own and their reads reach the shared LRU pool in a
+// different order (with every page resident it is identical too).
 func TreeJoin(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Table,
 	op pred.Operator, workers int) ([]core.Match, Stats, error) {
 
@@ -309,6 +309,9 @@ func TreeJoin(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Tabl
 	opts := &core.JoinOptions{
 		ReadR:   r.Reader(),
 		ReadS:   s.Reader(),
+		PagesR:  r.Rel,
+		PagesS:  s.Rel,
+		Block:   refineBlock(r),
 		Workers: parallel.Workers(workers),
 		Ctx:     ctx,
 	}
@@ -381,12 +384,14 @@ func BuildIndex(r, s Table, op pred.Operator, order int) (*joinindex.Index, Stat
 
 // IndexJoin computes the join from a precomputed index: read the pairs and
 // read the corresponding tuples — no predicate evaluations at all. Index
-// pages are charged per the B+-tree's fill (|J|/z), plus the tuple fetches
-// through the buffer pool. With workers > 1 (≤ 0 meaning GOMAXPROCS) the
-// pair list is read sequentially from the B+-tree and the tuple probes are
-// fanned out over contiguous chunks of it; the pair list itself is already
-// in canonical (R, S) order. ctx is checked between probe chunks and every
-// ctxStride pairs inside a chunk.
+// pages are charged per the B+-tree's fill (|J|/z), plus the tuple reads
+// through the buffer pool, which core.Refine schedules as the tree join's
+// θ reads are, without θ: in blocks of at most m·(M−10) distinct R tuples
+// (refineBlock), each R tuple read once per block and S's pages swept once
+// per block — the retrieval D_III prices. With workers > 1 (≤ 0 meaning
+// GOMAXPROCS) the pair list is read sequentially from the B+-tree and cut
+// into contiguous chunks, each refined on its own; the pair list itself is
+// already in canonical (R, S) order. ctx is checked before every read.
 func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int) ([]core.Match, Stats, error) {
 	trace, span, ctx := execSpan(ctx, "indexjoin")
 	var stats Stats
@@ -399,20 +404,26 @@ func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int
 		out = append(out, core.Match{R: rid, S: sid})
 		return true
 	})
-	_, err := parallel.RunChunksCtx(ctx, workers, len(out), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := ctxStep(ctx, i); err != nil {
-				return err
-			}
-			if _, err := r.read(out[i].R, nil); err != nil {
-				return err
-			}
-			if _, err := s.read(out[i].S, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	cs := make([]core.Candidate, len(out))
+	for i := range out {
+		cs[i] = core.Candidate{R: (*tupleRef)(&out[i].R), S: (*tupleRef)(&out[i].S)}
+	}
+	opts := &core.JoinOptions{
+		ReadR:  r.Reader(),
+		ReadS:  s.Reader(),
+		PagesR: r.Rel,
+		PagesS: s.Rel,
+		Block:  refineBlock(r),
+		Ctx:    ctx,
+	}
+	var err error
+	if workers = parallel.Workers(workers); workers <= 1 {
+		err = core.Refine(cs, nil, opts, &core.JoinResult{})
+	} else {
+		_, err = parallel.RunChunksCtx(ctx, workers, len(cs), func(_, lo, hi int) error {
+			return core.Refine(cs[lo:hi], nil, opts, &core.JoinResult{})
+		})
+	}
 	if err != nil {
 		st := stats
 		for _, pd := range pools {
@@ -430,6 +441,30 @@ func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int
 	endExec(trace, span, stats, nil)
 	return out, stats, nil
 }
+
+// refineBlock is how many distinct R tuples one block of core.Refine
+// holds: the paper's m·(M−10), with m R's tuples per page (at least 1) and
+// M the frames of R's pool — the R block strategy I loads (NestedLoop) and
+// the cost model prices D_IIa and D_III with.
+func refineBlock(r Table) int {
+	m := 1
+	if pages := r.Rel.NumPages(); pages > 0 {
+		m = max(r.Rel.Len()/pages, 1)
+	}
+	return m * max(r.Pool.Capacity()-10, 1)
+}
+
+// tupleRef is a join-index pair's tuple as a core.Node: a tuple ID with
+// no bounds, no children and its tuple only referenced, which is all
+// core.Refine and Table.Reader ask of a candidate's nodes.
+type tupleRef int
+
+func (t *tupleRef) Bounds() geom.Rect    { return geom.Rect{} }
+func (t *tupleRef) Object() geom.Spatial { return nil }
+func (t *tupleRef) Tuple() (int, bool)   { return int(*t), true }
+func (t *tupleRef) NumChildren() int     { return 0 }
+func (t *tupleRef) Child(int) core.Node  { return nil }
+func (t *tupleRef) ContainsTuple() bool  { return false }
 
 // IndexSelect answers a spatial selection for a selector that is tuple rID
 // of R, using the join index: look up its matches and read the S tuples.

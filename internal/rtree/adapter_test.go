@@ -190,8 +190,9 @@ func TestAdapterIsLiveView(t *testing.T) {
 // passing pair, once per child of a where some child of b passed, and once
 // per item pair it forms — and the item level has no QualPairs of its own.
 // An R-tree node only references its tuple, so the readers are called at
-// the item depth alone, once per side for each θ evaluation, immediately
-// before θ evaluates what they read; a Θ test reads nothing. The expectation comes
+// the item depth alone, for θ: with no pages given, a level's refinement is
+// one block, which reads each distinct item of a θ candidate once per
+// side; a Θ test reads nothing. The expectation comes
 // from an independent level-by-level walk that has no SELECT pass at all;
 // the test fails if the pass descends where no result can come from, if the
 // second pass runs for nothing, if item pairs get a level to themselves, if
@@ -229,6 +230,7 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 	for level, qual := 0, []pair{{ga.Root(), gb.Root()}}; len(qual) > 0; level++ {
 		bump(&wantQual, level, int64(len(qual)))
 		var next []pair
+		candA, candB := map[core.Node]bool{}, map[core.Node]bool{}
 		for _, p := range qual {
 			bump(&wantEvals, level, 1)
 			if !op.Filter(p.a.Bounds(), p.b.Bounds()) {
@@ -261,12 +263,13 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 					bump(&wantEvals, level, 1)
 					if op.Filter(a2.Bounds(), b2.Bounds()) {
 						wantExact++
-						bump(&wantTouchA, level+1, 1)
-						bump(&wantTouchB, level+1, 1)
+						candA[a2], candB[b2] = true, true
 					}
 				}
 			}
 		}
+		bump(&wantTouchA, level+1, int64(len(candA)))
+		bump(&wantTouchB, level+1, int64(len(candB)))
 		qual = next
 	}
 	if len(wantQual) != ga.Height() {

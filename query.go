@@ -355,15 +355,18 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 
 // maintainJoinIndices updates every registered join index after an insert
 // into collection c: the new object is checked against the entire other
-// collection (the paper's U_III cost).
+// collection (the paper's U_III cost). Each probe reads only the other
+// tuple's shape, θ's operand, straight from its record
+// (relation.Relation.Spatial), a rectangle into one scratch.
 func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) error {
 	for _, ji := range db.joinIndices {
+		var dst Rect
 		// Both branches run for a self-join index (ji.r == ji.s == c). The
 		// R branch already decided (id, id), so the S branch skips it: θ
 		// runs once and the pair is written once.
 		if ji.r == c {
 			_, err := ji.ix.MaintainInsertR(id, ji.s.rel.Len(), func(sid int) (bool, error) {
-				other, _, err := ji.s.Get(sid)
+				other, err := ji.s.rel.Spatial(sid, ji.s.table.Col, &dst)
 				if err != nil {
 					return false, err
 				}
@@ -381,7 +384,7 @@ func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) er
 				if ji.r == c && rid == id {
 					return false, nil
 				}
-				other, _, err := ji.r.Get(rid)
+				other, err := ji.r.rel.Spatial(rid, ji.r.table.Col, &dst)
 				if err != nil {
 					return false, err
 				}
