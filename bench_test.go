@@ -374,7 +374,7 @@ func BenchmarkFig8TraceOverhead(b *testing.B) {
 	op := pred.Overlaps{}
 
 	b.Run("uninstrumented", func(b *testing.B) {
-		opts := &core.SelectOptions{Traversal: core.BreadthFirst, Read: tab.Reader()}
+		opts := &core.SelectOptions{Traversal: core.BreadthFirst, Read: tab.Reader(nil)}
 		var reads int64
 		for i := 0; i < b.N; i++ {
 			if err := pool.DropAll(); err != nil {

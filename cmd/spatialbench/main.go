@@ -581,7 +581,7 @@ func printTraceOverhead(out io.Writer) error {
 		query func() error
 	}{
 		{"off", "pre-hook call path, no trace plumbing", func() error {
-			opts := &core.SelectOptions{Traversal: core.BreadthFirst, Read: tab.Reader()}
+			opts := &core.SelectOptions{Traversal: core.BreadthFirst, Read: tab.Reader(nil)}
 			_, err := core.Select(tree, q, op, opts)
 			return err
 		}},

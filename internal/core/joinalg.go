@@ -76,12 +76,13 @@ type JoinOptions struct {
 	// trace.
 	Trace       *obs.Trace
 	TraceParent obs.SpanID
-	// TraceReads, when non-nil, is sampled at the sequential level
-	// boundaries; each level span carries the delta as its "reads"
+	// TraceReads, when non-nil, is the query's read account (the counter
+	// its readers charge their misses to), read at the sequential level
+	// boundaries; each level span carries its movement as the "reads"
 	// attribute. Levels are expanded one at a time (the worker fan-out is
-	// per level, with a barrier), so the per-level deltas telescope: they
-	// sum exactly to the sampler's total movement across the descent.
-	TraceReads func() int64
+	// per level, with a barrier), so the per-level reads telescope: they
+	// sum exactly to the account's movement across the descent.
+	TraceReads *obs.Counter
 }
 
 // JoinResult is the output of algorithm JOIN.
@@ -185,10 +186,7 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 		}
 		span := options.Trace.Begin(options.TraceParent, "level")
 		before := res.Stats
-		var readsBefore int64
-		if options.TraceReads != nil {
-			readsBefore = options.TraceReads()
-		}
+		readsBefore := options.TraceReads.Value()
 		next, err := expandLevel(sc, op, &options, res)
 		attrs := []obs.Attr{
 			obs.Int("level", int64(level)),
@@ -198,7 +196,7 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 			obs.Int("nodes", res.Stats.NodesExamined-before.NodesExamined),
 		}
 		if options.TraceReads != nil {
-			attrs = append(attrs, obs.Int("reads", options.TraceReads()-readsBefore))
+			attrs = append(attrs, obs.Int("reads", options.TraceReads.Value()-readsBefore))
 		}
 		if err != nil {
 			options.Trace.Event(span, "error", obs.Str("error", err.Error()))

@@ -97,7 +97,7 @@ func blockOpts() *core.JoinOptions {
 
 // TestJoinRefinesInBlockOrder joins two R-tree generalizations at one
 // worker in a block schedule of many blocks and records every read, split
-// into levels where the descent samples TraceReads, and each level into
+// into levels by the "level" spans the descent has begun, and each level into
 // blocks where an R read follows an S read. Within each level the reads
 // are of items only, and each block reads its R operands first — each
 // distinct R tuple once, at most Block of them, in (R page, R) order that
@@ -112,22 +112,21 @@ func TestJoinRefinesInBlockOrder(t *testing.T) {
 		id        int
 		technical bool
 	}
-	levels := [][]touch{nil}
+	var levels [][]touch
+	opts := blockOpts()
+	opts.Trace = obs.NewTrace()
 	record := func(side byte) core.Reader {
 		return func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
 			id, ok := n.Tuple()
+			for len(levels) < len(opts.Trace.Spans()) {
+				levels = append(levels, nil)
+			}
 			last := len(levels) - 1
 			levels[last] = append(levels[last], touch{side, id, !ok})
 			return readRect(n, dst)
 		}
 	}
-	opts := blockOpts()
 	opts.ReadR, opts.ReadS = record('R'), record('S')
-	opts.Trace = obs.NewTrace()
-	opts.TraceReads = func() int64 {
-		levels = append(levels, nil)
-		return 0
-	}
 	res, err := core.Join(tr, ts, pred.Overlaps{}, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -71,9 +71,10 @@ type SelectOptions struct {
 	// with an "error" event, keeping failed queries' traces complete.
 	Trace       *obs.Trace
 	TraceParent obs.SpanID
-	// TraceReads, when non-nil, is sampled at level boundaries; each span
-	// carries its delta as the "reads" attribute (see JoinOptions).
-	TraceReads func() int64
+	// TraceReads, when non-nil, is the query's read account, read at level
+	// boundaries; each span carries its movement as the "reads" attribute
+	// (see JoinOptions).
+	TraceReads *obs.Counter
 }
 
 // SelectResult is the output of algorithm SELECT.
@@ -161,10 +162,7 @@ func traceLevel(options *SelectOptions, res *SelectResult, name string, level, w
 	}
 	span := options.Trace.Begin(options.TraceParent, name)
 	before := res.Stats
-	var readsBefore int64
-	if options.TraceReads != nil {
-		readsBefore = options.TraceReads()
-	}
+	readsBefore := options.TraceReads.Value()
 	return func(err error) {
 		attrs := make([]obs.Attr, 0, 6)
 		if level >= 0 {
@@ -177,7 +175,7 @@ func traceLevel(options *SelectOptions, res *SelectResult, name string, level, w
 			obs.Int("nodes", res.Stats.NodesExamined-before.NodesExamined),
 		)
 		if options.TraceReads != nil {
-			attrs = append(attrs, obs.Int("reads", options.TraceReads()-readsBefore))
+			attrs = append(attrs, obs.Int("reads", options.TraceReads.Value()-readsBefore))
 		}
 		if err != nil {
 			options.Trace.Event(span, "error", obs.Str("error", err.Error()))

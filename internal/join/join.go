@@ -13,6 +13,7 @@ import (
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/obs"
 	"spatialjoin/internal/relation"
 	"spatialjoin/internal/storage"
 )
@@ -20,9 +21,10 @@ import (
 // Stats is the measured work of one strategy execution, in the units the
 // cost model weights: Θ filter evaluations and exact θ evaluations (C_Θ
 // each in the model's simplification S3), physical page reads (C_IO each),
-// and join-index page reads for strategy III. Downgrades counts strategy
-// fallbacks the executor performed after a permanent storage fault — zero
-// on a healthy device.
+// and join-index page reads for strategy III. PageReads are the misses
+// this query's own fetches caused, whatever else runs on the pool.
+// Downgrades counts strategy fallbacks the executor performed after a
+// permanent storage fault — zero on a healthy device.
 type Stats struct {
 	FilterEvals int64
 	ExactEvals  int64
@@ -72,30 +74,24 @@ func NewTable(rel *relation.Relation, col int, pool *storage.BufferPool) (Table,
 }
 
 // read decodes the tuple's spatial value from its heap page, one pool
-// access that charges page I/O on a miss. A rectangle lands in dst; with
-// dst nil, where the caller discards the value, the record is only checked
-// (see relation.Relation.Spatial). Every strategy reads its tuples here,
-// so the I/O they are charged is the read that produced their θ operands.
-func (t Table) read(id int, dst *geom.Rect) (geom.Spatial, error) {
-	return t.Rel.Spatial(id, t.Col, dst)
+// access that charges a miss to reads, the query's account. A rectangle
+// lands in dst; with dst nil, where the caller discards the value, the
+// record is only checked (see relation.Relation.Spatial). Every strategy
+// reads its tuples here, so the I/O it is charged is the read that
+// produced its θ operands.
+func (t Table) read(id int, reads *obs.Counter, dst *geom.Rect) (geom.Spatial, error) {
+	return t.Rel.Spatial(id, t.Col, reads, dst)
 }
 
 // Reader returns the core.Reader for a generalization tree whose tuple IDs
-// are t's: a tuple-bearing node is read through read, a technical one is
-// not read at all.
-func (t Table) Reader() core.Reader {
+// are t's, charging its misses to reads: a tuple-bearing node is read
+// through read, a technical one is not read at all.
+func (t Table) Reader(reads *obs.Counter) core.Reader {
 	return func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
 		id, ok := n.Tuple()
 		if !ok {
 			return nil, nil
 		}
-		return t.read(id, dst)
+		return t.read(id, reads, dst)
 	}
-}
-
-// measure runs f and returns the physical-read delta it caused on pool.
-func measure(pool *storage.BufferPool, f func() error) (int64, error) {
-	before := pool.Stats().Misses
-	err := f()
-	return pool.Stats().Misses - before, err
 }

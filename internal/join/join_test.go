@@ -209,7 +209,7 @@ func TestIndexSelectMatchesTreeSelect(t *testing.T) {
 	// For every R tuple, the index's answer must equal a fresh selection.
 	for rid := 0; rid < fr.table.Rel.Len(); rid += 7 {
 		var dst geom.Rect
-		obj, err := fr.table.Rel.Spatial(rid, fr.table.Col, &dst)
+		obj, err := fr.table.Rel.Spatial(rid, fr.table.Col, nil, &dst)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -130,7 +130,7 @@ func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
 
 	drop()
 	before := misses()
-	want, wantEvals, itemPairs := levelOrderJoin(t, rTree, sTree, op, rTab.Reader(), sTab.Reader())
+	want, wantEvals, itemPairs := levelOrderJoin(t, rTree, sTree, op, rTab.Reader(nil), sTab.Reader(nil))
 	walkReads := misses() - before
 
 	drop()
@@ -176,7 +176,7 @@ func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
 			return read(n, dst)
 		}
 	}
-	res, err := core.Join(rTree, sTree, op, &core.JoinOptions{ReadR: count(rTab.Reader()), ReadS: count(sTab.Reader())})
+	res, err := core.Join(rTree, sTree, op, &core.JoinOptions{ReadR: count(rTab.Reader(nil)), ReadS: count(sTab.Reader(nil))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func candidatePairs(t *testing.T, r, s Table, op pred.Operator) []core.Match {
 	rects := func(tab Table) []geom.Rect {
 		out := make([]geom.Rect, tab.Rel.Len())
 		for id := range out {
-			if _, err := tab.read(id, &out[id]); err != nil {
+			if _, err := tab.read(id, nil, &out[id]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -10,7 +10,6 @@ import (
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/parallel"
 	"spatialjoin/internal/pred"
-	"spatialjoin/internal/storage"
 )
 
 // ctxStride is how many inner-loop iterations (tuple scans, index-pair
@@ -66,9 +65,10 @@ func endExec(trace *obs.Trace, span obs.SpanID, stats Stats, err error) {
 // into contiguous tuple-ID chunks fanned out over a worker pool; per-worker
 // matches and predicate counts merge back in chunk order, so the result and
 // the evaluation counts are identical to the sequential run. Page reads are
-// measured across the whole join on the shared pool; with concurrent
-// workers the LRU interleaving — and therefore the exact miss count — can
-// differ from the sequential schedule.
+// the misses the join's own reads cause, which the pool charges to the
+// join's account whatever else runs on it; with concurrent workers the LRU
+// interleaving — and therefore the exact miss count — can differ from the
+// sequential schedule.
 func NestedLoop(ctx context.Context, r, s Table, op pred.Operator, workers int) ([]core.Match, Stats, error) {
 	if r.Pool != s.Pool {
 		return nil, Stats{}, fmt.Errorf("join: nested loop requires a shared buffer pool")
@@ -110,101 +110,90 @@ func NestedLoop(ctx context.Context, r, s Table, op pred.Operator, workers int) 
 		id  int
 		obj geom.Spatial
 	}
-	reads, err := measure(r.Pool, func() error {
-		runBlock := func(start, end int) error {
-			// Load the block and decode its geometries once, each into a
-			// rectangle of its own.
-			var block []rTuple
-			for _, g := range groups[start:end] {
-				for _, id := range g.ids {
-					obj, err := r.read(id, new(geom.Rect))
-					if err != nil {
-						return err
-					}
-					block = append(block, rTuple{id: id, obj: obj})
-				}
-			}
-			// One full scan of S per block, chunked over the workers.
-			scan := func(lo, hi int) ([]core.Match, int64, error) {
-				var found []core.Match
-				var evals int64
-				var dst geom.Rect
-				for sid := lo; sid < hi; sid++ {
-					if err := ctxStep(ctx, sid); err != nil {
-						return nil, evals, err
-					}
-					sobj, err := s.read(sid, &dst)
-					if err != nil {
-						return nil, evals, err
-					}
-					for _, rt := range block {
-						evals++
-						if op.Eval(rt.obj, sobj) {
-							found = append(found, core.Match{R: rt.id, S: sid})
-						}
-					}
-				}
-				return found, evals, nil
-			}
-			if workers <= 1 {
-				found, evals, err := scan(0, s.Rel.Len())
+	var reads obs.Counter
+	runBlock := func(start, end int) error {
+		// Load the block and decode its geometries once, each into a
+		// rectangle of its own.
+		var block []rTuple
+		for _, g := range groups[start:end] {
+			for _, id := range g.ids {
+				obj, err := r.read(id, &reads, new(geom.Rect))
 				if err != nil {
 					return err
 				}
-				stats.ExactEvals += evals
-				out = append(out, found...)
-				return nil
+				block = append(block, rTuple{id: id, obj: obj})
 			}
-			chunks := parallel.Chunks(s.Rel.Len(), workers*4)
-			founds := make([][]core.Match, len(chunks))
-			evals := make([]int64, len(chunks))
-			err := parallel.RunCtx(ctx, workers, len(chunks), func(ci int) error {
-				f, e, err := scan(chunks[ci].Lo, chunks[ci].Hi)
-				founds[ci], evals[ci] = f, e
-				return err
-			})
+		}
+		// One full scan of S per block, chunked over the workers.
+		scan := func(lo, hi int) ([]core.Match, int64, error) {
+			var found []core.Match
+			var evals int64
+			var dst geom.Rect
+			for sid := lo; sid < hi; sid++ {
+				if err := ctxStep(ctx, sid); err != nil {
+					return nil, evals, err
+				}
+				sobj, err := s.read(sid, &reads, &dst)
+				if err != nil {
+					return nil, evals, err
+				}
+				for _, rt := range block {
+					evals++
+					if op.Eval(rt.obj, sobj) {
+						found = append(found, core.Match{R: rt.id, S: sid})
+					}
+				}
+			}
+			return found, evals, nil
+		}
+		if workers <= 1 {
+			found, evals, err := scan(0, s.Rel.Len())
 			if err != nil {
 				return err
 			}
-			for ci := range chunks {
-				stats.ExactEvals += evals[ci]
-				out = append(out, founds[ci]...)
-			}
+			stats.ExactEvals += evals
+			out = append(out, found...)
 			return nil
 		}
-		for start := 0; start < len(groups); start += blockPages {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			end := start + blockPages
-			if end > len(groups) {
-				end = len(groups)
-			}
-			if trace == nil {
-				if err := runBlock(start, end); err != nil {
-					return err
-				}
-				continue
-			}
-			bspan := trace.Begin(span, "block")
-			bReads := r.Pool.Stats().Misses
-			bEvals := stats.ExactEvals
-			err := runBlock(start, end)
-			if err != nil {
-				trace.Event(bspan, "error", obs.Str("error", err.Error()))
-			}
-			trace.End(bspan,
-				obs.Int("block", int64(start/blockPages)),
-				obs.Int("exact_evals", stats.ExactEvals-bEvals),
-				obs.Int("reads", r.Pool.Stats().Misses-bReads),
-			)
-			if err != nil {
-				return err
-			}
+		chunks := parallel.Chunks(s.Rel.Len(), workers*4)
+		founds := make([][]core.Match, len(chunks))
+		evals := make([]int64, len(chunks))
+		err := parallel.RunCtx(ctx, workers, len(chunks), func(ci int) error {
+			f, e, err := scan(chunks[ci].Lo, chunks[ci].Hi)
+			founds[ci], evals[ci] = f, e
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		for ci := range chunks {
+			stats.ExactEvals += evals[ci]
+			out = append(out, founds[ci]...)
 		}
 		return nil
-	})
-	stats.PageReads = reads
+	}
+	var err error
+	for start := 0; start < len(groups) && err == nil; start += blockPages {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		end := min(start+blockPages, len(groups))
+		if trace == nil {
+			err = runBlock(start, end)
+			continue
+		}
+		bspan := trace.Begin(span, "block")
+		bReads, bEvals := reads.Value(), stats.ExactEvals
+		if err = runBlock(start, end); err != nil {
+			trace.Event(bspan, "error", obs.Str("error", err.Error()))
+		}
+		trace.End(bspan,
+			obs.Int("block", int64(start/blockPages)),
+			obs.Int("exact_evals", stats.ExactEvals-bEvals),
+			obs.Int("reads", reads.Value()-bReads),
+		)
+	}
+	stats.PageReads = reads.Value()
 	core.SortMatches(out)
 	endExec(trace, span, stats, err)
 	return out, stats, err
@@ -217,24 +206,23 @@ func ExhaustiveSelect(ctx context.Context, r Table, o geom.Spatial, op pred.Oper
 	trace, span, ctx := execSpan(ctx, "scan")
 	var stats Stats
 	var out []int
-	reads, err := measure(r.Pool, func() error {
-		var dst geom.Rect
-		for id := 0; id < r.Rel.Len(); id++ {
-			if err := ctxStep(ctx, id); err != nil {
-				return err
-			}
-			obj, err := r.read(id, &dst)
-			if err != nil {
-				return err
-			}
-			stats.ExactEvals++
-			if op.Eval(o, obj) {
-				out = append(out, id)
-			}
+	var reads obs.Counter
+	var dst geom.Rect
+	var err error
+	for id := 0; id < r.Rel.Len(); id++ {
+		if err = ctxStep(ctx, id); err != nil {
+			break
 		}
-		return nil
-	})
-	stats.PageReads = reads
+		var obj geom.Spatial
+		if obj, err = r.read(id, &reads, &dst); err != nil {
+			break
+		}
+		stats.ExactEvals++
+		if op.Eval(o, obj) {
+			out = append(out, id)
+		}
+	}
+	stats.PageReads = reads.Value()
 	endExec(trace, span, stats, err)
 	return out, stats, err
 }
@@ -250,27 +238,17 @@ func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op p
 	traversal core.Traversal) ([]int, Stats, error) {
 
 	trace, span, ctx := execSpan(ctx, "treeselect")
-	var stats Stats
-	var res *core.SelectResult
-	reads, err := measure(r.Pool, func() error {
-		opts := &core.SelectOptions{Traversal: traversal, Ctx: ctx, Read: r.Reader()}
-		if trace != nil {
-			opts.Trace, opts.TraceParent = trace, span
-			opts.TraceReads = func() int64 { return r.Pool.Stats().Misses }
-		}
-		var err error
-		res, err = core.Select(tr, o, op, opts)
-		return err
-	})
-	if err != nil {
-		st := stats
-		st.PageReads = reads
-		endExec(trace, span, st, err)
-		return nil, stats, err
+	var reads obs.Counter
+	opts := &core.SelectOptions{Traversal: traversal, Ctx: ctx, Read: r.Reader(&reads)}
+	if trace != nil {
+		opts.Trace, opts.TraceParent, opts.TraceReads = trace, span, &reads
 	}
-	stats.FilterEvals = res.Stats.FilterEvals
-	stats.ExactEvals = res.Stats.ExactEvals
-	stats.PageReads = reads
+	res, err := core.Select(tr, o, op, opts)
+	if err != nil {
+		endExec(trace, span, Stats{PageReads: reads.Value()}, err)
+		return nil, Stats{}, err
+	}
+	stats := Stats{FilterEvals: res.Stats.FilterEvals, ExactEvals: res.Stats.ExactEvals, PageReads: reads.Value()}
 	endExec(trace, span, stats, nil)
 	return res.Tuples, stats, nil
 }
@@ -292,23 +270,18 @@ func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op p
 // chunk refines its own pairs. The contract across worker counts: the
 // match set and the Θ and θ evaluation counts are identical to the
 // sequential descent; Stats.PageReads is not, because the chunks cut
-// blocks of their own and their reads reach the shared LRU pool in a
-// different order (with every page resident it is identical too).
+// blocks of their own and their reads reach the LRU pool in a different
+// order (with every page resident it is identical too). Stats.PageReads
+// is the misses of this join's own reads, on one or two pools: a query
+// running beside it can turn its misses into hits, never add to them.
 func TreeJoin(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Table,
 	op pred.Operator, workers int) ([]core.Match, Stats, error) {
 
 	trace, span, ctx := execSpan(ctx, "treejoin")
-	var stats Stats
-	var res *core.JoinResult
-	// The two tables may share a pool or use separate ones; measure both
-	// without double counting.
-	pools := []*poolDelta{newPoolDelta(r.Pool)}
-	if s.Pool != r.Pool {
-		pools = append(pools, newPoolDelta(s.Pool))
-	}
+	var reads obs.Counter
 	opts := &core.JoinOptions{
-		ReadR:   r.Reader(),
-		ReadS:   s.Reader(),
+		ReadR:   r.Reader(&reads),
+		ReadS:   s.Reader(&reads),
 		PagesR:  r.Rel,
 		PagesS:  s.Rel,
 		Block:   refineBlock(r),
@@ -316,32 +289,14 @@ func TreeJoin(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Tabl
 		Ctx:     ctx,
 	}
 	if trace != nil {
-		opts.Trace, opts.TraceParent = trace, span
-		// Sample the same monotone miss counters poolDelta measures, so
-		// the per-level "reads" attrs sum exactly to Stats.PageReads.
-		opts.TraceReads = func() int64 {
-			var n int64
-			for _, pd := range pools {
-				n += pd.pool.Stats().Misses
-			}
-			return n
-		}
+		opts.Trace, opts.TraceParent, opts.TraceReads = trace, span, &reads
 	}
-	var err error
-	res, err = core.Join(trR, trS, op, opts)
+	res, err := core.Join(trR, trS, op, opts)
 	if err != nil {
-		st := stats
-		for _, pd := range pools {
-			st.PageReads += pd.delta()
-		}
-		endExec(trace, span, st, err)
-		return nil, stats, err
+		endExec(trace, span, Stats{PageReads: reads.Value()}, err)
+		return nil, Stats{}, err
 	}
-	for _, pd := range pools {
-		stats.PageReads += pd.delta()
-	}
-	stats.FilterEvals = res.Stats.FilterEvals
-	stats.ExactEvals = res.Stats.ExactEvals
+	stats := Stats{FilterEvals: res.Stats.FilterEvals, ExactEvals: res.Stats.ExactEvals, PageReads: reads.Value()}
 	core.SortMatches(res.Pairs)
 	endExec(trace, span, stats, nil)
 	return res.Pairs, stats, nil
@@ -356,29 +311,24 @@ func BuildIndex(r, s Table, op pred.Operator, order int) (*joinindex.Index, Stat
 		return nil, Stats{}, err
 	}
 	var stats Stats
-	reads, err := measure(r.Pool, func() error {
-		var dstR, dstS geom.Rect
-		for rid := 0; rid < r.Rel.Len(); rid++ {
-			robj, err := r.read(rid, &dstR)
-			if err != nil {
-				return err
+	var reads obs.Counter
+	var dstR, dstS geom.Rect
+	for rid := 0; rid < r.Rel.Len() && err == nil; rid++ {
+		var robj, sobj geom.Spatial
+		if robj, err = r.read(rid, &reads, &dstR); err != nil {
+			break
+		}
+		for sid := 0; sid < s.Rel.Len() && err == nil; sid++ {
+			if sobj, err = s.read(sid, &reads, &dstS); err != nil {
+				break
 			}
-			for sid := 0; sid < s.Rel.Len(); sid++ {
-				sobj, err := s.read(sid, &dstS)
-				if err != nil {
-					return err
-				}
-				stats.ExactEvals++
-				if op.Eval(robj, sobj) {
-					if _, err := ix.Add(rid, sid); err != nil {
-						return err
-					}
-				}
+			stats.ExactEvals++
+			if op.Eval(robj, sobj) {
+				_, err = ix.Add(rid, sid)
 			}
 		}
-		return nil
-	})
-	stats.PageReads = reads
+	}
+	stats.PageReads = reads.Value()
 	return ix, stats, err
 }
 
@@ -394,11 +344,7 @@ func BuildIndex(r, s Table, op pred.Operator, order int) (*joinindex.Index, Stat
 // already in canonical (R, S) order. ctx is checked before every read.
 func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int) ([]core.Match, Stats, error) {
 	trace, span, ctx := execSpan(ctx, "indexjoin")
-	var stats Stats
-	pools := []*poolDelta{newPoolDelta(r.Pool)}
-	if s.Pool != r.Pool {
-		pools = append(pools, newPoolDelta(s.Pool))
-	}
+	var reads obs.Counter
 	out := make([]core.Match, 0, ix.Len())
 	ix.AllPairs(func(rid, sid int) bool {
 		out = append(out, core.Match{R: rid, S: sid})
@@ -409,8 +355,8 @@ func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int
 		cs[i] = core.Candidate{R: (*tupleRef)(&out[i].R), S: (*tupleRef)(&out[i].S)}
 	}
 	opts := &core.JoinOptions{
-		ReadR:  r.Reader(),
-		ReadS:  s.Reader(),
+		ReadR:  r.Reader(&reads),
+		ReadS:  s.Reader(&reads),
 		PagesR: r.Rel,
 		PagesS: s.Rel,
 		Block:  refineBlock(r),
@@ -424,19 +370,11 @@ func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int
 			return core.Refine(cs[lo:hi], nil, opts, &core.JoinResult{})
 		})
 	}
+	stats := Stats{PageReads: reads.Value(), IndexReads: ix.Pages()}
 	if err != nil {
-		st := stats
-		for _, pd := range pools {
-			st.PageReads += pd.delta()
-		}
-		st.IndexReads = ix.Pages()
-		endExec(trace, span, st, err)
-		return nil, stats, err
+		endExec(trace, span, stats, err)
+		return nil, Stats{}, err
 	}
-	for _, pd := range pools {
-		stats.PageReads += pd.delta()
-	}
-	stats.IndexReads = ix.Pages()
 	trace.Annotate(span, obs.Int("pairs", int64(len(out))))
 	endExec(trace, span, stats, nil)
 	return out, stats, nil
@@ -469,38 +407,18 @@ func (t *tupleRef) ContainsTuple() bool  { return false }
 // IndexSelect answers a spatial selection for a selector that is tuple rID
 // of R, using the join index: look up its matches and read the S tuples.
 func IndexSelect(ix *joinindex.Index, rID int, s Table) ([]int, Stats, error) {
-	var stats Stats
 	var out []int
-	var visits int
-	reads, err := measure(s.Pool, func() error {
-		var ferr error
-		visits = ix.MatchesOfR(rID, func(sid int) bool {
-			if _, err := s.read(sid, nil); err != nil {
-				ferr = err
-				return false
-			}
-			out = append(out, sid)
-			return true
-		})
-		return ferr
+	var reads obs.Counter
+	var err error
+	visits := ix.MatchesOfR(rID, func(sid int) bool {
+		if _, err = s.read(sid, &reads, nil); err != nil {
+			return false
+		}
+		out = append(out, sid)
+		return true
 	})
 	if err != nil {
-		return nil, stats, err
+		return nil, Stats{}, err
 	}
-	stats.PageReads = reads
-	stats.IndexReads = int64(visits)
-	return out, stats, nil
+	return out, Stats{PageReads: reads.Value(), IndexReads: int64(visits)}, nil
 }
-
-// poolDelta tracks a buffer pool's miss counter from a start point.
-type poolDelta struct {
-	pool  *storage.BufferPool
-	start int64
-}
-
-func newPoolDelta(pool *storage.BufferPool) *poolDelta {
-	return &poolDelta{pool: pool, start: pool.Stats().Misses}
-}
-
-// delta returns the physical reads since construction.
-func (pd *poolDelta) delta() int64 { return pd.pool.Stats().Misses - pd.start }

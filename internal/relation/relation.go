@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"spatialjoin/internal/geom"
+	"spatialjoin/internal/obs"
 	"spatialjoin/internal/storage"
 )
 
@@ -148,12 +149,12 @@ func (r *Relation) Insert(t Tuple) (int, error) {
 }
 
 // Get fetches the tuple with the given ID, touching its page through the
-// buffer pool.
+// buffer pool on no query's account.
 func (r *Relation) Get(id int) (t Tuple, err error) {
 	if id < 0 || id >= len(r.rids) {
 		return nil, fmt.Errorf("relation %s: tuple id %d out of range [0,%d)", r.name, id, len(r.rids))
 	}
-	err = r.heap.Read(r.rids[id], func(rec []byte) (err error) {
+	err = r.heap.Read(r.rids[id], nil, func(rec []byte) (err error) {
 		t, err = r.schema.Decode(rec)
 		return err
 	})
@@ -180,16 +181,16 @@ func (r *Relation) PageOf(id int) (int, error) {
 
 // Spatial reads the spatial column col of the tuple straight from its
 // record, in one access to its page through the buffer pool
-// (Schema.decodeSpatial): a rectangle lands in *dst and is returned as
-// dst, so reading one allocates nothing. With dst nil the value is not
-// wanted: the record is read and the column checked, nothing is built,
-// and nil is returned.
-func (r *Relation) Spatial(id, col int, dst *geom.Rect) (v geom.Spatial, err error) {
+// (Schema.decodeSpatial), charging a miss to reads: a rectangle lands in
+// *dst and is returned as dst, so reading one allocates nothing. With dst
+// nil the value is not wanted: the record is read and the column checked,
+// nothing is built, and nil is returned.
+func (r *Relation) Spatial(id, col int, reads *obs.Counter, dst *geom.Rect) (v geom.Spatial, err error) {
 	rid, err := r.RID(id)
 	if err != nil {
 		return nil, err
 	}
-	err = r.heap.Read(rid, func(rec []byte) (err error) {
+	err = r.heap.Read(rid, reads, func(rec []byte) (err error) {
 		v, err = r.schema.decodeSpatial(rec, col, dst)
 		return err
 	})

@@ -196,14 +196,14 @@ func TestRelationSpatialAccessor(t *testing.T) {
 	r, _ := Create(pool, "objects", testSchema(t), 0.75)
 	r.Insert(testTuple(5))
 	var dst geom.Rect
-	sp, err := r.Spatial(0, 4, &dst)
+	sp, err := r.Spatial(0, 4, nil, &dst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Bounds() != geom.NewRect(5, 5, 7, 7) {
 		t.Fatalf("spatial bounds = %v", sp.Bounds())
 	}
-	if _, err := r.Spatial(0, 0, &dst); err == nil {
+	if _, err := r.Spatial(0, 0, nil, &dst); err == nil {
 		t.Error("non-spatial column must fail")
 	}
 }

@@ -129,7 +129,7 @@ func TestSpatialColumnMatchesDecode(t *testing.T) {
 						continue
 					}
 					var dst geom.Rect
-					got, err := rel.Spatial(id, col, &dst)
+					got, err := rel.Spatial(id, col, nil, &dst)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -220,7 +220,7 @@ func TestSpatialRectReadAllocatesNothing(t *testing.T) {
 		var dst geom.Rect
 		var got geom.Spatial
 		allocs := testing.AllocsPerRun(100, func() {
-			if got, err = rel.Spatial(id, 1, &dst); err != nil {
+			if got, err = rel.Spatial(id, 1, nil, &dst); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -249,7 +249,7 @@ func TestDiscardedReadBuildsNothing(t *testing.T) {
 	}
 	var got geom.Spatial
 	allocs := testing.AllocsPerRun(100, func() {
-		if got, err = rel.Spatial(id, 1, nil); err != nil {
+		if got, err = rel.Spatial(id, 1, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -311,11 +311,12 @@ func (bp *BufferPool) writePage(id PageID, buf []byte) error {
 // reused for the incoming page — its bytes are valid only until the next
 // call into the pool. A caller that dereferences the page (rather than
 // fetching it for the I/O charge alone) holds a Pin while it does, and a
-// caller that writes its bytes must: see Pin.
+// caller that writes its bytes must: see Pin. Fetch charges its miss to no
+// query; a query's reads go through Read.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	i, err := bp.fetchLocked(id)
+	i, err := bp.fetchLocked(id, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -325,10 +326,16 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 // Read calls f with the page under the pool's lock, fetched as by Fetch: one
 // lock where Pin and Unpin take two. The page cannot be evicted while f
 // runs, so f reads it without a pin; f must not call into the pool.
-func (bp *BufferPool) Read(id PageID, f func(*Page) error) error {
+//
+// reads is the account of the query making the access: a miss increments
+// it under the lock that decided the miss, beside the pool-wide count, so
+// a query is charged exactly the misses its own reads caused and the
+// queries' charges sum to the pool's misses. A page another query loaded
+// is a hit for this one. A nil reads charges no query.
+func (bp *BufferPool) Read(id PageID, reads *obs.Counter, f func(*Page) error) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	i, err := bp.fetchLocked(id)
+	i, err := bp.fetchLocked(id, reads)
 	if err != nil {
 		return err
 	}
@@ -336,9 +343,10 @@ func (bp *BufferPool) Read(id PageID, f func(*Page) error) error {
 }
 
 // fetchLocked makes the page resident and most recently used and returns
-// its frame. A miss reads the page before it evicts: a read that fails
-// leaves every resident page where it was.
-func (bp *BufferPool) fetchLocked(id PageID) (int32, error) {
+// its frame, charging a miss to reads as well as to the pool. A miss reads
+// the page before it evicts: a read that fails leaves every resident page
+// where it was.
+func (bp *BufferPool) fetchLocked(id PageID, reads *obs.Counter) (int32, error) {
 	bp.logicalReads.Add(1)
 	if i, ok := bp.frameOf(id); ok {
 		if i != bp.head {
@@ -348,6 +356,7 @@ func (bp *BufferPool) fetchLocked(id PageID) (int32, error) {
 		return i, nil
 	}
 	bp.misses.Add(1)
+	reads.Inc()
 	if bp.spare == nil {
 		bp.spare = make([]byte, bp.disk.PageSize())
 	}
@@ -418,7 +427,7 @@ func (bp *BufferPool) freeFrameLocked() (int32, error) {
 func (bp *BufferPool) Pin(id PageID) (*Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	i, err := bp.fetchLocked(id)
+	i, err := bp.fetchLocked(id, nil)
 	if err != nil {
 		return nil, err
 	}

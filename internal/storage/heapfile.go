@@ -1,6 +1,10 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+
+	"spatialjoin/internal/obs"
+)
 
 // RID is a record identifier: the page and slot where the record lives.
 type RID struct {
@@ -151,11 +155,11 @@ func (h *HeapFile) usedPayload(p *Page) int {
 }
 
 // Read calls f with the record at rid in one access to its page through
-// the buffer pool (BufferPool.Read, charging I/O on a miss). The bytes are
-// the page's own, valid only during the call: f copies out what it keeps
-// and must not call into the pool.
-func (h *HeapFile) Read(rid RID, f func(rec []byte) error) error {
-	return h.pool.Read(rid.Page, func(p *Page) error {
+// the buffer pool (BufferPool.Read, charging a miss to reads). The bytes
+// are the page's own, valid only during the call: f copies out what it
+// keeps and must not call into the pool.
+func (h *HeapFile) Read(rid RID, reads *obs.Counter, f func(rec []byte) error) error {
+	return h.pool.Read(rid.Page, reads, func(p *Page) error {
 		rec, err := p.Record(int(rid.Slot))
 		if err != nil {
 			return err

@@ -9,7 +9,7 @@ import (
 
 // getRecord copies the record at rid out of its page.
 func getRecord(h *HeapFile, rid RID) (rec []byte, err error) {
-	err = h.Read(rid, func(b []byte) error {
+	err = h.Read(rid, nil, func(b []byte) error {
 		rec = append([]byte(nil), b...)
 		return nil
 	})

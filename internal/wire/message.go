@@ -96,9 +96,11 @@ type JoinRequest struct {
 type QueryStats struct {
 	FilterEvals int64
 	ExactEvals  int64
-	PageReads   int64
-	IndexReads  int64
-	Downgrades  int64
+	// PageReads are the misses this query's own fetches caused on the
+	// server's pool, whatever else the server ran beside it.
+	PageReads  int64
+	IndexReads int64
+	Downgrades int64
 }
 
 // Done is the payload of a TypeDone frame: the query's typed verdict, the

@@ -46,7 +46,7 @@ func (db *Database) BuildLocalJoinIndex(c *Collection, op Operator, level int) (
 		return nil, fmt.Errorf("spatialjoin: nil local-index argument")
 	}
 	ix, _, err := localindex.Build(c.index.Generalization(), op, level, db.cfg.JoinIndexOrder,
-		c.table.Reader())
+		c.table.Reader(nil))
 	if err != nil {
 		return nil, err
 	}

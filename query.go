@@ -130,8 +130,10 @@ func (db *Database) Join(r, s *Collection, op Operator, strategy Strategy) ([]Ma
 
 // JoinContext is Join bounded by a context (composed with
 // Config.QueryTimeout when set). Before an index-strategy join the join
-// index's pair file is scrubbed — read and checksum-verified, charged to
-// Stats.IndexReads — and a permanent storage fault on it degrades the query
+// index's pair file is scrubbed — read and checksum-verified, its misses
+// charged to Stats.IndexReads, and only those its own reads caused: a page
+// a concurrent query loaded is a hit, and a concurrent query's misses are
+// not this join's — and a permanent storage fault on it degrades the query
 // to the nested-loop scan over the base heap files, recorded in
 // Stats.Downgrades, still returning the byte-identical correct match set. A
 // tree-strategy join descends the heap-derived R-trees, which read no page.
@@ -205,39 +207,33 @@ func (db *Database) queryCtx(ctx context.Context) (context.Context, context.Canc
 	return ctx, func() {}
 }
 
-// scrubFiles fetches every page of a join index's pair file through the
+// scrubFiles reads every page of a join index's pair file through the
 // buffer pool, whose end-to-end verification rejects lost or corrupted pages
 // before the strategy trusts the B+-tree the file backs. The returned count
-// is the physical reads the scrub caused (the executor charges them as
-// index I/O); it is returned even alongside an error so partial scrub work
-// stays visible in the statistics.
+// is the misses the scrub's own reads caused, on the join's account (the
+// executor charges them as index I/O); it is returned even alongside an
+// error so partial scrub work stays visible in the statistics.
 func (db *Database) scrubFiles(ctx context.Context, file storage.FileID) (int64, error) {
 	trace := obs.TraceFrom(ctx)
 	span := trace.Begin(obs.SpanFromContext(ctx), "scrub")
-	before := db.pool.Stats().Misses
-	endScrub := func(err error) {
-		if trace == nil {
-			return
+	var reads obs.Counter
+	var err error
+	for p, n := 0, db.pool.Disk().NumPages(file); p < n; p++ {
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		if err != nil {
-			trace.Event(span, "error", obs.Str("error", err.Error()))
-		}
-		trace.End(span, obs.Int("reads", db.pool.Stats().Misses-before))
-	}
-	n := db.pool.Disk().NumPages(file)
-	for p := 0; p < n; p++ {
-		if err := ctx.Err(); err != nil {
-			endScrub(err)
-			return db.pool.Stats().Misses - before, err
-		}
-		if _, err := db.pool.Fetch(storage.PageID{File: file, Page: int32(p)}); err != nil {
+		// The pool's read verifies the page; the scrub looks at nothing more.
+		id := storage.PageID{File: file, Page: int32(p)}
+		if err = db.pool.Read(id, &reads, func(*storage.Page) error { return nil }); err != nil {
 			err = fmt.Errorf("spatialjoin: index scrub of file %d: %w", file, err)
-			endScrub(err)
-			return db.pool.Stats().Misses - before, err
+			break
 		}
 	}
-	endScrub(nil)
-	return db.pool.Stats().Misses - before, nil
+	if err != nil {
+		trace.Event(span, "error", obs.Str("error", err.Error()))
+	}
+	trace.End(span, obs.Int("reads", reads.Value()))
+	return reads.Value(), err
 }
 
 // JoinIndex is a precomputed Valduriez join index between two collections
@@ -366,7 +362,7 @@ func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) er
 		// runs once and the pair is written once.
 		if ji.r == c {
 			_, err := ji.ix.MaintainInsertR(id, ji.s.rel.Len(), func(sid int) (bool, error) {
-				other, err := ji.s.rel.Spatial(sid, ji.s.table.Col, &dst)
+				other, err := ji.s.rel.Spatial(sid, ji.s.table.Col, nil, &dst)
 				if err != nil {
 					return false, err
 				}
@@ -384,7 +380,7 @@ func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) er
 				if ji.r == c && rid == id {
 					return false, nil
 				}
-				other, err := ji.r.rel.Spatial(rid, ji.r.table.Col, &dst)
+				other, err := ji.r.rel.Spatial(rid, ji.r.table.Col, nil, &dst)
 				if err != nil {
 					return false, err
 				}
