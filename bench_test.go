@@ -417,25 +417,6 @@ func BenchmarkFig8TraceOverhead(b *testing.B) {
 
 // --- Ablations of design choices -------------------------------------------
 
-func BenchmarkAblationRTreeSplit(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	world := geom.NewRect(0, 0, 1000, 1000)
-	rects := datagen.UniformRects(rng, 2000, world, 1, 25)
-	for _, split := range []rtree.SplitStrategy{rtree.QuadraticSplit, rtree.LinearSplit} {
-		b.Run(split.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tr := rtree.MustNew(rtree.Options{MinEntries: 2, MaxEntries: 8, Split: split})
-				for id, r := range rects {
-					tr.Insert(r, id)
-				}
-				// Quality probe: nodes visited by a window search.
-				visited := tr.Search(geom.NewRect(200, 200, 400, 400), func(rtree.Item) bool { return true })
-				b.ReportMetric(float64(visited), "nodes_visited")
-			}
-		})
-	}
-}
-
 func BenchmarkAblationSelectTraversal(b *testing.B) {
 	pool := newBenchPool(b, 32)
 	tab, tree := benchWorkload(b, pool, 6, 4, 4, relation.PlaceSequential)

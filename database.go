@@ -2,6 +2,7 @@ package spatialjoin
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -366,10 +367,14 @@ func (c *Collection) IndexHeight() int { return c.index.Height() }
 // incrementally — at the full cost the paper warns about. Under a WAL the
 // whole multi-page update (heap insert + R-tree entry + join-index
 // maintenance) is one transaction: a crash at any point leaves either all
-// of it or none of it.
+// of it or none of it. A shape whose bounds are not a well-formed, finite
+// rectangle is rejected before the transaction begins.
 func (c *Collection) Insert(shape Spatial, payload string) (int, error) {
 	if shape == nil {
 		return 0, fmt.Errorf("spatialjoin: nil shape")
+	}
+	if b := shape.Bounds(); !b.Valid() || !finite(b) {
+		return 0, fmt.Errorf("spatialjoin: shape bounds %v are not a finite rectangle with min ≤ max", b)
 	}
 	var id int
 	err := c.db.runTxn(func(uint64) error {
@@ -385,6 +390,16 @@ func (c *Collection) Insert(shape Spatial, payload string) (int, error) {
 		return 0, err
 	}
 	return id, nil
+}
+
+// finite reports whether no coordinate of r is infinite.
+func finite(r Rect) bool {
+	for _, v := range [...]float64{r.MinX, r.MinY, r.MaxX, r.MaxY} {
+		if math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Get returns the object's shape and payload.

@@ -70,7 +70,7 @@ func TestAdapterStructure(t *testing.T) {
 func TestAdapterContainmentInvariant(t *testing.T) {
 	// The adapter must be a valid generalization tree: children inside
 	// parents.
-	tr := MustNew(Options{MinEntries: 2, MaxEntries: 4, Split: LinearSplit})
+	tr := MustNew(Options{MinEntries: 1, MaxEntries: 4})
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 300; i++ {
 		tr.Insert(randRect(rng, 500), i)
@@ -130,7 +130,7 @@ func TestSelectOverRTree(t *testing.T) {
 func TestJoinOverTwoRTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	trA := MustNew(Options{MinEntries: 2, MaxEntries: 5})
-	trB := MustNew(Options{MinEntries: 2, MaxEntries: 5, Split: LinearSplit})
+	trB := MustNew(Options{MinEntries: 2, MaxEntries: 4})
 	var as, bs []geom.Rect
 	for i := 0; i < 120; i++ {
 		a := randRect(rng, 200)

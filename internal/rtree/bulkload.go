@@ -13,9 +13,9 @@ import (
 //
 // Compared to one-at-a-time insertion, a bulk-loaded tree has nearly full
 // nodes and far less directory overlap — the BenchmarkAblationBulkLoad
-// ablation quantifies the difference. The options' split strategy is not
-// used during loading but applies to later Insert calls; all occupancy
-// invariants (MinEntries/MaxEntries) hold on the result.
+// ablation quantifies the difference. Later Insert calls split the loaded
+// nodes as they split any other; all occupancy invariants
+// (MinEntries/MaxEntries) hold on the result.
 func BulkLoad(opts Options, items []Item) (*Tree, error) {
 	t, err := New(opts)
 	if err != nil {

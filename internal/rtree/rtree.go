@@ -1,7 +1,10 @@
 // Package rtree implements Guttman's R-tree (SIGMOD 1984), the canonical
 // abstract-index instance of the paper's generalization trees (Figure 2): a
 // height-balanced hierarchy of nested rectangles with configurable node
-// capacity and either the quadratic or the linear split heuristic.
+// capacity. Insert descends by Guttman's ChooseLeaf and splits an
+// overflowing node by the R*-tree split (Beckmann et al., SIGMOD 1990),
+// which leaves less overlap between sibling rectangles, and so fewer Θ
+// filters per join descent, than Guttman's quadratic split.
 //
 // A leaf entry is Guttman's (MBR, tuple pointer): the object's rectangle and
 // its tuple ID, never the object itself, whose one copy is the stored tuple.
@@ -17,31 +20,6 @@ import (
 	"spatialjoin/internal/geom"
 )
 
-// SplitStrategy selects the node-split heuristic.
-type SplitStrategy uint8
-
-const (
-	// QuadraticSplit is Guttman's quadratic-cost algorithm: pick the pair
-	// of entries that would waste the most area together as seeds, then
-	// assign entries by maximal preference difference.
-	QuadraticSplit SplitStrategy = iota
-	// LinearSplit is Guttman's linear-cost algorithm: pick seeds with the
-	// greatest normalized separation, then assign entries greedily.
-	LinearSplit
-)
-
-// String implements fmt.Stringer.
-func (s SplitStrategy) String() string {
-	switch s {
-	case QuadraticSplit:
-		return "quadratic"
-	case LinearSplit:
-		return "linear"
-	default:
-		return fmt.Sprintf("SplitStrategy(%d)", uint8(s))
-	}
-}
-
 // Options configures a Tree.
 type Options struct {
 	// MinEntries is Guttman's m: the minimum number of entries per node
@@ -49,14 +27,12 @@ type Options struct {
 	MinEntries int
 	// MaxEntries is Guttman's M: the node capacity.
 	MaxEntries int
-	// Split selects the split heuristic; the zero value is QuadraticSplit.
-	Split SplitStrategy
 }
 
 // DefaultOptions returns the configuration used throughout the benchmarks:
-// m=2, M=8, quadratic split.
+// m=2, M=8.
 func DefaultOptions() Options {
-	return Options{MinEntries: 2, MaxEntries: 8, Split: QuadraticSplit}
+	return Options{MinEntries: 2, MaxEntries: 8}
 }
 
 func (o Options) validate() error {
@@ -66,9 +42,6 @@ func (o Options) validate() error {
 	if o.MinEntries < 1 || o.MinEntries > o.MaxEntries/2 {
 		return fmt.Errorf("rtree: MinEntries %d out of [1, MaxEntries/2=%d]",
 			o.MinEntries, o.MaxEntries/2)
-	}
-	if o.Split != QuadraticSplit && o.Split != LinearSplit {
-		return fmt.Errorf("rtree: unknown split strategy %d", o.Split)
 	}
 	return nil
 }
@@ -119,11 +92,14 @@ type Tree struct {
 	// root itself. Every other node's MBR already sits in its parent's
 	// entry, kept tight by insert; with top every node's bounds are one
 	// load away, which is what a descent reads per node examined. Insert
-	// and BulkLoad refresh it.
+	// grows its rectangle by each inserted one; New and BulkLoad set it
+	// from the root.
 	top entry
+
+	split splitScratch
 }
 
-// refreshTop recomputes the root's entry after the tree changed.
+// refreshTop recomputes the root's entry from the root's entries.
 func (t *Tree) refreshTop() { t.top = entry{rect: t.root.mbr(), child: t.root} }
 
 // New returns an empty R-tree.
@@ -131,7 +107,7 @@ func New(opts Options) (*Tree, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	t := &Tree{opts: opts, root: &node{leaf: true}}
+	t := &Tree{opts: opts, root: &node{leaf: true}, split: newSplitScratch(opts.MaxEntries)}
 	t.refreshTop()
 	return t, nil
 }
@@ -164,14 +140,49 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 }
 
 // Insert adds an item with MBR r for the given tuple ID. It is Guttman's
-// Insert: ChooseLeaf, add, split on overflow, AdjustTree.
+// Insert: ChooseLeaf, then add the entry to the leaf. A full node splits
+// into itself and a sibling, whose entry is added to the parent the same
+// way; above the last split every ancestor's rectangle grows by r, the
+// whole of its change.
 func (t *Tree) Insert(r geom.Rect, id int) {
-	e := entry{rect: r, id: id}
-	leaf := t.chooseLeaf(e.rect)
-	leaf.entries = append(leaf.entries, e)
-	t.adjustTree(leaf)
+	if t.size == 0 {
+		t.top.rect = r
+	} else {
+		t.top.rect = t.top.rect.Union(r)
+	}
 	t.size++
-	t.refreshTop()
+	n, e := t.chooseLeaf(r), entry{rect: r, id: id}
+	for len(n.entries) == t.opts.MaxEntries {
+		sib, nRect, sibRect := t.splitNode(n, e)
+		if n == t.root {
+			t.root = &node{entries: []entry{{rect: nRect, child: n}, {rect: sibRect, child: sib}}}
+			n.parent, sib.parent = t.root, t.root
+			t.top.child = t.root
+			t.height++
+			return
+		}
+		n.parent.entries[n.parent.indexOf(n)].rect = nRect
+		sib.parent = n.parent
+		n, e = n.parent, entry{rect: sibRect, child: sib}
+	}
+	n.entries = append(n.entries, e)
+	for ; n != t.root; n = n.parent {
+		pe := &n.parent.entries[n.parent.indexOf(n)]
+		if pe.rect.ContainsRect(r) {
+			return
+		}
+		pe.rect = pe.rect.Union(r)
+	}
+}
+
+// indexOf returns the position of child c among n's entries.
+func (n *node) indexOf(c *node) int {
+	for i := range n.entries {
+		if n.entries[i].child == c {
+			return i
+		}
+	}
+	panic("rtree: child missing from its parent")
 }
 
 // chooseLeaf descends to the leaf whose MBR needs the least enlargement to
@@ -191,43 +202,6 @@ func (t *Tree) chooseLeaf(r geom.Rect) *node {
 		n = n.entries[best].child
 	}
 	return n
-}
-
-// adjustTree propagates MBR updates and splits from n up to the root.
-func (t *Tree) adjustTree(n *node) {
-	for {
-		var split *node
-		if len(n.entries) > t.opts.MaxEntries {
-			split = t.splitNode(n)
-		}
-		if n == t.root {
-			if split != nil {
-				// Grow a new root over the two halves.
-				newRoot := &node{leaf: false}
-				n.parent, split.parent = newRoot, newRoot
-				newRoot.entries = []entry{
-					{rect: n.mbr(), child: n},
-					{rect: split.mbr(), child: split},
-				}
-				t.root = newRoot
-				t.height++
-			}
-			return
-		}
-		p := n.parent
-		// Refresh n's MBR in its parent.
-		for i := range p.entries {
-			if p.entries[i].child == n {
-				p.entries[i].rect = n.mbr()
-				break
-			}
-		}
-		if split != nil {
-			split.parent = p
-			p.entries = append(p.entries, entry{rect: split.mbr(), child: split})
-		}
-		n = p
-	}
 }
 
 // Search calls f for every item whose rectangle intersects r, stopping early

@@ -24,9 +24,6 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(Options{MinEntries: 5, MaxEntries: 8}); err == nil {
 		t.Error("MinEntries > MaxEntries/2 must fail")
 	}
-	if _, err := New(Options{MinEntries: 2, MaxEntries: 8, Split: SplitStrategy(9)}); err == nil {
-		t.Error("unknown split must fail")
-	}
 	if _, err := New(DefaultOptions()); err != nil {
 		t.Errorf("default options must validate: %v", err)
 	}
@@ -39,15 +36,6 @@ func TestMustNewPanics(t *testing.T) {
 		}
 	}()
 	MustNew(Options{MinEntries: 9, MaxEntries: 2})
-}
-
-func TestSplitStrategyString(t *testing.T) {
-	if QuadraticSplit.String() != "quadratic" || LinearSplit.String() != "linear" {
-		t.Fatal("split strategy names wrong")
-	}
-	if SplitStrategy(7).String() != "SplitStrategy(7)" {
-		t.Fatal("unknown strategy string wrong")
-	}
 }
 
 func TestEmptyTree(t *testing.T) {
@@ -66,23 +54,38 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
+// configs are the (m, M) node capacities the property tests loop over: the
+// narrowest tree, an odd M, the default and a fuller minimum.
+var configs = []Options{
+	{MinEntries: 2, MaxEntries: 4},
+	{MinEntries: 1, MaxEntries: 5},
+	{MinEntries: 2, MaxEntries: 5},
+	DefaultOptions(),
+	{MinEntries: 4, MaxEntries: 8},
+}
+
 func TestInsertGrowsAndValidates(t *testing.T) {
-	for _, split := range []SplitStrategy{QuadraticSplit, LinearSplit} {
-		tr := MustNew(Options{MinEntries: 2, MaxEntries: 4, Split: split})
+	for _, opts := range configs {
+		tr := MustNew(opts)
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 500; i++ {
 			tr.Insert(randRect(rng, 1000), i)
 			if i%50 == 0 {
 				if err := tr.Validate(); err != nil {
-					t.Fatalf("%v split, after %d inserts: %v", split, i+1, err)
+					t.Fatalf("%+v, after %d inserts: %v", opts, i+1, err)
 				}
 			}
 		}
 		if tr.Len() != 500 {
 			t.Fatalf("len = %d", tr.Len())
 		}
-		if tr.Height() < 3 {
-			t.Fatalf("500 items in M=4 tree should be at least 3 levels, got %d", tr.Height())
+		// A tree of height h holds at most M^(h+1) items.
+		minHeight := 0
+		for fit := opts.MaxEntries; fit < 500; fit *= opts.MaxEntries {
+			minHeight++
+		}
+		if tr.Height() < minHeight {
+			t.Fatalf("%+v: 500 items need height at least %d, got %d", opts, minHeight, tr.Height())
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
@@ -91,8 +94,8 @@ func TestInsertGrowsAndValidates(t *testing.T) {
 }
 
 func TestSearchMatchesBruteForce(t *testing.T) {
-	for _, split := range []SplitStrategy{QuadraticSplit, LinearSplit} {
-		tr := MustNew(Options{MinEntries: 2, MaxEntries: 6, Split: split})
+	for _, opts := range []Options{{MinEntries: 2, MaxEntries: 6}, {MinEntries: 3, MaxEntries: 6}} {
+		tr := MustNew(opts)
 		rng := rand.New(rand.NewSource(2))
 		var all []geom.Rect
 		for i := 0; i < 400; i++ {
@@ -115,11 +118,11 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 			})
 			sort.Ints(got)
 			if len(got) != len(want) {
-				t.Fatalf("%v split, query %d: got %d hits, want %d", split, q, len(got), len(want))
+				t.Fatalf("%+v, query %d: got %d hits, want %d", opts, q, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("%v split, query %d: hit mismatch", split, q)
+					t.Fatalf("%+v, query %d: hit mismatch", opts, q)
 				}
 			}
 		}
@@ -179,8 +182,8 @@ func TestAllVisitsEverything(t *testing.T) {
 func TestRandomInsertDeleteInvariants(t *testing.T) {
 	// Property test: under random inserts, every Validate() invariant holds
 	// and search agrees with a model map.
-	for _, split := range []SplitStrategy{QuadraticSplit, LinearSplit} {
-		tr := MustNew(Options{MinEntries: 2, MaxEntries: 5, Split: split})
+	for _, opts := range configs {
+		tr := MustNew(opts)
 		rng := rand.New(rand.NewSource(7))
 		live := make(map[int]geom.Rect)
 		for id := 0; id < 2000; id++ {
@@ -189,10 +192,10 @@ func TestRandomInsertDeleteInvariants(t *testing.T) {
 			live[id] = r
 			if id%200 == 0 {
 				if err := tr.Validate(); err != nil {
-					t.Fatalf("%v: step %d: %v", split, id, err)
+					t.Fatalf("%+v: step %d: %v", opts, id, err)
 				}
 				if tr.Len() != len(live) {
-					t.Fatalf("%v: step %d: len %d != model %d", split, id, tr.Len(), len(live))
+					t.Fatalf("%+v: step %d: len %d != model %d", opts, id, tr.Len(), len(live))
 				}
 				// Search against a brute-force scan of the model.
 				q := randRect(rng, 300)
@@ -205,13 +208,13 @@ func TestRandomInsertDeleteInvariants(t *testing.T) {
 				got := 0
 				tr.Search(q, func(it Item) bool {
 					if !live[it.ID].Intersects(q) {
-						t.Fatalf("%v: step %d: search returned non-intersecting item %d", split, id, it.ID)
+						t.Fatalf("%+v: step %d: search returned non-intersecting item %d", opts, id, it.ID)
 					}
 					got++
 					return true
 				})
 				if got != want {
-					t.Fatalf("%v: step %d: search found %d items, model %d", split, id, got, want)
+					t.Fatalf("%+v: step %d: search found %d items, model %d", opts, id, got, want)
 				}
 			}
 		}
@@ -222,13 +225,13 @@ func TestRandomInsertDeleteInvariants(t *testing.T) {
 		got := 0
 		tr.All(func(it Item) bool {
 			if _, ok := live[it.ID]; !ok {
-				t.Fatalf("%v: ghost item %d", split, it.ID)
+				t.Fatalf("%+v: ghost item %d", opts, it.ID)
 			}
 			got++
 			return true
 		})
 		if got != len(live) {
-			t.Fatalf("%v: tree has %d items, model %d", split, got, len(live))
+			t.Fatalf("%+v: tree has %d items, model %d", opts, got, len(live))
 		}
 	}
 }
@@ -269,19 +272,19 @@ func TestPolygonItemsRoundTrip(t *testing.T) {
 
 func TestIdenticalRectanglesSplit(t *testing.T) {
 	// Degenerate input: many identical rectangles must still split without
-	// violating invariants (exercises the linear-seed fallback).
-	for _, split := range []SplitStrategy{QuadraticSplit, LinearSplit} {
-		tr := MustNew(Options{MinEntries: 2, MaxEntries: 4, Split: split})
+	// violating invariants: every sort ties, and position decides.
+	for _, opts := range configs {
+		tr := MustNew(opts)
 		for i := 0; i < 64; i++ {
 			tr.Insert(geom.NewRect(1, 1, 2, 2), i)
 		}
 		if err := tr.Validate(); err != nil {
-			t.Fatalf("%v: %v", split, err)
+			t.Fatalf("%+v: %v", opts, err)
 		}
 		n := 0
 		tr.Search(geom.NewRect(1, 1, 2, 2), func(Item) bool { n++; return true })
 		if n != 64 {
-			t.Fatalf("%v: found %d of 64 identical items", split, n)
+			t.Fatalf("%+v: found %d of 64 identical items", opts, n)
 		}
 	}
 }

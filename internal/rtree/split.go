@@ -1,210 +1,144 @@
 package rtree
 
 import (
-	"math"
+	"cmp"
+	"slices"
 
 	"spatialjoin/internal/geom"
 )
 
-// splitNode divides an overfull node in place: n keeps one group and the
-// returned sibling receives the other. Child parent pointers are fixed up.
-func (t *Tree) splitNode(n *node) *node {
-	var g1, g2 []entry
-	switch t.opts.Split {
-	case LinearSplit:
-		g1, g2 = t.linearSplit(n.entries)
-	default:
-		g1, g2 = t.quadraticSplit(n.entries)
+// splitScratch is the memory a split works in. The Tree owns it and every
+// split reuses it, so a split allocates only the sibling and its slots.
+// order[o] is the permutation of the M+1 entries under sort o — axis o/2
+// (0 is x, 1 is y), by lower edge for even o and by upper edge for odd o —
+// and pre[o][i] and suf[o][i] bound the first i+1 and the last M+1−i
+// entries of that sort.
+type splitScratch struct {
+	all      []entry
+	order    [4][]int
+	pre, suf [4][]geom.Rect
+}
+
+func newSplitScratch(maxEntries int) splitScratch {
+	n := maxEntries + 1
+	s := splitScratch{all: make([]entry, 0, n)}
+	for o := range s.order {
+		s.order[o] = make([]int, n)
+		s.pre[o] = make([]geom.Rect, n)
+		s.suf[o] = make([]geom.Rect, n)
 	}
-	sibling := &node{leaf: n.leaf, entries: g2}
-	n.entries = g1
+	return s
+}
+
+// splitNode distributes the M entries of the full node n and the entry e
+// over n and a new sibling by the R*-tree split (Beckmann, Kriegel,
+// Schneider & Seeger, SIGMOD 1990). ChooseSplitAxis takes the axis whose
+// distributions have the smaller margin sum; ChooseSplitIndex takes, on
+// that axis, the distribution with the least overlap between its two
+// groups, then the least total area. A distribution cuts a sort after its
+// first k entries, m ≤ k ≤ M+1−m. Ties go to the x axis, the lower-edge
+// sort and the smaller k, so a tree built by the same inserts is the same
+// tree. n keeps the larger group. It returns the sibling and the
+// rectangles of n and the sibling.
+func (t *Tree) splitNode(n *node, e entry) (sib *node, nRect, sibRect geom.Rect) {
+	s := &t.split
+	s.all = append(append(s.all[:0], n.entries...), e)
+	m, last := t.opts.MinEntries, len(s.all)-t.opts.MinEntries
+
+	var margin [2]float64
+	for o := range s.order {
+		s.sortAndBound(o)
+		for k := m; k <= last; k++ {
+			margin[o/2] += s.pre[o][k-1].Margin() + s.suf[o][k].Margin()
+		}
+	}
+	axis := 0
+	if margin[1] < margin[0] {
+		axis = 1
+	}
+
+	bestO, bestK := -1, 0
+	var bestOverlap, bestArea float64
+	for o := 2 * axis; o < 2*axis+2; o++ {
+		for k := m; k <= last; k++ {
+			g1, g2 := s.pre[o][k-1], s.suf[o][k]
+			overlap, area := overlapArea(g1, g2), g1.Area()+g2.Area()
+			if bestO < 0 || overlap < bestOverlap ||
+				(geom.SameCoord(overlap, bestOverlap) && area < bestArea) {
+				bestO, bestK, bestOverlap, bestArea = o, k, overlap, area
+			}
+		}
+	}
+
+	// n keeps the larger group in its own M slots. The sibling gets the
+	// power of two of slots append grows a slice through, so its appends
+	// double them up to M and no further.
+	big, small := s.order[bestO][:bestK], s.order[bestO][bestK:]
+	nRect, sibRect = s.pre[bestO][bestK-1], s.suf[bestO][bestK]
+	if len(big) < len(small) {
+		big, small, nRect, sibRect = small, big, sibRect, nRect
+	}
+	slots := 1
+	for slots < len(small) {
+		slots *= 2
+	}
+	sib = &node{leaf: n.leaf, entries: make([]entry, 0, min(slots, t.opts.MaxEntries))}
+	n.entries = n.entries[:0]
+	for _, i := range big {
+		n.entries = append(n.entries, s.all[i])
+	}
+	for _, i := range small {
+		sib.entries = append(sib.entries, s.all[i])
+	}
 	if !n.leaf {
 		for _, e := range n.entries {
 			e.child.parent = n
 		}
-		for _, e := range sibling.entries {
-			e.child.parent = sibling
+		for _, e := range sib.entries {
+			e.child.parent = sib
 		}
 	}
-	return sibling
+	return sib, nRect, sibRect
 }
 
-// quadraticSplit implements Guttman's quadratic algorithm: PickSeeds by
-// maximal dead area, then PickNext by maximal preference difference, with
-// the usual min-fill short-circuit.
-func (t *Tree) quadraticSplit(entries []entry) (g1, g2 []entry) {
-	s1, s2 := pickSeedsQuadratic(entries)
-	g1 = append(g1, entries[s1])
-	g2 = append(g2, entries[s2])
-	r1, r2 := entries[s1].rect, entries[s2].rect
-
-	rest := make([]entry, 0, len(entries)-2)
-	for i, e := range entries {
-		if i != s1 && i != s2 {
-			rest = append(rest, e)
-		}
+// sortAndBound fills order[o] with sort o of the split's entries — by the
+// sort's edge, then the other edge on the same axis, then position, a total
+// order — and the prefix and suffix rectangles of that order.
+func (s *splitScratch) sortAndBound(o int) {
+	all, order, pre, suf := s.all, s.order[o][:len(s.all)], s.pre[o], s.suf[o]
+	for i := range order {
+		order[i] = i
 	}
-	for len(rest) > 0 {
-		// QS2: if one group needs every remaining entry to reach m, give
-		// them all to it.
-		if len(g1)+len(rest) == t.opts.MinEntries {
-			g1 = append(g1, rest...)
-			return g1, g2
+	axis, upper := o/2, o%2 == 1
+	slices.SortFunc(order, func(i, j int) int {
+		ai, bi := edges(all[i].rect, axis)
+		aj, bj := edges(all[j].rect, axis)
+		if upper {
+			ai, bi, aj, bj = bi, ai, bj, aj
 		}
-		if len(g2)+len(rest) == t.opts.MinEntries {
-			g2 = append(g2, rest...)
-			return g1, g2
-		}
-		// PickNext: the entry with the greatest |d1 − d2|.
-		best, bestDiff := 0, -1.0
-		var bestD1, bestD2 float64
-		for i, e := range rest {
-			d1 := r1.Enlargement(e.rect)
-			d2 := r2.Enlargement(e.rect)
-			if diff := math.Abs(d1 - d2); diff > bestDiff {
-				best, bestDiff, bestD1, bestD2 = i, diff, d1, d2
-			}
-		}
-		e := rest[best]
-		rest = append(rest[:best], rest[best+1:]...)
-		// Resolve by smaller enlargement, then smaller area, then fewer
-		// entries (Guttman's tie-breaking chain).
-		toFirst := false
-		switch {
-		case bestD1 < bestD2:
-			toFirst = true
-		case bestD2 < bestD1:
-			toFirst = false
-		case !geom.SameCoord(r1.Area(), r2.Area()):
-			toFirst = r1.Area() < r2.Area()
-		default:
-			toFirst = len(g1) <= len(g2)
-		}
-		if toFirst {
-			g1 = append(g1, e)
-			r1 = r1.Union(e.rect)
-		} else {
-			g2 = append(g2, e)
-			r2 = r2.Union(e.rect)
-		}
+		return cmp.Or(cmp.Compare(ai, aj), cmp.Compare(bi, bj), cmp.Compare(i, j))
+	})
+	last := len(order) - 1
+	pre[0], suf[last] = all[order[0]].rect, all[order[last]].rect
+	for i := 1; i <= last; i++ {
+		pre[i] = pre[i-1].Union(all[order[i]].rect)
+		suf[last-i] = suf[last-i+1].Union(all[order[last-i]].rect)
 	}
-	return g1, g2
 }
 
-// pickSeedsQuadratic returns the indices of the entry pair that would waste
-// the most area if placed together.
-func pickSeedsQuadratic(entries []entry) (int, int) {
-	s1, s2, worst := 0, 1, math.Inf(-1)
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			d := entries[i].rect.Union(entries[j].rect).Area() -
-				entries[i].rect.Area() - entries[j].rect.Area()
-			if d > worst {
-				s1, s2, worst = i, j, d
-			}
-		}
-	}
-	return s1, s2
-}
-
-// linearSplit implements Guttman's linear algorithm: seeds by greatest
-// normalized separation across dimensions, remaining entries assigned by
-// least enlargement with the min-fill short-circuit.
-func (t *Tree) linearSplit(entries []entry) (g1, g2 []entry) {
-	s1, s2 := pickSeedsLinear(entries)
-	g1 = append(g1, entries[s1])
-	g2 = append(g2, entries[s2])
-	r1, r2 := entries[s1].rect, entries[s2].rect
-
-	unassigned := len(entries) - 2 // entries still to place, incl. current
-	for i, e := range entries {
-		if i == s1 || i == s2 {
-			continue
-		}
-		switch {
-		// LS2 / min-fill: a group that needs every remaining entry to
-		// reach m gets them unconditionally; likewise a full group pushes
-		// entries to the other.
-		case len(g1)+unassigned == t.opts.MinEntries || len(g2) >= t.opts.MaxEntries:
-			g1 = append(g1, e)
-			r1 = r1.Union(e.rect)
-		case len(g2)+unassigned == t.opts.MinEntries || len(g1) >= t.opts.MaxEntries:
-			g2 = append(g2, e)
-			r2 = r2.Union(e.rect)
-		case r1.Enlargement(e.rect) < r2.Enlargement(e.rect):
-			g1 = append(g1, e)
-			r1 = r1.Union(e.rect)
-		case r2.Enlargement(e.rect) < r1.Enlargement(e.rect):
-			g2 = append(g2, e)
-			r2 = r2.Union(e.rect)
-		case len(g1) <= len(g2):
-			g1 = append(g1, e)
-			r1 = r1.Union(e.rect)
-		default:
-			g2 = append(g2, e)
-			r2 = r2.Union(e.rect)
-		}
-		unassigned--
-	}
-	return g1, g2
-}
-
-// pickSeedsLinear returns the pair with the greatest normalized separation
-// along either dimension (Guttman's LPS1–LPS3).
-func pickSeedsLinear(entries []entry) (int, int) {
-	type extreme struct {
-		highLow, lowHigh int // index of highest low side, lowest high side
-		min, max         float64
-	}
-	dims := [2]extreme{}
-	for d := 0; d < 2; d++ {
-		dims[d].min = math.Inf(1)
-		dims[d].max = math.Inf(-1)
-		bestLow, bestHigh := math.Inf(-1), math.Inf(1)
-		for i, e := range entries {
-			lo, hi := side(e.rect, d)
-			if lo > bestLow {
-				bestLow = lo
-				dims[d].highLow = i
-			}
-			if hi < bestHigh {
-				bestHigh = hi
-				dims[d].lowHigh = i
-			}
-			if lo < dims[d].min {
-				dims[d].min = lo
-			}
-			if hi > dims[d].max {
-				dims[d].max = hi
-			}
-		}
-	}
-	bestDim, bestSep := 0, math.Inf(-1)
-	for d := 0; d < 2; d++ {
-		width := dims[d].max - dims[d].min
-		if width <= 0 {
-			continue
-		}
-		lo1, _ := side(entries[dims[d].highLow].rect, d)
-		_, hi2 := side(entries[dims[d].lowHigh].rect, d)
-		sep := (lo1 - hi2) / width
-		if sep > bestSep {
-			bestDim, bestSep = d, sep
-		}
-	}
-	s1, s2 := dims[bestDim].highLow, dims[bestDim].lowHigh
-	if s1 == s2 {
-		// Degenerate data (all rectangles identical): fall back to the
-		// first two entries.
-		s1, s2 = 0, 1
-	}
-	return s1, s2
-}
-
-// side returns the low and high coordinates of r along dimension d.
-func side(r geom.Rect, d int) (lo, hi float64) {
-	if d == 0 {
+// edges returns r's lower and upper coordinates on axis 0 (x) or 1 (y).
+func edges(r geom.Rect, axis int) (lo, hi float64) {
+	if axis == 0 {
 		return r.MinX, r.MaxX
 	}
 	return r.MinY, r.MaxY
+}
+
+// overlapArea is the area r and o share.
+func overlapArea(r, o geom.Rect) float64 {
+	in, ok := r.Intersection(o)
+	if !ok {
+		return 0
+	}
+	return in.Area()
 }

@@ -2,6 +2,7 @@ package spatialjoin
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -135,6 +136,64 @@ func TestInsertGetRoundTrip(t *testing.T) {
 	}
 	if c.Pages() == 0 {
 		t.Fatal("collection must occupy pages")
+	}
+}
+
+// TestInsertRejectsInvalidBounds refuses a shape whose bounds are inverted,
+// NaN or infinite before its transaction begins: nothing is logged, no page
+// is dirtied or written, and the tree and the scan still give the same
+// answer. Stored, an inverted rectangle was found by the scan but not by
+// the tree.
+func TestInsertRejectsInvalidBounds(t *testing.T) {
+	db, err := Open(crashConfig(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := db.CreateCollection("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Insert(NewRect(0, 0, 1, 1), "ok"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	wal, disk := db.WALStats(), db.DiskStats()
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []Spatial{
+		Rect{MinX: 5, MaxX: 1, MaxY: 1},
+		Rect{MinX: 0, MinY: 3, MaxX: 1, MaxY: 2},
+		Rect{MinX: nan, MaxX: 1, MaxY: 1},
+		Rect{MaxX: 1, MaxY: nan},
+		Rect{MaxX: inf, MaxY: 1},
+		Rect{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf},
+		Pt(inf, 0),
+	} {
+		if id, err := c.Insert(bad, "bad"); err == nil {
+			t.Errorf("Insert(%v) stored id %d, want an error", bad, id)
+		}
+	}
+	if got := db.WALStats(); got != wal {
+		t.Errorf("rejected inserts logged: WAL stats %+v, were %+v", got, wal)
+	}
+	if got := db.DiskStats(); got.Writes != disk.Writes {
+		t.Errorf("rejected inserts wrote %d pages", got.Writes-disk.Writes)
+	}
+	if c.Len() != 1 {
+		t.Errorf("collection holds %d objects, want 1", c.Len())
+	}
+	window := NewRect(-10, -10, 10, 10)
+	tree, _, err := db.Select(c, window, Overlaps(), TreeStrategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, _, err := db.Select(c, window, Overlaps(), ScanStrategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(tree) != "[0]" || fmt.Sprint(scan) != "[0]" {
+		t.Errorf("tree selects %v and scan %v, want [0] from both", tree, scan)
 	}
 }
 
