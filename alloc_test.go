@@ -1,6 +1,9 @@
 package spatialjoin
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -158,5 +161,114 @@ func TestJoinIndexMaintenanceReadsOnlyTheOperand(t *testing.T) {
 	})
 	if allocs > ceiling {
 		t.Errorf("an insert under a join index over 500 tuples allocates %.1f times, want at most %d", allocs, ceiling)
+	}
+}
+
+// TestOperationsAllocateOnlyTheirAnswer holds each engine operation to what
+// it returns to its caller or adds to the index. An insert encodes its
+// record into the collection's reused buffer before its transaction, so it
+// allocates what the R-tree gains (a split's sibling, a node's entries
+// growing) and what the device gains (a heap page, and under the WAL a log
+// page per sync): about one allocation, or two logged, over 2,000 inserts.
+// A tree selection takes its worklists from a pool and copies its matches
+// out once, at their size; a tree join takes its worklists, options and
+// result from a pool, its readers and read account from another, and grows
+// its pairs once per refinement: each allocates its answer and nothing
+// else, whether every page is resident or the pool holds 16 frames. The
+// shapes are boxed into Spatial before the counts start, so that
+// allocation, the caller's, is not counted. A query is counted after two
+// warm-up calls, because the two level buffers swap roles from one call to
+// the next when a descent has an odd number of levels. The collector is off
+// while the counts run, so no collection empties a pool mid-measurement,
+// and GOMAXPROCS is 1 throughout, as AllocsPerRun sets it, because a pool
+// drops its per-P items when GOMAXPROCS changes. Under the race detector,
+// sync.Pool drops a quarter of what is put back, so the ceilings are not
+// checked there.
+func TestOperationsAllocateOnlyTheirAnswer(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	check := func(what string, allocs, ceiling float64) {
+		t.Helper()
+		t.Logf("%s: %.3f allocations", what, allocs)
+		if allocs > ceiling && !raceDetector() {
+			t.Errorf("%s: %.3f allocations, want <= %g", what, allocs, ceiling)
+		}
+	}
+
+	const n = 2000
+	rng := rand.New(rand.NewSource(7))
+	shapes := make([]Spatial, 2*n)
+	payloads := make([]string, 2*n)
+	for i := range shapes {
+		x, y := rng.Float64()*900, rng.Float64()*900
+		shapes[i] = NewRect(x, y, x+rng.Float64()*60, y+rng.Float64()*60)
+		payloads[i] = fmt.Sprintf("obj-%d", i)
+	}
+	for _, c := range []struct {
+		logged  bool
+		ceiling float64 // per insert
+	}{{false, 1.5}, {true, 2.75}} {
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		cfg.WAL = c.logged
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := db.CreateCollection("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		// One warm-up run of n inserts, then n counted.
+		perRun := testing.AllocsPerRun(1, func() {
+			for end := next + n; next < end; next++ {
+				if _, err := col.Insert(shapes[next], payloads[next]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		check(fmt.Sprintf("insert (WAL %v)", c.logged), perRun/n, c.ceiling)
+	}
+
+	// steady is AllocsPerRun (which makes one warm-up call) after one more.
+	steady := func(runs int, f func()) float64 {
+		f()
+		return testing.AllocsPerRun(runs, f)
+	}
+	var window Spatial = NewRect(100, 100, 160, 160)
+	for _, frames := range []int{4096, 16} {
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		cfg.BufferPages = frames
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := db.CreateCollection("r")
+		s, _ := db.CreateCollection("s")
+		loadRandomRects(t, r, 1, n)
+		loadRandomRects(t, s, 2, n)
+		var answer int
+		check(fmt.Sprintf("select, %d frames", frames), steady(20, func() {
+			ids, _, err := db.Select(r, window, Overlaps(), TreeStrategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answer = len(ids)
+		}), 2)
+		if answer == 0 {
+			t.Fatalf("the select window matched nothing: no answer to allocate")
+		}
+		check(fmt.Sprintf("tree join, %d frames", frames), steady(5, func() {
+			ms, _, err := db.Join(r, s, Overlaps(), TreeStrategy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answer = len(ms)
+		}), 2)
+		if answer == 0 {
+			t.Fatalf("the join matched nothing: no answer to allocate")
+		}
 	}
 }

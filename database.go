@@ -367,23 +367,32 @@ func (c *Collection) IndexHeight() int { return c.index.Height() }
 // incrementally — at the full cost the paper warns about. Under a WAL the
 // whole multi-page update (heap insert + R-tree entry + join-index
 // maintenance) is one transaction: a crash at any point leaves either all
-// of it or none of it. A shape whose bounds are not a well-formed, finite
-// rectangle is rejected before the transaction begins.
+// of it or none of it. An object that cannot be stored — bounds that are
+// not a well-formed, finite rectangle, a shape of a type the schema does
+// not hold, or a record larger than a heap page's budget — is rejected
+// before the transaction begins, so it changes nothing and, under a WAL,
+// leaves the database usable. The record is encoded into the collection's
+// reused buffer, so an insert allocates only what it adds to the R-tree.
 func (c *Collection) Insert(shape Spatial, payload string) (int, error) {
 	if shape == nil {
 		return 0, fmt.Errorf("spatialjoin: nil shape")
 	}
-	if b := shape.Bounds(); !b.Valid() || !finite(b) {
+	b := shape.Bounds()
+	if !b.Valid() || !finite(b) {
 		return 0, fmt.Errorf("spatialjoin: shape bounds %v are not a finite rectangle with min ≤ max", b)
 	}
+	rec, err := c.rel.Encode(relation.Tuple{payload, shape})
+	if err != nil {
+		return 0, err
+	}
 	var id int
-	err := c.db.runTxn(func(uint64) error {
+	err = c.db.runTxn(func(uint64) error {
 		var err error
-		id, err = c.rel.Insert(relation.Tuple{payload, shape})
+		id, err = c.rel.Append(rec)
 		if err != nil {
 			return err
 		}
-		c.index.Insert(shape.Bounds(), id)
+		c.index.Insert(b, id)
 		return c.db.maintainJoinIndices(c, id, shape)
 	})
 	if err != nil {

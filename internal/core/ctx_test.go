@@ -71,7 +71,7 @@ func TestJoinObservesCancelAtEitherParity(t *testing.T) {
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%d × %d children (run starts on count %d): err = %v, result %v; want context.Canceled",
-				rootKids, sKids, passes, err, res != nil)
+				rootKids, sKids, passes, err, res.Pairs != nil)
 		}
 		if examined < cancelAt {
 			t.Fatalf("%d × %d children: the join stopped at touch %d, before the cancel at %d",

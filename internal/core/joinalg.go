@@ -96,10 +96,10 @@ type JoinResult struct {
 	// Stats is the work performed across both trees.
 	Stats Stats
 
-	// dstR and dstS are where ReadR and ReadS store a rectangle operand.
-	// A JoinResult lives on the heap (one per descent, one per worker
-	// chunk in its pooled scratch), so handing their addresses to a reader
-	// allocates nothing per θ, as a stack local's would.
+	// dstR and dstS are where Theta's readers store a rectangle operand.
+	// Join's result lives in its pooled scratch (as does each worker
+	// chunk's), so handing their addresses to a reader allocates nothing per
+	// θ, as a stack local's would.
 	dstR, dstS geom.Rect
 }
 
@@ -149,37 +149,41 @@ type JoinResult struct {
 // every count is the paper's. Where a node's tuple is read follows
 // Node.ContainsTuple: an index entry's tuple is read only for θ, and is
 // θ's operand (see JoinOptions.ReadR).
-func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error) {
-	var options JoinOptions
-	if opts != nil {
-		options = *opts
-	}
-	res := &JoinResult{}
+func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (JoinResult, error) {
 	rootR, rootS := tr.Root(), ts.Root()
 	if rootR == nil || rootS == nil {
-		return res, nil
+		return JoinResult{}, nil
 	}
 
 	// sc.qual is the current QualPairs level; sc.spare is the previous
 	// level's storage, recycled as the buffer the next level is appended
 	// into. Both come from a pooled scratch, so a join allocates worklist
 	// storage only when a level outgrows what an earlier join left behind.
+	// The options are copied into it, because a parallel level's workers
+	// share them, and the result accumulates in it, because readers are
+	// handed the addresses of its scratch rectangles: so the join allocates
+	// neither, only the answer it hands back.
 	sc := joinScratchPool.Get().(*joinScratch)
 	defer sc.release()
+	if opts != nil {
+		sc.opts = *opts
+	}
+	options, res := &sc.opts, &sc.part
+	*res = JoinResult{}
 	sc.qual = append(sc.qual[:0], qualPair{rootR, rootS})
 	for level := 0; len(sc.qual) > 0; level++ {
 		if options.Ctx != nil {
 			if err := options.Ctx.Err(); err != nil {
-				return nil, err
+				return JoinResult{}, err
 			}
 		}
 		if len(sc.qual) > res.Stats.MaxQueue {
 			res.Stats.MaxQueue = len(sc.qual)
 		}
 		if options.Trace == nil {
-			next, err := expandLevel(sc, op, &options, res)
+			next, err := expandLevel(sc, op, options, res)
 			if err != nil {
-				return nil, err
+				return JoinResult{}, err
 			}
 			sc.qual, sc.spare = next, sc.qual
 			continue
@@ -187,7 +191,7 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 		span := options.Trace.Begin(options.TraceParent, "level")
 		before := res.Stats
 		readsBefore := options.TraceReads.Value()
-		next, err := expandLevel(sc, op, &options, res)
+		next, err := expandLevel(sc, op, options, res)
 		attrs := []obs.Attr{
 			obs.Int("level", int64(level)),
 			obs.Int("qualpairs", int64(len(sc.qual))),
@@ -201,12 +205,15 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (*JoinResult, error)
 		if err != nil {
 			options.Trace.Event(span, "error", obs.Str("error", err.Error()))
 			options.Trace.End(span, attrs...)
-			return nil, err
+			return JoinResult{}, err
 		}
 		options.Trace.End(span, attrs...)
 		sc.qual, sc.spare = next, sc.qual
 	}
-	return res, nil
+	// The pairs are the caller's now: the scratch must not reuse them.
+	out := JoinResult{Pairs: res.Pairs, Stats: res.Stats}
+	*res = JoinResult{}
+	return out, nil
 }
 
 // qualPair is one entry of a QualPairs level: a node of each tree whose
@@ -218,7 +225,8 @@ type qualPair struct{ a, b Node }
 // alternates between (a chunk builds its share of the next level in spare),
 // the per-pair lists of children that passed their Θ check, the pairs of
 // index entries waiting for θ, the decoded R operands of a refinement block
-// (rects holds the rectangles among them), and a chunk's matches and stats
+// (rects holds the rectangles among them) and the S operand's rectangle,
+// the descent's options, and its result — or a chunk's matches and stats
 // until they are merged.
 type joinScratch struct {
 	qual, spare  []qualPair
@@ -227,14 +235,17 @@ type joinScratch struct {
 	rKeys, sKeys []refKey
 	ops          []geom.Spatial
 	rects        []geom.Rect
+	dstS         geom.Rect
+	opts         JoinOptions
 	part         JoinResult
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
 
 // release clears every slot the descent may have written — so a pooled
-// scratch keeps no Node, and through it no index entry, alive — and returns
-// the scratch to the pool.
+// scratch keeps no Node, and through it no index entry, alive, nor the
+// options' context, trace or readers — and returns the scratch to the
+// pool.
 func (sc *joinScratch) release() {
 	clear(sc.qual[:cap(sc.qual)])
 	clear(sc.spare[:cap(sc.spare)])
@@ -242,6 +253,7 @@ func (sc *joinScratch) release() {
 	clear(sc.bPass[:cap(sc.bPass)])
 	clear(sc.refine[:cap(sc.refine)])
 	clear(sc.ops[:cap(sc.ops)])
+	sc.opts = JoinOptions{}
 	joinScratchPool.Put(sc)
 }
 

@@ -54,8 +54,9 @@ func compareKeys(x, y refKey) int {
 // distinct R pages and its distinct S pages once each. With op nil nothing
 // is evaluated: the pairs are the answer (a join index's) and only their
 // tuples are read, with no dst. The context is checked before every read
-// and every θ. Matches are appended to res.Pairs block by block, each
-// block's in (R page, R, S) order: (R, S) order where IDs follow pages.
+// and every θ. Matches are appended to res.Pairs, which grows once, after
+// the last block: block by block, each block's in (R page, R, S) order,
+// which is (R, S) order where IDs follow pages.
 func Refine(cs []Candidate, op pred.Operator, opts *JoinOptions, res *JoinResult) error {
 	sc := joinScratchPool.Get().(*joinScratch)
 	defer sc.release()
@@ -81,12 +82,24 @@ func (sc *joinScratch) refineBlocks(cs []Candidate, op pred.Operator, opts *Join
 		sc.rKeys = append(sc.rKeys, refKey{page, c.ids.R, c.ids.S, i})
 	}
 	slices.SortFunc(sc.rKeys, compareKeys)
+	matches := 0
 	for lo := 0; lo < len(sc.rKeys); {
 		hi := blockEnd(sc.rKeys, lo, opts.Block)
-		if err := sc.refineBlock(cs, sc.rKeys[lo:hi], op, opts, res); err != nil {
+		n, err := sc.refineBlock(cs, sc.rKeys[lo:hi], op, opts, res)
+		if err != nil {
 			return err
 		}
+		matches += n
 		lo = hi
+	}
+	// The blocks are consecutive runs of rKeys, so emitting the matches in
+	// rKeys order after the last block emits them block by block, and
+	// res.Pairs grows once per refinement, to its exact size.
+	res.Pairs = slices.Grow(res.Pairs, matches)
+	for _, k := range sc.rKeys {
+		if c := &cs[k.c]; c.match {
+			res.Pairs = append(res.Pairs, c.ids)
+		}
 	}
 	return nil
 }
@@ -129,10 +142,10 @@ func blockEnd(keys []refKey, lo, block int) int {
 
 // refineBlock reads the block's distinct R operands once each into the
 // scratch, then sweeps its S operands in (S page, S, R) order, each read
-// once, evaluating θ on every pair as its S operand arrives, and emits the
-// block's matches in (R page, R, S) order.
+// once, evaluating θ on every pair as its S operand arrives. It marks each
+// matching candidate and returns how many matched.
 func (sc *joinScratch) refineBlock(cs []Candidate, block []refKey, op pred.Operator,
-	opts *JoinOptions, res *JoinResult) error {
+	opts *JoinOptions, res *JoinResult) (matches int, err error) {
 
 	sc.ops = slices.Grow(sc.ops[:0], len(block))
 	if cap(sc.rects) < len(block) {
@@ -143,7 +156,7 @@ func (sc *joinScratch) refineBlock(cs []Candidate, block []refKey, op pred.Opera
 		c := &cs[k.c]
 		if i == 0 || k.id != block[i-1].id {
 			if err := ctxErr(opts.Ctx); err != nil {
-				return err
+				return 0, err
 			}
 			var dst *geom.Rect
 			if op != nil {
@@ -151,51 +164,44 @@ func (sc *joinScratch) refineBlock(cs []Candidate, block []refKey, op pred.Opera
 			}
 			v, err := Operand(opts.ReadR, c.R, dst)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			sc.ops = append(sc.ops, v)
 		}
 		c.op = len(sc.ops) - 1
 		page, err := pageOf(opts.PagesS, c.ids.S)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		sc.sKeys = append(sc.sKeys, refKey{page, c.ids.S, c.ids.R, k.c})
 	}
 	slices.SortFunc(sc.sKeys, compareKeys)
 	var so geom.Spatial
-	matches := 0
 	for i, k := range sc.sKeys {
 		c := &cs[k.c]
 		if i == 0 || k.id != sc.sKeys[i-1].id {
 			if err := ctxErr(opts.Ctx); err != nil {
-				return err
+				return 0, err
 			}
 			var dst *geom.Rect
 			if op != nil {
-				dst = &res.dstS
+				dst = &sc.dstS
 			}
 			var err error
 			if so, err = Operand(opts.ReadS, c.S, dst); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		if op == nil {
 			continue
 		}
 		if err := ctxErr(opts.Ctx); err != nil {
-			return err
+			return 0, err
 		}
 		res.Stats.ExactEvals++
 		if c.match = op.Eval(sc.ops[c.op], so); c.match {
 			matches++
 		}
 	}
-	res.Pairs = slices.Grow(res.Pairs, matches)
-	for _, k := range block {
-		if c := &cs[k.c]; c.match {
-			res.Pairs = append(res.Pairs, c.ids)
-		}
-	}
-	return nil
+	return matches, nil
 }

@@ -248,7 +248,7 @@ func TestJoinRefinementHonoursCancel(t *testing.T) {
 			cancel()
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("%c side, workers %d: err = %v, result %v; want context.Canceled",
-					side, workers, err, res != nil)
+					side, workers, err, res.Pairs != nil)
 			}
 			if !cancelled.Load() {
 				t.Fatalf("%c side, workers %d: the join stopped at read %d, before the cancel at %d",

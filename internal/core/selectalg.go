@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/obs"
@@ -79,13 +80,39 @@ type SelectOptions struct {
 
 // SelectResult is the output of algorithm SELECT.
 type SelectResult struct {
-	// Tuples are the IDs of matching tuples, in discovery order.
+	// Tuples are the IDs of matching tuples, in discovery order; nil when
+	// none matched.
 	Tuples []int
 	// Stats is the work performed.
 	Stats Stats
 
 	// dst is where Read stores a rectangle operand (see JoinResult).
 	dst geom.Rect
+}
+
+// selectScratch is the storage of one SELECT descent, pooled like
+// joinScratch: the two QualNodes buffers the breadth-first levels alternate
+// between, the options, and the result as it is found, whose dst a reader
+// is handed and so must be on the heap. A selection allocates its answer,
+// copied out of res.Tuples at its size, and nothing else once an earlier
+// selection has grown the buffers.
+type selectScratch struct {
+	qual, spare []Node
+	opts        SelectOptions
+	res         SelectResult
+}
+
+var selectScratchPool = sync.Pool{New: func() any { return new(selectScratch) }}
+
+// release clears every slot the descent may have written — so a pooled
+// scratch keeps no Node, context, trace or reader alive — empties the
+// result and returns the scratch to the pool.
+func (sc *selectScratch) release() {
+	clear(sc.qual[:cap(sc.qual)])
+	clear(sc.spare[:cap(sc.spare)])
+	sc.opts = SelectOptions{}
+	sc.res = SelectResult{Tuples: sc.res.Tuples[:0]}
+	selectScratchPool.Put(sc)
 }
 
 // Select implements algorithm SELECT (§3.2): given a selector object o and a
@@ -95,44 +122,52 @@ type SelectResult struct {
 //
 // The operand order follows the paper's selection criterion "o θ R.A": o is
 // always the left operand of both Eval and Filter.
-func Select(tree Tree, o geom.Spatial, op pred.Operator, opts *SelectOptions) (*SelectResult, error) {
-	var options SelectOptions
-	if opts != nil {
-		options = *opts
-	}
-	res := &SelectResult{}
+func Select(tree Tree, o geom.Spatial, op pred.Operator, opts *SelectOptions) (SelectResult, error) {
 	root := tree.Root()
 	if root == nil {
-		return res, nil
+		return SelectResult{}, nil
 	}
+	sc := selectScratchPool.Get().(*selectScratch)
+	defer sc.release()
+	if opts != nil {
+		sc.opts = *opts
+	}
+	options, res := &sc.opts, &sc.res
 	ob := o.Bounds()
+	var err error
 	if options.Traversal == DepthFirst {
-		end := traceLevel(&options, res, "dfs", -1, 1)
-		err := selectDFS(root, o, ob, op, &options, res)
+		end := traceLevel(options, res, "dfs", -1, 1)
+		err = selectDFS(root, o, ob, op, options, res)
 		end(err)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
+	} else {
+		err = sc.breadthFirst(root, o, ob, op)
 	}
-	// Breadth-first: QualNodes[j] is the worklist for the current level.
-	// The previous level's storage is recycled as the next level's buffer.
-	qual := []Node{root}
-	var spare []Node
-	for level := 0; len(qual) > 0; level++ {
+	if err != nil {
+		return SelectResult{}, err
+	}
+	return SelectResult{Tuples: append([]int(nil), res.Tuples...), Stats: res.Stats}, nil
+}
+
+// breadthFirst is SELECT's QualNodes-per-level descent: sc.qual is the
+// worklist for the current level, and the previous level's storage is
+// recycled as the next level's buffer.
+func (sc *selectScratch) breadthFirst(root Node, o geom.Spatial, ob geom.Rect, op pred.Operator) error {
+	options, res := &sc.opts, &sc.res
+	sc.qual = append(sc.qual[:0], root)
+	for level := 0; len(sc.qual) > 0; level++ {
 		if options.Ctx != nil {
 			if err := options.Ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		if len(qual) > res.Stats.MaxQueue {
-			res.Stats.MaxQueue = len(qual)
+		if len(sc.qual) > res.Stats.MaxQueue {
+			res.Stats.MaxQueue = len(sc.qual)
 		}
-		end := traceLevel(&options, res, "level", level, len(qual))
-		next := spare[:0]
+		end := traceLevel(options, res, "level", level, len(sc.qual))
+		next := sc.spare[:0]
 		var lvlErr error
-		for _, a := range qual {
-			ok, err := examine(a, o, ob, op, &options, res)
+		for _, a := range sc.qual {
+			ok, err := examine(a, o, ob, op, options, res)
 			if err != nil {
 				lvlErr = err
 				break
@@ -145,11 +180,11 @@ func Select(tree Tree, o geom.Spatial, op pred.Operator, opts *SelectOptions) (*
 		}
 		end(lvlErr)
 		if lvlErr != nil {
-			return nil, lvlErr
+			return lvlErr
 		}
-		qual, spare = next, qual
+		sc.qual, sc.spare = next, sc.qual
 	}
-	return res, nil
+	return nil
 }
 
 // traceLevel opens one traversal span (a breadth-first level or the whole

@@ -10,6 +10,7 @@ package join
 
 import (
 	"fmt"
+	"sync"
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/geom"
@@ -88,10 +89,50 @@ func (t Table) read(id int, reads *obs.Counter, dst *geom.Rect) (geom.Spatial, e
 // through read, a technical one is not read at all.
 func (t Table) Reader(reads *obs.Counter) core.Reader {
 	return func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
-		id, ok := n.Tuple()
-		if !ok {
-			return nil, nil
-		}
-		return t.read(id, reads, dst)
+		return t.readNode(n, reads, dst)
 	}
+}
+
+// readNode is what t's readers do: read a tuple-bearing node's tuple, and
+// nothing for a technical node.
+func (t Table) readNode(n core.Node, reads *obs.Counter, dst *geom.Rect) (geom.Spatial, error) {
+	id, ok := n.Tuple()
+	if !ok {
+		return nil, nil
+	}
+	return t.read(id, reads, dst)
+}
+
+// account is one query's read account and the readers that charge it, for
+// its R and S tables. The core algorithms copy their options into pooled
+// scratch and call the context's and the trace's methods through them, so
+// whatever the options point to escapes, readers included: a reader closure
+// built per query, and the account it captures, would be two allocations a
+// query. An account comes from a pool, and its readers are built once, when
+// the pool makes it, to read whichever tables the query set.
+type account struct {
+	reads        obs.Counter
+	r, s         Table
+	readR, readS core.Reader
+}
+
+var accounts = sync.Pool{New: func() any {
+	a := new(account)
+	a.readR = func(n core.Node, dst *geom.Rect) (geom.Spatial, error) { return a.r.readNode(n, &a.reads, dst) }
+	a.readS = func(n core.Node, dst *geom.Rect) (geom.Spatial, error) { return a.s.readNode(n, &a.reads, dst) }
+	return a
+}}
+
+// openAccount returns a zeroed account reading r and s.
+func openAccount(r, s Table) *account {
+	a := accounts.Get().(*account)
+	a.r, a.s = r, s
+	return a
+}
+
+// close returns the account to the pool, keeping no table alive.
+func (a *account) close() {
+	a.r, a.s = Table{}, Table{}
+	a.reads = obs.Counter{}
+	accounts.Put(a)
 }

@@ -106,22 +106,35 @@ func NestedLoop(ctx context.Context, r, s Table, op pred.Operator, workers int) 
 		}
 	}
 
+	// A block's R tuples are decoded once, a rectangle into its own rTuple,
+	// into one slice sized for the largest block: it is allocated once per
+	// join, and never moves under the operands that point into it.
 	type rTuple struct {
-		id  int
-		obj geom.Spatial
+		id   int
+		obj  geom.Spatial // θ's operand: &rect for a rectangle
+		rect geom.Rect
 	}
+	largest := 0
+	for start := 0; start < len(groups); start += blockPages {
+		n := 0
+		for _, g := range groups[start:min(start+blockPages, len(groups))] {
+			n += len(g.ids)
+		}
+		largest = max(largest, n)
+	}
+	tuples := make([]rTuple, 0, largest)
 	var reads obs.Counter
 	runBlock := func(start, end int) error {
-		// Load the block and decode its geometries once, each into a
-		// rectangle of its own.
-		var block []rTuple
+		block := tuples[:0]
 		for _, g := range groups[start:end] {
 			for _, id := range g.ids {
-				obj, err := r.read(id, &reads, new(geom.Rect))
+				block = append(block, rTuple{id: id})
+				rt := &block[len(block)-1]
+				obj, err := r.read(id, &reads, &rt.rect)
 				if err != nil {
 					return err
 				}
-				block = append(block, rTuple{id: id, obj: obj})
+				rt.obj = obj
 			}
 		}
 		// One full scan of S per block, chunked over the workers.
@@ -137,7 +150,8 @@ func NestedLoop(ctx context.Context, r, s Table, op pred.Operator, workers int) 
 				if err != nil {
 					return nil, evals, err
 				}
-				for _, rt := range block {
+				for i := range block {
+					rt := &block[i]
 					evals++
 					if op.Eval(rt.obj, sobj) {
 						found = append(found, core.Match{R: rt.id, S: sid})
@@ -238,17 +252,18 @@ func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op p
 	traversal core.Traversal) ([]int, Stats, error) {
 
 	trace, span, ctx := execSpan(ctx, "treeselect")
-	var reads obs.Counter
-	opts := &core.SelectOptions{Traversal: traversal, Ctx: ctx, Read: r.Reader(&reads)}
+	a := openAccount(r, Table{})
+	defer a.close()
+	opts := core.SelectOptions{Traversal: traversal, Ctx: ctx, Read: a.readR}
 	if trace != nil {
-		opts.Trace, opts.TraceParent, opts.TraceReads = trace, span, &reads
+		opts.Trace, opts.TraceParent, opts.TraceReads = trace, span, &a.reads
 	}
-	res, err := core.Select(tr, o, op, opts)
+	res, err := core.Select(tr, o, op, &opts)
 	if err != nil {
-		endExec(trace, span, Stats{PageReads: reads.Value()}, err)
+		endExec(trace, span, Stats{PageReads: a.reads.Value()}, err)
 		return nil, Stats{}, err
 	}
-	stats := Stats{FilterEvals: res.Stats.FilterEvals, ExactEvals: res.Stats.ExactEvals, PageReads: reads.Value()}
+	stats := Stats{FilterEvals: res.Stats.FilterEvals, ExactEvals: res.Stats.ExactEvals, PageReads: a.reads.Value()}
 	endExec(trace, span, stats, nil)
 	return res.Tuples, stats, nil
 }
@@ -278,10 +293,11 @@ func TreeJoin(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Tabl
 	op pred.Operator, workers int) ([]core.Match, Stats, error) {
 
 	trace, span, ctx := execSpan(ctx, "treejoin")
-	var reads obs.Counter
-	opts := &core.JoinOptions{
-		ReadR:   r.Reader(&reads),
-		ReadS:   s.Reader(&reads),
+	a := openAccount(r, s)
+	defer a.close()
+	opts := core.JoinOptions{
+		ReadR:   a.readR,
+		ReadS:   a.readS,
 		PagesR:  r.Rel,
 		PagesS:  s.Rel,
 		Block:   refineBlock(r),
@@ -289,14 +305,14 @@ func TreeJoin(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Tabl
 		Ctx:     ctx,
 	}
 	if trace != nil {
-		opts.Trace, opts.TraceParent, opts.TraceReads = trace, span, &reads
+		opts.Trace, opts.TraceParent, opts.TraceReads = trace, span, &a.reads
 	}
-	res, err := core.Join(trR, trS, op, opts)
+	res, err := core.Join(trR, trS, op, &opts)
 	if err != nil {
-		endExec(trace, span, Stats{PageReads: reads.Value()}, err)
+		endExec(trace, span, Stats{PageReads: a.reads.Value()}, err)
 		return nil, Stats{}, err
 	}
-	stats := Stats{FilterEvals: res.Stats.FilterEvals, ExactEvals: res.Stats.ExactEvals, PageReads: reads.Value()}
+	stats := Stats{FilterEvals: res.Stats.FilterEvals, ExactEvals: res.Stats.ExactEvals, PageReads: a.reads.Value()}
 	core.SortMatches(res.Pairs)
 	endExec(trace, span, stats, nil)
 	return res.Pairs, stats, nil
@@ -344,7 +360,8 @@ func BuildIndex(r, s Table, op pred.Operator, order int) (*joinindex.Index, Stat
 // already in canonical (R, S) order. ctx is checked before every read.
 func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int) ([]core.Match, Stats, error) {
 	trace, span, ctx := execSpan(ctx, "indexjoin")
-	var reads obs.Counter
+	a := openAccount(r, s)
+	defer a.close()
 	out := make([]core.Match, 0, ix.Len())
 	ix.AllPairs(func(rid, sid int) bool {
 		out = append(out, core.Match{R: rid, S: sid})
@@ -355,8 +372,8 @@ func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int
 		cs[i] = core.Candidate{R: (*tupleRef)(&out[i].R), S: (*tupleRef)(&out[i].S)}
 	}
 	opts := &core.JoinOptions{
-		ReadR:  r.Reader(&reads),
-		ReadS:  s.Reader(&reads),
+		ReadR:  a.readR,
+		ReadS:  a.readS,
 		PagesR: r.Rel,
 		PagesS: s.Rel,
 		Block:  refineBlock(r),
@@ -370,7 +387,7 @@ func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int
 			return core.Refine(cs[lo:hi], nil, opts, &core.JoinResult{})
 		})
 	}
-	stats := Stats{PageReads: reads.Value(), IndexReads: ix.Pages()}
+	stats := Stats{PageReads: a.reads.Value(), IndexReads: ix.Pages()}
 	if err != nil {
 		endExec(trace, span, stats, err)
 		return nil, Stats{}, err

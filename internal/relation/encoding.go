@@ -4,18 +4,21 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 
 	"spatialjoin/internal/geom"
 )
 
-// Encode serializes t (which must validate against s) into a compact binary
-// record. The layout is positional per the schema, so no per-value type tags
-// are needed; variable-length values are length-prefixed with uint32.
-func (s Schema) Encode(t Tuple) ([]byte, error) {
+// Encode validates t against s and appends its compact binary record to buf,
+// returning the extended buffer: a caller that passes a reused buffer's
+// [:0] encodes without allocating once the buffer has grown to its records'
+// size. The layout is positional per the schema, so no per-value type tags
+// are needed; variable-length values are length-prefixed with uint32. A
+// tuple that does not validate leaves buf as it was.
+func (s Schema) Encode(buf []byte, t Tuple) ([]byte, error) {
 	if err := s.Validate(t); err != nil {
-		return nil, err
+		return buf, err
 	}
-	var buf []byte
 	for i, c := range s.Columns {
 		switch c.Type {
 		case TypeInt64:
@@ -48,9 +51,9 @@ const (
 var tagOf = [...]byte{TypePoint: geomTagPoint, TypeRect: geomTagRect, TypePolygon: geomTagPolygon}
 
 // appendShape appends a spatial value untagged: a point's coordinates, a
-// polygon's vertex count and vertices, a segment's end points, and for a
-// rectangle — or, keeping Encode total, any other shape, though Validate
-// admits none — the MBR's corners.
+// polygon's vertex count and vertices, a segment's end points, and a
+// rectangle's corners. Those are the only shapes Validate admits, and no
+// method of s is called, so a tuple's values do not escape through Encode.
 func appendShape(buf []byte, s geom.Spatial) []byte {
 	switch v := s.(type) {
 	case geom.Point:
@@ -63,10 +66,10 @@ func appendShape(buf []byte, s geom.Spatial) []byte {
 		return buf
 	case geom.Segment:
 		return appendFloats(buf, v.A.X, v.A.Y, v.B.X, v.B.Y)
-	default:
-		r := s.Bounds()
-		return appendFloats(buf, r.MinX, r.MinY, r.MaxX, r.MaxY)
+	case geom.Rect:
+		return appendFloats(buf, v.MinX, v.MinY, v.MaxX, v.MaxY)
 	}
+	panic(fmt.Sprintf("relation: unvalidated shape %v", reflect.TypeOf(s)))
 }
 
 // appendGeometry appends a TypeGeometry value: its tag, then the shape.

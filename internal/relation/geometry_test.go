@@ -40,7 +40,7 @@ func TestGeometryRoundTripAllKinds(t *testing.T) {
 		geom.Segment{A: geom.Pt(0, 0), B: geom.Pt(9, 9)},
 	}
 	for i, shape := range shapes {
-		rec, err := s.Encode(Tuple{"obj", shape})
+		rec, err := s.Encode(nil, Tuple{"obj", shape})
 		if err != nil {
 			t.Fatalf("shape %d: %v", i, err)
 		}
@@ -86,7 +86,7 @@ func TestGeometryValidateRejectsNonSpatial(t *testing.T) {
 
 func TestGeometryDecodeErrors(t *testing.T) {
 	s := geomSchema(t)
-	rec, _ := s.Encode(Tuple{"x", geom.RegularPolygon(geom.Pt(0, 0), 1, 5)})
+	rec, _ := s.Encode(nil, Tuple{"x", geom.RegularPolygon(geom.Pt(0, 0), 1, 5)})
 	for cut := 1; cut < 20; cut += 4 {
 		if _, err := s.Decode(rec[:len(rec)-cut]); err == nil {
 			t.Fatalf("truncation by %d must fail", cut)
@@ -100,14 +100,18 @@ func TestGeometryDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestGeometryUnknownSpatialDegradesToMBR(t *testing.T) {
-	buf := appendGeometry(nil, customSpatial{})
-	v, n, err := decodeShape(TypeGeometry, buf, nil)
-	if err != nil || n != len(buf) {
-		t.Fatalf("decode: %v, %d of %d", err, n, len(buf))
+// TestGeometryUnknownSpatialIsRejected: a shape of a type the encoding has
+// no tag for fails validation, so Encode never encodes it, and the buffer
+// it was to extend comes back as it was.
+func TestGeometryUnknownSpatialIsRejected(t *testing.T) {
+	s := geomSchema(t)
+	buf := []byte("kept")
+	out, err := s.Encode(buf, Tuple{"x", customSpatial{}})
+	if err == nil {
+		t.Fatal("a shape of an unknown type must fail")
 	}
-	if v.Bounds() != geom.NewRect(1, 2, 3, 4) {
-		t.Fatalf("MBR fallback = %v", v)
+	if string(out) != "kept" {
+		t.Fatalf("a rejected tuple changed the buffer to %q", out)
 	}
 }
 

@@ -35,6 +35,7 @@ type Relation struct {
 	schema Schema
 	heap   *storage.HeapFile
 	rids   []storage.RID
+	rec    []byte // Encode's record buffer, reused by every insert
 }
 
 // Create makes an empty relation backed by a fresh heap file. fillFactor is
@@ -74,7 +75,7 @@ func BulkLoad(pool *storage.BufferPool, name string, schema Schema,
 	}
 	r.rids = make([]storage.RID, len(tuples))
 	for _, idx := range order {
-		rec, err := schema.Encode(tuples[idx])
+		rec, err := r.Encode(tuples[idx])
 		if err != nil {
 			return nil, fmt.Errorf("relation: encoding tuple %d: %w", idx, err)
 		}
@@ -134,12 +135,35 @@ func (r *Relation) Len() int { return len(r.rids) }
 // NumPages returns the number of disk pages the relation occupies.
 func (r *Relation) NumPages() int { return r.heap.NumPages() }
 
-// Insert appends a tuple and returns its tuple ID.
+// Insert appends a tuple and returns its tuple ID: Encode, then Append.
 func (r *Relation) Insert(t Tuple) (int, error) {
-	rec, err := r.schema.Encode(t)
+	rec, err := r.Encode(t)
 	if err != nil {
 		return 0, err
 	}
+	return r.Append(rec)
+}
+
+// Encode validates t against the schema, encodes it into the relation's
+// record buffer, which every call reuses, and rejects a record larger than a
+// heap page's budget, so Append cannot refuse it for its size: a caller
+// that encodes before its transaction begins fails on a bad tuple having
+// changed nothing. The record is valid until the next Encode.
+func (r *Relation) Encode(t Tuple) ([]byte, error) {
+	rec, err := r.schema.Encode(r.rec[:0], t)
+	r.rec = rec
+	if err != nil {
+		return nil, err
+	}
+	if err := r.heap.CheckRecord(len(rec)); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// Append stores a record Encode produced and returns its tuple ID. The heap
+// page copies the record, so rec may be reused as soon as Append returns.
+func (r *Relation) Append(rec []byte) (int, error) {
 	rid, err := r.heap.Append(rec)
 	if err != nil {
 		return 0, err

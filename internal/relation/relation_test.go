@@ -111,7 +111,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s := testSchema(t)
 	for i := 0; i < 20; i++ {
 		in := testTuple(i)
-		rec, err := s.Encode(in)
+		rec, err := s.Encode(nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	s := testSchema(t)
-	rec, _ := s.Encode(testTuple(3))
+	rec, _ := s.Encode(nil, testTuple(3))
 	if _, err := s.Decode(rec[:len(rec)-1]); err == nil {
 		t.Error("truncated record must fail")
 	}
@@ -153,7 +153,7 @@ func TestDecodeErrors(t *testing.T) {
 
 func TestEncodeRejectsInvalidTuple(t *testing.T) {
 	s := testSchema(t)
-	if _, err := s.Encode(Tuple{int64(1)}); err == nil {
+	if _, err := s.Encode(nil, Tuple{int64(1)}); err == nil {
 		t.Fatal("encode must validate")
 	}
 }

@@ -7,6 +7,7 @@ package relation
 
 import (
 	"fmt"
+	"reflect"
 
 	"spatialjoin/internal/geom"
 )
@@ -141,7 +142,8 @@ func (s Schema) Validate(t Tuple) error {
 			}
 		}
 		if !ok {
-			return fmt.Errorf("relation: column %q wants %s, got %T", c.Name, c.Type, t[i])
+			// The value's type, not the value: t's values do not escape.
+			return fmt.Errorf("relation: column %q wants %s, got %v", c.Name, c.Type, reflect.TypeOf(t[i]))
 		}
 	}
 	return nil

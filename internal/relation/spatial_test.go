@@ -106,7 +106,7 @@ func TestSpatialColumnMatchesDecode(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, tup := range c.tuples {
-				rec, err := c.schema.Encode(tup)
+				rec, err := c.schema.Encode(nil, tup)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,7 +147,7 @@ func TestSpatialColumnMatchesDecode(t *testing.T) {
 // error and none panics. A non-spatial or out-of-range column is an error.
 func TestSpatialColumnRejectsBadRecords(t *testing.T) {
 	s := geomSchema(t)
-	rec, err := s.Encode(Tuple{"name", geom.RegularPolygon(geom.Pt(0, 0), 1, 5)})
+	rec, err := s.Encode(nil, Tuple{"name", geom.RegularPolygon(geom.Pt(0, 0), 1, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestDiscardedReadBuildsNothing(t *testing.T) {
 	if allocs != 0 || got != nil {
 		t.Errorf("a discarded polygon read allocates %.1f times and returns %v, want 0 and nil", allocs, got)
 	}
-	rec, err := rel.schema.Encode(Tuple{"payload", geom.RegularPolygon(geom.Pt(5, 5), 3, 12)})
+	rec, err := rel.schema.Encode(nil, Tuple{"payload", geom.RegularPolygon(geom.Pt(5, 5), 3, 12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestDiscardedReadBuildsNothing(t *testing.T) {
 func FuzzSpatialColumn(f *testing.F) {
 	schemas := []Schema{layoutSchema(f), geomSchema(f)}
 	for _, tup := range layoutTuples() {
-		rec, err := schemas[0].Encode(tup)
+		rec, err := schemas[0].Encode(nil, tup)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func FuzzSpatialColumn(f *testing.F) {
 	}
 	for _, g := range []geom.Spatial{geom.NewRect(0, 0, 1, 1), geom.Pt(1, 1),
 		geom.RegularPolygon(geom.Pt(0, 0), 1, 4), geom.Segment{B: geom.Pt(1, 1)}} {
-		rec, err := schemas[1].Encode(Tuple{"x", g})
+		rec, err := schemas[1].Encode(nil, Tuple{"x", g})
 		if err != nil {
 			f.Fatal(err)
 		}

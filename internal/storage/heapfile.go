@@ -100,11 +100,20 @@ func (h *HeapFile) budget() int {
 	return int(h.fillFactor * float64(h.pool.Disk().PageSize()-pageHeaderSize))
 }
 
+// CheckRecord rejects a record of n bytes that no page could hold under
+// the fill factor's budget, as Append would.
+func (h *HeapFile) CheckRecord(n int) error {
+	if n+slotSize > h.budget() {
+		return fmt.Errorf("storage: record of %d bytes exceeds page budget %d", n, h.budget())
+	}
+	return nil
+}
+
 // Append stores rec and returns its RID. Records larger than the per-page
-// budget are rejected.
+// budget are rejected (CheckRecord).
 func (h *HeapFile) Append(rec []byte) (RID, error) {
-	if len(rec)+slotSize > h.budget() {
-		return RID{}, fmt.Errorf("storage: record of %d bytes exceeds page budget %d", len(rec), h.budget())
+	if err := h.CheckRecord(len(rec)); err != nil {
+		return RID{}, err
 	}
 	if h.hasPage {
 		rid, ok, err := h.insertInto(h.lastPage, rec, false)

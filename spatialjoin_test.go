@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,6 +196,65 @@ func TestInsertRejectsInvalidBounds(t *testing.T) {
 	}
 	if fmt.Sprint(tree) != "[0]" || fmt.Sprint(scan) != "[0]" {
 		t.Errorf("tree selects %v and scan %v, want [0] from both", tree, scan)
+	}
+}
+
+// TestRejectedInsertLeavesTheDatabaseUsable inserts two objects no
+// collection can store: one whose record exceeds a heap page's budget, and
+// one whose shape is of a type the collection's schema does not hold. Each
+// is rejected before its transaction begins, with the WAL on or off:
+// nothing is logged, no page is written, and the next insert and select
+// succeed. Under the WAL each used to fail inside its transaction, which
+// left the database refusing every later call until it was recovered.
+func TestRejectedInsertLeavesTheDatabaseUsable(t *testing.T) {
+	pointer := NewRect(2, 2, 3, 3)
+	for _, logged := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.WAL = logged
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := db.CreateCollection("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Insert(NewRect(0, 0, 1, 1), "kept"); err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []struct {
+			what    string
+			shape   Spatial
+			payload string
+		}{
+			{"a record over the page budget", NewRect(0, 0, 1, 1), strings.Repeat("x", 5000)},
+			{"a shape the schema does not hold", &pointer, "x"},
+		} {
+			wal, disk := db.WALStats(), db.DiskStats()
+			if id, err := c.Insert(bad.shape, bad.payload); err == nil {
+				t.Fatalf("logged=%v: %s stored id %d, want an error", logged, bad.what, id)
+			}
+			if got := db.WALStats(); got != wal {
+				t.Errorf("logged=%v: %s was logged: WAL stats %+v, were %+v", logged, bad.what, got, wal)
+			}
+			if got := db.DiskStats(); got.Writes != disk.Writes {
+				t.Errorf("logged=%v: %s wrote %d pages", logged, bad.what, got.Writes-disk.Writes)
+			}
+			id, err := c.Insert(NewRect(5, 5, 6, 6), "after")
+			if err != nil {
+				t.Fatalf("logged=%v: insert after %s: %v", logged, bad.what, err)
+			}
+			ids, _, err := db.Select(c, NewRect(4, 4, 7, 7), Overlaps(), TreeStrategy)
+			if err != nil {
+				t.Fatalf("logged=%v: select after %s: %v", logged, bad.what, err)
+			}
+			if !slices.Contains(ids, id) {
+				t.Errorf("logged=%v: select after %s found %v, want %d among them", logged, bad.what, ids, id)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Errorf("logged=%v: close: %v", logged, err)
+		}
 	}
 }
 

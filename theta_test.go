@@ -20,7 +20,7 @@ func rewriteShape(t *testing.T, db *Database, c *Collection, id int, payload str
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := sch.Encode(relation.Tuple{payload, shape})
+	rec, err := sch.Encode(nil, relation.Tuple{payload, shape})
 	if err != nil {
 		t.Fatal(err)
 	}
