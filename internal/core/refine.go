@@ -9,9 +9,12 @@ import (
 )
 
 // Pages places a relation's tuples on its heap pages, which is what the
-// refinement step schedules its reads by. *relation.Relation satisfies it.
+// refinement step schedules its reads by. Release tells it the step is done
+// with a page: Refine releases each R page once its block has decoded it.
+// *relation.Relation satisfies it.
 type Pages interface {
 	PageOf(id int) (int, error)
+	Release(page int)
 }
 
 // Candidate is a pair of tuples waiting for the refinement step: two nodes
@@ -48,15 +51,16 @@ func compareKeys(x, y refKey) int {
 // paper's block schedule: the pairs are sorted by (R page, R, S) and cut
 // at R-page boundaries into blocks of at most opts.Block distinct R tuples
 // (the paper's m·(M−10), which prices D_IIa and D_III); a block's R
-// operands are read once and held decoded, then the block is sorted by
-// (S page, S, R) and each S operand is read once, and θ runs on every pair
-// with its S operand in hand. So over a cold pool a block reads its
-// distinct R pages and its distinct S pages once each. With op nil nothing
-// is evaluated: the pairs are the answer (a join index's) and only their
-// tuples are read, with no dst. The context is checked before every read
-// and every θ. Matches are appended to res.Pairs, which grows once, after
-// the last block: block by block, each block's in (R page, R, S) order,
-// which is (R, S) order where IDs follow pages.
+// operands are read once and held decoded, each R page released as the
+// reads leave it, then each S operand is read once in (S page, S, R)
+// order, reversed on odd blocks to start on the S pages the last block
+// left in the pool, and θ runs on every pair with its S operand in hand.
+// With op nil nothing is evaluated: the pairs are the answer (a join
+// index's) and only their tuples are read, with no dst. The context is
+// checked before every read and every θ. Matches are appended to
+// res.Pairs, which grows once, after the last block: block by block, each
+// block's in (R page, R, S) order, which is (R, S) order where IDs follow
+// pages.
 func Refine(cs []Candidate, op pred.Operator, opts *JoinOptions, res *JoinResult) error {
 	sc := joinScratchPool.Get().(*joinScratch)
 	defer sc.release()
@@ -83,9 +87,9 @@ func (sc *joinScratch) refineBlocks(cs []Candidate, op pred.Operator, opts *Join
 	}
 	slices.SortFunc(sc.rKeys, compareKeys)
 	matches := 0
-	for lo := 0; lo < len(sc.rKeys); {
+	for b, lo := 0, 0; lo < len(sc.rKeys); b++ {
 		hi := blockEnd(sc.rKeys, lo, opts.Block)
-		n, err := sc.refineBlock(cs, sc.rKeys[lo:hi], op, opts, res)
+		n, err := sc.refineBlock(cs, sc.rKeys[lo:hi], b%2 == 1, op, opts, res)
 		if err != nil {
 			return err
 		}
@@ -141,11 +145,11 @@ func blockEnd(keys []refKey, lo, block int) int {
 }
 
 // refineBlock reads the block's distinct R operands once each into the
-// scratch, then sweeps its S operands in (S page, S, R) order, each read
-// once, evaluating θ on every pair as its S operand arrives. It marks each
-// matching candidate and returns how many matched.
-func (sc *joinScratch) refineBlock(cs []Candidate, block []refKey, op pred.Operator,
-	opts *JoinOptions, res *JoinResult) (matches int, err error) {
+// scratch, releasing each R page after it, then sweeps its S operands in
+// (S page, S, R) order, or descending, each once, with θ on every pair as
+// its S operand arrives. It marks the matches and returns how many.
+func (sc *joinScratch) refineBlock(cs []Candidate, block []refKey, descending bool,
+	op pred.Operator, opts *JoinOptions, res *JoinResult) (matches int, err error) {
 
 	sc.ops = slices.Grow(sc.ops[:0], len(block))
 	if cap(sc.rects) < len(block) {
@@ -155,6 +159,9 @@ func (sc *joinScratch) refineBlock(cs []Candidate, block []refKey, op pred.Opera
 	for i, k := range block {
 		c := &cs[k.c]
 		if i == 0 || k.id != block[i-1].id {
+			if i > 0 && k.page != block[i-1].page && opts.PagesR != nil {
+				opts.PagesR.Release(block[i-1].page)
+			}
 			if err := ctxErr(opts.Ctx); err != nil {
 				return 0, err
 			}
@@ -175,7 +182,13 @@ func (sc *joinScratch) refineBlock(cs []Candidate, block []refKey, op pred.Opera
 		}
 		sc.sKeys = append(sc.sKeys, refKey{page, c.ids.S, c.ids.R, k.c})
 	}
+	if opts.PagesR != nil {
+		opts.PagesR.Release(block[len(block)-1].page)
+	}
 	slices.SortFunc(sc.sKeys, compareKeys)
+	if descending {
+		slices.Reverse(sc.sKeys)
+	}
 	var so geom.Spatial
 	for i, k := range sc.sKeys {
 		c := &cs[k.c]

@@ -89,6 +89,16 @@ type pagesOf int
 
 func (k pagesOf) PageOf(id int) (int, error) { return id / int(k), nil }
 
+func (pagesOf) Release(int) {}
+
+// releaseLog is a placement that reports each page released to released.
+type releaseLog struct {
+	pagesOf
+	released func(page int)
+}
+
+func (p releaseLog) Release(page int) { p.released(page) }
+
 // blockOpts is a block schedule of many blocks for rtreePair's trees: 8
 // tuples a page and blocks of 3 pages' worth of R tuples.
 func blockOpts() *core.JoinOptions {
@@ -96,37 +106,44 @@ func blockOpts() *core.JoinOptions {
 }
 
 // TestJoinRefinesInBlockOrder joins two R-tree generalizations at one
-// worker in a block schedule of many blocks and records every read, split
-// into levels by the "level" spans the descent has begun, and each level into
-// blocks where an R read follows an S read. Within each level the reads
-// are of items only, and each block reads its R operands first — each
-// distinct R tuple once, at most Block of them, in (R page, R) order that
-// continues the previous block's — and then its S operands, each once, in
-// (S page, S) order. A block ends on an R-page boundary unless its one
-// page alone fills it. The θ count and the match set are those of a
-// refinement that is one block, whose matches come out (R, S)-sorted.
+// worker in a block schedule of many blocks and records every read and
+// every R-page release, split into levels by the "level" spans the descent
+// has begun, and each level into blocks where an R read follows an S read.
+// Within each level the reads are of items only, and each block reads its
+// R operands first — each distinct R tuple once, at most Block of them, in
+// (R page, R) order that continues the previous block's — releasing each
+// R page once, as the reads leave it, and then its S operands, each once:
+// in strictly ascending (S page, S) order on the level's even-numbered
+// blocks and strictly descending on its odd ones. A block ends on an
+// R-page boundary unless its one page alone fills it. The θ count and the
+// match set are those of a refinement that is one block, whose matches
+// come out (R, S)-sorted.
 func TestJoinRefinesInBlockOrder(t *testing.T) {
 	tr, ts := rtreePair(t, 1000)
 	type touch struct {
-		side      byte
+		side      byte // R or S for a read, r for the release of R page id
 		id        int
 		technical bool
 	}
 	var levels [][]touch
 	opts := blockOpts()
 	opts.Trace = obs.NewTrace()
+	add := func(x touch) {
+		for len(levels) < len(opts.Trace.Spans()) {
+			levels = append(levels, nil)
+		}
+		last := len(levels) - 1
+		levels[last] = append(levels[last], x)
+	}
 	record := func(side byte) core.Reader {
 		return func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
 			id, ok := n.Tuple()
-			for len(levels) < len(opts.Trace.Spans()) {
-				levels = append(levels, nil)
-			}
-			last := len(levels) - 1
-			levels[last] = append(levels[last], touch{side, id, !ok})
+			add(touch{side, id, !ok})
 			return readRect(n, dst)
 		}
 	}
 	opts.ReadR, opts.ReadS = record('R'), record('S')
+	opts.PagesR = releaseLog{pagesOf(8), func(page int) { add(touch{'r', page, false}) }}
 	res, err := core.Join(tr, ts, pred.Overlaps{}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -138,17 +155,31 @@ func TestJoinRefinesInBlockOrder(t *testing.T) {
 	var blocks int
 	for l, group := range levels {
 		lastR, lastLen, lastFirst := placed{-1, -1}, 0, -1
-		for i := 0; i < len(group); {
-			// One block: a run of R reads, then a run of S reads.
+		for b, i := 0, 0; i < len(group); b++ {
+			// One block: a run of R reads, each R page released after its
+			// last read, then a run of S reads.
 			j := i
-			for j < len(group) && group[j].side == 'R' {
-				j++
+			var rs []touch
+			for ; j < len(group) && group[j].side != 'S'; j++ {
+				x, prev := group[j], group[max(j-1, 0)]
+				switch {
+				case x.side == 'r' && (j == i || prev.side != 'R' || place(prev).page != x.id):
+					t.Fatalf("level group %d: release of R page %d after %+v, want right after a read on it", l, x.id, prev)
+				case x.side == 'R' && len(rs) > 0 && place(rs[len(rs)-1]).page != place(x).page && prev.side != 'r':
+					t.Fatalf("level group %d: R read %d on a new page before R page %d was released",
+						l, x.id, place(rs[len(rs)-1]).page)
+				case x.side == 'R':
+					rs = append(rs, x)
+				}
+			}
+			if j > i && group[j-1].side != 'r' {
+				t.Fatalf("level group %d, block at read %d: the block's last R page is not released", l, i)
 			}
 			k := j
 			for k < len(group) && group[k].side == 'S' {
 				k++
 			}
-			rs, ss := group[i:j], group[j:k]
+			ss := group[j:k]
 			if len(rs) == 0 || len(ss) == 0 {
 				t.Fatalf("level group %d, block at read %d: %d R reads, %d S reads; want both",
 					l, i, len(rs), len(ss))
@@ -162,9 +193,16 @@ func TestJoinRefinesInBlockOrder(t *testing.T) {
 					if run[x].technical {
 						t.Fatalf("level group %d: read of a technical node %+v", l, run[x])
 					}
-					if x > 0 && !before(place(run[x-1]), place(run[x])) {
-						t.Fatalf("level group %d: %c read %d after %d, out of (page, ID) order or repeated in a block",
-							l, run[x].side, run[x].id, run[x-1].id)
+					if x == 0 {
+						continue
+					}
+					prev, cur := place(run[x-1]), place(run[x])
+					if run[x].side == 'S' && b%2 == 1 {
+						prev, cur = cur, prev
+					}
+					if !before(prev, cur) {
+						t.Fatalf("level group %d, block %d: %c read %d after %d, out of its (page, ID) order or repeated in a block",
+							l, b, run[x].side, run[x].id, run[x-1].id)
 					}
 				}
 			}
@@ -266,6 +304,8 @@ func TestJoinRefinementHonoursCancel(t *testing.T) {
 type lostPages struct{}
 
 func (lostPages) PageOf(id int) (int, error) { return 0, errLostPage }
+
+func (lostPages) Release(int) {}
 
 var errLostPage = errors.New("page lookup failed")
 

@@ -137,9 +137,6 @@ func (t *BasicTree) Root() Node {
 	return t.root
 }
 
-// RootBasic returns the root as a *BasicNode for construction-time use.
-func (t *BasicTree) RootBasic() *BasicNode { return t.root }
-
 // Height implements Tree.
 func (t *BasicTree) Height() int {
 	var h func(n *BasicNode) int

@@ -81,9 +81,6 @@ func Wrap(inner storage.Device, opts Options) *Disk {
 	}
 }
 
-// Inner returns the wrapped device.
-func (d *Disk) Inner() storage.Device { return d.inner }
-
 // LosePage marks a page permanently lost: every subsequent read or write
 // fails with a Permanent *Error until HealPage.
 func (d *Disk) LosePage(id storage.PageID) {

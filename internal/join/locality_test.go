@@ -91,11 +91,13 @@ func levelOrderJoin(t *testing.T, trR, trS core.Tree, op pred.Operator,
 
 // maxTupleOrderJoinReads bounds what the tree join below reads now that θ
 // runs on a level's pairs of items after its Θ filter, in the paper's
-// block schedule: 590 pages. It read 3,081 when θ ran pair by pair in
-// (R, S) tuple-ID order, 3,648 when θ ran on each pair of items as the
-// level formed it, and 10,635 when every examined item was touched before
-// its Θ filter.
-const maxTupleOrderJoinReads = 619
+// block schedule, releasing each R page once decoded and sweeping S in
+// alternating directions: 470 pages. It read 590 when every block swept S
+// ascending from a cold pool, 3,081 when θ ran pair by pair in (R, S)
+// tuple-ID order, 3,648 when θ ran on each pair of items as the level
+// formed it, and 10,635 when every examined item was touched before its Θ
+// filter.
+const maxTupleOrderJoinReads = 493
 
 // TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident is the locality
 // pin of the tree join over two R-tree collections behind a 16-frame pool.
@@ -181,7 +183,7 @@ func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := candidatePairs(t, rTab, sTab, op)
-	if _, want := blockReads(t, cands, rTab, sTab, 0); touches != want || technical != 0 {
+	if _, want := blockReads(t, cands, rTab, sTab, 0, pool.Capacity()); touches != want || technical != 0 {
 		t.Errorf("%d touches (%d of technical nodes), want %d, one per distinct item of a θ candidate, and none technical",
 			touches, technical, want)
 	}
@@ -219,11 +221,13 @@ func candidatePairs(t *testing.T, r, s Table, op pred.Operator) []core.Match {
 // blockReads is the block schedule's work over the candidate pairs, found
 // independently of core.Refine: R's pages are taken in order, whole while
 // the block's distinct R tuples stay at most block (a page that alone holds
-// more is cut every block tuples), and each block reads its distinct R
-// pages and then its distinct S pages once — so many reads through a cold
-// pool — and calls the readers once per distinct R and S tuple (touches).
-// block 0 is one block.
-func blockReads(t *testing.T, cands []core.Match, r, s Table, block int) (reads, touches int64) {
+// more is cut every block tuples), and block 0 is one block. Each block
+// reads its distinct R pages in order, releasing each as it moves on, then
+// its distinct S pages, ascending on even-numbered blocks and descending on
+// odd ones. reads is what that access order misses in a cold LRU pool of
+// frames pages where a released page is the next victim; touches counts the
+// reader calls, one per distinct R and S tuple of each block.
+func blockReads(t *testing.T, cands []core.Match, r, s Table, block, frames int) (reads, touches int64) {
 	t.Helper()
 	page := func(tab Table, id int) int {
 		p, err := tab.Rel.PageOf(id)
@@ -267,29 +271,68 @@ func blockReads(t *testing.T, cands []core.Match, r, s Table, block int) (reads,
 		}
 	}
 	closeBlock()
-	for _, b := range blocks {
-		rPages, sPages, sIDs := map[int]bool{}, map[int]bool{}, map[int]bool{}
-		for _, id := range b {
-			rPages[page(r, id)] = true
-			for _, sid := range partners[id] {
-				sPages[page(s, sid)], sIDs[sid] = true, true
+
+	// The pool: lru[0] is the most recently used page.
+	type pageKey struct {
+		s    bool
+		page int
+	}
+	var lru []pageKey
+	access := func(k pageKey) {
+		if i := slices.Index(lru, k); i >= 0 {
+			lru = slices.Delete(lru, i, i+1)
+		} else {
+			reads++
+			if len(lru) == frames {
+				lru = lru[:frames-1]
 			}
 		}
-		reads += int64(len(rPages) + len(sPages))
-		touches += int64(len(b) + len(sIDs))
+		lru = slices.Insert(lru, 0, k)
+	}
+	release := func(k pageKey) {
+		if i := slices.Index(lru, k); i >= 0 {
+			lru = append(slices.Delete(lru, i, i+1), k)
+		}
+	}
+	for b, ids := range blocks {
+		var rPages, sPages []int
+		sIDs := map[int]bool{}
+		for _, id := range ids {
+			if p := page(r, id); len(rPages) == 0 || rPages[len(rPages)-1] != p {
+				rPages = append(rPages, p)
+			}
+			for _, sid := range partners[id] {
+				sPages, sIDs[sid] = append(sPages, page(s, sid)), true
+			}
+		}
+		for _, p := range rPages {
+			access(pageKey{false, p})
+			release(pageKey{false, p})
+		}
+		slices.Sort(sPages)
+		sPages = slices.Compact(sPages)
+		if b%2 == 1 {
+			slices.Reverse(sPages)
+		}
+		for _, p := range sPages {
+			access(pageKey{true, p})
+		}
+		touches += int64(len(ids) + len(sIDs))
 	}
 	return reads, touches
 }
 
 // TestTreeJoinReadsCandidatePagesOncePerBlock joins two R-tree collections
 // of equal height through a cold 16-frame pool and through a cold pool big
-// enough for one block, and pins Stats.PageReads to blockReads' count over
-// the brute-force candidate pairs, with blocks of m·(M−10) distinct R
-// tuples: each block reads its distinct R pages and its distinct S pages
-// once. At four workers the match set and the Θ and θ counts are the
-// sequential join's. A join index over the matches is retrieved
-// (strategy III) in the same schedule: its reads are blockReads' count
-// over the stored pairs.
+// enough for one block, and pins Stats.PageReads to blockReads' LRU replay
+// of the brute-force candidate pairs, with blocks of m·(M−10) distinct R
+// tuples: each block accesses its distinct R pages and its distinct S pages
+// once, and at 16 frames a block's S sweep starts on the S pages the
+// previous block left resident (470 reads, 590 when every block swept S
+// from cold); the one block of 256 frames reads each page once (118). At
+// four workers the match set and the Θ and θ counts are the sequential
+// join's. A join index over the matches is retrieved (strategy III) in the
+// same schedule: its reads are blockReads' count over the stored pairs.
 func TestTreeJoinReadsCandidatePagesOncePerBlock(t *testing.T) {
 	opts := rtree.DefaultOptions()
 	op := pred.Overlaps{}
@@ -309,7 +352,7 @@ func TestTreeJoinReadsCandidatePagesOncePerBlock(t *testing.T) {
 			t.Fatalf("%d frames: blocks of %d R tuples, want one block for all %d", frames, block, rTab.Rel.Len())
 		}
 		cands := candidatePairs(t, rTab, sTab, op)
-		want, _ := blockReads(t, cands, rTab, sTab, block)
+		want, _ := blockReads(t, cands, rTab, sTab, block, frames)
 		var seq []core.Match
 		var seqStats Stats
 		for _, workers := range []int{1, 4} {
@@ -357,7 +400,7 @@ func TestTreeJoinReadsCandidatePagesOncePerBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, _ := blockReads(t, seq, rTab, sTab, block); stats.PageReads != want {
+		if want, _ := blockReads(t, seq, rTab, sTab, block, frames); stats.PageReads != want {
 			t.Errorf("%d frames: index join read %d pages, want %d: each block's distinct R and S pages once",
 				frames, stats.PageReads, want)
 		}

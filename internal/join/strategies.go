@@ -278,9 +278,10 @@ func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op p
 // no "level" span for the item depth, and its θ runs after that level's Θ
 // filter in the paper's block schedule (core.Refine): the candidate pairs
 // are cut, in R heap-page order, into blocks of at most m·(M−10) distinct
-// R tuples (refineBlock), each block's R operands are read once, and S's
-// pages are swept once per block, so through a cold pool a level reads
-// each block's distinct R and S pages once. With workers > 1 (≤ 0 meaning
+// R tuples (refineBlock), each block's R operands are read once, each R
+// page released once decoded, and S's pages are swept once per block, in
+// alternating directions, so a block's S sweep starts on the pages the
+// last one left resident. With workers > 1 (≤ 0 meaning
 // GOMAXPROCS) each QualPairs level is expanded by a worker pool, and each
 // chunk refines its own pairs. The contract across worker counts: the
 // match set and the Θ and θ evaluation counts are identical to the
@@ -353,8 +354,9 @@ func BuildIndex(r, s Table, op pred.Operator, order int) (*joinindex.Index, Stat
 // pages are charged per the B+-tree's fill (|J|/z), plus the tuple reads
 // through the buffer pool, which core.Refine schedules as the tree join's
 // θ reads are, without θ: in blocks of at most m·(M−10) distinct R tuples
-// (refineBlock), each R tuple read once per block and S's pages swept once
-// per block — the retrieval D_III prices. With workers > 1 (≤ 0 meaning
+// (refineBlock), each R tuple read once per block, its page released once
+// decoded, and S's pages swept once per block in alternating directions —
+// the retrieval D_III prices. With workers > 1 (≤ 0 meaning
 // GOMAXPROCS) the pair list is read sequentially from the B+-tree and cut
 // into contiguous chunks, each refined on its own; the pair list itself is
 // already in canonical (R, S) order. ctx is checked before every read.

@@ -29,8 +29,8 @@ import (
 	"spatialjoin/internal/pred"
 )
 
-// Stats describes the work of building, querying or maintaining a local
-// index, in the cost model's units.
+// Stats describes the work of building or querying a local index, in the
+// cost model's units.
 type Stats struct {
 	// FilterEvals and ExactEvals count Θ and θ evaluations of the live
 	// (tree-descent) part.
@@ -82,8 +82,7 @@ func (s subtree) Height() int { return 0 }
 // a hierarchical self-join of that node's subtree. order is the B+-tree
 // order z of each local index. read reads the tuple of a node that only
 // references it (core.Reader), for every θ the index evaluates, now and in
-// SelfJoin and MaintainInsert; it may be nil for a tree whose nodes contain
-// their tuples.
+// SelfJoin; it may be nil for a tree whose nodes contain their tuples.
 func Build(tree core.Tree, op pred.Operator, level, order int, read core.Reader) (*Index, Stats, error) {
 	var stats Stats
 	if tree == nil || op == nil {
@@ -271,44 +270,6 @@ func (ix *Index) AnchorFor(r geom.Rect) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MaintainInsert updates the given anchor after a tuple-bearing node for
-// (id, obj) was attached somewhere in that anchor's subtree: the new object
-// is evaluated against every tuple in the subtree — including itself — in
-// both operand orders, on the neighbour's tuple read once (core.Operand). It
-// returns the number of evaluations, the quantity to compare against
-// strategy III's full-relation scan.
-func (ix *Index) MaintainInsert(anchorIdx, id int, obj geom.Spatial) (int, error) {
-	if anchorIdx < 0 || anchorIdx >= len(ix.anchors) {
-		return 0, fmt.Errorf("localindex: anchor %d out of range", anchorIdx)
-	}
-	a := ix.anchors[anchorIdx]
-	evals := 0
-	var dst geom.Rect
-	var ferr error
-	eval := func(r, s geom.Spatial, rid, sid int) {
-		evals++
-		if ferr == nil && ix.op.Eval(r, s) {
-			_, ferr = a.ix.Add(rid, sid)
-		}
-	}
-	core.Walk(subtree{a.node}, func(n core.Node, _ int) bool {
-		nid, ok := n.Tuple()
-		switch {
-		case !ok:
-		case nid == id:
-			eval(obj, obj, id, id)
-		default:
-			var other geom.Spatial
-			if other, ferr = core.Operand(ix.opts.ReadR, n, &dst); ferr == nil {
-				eval(obj, other, id, nid)
-				eval(other, obj, nid, id)
-			}
-		}
-		return ferr == nil
-	})
-	return evals, ferr
 }
 
 // Validate cross-checks every anchor's index structure.

@@ -188,79 +188,6 @@ func TestLiveEvaluationsShrinkAsLambdaDecreases(t *testing.T) {
 	}
 }
 
-func TestMaintainInsertCheaperThanGlobalScan(t *testing.T) {
-	// Insert a new leaf under one anchor; maintenance must evaluate only
-	// that subtree, not the whole relation — the paper's motivation for
-	// local indices.
-	rng := rand.New(rand.NewSource(8))
-	basic, n := datagen.ModelTree(rng, geom.NewRect(0, 0, 500, 500), 4, 3)
-	op := pred.Overlaps{}
-	ix, _, err := Build(basic, op, 1, 25, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := bruteSelfJoin(basic, op)
-
-	// Attach a new object under the first level-1 node.
-	parent := basic.RootBasic().Kids[0]
-	obj := subRectOf(rng, parent.Bounds())
-	newID := n
-	parent.AddChild(core.NewBasicNode(obj, newID))
-
-	anchorIdx, ok := ix.AnchorFor(obj.Bounds())
-	if !ok {
-		t.Fatal("new object must land in an anchor")
-	}
-	evals, err := ix.MaintainInsert(anchorIdx, newID, obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evals >= 2*n {
-		t.Fatalf("maintenance cost %d should be far below a full scan (2N = %d)", evals, 2*n)
-	}
-	// The self-join must now be exact again.
-	got, _, err := ix.SelfJoin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bruteSelfJoin(basic, op)
-	if len(want) <= len(before) {
-		t.Fatal("test setup: the insert should add pairs")
-	}
-	sortMatches(got)
-	if len(got) != len(want) {
-		t.Fatalf("after maintenance: %d pairs, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("after maintenance: pair %d mismatch", i)
-		}
-	}
-}
-
-func subRectOf(rng *rand.Rand, parent geom.Rect) geom.Rect {
-	w, h := parent.Width(), parent.Height()
-	x1 := parent.MinX + rng.Float64()*w
-	x2 := parent.MinX + rng.Float64()*w
-	y1 := parent.MinY + rng.Float64()*h
-	y2 := parent.MinY + rng.Float64()*h
-	return geom.NewRect(x1, y1, x2, y2)
-}
-
-func TestMaintainInsertValidation(t *testing.T) {
-	tree := modelTree(t, 9, 2, 2)
-	ix, _, err := Build(tree, pred.Overlaps{}, 1, 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.MaintainInsert(-1, 0, geom.NewRect(0, 0, 1, 1)); err == nil {
-		t.Error("negative anchor must fail")
-	}
-	if _, err := ix.MaintainInsert(99, 0, geom.NewRect(0, 0, 1, 1)); err == nil {
-		t.Error("out-of-range anchor must fail")
-	}
-}
-
 func TestAnchorFor(t *testing.T) {
 	tree := modelTree(t, 10, 3, 2)
 	ix, _, err := Build(tree, pred.Overlaps{}, 1, 10, nil)

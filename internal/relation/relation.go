@@ -203,6 +203,10 @@ func (r *Relation) PageOf(id int) (int, error) {
 	return int(rid.Page.Page), nil
 }
 
+// Release tells the buffer pool the query is done with the given heap page,
+// which becomes the pool's next eviction victim (storage.BufferPool.Demote).
+func (r *Relation) Release(page int) { r.heap.Demote(page) }
+
 // Spatial reads the spatial column col of the tuple straight from its
 // record, in one access to its page through the buffer pool
 // (Schema.decodeSpatial), charging a miss to reads: a rectangle lands in

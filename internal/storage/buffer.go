@@ -452,6 +452,21 @@ func (bp *BufferPool) Unpin(id PageID) error {
 	return nil
 }
 
+// Demote makes a resident page the least recently used, so that unless it
+// is pinned it is the next eviction victim: its reader is done with it. It
+// does no I/O, counts no logical read and charges no query; a page that is
+// not resident is left alone.
+func (bp *BufferPool) Demote(id PageID) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if i, ok := bp.frameOf(id); ok && i != bp.tail {
+		bp.unlinkLocked(i)
+		bp.frames[i].prev, bp.frames[i].next = bp.tail, noFrame
+		bp.frames[bp.tail].next = i
+		bp.tail = i
+	}
+}
+
 // residentLocked returns the page's frame, or nil when it is not cached.
 func (bp *BufferPool) residentLocked(id PageID) *frame {
 	i, ok := bp.frameOf(id)

@@ -316,12 +316,14 @@ func (d *loggingDevice) WritePage(id PageID, buf []byte) error {
 	return d.Disk.WritePage(id, buf)
 }
 
-// TestPoolMatchesReferenceLRU replays seeded traces of fetch, pin, unpin,
-// dirty, flush and drop-all against the pool and the reference, and after
-// every operation requires the same outcome, the same counters, the same
-// sequence of device reads (the misses), the same resident and dirty sets
-// (so every eviction chose the reference's victim), the same page content
-// under the returned pointer, and the same write-backs in the same order.
+// TestPoolMatchesReferenceLRU replays seeded traces of fetch, demote, pin,
+// unpin, dirty, flush and drop-all against the pool and the reference, and
+// after every operation requires the same outcome, the same counters, the
+// same sequence of device reads (the misses, each one physical read:
+// Misses + ReadRetries == Reads + ReadFaults), the same resident and dirty
+// sets (so every eviction chose the reference's victim), the same page
+// content under the returned pointer, and the same write-backs in the same
+// order.
 func TestPoolMatchesReferenceLRU(t *testing.T) {
 	for _, tc := range []struct {
 		seed            int64
@@ -346,6 +348,7 @@ func TestPoolMatchesReferenceLRU(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			stamp := uint64(0)
 			content := func(p *Page) uint64 { return binary.LittleEndian.Uint64(p.Bytes()) }
+			demoted := 0 // demotes of a resident page
 
 			for step := 0; step < 4000; step++ {
 				// Skewed page choice: half the accesses go to a hot eighth,
@@ -356,7 +359,7 @@ func TestPoolMatchesReferenceLRU(t *testing.T) {
 				}
 				var what string
 				switch op := rng.Intn(100); {
-				case op < 45:
+				case op < 38:
 					what = fmt.Sprintf("fetch %v", id)
 					p, err := bp.Fetch(id)
 					f, ok := ref.fetch(id)
@@ -365,6 +368,13 @@ func TestPoolMatchesReferenceLRU(t *testing.T) {
 					}
 					if ok && content(p) != f.stamp {
 						t.Fatalf("step %d %s: page holds stamp %d, want %d", step, what, content(p), f.stamp)
+					}
+				case op < 45:
+					what = fmt.Sprintf("demote %v", id)
+					bp.Demote(id)
+					if el, ok := ref.frames[id]; ok {
+						ref.lru.MoveToBack(el)
+						demoted++
 					}
 				case op < 60:
 					what = fmt.Sprintf("dirty %v", id)
@@ -420,8 +430,13 @@ func TestPoolMatchesReferenceLRU(t *testing.T) {
 					}
 				}
 
-				if got := bp.Stats(); got != ref.stats {
+				got := bp.Stats()
+				if got != ref.stats {
 					t.Fatalf("step %d %s: stats %+v, reference %+v", step, what, got, ref.stats)
+				}
+				if ds := dev.Stats(); got.Misses+got.ReadRetries != ds.Reads+ds.ReadFaults {
+					t.Fatalf("step %d %s: %d misses + %d retries, device %d reads + %d faults",
+						step, what, got.Misses, got.ReadRetries, ds.Reads, ds.ReadFaults)
 				}
 				if !slices.Equal(dev.reads, ref.reads) {
 					t.Fatalf("step %d %s: device reads diverge:\n got %v\nwant %v", step, what, tail(dev.reads), tail(ref.reads))
@@ -441,8 +456,9 @@ func TestPoolMatchesReferenceLRU(t *testing.T) {
 				}
 			}
 			if (tc.pages > tc.capacity && ref.stats.Evictions == 0) || len(ref.writes) == 0 ||
-				ref.stats.Misses == ref.stats.LogicalReads {
-				t.Fatalf("trace exercised too little: %+v, %d write-backs", ref.stats, len(ref.writes))
+				ref.stats.Misses == ref.stats.LogicalReads || demoted == 0 {
+				t.Fatalf("trace exercised too little: %+v, %d write-backs, %d demotes",
+					ref.stats, len(ref.writes), demoted)
 			}
 		})
 	}

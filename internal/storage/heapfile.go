@@ -177,6 +177,9 @@ func (h *HeapFile) Read(rid RID, reads *obs.Counter, f func(rec []byte) error) e
 	})
 }
 
+// Demote tells the pool the file's page is read out (BufferPool.Demote).
+func (h *HeapFile) Demote(page int) { h.pool.Demote(PageID{File: h.file, Page: int32(page)}) }
+
 // Scan calls f for every record in file order. Scanning fetches each page
 // once and keeps it pinned while its records are visited. f receives the
 // RID and the raw record bytes (valid only during the call); returning
