@@ -47,9 +47,10 @@ func lastEventSeq() uint64 {
 // Nor may a join emit flight-recorder events beyond a query's start and
 // finish: Record does not allocate, so only the recorder's sequence number
 // can show a per-pair emission flooding the ring. The ceilings hold with
-// Workers = 4, whose per-chunk worklists come from the same pool — except
-// under the race detector, where sync.Pool deliberately drops a quarter of
-// what is put back and sixteen scratches a level make that certain to show.
+// Workers = 4 too, under the race detector as well: the tree join and
+// selection run on one goroutine with one pooled scratch whatever the
+// worker count, and the scan and z-order workers allocate per chunk or
+// strip, not per pair.
 func TestResidentTreeJoinAllocatesPerLevelNotPerNode(t *testing.T) {
 	const zLevel = 10
 	world := NewRect(0, 0, 1000, 1000)
@@ -113,7 +114,7 @@ func TestResidentTreeJoinAllocatesPerLevelNotPerNode(t *testing.T) {
 				t.Errorf("workers=%d %s: %d flight-recorder events over %d calls, want %d",
 					workers, c.name, got, runs+1, want)
 			}
-			if ceiling := float64(evals / c.per); allocs > ceiling && !(workers > 1 && raceDetector()) {
+			if ceiling := float64(evals / c.per); allocs > ceiling {
 				t.Errorf("workers=%d %s: %.0f allocations for %d evaluations, want <= %.0f",
 					workers, c.name, allocs, evals, ceiling)
 			}

@@ -64,7 +64,7 @@ func run() error {
 	seed := flag.Int64("seed", 42, "workload generator seed")
 	world := flag.Float64("world", 10000, "world square side length")
 
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "join worker goroutines")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines per scan-strategy join (tree and index joins use one)")
 	bufferPages := flag.Int("buffer-pages", 256, "buffer pool capacity in pages")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline (0 = none); expiry answers TIMEOUT")
 	slowQuery := flag.Duration("slow-query", 0, "record queries slower than this in the flight recorder as slow_query events (0 = off)")

@@ -29,10 +29,11 @@ type Config struct {
 	IndexOptions rtree.Options
 	// JoinIndexOrder is the B+-tree order z for precomputed join indices.
 	JoinIndexOrder int
-	// Workers is the number of goroutines join strategies may use.
-	// 0 means runtime.GOMAXPROCS(0); 1 forces sequential execution.
-	// Whatever the setting, every strategy returns the identical,
-	// canonically (R, S)-sorted match set.
+	// Workers is the number of goroutines strategy I (ScanStrategy) splits
+	// each scan of S over: 0 means runtime.GOMAXPROCS(0), 1 forces
+	// sequential execution. The tree and index strategies run on the
+	// calling goroutine whatever it says. Every strategy returns the
+	// identical, canonically (R, S)-sorted match set at every setting.
 	Workers int
 	// QueryTimeout, when positive, bounds every Join/Select call with a
 	// deadline; an expired deadline aborts the traversal mid-descent with
@@ -73,7 +74,7 @@ type Config struct {
 }
 
 // DefaultConfig returns a laptop-scale configuration with the paper's page
-// geometry (s = 2000, l = 0.75), a 256-page buffer pool, and one join
+// geometry (s = 2000, l = 0.75), a 256-page buffer pool, and one scan
 // worker per available CPU.
 func DefaultConfig() Config {
 	return Config{

@@ -20,15 +20,6 @@ func ctxStep(ctx context.Context, nodes, added int64) error {
 	return ctx.Err()
 }
 
-// ctxOr returns ctx, or context.Background() when ctx is nil, for APIs
-// that require a non-nil context.
-func ctxOr(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
-}
-
 // ctxErr returns ctx's error, nil for a nil ctx.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {

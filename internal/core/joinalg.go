@@ -9,7 +9,6 @@ import (
 
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/obs"
-	"spatialjoin/internal/parallel"
 	"spatialjoin/internal/pred"
 )
 
@@ -47,9 +46,8 @@ type JoinOptions struct {
 	// that formed it (see Join). Two nodes that only reference their tuples
 	// are read after their level's Θ filter in Refine's block schedule: per
 	// block, ReadR once for each distinct R tuple in (R page, R) order, then
-	// ReadS once for each distinct S tuple in (S page, S) order. With
-	// Workers > 1 they are called from multiple goroutines and must be safe
-	// for concurrent use.
+	// ReadS once for each distinct S tuple in (S page, S) order. They are
+	// called from the goroutine that called Join.
 	ReadR, ReadS Reader
 	// PagesR and PagesS place R's and S's tuples on their heap pages, and
 	// Block is the most distinct R tuples whose operands a refinement block
@@ -58,15 +56,9 @@ type JoinOptions struct {
 	// own; Block ≤ 0 makes each refinement one block.
 	PagesR, PagesS Pages
 	Block          int
-	// Workers is the number of goroutines expanding each QualPairs level
-	// concurrently; values ≤ 1 keep the paper's sequential descent. The
-	// result is identical either way: each level's pair list is split into
-	// contiguous chunks, every worker accumulates into its own JoinResult,
-	// and the partial results are merged back in chunk order.
-	Workers int
-	// Ctx, when non-nil, bounds the descent: it is checked between levels,
-	// between worker chunks, and every ctxStride node examinations inside a
-	// chunk, and its error aborts the join mid-descent.
+	// Ctx, when non-nil, bounds the descent: it is checked between levels
+	// and every ctxStride node examinations inside one, and before every
+	// read and θ of a refinement, and its error aborts the join mid-descent.
 	Ctx context.Context
 	// Trace, when non-nil, records the synchronized descent: one span named
 	// "level" per QualPairs level, nested under TraceParent, carrying the
@@ -77,29 +69,27 @@ type JoinOptions struct {
 	Trace       *obs.Trace
 	TraceParent obs.SpanID
 	// TraceReads, when non-nil, is the query's read account (the counter
-	// its readers charge their misses to), read at the sequential level
-	// boundaries; each level span carries its movement as the "reads"
-	// attribute. Levels are expanded one at a time (the worker fan-out is
-	// per level, with a barrier), so the per-level reads telescope: they
-	// sum exactly to the account's movement across the descent.
+	// its readers charge their misses to), read at the level boundaries;
+	// each level span carries its movement as the "reads" attribute.
+	// Levels are expanded one at a time, so the per-level reads telescope:
+	// they sum exactly to the account's movement across the descent.
 	TraceReads *obs.Counter
 }
 
 // JoinResult is the output of algorithm JOIN.
 type JoinResult struct {
 	// Pairs are the matching tuple pairs in discovery order, except that
-	// the matches between index entries a level decides (each chunk's, under
-	// Workers > 1) come out block by block in Refine's schedule, each
-	// block's in (R page, R, S) order (see Join). Each matching pair
-	// appears exactly once.
+	// the matches between index entries a level decides come out at the
+	// level's end, block by block in Refine's schedule, each block's in
+	// (R page, R, S) order (see Join). Each matching pair appears exactly
+	// once.
 	Pairs []Match
 	// Stats is the work performed across both trees.
 	Stats Stats
 
 	// dstR and dstS are where Theta's readers store a rectangle operand.
-	// Join's result lives in its pooled scratch (as does each worker
-	// chunk's), so handing their addresses to a reader allocates nothing per
-	// θ, as a stack local's would.
+	// Join's result lives in its pooled scratch, so handing their addresses
+	// to a reader allocates nothing per θ, as a stack local's would.
 	dstR, dstS geom.Rect
 }
 
@@ -141,7 +131,7 @@ type JoinResult struct {
 // level that formed it (JOIN2 and JOIN3; its JOIN4 would be empty) instead
 // of being queued. (iii) When a Θ-passing pair is two nodes that only
 // reference their tuples (two R-tree items), its JOIN3 waits for the end of
-// the level's chunk, where Refine runs θ on all such pairs in the paper's
+// the level, where Refine runs θ on all such pairs in the paper's
 // block schedule: the filter step, then the refinement step, with each
 // block's R operands read once and S's pages swept once per block. JOIN
 // keeps no state across pairs but counters and an output every caller
@@ -159,16 +149,16 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (JoinResult, error) 
 	// level's storage, recycled as the buffer the next level is appended
 	// into. Both come from a pooled scratch, so a join allocates worklist
 	// storage only when a level outgrows what an earlier join left behind.
-	// The options are copied into it, because a parallel level's workers
-	// share them, and the result accumulates in it, because readers are
-	// handed the addresses of its scratch rectangles: so the join allocates
-	// neither, only the answer it hands back.
+	// The result accumulates in it, because readers are handed the
+	// addresses of its scratch rectangles: so the join allocates no result,
+	// only the answer it hands back.
 	sc := joinScratchPool.Get().(*joinScratch)
 	defer sc.release()
-	if opts != nil {
-		sc.opts = *opts
+	var none JoinOptions
+	options, res := opts, &sc.part
+	if options == nil {
+		options = &none
 	}
-	options, res := &sc.opts, &sc.part
 	*res = JoinResult{}
 	sc.qual = append(sc.qual[:0], qualPair{rootR, rootS})
 	for level := 0; len(sc.qual) > 0; level++ {
@@ -181,7 +171,7 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (JoinResult, error) 
 			res.Stats.MaxQueue = len(sc.qual)
 		}
 		if options.Trace == nil {
-			next, err := expandLevel(sc, op, options, res)
+			next, err := joinLevel(sc, op, options, res)
 			if err != nil {
 				return JoinResult{}, err
 			}
@@ -191,7 +181,7 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (JoinResult, error) 
 		span := options.Trace.Begin(options.TraceParent, "level")
 		before := res.Stats
 		readsBefore := options.TraceReads.Value()
-		next, err := expandLevel(sc, op, options, res)
+		next, err := joinLevel(sc, op, options, res)
 		attrs := []obs.Attr{
 			obs.Int("level", int64(level)),
 			obs.Int("qualpairs", int64(len(sc.qual))),
@@ -220,14 +210,12 @@ func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (JoinResult, error) 
 // parents' Θ filters both passed.
 type qualPair struct{ a, b Node }
 
-// joinScratch is the worklist storage of one sequential descent, or of one
-// chunk of a level under Workers > 1: the two QualPairs buffers Join
-// alternates between (a chunk builds its share of the next level in spare),
+// joinScratch is the worklist storage of one descent: the two QualPairs
+// buffers Join alternates between (each level builds the next in spare),
 // the per-pair lists of children that passed their Θ check, the pairs of
 // index entries waiting for θ, the decoded R operands of a refinement block
 // (rects holds the rectangles among them) and the S operand's rectangle,
-// the descent's options, and its result — or a chunk's matches and stats
-// until they are merged.
+// and the descent's result.
 type joinScratch struct {
 	qual, spare  []qualPair
 	aPass, bPass []Node
@@ -236,16 +224,14 @@ type joinScratch struct {
 	ops          []geom.Spatial
 	rects        []geom.Rect
 	dstS         geom.Rect
-	opts         JoinOptions
 	part         JoinResult
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
 
 // release clears every slot the descent may have written — so a pooled
-// scratch keeps no Node, and through it no index entry, alive, nor the
-// options' context, trace or readers — and returns the scratch to the
-// pool.
+// scratch keeps no Node, and through it no index entry, alive — and
+// returns the scratch to the pool.
 func (sc *joinScratch) release() {
 	clear(sc.qual[:cap(sc.qual)])
 	clear(sc.spare[:cap(sc.spare)])
@@ -253,58 +239,22 @@ func (sc *joinScratch) release() {
 	clear(sc.bPass[:cap(sc.bPass)])
 	clear(sc.refine[:cap(sc.refine)])
 	clear(sc.ops[:cap(sc.ops)])
-	sc.opts = JoinOptions{}
 	joinScratchPool.Put(sc)
 }
 
-// expandLevel processes the QualPairs level sc.qual and returns the next,
-// built in sc.spare's storage. With options.Workers > 1 the level is split
-// into contiguous chunks fanned out over a worker pool, each with a pooled
-// scratch of its own; per-chunk results merge back in chunk order, so the
-// statistics match the sequential descent, and so does the pair order but
-// for the refinements each chunk sorts on its own.
-func expandLevel(sc *joinScratch, op pred.Operator, options *JoinOptions,
+// joinLevel runs JOIN2–JOIN4 for the QualPairs level sc.qual,
+// accumulating matches and stats into res, and returns the qualifying
+// child pairs for the next level, built in sc.spare's storage; then it
+// refines the pairs of index entries it deferred. The per-pair lists in sc
+// (the children of each side that passed their Θ check) and its refinement
+// list are reused, so the level allocates only when the next level,
+// res.Pairs or a pooled list grow.
+func joinLevel(sc *joinScratch, op pred.Operator, options *JoinOptions,
 	res *JoinResult) ([]qualPair, error) {
 
-	qual, next := sc.qual, sc.spare[:0]
-	workers := options.Workers
-	if workers <= 1 || len(qual) < 2 {
-		return expandChunk(qual, next, sc, op, options, res)
-	}
-	chunks := parallel.Chunks(len(qual), workers*4)
-	scs := make([]*joinScratch, len(chunks))
-	for ci := range scs {
-		scs[ci] = joinScratchPool.Get().(*joinScratch)
-	}
-	err := parallel.RunCtx(ctxOr(options.Ctx), workers, len(chunks), func(ci int) (err error) {
-		c := scs[ci]
-		c.part = JoinResult{Pairs: c.part.Pairs[:0]}
-		c.spare, err = expandChunk(qual[chunks[ci].Lo:chunks[ci].Hi], c.spare[:0], c,
-			op, options, &c.part)
-		return err
-	})
-	for _, c := range scs {
-		if err == nil {
-			res.Pairs = append(res.Pairs, c.part.Pairs...)
-			res.Stats.add(c.part.Stats)
-			next = append(next, c.spare...)
-		}
-		c.release()
-	}
-	return next, err
-}
-
-// expandChunk runs JOIN2–JOIN4 for a contiguous run of a QualPairs level,
-// accumulating matches and stats into res and appending the qualifying
-// child pairs for the next level to next, then refines the pairs of index
-// entries it deferred. The per-pair lists in sc (the children of each side
-// that passed their Θ check) and its refinement list are reused, so the
-// chunk allocates only when next, res.Pairs or a pooled list grow.
-func expandChunk(qual, next []qualPair, sc *joinScratch, op pred.Operator,
-	options *JoinOptions, res *JoinResult) ([]qualPair, error) {
-
+	next := sc.spare[:0]
 	sc.refine = sc.refine[:0]
-	for _, p := range qual {
+	for _, p := range sc.qual {
 		a, b := p.a, p.b
 		ok, err := joinPair(a, b, op, options, sc, res)
 		if err != nil {
@@ -361,7 +311,7 @@ func expandChunk(qual, next []qualPair, sc *joinScratch, op pred.Operator,
 // joinPair runs JOIN2 and JOIN3 for one pair: both nodes are examined, Θ is
 // evaluated, and if it passes and both bear tuples, θ decides the match —
 // on the spot, or, for two nodes that only reference their tuples, in the
-// chunk's refinement (sc.refine). It reports the Θ verdict, which gates the
+// level's refinement (sc.refine). It reports the Θ verdict, which gates the
 // pair's JOIN4.
 func joinPair(a, b Node, op pred.Operator, options *JoinOptions, sc *joinScratch,
 	res *JoinResult) (bool, error) {

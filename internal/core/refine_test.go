@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"spatialjoin/internal/core"
@@ -105,10 +104,10 @@ func blockOpts() *core.JoinOptions {
 	return &core.JoinOptions{PagesR: pagesOf(8), PagesS: pagesOf(8), Block: 24}
 }
 
-// TestJoinRefinesInBlockOrder joins two R-tree generalizations at one
-// worker in a block schedule of many blocks and records every read and
-// every R-page release, split into levels by the "level" spans the descent
-// has begun, and each level into blocks where an R read follows an S read.
+// TestJoinRefinesInBlockOrder joins two R-tree generalizations in a block
+// schedule of many blocks and records every read and every R-page release,
+// split into levels by the "level" spans the descent has begun, and each
+// level into blocks where an R read follows an S read.
 // Within each level the reads are of items only, and each block reads its
 // R operands first — each distinct R tuple once, at most Block of them, in
 // (R page, R) order that continues the previous block's — releasing each
@@ -247,9 +246,8 @@ func TestJoinRefinesInBlockOrder(t *testing.T) {
 // blocks over R-trees, where the refinement makes every read. The
 // examination count that paces the descent's context checks does not move
 // there, so the refinement checks the context before every read and every
-// θ: the read that cancelled completes, each other worker begins at most
-// the one read it had passed its check for, and the join returns
-// context.Canceled.
+// θ: the read that cancelled completes, no other read begins, and the join
+// returns context.Canceled.
 func TestJoinRefinementHonoursCancel(t *testing.T) {
 	tr, ts := rtreePair(t, 1000)
 	var readsR, readsS int64
@@ -264,38 +262,35 @@ func TestJoinRefinementHonoursCancel(t *testing.T) {
 		if side == 'S' {
 			cancelAt = readsS / 2
 		}
-		for _, workers := range []int{1, 4} {
-			ctx, cancel := context.WithCancel(context.Background())
-			var touched, after atomic.Int64
-			var cancelled atomic.Bool
-			reader := func(cancels bool) core.Reader {
-				return func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
-					if cancelled.Load() {
-						after.Add(1)
-					} else if cancels && touched.Add(1) == cancelAt {
+		ctx, cancel := context.WithCancel(context.Background())
+		var touched, after int64
+		cancelled := false
+		reader := func(cancels bool) core.Reader {
+			return func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
+				if cancelled {
+					after++
+				} else if cancels {
+					if touched++; touched == cancelAt {
 						cancel()
-						cancelled.Store(true)
+						cancelled = true
 					}
-					return readRect(n, dst)
 				}
+				return readRect(n, dst)
 			}
-			opts := blockOpts()
-			opts.Workers, opts.Ctx = workers, ctx
-			opts.ReadR, opts.ReadS = reader(side == 'R'), reader(side == 'S')
-			res, err := core.Join(tr, ts, pred.Overlaps{}, opts)
-			cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%c side, workers %d: err = %v, result %v; want context.Canceled",
-					side, workers, err, res.Pairs != nil)
-			}
-			if !cancelled.Load() {
-				t.Fatalf("%c side, workers %d: the join stopped at read %d, before the cancel at %d",
-					side, workers, touched.Load(), cancelAt)
-			}
-			if n := after.Load(); n > int64(workers-1) {
-				t.Errorf("%c side, workers %d: %d reads began after the cancel, want ≤ %d",
-					side, workers, n, workers-1)
-			}
+		}
+		opts := blockOpts()
+		opts.Ctx = ctx
+		opts.ReadR, opts.ReadS = reader(side == 'R'), reader(side == 'S')
+		res, err := core.Join(tr, ts, pred.Overlaps{}, opts)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%c side: err = %v, result %v; want context.Canceled", side, err, res.Pairs != nil)
+		}
+		if !cancelled {
+			t.Fatalf("%c side: the join stopped at read %d, before the cancel at %d", side, touched, cancelAt)
+		}
+		if after != 0 {
+			t.Errorf("%c side: %d reads began after the cancel, want 0", side, after)
 		}
 	}
 }

@@ -27,16 +27,6 @@ type Stats struct {
 	MaxQueue int
 }
 
-// add accumulates other into s.
-func (s *Stats) add(other Stats) {
-	s.FilterEvals += other.FilterEvals
-	s.ExactEvals += other.ExactEvals
-	s.NodesExamined += other.NodesExamined
-	if other.MaxQueue > s.MaxQueue {
-		s.MaxQueue = other.MaxQueue
-	}
-}
-
 // Traversal selects the tree-search order of algorithm SELECT. The paper
 // formulates SELECT breadth-first and notes a depth-first variant is equally
 // possible, with the better choice depending on the physical clustering of

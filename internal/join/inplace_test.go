@@ -18,8 +18,8 @@ import (
 // refinement: R-tree collections of unequal height, whose items meet only
 // in the JOIN4 SELECT passes of the shorter tree's items, and a model tree
 // (S2: every node contains its tuple) against an R-tree collection, in both
-// operand orders. Each join runs at one worker through a 16-frame pool
-// dropped before it. The ExactEvals and results columns were captured
+// operand orders. Each join runs through a 16-frame pool dropped before
+// it. The ExactEvals and results columns were captured
 // before θ moved into the refinement, and they may not move. The
 // FilterEvals and PageReads columns were captured when the R-tree took the
 // R* split: its nodes overlap less, so each row evaluates fewer Θ, and θ
@@ -55,7 +55,7 @@ func TestTreeJoinInPlaceThetaKeepsItsCounts(t *testing.T) {
 		if err := pool.DropAll(); err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := TreeJoin(context.Background(), trR, r, trS, s, op, 1)
+		got, stats, err := TreeJoin(context.Background(), trR, r, trS, s, op)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -137,7 +137,7 @@ func TestAllJoinStrategiesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tj, tjStats, err := TreeJoin(context.Background(), fr.tree, fr.table, fs.tree, fs.table, op, 1)
+		tj, tjStats, err := TreeJoin(context.Background(), fr.tree, fr.table, fs.tree, fs.table, op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestAllJoinStrategiesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ij, ijStats, err := IndexJoin(context.Background(), ix, fr.table, fs.table, 1)
+		ij, ijStats, err := IndexJoin(context.Background(), ix, fr.table, fs.table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestTreeJoinSeparatePoolsCounted(t *testing.T) {
 	f2 := newFixture(t, p2, 10, 3, 2, relation.PlaceSequential)
 	p1.DropAll()
 	p2.DropAll()
-	pairs, stats, err := TreeJoin(context.Background(), f1.tree, f1.table, f2.tree, f2.table, pred.Overlaps{}, 1)
+	pairs, stats, err := TreeJoin(context.Background(), f1.tree, f1.table, f2.tree, f2.table, pred.Overlaps{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestIndexJoinChargesIndexPages(t *testing.T) {
 	if buildStats.ExactEvals == 0 {
 		t.Fatal("build must evaluate pairs")
 	}
-	_, stats, err := IndexJoin(context.Background(), ix, fr.table, fs.table, 1)
+	_, stats, err := IndexJoin(context.Background(), ix, fr.table, fs.table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestIndexJoinEmptyIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A join of objects that essentially never match centerpoint-exactly.
-	pairs, stats, err := IndexJoin(context.Background(), ix, fr.table, fs.table, 1)
+	pairs, stats, err := IndexJoin(context.Background(), ix, fr.table, fs.table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestTreeJoinOverRTreesMatchesNestedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tj, _, err := TreeJoin(context.Background(), rTree, rTab, sTree, sTab, pred.Overlaps{}, 1)
+	tj, _, err := TreeJoin(context.Background(), rTree, rTab, sTree, sTab, pred.Overlaps{})
 	if err != nil {
 		t.Fatal(err)
 	}

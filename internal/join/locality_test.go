@@ -137,7 +137,7 @@ func TestTreeJoinDecidesItemPairsWhileTheirPagesAreResident(t *testing.T) {
 
 	drop()
 	ctx, trace := obs.WithTrace(context.Background())
-	got, stats, err := TreeJoin(ctx, rTree, rTab, sTree, sTab, op, 1)
+	got, stats, err := TreeJoin(ctx, rTree, rTab, sTree, sTab, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,10 +329,9 @@ func blockReads(t *testing.T, cands []core.Match, r, s Table, block, frames int)
 // tuples: each block accesses its distinct R pages and its distinct S pages
 // once, and at 16 frames a block's S sweep starts on the S pages the
 // previous block left resident (470 reads, 590 when every block swept S
-// from cold); the one block of 256 frames reads each page once (118). At
-// four workers the match set and the Θ and θ counts are the sequential
-// join's. A join index over the matches is retrieved (strategy III) in the
-// same schedule: its reads are blockReads' count over the stored pairs.
+// from cold); the one block of 256 frames reads each page once (118). A
+// join index over the matches is retrieved (strategy III) in the same
+// schedule: its reads are blockReads' count over the stored pairs.
 func TestTreeJoinReadsCandidatePagesOncePerBlock(t *testing.T) {
 	opts := rtree.DefaultOptions()
 	op := pred.Overlaps{}
@@ -353,35 +352,22 @@ func TestTreeJoinReadsCandidatePagesOncePerBlock(t *testing.T) {
 		}
 		cands := candidatePairs(t, rTab, sTab, op)
 		want, _ := blockReads(t, cands, rTab, sTab, block, frames)
-		var seq []core.Match
-		var seqStats Stats
-		for _, workers := range []int{1, 4} {
-			if err := pool.DropAll(); err != nil {
-				t.Fatal(err)
-			}
-			got, stats, err := TreeJoin(context.Background(), rTree, rTab, sTree, sTab, op, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if workers == 1 {
-				seq, seqStats = got, stats
-				if stats.PageReads != want {
-					t.Errorf("%d frames (blocks of %d R tuples): %d page reads, want %d: each block's distinct R and S pages once",
-						frames, block, stats.PageReads, want)
-				}
-				if stats.ExactEvals != int64(len(cands)) {
-					t.Errorf("%d frames: %d θ evaluations, want one per candidate: %d",
-						frames, stats.ExactEvals, len(cands))
-				}
-				t.Logf("%d frames, blocks of %d: %d reads, %d candidates", frames, block, stats.PageReads, len(cands))
-				continue
-			}
-			equalMatchSets(t, "workers 4 vs 1", got, seq)
-			if stats.FilterEvals != seqStats.FilterEvals || stats.ExactEvals != seqStats.ExactEvals {
-				t.Errorf("%d frames, workers %d: Θ %d, θ %d; workers 1: Θ %d, θ %d", frames, workers,
-					stats.FilterEvals, stats.ExactEvals, seqStats.FilterEvals, seqStats.ExactEvals)
-			}
+		if err := pool.DropAll(); err != nil {
+			t.Fatal(err)
 		}
+		seq, stats, err := TreeJoin(context.Background(), rTree, rTab, sTree, sTab, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.PageReads != want {
+			t.Errorf("%d frames (blocks of %d R tuples): %d page reads, want %d: each block's distinct R and S pages once",
+				frames, block, stats.PageReads, want)
+		}
+		if stats.ExactEvals != int64(len(cands)) {
+			t.Errorf("%d frames: %d θ evaluations, want one per candidate: %d",
+				frames, stats.ExactEvals, len(cands))
+		}
+		t.Logf("%d frames, blocks of %d: %d reads, %d candidates", frames, block, stats.PageReads, len(cands))
 
 		// Strategy III retrieves the stored pairs in the same schedule.
 		ix, err := joinindex.New(64)
@@ -396,7 +382,7 @@ func TestTreeJoinReadsCandidatePagesOncePerBlock(t *testing.T) {
 		if err := pool.DropAll(); err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := IndexJoin(context.Background(), ix, rTab, sTab, 1)
+		_, stats, err = IndexJoin(context.Background(), ix, rTab, sTab)
 		if err != nil {
 			t.Fatal(err)
 		}

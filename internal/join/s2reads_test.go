@@ -97,7 +97,7 @@ func s2ReadCases(t *testing.T) []string {
 	run := func(name string, r, s fixture) {
 		for _, op := range ops {
 			drop(r)
-			ms, stats, err := TreeJoin(context.Background(), r.tree, r.table, s.tree, s.table, op, 1)
+			ms, stats, err := TreeJoin(context.Background(), r.tree, r.table, s.tree, s.table, op)
 			if err != nil {
 				t.Fatalf("%s join %s: %v", name, op.Name(), err)
 			}

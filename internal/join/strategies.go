@@ -281,29 +281,23 @@ func TreeSelect(ctx context.Context, tr core.Tree, r Table, o geom.Spatial, op p
 // R tuples (refineBlock), each block's R operands are read once, each R
 // page released once decoded, and S's pages are swept once per block, in
 // alternating directions, so a block's S sweep starts on the pages the
-// last one left resident. With workers > 1 (≤ 0 meaning
-// GOMAXPROCS) each QualPairs level is expanded by a worker pool, and each
-// chunk refines its own pairs. The contract across worker counts: the
-// match set and the Θ and θ evaluation counts are identical to the
-// sequential descent; Stats.PageReads is not, because the chunks cut
-// blocks of their own and their reads reach the LRU pool in a different
-// order (with every page resident it is identical too). Stats.PageReads
-// is the misses of this join's own reads, on one or two pools: a query
-// running beside it can turn its misses into hits, never add to them.
+// last one left resident. The join runs on the calling goroutine.
+// Stats.PageReads is the misses of this join's own reads, on one or two
+// pools: a query running beside it can turn its misses into hits, never
+// add to them.
 func TreeJoin(ctx context.Context, trR core.Tree, r Table, trS core.Tree, s Table,
-	op pred.Operator, workers int) ([]core.Match, Stats, error) {
+	op pred.Operator) ([]core.Match, Stats, error) {
 
 	trace, span, ctx := execSpan(ctx, "treejoin")
 	a := openAccount(r, s)
 	defer a.close()
 	opts := core.JoinOptions{
-		ReadR:   a.readR,
-		ReadS:   a.readS,
-		PagesR:  r.Rel,
-		PagesS:  s.Rel,
-		Block:   refineBlock(r),
-		Workers: parallel.Workers(workers),
-		Ctx:     ctx,
+		ReadR:  a.readR,
+		ReadS:  a.readS,
+		PagesR: r.Rel,
+		PagesS: s.Rel,
+		Block:  refineBlock(r),
+		Ctx:    ctx,
 	}
 	if trace != nil {
 		opts.Trace, opts.TraceParent, opts.TraceReads = trace, span, &a.reads
@@ -356,11 +350,10 @@ func BuildIndex(r, s Table, op pred.Operator, order int) (*joinindex.Index, Stat
 // θ reads are, without θ: in blocks of at most m·(M−10) distinct R tuples
 // (refineBlock), each R tuple read once per block, its page released once
 // decoded, and S's pages swept once per block in alternating directions —
-// the retrieval D_III prices. With workers > 1 (≤ 0 meaning
-// GOMAXPROCS) the pair list is read sequentially from the B+-tree and cut
-// into contiguous chunks, each refined on its own; the pair list itself is
-// already in canonical (R, S) order. ctx is checked before every read.
-func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int) ([]core.Match, Stats, error) {
+// the retrieval D_III prices. The pair list comes from the B+-tree in
+// canonical (R, S) order and is refined on the calling goroutine. ctx is
+// checked before every read.
+func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table) ([]core.Match, Stats, error) {
 	trace, span, ctx := execSpan(ctx, "indexjoin")
 	a := openAccount(r, s)
 	defer a.close()
@@ -381,14 +374,7 @@ func IndexJoin(ctx context.Context, ix *joinindex.Index, r, s Table, workers int
 		Block:  refineBlock(r),
 		Ctx:    ctx,
 	}
-	var err error
-	if workers = parallel.Workers(workers); workers <= 1 {
-		err = core.Refine(cs, nil, opts, &core.JoinResult{})
-	} else {
-		_, err = parallel.RunChunksCtx(ctx, workers, len(cs), func(_, lo, hi int) error {
-			return core.Refine(cs[lo:hi], nil, opts, &core.JoinResult{})
-		})
-	}
+	err := core.Refine(cs, nil, opts, &core.JoinResult{})
 	stats := Stats{PageReads: a.reads.Value(), IndexReads: ix.Pages()}
 	if err != nil {
 		endExec(trace, span, stats, err)

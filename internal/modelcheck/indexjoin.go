@@ -14,7 +14,7 @@ import (
 // MeasureIndexJoin stores the idealized tree's tuples twice, as R and S
 // (page size s, utilization l), builds their join index under the
 // synthetic operator, and retrieves the join (strategy III) through a cold
-// pool of frames pages at one worker. It compares the tuple pages read
+// pool of frames pages. It compares the tuple pages read
 // with the ones D_III prices — D_III/C_IO less its ⌈|J|/z⌉ index pages —
 // for the stored layout (M = frames, m the relation's tuples per page, z),
 // and returns |J| too.
@@ -54,7 +54,7 @@ func MeasureIndexJoin(m costmodel.Model, frames, z int) (Result, int, error) {
 	if err := pool.DropAll(); err != nil {
 		return Result{}, 0, err
 	}
-	pairs, stats, err := join.IndexJoin(context.Background(), ix, tabs[0], tabs[1], 1)
+	pairs, stats, err := join.IndexJoin(context.Background(), ix, tabs[0], tabs[1])
 	if err != nil {
 		return Result{}, 0, err
 	}

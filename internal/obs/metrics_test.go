@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -204,7 +205,7 @@ func TestRegistryRace(t *testing.T) {
 			_ = r.Expvar()()
 		}
 	}()
-	err := parallel.Run(8, 512, func(i int) error {
+	err := parallel.RunCtx(context.Background(), 8, 512, func(i int) error {
 		strategy := []string{"tree", "nested", "index"}[i%3]
 		r.Counter("race_queries_total", "q", L("strategy", strategy)).Inc()
 		r.Gauge("race_depth", "d").Set(int64(i))
@@ -215,7 +216,7 @@ func TestRegistryRace(t *testing.T) {
 	close(stop)
 	<-scraped
 	if err != nil {
-		t.Fatalf("parallel.Run: %v", err)
+		t.Fatalf("parallel.RunCtx: %v", err)
 	}
 	total := int64(0)
 	for _, s := range []string{"tree", "nested", "index"} {

@@ -26,7 +26,7 @@ func TestRunCoversAllTasksOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 500
 		var hits [n]atomic.Int32
-		if err := Run(workers, n, func(i int) error {
+		if err := RunCtx(context.Background(), workers, n, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -41,7 +41,7 @@ func TestRunCoversAllTasksOnce(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	if err := Run(4, 0, func(int) error { t.Fatal("task ran"); return nil }); err != nil {
+	if err := RunCtx(context.Background(), 4, 0, func(int) error { t.Fatal("task ran"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -49,7 +49,7 @@ func TestRunEmpty(t *testing.T) {
 func TestRunReturnsFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	err := Run(4, 100, func(i int) error {
+	err := RunCtx(context.Background(), 4, 100, func(i int) error {
 		ran.Add(1)
 		if i == 10 {
 			return boom
@@ -69,7 +69,7 @@ func TestRunReturnsFirstError(t *testing.T) {
 func TestRunSerialStopsAtError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran int
-	err := Run(1, 100, func(i int) error {
+	err := RunCtx(context.Background(), 1, 100, func(i int) error {
 		ran++
 		if i == 5 {
 			return boom
@@ -102,29 +102,6 @@ func TestChunksPartition(t *testing.T) {
 	}
 }
 
-func TestRunChunksMergeOrder(t *testing.T) {
-	const n = 1000
-	chunks, err := RunChunks(8, n, func(chunk, lo, hi int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild the identity permutation from chunk order.
-	var all []int
-	for _, c := range chunks {
-		for i := c.Lo; i < c.Hi; i++ {
-			all = append(all, i)
-		}
-	}
-	if len(all) != n {
-		t.Fatalf("chunks cover %d of %d", len(all), n)
-	}
-	for i, v := range all {
-		if i != v {
-			t.Fatalf("chunk-order merge breaks sequential order at %d (got %d)", i, v)
-		}
-	}
-}
-
 func TestRunCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -140,12 +117,6 @@ func TestRunCtxPreCancelled(t *testing.T) {
 		if ran.Load() != 0 {
 			t.Fatalf("workers=%d: %d tasks ran on a pre-cancelled context", workers, ran.Load())
 		}
-	}
-	if _, err := RunChunksCtx(ctx, 8, 1000, func(int, int, int) error {
-		t.Error("chunk body ran on a pre-cancelled context")
-		return nil
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunChunksCtx: err = %v, want context.Canceled", err)
 	}
 }
 

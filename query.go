@@ -121,9 +121,10 @@ func (db *Database) SelectStored(r *Collection, rID int, s *Collection, op Opera
 
 // Join computes r ⋈θ s and returns the matching ID pairs with measured
 // work. The operator is applied with r-objects as the left operand.
-// Execution uses Config.Workers goroutines; whatever the worker count or
-// strategy, the returned matches are canonically sorted by (R, S), so the
-// outputs of all strategies are byte-comparable.
+// A scan splits its passes over S across Config.Workers goroutines; the
+// tree and index strategies run on the calling goroutine. Whatever the
+// worker count or strategy, the returned matches are canonically sorted by
+// (R, S), so the outputs of all strategies are byte-comparable.
 func (db *Database) Join(r, s *Collection, op Operator, strategy Strategy) ([]Match, Stats, error) {
 	return db.JoinContext(context.Background(), r, s, op, strategy)
 }
@@ -177,7 +178,7 @@ func (db *Database) joinOnce(ctx context.Context, r, s *Collection, op Operator,
 		return join.NestedLoop(ctx, r.table, s.table, op, db.cfg.Workers)
 	case TreeStrategy:
 		return join.TreeJoin(ctx, r.index.Generalization(), r.table,
-			s.index.Generalization(), s.table, op, db.cfg.Workers)
+			s.index.Generalization(), s.table, op)
 	case IndexStrategy:
 		ix, ok := db.joinIndexFor(r, s, op)
 		if !ok {
@@ -188,7 +189,7 @@ func (db *Database) joinOnce(ctx context.Context, r, s *Collection, op Operator,
 		if err != nil {
 			return nil, Stats{IndexReads: scrubbed}, err
 		}
-		ms, stats, err := join.IndexJoin(ctx, ix.ix, r.table, s.table, db.cfg.Workers)
+		ms, stats, err := join.IndexJoin(ctx, ix.ix, r.table, s.table)
 		stats.IndexReads += scrubbed
 		return ms, stats, err
 	default:

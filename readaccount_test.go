@@ -86,12 +86,15 @@ func runConcurrently(t *testing.T, db *Database, qs []accountQuery) ([]Stats, []
 //   - with every page resident after its first read (4,096 frames), two
 //     tree joins over disjoint collection pairs each report exactly the
 //     reads they report run alone and cold;
+//   - with 16 frames, a tree join run alone and cold reads as many pages
+//     at workers 4 as at workers 1: it runs on one goroutine either way;
 //   - with 16 frames, where the queries evict each other's pages, two tree
 //     joins, tree selects on every collection and a scan join report reads
 //     that sum to the pool's misses over the window;
 //   - in each traced query, the per-level (per-block for the scan) reads
 //     sum to the query's own PageReads.
 func TestConcurrentQueriesChargeTheirOwnReads(t *testing.T) {
+	var coldAtOne int64 // the 16-frame solo tree join's reads at workers 1
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			db, cols := accountDB(t, 4096, workers)
@@ -117,6 +120,13 @@ func TestConcurrentQueriesChargeTheirOwnReads(t *testing.T) {
 			}
 
 			db, cols = accountDB(t, 16, workers)
+			st, _, _ := runConcurrently(t, db, []accountQuery{treeJoinQuery(db, cols[0], cols[1])})
+			if workers == 1 {
+				coldAtOne = st[0].PageReads
+			} else if coldAtOne != 0 && st[0].PageReads != coldAtOne {
+				t.Errorf("16 frames: the cold tree join read %d pages alone, %d at workers 1",
+					st[0].PageReads, coldAtOne)
+			}
 			qs := []accountQuery{treeJoinQuery(db, cols[0], cols[1]), treeJoinQuery(db, cols[2], cols[3])}
 			for i, c := range cols {
 				for j := 0; j < 3; j++ {

@@ -119,18 +119,9 @@ func ZOverlapJoinCtx(ctx context.Context, rs, ss []Rect, world Rect, level uint,
 	if err != nil {
 		return nil, err
 	}
-	var pairs []zorder.Pair
-	if workers == 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pairs, _ = g.OverlapJoin(rs, ss, zorder.JoinOptions{Dedup: true, Exact: true})
-		zorder.SortPairs(pairs)
-	} else {
-		pairs, _, err = g.ParallelOverlapJoinCtx(ctx, rs, ss, workers)
-		if err != nil {
-			return nil, err
-		}
+	pairs, _, err := g.ParallelOverlapJoinCtx(ctx, rs, ss, workers)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]Match, len(pairs))
 	for i, p := range pairs {
