@@ -14,6 +14,12 @@
 // -drain-timeout forces it), closing the database so the last
 // group-commit buffer is durable.
 //
+// -workers (default 1) is Config.Workers: the goroutines one scan-strategy
+// join fans out over. A server already runs one query per session at once,
+// so the default leaves the cores to the sessions; with two sessions on
+// two cores, a scan join at 2 workers took longer and read more pages than
+// at 1.
+//
 // With -wal, -checkpoint-every runs a periodic truncating fuzzy
 // checkpoint, and SIGUSR1 exports a replica-seeding snapshot to
 // -snapshot-path (written atomically: temp file, then rename). A fresh
@@ -34,7 +40,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -64,7 +69,7 @@ func run() error {
 	seed := flag.Int64("seed", 42, "workload generator seed")
 	world := flag.Float64("world", 10000, "world square side length")
 
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines per scan-strategy join (tree and index joins use one)")
+	workers := flag.Int("workers", 1, "goroutines per scan-strategy join (tree and index joins use one); 1 leaves the cores to concurrent sessions, beside which a fanned-out scan runs slower and reads more pages")
 	bufferPages := flag.Int("buffer-pages", 256, "buffer pool capacity in pages")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline (0 = none); expiry answers TIMEOUT")
 	slowQuery := flag.Duration("slow-query", 0, "record queries slower than this in the flight recorder as slow_query events (0 = off)")

@@ -60,10 +60,10 @@ type Rect struct {
 // NewRect returns the rectangle spanning the two corner points in any order.
 func NewRect(x1, y1, x2, y2 float64) Rect {
 	return Rect{
-		MinX: math.Min(x1, x2),
-		MinY: math.Min(y1, y2),
-		MaxX: math.Max(x1, x2),
-		MaxY: math.Max(y1, y2),
+		MinX: min(x1, x2),
+		MinY: min(y1, y2),
+		MaxX: max(x1, x2),
+		MaxY: max(y1, y2),
 	}
 }
 
@@ -137,30 +137,30 @@ func (r Rect) Intersection(o Rect) (out Rect, ok bool) {
 		return Rect{}, false
 	}
 	return Rect{
-		MinX: math.Max(r.MinX, o.MinX),
-		MinY: math.Max(r.MinY, o.MinY),
-		MaxX: math.Min(r.MaxX, o.MaxX),
-		MaxY: math.Min(r.MaxY, o.MaxY),
+		MinX: max(r.MinX, o.MinX),
+		MinY: max(r.MinY, o.MinY),
+		MaxX: min(r.MaxX, o.MaxX),
+		MaxY: min(r.MaxY, o.MaxY),
 	}, true
 }
 
 // Union returns the smallest rectangle covering both r and o.
 func (r Rect) Union(o Rect) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, o.MinX),
-		MinY: math.Min(r.MinY, o.MinY),
-		MaxX: math.Max(r.MaxX, o.MaxX),
-		MaxY: math.Max(r.MaxY, o.MaxY),
+		MinX: min(r.MinX, o.MinX),
+		MinY: min(r.MinY, o.MinY),
+		MaxX: max(r.MaxX, o.MaxX),
+		MaxY: max(r.MaxY, o.MaxY),
 	}
 }
 
 // ExtendPoint returns the smallest rectangle covering both r and p.
 func (r Rect) ExtendPoint(p Point) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, p.X),
-		MinY: math.Min(r.MinY, p.Y),
-		MaxX: math.Max(r.MaxX, p.X),
-		MaxY: math.Max(r.MaxY, p.Y),
+		MinX: min(r.MinX, p.X),
+		MinY: min(r.MinY, p.Y),
+		MaxX: max(r.MaxX, p.X),
+		MaxY: max(r.MaxY, p.Y),
 	}
 }
 
@@ -192,8 +192,8 @@ func (r Rect) MinDistance(o Rect) float64 {
 // with MinDistance it brackets every point-pair distance between the two
 // regions, which distance-band filters rely on.
 func (r Rect) MaxDistance(o Rect) float64 {
-	dx := math.Max(o.MaxX-r.MinX, r.MaxX-o.MinX)
-	dy := math.Max(o.MaxY-r.MinY, r.MaxY-o.MinY)
+	dx := max(o.MaxX-r.MinX, r.MaxX-o.MinX)
+	dy := max(o.MaxY-r.MinY, r.MaxY-o.MinY)
 	return math.Hypot(dx, dy)
 }
 

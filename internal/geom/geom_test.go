@@ -355,3 +355,53 @@ func TestRectMaxDistance(t *testing.T) {
 		t.Fatal("MaxDistance < MinDistance")
 	}
 }
+
+// TestRectBoundsMatchMathMinMax checks NewRect, Union, Intersection,
+// ExtendPoint and MaxDistance, which take bounds with the builtin min and
+// max, against the same constructions through math.Min and math.Max, on
+// every pair from ±0, ±Inf, subnormals, extremes and ordinary values: the
+// results must be bit-for-bit equal. With a NaN operand the builtins give
+// NaN, where math.Min(−Inf, NaN) is −Inf and math.Max(+Inf, NaN) is +Inf;
+// a rectangle with a NaN operand only has to come out not Valid, as it
+// does either way, or as no intersection.
+func TestRectBoundsMatchMathMinMax(t *testing.T) {
+	sub := math.Float64frombits(1) // the smallest subnormal
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		sub, -sub, math.Float64frombits(0x000fffffffffffff), 0x1p-1022,
+		1, -1.5, 7, 1e300, math.MaxFloat64, -math.MaxFloat64}
+	same := func(got, want Rect, operands ...float64) bool {
+		for _, v := range operands {
+			if math.IsNaN(v) {
+				return !got.Valid() && !want.Valid()
+			}
+		}
+		return math.Float64bits(got.MinX) == math.Float64bits(want.MinX) &&
+			math.Float64bits(got.MinY) == math.Float64bits(want.MinY) &&
+			math.Float64bits(got.MaxX) == math.Float64bits(want.MaxX) &&
+			math.Float64bits(got.MaxY) == math.Float64bits(want.MaxY)
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			r, o := Rect{a, b, b, a}, Rect{b, a, a, b}
+			if got, want := NewRect(a, b, b, a), (Rect{math.Min(a, b), math.Min(b, a), math.Max(a, b), math.Max(b, a)}); !same(got, want, a, b) {
+				t.Errorf("NewRect(%g, %g, %g, %g) = %v, want %v", a, b, b, a, got, want)
+			}
+			if got, want := r.Union(o), (Rect{math.Min(a, b), math.Min(b, a), math.Max(b, a), math.Max(a, b)}); !same(got, want, a, b) {
+				t.Errorf("%v.Union(%v) = %v, want %v", r, o, got, want)
+			}
+			if got, want := r.ExtendPoint(Pt(b, a)), (Rect{math.Min(a, b), math.Min(b, a), math.Max(b, b), math.Max(a, a)}); !same(got, want, a, b) {
+				t.Errorf("%v.ExtendPoint(%g, %g) = %v, want %v", r, b, a, got, want)
+			}
+			got, ok := r.Intersection(o)
+			want := Rect{math.Max(a, b), math.Max(b, a), math.Min(b, a), math.Min(a, b)}
+			if ok != r.Intersects(o) || ok && !same(got, want, a, b) {
+				t.Errorf("%v.Intersection(%v) = %v, %t, want %v, %t", r, o, got, ok, want, r.Intersects(o))
+			}
+			dx, dy := math.Max(o.MaxX-r.MinX, r.MaxX-o.MinX), math.Max(o.MaxY-r.MinY, r.MaxY-o.MinY)
+			if got, want := r.MaxDistance(o), math.Hypot(dx, dy); !math.IsNaN(a) && !math.IsNaN(b) &&
+				math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v.MaxDistance(%v) = %g, want %g", r, o, got, want)
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"cmp"
-	"slices"
 
 	"spatialjoin/internal/geom"
 )
@@ -12,16 +11,18 @@ import (
 // order[o] is the permutation of the M+1 entries under sort o — axis o/2
 // (0 is x, 1 is y), by lower edge for even o and by upper edge for odd o —
 // and pre[o][i] and suf[o][i] bound the first i+1 and the last M+1−i
-// entries of that sort.
+// entries of that sort. key[i] and tie[i] are entry i's sort edge and other
+// edge under the sort being made.
 type splitScratch struct {
 	all      []entry
 	order    [4][]int
 	pre, suf [4][]geom.Rect
+	key, tie []float64
 }
 
 func newSplitScratch(maxEntries int) splitScratch {
 	n := maxEntries + 1
-	s := splitScratch{all: make([]entry, 0, n)}
+	s := splitScratch{all: make([]entry, 0, n), key: make([]float64, n), tie: make([]float64, n)}
 	for o := range s.order {
 		s.order[o] = make([]int, n)
 		s.pre[o] = make([]geom.Rect, n)
@@ -103,21 +104,30 @@ func (t *Tree) splitNode(n *node, e entry) (sib *node, nRect, sibRect geom.Rect)
 
 // sortAndBound fills order[o] with sort o of the split's entries — by the
 // sort's edge, then the other edge on the same axis, then position, a total
-// order — and the prefix and suffix rectangles of that order.
+// order — and the prefix and suffix rectangles of that order. The sort is
+// an insertion sort over the entries' keys, computed once: it is stable and
+// starts from position order, so entries equal in both keys stay in
+// position order.
 func (s *splitScratch) sortAndBound(o int) {
 	all, order, pre, suf := s.all, s.order[o][:len(s.all)], s.pre[o], s.suf[o]
-	for i := range order {
-		order[i] = i
-	}
-	axis, upper := o/2, o%2 == 1
-	slices.SortFunc(order, func(i, j int) int {
-		ai, bi := edges(all[i].rect, axis)
-		aj, bj := edges(all[j].rect, axis)
-		if upper {
-			ai, bi, aj, bj = bi, ai, bj, aj
+	key, tie := s.key[:len(all)], s.tie[:len(all)]
+	for i := range all {
+		key[i], tie[i] = edges(all[i].rect, o/2)
+		if o%2 == 1 {
+			key[i], tie[i] = tie[i], key[i]
 		}
-		return cmp.Or(cmp.Compare(ai, aj), cmp.Compare(bi, bj), cmp.Compare(i, j))
-	})
+	}
+	for i := range order {
+		j := i
+		for ; j > 0; j-- {
+			c := cmp.Compare(key[order[j-1]], key[i])
+			if c < 0 || c == 0 && cmp.Compare(tie[order[j-1]], tie[i]) <= 0 {
+				break
+			}
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
 	last := len(order) - 1
 	pre[0], suf[last] = all[order[0]].rect, all[order[last]].rect
 	for i := 1; i <= last; i++ {

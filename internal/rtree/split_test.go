@@ -1,6 +1,9 @@
 package rtree
 
 import (
+	"cmp"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -171,5 +174,124 @@ func TestInsertAllocations(t *testing.T) {
 	})
 	if got := perTree / n; got > maxInsertAllocs {
 		t.Fatalf("%.3f allocations per insert, want at most %.3f", got, maxInsertAllocs)
+	}
+}
+
+// referenceOrder is sort o of rects as slices.SortFunc orders it under the
+// comparator the split used before its keys were precomputed: by the sort's
+// edge, then the other edge on the same axis, then position.
+func referenceOrder(rects []geom.Rect, o int) []int {
+	order := make([]int, len(rects))
+	for i := range order {
+		order[i] = i
+	}
+	axis, upper := o/2, o%2 == 1
+	slices.SortFunc(order, func(i, j int) int {
+		ai, bi := edges(rects[i], axis)
+		aj, bj := edges(rects[j], axis)
+		if upper {
+			ai, bi, aj, bj = bi, ai, bj, aj
+		}
+		return cmp.Or(cmp.Compare(ai, aj), cmp.Compare(bi, bj), cmp.Compare(i, j))
+	})
+	return order
+}
+
+// TestSplitSortMatchesReference checks that each of the split's four sorts
+// is the permutation the reference comparator gives, on M+1 entries heavy
+// in ties: coordinates on a four-value grid, duplicated rectangles, equal
+// lower edges under different upper edges, and, in a quarter of the trials,
+// −0 beside +0, infinities and NaN, which the comparator orders as
+// cmp.Compare does. Equal keys must keep position order.
+func TestSplitSortMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	grid := []float64{0, 1, 2, 3}
+	odd := []float64{math.Copysign(0, -1), 0, 1, math.Inf(-1), math.Inf(1), math.NaN()}
+	for _, M := range []int{4, 8, 16} {
+		s := newSplitScratch(M)
+		for trial := 0; trial < 500; trial++ {
+			rects := make([]geom.Rect, M+1)
+			for i := range rects {
+				switch {
+				case i > 0 && rng.Intn(4) == 0:
+					rects[i] = rects[rng.Intn(i)]
+				case trial%4 == 3:
+					v := func() float64 { return odd[rng.Intn(len(odd))] }
+					rects[i] = geom.Rect{MinX: v(), MinY: v(), MaxX: v(), MaxY: v()}
+				default:
+					v := func() float64 { return grid[rng.Intn(len(grid))] }
+					rects[i] = geom.NewRect(v(), v(), v(), v())
+				}
+			}
+			s.all = s.all[:0]
+			for i, r := range rects {
+				s.all = append(s.all, entry{rect: r, id: i})
+			}
+			for o := range s.order {
+				s.sortAndBound(o)
+				if got, want := s.order[o][:M+1], referenceOrder(rects, o); !slices.Equal(got, want) {
+					t.Fatalf("M=%d trial %d sort %d of %v: order %v, want %v", M, trial, o, rects, got, want)
+				}
+			}
+		}
+	}
+}
+
+// treeFingerprint is the FNV-64a hash of a pre-order walk of t: for every
+// entry, its depth, the bits of its rectangle and its item ID (0 for an
+// interior entry).
+func treeFingerprint(t *Tree) uint64 {
+	h := fnv.New64a()
+	var buf [48]byte
+	var walk func(n *node, depth int)
+	walk = func(n *node, depth int) {
+		for _, e := range n.entries {
+			binary.LittleEndian.PutUint64(buf[0:], uint64(depth))
+			for i, v := range [4]float64{e.rect.MinX, e.rect.MinY, e.rect.MaxX, e.rect.MaxY} {
+				binary.LittleEndian.PutUint64(buf[8+8*i:], math.Float64bits(v))
+			}
+			binary.LittleEndian.PutUint64(buf[40:], uint64(e.id))
+			h.Write(buf[:])
+			if !n.leaf {
+				walk(e.child, depth+1)
+			}
+		}
+	}
+	walk(t.root, 0)
+	return h.Sum64()
+}
+
+// TestInsertBuildsTheSameTree pins the shape of trees built by inserting
+// seeded uniform and clustered rectangles one at a time. The fingerprints
+// were computed at commit d0961e8, whose split sorted by slices.SortFunc
+// under a closure comparator and whose rectangle bounds took math.Min and
+// math.Max;
+// a change to the insert path that keeps them builds the same trees, so
+// the same Θ counts and page reads in every join over them.
+func TestInsertBuildsTheSameTree(t *testing.T) {
+	world := geom.NewRect(0, 0, 10000, 10000)
+	cases := []struct {
+		name  string
+		opts  Options
+		rects []geom.Rect
+		want  uint64
+	}{
+		{"uniform M=8", DefaultOptions(),
+			datagen.UniformRects(rand.New(rand.NewSource(1)), 5000, world, 2, 100), 0x3433104c7378573a},
+		{"clustered M=8", DefaultOptions(),
+			datagen.ClusteredRects(rand.New(rand.NewSource(2)), 5000, 12, world, 400, 40), 0x033984ba3ba4c1cd},
+		{"uniform M=4", Options{MinEntries: 2, MaxEntries: 4},
+			datagen.UniformRects(rand.New(rand.NewSource(3)), 5000, world, 2, 100), 0x29a7ebf8d9c702a5},
+		{"clustered M=16", Options{MinEntries: 6, MaxEntries: 16},
+			datagen.ClusteredRects(rand.New(rand.NewSource(4)), 5000, 12, world, 400, 40), 0x12bd13193ec4c8ef},
+	}
+	for _, c := range cases {
+		tr := MustNew(c.opts)
+		for i, r := range c.rects {
+			tr.Insert(r, i)
+		}
+		if got := treeFingerprint(tr); got != c.want {
+			t.Errorf("%s: fingerprint %#x, want %#x", c.name, got, c.want)
+		}
 	}
 }
