@@ -41,10 +41,11 @@ type JoinOptions struct {
 	// needs it, and the value is θ's operand. Such a node is never read for
 	// Θ alone, and one that reaches θ with no reader fails the join rather
 	// than evaluate θ on its MBR. Nodes below a technical fixed node of a
-	// JOIN4 SELECT pass, and a's children when no child of a technical b
-	// qualified, are not examined; a childless pair is decided in the level
-	// that formed it (see Join). Two nodes that only reference their tuples
-	// are read after their level's Θ filter in Refine's block schedule: per
+	// JOIN4 SELECT pass are not examined, nor, in JOIN4, the second side's
+	// children when the first side qualified none of a technical node or
+	// one of a technical pair; a childless pair is decided in the level that
+	// formed it (see Join). Two nodes that only reference their tuples are
+	// read after their level's Θ filter in Refine's block schedule: per
 	// block, ReadR once for each distinct R tuple in (R page, R) order, then
 	// ReadS once for each distinct S tuple in (S page, S) order. They are
 	// called from the goroutine that called Join.
@@ -122,21 +123,27 @@ type JoinResult struct {
 // which bears a tuple and therefore descends. On trees that satisfy S2 the
 // guard is never taken and the descent is the paper's, count for count.
 //
+// A pair of two technical nodes emits nothing, so its JOIN4 restricts
+// QualPairs[j+1] alone: first the children of the node with the larger MBR
+// (b's on a tie) against the other node, then the other's children against
+// the union of the passes, or, after exactly one pass, all untested, each
+// pair's Θ being its only test. Every pair whose Θ can pass is formed.
+//
 // A page is read only while it can still pay, and in page order: three more
 // departures from the pseudocode (argument and measurements in DESIGN.md
-// §3). (i) When the first pass qualified no child of a technical b, the
-// second pass is not run: with b as its fixed node it can emit no pair, and
-// its verdicts would be crossed with an empty list. (ii) When the qualifying
-// children are crossed, a pair of two childless nodes is decided in the
-// level that formed it (JOIN2 and JOIN3; its JOIN4 would be empty) instead
-// of being queued. (iii) When a Θ-passing pair is two nodes that only
-// reference their tuples (two R-tree items), its JOIN3 waits for the end of
-// the level, where Refine runs θ on all such pairs in the paper's
-// block schedule: the filter step, then the refinement step, with each
-// block's R operands read once and S's pages swept once per block. JOIN
-// keeps no state across pairs but counters and an output every caller
-// sorts, so only the order of θ and of the matches moves, and on S2 trees
-// every count is the paper's. Where a node's tuple is read follows
+// §3). (i) When the first side qualified no child of a technical node, the
+// second side's children are not restricted: with that node fixed no pass
+// can emit a pair, and their verdicts would be crossed with an empty list.
+// (ii) When the qualifying children are crossed, a pair of two childless
+// nodes is decided in the level that formed it (JOIN2 and JOIN3; its JOIN4
+// would be empty) instead of being queued. (iii) When a Θ-passing pair is
+// two nodes that only reference their tuples (two R-tree items), its JOIN3
+// waits for the end of the level, where Refine runs θ on all such pairs in
+// the paper's block schedule: the filter step, then the refinement step,
+// with each block's R operands read once and S's pages swept once per
+// block. JOIN keeps no state across pairs but counters and an output every
+// caller sorts, so only the order of θ and of the matches moves, and on S2
+// trees every count is the paper's. Where a node's tuple is read follows
 // Node.ContainsTuple: an index entry's tuple is read only for θ, and is
 // θ's operand (see JoinOptions.ReadR).
 func Join(tr, ts Tree, op pred.Operator, opts *JoinOptions) (JoinResult, error) {
@@ -263,30 +270,49 @@ func joinLevel(sc *joinScratch, op pred.Operator, options *JoinOptions,
 		if !ok {
 			continue
 		}
-		// JOIN4: SELECT a against b's subtrees, and b against a's.
-		sc.bPass = sc.bPass[:0]
-		for j, nb := 0, b.NumChildren(); j < nb; j++ {
-			b2 := b.Child(j)
-			ok, err := JoinSelect(a, b2, op, MovingS, options, res)
+		// JOIN4: SELECT a against b's subtrees, and b against a's, or, for
+		// two technical nodes, restrict the larger's children first (see Join).
+		first, second, fs, ss := b, a, MovingS, MovingR
+		fPass, sPass := &sc.bPass, &sc.aPass
+		_, tupleA := a.Tuple()
+		_, tupleB := b.Tuple()
+		technical := !tupleA && !tupleB
+		if technical && a.Bounds().Area() > b.Bounds().Area() {
+			first, second, fs, ss, fPass, sPass = a, b, MovingR, MovingS, sPass, fPass
+		}
+		sc.aPass, sc.bPass = sc.aPass[:0], sc.bPass[:0]
+		var passed geom.Rect
+		for i, n := 0, first.NumChildren(); i < n; i++ {
+			c := first.Child(i)
+			ok, err := JoinSelect(second, c, op, fs, options, res)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				sc.bPass = append(sc.bPass, b2)
+				if len(*fPass) == 0 {
+					passed = c.Bounds()
+				}
+				passed = passed.Union(c.Bounds())
+				*fPass = append(*fPass, c)
 			}
 		}
-		if _, tuple := b.Tuple(); !tuple && len(sc.bPass) == 0 {
-			continue // the second pass could emit nothing and qualify for nothing
+		if _, tuple := first.Tuple(); !tuple && len(*fPass) == 0 {
+			continue // the second side could emit nothing and qualify for nothing
 		}
-		sc.aPass = sc.aPass[:0]
-		for i, na := 0, a.NumChildren(); i < na; i++ {
-			a2 := a.Child(i)
-			ok, err := JoinSelect(b, a2, op, MovingR, options, res)
+		for i, n := 0, second.NumChildren(); i < n; i++ {
+			c, ok := second.Child(i), true
+			var err error
+			switch {
+			case !technical:
+				ok, err = JoinSelect(first, c, op, ss, options, res)
+			case len(*fPass) > 1:
+				ok, err = restrictOne(c, passed, ss, op, options, res)
+			}
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				sc.aPass = append(sc.aPass, a2)
+				*sPass = append(*sPass, c)
 			}
 		}
 		for _, a2 := range sc.aPass {
@@ -379,21 +405,17 @@ const (
 func JoinSelect(fixed, n Node, op pred.Operator, s Side,
 	opts *JoinOptions, res *JoinResult) (bool, error) {
 
-	if err := examine1(n, s, opts, res); err != nil {
+	if ok, err := restrictOne(n, fixed.Bounds(), s, op, opts, res); !ok || err != nil {
 		return false, err
-	}
-	r, sn := fixed, n
-	if s == MovingR {
-		r, sn = n, fixed
-	}
-	res.Stats.FilterEvals++
-	if !op.Filter(r.Bounds(), sn.Bounds()) {
-		return false, nil
 	}
 	if _, ok := fixed.Tuple(); !ok {
 		return true, nil
 	}
 	if _, ok := n.Tuple(); ok {
+		r, sn := fixed, n
+		if s == MovingR {
+			r, sn = n, fixed
+		}
 		if err := Theta(r, sn, op, opts, res); err != nil {
 			return false, err
 		}
@@ -404,6 +426,21 @@ func JoinSelect(fixed, n Node, op pred.Operator, s Side,
 		}
 	}
 	return true, nil
+}
+
+// restrictOne examines n, a node of the moving side s, and evaluates Θ
+// between its MBR and the other side's rectangle against, R-side first.
+func restrictOne(n Node, against geom.Rect, s Side, op pred.Operator,
+	opts *JoinOptions, res *JoinResult) (bool, error) {
+
+	if err := examine1(n, s, opts, res); err != nil {
+		return false, err
+	}
+	res.Stats.FilterEvals++
+	if s == MovingR {
+		return op.Filter(n.Bounds(), against), nil
+	}
+	return op.Filter(against, n.Bounds()), nil
 }
 
 // examine2 counts the examination of both members of a QualPairs pair.

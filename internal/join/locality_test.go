@@ -17,8 +17,8 @@ import (
 // levelOrderJoin is the join's descent with every pair, item pairs
 // included, decided in a QualPairs level of its own — the order algorithm
 // JOIN had before childless pairs were decided where they are formed. It
-// issues exactly the Θ evaluations core.Join does (the second pass is
-// skipped under a technical b that no child qualified for), only later, and
+// issues exactly the Θ evaluations core.Join does (JOIN4's restriction
+// rule for two technical nodes, written out again below), only later, and
 // reads every node it examines, as core.Join did before an item's page was
 // read only for θ; θ evaluates what the readers returned for the pair. It is
 // written for index trees of equal height alone: a node with children must
@@ -58,25 +58,55 @@ func levelOrderJoin(t *testing.T, trR, trS core.Tree, op pred.Operator,
 			if tupleA && tupleB && op.Eval(objA, objB) {
 				matches = append(matches, core.Match{R: ra, S: sb})
 			}
-			var aPass, bPass []core.Node
-			for j := 0; j < b.NumChildren(); j++ {
-				b2 := b.Child(j)
-				read(readS, b2, &dstChild)
+			if tupleA {
+				continue // a pair of items has no JOIN4
+			}
+			// Restrict the children of the larger MBR (b's on a tie)
+			// against the other node; the other node's children are
+			// crossed untested with a single pass, and otherwise
+			// restricted against the union of the passes.
+			aFirst := a.Bounds().Area() > b.Bounds().Area()
+			first, second, readFirst, readSecond := b, a, readS, readR
+			if aFirst {
+				first, second, readFirst, readSecond = a, b, readR, readS
+			}
+			filter := func(firstSide, secondSide geom.Rect) bool {
+				if aFirst {
+					return op.Filter(firstSide, secondSide)
+				}
+				return op.Filter(secondSide, firstSide)
+			}
+			var firstPass, secondPass []core.Node
+			var union geom.Rect
+			for j := 0; j < first.NumChildren(); j++ {
+				c := first.Child(j)
+				read(readFirst, c, &dstChild)
 				filterEvals++
-				if op.Filter(a.Bounds(), b2.Bounds()) {
-					bPass = append(bPass, b2)
+				if filter(c.Bounds(), second.Bounds()) {
+					firstPass = append(firstPass, c)
 				}
 			}
-			if !tupleB && len(bPass) == 0 {
-				continue
-			}
-			for i := 0; i < a.NumChildren(); i++ {
-				a2 := a.Child(i)
-				read(readR, a2, &dstChild)
-				filterEvals++
-				if op.Filter(a2.Bounds(), b.Bounds()) {
-					aPass = append(aPass, a2)
+			for j, c := range firstPass {
+				if j == 0 {
+					union = c.Bounds()
 				}
+				union = union.Union(c.Bounds())
+			}
+			for i := 0; i < second.NumChildren() && len(firstPass) > 0; i++ {
+				c := second.Child(i)
+				if len(firstPass) == 1 {
+					secondPass = append(secondPass, c)
+					continue
+				}
+				read(readSecond, c, &dstChild)
+				filterEvals++
+				if filter(union, c.Bounds()) {
+					secondPass = append(secondPass, c)
+				}
+			}
+			aPass, bPass := secondPass, firstPass
+			if aFirst {
+				aPass, bPass = firstPass, secondPass
 			}
 			for _, a2 := range aPass {
 				for _, b2 := range bPass {

@@ -182,20 +182,23 @@ func TestAdapterIsLiveView(t *testing.T) {
 }
 
 // TestJoinWorkGuardOnRTrees pins the work of algorithm JOIN over two R-tree
-// adapters, whose interior nodes are all technical. A JOIN4 SELECT pass
-// under a technical fixed node stops at depth 1; the second pass is not run
-// when the first qualified no child of a technical b; and a pair of items
-// is decided by the level that formed it instead of being queued. So level
-// j evaluates Θ once per QualPairs entry, once per child of b for each
-// passing pair, once per child of a where some child of b passed, and once
-// per item pair it forms — and the item level has no QualPairs of its own.
+// adapters, whose interior nodes are all technical. JOIN4 over a passing
+// pair restricts first the children of the node with the larger MBR (b's
+// on a tie) against the other node; the other node's children are not
+// tested when none passed, are crossed untested with a single pass, and
+// are otherwise restricted against the union of the passes; and a pair of
+// items is decided by the level that formed it instead of being queued. So
+// level j evaluates Θ once per QualPairs entry, once per child restricted,
+// and once per item pair it forms — and the item level has no QualPairs
+// of its own.
 // An R-tree node only references its tuple, so the readers are called at
 // the item depth alone, for θ: with no pages given, a level's refinement is
 // one block, which reads each distinct item of a θ candidate once per
 // side; a Θ test reads nothing. The expectation comes
 // from an independent level-by-level walk that has no SELECT pass at all;
 // the test fails if the pass descends where no result can come from, if the
-// second pass runs for nothing, if item pairs get a level to themselves, if
+// restrictions take another order or rectangle, or run for nothing, if
+// item pairs get a level to themselves, if
 // a node is read for its Θ filter, or if the trace holds anything but
 // the level spans (a span or event per pair).
 func TestJoinWorkGuardOnRTrees(t *testing.T) {
@@ -227,6 +230,36 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 		}
 		(*s)[i] += by
 	}
+	children := func(n core.Node) []core.Node {
+		var cs []core.Node
+		for i := 0; i < n.NumChildren(); i++ {
+			cs = append(cs, n.Child(i))
+		}
+		return cs
+	}
+	// restrict evaluates Θ between each of cs and against, R-side first,
+	// and returns the nodes that passed and the union of their MBRs.
+	restrict := func(level int, cs []core.Node, against geom.Rect, csAreR bool) ([]core.Node, geom.Rect) {
+		var pass []core.Node
+		var u geom.Rect
+		for _, c := range cs {
+			bump(&wantEvals, level, 1)
+			r, s := against, c.Bounds()
+			if csAreR {
+				r, s = s, r
+			}
+			if !op.Filter(r, s) {
+				continue
+			}
+			if len(pass) == 0 {
+				u = c.Bounds()
+			} else {
+				u = u.Union(c.Bounds())
+			}
+			pass = append(pass, c)
+		}
+		return pass, u
+	}
 	for level, qual := 0, []pair{{ga.Root(), gb.Root()}}; len(qual) > 0; level++ {
 		bump(&wantQual, level, int64(len(qual)))
 		var next []pair
@@ -236,23 +269,36 @@ func TestJoinWorkGuardOnRTrees(t *testing.T) {
 			if !op.Filter(p.a.Bounds(), p.b.Bounds()) {
 				continue
 			}
-			na, nb := p.a.NumChildren(), p.b.NumChildren()
-			bump(&wantEvals, level, int64(nb))
-			var bPass []core.Node
-			for j := 0; j < nb; j++ {
-				if b2 := p.b.Child(j); op.Filter(p.a.Bounds(), b2.Bounds()) {
-					bPass = append(bPass, b2)
-				}
-			}
-			if _, tuple := p.b.Tuple(); !tuple && len(bPass) == 0 {
-				continue // a's children are not examined
-			}
-			bump(&wantEvals, level, int64(na))
-			for i := 0; i < na; i++ {
-				a2 := p.a.Child(i)
-				if !op.Filter(a2.Bounds(), p.b.Bounds()) {
+			// JOIN4 over two technical nodes: the children of the larger
+			// MBR (b's on a tie) against the other node, then the other's
+			// children against the union of those passes, or, after a
+			// single pass, all of them crossed with it untested.
+			as, bs := children(p.a), children(p.b)
+			var aPass, bPass []core.Node
+			if p.a.Bounds().Area() > p.b.Bounds().Area() {
+				var u geom.Rect
+				aPass, u = restrict(level, as, p.b.Bounds(), true)
+				switch len(aPass) {
+				case 0:
 					continue
+				case 1:
+					bPass = bs
+				default:
+					bPass, _ = restrict(level, bs, u, false)
 				}
+			} else {
+				var u geom.Rect
+				bPass, u = restrict(level, bs, p.a.Bounds(), false)
+				switch len(bPass) {
+				case 0:
+					continue // a's children are not examined
+				case 1:
+					aPass = as
+				default:
+					aPass, _ = restrict(level, as, u, true)
+				}
+			}
+			for _, a2 := range aPass {
 				for _, b2 := range bPass {
 					if a2.NumChildren() > 0 || b2.NumChildren() > 0 {
 						next = append(next, pair{a2, b2})
