@@ -45,6 +45,7 @@ import (
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/pred"
 	"spatialjoin/internal/relation"
+	"spatialjoin/internal/rtree"
 	"spatialjoin/internal/storage"
 )
 
@@ -155,10 +156,22 @@ func parseOp(spec string) (pred.Operator, error) {
 	}
 }
 
-// workload is one stored relation plus its generalization tree.
+// workload is one stored relation plus its generalization tree and its
+// tuples' rectangles, indexed by tuple ID.
 type workload struct {
 	table join.Table
 	tree  core.Tree
+	rects []geom.Rect
+}
+
+// rtreeOf indexes the workload's tuples in an R-tree the way a collection
+// does: default options, one insert per tuple in ID order.
+func (w workload) rtreeOf() core.Tree {
+	t := rtree.MustNew(rtree.DefaultOptions())
+	for id, rc := range w.rects {
+		t.Insert(rc, id)
+	}
+	return t.Generalization()
 }
 
 // buildWorkload loads a model tree's tuples into a relation with the chosen
@@ -195,7 +208,7 @@ func buildWorkload(pool *storage.BufferPool, seed int64, k, height int,
 	if err != nil {
 		return workload{}, err
 	}
-	return workload{table: table, tree: tree}, nil
+	return workload{table: table, tree: tree, rects: rects}, nil
 }
 
 // options is run's full knob surface (the non-WAL flags).
@@ -264,6 +277,7 @@ func run(out io.Writer, o options) (err error) {
 		defer cancel()
 	}
 	var trace *obs.Trace
+	untraced := ctx
 	if o.explain {
 		ctx, trace = obs.WithTrace(ctx)
 	}
@@ -376,6 +390,19 @@ func run(out io.Writer, o options) (err error) {
 		}
 		treeResults = len(pairs)
 		report("tree", len(pairs), st)
+	}
+	if o.strategy == "all" {
+		// The same tuples under two R-trees through the same pool, so the
+		// table covers the R-tree descent the model trees do not exercise.
+		// It runs untraced: EXPLAIN's level table is the model trees'.
+		if err := cold(); err != nil {
+			return err
+		}
+		pairs, st, err := join.TreeJoin(untraced, r.rtreeOf(), r.table, s.rtreeOf(), s.table, op)
+		if err != nil {
+			return err
+		}
+		report("rtree", len(pairs), st)
 	}
 	if want("index") {
 		ix, buildStats, err := join.BuildIndex(r.table, s.table, op, 100)

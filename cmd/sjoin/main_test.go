@@ -93,12 +93,12 @@ func TestRunJoinAllStrategies(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
-	// All three strategies must report the same result count: extract the
-	// first column numbers.
+	// All strategies, and the tree join over R-trees, must report the same
+	// result count: extract the first column numbers.
 	counts := map[string]bool{}
 	for _, line := range strings.Split(out, "\n") {
 		f := strings.Fields(line)
-		if len(f) >= 7 && (f[0] == "scan" || f[0] == "tree" || f[0] == "index") {
+		if len(f) >= 7 && (f[0] == "scan" || f[0] == "tree" || f[0] == "rtree" || f[0] == "index") {
 			counts[f[1]] = true
 		}
 	}

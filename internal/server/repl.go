@@ -8,6 +8,7 @@ package server
 // Shutdown ends running ones by closing their connections.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 
@@ -32,6 +33,8 @@ func (ss *session) startRepl(f wire.Frame) {
 		})
 		return
 	}
+	// The stream outlives the read loop's payload buffer: keep a copy.
+	f.Payload = bytes.Clone(f.Payload)
 	ss.wg.Add(1)
 	go func() {
 		defer ss.wg.Done()
@@ -58,7 +61,7 @@ func (ss *session) runRepl(f wire.Frame) {
 			if eerr != nil {
 				return eerr
 			}
-			return ss.writeFrameErr(wire.Frame{Type: wire.TypeWALChunk, Request: f.Request, Payload: p})
+			return ss.write(wire.Frame{Type: wire.TypeWALChunk, Request: f.Request}, p)
 		})
 	case wire.TypeSnapDelta:
 		q, derr := wire.DecodeSnapDelta(f.Payload)
@@ -72,7 +75,7 @@ func (ss *session) runRepl(f wire.Frame) {
 			if eerr != nil {
 				return eerr
 			}
-			return ss.writeFrameErr(wire.Frame{Type: wire.TypeSnapChunk, Request: f.Request, Payload: p})
+			return ss.write(wire.Frame{Type: wire.TypeSnapChunk, Request: f.Request}, p)
 		})
 	}
 	switch {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"io"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"spatialjoin"
+	"spatialjoin/internal/core"
 	"spatialjoin/internal/obs"
 	"spatialjoin/internal/wire"
 )
@@ -23,6 +23,7 @@ type session struct {
 	conn net.Conn
 
 	wmu sync.Mutex     // serializes response frames
+	out []byte         // under wmu: the response frame being written
 	wg  sync.WaitGroup // in-flight query goroutines of this session
 }
 
@@ -34,16 +35,18 @@ func newSession(srv *Server, conn net.Conn) *session {
 // run is the session loop: it decodes frames until the connection dies or
 // desynchronizes, dispatches requests, and on exit waits for the session's
 // query goroutines before unregistering — Shutdown's sessionWG.Wait
-// therefore transitively waits for every query goroutine.
+// therefore transitively waits for every query goroutine. A frame's payload
+// is the reader's buffer, which the next read overwrites, so a query is
+// decoded, and a replication request copied, before its goroutine starts.
 func (ss *session) run() {
 	defer func() {
 		ss.wg.Wait()
 		_ = ss.conn.Close()
 		ss.srv.removeSession(ss)
 	}()
-	br := bufio.NewReader(ss.conn)
+	rd := wire.NewReader(ss.conn, wire.MaxPayload)
 	for {
-		f, err := wire.ReadFrame(br, wire.MaxPayload)
+		f, err := rd.ReadFrame()
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !errors.Is(err, wire.ErrTruncated) {
 				// The stream carried garbage (bad magic, checksum, ...):
@@ -59,7 +62,7 @@ func (ss *session) run() {
 		ss.srv.m.framesIn.Inc()
 		switch f.Type {
 		case wire.TypePing:
-			ss.writeFrame(wire.Frame{Type: wire.TypePong, Request: f.Request})
+			_ = ss.write(wire.Frame{Type: wire.TypePong, Request: f.Request}, nil)
 		case wire.TypeSelect, wire.TypeJoin:
 			ss.dispatch(f)
 		case wire.TypeReplTail, wire.TypeSnapDelta:
@@ -76,26 +79,16 @@ func (ss *session) run() {
 	}
 }
 
-// writeFrame sends one frame under the session write lock.
-func (ss *session) writeFrame(f wire.Frame) {
+// write sends one frame carrying msg (see wire.AppendMessage) with one
+// Write under the session write lock, encoding it into the session's reused
+// buffer. It reports the failure, so a streaming loop stops instead of
+// shipping into a dead connection; single-frame answers (Pong, Done) ignore
+// it, because the read loop notices the closed connection anyway.
+func (ss *session) write(f wire.Frame, msg any) error {
 	ss.wmu.Lock()
-	err := wire.WriteFrame(ss.conn, f)
-	ss.wmu.Unlock()
-	if err == nil {
-		ss.srv.m.framesOut.Inc()
-	}
-	// A write error means the client is gone; the read loop will notice
-	// the closed connection — nothing to do here.
-}
-
-// writeFrameErr sends one frame under the session write lock and reports
-// the failure, so a streaming loop can stop instead of shipping into a dead
-// connection. The plain writeFrame stays error-blind for response paths
-// where the read loop notices the closed connection anyway.
-func (ss *session) writeFrameErr(f wire.Frame) error {
-	ss.wmu.Lock()
-	err := wire.WriteFrame(ss.conn, f)
-	ss.wmu.Unlock()
+	defer ss.wmu.Unlock()
+	ss.out = wire.AppendMessage(ss.out[:0], f, msg)
+	_, err := ss.conn.Write(ss.out)
 	if err == nil {
 		ss.srv.m.framesOut.Inc()
 	}
@@ -104,12 +97,7 @@ func (ss *session) writeFrameErr(f wire.Frame) error {
 
 // writeDone sends a Done verdict for a request.
 func (ss *session) writeDone(request uint64, flags uint16, d wire.Done) {
-	ss.writeFrame(wire.Frame{
-		Type:    wire.TypeDone,
-		Flags:   flags,
-		Request: request,
-		Payload: wire.EncodeDone(d),
-	})
+	_ = ss.write(wire.Frame{Type: wire.TypeDone, Flags: flags, Request: request}, d)
 }
 
 // shed refuses a query without executing anything. The refusal lands in
@@ -168,15 +156,23 @@ func (qt queryTrace) export() []obs.RemoteSpan {
 	return qt.tr.Export()
 }
 
-// dispatch runs admission control for one request frame and, when
-// admitted, executes it in its own goroutine so the session keeps reading
-// pipelined requests. A request carrying a sampled trace context gets a
-// server-side trace adopted before admission, so the admission wait is the
-// first server span of the merged tree.
+// dispatch decodes one request frame, runs admission control for it and,
+// when admitted, executes it in its own goroutine so the session keeps
+// reading pipelined requests; the goroutine holds the decoded request,
+// never the frame's payload. A payload that does not decode is admitted
+// like any query and answered BAD_REQUEST. A request carrying a sampled
+// trace context gets a server-side trace adopted before admission, so the
+// admission wait is the first server span of the merged tree.
 func (ss *session) dispatch(f wire.Frame) {
-	kind := "select"
-	if f.Type == wire.TypeJoin {
+	kind, request, join := "select", f.Request, f.Type == wire.TypeJoin
+	var sq wire.SelectRequest
+	var jq wire.JoinRequest
+	var derr error
+	if join {
 		kind = "join"
+		jq, derr = wire.DecodeJoin(f.Payload)
+	} else {
+		sq, derr = wire.DecodeSelect(f.Payload)
 	}
 	if ss.srv.draining.Load() {
 		ss.shed(f.Request, kind, wire.StatusShuttingDown, f.Trace.ID)
@@ -227,10 +223,13 @@ func (ss *session) dispatch(f wire.Frame) {
 			ss.wg.Done()
 		}()
 		start := time.Now()
-		if f.Type == wire.TypeJoin {
-			ss.runJoin(f, qt)
-		} else {
-			ss.runSelect(f, qt)
+		switch {
+		case derr != nil:
+			ss.badRequest(request, kind, wire.StatusBadRequest, derr.Error())
+		case join:
+			ss.runJoin(request, jq, qt)
+		default:
+			ss.runSelect(request, sq, qt)
 		}
 		ss.srv.m.latency.Observe(time.Since(start).Seconds())
 	}()
@@ -260,122 +259,87 @@ func (ss *session) acquireDB(request uint64, kind string) (*spatialjoin.Database
 }
 
 // runSelect executes an admitted SELECT and streams its result.
-func (ss *session) runSelect(f wire.Frame, qt queryTrace) {
-	q, err := wire.DecodeSelect(f.Payload)
-	if err != nil {
-		ss.badRequest(f.Request, "select", wire.StatusBadRequest, err.Error())
-		return
-	}
-	db, release, ok := ss.acquireDB(f.Request, "select")
+func (ss *session) runSelect(request uint64, q wire.SelectRequest, qt queryTrace) {
+	db, release, ok := ss.acquireDB(request, "select")
 	if !ok {
 		return
 	}
 	defer release()
 	col, ok := db.Collection(q.Collection)
 	if !ok {
-		ss.badRequest(f.Request, "select", wire.StatusNotFound, "unknown collection "+q.Collection)
+		ss.badRequest(request, "select", wire.StatusNotFound, "unknown collection "+q.Collection)
 		return
 	}
 	op, err := q.Op.Operator()
 	if err != nil {
-		ss.badRequest(f.Request, "select", wire.StatusBadRequest, err.Error())
+		ss.badRequest(request, "select", wire.StatusBadRequest, err.Error())
 		return
 	}
 	strat, err := wireStrategy(q.Strategy)
 	if err != nil {
-		ss.badRequest(f.Request, "select", wire.StatusBadRequest, err.Error())
+		ss.badRequest(request, "select", wire.StatusBadRequest, err.Error())
 		return
 	}
 	ids, stats, err := db.SelectContext(qt.ctx(ss.srv.baseCtx), col, q.Selector, op, strat)
-	status := statusOf(stats, err, ss.srv.draining.Load())
-	ss.srv.m.queryOutcome("select", status)
-	d := wire.Done{Status: status, Stats: wireStats(stats)}
-	if err != nil {
-		d.Message = err.Error()
-		d.Spans = qt.export()
-		ss.writeDone(f.Request, 0, d)
-		return
-	}
-	stream := qt.tr.Begin(qt.root, "stream")
-	batch := ss.srv.opts.BatchSize
-	frames := int64(0)
-	for off := 0; off < len(ids); off += batch {
-		end := off + batch
-		if end > len(ids) {
-			end = len(ids)
-		}
-		ss.writeFrame(wire.Frame{
-			Type:    wire.TypeIDs,
-			Request: f.Request,
-			Payload: wire.EncodeIDs(ids[off:end]),
-		})
-		frames++
-	}
-	qt.tr.End(stream, obs.Int("frames", frames), obs.Int("results", int64(len(ids))))
-	d.Results = uint64(len(ids))
-	d.Spans = qt.export()
-	ss.writeDone(f.Request, 0, d)
+	respond(ss, request, "select", wire.TypeIDs, qt, ids, stats, err)
 }
 
 // runJoin executes an admitted JOIN and streams its canonical match set.
-func (ss *session) runJoin(f wire.Frame, qt queryTrace) {
-	q, err := wire.DecodeJoin(f.Payload)
-	if err != nil {
-		ss.badRequest(f.Request, "join", wire.StatusBadRequest, err.Error())
-		return
-	}
-	db, release, ok := ss.acquireDB(f.Request, "join")
+func (ss *session) runJoin(request uint64, q wire.JoinRequest, qt queryTrace) {
+	db, release, ok := ss.acquireDB(request, "join")
 	if !ok {
 		return
 	}
 	defer release()
 	r, ok := db.Collection(q.R)
 	if !ok {
-		ss.badRequest(f.Request, "join", wire.StatusNotFound, "unknown collection "+q.R)
+		ss.badRequest(request, "join", wire.StatusNotFound, "unknown collection "+q.R)
 		return
 	}
 	s, ok := db.Collection(q.S)
 	if !ok {
-		ss.badRequest(f.Request, "join", wire.StatusNotFound, "unknown collection "+q.S)
+		ss.badRequest(request, "join", wire.StatusNotFound, "unknown collection "+q.S)
 		return
 	}
 	op, err := q.Op.Operator()
 	if err != nil {
-		ss.badRequest(f.Request, "join", wire.StatusBadRequest, err.Error())
+		ss.badRequest(request, "join", wire.StatusBadRequest, err.Error())
 		return
 	}
 	strat, err := wireStrategy(q.Strategy)
 	if err != nil {
-		ss.badRequest(f.Request, "join", wire.StatusBadRequest, err.Error())
+		ss.badRequest(request, "join", wire.StatusBadRequest, err.Error())
 		return
 	}
 	ms, stats, err := db.JoinContext(qt.ctx(ss.srv.baseCtx), r, s, op, strat)
+	respond(ss, request, "join", wire.TypeMatches, qt, ms, stats, err)
+}
+
+// respond answers an executed query: its results in BatchSize frames of
+// type typ, then its Done verdict. A failed batch write ends the response
+// there: the client is gone, so nothing more is encoded or sent.
+func respond[T int | core.Match](ss *session, request uint64, kind string, typ uint8, qt queryTrace, results []T, stats spatialjoin.Stats, err error) {
 	status := statusOf(stats, err, ss.srv.draining.Load())
-	ss.srv.m.queryOutcome("join", status)
+	ss.srv.m.queryOutcome(kind, status)
 	d := wire.Done{Status: status, Stats: wireStats(stats)}
 	if err != nil {
 		d.Message = err.Error()
 		d.Spans = qt.export()
-		ss.writeDone(f.Request, 0, d)
+		ss.writeDone(request, 0, d)
 		return
 	}
 	stream := qt.tr.Begin(qt.root, "stream")
 	batch := ss.srv.opts.BatchSize
 	frames := int64(0)
-	for off := 0; off < len(ms); off += batch {
-		end := off + batch
-		if end > len(ms) {
-			end = len(ms)
+	for off := 0; off < len(results); off += batch {
+		if ss.write(wire.Frame{Type: typ, Request: request}, results[off:min(off+batch, len(results))]) != nil {
+			qt.tr.End(stream)
+			return
 		}
-		ss.writeFrame(wire.Frame{
-			Type:    wire.TypeMatches,
-			Request: f.Request,
-			Payload: wire.EncodeMatches(ms[off:end]),
-		})
 		frames++
 	}
-	qt.tr.End(stream, obs.Int("frames", frames), obs.Int("results", int64(len(ms))))
-	d.Results = uint64(len(ms))
+	qt.tr.End(stream, obs.Int("frames", frames), obs.Int("results", int64(len(results))))
+	d.Results = uint64(len(results))
 	d.Spans = qt.export()
-	ss.writeDone(f.Request, 0, d)
+	ss.writeDone(request, 0, d)
 }

@@ -1,0 +1,190 @@
+package server_test
+
+import (
+	"context"
+	"net"
+	"runtime/debug"
+	"sync"
+	"testing"
+	"time"
+
+	"spatialjoin"
+	"spatialjoin/internal/geom"
+	"spatialjoin/internal/server"
+	"spatialjoin/internal/wire"
+)
+
+// raceDetector reports whether the test binary was built with -race, read
+// from its build settings (sjlint type-checks every file of a package
+// together, so a build-tagged constant is not an option).
+func raceDetector() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestServedSelectAllocations pins what one served select allocates on both
+// sides of the loopback socket: the client's call, its channel and the
+// result's IDs, the server's query goroutine, decoded collection name and
+// boxed selector, and the engine's answer. Frames are read into and written
+// from per-connection buffers, so the count does not grow with the frames a
+// query takes. The collector is off while the count runs, so no collection
+// empties the engine's pools mid-measurement. Under the race detector
+// sync.Pool drops a quarter of what is put back, so the test skips there.
+func TestServedSelectAllocations(t *testing.T) {
+	if raceDetector() {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	db, _, _ := newServerDB(t, false, func(cfg *spatialjoin.Config) { cfg.BufferPages = 1024 })
+	_, addr := startServer(t, db, server.Options{})
+	c := dialClient(t, addr)
+	ctx := context.Background()
+	window := geom.NewRect(100, 100, 300, 300)
+	sel := func() {
+		res, err := c.Select(ctx, "r", window, wire.Overlaps(), wire.StrategyTree)
+		if err != nil || res.Status != wire.StatusOK || len(res.IDs) == 0 {
+			t.Fatalf("select: %v, %+v", err, res)
+		}
+	}
+	sel()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(500, sel)
+	t.Logf("served select: %.2f allocations", allocs)
+	const ceiling = 7.7
+	if allocs > ceiling {
+		t.Errorf("served select: %.2f allocations, want <= %g", allocs, ceiling)
+	}
+}
+
+// gatedListener wraps each accepted connection in a gatedConn that holds
+// every Write after the first until gate closes.
+type gatedListener struct {
+	net.Listener
+	gate  chan struct{}
+	conns chan *gatedConn
+}
+
+func (l *gatedListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	gc := &gatedConn{Conn: conn, gate: l.gate}
+	l.conns <- gc
+	return gc, nil
+}
+
+// gatedConn counts the server's Write calls and notes the first that
+// failed.
+type gatedConn struct {
+	net.Conn
+	gate <-chan struct{}
+
+	mu       sync.Mutex
+	writes   int
+	failedAt int // 1-based index of the first failed Write; 0 if none
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes++
+	n := c.writes
+	c.mu.Unlock()
+	if n > 1 {
+		<-c.gate
+	}
+	k, err := c.Conn.Write(p)
+	if err != nil {
+		c.mu.Lock()
+		if c.failedAt == 0 {
+			c.failedAt = n
+		}
+		c.mu.Unlock()
+	}
+	return k, err
+}
+
+func (c *gatedConn) counts() (writes, failedAt int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writes, c.failedAt
+}
+
+// TestStreamStopsAtFirstFailedWrite streams a join one match per frame to
+// a client that hangs up after the first batch. The server must stop at its
+// first failed write — encode and attempt nothing more, not even the Done
+// verdict — and the query goroutine must exit; the server keeps serving.
+func TestStreamStopsAtFirstFailedWrite(t *testing.T) {
+	db, r, s := newServerDB(t, false, nil)
+	want, _, err := db.Join(r, s, spatialjoin.Overlaps(), spatialjoin.TreeStrategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 16 {
+		t.Fatalf("workload join has %d matches; the test needs a long stream", len(want))
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl := &gatedListener{Listener: ln, gate: make(chan struct{}), conns: make(chan *gatedConn, 2)}
+	srv := server.New(db, server.Options{BatchSize: 1})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(gl) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		if err := <-served; err != nil && err != server.ErrServerClosed {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	base := settledGoroutines()
+
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := wire.EncodeJoin(wire.JoinRequest{Strategy: wire.StrategyTree, Op: wire.Overlaps(), R: "r", S: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Write(wire.AppendFrame(nil, wire.Frame{Type: wire.TypeJoin, Request: 1, Payload: p})); err != nil {
+		t.Fatal(err)
+	}
+	f, err := wire.ReadFrame(raw, wire.MaxPayload)
+	if err != nil || f.Type != wire.TypeMatches {
+		t.Fatalf("first response frame: %+v, %v", f, err)
+	}
+	// Linger 0 resets the connection on close, so the server's next writes
+	// fail at once instead of after a FIN and a reset.
+	_ = raw.(*net.TCPConn).SetLinger(0)
+	_ = raw.Close()
+	close(gl.gate)
+	conn := <-gl.conns
+
+	if n := settledGoroutines(); n > base {
+		t.Fatalf("%d goroutines after the client left, %d before it came: the query goroutine did not exit", n, base)
+	}
+	writes, failedAt := conn.counts()
+	t.Logf("%d writes for a stream of %d frames plus Done; the first failure was write %d", writes, len(want), failedAt)
+	if failedAt == 0 {
+		t.Fatal("no write failed after the client hung up")
+	}
+	if writes != failedAt {
+		t.Errorf("%d writes attempted after the first failed one", writes-failedAt)
+	}
+
+	c := dialClient(t, ln.Addr().String())
+	res, err := c.Join(context.Background(), "r", "s", wire.Overlaps(), wire.StrategyTree)
+	if err != nil || res.Status != wire.StatusOK {
+		t.Fatalf("join after the hang-up: %v, %+v", err, res)
+	}
+	assertSameMatches(t, "join after the hang-up", res.Matches, want)
+}

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -60,6 +59,7 @@ type Client struct {
 	conn net.Conn
 
 	wmu sync.Mutex // serializes frame writes
+	out []byte     // under wmu: the request frame being written
 
 	mu      sync.Mutex
 	pending map[uint64]*call
@@ -116,9 +116,9 @@ func (c *Client) fail(err error) {
 // connection dies, then fails everything outstanding.
 func (c *Client) readLoop() {
 	defer close(c.readDone)
-	br := bufio.NewReader(c.conn)
+	rd := NewReader(c.conn, MaxPayload)
 	for {
-		f, err := ReadFrame(br, MaxPayload)
+		f, err := rd.ReadFrame()
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) || err == io.EOF {
 				err = ErrClientClosed
@@ -193,10 +193,12 @@ func (c *Client) complete(id uint64, cl *call, err error) {
 	close(cl.done)
 }
 
-// send registers a call and writes its request frame. A non-zero flags
-// value carrying FlagTraceContext sends the frame as VersionTrace with tc
-// prefixed, propagating the caller's trace identity to the server.
-func (c *Client) send(typ uint8, payload []byte, flags uint16, tc TraceContext) (*call, uint64, error) {
+// send registers a call and writes its request frame, encoding msg (see
+// AppendMessage) into the client's reused buffer under the write lock. A
+// non-zero flags value carrying FlagTraceContext sends the frame as
+// VersionTrace with tc prefixed, propagating the caller's trace identity to
+// the server.
+func (c *Client) send(typ uint8, msg any, flags uint16, tc TraceContext) (*call, uint64, error) {
 	cl := &call{done: make(chan struct{})}
 	c.mu.Lock()
 	if c.broken != nil {
@@ -210,7 +212,8 @@ func (c *Client) send(typ uint8, payload []byte, flags uint16, tc TraceContext) 
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := WriteFrame(c.conn, Frame{Type: typ, Flags: flags, Request: id, Trace: tc, Payload: payload})
+	c.out = AppendMessage(c.out[:0], Frame{Type: typ, Flags: flags, Request: id, Trace: tc}, msg)
+	_, err := c.conn.Write(c.out)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
@@ -288,14 +291,13 @@ func traceDone(tr *obs.Trace, span obs.SpanID, res *Result, err error) {
 // propagated on the request frame and the server's spans are grafted back
 // under a "wire.select" client span.
 func (c *Client) Select(ctx context.Context, collection string, selector geom.Rect, op OpSpec, strategy uint8) (*Result, error) {
-	payload, err := EncodeSelect(SelectRequest{
-		Strategy: strategy, Op: op, Collection: collection, Selector: selector,
-	})
-	if err != nil {
+	if err := checkName(collection); err != nil {
 		return nil, err
 	}
 	tr, span, flags, tc := traceCall(ctx, "wire.select")
-	cl, id, err := c.send(TypeSelect, payload, flags, tc)
+	cl, id, err := c.send(TypeSelect, SelectRequest{
+		Strategy: strategy, Op: op, Collection: collection, Selector: selector,
+	}, flags, tc)
 	if err != nil {
 		traceDone(tr, span, nil, err)
 		return nil, err
@@ -312,12 +314,14 @@ func (c *Client) Select(ctx context.Context, collection string, selector geom.Re
 // request frame and the server's spans are grafted back under a
 // "wire.join" client span.
 func (c *Client) Join(ctx context.Context, r, s string, op OpSpec, strategy uint8) (*Result, error) {
-	payload, err := EncodeJoin(JoinRequest{Strategy: strategy, Op: op, R: r, S: s})
-	if err != nil {
+	if err := checkName(r); err != nil {
+		return nil, err
+	}
+	if err := checkName(s); err != nil {
 		return nil, err
 	}
 	tr, span, flags, tc := traceCall(ctx, "wire.join")
-	cl, id, err := c.send(TypeJoin, payload, flags, tc)
+	cl, id, err := c.send(TypeJoin, JoinRequest{Strategy: strategy, Op: op, R: r, S: s}, flags, tc)
 	if err != nil {
 		traceDone(tr, span, nil, err)
 		return nil, err

@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"spatialjoin/internal/core"
 )
 
 // Frame is one protocol frame: the decoded header fields plus the raw
@@ -29,35 +32,56 @@ type Frame struct {
 // message encoders, so an oversized frame is a programming error, not an
 // input condition.
 func AppendFrame(dst []byte, f Frame) []byte {
+	return AppendMessage(dst, f, f.Payload)
+}
+
+// AppendMessage appends the frame AppendFrame would for f's header with
+// msg's encoding as payload, encoding msg in place and patching length and
+// CRC after it, so appending into a reused buffer allocates nothing. msg is
+// nil, a []byte payload, a SelectRequest or JoinRequest (names already
+// checked), an ID batch ([]int), a match batch ([]core.Match) or a Done;
+// f.Payload is ignored. Any other msg panics, as an oversized payload does.
+func AppendMessage(dst []byte, f Frame, msg any) []byte {
 	version := uint8(Version)
-	ext := 0
 	if f.Flags&FlagTraceContext != 0 {
 		version = VersionTrace
-		ext = traceExtSize
-	}
-	if len(f.Payload)+ext > MaxPayload {
-		panic(fmt.Sprintf("wire: frame payload %d exceeds MaxPayload", len(f.Payload)+ext))
 	}
 	off := len(dst)
-	var hdr [HeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], Magic)
-	hdr[4] = version
-	hdr[5] = f.Type
-	binary.LittleEndian.PutUint16(hdr[6:], f.Flags)
-	binary.LittleEndian.PutUint64(hdr[8:], f.Request)
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(f.Payload)+ext))
-	dst = append(dst, hdr[:]...)
-	if ext != 0 {
-		var tc [traceExtSize]byte
-		binary.LittleEndian.PutUint64(tc[0:], f.Trace.ID)
-		binary.LittleEndian.PutUint16(tc[8:], f.Trace.Flags)
-		// tc[10:12] reserved, zero.
-		dst = append(dst, tc[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, Magic)
+	dst = append(dst, version, f.Type)
+	dst = binary.LittleEndian.AppendUint16(dst, f.Flags)
+	dst = binary.LittleEndian.AppendUint64(dst, f.Request)
+	dst = binary.LittleEndian.AppendUint64(dst, 0) // length and CRC, patched below
+	if version == VersionTrace {
+		dst = binary.LittleEndian.AppendUint64(dst, f.Trace.ID)
+		dst = binary.LittleEndian.AppendUint16(dst, f.Trace.Flags)
+		dst = append(dst, 0, 0) // reserved
 	}
-	dst = append(dst, f.Payload...)
-	sum := crc32.Update(0, castagnoli, dst[off+0:off+20])
+	switch m := msg.(type) {
+	case nil:
+	case []byte:
+		dst = append(dst, m...)
+	case SelectRequest:
+		dst = appendSelect(dst, m)
+	case JoinRequest:
+		dst = appendJoin(dst, m)
+	case []int:
+		dst = appendIDs(dst, m)
+	case []core.Match:
+		dst = appendMatches(dst, m)
+	case Done:
+		dst = appendDone(dst, m)
+	default:
+		panic("wire: AppendMessage of an unsupported message type")
+	}
+	n := len(dst) - off - HeaderSize
+	if n > MaxPayload {
+		panic(fmt.Sprintf("wire: frame payload %d exceeds MaxPayload", n))
+	}
+	binary.LittleEndian.PutUint32(dst[off+16:], uint32(n))
+	sum := crc32.Update(0, castagnoli, dst[off:off+20])
 	sum = crc32.Update(sum, castagnoli, dst[off+HeaderSize:])
-	binary.LittleEndian.PutUint32(dst[off+20:off+24], sum)
+	binary.LittleEndian.PutUint32(dst[off+20:], sum)
 	return dst
 }
 
@@ -71,6 +95,21 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
+// Reader reads a connection's frames through its own bufio.Reader, reusing
+// its header array and payload buffer from frame to frame: a frame's
+// Payload is valid only until the next ReadFrame.
+type Reader struct {
+	r       io.Reader
+	max     int
+	hdr     [HeaderSize]byte
+	payload []byte
+}
+
+// NewReader returns a Reader over r bounding payloads as ReadFrame does.
+func NewReader(r io.Reader, maxPayload int) *Reader {
+	return &Reader{r: bufio.NewReader(r), max: maxPayload}
+}
+
 // ReadFrame reads and verifies one frame from r. maxPayload bounds the
 // payload allocation (values ≤ 0 or > MaxPayload mean MaxPayload); a header
 // declaring more fails with ErrFrameTooLarge before any allocation, so
@@ -80,12 +119,23 @@ func WriteFrame(w io.Writer, f Frame) error {
 // a stream that ends mid-frame returns ErrTruncated. All other failures
 // wrap the typed errors of this package. After any error except io.EOF the
 // stream must be considered out of sync and the connection closed.
+//
+// ReadFrame is Reader.ReadFrame's one-shot form: it buffers nothing beyond
+// the frame, and the payload it returns is the caller's.
 func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
+	rd := Reader{r: r, max: maxPayload}
+	return rd.ReadFrame()
+}
+
+// ReadFrame reads and verifies the next frame, failing as the function
+// ReadFrame does. The returned payload is overwritten by the next call.
+func (rd *Reader) ReadFrame() (Frame, error) {
+	maxPayload := rd.max
 	if maxPayload <= 0 || maxPayload > MaxPayload {
 		maxPayload = MaxPayload
 	}
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := &rd.hdr
+	if _, err := io.ReadFull(rd.r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF
 		}
@@ -126,8 +176,11 @@ func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 	sum := crc32.Update(0, castagnoli, hdr[:20])
 	payload := []byte(nil)
 	if n > 0 {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		if cap(rd.payload) < int(n) {
+			rd.payload = make([]byte, n)
+		}
+		payload = rd.payload[:n]
+		if _, err := io.ReadFull(rd.r, payload); err != nil {
 			return Frame{}, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
 		}
 		sum = crc32.Update(sum, castagnoli, payload)

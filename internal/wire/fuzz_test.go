@@ -22,7 +22,9 @@ var frameDecodeTypedErrors = []error{
 // the contract the server's read loop depends on: no panic, no hang, no
 // allocation beyond the declared bound, and every failure is one of the
 // package's typed errors. Frames that do decode must re-encode to the
-// byte-identical canonical form (the codec is bijective on valid frames).
+// byte-identical canonical form (the codec is bijective on valid frames),
+// and a Reader decoding the same bytes must yield the same frames and fail
+// with the same typed error.
 func FuzzFrameDecode(f *testing.F) {
 	// Seed with valid frames of every type...
 	for _, fr := range frameFixtures() {
@@ -78,8 +80,24 @@ func FuzzFrameDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
+		// The reusing reader decodes the same input alongside the one-shot
+		// decoder and must agree with it frame by frame and failure by
+		// failure.
+		rd := NewReader(bytes.NewReader(data), MaxPayload)
 		for {
 			fr, err := ReadFrame(r, MaxPayload)
+			got, rerr := rd.ReadFrame()
+			if (err == nil) != (rerr == nil) || (err == nil && !sameFrame(got, fr)) {
+				t.Fatalf("reader decoded (%+v, %v), ReadFrame (%+v, %v)", got, rerr, fr, err)
+			}
+			if err != nil && (err == io.EOF) != (rerr == io.EOF) {
+				t.Fatalf("reader failed with %v, ReadFrame with %v", rerr, err)
+			}
+			for _, want := range frameDecodeTypedErrors {
+				if errors.Is(err, want) != errors.Is(rerr, want) {
+					t.Fatalf("reader failed with %v, ReadFrame with %v", rerr, err)
+				}
+			}
 			if err != nil {
 				if err == io.EOF {
 					return // clean boundary

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/geom"
@@ -215,7 +216,11 @@ func EncodeSelect(q SelectRequest) ([]byte, error) {
 	if err := checkName(q.Collection); err != nil {
 		return nil, err
 	}
-	dst := make([]byte, 0, 4+2*8+2+len(q.Collection)+4*8)
+	return appendSelect(make([]byte, 0, 4+2*8+2+len(q.Collection)+4*8), q), nil
+}
+
+// appendSelect appends a TypeSelect payload; the caller checks the name.
+func appendSelect(dst []byte, q SelectRequest) []byte {
 	dst = append(dst, q.Strategy, q.Op.Code)
 	dst = appendF64(dst, q.Op.P1)
 	dst = appendF64(dst, q.Op.P2)
@@ -223,8 +228,7 @@ func EncodeSelect(q SelectRequest) ([]byte, error) {
 	dst = appendF64(dst, q.Selector.MinX)
 	dst = appendF64(dst, q.Selector.MinY)
 	dst = appendF64(dst, q.Selector.MaxX)
-	dst = appendF64(dst, q.Selector.MaxY)
-	return dst, nil
+	return appendF64(dst, q.Selector.MaxY)
 }
 
 // DecodeSelect parses a TypeSelect payload.
@@ -270,13 +274,16 @@ func EncodeJoin(q JoinRequest) ([]byte, error) {
 	if err := checkName(q.S); err != nil {
 		return nil, err
 	}
-	dst := make([]byte, 0, 4+2*8+4+len(q.R)+len(q.S))
+	return appendJoin(make([]byte, 0, 4+2*8+4+len(q.R)+len(q.S)), q), nil
+}
+
+// appendJoin appends a TypeJoin payload; the caller checks the names.
+func appendJoin(dst []byte, q JoinRequest) []byte {
 	dst = append(dst, q.Strategy, q.Op.Code)
 	dst = appendF64(dst, q.Op.P1)
 	dst = appendF64(dst, q.Op.P2)
 	dst = appendStr(dst, q.R)
-	dst = appendStr(dst, q.S)
-	return dst, nil
+	return appendStr(dst, q.S)
 }
 
 // DecodeJoin parses a TypeJoin payload.
@@ -313,10 +320,14 @@ const MaxMatchesPerFrame = (MaxPayload - 4) / 16
 // the batch exceeds MaxMatchesPerFrame — the server's batcher slices
 // beneath the bound.
 func EncodeMatches(ms []core.Match) []byte {
+	return appendMatches(make([]byte, 0, 4+16*len(ms)), ms)
+}
+
+// appendMatches appends a TypeMatches payload.
+func appendMatches(dst []byte, ms []core.Match) []byte {
 	if len(ms) > MaxMatchesPerFrame {
 		panic(fmt.Sprintf("wire: match batch of %d exceeds %d", len(ms), MaxMatchesPerFrame))
 	}
-	dst := make([]byte, 0, 4+16*len(ms))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ms)))
 	for _, m := range ms {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(m.R)))
@@ -335,6 +346,7 @@ func DecodeMatches(dst []core.Match, p []byte) ([]core.Match, error) {
 	if uint64(n)*16 != uint64(len(b.b)) {
 		return dst, fmt.Errorf("%w: match batch claims %d pairs over %d bytes", ErrBadPayload, n, len(b.b))
 	}
+	dst = slices.Grow(dst, int(n))
 	for i := uint32(0); i < n; i++ {
 		r, _ := b.u64()
 		s, _ := b.u64()
@@ -349,10 +361,14 @@ const MaxIDsPerFrame = (MaxPayload - 4) / 8
 // EncodeIDs renders one streamed batch of SELECT result IDs. It panics
 // when the batch exceeds MaxIDsPerFrame.
 func EncodeIDs(ids []int) []byte {
+	return appendIDs(make([]byte, 0, 4+8*len(ids)), ids)
+}
+
+// appendIDs appends a TypeIDs payload.
+func appendIDs(dst []byte, ids []int) []byte {
 	if len(ids) > MaxIDsPerFrame {
 		panic(fmt.Sprintf("wire: id batch of %d exceeds %d", len(ids), MaxIDsPerFrame))
 	}
-	dst := make([]byte, 0, 4+8*len(ids))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ids)))
 	for _, id := range ids {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(id)))
@@ -370,6 +386,7 @@ func DecodeIDs(dst []int, p []byte) ([]int, error) {
 	if uint64(n)*8 != uint64(len(b.b)) {
 		return dst, fmt.Errorf("%w: id batch claims %d ids over %d bytes", ErrBadPayload, n, len(b.b))
 	}
+	dst = slices.Grow(dst, int(n))
 	for i := uint32(0); i < n; i++ {
 		id, _ := b.u64()
 		dst = append(dst, int(int64(id)))
@@ -383,11 +400,15 @@ const maxMessageLen = 1024
 // EncodeDone renders a Done payload. Overlong messages are truncated, not
 // rejected: the diagnostic is best-effort.
 func EncodeDone(d Done) []byte {
+	return appendDone(make([]byte, 0, 2+8+5*8+2+min(len(d.Message), maxMessageLen)), d)
+}
+
+// appendDone appends a Done payload.
+func appendDone(dst []byte, d Done) []byte {
 	msg := d.Message
 	if len(msg) > maxMessageLen {
 		msg = msg[:maxMessageLen]
 	}
-	dst := make([]byte, 0, 2+8+5*8+2+len(msg))
 	dst = append(dst, uint8(d.Status), 0)
 	dst = binary.LittleEndian.AppendUint64(dst, d.Results)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(d.Stats.FilterEvals))
