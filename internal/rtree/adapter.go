@@ -12,12 +12,12 @@ import (
 // tuple, so θ's operand is read from the tuple through the executor's
 // reader (core.Node.ContainsTuple), not from the tree.
 //
-// The adapter is a live view: it reflects subsequent inserts.
-// A node of the generalization tree is one entry of the R-tree — the root's
-// entry, a child entry of an interior node, or an item slot of a leaf — so
-// the view is a single pointer (boxing it into a core.Node allocates
-// nothing) and its bounds are the entry's rectangle, a load. Like any
-// iterator over the tree, views are invalidated by a mutation.
+// The adapter is a live view: it reflects subsequent inserts. A node view
+// is a pointer to its record and an item view a pointer to its leaf slot,
+// so either boxes into a core.Node without allocating, and either's bounds
+// are one load: the record's rectangle or the slot's. A child's node number
+// resolves through the record's back-pointer to its tree. Like any iterator
+// over the tree, views are invalidated by a mutation.
 func (t *Tree) Generalization() core.Tree { return adapterTree{t: t} }
 
 type adapterTree struct{ t *Tree }
@@ -27,7 +27,7 @@ func (a adapterTree) Root() core.Node {
 	if a.t.size == 0 {
 		return nil
 	}
-	return entryView{e: &a.t.top}
+	return nodeView{r: a.t.root}
 }
 
 // Height implements core.Tree: R-tree levels plus the item level.
@@ -38,30 +38,34 @@ func (a adapterTree) Height() int {
 	return a.t.height + 1
 }
 
-// entryView adapts one entry: with a child it stands for that R-tree node
-// (a technical entity), without one for the stored item.
-type entryView struct{ e *entry }
+// nodeView adapts one record, an R-tree node: a technical entity, whose
+// bounds and object are its MBR and whose children are the records its
+// slots name or, in a leaf record, its items.
+type nodeView struct{ r *record }
 
-// Bounds implements core.Node.
-func (v entryView) Bounds() geom.Rect { return v.e.rect }
+func (v nodeView) Bounds() geom.Rect    { return v.r.rect }
+func (v nodeView) Object() geom.Spatial { return v.r.rect }
+func (v nodeView) Tuple() (int, bool)   { return 0, false }
+func (v nodeView) NumChildren() int     { return int(v.r.count) }
+func (v nodeView) ContainsTuple() bool  { return false }
 
-// Object implements core.Node: every entry stores only its MBR.
-func (v entryView) Object() geom.Spatial { return v.e.rect }
-
-// Tuple implements core.Node: only items carry tuples.
-func (v entryView) Tuple() (int, bool) { return v.e.id, v.e.child == nil }
-
-// NumChildren implements core.Node.
-func (v entryView) NumChildren() int {
-	if v.e.child == nil {
-		return 0
+func (v nodeView) Child(i int) core.Node {
+	s := &v.r.slots()[i]
+	if v.r.leaf {
+		return itemView{s: s}
 	}
-	return len(v.e.child.entries)
+	return nodeView{r: v.r.tree.rec(s.ref)}
 }
 
-// Child implements core.Node.
-func (v entryView) Child(i int) core.Node { return entryView{e: &v.e.child.entries[i]} }
+// itemView adapts one leaf slot, a stored item: its bounds and object are
+// its MBR and its tuple is the slot's ID. A leaf slot stores only those, so
+// Θ never needs the item's tuple and θ reads it from the heap
+// (ContainsTuple is false).
+type itemView struct{ s *slot }
 
-// ContainsTuple implements core.Node: a leaf entry stores an item's MBR and
-// tuple ID, so Θ never needs its tuple; θ reads it from the tuple.
-func (v entryView) ContainsTuple() bool { return false }
+func (v itemView) Bounds() geom.Rect    { return v.s.rect }
+func (v itemView) Object() geom.Spatial { return v.s.rect }
+func (v itemView) Tuple() (int, bool)   { return v.s.ref, true }
+func (v itemView) NumChildren() int     { return 0 }
+func (v itemView) Child(int) core.Node  { panic("rtree: an item has no children") }
+func (v itemView) ContainsTuple() bool  { return false }

@@ -9,7 +9,8 @@ import (
 // Recursive (STR) packing algorithm: items are sorted by center X, cut into
 // √(nodes) vertical slices, each slice sorted by center Y and packed into
 // nodes; the resulting level is packed recursively the same way until a
-// single root remains.
+// single root remains. Records fill bottom-up: the leaves take the first
+// node numbers, the root the last.
 //
 // Compared to one-at-a-time insertion, a bulk-loaded tree has nearly full
 // nodes and far less directory overlap — the BenchmarkAblationBulkLoad
@@ -24,34 +25,28 @@ func BulkLoad(opts Options, items []Item) (*Tree, error) {
 	if len(items) == 0 {
 		return t, nil
 	}
-	entries := make([]entry, len(items))
+	level := make([]slot, len(items))
 	for i, it := range items {
-		entries[i] = entry{rect: it.Rect, id: it.ID}
+		level[i] = slot{rect: it.Rect, ref: it.ID}
 	}
-	level := packSTR(entries, opts.MaxEntries, true)
-	height := 0
+	t.nodes = 0 // the packed records replace New's empty root
+	level = t.packSTR(level, true)
 	for len(level) > 1 {
-		parents := make([]entry, len(level))
-		for i, n := range level {
-			parents[i] = entry{rect: n.mbr(), child: n}
-		}
-		level = packSTR(parents, opts.MaxEntries, false)
-		height++
+		level = t.packSTR(level, false)
+		t.height++
 	}
-	t.root = level[0]
-	t.height = height
+	t.root = t.rec(level[0].ref)
 	t.size = len(items)
-	fixParents(t.root)
-	t.refreshTop()
 	return t, nil
 }
 
-// packSTR groups entries into nodes of at most max entries using STR
-// tiling. Within each slice the entries are distributed evenly over
-// ⌈len/max⌉ nodes, so no node falls below ⌊max/2⌋ ≥ MinEntries except when
-// the whole input fits in a single (root) node.
-func packSTR(entries []entry, max int, leaf bool) []*node {
-	n := len(entries)
+// packSTR groups slots into new records of at most M slots using STR
+// tiling and returns each record's slot for the level above. Within each
+// slice the slots are distributed evenly over ⌈len/M⌉ records, so no record
+// falls below ⌊M/2⌋ ≥ MinEntries except when the whole input fits in a
+// single (root) record.
+func (t *Tree) packSTR(entries []slot, leaf bool) []slot {
+	n, max := len(entries), t.opts.MaxEntries
 	nodeCount := (n + max - 1) / max
 	sliceCount := int(math.Ceil(math.Sqrt(float64(nodeCount))))
 
@@ -63,7 +58,7 @@ func packSTR(entries []entry, max int, leaf bool) []*node {
 	// — and therefore every node — stays above the minimum occupancy.
 	sliceBase := n / sliceCount
 	sliceExtra := n % sliceCount
-	var out []*node
+	var out []slot
 	start := 0
 	for sl := 0; sl < sliceCount && start < n; sl++ {
 		size := sliceBase
@@ -85,23 +80,13 @@ func packSTR(entries []entry, max int, leaf bool) []*node {
 			if g < extra {
 				size++
 			}
-			out = append(out, &node{
-				leaf:    leaf,
-				entries: append([]entry(nil), slice[pos:pos+size]...),
-			})
+			r := t.newRecord(leaf)
+			r.count = uint16(size)
+			copy(r.slots(), slice[pos:pos+size])
+			r.rect = mbr(r.slots())
+			out = append(out, slot{rect: r.rect, ref: int(r.num)})
 			pos += size
 		}
 	}
 	return out
-}
-
-// fixParents rebuilds parent pointers after packing.
-func fixParents(n *node) {
-	if n.leaf {
-		return
-	}
-	for _, e := range n.entries {
-		e.child.parent = n
-		fixParents(e.child)
-	}
 }

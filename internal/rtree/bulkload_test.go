@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
 )
 
@@ -167,5 +168,52 @@ func TestBulkLoadGeneralizationAdapter(t *testing.T) {
 	})
 	if count != 150 {
 		t.Fatalf("All saw %d items", count)
+	}
+}
+
+// TestBulkLoadBuildsTheSameTree pins the shape of STR-packed trees, and of
+// one packed tree after further inserts split its nodes. The fingerprints
+// were computed at commit 3fe516f, whose nodes were heap objects with
+// parent pointers; storage that keeps them packs the same trees.
+func TestBulkLoadBuildsTheSameTree(t *testing.T) {
+	world := geom.NewRect(0, 0, 10000, 10000)
+	items := func(rects []geom.Rect) []Item {
+		out := make([]Item, len(rects))
+		for i, r := range rects {
+			out[i] = Item{Rect: r, ID: i}
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		opts    Options
+		items   []Item
+		inserts []geom.Rect
+		want    uint64
+	}{
+		{"uniform M=4", Options{MinEntries: 2, MaxEntries: 4},
+			items(datagen.UniformRects(rand.New(rand.NewSource(5)), 3000, world, 2, 100)), nil, 0xd47d2fbfe73bb0ea},
+		{"clustered M=8", DefaultOptions(),
+			items(datagen.ClusteredRects(rand.New(rand.NewSource(6)), 3000, 12, world, 400, 40)), nil, 0x63d7519aa918abf4},
+		{"uniform M=16", Options{MinEntries: 6, MaxEntries: 16},
+			items(datagen.UniformRects(rand.New(rand.NewSource(7)), 3000, world, 2, 100)), nil, 0xb0f87bb1d8f0a7ef},
+		{"clustered M=8, then inserts", DefaultOptions(),
+			items(datagen.ClusteredRects(rand.New(rand.NewSource(8)), 2000, 12, world, 400, 40)),
+			datagen.UniformRects(rand.New(rand.NewSource(9)), 1000, world, 2, 100), 0xa51164338580b843},
+	}
+	for _, c := range cases {
+		tr, err := BulkLoad(c.opts, c.items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range c.inserts {
+			tr.Insert(r, len(c.items)+i)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := treeFingerprint(tr); got != c.want {
+			t.Errorf("%s: fingerprint %#x, want %#x", c.name, got, c.want)
+		}
 	}
 }

@@ -16,6 +16,7 @@ package rtree
 
 import (
 	"fmt"
+	"math"
 
 	"spatialjoin/internal/geom"
 )
@@ -36,8 +37,8 @@ func DefaultOptions() Options {
 }
 
 func (o Options) validate() error {
-	if o.MaxEntries < 2 {
-		return fmt.Errorf("rtree: MaxEntries %d < 2", o.MaxEntries)
+	if o.MaxEntries < 2 || o.MaxEntries > math.MaxUint16 {
+		return fmt.Errorf("rtree: MaxEntries %d out of [2, %d]", o.MaxEntries, math.MaxUint16)
 	}
 	if o.MinEntries < 1 || o.MinEntries > o.MaxEntries/2 {
 		return fmt.Errorf("rtree: MinEntries %d out of [1, MaxEntries/2=%d]",
@@ -53,62 +54,109 @@ type Item struct {
 	ID   int
 }
 
-// entry is a slot in a node: a rectangle with either a child pointer
-// (interior) or the item's tuple ID (leaf).
-type entry struct {
+// slot is one of a record's M slots: a rectangle and a reference, which is
+// the child's node number in an interior record and the item's tuple ID in
+// a leaf. It holds no pointer, so the collector never scans a slot array.
+type slot struct {
+	rect geom.Rect
+	ref  int
+}
+
+// record is one R-tree node: a header whose count slots sit in its block's
+// slot array. rect is the MBR of those slots, the rectangle the parent's
+// slot for the record also holds; keeping it here makes a node view's
+// bounds one load. tree is the one back-pointer a record keeps: through it
+// a view resolves a child's node number without a second word.
+type record struct {
 	rect  geom.Rect
-	child *node
-	id    int
+	tree  *Tree
+	num   uint32 // the record's node number, which places its slots
+	count uint16
+	leaf  bool
 }
 
-// node is one R-tree node.
-type node struct {
-	leaf    bool
-	entries []entry
-	parent  *node
+// blockRecords is the number of records per arena block. A block is
+// allocated once, when its first record is, and never moves, so a record
+// pointer stays valid; a tree's unused tail is under one block (11.8 KB at
+// M = 8). A power of two fills the allocator's size classes.
+const blockRecords = 32
+
+// block holds blockRecords records and their blockRecords×M slots.
+type block struct {
+	recs  [blockRecords]record
+	slots []slot
 }
 
-// mbr returns the tight bounding rectangle of the node's entries (the zero
-// rectangle for an empty root).
-func (n *node) mbr() geom.Rect {
-	if len(n.entries) == 0 {
-		return geom.Rect{}
-	}
-	r := n.entries[0].rect
-	for _, e := range n.entries[1:] {
-		r = r.Union(e.rect)
-	}
-	return r
+// step is one interior record on chooseLeaf's descent and the slot taken.
+type step struct {
+	rec  *record
+	slot int
 }
 
-// Tree is an R-tree.
+// Tree is an R-tree whose nodes are records in an arena of blocks, named by
+// node number. Nothing points up the tree: Insert walks the path chooseLeaf
+// recorded.
 type Tree struct {
 	opts   Options
-	root   *node
+	blocks []*block
+	nodes  int // records in use, numbered 0 … nodes-1
+	root   *record
 	size   int
 	height int // number of levels below the root; a leaf-root tree has 0
 
-	// top is the entry the root would have in a parent: its MBR and the
-	// root itself. Every other node's MBR already sits in its parent's
-	// entry, kept tight by insert; with top every node's bounds are one
-	// load away, which is what a descent reads per node examined. Insert
-	// grows its rectangle by each inserted one; New and BulkLoad set it
-	// from the root.
-	top entry
-
+	path  []step // chooseLeaf's descent, root first
 	split splitScratch
 }
 
-// refreshTop recomputes the root's entry from the root's entries.
-func (t *Tree) refreshTop() { t.top = entry{rect: t.root.mbr(), child: t.root} }
+// rec returns the record with node number n.
+func (t *Tree) rec(n int) *record { return &t.blocks[n/blockRecords].recs[n%blockRecords] }
+
+// newRecord takes the next node number and returns its record, empty.
+func (t *Tree) newRecord(leaf bool) *record {
+	n := t.nodes
+	if n/blockRecords == len(t.blocks) {
+		t.blocks = append(t.blocks, &block{slots: make([]slot, blockRecords*t.opts.MaxEntries)})
+	}
+	t.nodes++
+	r := t.rec(n)
+	*r = record{tree: t, num: uint32(n), leaf: leaf}
+	return r
+}
+
+// slots returns the record's count slots, a window of capacity M on its
+// block's slot array.
+func (r *record) slots() []slot {
+	m := r.tree.opts.MaxEntries
+	i := int(r.num%blockRecords) * m
+	return r.tree.blocks[r.num/blockRecords].slots[i : i+int(r.count) : i+m]
+}
+
+// add appends s to the record's slots.
+func (r *record) add(s slot) {
+	r.slots()[:r.count+1][r.count] = s
+	r.count++
+}
+
+// mbr returns the tight bounding rectangle of slots (the zero rectangle for
+// none).
+func mbr(slots []slot) geom.Rect {
+	if len(slots) == 0 {
+		return geom.Rect{}
+	}
+	r := slots[0].rect
+	for _, s := range slots[1:] {
+		r = r.Union(s.rect)
+	}
+	return r
+}
 
 // New returns an empty R-tree.
 func New(opts Options) (*Tree, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	t := &Tree{opts: opts, root: &node{leaf: true}, split: newSplitScratch(opts.MaxEntries)}
-	t.refreshTop()
+	t := &Tree{opts: opts, split: newSplitScratch(opts.MaxEntries)}
+	t.root = t.newRecord(true)
 	return t, nil
 }
 
@@ -136,70 +184,68 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 	if t.size == 0 {
 		return geom.Rect{}, false
 	}
-	return t.top.rect, true
+	return t.root.rect, true
 }
 
 // Insert adds an item with MBR r for the given tuple ID. It is Guttman's
-// Insert: ChooseLeaf, then add the entry to the leaf. A full node splits
-// into itself and a sibling, whose entry is added to the parent the same
-// way; above the last split every ancestor's rectangle grows by r, the
-// whole of its change.
+// Insert: ChooseLeaf, then add the slot to the leaf. A full record splits
+// into itself and a sibling, whose slot is added to the parent on the
+// descent path the same way; above the last split every record's rectangle,
+// and its parent's slot, grows by r, the whole of its change.
 func (t *Tree) Insert(r geom.Rect, id int) {
 	if t.size == 0 {
-		t.top.rect = r
-	} else {
-		t.top.rect = t.top.rect.Union(r)
+		t.root.rect = r
 	}
 	t.size++
-	n, e := t.chooseLeaf(r), entry{rect: r, id: id}
-	for len(n.entries) == t.opts.MaxEntries {
-		sib, nRect, sibRect := t.splitNode(n, e)
-		if n == t.root {
-			t.root = &node{entries: []entry{{rect: nRect, child: n}, {rect: sibRect, child: sib}}}
-			n.parent, sib.parent = t.root, t.root
-			t.top.child = t.root
+	n, e, depth := t.chooseLeaf(r), slot{rect: r, ref: id}, len(t.path)
+	for int(n.count) == t.opts.MaxEntries {
+		sib := t.splitNode(n, e)
+		e = slot{rect: sib.rect, ref: int(sib.num)}
+		if depth == 0 {
+			t.root = t.newRecord(false)
+			t.root.add(slot{rect: n.rect, ref: int(n.num)})
+			t.root.add(e)
+			t.root.rect = n.rect.Union(sib.rect)
 			t.height++
 			return
 		}
-		n.parent.entries[n.parent.indexOf(n)].rect = nRect
-		sib.parent = n.parent
-		n, e = n.parent, entry{rect: sibRect, child: sib}
+		depth--
+		p := t.path[depth]
+		p.rec.slots()[p.slot].rect = n.rect
+		n = p.rec
 	}
-	n.entries = append(n.entries, e)
-	for ; n != t.root; n = n.parent {
-		pe := &n.parent.entries[n.parent.indexOf(n)]
-		if pe.rect.ContainsRect(r) {
+	n.add(e)
+	for !n.rect.ContainsRect(r) {
+		n.rect = n.rect.Union(r)
+		if depth == 0 {
 			return
 		}
-		pe.rect = pe.rect.Union(r)
+		depth--
+		p := t.path[depth]
+		p.rec.slots()[p.slot].rect = n.rect
+		n = p.rec
 	}
-}
-
-// indexOf returns the position of child c among n's entries.
-func (n *node) indexOf(c *node) int {
-	for i := range n.entries {
-		if n.entries[i].child == c {
-			return i
-		}
-	}
-	panic("rtree: child missing from its parent")
 }
 
 // chooseLeaf descends to the leaf whose MBR needs the least enlargement to
-// include r, breaking ties by smallest area (Guttman's CL3).
-func (t *Tree) chooseLeaf(r geom.Rect) *node {
+// include r, breaking ties by smallest area (Guttman's CL3), and records
+// the descent in t.path.
+func (t *Tree) chooseLeaf(r geom.Rect) *record {
+	t.path = t.path[:0]
 	n := t.root
 	for !n.leaf {
+		slots := n.slots()
 		best := -1
 		var bestEnl, bestArea float64
-		for i, e := range n.entries {
-			enl := e.rect.Enlargement(r)
-			area := e.rect.Area()
+		for i := range slots {
+			enl := slots[i].rect.Enlargement(r)
+			area := slots[i].rect.Area()
 			if best < 0 || enl < bestEnl || (geom.SameCoord(enl, bestEnl) && area < bestArea) {
 				best, bestEnl, bestArea = i, enl, area
 			}
 		}
-		n = n.entries[best].child
+		t.path = append(t.path, step{rec: n, slot: best})
+		n = t.rec(slots[best].ref)
 	}
 	return n
 }
@@ -216,9 +262,9 @@ func (t *Tree) Search(r geom.Rect, f func(Item) bool) (nodesVisited int) {
 	return nodesVisited
 }
 
-func (t *Tree) search(n *node, r geom.Rect, f func(Item) bool, visited *int, stop *bool) {
+func (t *Tree) search(n *record, r geom.Rect, f func(Item) bool, visited *int, stop *bool) {
 	*visited++
-	for _, e := range n.entries {
+	for _, e := range n.slots() {
 		if *stop {
 			return
 		}
@@ -226,26 +272,26 @@ func (t *Tree) search(n *node, r geom.Rect, f func(Item) bool, visited *int, sto
 			continue
 		}
 		if n.leaf {
-			if !f(Item{Rect: e.rect, ID: e.id}) {
+			if !f(Item{Rect: e.rect, ID: e.ref}) {
 				*stop = true
 				return
 			}
 		} else {
-			t.search(e.child, r, f, visited, stop)
+			t.search(t.rec(e.ref), r, f, visited, stop)
 		}
 	}
 }
 
 // All calls f for every stored item.
 func (t *Tree) All(f func(Item) bool) {
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		for _, e := range n.entries {
+	var walk func(n *record) bool
+	walk = func(n *record) bool {
+		for _, e := range n.slots() {
 			if n.leaf {
-				if !f(Item{Rect: e.rect, ID: e.id}) {
+				if !f(Item{Rect: e.rect, ID: e.ref}) {
 					return false
 				}
-			} else if !walk(e.child) {
+			} else if !walk(t.rec(e.ref)) {
 				return false
 			}
 		}
@@ -254,21 +300,26 @@ func (t *Tree) All(f func(Item) bool) {
 	walk(t.root)
 }
 
-// Validate checks the R-tree invariants: parent rectangles tightly cover
-// their children, entry counts respect m and M (root excepted), all leaves
-// are at the same depth, and the item count matches Len().
+// Validate checks the R-tree invariants: every record's rectangle, and its
+// parent's slot for it, is the tight cover of its slots; slot counts
+// respect m and M (root excepted); every record in use is reached exactly
+// once from the root; all leaves are at the same depth; and the item count
+// matches Len().
 func (t *Tree) Validate() error {
-	leafDepth := -1
-	items := 0
-	var walk func(n *node, depth int, isRoot bool) error
-	walk = func(n *node, depth int, isRoot bool) error {
-		if !isRoot && len(n.entries) < t.opts.MinEntries {
-			return fmt.Errorf("rtree: node at depth %d underfull: %d < %d",
-				depth, len(n.entries), t.opts.MinEntries)
+	leafDepth, items, reached := -1, 0, 0
+	var walk func(n *record, depth int) error
+	walk = func(n *record, depth int) error {
+		if reached++; reached > t.nodes {
+			return fmt.Errorf("rtree: more than the %d records in use reached from the root", t.nodes)
 		}
-		if len(n.entries) > t.opts.MaxEntries {
-			return fmt.Errorf("rtree: node at depth %d overfull: %d > %d",
-				depth, len(n.entries), t.opts.MaxEntries)
+		if int(n.count) > t.opts.MaxEntries || n != t.root && int(n.count) < t.opts.MinEntries {
+			return fmt.Errorf("rtree: record at depth %d has %d slots, outside [m, M] = [%d, %d]",
+				depth, n.count, t.opts.MinEntries, t.opts.MaxEntries)
+		}
+		slots := n.slots()
+		if got := mbr(slots); !geom.SameRect(got, n.rect) {
+			return fmt.Errorf("rtree: stale record rectangle at depth %d: stored %v, actual %v",
+				depth, n.rect, got)
 		}
 		if n.leaf {
 			if leafDepth == -1 {
@@ -276,40 +327,29 @@ func (t *Tree) Validate() error {
 			} else if depth != leafDepth {
 				return fmt.Errorf("rtree: leaves at depths %d and %d", leafDepth, depth)
 			}
-			items += len(n.entries)
+			items += len(slots)
 			return nil
 		}
-		for i, e := range n.entries {
-			if e.child == nil {
-				return fmt.Errorf("rtree: interior entry %d at depth %d has no child", i, depth)
+		for i, e := range slots {
+			if e.ref < 0 || e.ref >= t.nodes {
+				return fmt.Errorf("rtree: slot %d at depth %d names record %d of %d", i, depth, e.ref, t.nodes)
 			}
-			if e.child.parent != n {
-				return fmt.Errorf("rtree: parent pointer broken at depth %d entry %d", depth, i)
+			c := t.rec(e.ref)
+			if !geom.SameRect(e.rect, c.rect) {
+				return fmt.Errorf("rtree: stale slot rectangle at depth %d slot %d: stored %v, record's %v",
+					depth, i, e.rect, c.rect)
 			}
-			if got := e.child.mbr(); !geom.SameRect(got, e.rect) {
-				return fmt.Errorf("rtree: stale MBR at depth %d entry %d: stored %v, actual %v",
-					depth, i, e.rect, got)
-			}
-			if !e.rect.ContainsRect(e.child.mbr()) {
-				return fmt.Errorf("rtree: child escapes parent rect at depth %d entry %d", depth, i)
-			}
-			if err := walk(e.child, depth+1, false); err != nil {
+			if err := walk(c, depth+1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if t.top.child != t.root || !geom.SameRect(t.top.rect, t.root.mbr()) {
-		return fmt.Errorf("rtree: stale root entry: stored %v, actual %v", t.top.rect, t.root.mbr())
-	}
-	if t.size == 0 {
-		if !t.root.leaf || len(t.root.entries) != 0 {
-			return fmt.Errorf("rtree: empty tree with non-empty root")
-		}
-		return nil
-	}
-	if err := walk(t.root, 0, true); err != nil {
+	if err := walk(t.root, 0); err != nil {
 		return err
+	}
+	if reached != t.nodes {
+		return fmt.Errorf("rtree: %d records reached from the root, %d in use", reached, t.nodes)
 	}
 	if items != t.size {
 		return fmt.Errorf("rtree: item count %d != Len() %d", items, t.size)

@@ -3,6 +3,7 @@ package rtree
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"spatialjoin/internal/geom"
@@ -285,6 +286,67 @@ func TestIdenticalRectanglesSplit(t *testing.T) {
 		tr.Search(geom.NewRect(1, 1, 2, 2), func(Item) bool { n++; return true })
 		if n != 64 {
 			t.Fatalf("%+v: found %d of 64 identical items", opts, n)
+		}
+	}
+}
+
+// TestValidateCatchesCorruptRecords corrupts one record of a valid
+// three-level tree at a time and requires Validate to name the fault: a
+// slot whose rectangle is not its child record's, a count above M or below
+// m, an interior record marked a leaf (so leaves sit at two depths), and a
+// slot naming a record that another slot also names, which the check that
+// every record is reached once from the root catches where a parent
+// pointer once did.
+func TestValidateCatchesCorruptRecords(t *testing.T) {
+	build := func() *Tree {
+		tr := MustNew(DefaultOptions())
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 500; i++ {
+			tr.Insert(randRect(rng, 1000), i)
+		}
+		if tr.Height() < 2 {
+			t.Fatalf("height %d, want at least 2", tr.Height())
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	// child returns the record slot i of r names.
+	child := func(tr *Tree, r *record, i int) *record { return tr.rec(r.slots()[i].ref) }
+	cases := []struct {
+		name    string
+		corrupt func(tr *Tree)
+		want    string
+	}{
+		{"slot rectangle", func(tr *Tree) {
+			c := child(tr, tr.root, 0)
+			c.rect = c.rect.Expand(1)
+		}, "stale slot rectangle at depth 0 slot 0"},
+		{"count above M", func(tr *Tree) {
+			child(tr, child(tr, tr.root, 0), 0).count = uint16(tr.opts.MaxEntries + 1)
+		}, "has 9 slots, outside [m, M] = [2, 8]"},
+		{"count below m", func(tr *Tree) {
+			child(tr, child(tr, tr.root, 0), 0).count = uint16(tr.opts.MinEntries - 1)
+		}, "has 1 slots, outside [m, M] = [2, 8]"},
+		{"leaf at the wrong depth", func(tr *Tree) {
+			n := tr.root
+			for d := 0; d < tr.Height()-1; d++ {
+				n = child(tr, n, int(n.count)-1)
+			}
+			n.leaf = true
+		}, "leaves at depths"},
+		{"record named twice", func(tr *Tree) {
+			s := tr.root.slots()
+			s[1] = s[0]
+			tr.root.rect = mbr(s)
+		}, "reached from the root"},
+	}
+	for _, c := range cases {
+		tr := build()
+		c.corrupt(tr)
+		if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
 }

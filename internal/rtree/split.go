@@ -6,15 +6,16 @@ import (
 	"spatialjoin/internal/geom"
 )
 
-// splitScratch is the memory a split works in. The Tree owns it and every
-// split reuses it, so a split allocates only the sibling and its slots.
+// splitScratch is the memory a split works in, carved from three arrays.
+// The Tree owns it and every split reuses it, so a split allocates nothing
+// but, once per block of records, the sibling's block.
 // order[o] is the permutation of the M+1 entries under sort o — axis o/2
 // (0 is x, 1 is y), by lower edge for even o and by upper edge for odd o —
 // and pre[o][i] and suf[o][i] bound the first i+1 and the last M+1−i
 // entries of that sort. key[i] and tie[i] are entry i's sort edge and other
 // edge under the sort being made.
 type splitScratch struct {
-	all      []entry
+	all      []slot
 	order    [4][]int
 	pre, suf [4][]geom.Rect
 	key, tie []float64
@@ -22,28 +23,28 @@ type splitScratch struct {
 
 func newSplitScratch(maxEntries int) splitScratch {
 	n := maxEntries + 1
-	s := splitScratch{all: make([]entry, 0, n), key: make([]float64, n), tie: make([]float64, n)}
+	ints, rects, keys := make([]int, 4*n), make([]geom.Rect, 8*n), make([]float64, 2*n)
+	s := splitScratch{all: make([]slot, 0, n), key: keys[:n], tie: keys[n:]}
 	for o := range s.order {
-		s.order[o] = make([]int, n)
-		s.pre[o] = make([]geom.Rect, n)
-		s.suf[o] = make([]geom.Rect, n)
+		s.order[o] = ints[o*n : (o+1)*n]
+		s.pre[o], s.suf[o] = rects[2*o*n:(2*o+1)*n], rects[(2*o+1)*n:(2*o+2)*n]
 	}
 	return s
 }
 
-// splitNode distributes the M entries of the full node n and the entry e
-// over n and a new sibling by the R*-tree split (Beckmann, Kriegel,
+// splitNode distributes the M slots of the full record n and the slot e
+// over n and a new sibling record by the R*-tree split (Beckmann, Kriegel,
 // Schneider & Seeger, SIGMOD 1990). ChooseSplitAxis takes the axis whose
 // distributions have the smaller margin sum; ChooseSplitIndex takes, on
 // that axis, the distribution with the least overlap between its two
 // groups, then the least total area. A distribution cuts a sort after its
-// first k entries, m ≤ k ≤ M+1−m. Ties go to the x axis, the lower-edge
-// sort and the smaller k, so a tree built by the same inserts is the same
-// tree. n keeps the larger group. It returns the sibling and the
-// rectangles of n and the sibling.
-func (t *Tree) splitNode(n *node, e entry) (sib *node, nRect, sibRect geom.Rect) {
+// first k slots, m ≤ k ≤ M+1−m. Ties go to the x axis, the lower-edge sort
+// and the smaller k, so a tree built by the same inserts is the same tree.
+// n keeps the larger group. Both records' rectangles are set; the sibling
+// is returned.
+func (t *Tree) splitNode(n *record, e slot) *record {
 	s := &t.split
-	s.all = append(append(s.all[:0], n.entries...), e)
+	s.all = append(append(s.all[:0], n.slots()...), e)
 	m, last := t.opts.MinEntries, len(s.all)-t.opts.MinEntries
 
 	var margin [2]float64
@@ -71,35 +72,24 @@ func (t *Tree) splitNode(n *node, e entry) (sib *node, nRect, sibRect geom.Rect)
 		}
 	}
 
-	// n keeps the larger group in its own M slots. The sibling gets the
-	// power of two of slots append grows a slice through, so its appends
-	// double them up to M and no further.
 	big, small := s.order[bestO][:bestK], s.order[bestO][bestK:]
-	nRect, sibRect = s.pre[bestO][bestK-1], s.suf[bestO][bestK]
+	nRect, sibRect := s.pre[bestO][bestK-1], s.suf[bestO][bestK]
 	if len(big) < len(small) {
 		big, small, nRect, sibRect = small, big, sibRect, nRect
 	}
-	slots := 1
-	for slots < len(small) {
-		slots *= 2
+	sib := t.newRecord(n.leaf)
+	s.fill(n, big, nRect)
+	s.fill(sib, small, sibRect)
+	return sib
+}
+
+// fill writes the split's slots picked, in order, into r and sets its
+// rectangle to their bound.
+func (s *splitScratch) fill(r *record, picked []int, bound geom.Rect) {
+	r.count, r.rect = uint16(len(picked)), bound
+	for j, i := range picked {
+		r.slots()[j] = s.all[i]
 	}
-	sib = &node{leaf: n.leaf, entries: make([]entry, 0, min(slots, t.opts.MaxEntries))}
-	n.entries = n.entries[:0]
-	for _, i := range big {
-		n.entries = append(n.entries, s.all[i])
-	}
-	for _, i := range small {
-		sib.entries = append(sib.entries, s.all[i])
-	}
-	if !n.leaf {
-		for _, e := range n.entries {
-			e.child.parent = n
-		}
-		for _, e := range sib.entries {
-			e.child.parent = sib
-		}
-	}
-	return sib, nRect, sibRect
 }
 
 // sortAndBound fills order[o] with sort o of the split's entries — by the

@@ -22,9 +22,10 @@ type session struct {
 	srv  *Server
 	conn net.Conn
 
-	wmu sync.Mutex     // serializes response frames
-	out []byte         // under wmu: the response frame being written
-	wg  sync.WaitGroup // in-flight query goroutines of this session
+	wmu   sync.Mutex     // serializes response frames
+	out   []byte         // under wmu: the response frame being written
+	wg    sync.WaitGroup // in-flight query goroutines of this session
+	names wire.Names     // the read loop's: collection names decoded so far
 }
 
 // newSession wraps an accepted connection.
@@ -170,9 +171,9 @@ func (ss *session) dispatch(f wire.Frame) {
 	var derr error
 	if join {
 		kind = "join"
-		jq, derr = wire.DecodeJoin(f.Payload)
+		jq, derr = ss.names.DecodeJoin(f.Payload)
 	} else {
-		sq, derr = wire.DecodeSelect(f.Payload)
+		sq, derr = ss.names.DecodeSelect(f.Payload)
 	}
 	if ss.srv.draining.Load() {
 		ss.shed(f.Request, kind, wire.StatusShuttingDown, f.Trace.ID)

@@ -29,34 +29,54 @@ func raceDetector() bool {
 
 // TestServedSelectAllocations pins what one served select allocates on both
 // sides of the loopback socket: the client's call, its channel and the
-// result's IDs, the server's query goroutine, decoded collection name and
-// boxed selector, and the engine's answer. Frames are read into and written
-// from per-connection buffers, so the count does not grow with the frames a
-// query takes. The collector is off while the count runs, so no collection
-// empties the engine's pools mid-measurement. Under the race detector
-// sync.Pool drops a quarter of what is put back, so the test skips there.
+// result's IDs, the server's query goroutine and boxed selector, and the
+// engine's answer. Frames are read into and written from per-connection
+// buffers, so the count does not grow with the frames a query takes; the
+// session interns collection names, so a name longer than one byte (which
+// a string conversion does not get for free) costs what a one-byte one
+// does; and a status label is a constant. The collector is off while the
+// count runs, so no collection empties the engine's pools
+// mid-measurement. Under the race detector sync.Pool drops a quarter of
+// what is put back, so the test skips there.
 func TestServedSelectAllocations(t *testing.T) {
 	if raceDetector() {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	db, _, _ := newServerDB(t, false, func(cfg *spatialjoin.Config) { cfg.BufferPages = 1024 })
+	rs, _, _ := serverWorkload()
+	named, err := db.CreateCollection("rects")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rect := range rs {
+		if _, err := named.Insert(rect, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
 	_, addr := startServer(t, db, server.Options{})
 	c := dialClient(t, addr)
 	ctx := context.Background()
 	window := geom.NewRect(100, 100, 300, 300)
-	sel := func() {
-		res, err := c.Select(ctx, "r", window, wire.Overlaps(), wire.StrategyTree)
-		if err != nil || res.Status != wire.StatusOK || len(res.IDs) == 0 {
-			t.Fatalf("select: %v, %+v", err, res)
+	sel := func(name string) func() {
+		return func() {
+			res, err := c.Select(ctx, name, window, wire.Overlaps(), wire.StrategyTree)
+			if err != nil || res.Status != wire.StatusOK || len(res.IDs) == 0 {
+				t.Fatalf("select %q: %v, %+v", name, err, res)
+			}
 		}
 	}
-	sel()
+	sel("r")()
+	sel("rects")()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := testing.AllocsPerRun(500, sel)
-	t.Logf("served select: %.2f allocations", allocs)
-	const ceiling = 7.7
-	if allocs > ceiling {
-		t.Errorf("served select: %.2f allocations, want <= %g", allocs, ceiling)
+	one := testing.AllocsPerRun(500, sel("r"))
+	multi := testing.AllocsPerRun(500, sel("rects"))
+	t.Logf("served select: %.2f allocations (one-byte name), %.2f (five-byte name)", one, multi)
+	if multi != one {
+		t.Errorf("served select of a five-byte name: %.2f allocations, one-byte name %.2f", multi, one)
+	}
+	const ceiling = 6.6 // 6.00 measured, plus 10 %
+	if one > ceiling {
+		t.Errorf("served select: %.2f allocations, want <= %g", one, ceiling)
 	}
 }
 

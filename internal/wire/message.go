@@ -169,18 +169,53 @@ func (b *buf) f64() (float64, error) {
 
 // str decodes a u16-length-prefixed string bounded by maxNameLen.
 func (b *buf) str() (string, error) {
+	s, err := b.strBytes()
+	return string(s), err
+}
+
+// strBytes reads a length-prefixed string as a window on the payload.
+func (b *buf) strBytes() ([]byte, error) {
 	n, err := b.u16()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if int(n) > maxNameLen {
-		return "", fmt.Errorf("%w: name of %d bytes exceeds %d", ErrBadPayload, n, maxNameLen)
+		return nil, fmt.Errorf("%w: name of %d bytes exceeds %d", ErrBadPayload, n, maxNameLen)
 	}
 	if len(b.b) < int(n) {
-		return "", fmt.Errorf("%w: short payload", ErrBadPayload)
+		return nil, fmt.Errorf("%w: short payload", ErrBadPayload)
 	}
-	s := string(b.b[:n])
+	s := b.b[:n]
 	b.b = b.b[n:]
+	return s, nil
+}
+
+// Names interns the collection names requests are decoded with: a name
+// decoded through it before comes back as the string kept then, so
+// decoding it again allocates nothing. It keeps the first maxNames distinct
+// names and copies any other, as DecodeSelect and DecodeJoin copy every
+// name. The zero Names is ready to use; it is not safe for concurrent use.
+type Names struct{ m map[string]string }
+
+// maxNames bounds what one Names keeps, whatever names a peer sends.
+const maxNames = 64
+
+// name reads a collection name from b, interned in n (copied when n is nil).
+func (n *Names) name(b *buf) (string, error) {
+	raw, err := b.strBytes()
+	if err != nil || n == nil {
+		return string(raw), err
+	}
+	if s, ok := n.m[string(raw)]; ok {
+		return s, nil
+	}
+	s := string(raw)
+	if len(n.m) < maxNames {
+		if n.m == nil {
+			n.m = make(map[string]string)
+		}
+		n.m[s] = s
+	}
 	return s, nil
 }
 
@@ -232,7 +267,11 @@ func appendSelect(dst []byte, q SelectRequest) []byte {
 }
 
 // DecodeSelect parses a TypeSelect payload.
-func DecodeSelect(p []byte) (SelectRequest, error) {
+func DecodeSelect(p []byte) (SelectRequest, error) { return (*Names)(nil).DecodeSelect(p) }
+
+// DecodeSelect parses a TypeSelect payload, its collection name interned
+// in n.
+func (n *Names) DecodeSelect(p []byte) (SelectRequest, error) {
 	b := buf{p}
 	var q SelectRequest
 	var err error
@@ -248,7 +287,7 @@ func DecodeSelect(p []byte) (SelectRequest, error) {
 	if q.Op.P2, err = b.f64(); err != nil {
 		return q, err
 	}
-	if q.Collection, err = b.str(); err != nil {
+	if q.Collection, err = n.name(&b); err != nil {
 		return q, err
 	}
 	if q.Selector.MinX, err = b.f64(); err != nil {
@@ -287,7 +326,10 @@ func appendJoin(dst []byte, q JoinRequest) []byte {
 }
 
 // DecodeJoin parses a TypeJoin payload.
-func DecodeJoin(p []byte) (JoinRequest, error) {
+func DecodeJoin(p []byte) (JoinRequest, error) { return (*Names)(nil).DecodeJoin(p) }
+
+// DecodeJoin parses a TypeJoin payload, its collection names interned in n.
+func (n *Names) DecodeJoin(p []byte) (JoinRequest, error) {
 	b := buf{p}
 	var q JoinRequest
 	var err error
@@ -303,10 +345,10 @@ func DecodeJoin(p []byte) (JoinRequest, error) {
 	if q.Op.P2, err = b.f64(); err != nil {
 		return q, err
 	}
-	if q.R, err = b.str(); err != nil {
+	if q.R, err = n.name(&b); err != nil {
 		return q, err
 	}
-	if q.S, err = b.str(); err != nil {
+	if q.S, err = n.name(&b); err != nil {
 		return q, err
 	}
 	return q, b.done()

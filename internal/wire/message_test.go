@@ -2,7 +2,9 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spatialjoin/internal/core"
@@ -46,6 +48,62 @@ func TestJoinRequestRoundTrip(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("round trip: %+v vs %+v", got, want)
+	}
+}
+
+// TestNamesInternDecodedNames decodes requests through one Names: each
+// decodes as DecodeSelect and DecodeJoin decode it, a name seen before
+// costs no allocation, and no decoded name aliases the payload, which a
+// frame reader overwrites on its next read. Past maxNames distinct names
+// the decode still returns each name, copied.
+func TestNamesInternDecodedNames(t *testing.T) {
+	var names Names
+	for i := 0; i < maxNames+8; i++ {
+		sq := SelectRequest{Strategy: StrategyTree, Collection: fmt.Sprintf("c%02d", i), Selector: geom.NewRect(0, 0, 1, 1)}
+		jq := JoinRequest{Strategy: StrategyTree, R: fmt.Sprintf("r%02d", i), S: "houses"}
+		sp, err := EncodeSelect(sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jp, err := EncodeJoin(jq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			gotS, err := names.DecodeSelect(sp)
+			if err != nil || gotS != sq {
+				t.Fatalf("select %d: %+v, %v; want %+v", i, gotS, err, sq)
+			}
+			gotJ, err := names.DecodeJoin(jp)
+			if err != nil || gotJ != jq {
+				t.Fatalf("join %d: %+v, %v; want %+v", i, gotJ, err, jq)
+			}
+		}
+		kept, _ := names.DecodeSelect(sp)
+		copy(sp[len(sp)-4*8-3:], "zzz")
+		if got, _ := names.DecodeSelect(sp); got.Collection != "zzz" || kept.Collection != sq.Collection {
+			t.Fatalf("select %d after the payload changed: decoded %q, earlier decode now %q",
+				i, got.Collection, kept.Collection)
+		}
+	}
+	first, err := EncodeSelect(SelectRequest{Collection: "c00"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = names.DecodeSelect(first) }); allocs != 0 {
+		t.Errorf("decoding a kept name: %.1f allocations, want 0", allocs)
+	}
+}
+
+// TestStatusLabelIsLowercaseString checks every status code's label against
+// the lowercased String it was computed from before labels were a table, so
+// /metrics output keeps its bytes.
+func TestStatusLabelIsLowercaseString(t *testing.T) {
+	for c := 0; c <= 255; c++ {
+		s := Status(c)
+		if got, want := s.Label(), strings.ToLower(s.String()); got != want {
+			t.Errorf("Status(%d).Label() = %q, want %q", c, got, want)
+		}
 	}
 }
 

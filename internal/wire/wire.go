@@ -188,37 +188,30 @@ const (
 	StatusGone Status = 9
 )
 
+// statusNames and statusLabels are each status's String and Label, by code.
+var (
+	statusNames = [...]string{"OK", "DEGRADED", "TIMEOUT", "SERVER_BUSY", "SHUTTING_DOWN",
+		"BAD_REQUEST", "NOT_FOUND", "INTERNAL", "STALE", "GONE"}
+	statusLabels = [...]string{"ok", "degraded", "timeout", "server_busy", "shutting_down",
+		"bad_request", "not_found", "internal", "stale", "gone"}
+)
+
 // String implements fmt.Stringer.
 func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "OK"
-	case StatusDegraded:
-		return "DEGRADED"
-	case StatusTimeout:
-		return "TIMEOUT"
-	case StatusServerBusy:
-		return "SERVER_BUSY"
-	case StatusShuttingDown:
-		return "SHUTTING_DOWN"
-	case StatusBadRequest:
-		return "BAD_REQUEST"
-	case StatusNotFound:
-		return "NOT_FOUND"
-	case StatusInternal:
-		return "INTERNAL"
-	case StatusStale:
-		return "STALE"
-	case StatusGone:
-		return "GONE"
-	default:
-		return fmt.Sprintf("Status(%d)", uint8(s))
+	if int(s) < len(statusNames) {
+		return statusNames[s]
 	}
+	return fmt.Sprintf("Status(%d)", uint8(s))
 }
 
 // Label renders the status as a lowercase metrics label value, matching
-// the engine's outcome-label convention (ok, degraded, timeout, ...).
+// the engine's outcome-label convention (ok, degraded, timeout, ...). A
+// known status's label is a constant, so labelling an answered query
+// allocates nothing.
 func (s Status) Label() string {
+	if int(s) < len(statusLabels) {
+		return statusLabels[s]
+	}
 	return strings.ToLower(s.String())
 }
 
