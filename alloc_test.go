@@ -273,3 +273,81 @@ func TestOperationsAllocateOnlyTheirAnswer(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertKeepsTheCallersShape passes each insert's shape unboxed at the
+// call site, a Rect or a Polygon value, logged and unlogged. Insert reads
+// the bounds through a type switch, and only a join index's θ gets a boxed
+// copy, so the conversion to Spatial stays on the caller's stack: an
+// unboxed insert allocates at most what the same insert of a shape boxed
+// beforehand does (TestOperationsAllocateOnlyTheirAnswer's count), plus
+// 0.01. An interface method call on the shape along Insert's path leaks it,
+// and moves every caller's box to the heap: one more allocation per insert.
+func TestInsertKeepsTheCallersShape(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 2000
+	rng := rand.New(rand.NewSource(7))
+	rects := make([]Rect, 2*n)
+	polys := make([]Polygon, 2*n)
+	boxedRects := make([]Spatial, 2*n)
+	boxedPolys := make([]Spatial, 2*n)
+	payloads := make([]string, 2*n)
+	for i := range rects {
+		x, y := rng.Float64()*900, rng.Float64()*900
+		rects[i] = NewRect(x, y, x+rng.Float64()*60, y+rng.Float64()*60)
+		polys[i] = RegularPolygon(Pt(x, y), 1+rng.Float64()*30, 6)
+		boxedRects[i], boxedPolys[i] = rects[i], polys[i]
+		payloads[i] = fmt.Sprintf("obj-%d", i)
+	}
+	// perInsert opens a database and returns the allocations per insert of
+	// n counted inserts, after n warm-up ones, of insert(col, i).
+	perInsert := func(logged bool, insert func(col *Collection, i int) error) float64 {
+		cfg := DefaultConfig()
+		cfg.Workers = 1
+		cfg.WAL = logged
+		db, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, err := db.CreateCollection("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		return testing.AllocsPerRun(1, func() {
+			for end := next + n; next < end; next++ {
+				if err := insert(col, next); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / n
+	}
+	for _, logged := range []bool{false, true} {
+		for _, c := range []struct {
+			shape          string
+			boxed, unboxed func(col *Collection, i int) error
+		}{
+			{"Rect", func(col *Collection, i int) error {
+				_, err := col.Insert(boxedRects[i], payloads[i])
+				return err
+			}, func(col *Collection, i int) error {
+				_, err := col.Insert(rects[i], payloads[i])
+				return err
+			}},
+			{"Polygon", func(col *Collection, i int) error {
+				_, err := col.Insert(boxedPolys[i], payloads[i])
+				return err
+			}, func(col *Collection, i int) error {
+				_, err := col.Insert(polys[i], payloads[i])
+				return err
+			}},
+		} {
+			boxed, unboxed := perInsert(logged, c.boxed), perInsert(logged, c.unboxed)
+			t.Logf("%s insert (WAL %v): %.3f allocations boxed beforehand, %.3f unboxed", c.shape, logged, boxed, unboxed)
+			if unboxed > boxed+0.01 && !raceDetector() {
+				t.Errorf("%s insert (WAL %v): %.3f allocations with the shape unboxed, want <= %.3f (boxed beforehand) + 0.01",
+					c.shape, logged, unboxed, boxed)
+			}
+		}
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"spatialjoin/internal/costmodel"
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
-	"spatialjoin/internal/gridfile"
 	"spatialjoin/internal/join"
 	"spatialjoin/internal/localindex"
 	"spatialjoin/internal/obs"
@@ -468,78 +467,6 @@ func BenchmarkAblationLocalIndexLambda(b *testing.B) {
 			b.ReportMetric(float64(ix.Pairs()), "stored_pairs")
 		})
 	}
-}
-
-// BenchmarkAblationGridVsTreeJoin compares the address-computation join the
-// paper credits to Rotem (grid file, §2.2) against the tree-based join it
-// proposes, on the same workload — the two index-supported-join families of
-// the paper's taxonomy.
-func BenchmarkAblationGridVsTreeJoin(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	world := geom.NewRect(0, 0, 1000, 1000)
-	rs := datagen.UniformRects(rng, 600, world, 2, 25)
-	ss := datagen.UniformRects(rng, 600, world, 2, 25)
-	op := pred.Overlaps{}
-
-	b.Run("gridfile_rotem", func(b *testing.B) {
-		gr, err := gridfile.New(world, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gs, err := gridfile.New(world, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i, r := range rs {
-			if err := gr.Insert(r, i); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for i, s := range ss {
-			if err := gs.Insert(s, i); err != nil {
-				b.Fatal(err)
-			}
-		}
-		var evals int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, stats, err := gridfile.Join(gr, gs, op)
-			if err != nil {
-				b.Fatal(err)
-			}
-			evals = stats.ExactEvals
-		}
-		b.ReportMetric(float64(evals), "exact_evals")
-	})
-	b.Run("gentree_guenther", func(b *testing.B) {
-		trR := rtree.MustNew(rtree.DefaultOptions())
-		trS := rtree.MustNew(rtree.DefaultOptions())
-		for i, r := range rs {
-			trR.Insert(r, i)
-		}
-		for i, s := range ss {
-			trS.Insert(s, i)
-		}
-		// An item stores its MBR and tuple ID; θ reads the rectangle by ID.
-		readOf := func(objs []geom.Rect) core.Reader {
-			return func(n core.Node, dst *geom.Rect) (geom.Spatial, error) {
-				id, _ := n.Tuple()
-				*dst = objs[id]
-				return dst, nil
-			}
-		}
-		opts := &core.JoinOptions{ReadR: readOf(rs), ReadS: readOf(ss)}
-		var evals int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res, err := core.Join(trR.Generalization(), trS.Generalization(), op, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			evals = res.Stats.ExactEvals
-		}
-		b.ReportMetric(float64(evals), "exact_evals")
-	})
 }
 
 // BenchmarkAblationBulkLoad compares STR bulk loading against one-at-a-time

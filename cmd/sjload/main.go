@@ -125,7 +125,7 @@ func tracedQuery(addr, kind string, strat uint8, sel, world float64) error {
 	defer cancel()
 	ctx, tr := obs.WithTrace(ctx)
 
-	var res *wire.Result
+	var res wire.Result
 	if kind == "select" {
 		probe := geom.NewRect(0, 0, world*sel, world*sel)
 		res, err = cli.Select(ctx, "s", probe, wire.Overlaps(), strat)
@@ -241,7 +241,7 @@ func worker(stop <-chan struct{}, tl *tally, cli *wire.Client, i int, kind strin
 		}
 		doJoin := kind == "join" || (kind == "mix" && (i+q)%2 == 0)
 		start := time.Now()
-		var res *wire.Result
+		var res wire.Result
 		var err error
 		if doJoin {
 			res, err = cli.Join(ctx, "r", "s", wire.Overlaps(), strat)

@@ -374,11 +374,24 @@ func (c *Collection) IndexHeight() int { return c.index.Height() }
 // before the transaction begins, so it changes nothing and, under a WAL,
 // leaves the database usable. The record is encoded into the collection's
 // reused buffer, so an insert allocates only what it adds to the R-tree.
+// The bounds come from a type switch over the shapes the schema holds, not
+// from shape.Bounds(): an interface method call would leak shape, and move
+// every caller's box of it to the heap. Any other type goes on to Encode's
+// error.
 func (c *Collection) Insert(shape Spatial, payload string) (int, error) {
-	if shape == nil {
+	var b Rect
+	switch s := shape.(type) {
+	case nil:
 		return 0, fmt.Errorf("spatialjoin: nil shape")
+	case Rect:
+		b = s
+	case Point:
+		b = s.Bounds()
+	case Polygon:
+		b = s.Bounds()
+	case Segment:
+		b = s.Bounds()
 	}
-	b := shape.Bounds()
 	if !b.Valid() || !finite(b) {
 		return 0, fmt.Errorf("spatialjoin: shape bounds %v are not a finite rectangle with min ≤ max", b)
 	}

@@ -38,7 +38,7 @@ func TestAdmissionControlShedsExcessQueries(t *testing.T) {
 
 	// Occupy the single admission slot with a slow cold join.
 	type joinReply struct {
-		res *wire.Result
+		res wire.Result
 		err error
 	}
 	slowCh := make(chan joinReply, 1)
@@ -140,7 +140,7 @@ func TestAdmitWaitRidesOutShortBursts(t *testing.T) {
 	ctx := context.Background()
 
 	type joinReply struct {
-		res *wire.Result
+		res wire.Result
 		err error
 	}
 	replies := make(chan joinReply, 2)

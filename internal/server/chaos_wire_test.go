@@ -192,16 +192,16 @@ func TestWireBadRequestAndNotFound(t *testing.T) {
 
 	cases := []struct {
 		name string
-		run  func() (*wire.Result, error)
+		run  func() (wire.Result, error)
 		want wire.Status
 	}{
-		{"unknown collection", func() (*wire.Result, error) {
+		{"unknown collection", func() (wire.Result, error) {
 			return cli.Join(ctx, "r", "nope", wire.Overlaps(), wire.StrategyScan)
 		}, wire.StatusNotFound},
-		{"unknown operator", func() (*wire.Result, error) {
+		{"unknown operator", func() (wire.Result, error) {
 			return cli.Join(ctx, "r", "s", wire.OpSpec{Code: 99}, wire.StrategyScan)
 		}, wire.StatusBadRequest},
-		{"unknown strategy", func() (*wire.Result, error) {
+		{"unknown strategy", func() (wire.Result, error) {
 			return cli.Join(ctx, "r", "s", wire.Overlaps(), 9)
 		}, wire.StatusBadRequest},
 	}

@@ -64,15 +64,15 @@ func TestConcurrentClientsReadsSumToPoolMisses(t *testing.T) {
 			<-start
 			ctx := context.Background()
 			r, s := names[i], names[(i+1)%len(names)]
-			queries := []func() (*wire.Result, error){
-				func() (*wire.Result, error) { return c.Join(ctx, r, s, wire.Overlaps(), wire.StrategyTree) },
-				func() (*wire.Result, error) {
+			queries := []func() (wire.Result, error){
+				func() (wire.Result, error) { return c.Join(ctx, r, s, wire.Overlaps(), wire.StrategyTree) },
+				func() (wire.Result, error) {
 					return c.Select(ctx, r, geom.NewRect(float64(100*i), 200, float64(100*i+300), 500), wire.Overlaps(), wire.StrategyTree)
 				},
-				func() (*wire.Result, error) { return c.Join(ctx, s, r, wire.Overlaps(), wire.StrategyTree) },
+				func() (wire.Result, error) { return c.Join(ctx, s, r, wire.Overlaps(), wire.StrategyTree) },
 			}
 			if i == 0 {
-				queries = append(queries, func() (*wire.Result, error) {
+				queries = append(queries, func() (wire.Result, error) {
 					return c.Join(ctx, r, s, wire.Overlaps(), wire.StrategyScan)
 				})
 			}

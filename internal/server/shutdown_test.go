@@ -56,7 +56,7 @@ func TestShutdownDrainsInFlightAndLeaksNothing(t *testing.T) {
 	// A cold tree join over the 4ms-latency device: slow enough that the
 	// whole drain choreography below happens while it is in flight.
 	type joinReply struct {
-		res *wire.Result
+		res wire.Result
 		err error
 	}
 	slowCh := make(chan joinReply, 1)

@@ -2,8 +2,11 @@ package server_test
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"net"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -28,9 +31,9 @@ func raceDetector() bool {
 }
 
 // TestServedSelectAllocations pins what one served select allocates on both
-// sides of the loopback socket: the client's call, its channel and the
-// result's IDs, the server's query goroutine and boxed selector, and the
-// engine's answer. Frames are read into and written from per-connection
+// sides of the loopback socket: the result's IDs (the client reuses its
+// calls), the server's query goroutine and boxed selector, and the engine's
+// answer. Frames are read into and written from per-connection
 // buffers, so the count does not grow with the frames a query takes; the
 // session interns collection names, so a name longer than one byte (which
 // a string conversion does not get for free) costs what a one-byte one
@@ -74,7 +77,7 @@ func TestServedSelectAllocations(t *testing.T) {
 	if multi != one {
 		t.Errorf("served select of a five-byte name: %.2f allocations, one-byte name %.2f", multi, one)
 	}
-	const ceiling = 6.6 // 6.00 measured, plus 10 %
+	const ceiling = 4.4 // 4.00 measured, plus 10 %
 	if one > ceiling {
 		t.Errorf("served select: %.2f allocations, want <= %g", one, ceiling)
 	}
@@ -86,6 +89,32 @@ type gatedListener struct {
 	net.Listener
 	gate  chan struct{}
 	conns chan *gatedConn
+}
+
+// serveGated serves db through a new gatedListener on an ephemeral loopback
+// port, and registers a cleanup that shuts the server down and asserts
+// Serve exited cleanly.
+func serveGated(t *testing.T, db *spatialjoin.Database, opts server.Options) *gatedListener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl := &gatedListener{Listener: ln, gate: make(chan struct{}), conns: make(chan *gatedConn, 2)}
+	srv := server.New(db, opts)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(gl) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		if err := <-served; err != nil && err != server.ErrServerClosed {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	return gl
 }
 
 func (l *gatedListener) Accept() (net.Conn, error) {
@@ -147,27 +176,10 @@ func TestStreamStopsAtFirstFailedWrite(t *testing.T) {
 	if len(want) < 16 {
 		t.Fatalf("workload join has %d matches; the test needs a long stream", len(want))
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gl := &gatedListener{Listener: ln, gate: make(chan struct{}), conns: make(chan *gatedConn, 2)}
-	srv := server.New(db, server.Options{BatchSize: 1})
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(gl) }()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		if err := <-served; err != nil && err != server.ErrServerClosed {
-			t.Errorf("Serve: %v", err)
-		}
-	})
+	gl := serveGated(t, db, server.Options{BatchSize: 1})
 	base := settledGoroutines()
 
-	raw, err := net.Dial("tcp", ln.Addr().String())
+	raw, err := net.Dial("tcp", gl.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +213,80 @@ func TestStreamStopsAtFirstFailedWrite(t *testing.T) {
 		t.Errorf("%d writes attempted after the first failed one", writes-failedAt)
 	}
 
-	c := dialClient(t, ln.Addr().String())
+	c := dialClient(t, gl.Addr().String())
 	res, err := c.Join(context.Background(), "r", "s", wire.Overlaps(), wire.StrategyTree)
 	if err != nil || res.Status != wire.StatusOK {
 		t.Fatalf("join after the hang-up: %v, %+v", err, res)
 	}
 	assertSameMatches(t, "join after the hang-up", res.Matches, want)
+}
+
+// TestAbandonedCallIsNeverReused abandons a select whose answer the server
+// holds at the gate, releases the answer, and then runs 50 selects on the
+// same client: the client reuses completed calls, and each select must
+// return exactly its own IDs, so the abandoned call, whose late frames
+// still arrive, must never be handed to a later request. A call in flight
+// when its client closes must fail with ErrClientClosed.
+func TestAbandonedCallIsNeverReused(t *testing.T) {
+	db, r, _ := newServerDB(t, false, nil)
+	_, _, world := serverWorkload()
+	want := func(window geom.Rect) []int {
+		ids, _, err := db.Select(r, window, spatialjoin.Overlaps(), spatialjoin.TreeStrategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	// held starts a select of the whole world on a new client of a new
+	// gated server, once a ping has taken the connection's one ungated
+	// write, and returns when the server's answer waits at the gate.
+	held := func(ctx context.Context) (*wire.Client, *gatedListener, chan error) {
+		gl := serveGated(t, db, server.Options{})
+		c := dialClient(t, gl.Addr().String())
+		if err := c.Ping(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		conn := <-gl.conns
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Select(ctx, "r", world, wire.Overlaps(), wire.StrategyTree)
+			done <- err
+		}()
+		waitFor(t, "the select's answer at the gate", func() bool {
+			writes, _ := conn.counts()
+			return writes > 1
+		})
+		return c, gl, done
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	c, gl, done := held(ctx)
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned select: %v, want %v", err, context.Canceled)
+	}
+	close(gl.gate)
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 50; i++ {
+		x, y := rng.Float64()*500, rng.Float64()*500
+		window := geom.NewRect(x, y, x+20+rng.Float64()*80, y+20+rng.Float64()*80)
+		res, err := c.Select(context.Background(), "r", window, wire.Overlaps(), wire.StrategyTree)
+		if err != nil || res.Status != wire.StatusOK {
+			t.Fatalf("select %d: %v, %+v", i, err, res)
+		}
+		slices.Sort(res.IDs)
+		if want := want(window); !slices.Equal(res.IDs, want) {
+			t.Fatalf("select %d of %v: IDs %v, want %v", i, window, res.IDs, want)
+		}
+	}
+
+	c, gl, done = held(context.Background())
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, wire.ErrClientClosed) {
+		t.Errorf("select in flight at Close: %v, want %v", err, wire.ErrClientClosed)
+	}
+	close(gl.gate)
 }

@@ -43,7 +43,8 @@ func (r *Result) Err() error {
 }
 
 // call is one in-flight request: batches accumulate until the Done frame
-// closes done.
+// signals done. A call whose signal its caller received goes back on the
+// client's free list, so done is buffered to 1 and sent on, never closed.
 type call struct {
 	res  Result
 	err  error
@@ -63,6 +64,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	pending map[uint64]*call
+	free    []*call // completed calls, for reuse by later requests
 	nextID  uint64
 	broken  error // set once the read loop dies; fails all future calls
 
@@ -108,7 +110,7 @@ func (c *Client) fail(err error) {
 	c.mu.Unlock()
 	for _, cl := range calls {
 		cl.err = err
-		close(cl.done)
+		cl.done <- struct{}{}
 	}
 }
 
@@ -190,7 +192,7 @@ func (c *Client) complete(id uint64, cl *call, err error) {
 	delete(c.pending, id)
 	c.mu.Unlock()
 	cl.err = err
-	close(cl.done)
+	cl.done <- struct{}{}
 }
 
 // send registers a call and writes its request frame, encoding msg (see
@@ -199,12 +201,17 @@ func (c *Client) complete(id uint64, cl *call, err error) {
 // VersionTrace with tc prefixed, propagating the caller's trace identity to
 // the server.
 func (c *Client) send(typ uint8, msg any, flags uint16, tc TraceContext) (*call, uint64, error) {
-	cl := &call{done: make(chan struct{})}
 	c.mu.Lock()
 	if c.broken != nil {
 		err := c.broken
 		c.mu.Unlock()
 		return nil, 0, err
+	}
+	var cl *call
+	if n := len(c.free); n > 0 {
+		cl, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		cl = &call{done: make(chan struct{}, 1)}
 	}
 	c.nextID++
 	id := c.nextID
@@ -224,20 +231,27 @@ func (c *Client) send(typ uint8, msg any, flags uint16, tc TraceContext) (*call,
 	return cl, id, nil
 }
 
-// wait blocks until the call completes or ctx expires. An expired context
-// abandons the call: later frames for its request ID are discarded.
-func (c *Client) wait(ctx context.Context, cl *call, id uint64) (*Result, error) {
+// wait blocks until the call completes or ctx expires. A completed call's
+// result is copied out and the call goes back on the free list. An expired
+// context abandons the call: it is never reused, so frames still on their
+// way for it land in garbage.
+func (c *Client) wait(ctx context.Context, cl *call, id uint64) (Result, error) {
 	select {
 	case <-cl.done:
-		if cl.err != nil {
-			return nil, cl.err
+		res, err := cl.res, cl.err
+		*cl = call{done: cl.done}
+		c.mu.Lock()
+		c.free = append(c.free, cl)
+		c.mu.Unlock()
+		if err != nil {
+			return Result{}, err
 		}
-		return &cl.res, nil
+		return res, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return nil, ctx.Err()
+		return Result{}, ctx.Err()
 	}
 }
 
@@ -266,13 +280,13 @@ func traceCall(ctx context.Context, name string) (*obs.Trace, obs.SpanID, uint16
 }
 
 // traceDone closes the call span, grafting the server's span summary (if
-// the response carried one) under it so the caller's trace renders one
+// the call got a response) under it so the caller's trace renders one
 // end-to-end tree.
 func traceDone(tr *obs.Trace, span obs.SpanID, res *Result, err error) {
 	if tr == nil {
 		return
 	}
-	if res != nil {
+	if err == nil {
 		tr.Graft(span, res.Spans)
 		tr.End(span,
 			obs.Str("status", res.Status.Label()),
@@ -290,9 +304,9 @@ func traceDone(tr *obs.Trace, span obs.SpanID, res *Result, err error) {
 // Result.Err). When ctx carries an obs.Trace, the trace's identity is
 // propagated on the request frame and the server's spans are grafted back
 // under a "wire.select" client span.
-func (c *Client) Select(ctx context.Context, collection string, selector geom.Rect, op OpSpec, strategy uint8) (*Result, error) {
+func (c *Client) Select(ctx context.Context, collection string, selector geom.Rect, op OpSpec, strategy uint8) (Result, error) {
 	if err := checkName(collection); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	tr, span, flags, tc := traceCall(ctx, "wire.select")
 	cl, id, err := c.send(TypeSelect, SelectRequest{
@@ -300,10 +314,10 @@ func (c *Client) Select(ctx context.Context, collection string, selector geom.Re
 	}, flags, tc)
 	if err != nil {
 		traceDone(tr, span, nil, err)
-		return nil, err
+		return Result{}, err
 	}
 	res, err := c.wait(ctx, cl, id)
-	traceDone(tr, span, res, err)
+	traceDone(tr, span, &res, err)
 	return res, err
 }
 
@@ -313,20 +327,20 @@ func (c *Client) Select(ctx context.Context, collection string, selector geom.Re
 // ctx carries an obs.Trace, the trace's identity is propagated on the
 // request frame and the server's spans are grafted back under a
 // "wire.join" client span.
-func (c *Client) Join(ctx context.Context, r, s string, op OpSpec, strategy uint8) (*Result, error) {
+func (c *Client) Join(ctx context.Context, r, s string, op OpSpec, strategy uint8) (Result, error) {
 	if err := checkName(r); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	if err := checkName(s); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	tr, span, flags, tc := traceCall(ctx, "wire.join")
 	cl, id, err := c.send(TypeJoin, JoinRequest{Strategy: strategy, Op: op, R: r, S: s}, flags, tc)
 	if err != nil {
 		traceDone(tr, span, nil, err)
-		return nil, err
+		return Result{}, err
 	}
 	res, err := c.wait(ctx, cl, id)
-	traceDone(tr, span, res, err)
+	traceDone(tr, span, &res, err)
 	return res, err
 }

@@ -116,7 +116,8 @@ func NewReader(r io.Reader, maxPayload int) *Reader {
 // arbitrary input can never force an over-allocation.
 //
 // A clean end of stream before any header byte returns io.EOF untouched;
-// a stream that ends mid-frame returns ErrTruncated. All other failures
+// a stream that ends mid-frame returns ErrTruncated, wrapping the read's
+// error (net.ErrClosed after a local Close). All other failures
 // wrap the typed errors of this package. After any error except io.EOF the
 // stream must be considered out of sync and the connection closed.
 //
@@ -139,7 +140,7 @@ func (rd *Reader) ReadFrame() (Frame, error) {
 		if err == io.EOF {
 			return Frame{}, io.EOF
 		}
-		return Frame{}, fmt.Errorf("%w: header: %v", ErrTruncated, err)
+		return Frame{}, fmt.Errorf("%w: header: %w", ErrTruncated, err)
 	}
 	if m := binary.LittleEndian.Uint32(hdr[0:]); m != Magic {
 		return Frame{}, fmt.Errorf("%w: 0x%08x", ErrBadMagic, m)
@@ -181,7 +182,7 @@ func (rd *Reader) ReadFrame() (Frame, error) {
 		}
 		payload = rd.payload[:n]
 		if _, err := io.ReadFull(rd.r, payload); err != nil {
-			return Frame{}, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
+			return Frame{}, fmt.Errorf("%w: payload: %w", ErrTruncated, err)
 		}
 		sum = crc32.Update(sum, castagnoli, payload)
 	}

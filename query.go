@@ -354,8 +354,24 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 // into collection c: the new object is checked against the entire other
 // collection (the paper's U_III cost). Each probe reads only the other
 // tuple's shape, θ's operand, straight from its record
-// (relation.Relation.Spatial), a rectangle into one scratch.
+// (relation.Relation.Spatial), a rectangle into one scratch. θ is an
+// interface method, so it gets a copy of shape boxed here, and only when a
+// join index exists: the caller's box stays on its stack.
 func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) error {
+	if len(db.joinIndices) == 0 {
+		return nil
+	}
+	var obj Spatial
+	switch s := shape.(type) {
+	case Rect:
+		obj = s
+	case Point:
+		obj = s
+	case Polygon:
+		obj = s
+	case Segment:
+		obj = s
+	}
 	for _, ji := range db.joinIndices {
 		var dst Rect
 		// Both branches run for a self-join index (ji.r == ji.s == c). The
@@ -367,7 +383,7 @@ func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) er
 				if err != nil {
 					return false, err
 				}
-				if !ji.op.Eval(shape, other) {
+				if !ji.op.Eval(obj, other) {
 					return false, nil
 				}
 				return true, ji.appendPair(id, sid)
@@ -385,7 +401,7 @@ func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) er
 				if err != nil {
 					return false, err
 				}
-				if !ji.op.Eval(other, shape) {
+				if !ji.op.Eval(other, obj) {
 					return false, nil
 				}
 				return true, ji.appendPair(rid, id)
