@@ -94,7 +94,7 @@ func BenchmarkZOverlapParallelJoin(b *testing.B) {
 	var matches int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ms, err := ZOverlapJoinWorkers(rs, ss, world, 9, 0)
+		ms, err := ZOverlapJoinCtx(context.Background(), rs, ss, world, 9, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

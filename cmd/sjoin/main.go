@@ -27,8 +27,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
@@ -36,6 +34,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"spatialjoin/cmd/internal/cli"
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/costmodel"
 	"spatialjoin/internal/datagen"
@@ -174,14 +173,11 @@ func (w workload) rtreeOf() core.Tree {
 	return t.Generalization()
 }
 
-// buildWorkload loads a model tree's tuples into a relation with the chosen
-// layout.
-func buildWorkload(pool *storage.BufferPool, seed int64, k, height int,
-	placement relation.Placement, name string) (workload, error) {
-
+// modelTree generates the workload: a model generalization tree over a
+// 1000×1000 world, and its tuples' rectangles indexed by tuple ID.
+func modelTree(seed int64, k, height int) (core.Tree, []geom.Rect) {
 	rng := rand.New(rand.NewSource(seed))
-	world := geom.NewRect(0, 0, 1000, 1000)
-	tree, n := datagen.ModelTree(rng, world, k, height)
+	tree, n := datagen.ModelTree(rng, geom.NewRect(0, 0, 1000, 1000), k, height)
 	rects := make([]geom.Rect, n)
 	core.Walk(tree, func(nd core.Node, _ int) bool {
 		if id, ok := nd.Tuple(); ok {
@@ -189,6 +185,15 @@ func buildWorkload(pool *storage.BufferPool, seed int64, k, height int,
 		}
 		return true
 	})
+	return tree, rects
+}
+
+// buildWorkload loads a model tree's tuples into a relation with the chosen
+// layout.
+func buildWorkload(pool *storage.BufferPool, seed int64, k, height int,
+	placement relation.Placement, name string) (workload, error) {
+
+	tree, rects := modelTree(seed, k, height)
 	sch, err := relation.NewSchema(
 		relation.Column{Name: "id", Type: relation.TypeInt64},
 		relation.Column{Name: "mbr", Type: relation.TypeRect},
@@ -196,7 +201,7 @@ func buildWorkload(pool *storage.BufferPool, seed int64, k, height int,
 	if err != nil {
 		return workload{}, err
 	}
-	tuples := make([]relation.Tuple, n)
+	tuples := make([]relation.Tuple, len(rects))
 	for i := range tuples {
 		tuples[i] = relation.Tuple{int64(i), rects[i]}
 	}
@@ -263,12 +268,12 @@ func run(out io.Writer, o options) (err error) {
 	}
 	if o.metricsAddr != "" {
 		reg := obs.NewRegistry()
-		registerPoolMetrics(reg, pool)
-		closeMetrics, err := serveMetrics(out, o.metricsAddr, reg)
+		pool.RegisterMetrics(reg)
+		stopMetrics, err := cli.ServeMetrics(out, "sjoin", o.metricsAddr, reg)
 		if err != nil {
 			return err
 		}
-		defer closeMetrics()
+		defer stopMetrics()
 	}
 	ctx := context.Background()
 	if o.timeout > 0 {
@@ -292,7 +297,7 @@ func run(out io.Writer, o options) (err error) {
 	fmt.Fprintf(out, "workload: two %d-ary trees of height %d (%d tuples each), %s layout, M=%d pages, op=%s\n",
 		o.k, o.height, r.table.Rel.Len(), o.layout, o.buffer, op.Name())
 
-	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', tabwriter.AlignRight)
+	w, report := resultTable(out)
 	defer func() {
 		// The table is the program's output: failing to render it is fatal,
 		// not a silently dropped error.
@@ -300,16 +305,10 @@ func run(out io.Writer, o options) (err error) {
 			err = ferr
 		}
 	}()
-	fmt.Fprintf(w, "strategy\tresults\tfilter evals\texact evals\tpage reads\tindex reads\tcost\t\n")
 
 	// treeResults feeds the explain section's selectivity estimate; -1
 	// records that the tree strategy did not run.
 	treeResults := -1
-	report := func(name string, results int, st join.Stats) {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%.4g\t\n",
-			name, results, st.FilterEvals, st.ExactEvals, st.PageReads, st.IndexReads,
-			st.Cost(1, 1000))
-	}
 	cold := func() error {
 		if err := pool.DropAll(); err != nil {
 			return err
@@ -327,9 +326,7 @@ func run(out io.Writer, o options) (err error) {
 				return err
 			}
 		}
-		if o.metricsAddr != "" && o.serveFor > 0 {
-			time.Sleep(o.serveFor)
-		}
+		cli.Linger(o.metricsAddr, o.serveFor)
 		return nil
 	}
 
@@ -529,50 +526,17 @@ func printExplain(out io.Writer, trace *obs.Trace, o options,
 	return nil
 }
 
-// registerPoolMetrics exposes the counters of a raw benchmark pool (no
-// Database in front) as scrape-time samplers. Note cold-start resets
-// between strategies make these counters non-monotone within one run.
-func registerPoolMetrics(reg *obs.Registry, pool *storage.BufferPool) {
-	count := func(name, help string, fn func() int64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(fn()) })
+// resultTable starts the per-strategy result table on out; report adds
+// one strategy's row, its cost weighted as in Table 3 (C_Θ = 1, C_IO =
+// 1000). The caller flushes w.
+func resultTable(out io.Writer) (w *tabwriter.Writer, report func(name string, results int, st join.Stats)) {
+	w = tabwriter.NewWriter(out, 2, 4, 2, ' ', tabwriter.AlignRight)
+	fmt.Fprintf(w, "strategy\tresults\tfilter evals\texact evals\tpage reads\tindex reads\tcost\t\n")
+	return w, func(name string, results int, st join.Stats) {
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%.4g\t\n",
+			name, results, st.FilterEvals, st.ExactEvals, st.PageReads, st.IndexReads,
+			st.Cost(1, 1000))
 	}
-	count("spatialjoin_pool_logical_reads_total", "Page fetches served by the buffer pool.",
-		//sjlint:ignore statsreset scrape-time sampler, not a measurement snapshot
-		func() int64 { return pool.Stats().LogicalReads })
-	count("spatialjoin_pool_misses_total", "Pool fetches that went to the disk (physical reads).",
-		//sjlint:ignore statsreset scrape-time sampler, not a measurement snapshot
-		func() int64 { return pool.Stats().Misses })
-	count("spatialjoin_pool_evictions_total", "Frames evicted by the pool's LRU policy.",
-		//sjlint:ignore statsreset scrape-time sampler, not a measurement snapshot
-		func() int64 { return pool.Stats().Evictions })
-	count("spatialjoin_disk_reads_total", "Physical page reads at the device.",
-		//sjlint:ignore statsreset scrape-time sampler, not a measurement snapshot
-		func() int64 { return pool.Disk().Stats().Reads })
-	count("spatialjoin_disk_writes_total", "Physical page writes at the device.",
-		//sjlint:ignore statsreset scrape-time sampler, not a measurement snapshot
-		func() int64 { return pool.Disk().Stats().Writes })
-}
-
-// serveMetrics starts the observability endpoint (/metrics, /debug/vars,
-// pprof) on addr — port 0 picks a free port — printing the bound address.
-// The returned function stops the server.
-func serveMetrics(out io.Writer, addr string, reg *obs.Registry) (func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(out, "metrics: serving http://%s/metrics\n", ln.Addr())
-	srv := &http.Server{Handler: obs.NewMux(reg)}
-	go func() {
-		if serr := srv.Serve(ln); serr != nil && serr != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, "sjoin: metrics server:", serr)
-		}
-	}()
-	return func() {
-		if cerr := srv.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "sjoin: closing metrics server:", cerr)
-		}
-	}, nil
 }
 
 // finish renders the table, forces pending write-backs to disk — a failed

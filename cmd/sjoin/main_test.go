@@ -1,12 +1,9 @@
 package main
 
 import (
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 
-	"spatialjoin/internal/obs"
 	"spatialjoin/internal/pred"
 )
 
@@ -201,29 +198,5 @@ func TestRunExplainSelect(t *testing.T) {
 	}
 	if _, _, equal := explainLevelReads(t, out); !equal {
 		t.Fatalf("select level reads do not telescope:\n%s", out)
-	}
-}
-
-func TestServeMetrics(t *testing.T) {
-	var sb strings.Builder
-	reg := obs.NewRegistry()
-	reg.Counter("sjoin_test_total", "Test counter.").Add(3)
-	stop, err := serveMetrics(&sb, "127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	addr := strings.TrimSpace(strings.TrimPrefix(sb.String(), "metrics: serving "))
-	resp, err := http.Get(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "sjoin_test_total 3") {
-		t.Fatalf("metrics endpoint returned %d:\n%s", resp.StatusCode, body)
 	}
 }

@@ -9,32 +9,11 @@ package main
 import (
 	"fmt"
 	"io"
-	"math/rand"
-	"os"
-	"text/tabwriter"
 
 	spatialjoin "spatialjoin"
-	"spatialjoin/internal/core"
-	"spatialjoin/internal/datagen"
+	"spatialjoin/cmd/internal/cli"
 	"spatialjoin/internal/fault"
-	"spatialjoin/internal/geom"
 )
-
-// walRects generates the workload rectangles: the tuple-level MBRs of one
-// model generalization tree.
-func walRects(seed int64, k, height int) []geom.Rect {
-	rng := rand.New(rand.NewSource(seed))
-	world := geom.NewRect(0, 0, 1000, 1000)
-	tree, n := datagen.ModelTree(rng, world, k, height)
-	rects := make([]geom.Rect, n)
-	core.Walk(tree, func(nd core.Node, _ int) bool {
-		if id, ok := nd.Tuple(); ok {
-			rects[id] = nd.Bounds()
-		}
-		return true
-	})
-	return rects
-}
 
 // walOptions bundles the -wal path's flag values.
 type walOptions struct {
@@ -80,14 +59,9 @@ func runWAL(out io.Writer, o walOptions) (err error) {
 
 	var db *spatialjoin.Database
 	if o.seedPath != "" {
-		f, err := os.Open(o.seedPath)
+		sdb, info, err := cli.SeedFromFile(cfg, o.seedPath)
 		if err != nil {
 			return err
-		}
-		defer f.Close()
-		sdb, info, err := spatialjoin.SeedFromSnapshot(cfg, f)
-		if err != nil {
-			return fmt.Errorf("seeding from %s: %w", o.seedPath, err)
 		}
 		fmt.Fprintf(out, "seeded: %s (%d pages, checkpoint LSN %d, log durable to %d)\n",
 			o.seedPath, info.Pages, info.CheckpointLSN, info.WALDurable)
@@ -98,67 +72,41 @@ func runWAL(out io.Writer, o walOptions) (err error) {
 			return err
 		}
 	}
-	rectsR := walRects(o.seed, o.k, o.height)
-	rectsS := walRects(o.seed+1, o.k, o.height)
+	_, rectsR := modelTree(o.seed, o.k, o.height)
+	_, rectsS := modelTree(o.seed+1, o.k, o.height)
 
-	if o.crashAt > 0 {
-		db.FaultDisk().SetCrashAfterWrites(o.crashAt)
-	}
 	inserted, checkpoints := 0, 0
 	crashed := false
 	if o.seedPath == "" {
-		crashed = func() (crashed bool) {
-			defer func() {
-				if v := recover(); v != nil {
-					c, ok := fault.AsCrash(v)
-					if !ok {
-						panic(v)
+		crashed, err = cli.CatchCrash(out, db, o.crashAt, func() error {
+			r, err := db.CreateCollection("R")
+			if err != nil {
+				return err
+			}
+			s, err := db.CreateCollection("S")
+			if err != nil {
+				return err
+			}
+			for _, c := range []struct {
+				col   *spatialjoin.Collection
+				tag   string
+				rects []spatialjoin.Rect
+			}{{r, "r", rectsR}, {s, "s", rectsS}} {
+				for i, rc := range c.rects {
+					if _, err := c.col.Insert(rc, fmt.Sprintf("%s%d", c.tag, i)); err != nil {
+						return err
 					}
-					fmt.Fprintf(out, "crash: %v\n", c)
-					crashed = true
-				}
-			}()
-			r, err2 := db.CreateCollection("R")
-			if err2 != nil {
-				err = err2
-				return false
-			}
-			s, err2 := db.CreateCollection("S")
-			if err2 != nil {
-				err = err2
-				return false
-			}
-			maybeCheckpoint := func() {
-				if o.ckptEvery > 0 && inserted%o.ckptEvery == 0 {
-					if _, err2 := db.Checkpoint(); err2 != nil {
-						err = err2
-						return
+					inserted++
+					if o.ckptEvery > 0 && inserted%o.ckptEvery == 0 {
+						if _, err := db.Checkpoint(); err != nil {
+							return err
+						}
+						checkpoints++
 					}
-					checkpoints++
 				}
 			}
-			for i, rc := range rectsR {
-				if _, err2 := r.Insert(rc, fmt.Sprintf("r%d", i)); err2 != nil {
-					err = err2
-					return false
-				}
-				inserted++
-				if maybeCheckpoint(); err != nil {
-					return false
-				}
-			}
-			for i, sc := range rectsS {
-				if _, err2 := s.Insert(sc, fmt.Sprintf("s%d", i)); err2 != nil {
-					err = err2
-					return false
-				}
-				inserted++
-				if maybeCheckpoint(); err != nil {
-					return false
-				}
-			}
-			return false
-		}()
+			return nil
+		})
 		if err != nil {
 			return err
 		}
@@ -175,18 +123,9 @@ func runWAL(out io.Writer, o walOptions) (err error) {
 	}
 
 	if crashed || o.doRecover {
-		if fd := db.FaultDisk(); fd.Crashed() {
-			fd.Reboot()
+		if db, err = cli.Recover(out, cfg, db); err != nil {
+			return err
 		}
-		rdb, stats, rerr := spatialjoin.Reopen(cfg, db.Device())
-		if rerr != nil {
-			return fmt.Errorf("recovering: %w", rerr)
-		}
-		fmt.Fprintf(out, "recovery: %d log pages read from page %d, %d records scanned, %d replayed onto %d pages, %d skipped below checkpoint %d, %d txns committed, %d discarded, %d torn tail bytes (%d torn pages)\n",
-			stats.LogPagesRead, stats.HeadPage, stats.RecordsScanned, stats.RecordsReplayed, stats.PagesRestored,
-			stats.RecordsSkipped, stats.CheckpointLSN,
-			stats.TxnsCommitted, stats.TxnsDiscarded, stats.TornTailBytes, stats.TornPages)
-		db = rdb
 	} else if inserted > 0 {
 		if err := db.Flush(); err != nil {
 			return err
@@ -211,14 +150,7 @@ func runWAL(out io.Writer, o walOptions) (err error) {
 	}
 
 	if o.exportPath != "" {
-		f, err := os.Create(o.exportPath)
-		if err != nil {
-			return err
-		}
-		info, err := db.ExportSnapshot(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		info, err := cli.ExportSnapshotFile(db, o.exportPath)
 		if err != nil {
 			return fmt.Errorf("exporting snapshot: %w", err)
 		}
@@ -226,18 +158,12 @@ func runWAL(out io.Writer, o walOptions) (err error) {
 			o.exportPath, info.Pages, info.CheckpointLSN)
 	}
 
-	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', tabwriter.AlignRight)
+	w, report := resultTable(out)
 	defer func() {
 		if ferr := w.Flush(); err == nil {
 			err = ferr
 		}
 	}()
-	fmt.Fprintf(w, "strategy\tresults\tfilter evals\texact evals\tpage reads\tindex reads\tcost\t\n")
-	report := func(name string, results int, st spatialjoin.Stats) {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%.4g\t\n",
-			name, results, st.FilterEvals, st.ExactEvals, st.PageReads, st.IndexReads,
-			st.Cost(1, 1000))
-	}
 	if want("scan") {
 		ms, st, err := db.Join(r, s, op, spatialjoin.ScanStrategy)
 		if err != nil {

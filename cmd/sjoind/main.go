@@ -30,14 +30,10 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync"
@@ -45,6 +41,7 @@ import (
 	"time"
 
 	"spatialjoin"
+	"spatialjoin/cmd/internal/cli"
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/fault"
 	"spatialjoin/internal/geom"
@@ -138,14 +135,9 @@ func run() error {
 	var db *spatialjoin.Database
 	var r, s *spatialjoin.Collection
 	if *seedFrom != "" {
-		f, err := os.Open(*seedFrom)
+		sdb, info, err := cli.SeedFromFile(cfg, *seedFrom)
 		if err != nil {
 			return err
-		}
-		sdb, info, err := spatialjoin.SeedFromSnapshot(cfg, f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("seeding from %s: %w", *seedFrom, err)
 		}
 		db = sdb
 		var ok bool
@@ -166,11 +158,11 @@ func run() error {
 		}
 		w := geom.NewRect(0, 0, *world, *world)
 		rng := rand.New(rand.NewSource(*seed))
-		r, err = load(db, "r", datagen.UniformRects(rng, *rects, w, 2, w.MaxX/100))
+		r, err = cli.Load(db, "r", datagen.UniformRects(rng, *rects, w, 2, w.MaxX/100))
 		if err != nil {
 			return err
 		}
-		s, err = load(db, "s", datagen.ClusteredRects(rng, *rects, 16, w, w.MaxX/8, w.MaxX/150))
+		s, err = cli.Load(db, "s", datagen.ClusteredRects(rng, *rects, 16, w, w.MaxX/8, w.MaxX/150))
 		if err != nil {
 			return err
 		}
@@ -182,7 +174,7 @@ func run() error {
 			return err
 		}
 	}
-	fp, err := fingerprint(r, s)
+	fp, err := cli.Fingerprint(r, s)
 	if err != nil {
 		return err
 	}
@@ -254,17 +246,20 @@ func run() error {
 				case <-usr1:
 				}
 				snapMu.Lock()
-				err := exportSnapshotFile(db, *snapPath)
+				info, err := cli.ExportSnapshotFile(db, *snapPath)
 				snapMu.Unlock()
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "sjoind: snapshot:", err)
+					continue
 				}
+				fmt.Printf("sjoind: snapshot written to %s (%d pages, checkpoint LSN %d)\n",
+					*snapPath, info.Pages, info.CheckpointLSN)
 			}
 		}()
 		fmt.Printf("sjoind: SIGUSR1 writes a snapshot to %s\n", *snapPath)
 	}
 
-	stopMetrics, err := startMetrics(*metricsAddr, reg)
+	stopMetrics, err := cli.ServeMetrics(os.Stdout, "sjoind", *metricsAddr, reg)
 	if err != nil {
 		return err
 	}
@@ -329,7 +324,7 @@ func runReplica(reg *obs.Registry, cfg spatialjoin.Config, from string, maxLag t
 	// is still unreachable. Starting the listener after the wait would make
 	// the replica unobservable during exactly the phase an operator most
 	// wants to watch.
-	stopMetrics, err := startMetrics(metricsAddr, reg)
+	stopMetrics, err := cli.ServeMetrics(os.Stdout, "sjoind", metricsAddr, reg)
 	if err != nil {
 		f.Close()
 		return err
@@ -349,7 +344,7 @@ func runReplica(reg *obs.Registry, cfg spatialjoin.Config, from string, maxLag t
 			var fp uint64
 			var ferr error
 			if okR && okS {
-				fp, ferr = fingerprint(r, s)
+				fp, ferr = cli.Fingerprint(r, s)
 			}
 			release()
 			if !okR || !okS {
@@ -381,26 +376,6 @@ func runReplica(reg *obs.Registry, cfg spatialjoin.Config, from string, maxLag t
 		f.Close()
 		return nil
 	})
-}
-
-// startMetrics serves the obs mux on addr when set; the returned stop is
-// always safe to call.
-func startMetrics(addr string, reg *obs.Registry) (func(), error) {
-	if addr == "" {
-		return func() {}, nil
-	}
-	mln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("sjoind: metrics on http://%s/metrics\n", mln.Addr())
-	msrv := &http.Server{Handler: obs.NewMux(reg)}
-	go func() {
-		if err := msrv.Serve(mln); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, "sjoind: metrics server:", err)
-		}
-	}()
-	return func() { _ = msrv.Close() }, nil
 }
 
 // serveAndDrain listens, serves until SIGINT/SIGTERM, drains gracefully,
@@ -450,72 +425,4 @@ func serveAndDrain(srv *server.Server, addr string, drainTimeout time.Duration, 
 		fmt.Println("sjoind: drained, bye")
 		return nil
 	}
-}
-
-// load fills a fresh collection with rects.
-func load(db *spatialjoin.Database, name string, rects []geom.Rect) (*spatialjoin.Collection, error) {
-	col, err := db.CreateCollection(name)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rects {
-		if _, err := col.Insert(r, ""); err != nil {
-			return nil, err
-		}
-	}
-	return col, nil
-}
-
-// fingerprint hashes both collections' geometry in id order, so a seeded
-// replica can be checked for byte-identity against its source from the
-// startup banner alone.
-func fingerprint(cols ...*spatialjoin.Collection) (uint64, error) {
-	h := fnv.New64a()
-	var buf [32]byte
-	for _, c := range cols {
-		for id := 0; id < c.Len(); id++ {
-			shape, _, err := c.Get(id)
-			if err != nil {
-				return 0, err
-			}
-			b := shape.Bounds()
-			binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(b.MinX))
-			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(b.MinY))
-			binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(b.MaxX))
-			binary.LittleEndian.PutUint64(buf[24:], math.Float64bits(b.MaxY))
-			h.Write(buf[:])
-		}
-	}
-	return h.Sum64(), nil
-}
-
-// exportSnapshotFile atomically writes a snapshot: to a temp file first,
-// fsynced, then renamed into place — so the published path only ever names
-// a stream whose bytes (integrity trailer included) are on stable storage.
-// Without the fsync the rename can land before the data does, and a crash
-// leaves a torn snapshot at the published path.
-func exportSnapshotFile(db *spatialjoin.Database, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	info, err := db.ExportSnapshot(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	fmt.Printf("sjoind: snapshot written to %s (%d pages, checkpoint LSN %d)\n",
-		path, info.Pages, info.CheckpointLSN)
-	return nil
 }

@@ -1,108 +1,59 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"os/exec"
+	"strings"
 	"testing"
-
-	"spatialjoin"
 )
 
-// testDB opens a small WAL-backed database with a few rectangles in
-// collections r and s.
-func testDB(t *testing.T) (*spatialjoin.Database, spatialjoin.Config) {
-	t.Helper()
-	cfg := spatialjoin.DefaultConfig()
-	cfg.PageSize = 512
-	cfg.BufferPages = 64
-	cfg.Workers = 1
-	cfg.WAL = true
-	cfg.WALGroupCommit = 1
-	db, err := spatialjoin.Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"r", "s"} {
-		col, err := db.CreateCollection(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 10; i++ {
-			x := float64(i * 40)
-			if _, err := col.Insert(spatialjoin.NewRect(x, x, x+30, x+30), ""); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return db, cfg
+// daemonDeps is every module package the daemon may link: the engine, the
+// internal packages it was built from when this list was taken, the
+// commands' shared layer and the daemon itself. A package may leave the
+// list; none may join it, so a helper shared with the reproduction
+// commands cannot pull their imports into the server binary.
+var daemonDeps = map[string]bool{
+	"spatialjoin":                     true,
+	"spatialjoin/cmd/internal/cli":    true,
+	"spatialjoin/cmd/sjoind":          true,
+	"spatialjoin/internal/btree":      true,
+	"spatialjoin/internal/carto":      true,
+	"spatialjoin/internal/core":       true,
+	"spatialjoin/internal/costmodel":  true,
+	"spatialjoin/internal/datagen":    true,
+	"spatialjoin/internal/fault":      true,
+	"spatialjoin/internal/geom":       true,
+	"spatialjoin/internal/join":       true,
+	"spatialjoin/internal/joinindex":  true,
+	"spatialjoin/internal/localindex": true,
+	"spatialjoin/internal/obs":        true,
+	"spatialjoin/internal/parallel":   true,
+	"spatialjoin/internal/pred":       true,
+	"spatialjoin/internal/relation":   true,
+	"spatialjoin/internal/repl":       true,
+	"spatialjoin/internal/rtree":      true,
+	"spatialjoin/internal/server":     true,
+	"spatialjoin/internal/storage":    true,
+	"spatialjoin/internal/wal":        true,
+	"spatialjoin/internal/wire":       true,
+	"spatialjoin/internal/zorder":     true,
 }
 
-// TestExportSnapshotFileAtomic is the regression test for the SIGUSR1
-// export path: the published path must appear atomically (temp file
-// fsynced then renamed, never a torn stream), the temp file must not
-// survive, and the published stream must seed a byte-identical replica.
-func TestExportSnapshotFileAtomic(t *testing.T) {
-	db, cfg := testDB(t)
-	defer db.Close()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap")
-
-	if err := exportSnapshotFile(db, path); err != nil {
-		t.Fatalf("exportSnapshotFile: %v", err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("temp file survived the rename: %v", err)
-	}
-
-	f, err := os.Open(path)
+func TestImportBoundary(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("go list -deps: %v", err)
 	}
-	defer f.Close()
-	replica, info, err := spatialjoin.SeedFromSnapshot(cfg, f)
-	if err != nil {
-		t.Fatalf("published snapshot does not seed: %v", err)
+	seen := 0
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg != "spatialjoin" && !strings.HasPrefix(pkg, "spatialjoin/") {
+			continue
+		}
+		seen++
+		if !daemonDeps[pkg] {
+			t.Errorf("sjoind now links %s; the daemon's dependency list may only shrink", pkg)
+		}
 	}
-	defer replica.Close()
-	if info.Pages == 0 {
-		t.Errorf("implausible snapshot info: %+v", info)
-	}
-	srcR, _ := db.Collection("r")
-	srcS, _ := db.Collection("s")
-	repR, _ := replica.Collection("r")
-	repS, _ := replica.Collection("s")
-	want, err := fingerprint(srcR, srcS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fingerprint(repR, repS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("seeded fingerprint %016x, want %016x", got, want)
-	}
-}
-
-// TestExportSnapshotFileFailurePublishesNothing proves a failed export
-// can never leave anything — torn or otherwise — at the published path.
-func TestExportSnapshotFileFailurePublishesNothing(t *testing.T) {
-	db, _ := testDB(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap")
-
-	// Closing the database makes the checkpoint inside ExportSnapshot fail
-	// after the temp file is already created.
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := exportSnapshotFile(db, path); err == nil {
-		t.Fatal("export off a closed database succeeded")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("failed export published %s: %v", path, err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("failed export left its temp file: %v", err)
+	if seen == 0 {
+		t.Fatalf("go list named no module package:\n%s", out)
 	}
 }

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"strings"
@@ -29,6 +27,7 @@ import (
 	"time"
 
 	"spatialjoin"
+	"spatialjoin/cmd/internal/cli"
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/costmodel"
 	"spatialjoin/internal/datagen"
@@ -53,7 +52,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-query deadline in the -what faults table (0 = none)")
 	faultSeed := flag.Int64("fault-seed", 11, "seed of the injected fault schedule in -what faults")
 	faultRate := flag.Float64("fault-rate", 0.2, "largest transient fault rate swept by -what faults")
-	useWAL := flag.Bool("wal", false, "shortcut for -what wal: measure WAL overhead")
 	walGroup := flag.Int("wal-group", 8, "group-commit size in the -what wal table")
 	crashAt := flag.Int64("crash-at", 0, "with -what wal: crash after this many physical writes, then recover")
 	doRecover := flag.Bool("recover", false, "with -what wal: run the crash/recovery cycle and print its ledger")
@@ -61,9 +59,6 @@ func main() {
 	serveFor := flag.Duration("serve-for", 0, "with -metrics-addr: keep serving this long after the run completes")
 	flag.Parse()
 
-	if *useWAL {
-		*what = "wal"
-	}
 	o := benchOpts{
 		what:      *what,
 		points:    *points,
@@ -78,32 +73,17 @@ func main() {
 	}
 	if *metricsAddr != "" {
 		o.metrics = obs.NewRegistry()
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "spatialbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics: serving http://%s/metrics\n", ln.Addr())
-		srv := &http.Server{Handler: obs.NewMux(o.metrics)}
-		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "spatialbench: metrics server:", err)
-			}
-		}()
-		defer func() {
-			if err := srv.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "spatialbench: closing metrics server:", err)
-			}
-		}()
 	}
-	prm := costmodel.PaperParams()
-	if err := run(os.Stdout, prm, o); err != nil {
+	stopMetrics, err := cli.ServeMetrics(os.Stdout, "spatialbench", *metricsAddr, o.metrics)
+	if err == nil {
+		defer stopMetrics()
+		err = run(os.Stdout, costmodel.PaperParams(), o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "spatialbench:", err)
 		os.Exit(1)
 	}
-	if *metricsAddr != "" && *serveFor > 0 {
-		time.Sleep(*serveFor)
-	}
+	cli.Linger(*metricsAddr, *serveFor)
 }
 
 // benchOpts collects run's knob surface; metrics, when non-nil, is the
@@ -417,23 +397,11 @@ func printFaults(out io.Writer, seed int64, maxRate float64, timeout time.Durati
 		if err != nil {
 			return err
 		}
-		load := func(name string, rects []geom.Rect) (*spatialjoin.Collection, error) {
-			c, err := db.CreateCollection(name)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range rects {
-				if _, err := c.Insert(r, ""); err != nil {
-					return nil, err
-				}
-			}
-			return c, nil
-		}
-		r, err := load("r", rsRects)
+		r, err := cli.Load(db, "r", rsRects)
 		if err != nil {
 			return err
 		}
-		s, err := load("s", ssRects)
+		s, err := cli.Load(db, "s", ssRects)
 		if err != nil {
 			return err
 		}

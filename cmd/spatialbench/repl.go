@@ -8,6 +8,7 @@ import (
 	"text/tabwriter"
 
 	"spatialjoin"
+	"spatialjoin/cmd/internal/cli"
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/geom"
 	"spatialjoin/internal/repl"
@@ -47,19 +48,8 @@ func measureReplRow(seed int64, base, divergence int) (replRow, error) {
 
 	world := geom.NewRect(0, 0, 1000, 1000)
 	rng := rand.New(rand.NewSource(seed))
-	col, err := db.CreateCollection("r")
+	col, err := cli.Load(db, "r", datagen.UniformRects(rng, base, world, 2, 30))
 	if err != nil {
-		return row, err
-	}
-	insert := func(n int) error {
-		for _, r := range datagen.UniformRects(rng, n, world, 2, 30) {
-			if _, err := col.Insert(r, ""); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := insert(base); err != nil {
 		return row, err
 	}
 	src, err := repl.NewSource(db, repl.SourceOptions{})
@@ -76,7 +66,7 @@ func measureReplRow(seed int64, base, divergence int) (replRow, error) {
 	}
 	row.seedBytes, row.seedPages = int(seedBuf), seedInfo.Pages
 	position := db.DurableLSN()
-	if err := insert(divergence); err != nil {
+	if err := cli.Insert(col, datagen.UniformRects(rng, divergence, world, 2, 30)); err != nil {
 		return row, err
 	}
 

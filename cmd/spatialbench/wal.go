@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"spatialjoin"
+	"spatialjoin/cmd/internal/cli"
 	"spatialjoin/internal/datagen"
 	"spatialjoin/internal/fault"
 	"spatialjoin/internal/geom"
@@ -30,21 +31,6 @@ func walBenchConfig(seed int64, useWAL bool, group int) spatialjoin.Config {
 	cfg.WALGroupCommit = group
 	cfg.Fault = &fault.Options{Seed: seed}
 	return cfg
-}
-
-// walLoad inserts the workload (each insert one transaction under a WAL)
-// and returns the collection.
-func walLoad(db *spatialjoin.Database, rects []geom.Rect) (*spatialjoin.Collection, error) {
-	c, err := db.CreateCollection("r")
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rects {
-		if _, err := c.Insert(r, ""); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
 }
 
 // printWAL measures WAL overhead on this machine and, when asked, runs a
@@ -79,7 +65,7 @@ func printWAL(out io.Writer, seed int64, group int, crashAt int64, doRecover boo
 			return err
 		}
 		start := time.Now()
-		if _, err := walLoad(db, rects); err != nil {
+		if _, err := cli.Load(db, "r", rects); err != nil {
 			return err
 		}
 		if err := db.Flush(); err != nil {
@@ -109,36 +95,17 @@ func printWAL(out io.Writer, seed int64, group int, crashAt int64, doRecover boo
 	if err != nil {
 		return err
 	}
-	if crashAt > 0 {
-		db.FaultDisk().SetCrashAfterWrites(crashAt)
-	}
-	crashed := func() (crashed bool) {
-		defer func() {
-			if v := recover(); v != nil {
-				c, ok := fault.AsCrash(v)
-				if !ok {
-					panic(v)
-				}
-				fmt.Fprintf(out, "crash: %v\n", c)
-				crashed = true
-			}
-		}()
-		_, err = walLoad(db, rects)
-		return false
-	}()
+	crashed, err := cli.CatchCrash(out, db, crashAt, func() error {
+		_, err := cli.Load(db, "r", rects)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	if fd := db.FaultDisk(); fd.Crashed() {
-		fd.Reboot()
-	}
-	rdb, stats, err := spatialjoin.Reopen(cfg, db.Device())
+	rdb, err := cli.Recover(out, cfg, db)
 	if err != nil {
-		return fmt.Errorf("recovering: %w", err)
+		return err
 	}
-	fmt.Fprintf(out, "recovery: %d records scanned, %d replayed onto %d pages, %d txns committed, %d discarded, %d torn tail bytes (%d torn pages)\n",
-		stats.RecordsScanned, stats.RecordsReplayed, stats.PagesRestored,
-		stats.TxnsCommitted, stats.TxnsDiscarded, stats.TornTailBytes, stats.TornPages)
 	survived := 0
 	if c, ok := rdb.Collection("r"); ok {
 		survived = c.Len()

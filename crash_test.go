@@ -11,6 +11,7 @@ package spatialjoin
 // before the call returns). Nothing else is admissible.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -285,7 +286,7 @@ func stateMatches(db *Database, m crashModel) (bool, error) {
 			return false, nil
 		}
 	}
-	zms, err := ZOverlapJoinWorkers(gotR, gotS, crashWorld, crashZLevel, db.cfg.Workers)
+	zms, err := ZOverlapJoinCtx(context.Background(), gotR, gotS, crashWorld, crashZLevel, db.cfg.Workers)
 	if err != nil {
 		return false, fmt.Errorf("zorder join: %w", err)
 	}

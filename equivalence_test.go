@@ -7,6 +7,7 @@ package spatialjoin
 // operator, at every worker count.
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -62,7 +63,7 @@ func TestCrossStrategyEquivalence(t *testing.T) {
 			}
 			results[strat.String()] = ms
 		}
-		zms, err := ZOverlapJoinWorkers(rs, ss, world, 8, workers)
+		zms, err := ZOverlapJoinCtx(context.Background(), rs, ss, world, 8, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

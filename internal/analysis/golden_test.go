@@ -74,16 +74,19 @@ func fixtureWants(t *testing.T, pkg *Package) map[string]map[int][]string {
 // runGolden loads the fixture named after the analyzer, runs just that
 // analyzer, and requires an exact correspondence between diagnostics and
 // want annotations.
-func runGolden(t *testing.T, a *Analyzer) {
+func runGolden(t *testing.T, a *Analyzer) { runGoldenFixture(t, a, a.Name) }
+
+// runGoldenFixture is runGolden over the fixture directory name.
+func runGoldenFixture(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
-	pkg := loadFixture(t, a.Name)
+	pkg := loadFixture(t, name)
 	wants := fixtureWants(t, pkg)
 	if len(wants) == 0 {
-		t.Fatalf("fixture %s has no want annotations", a.Name)
+		t.Fatalf("fixture %s has no want annotations", name)
 	}
 	diags := Run(pkg, []*Analyzer{a})
 	if len(diags) == 0 {
-		t.Fatalf("analyzer %s reported nothing on its fixture", a.Name)
+		t.Fatalf("analyzer %s reported nothing on fixture %s", a.Name, name)
 	}
 	for _, d := range diags {
 		base := filepath.Base(d.Pos.Filename)
@@ -120,6 +123,15 @@ func TestSpanCloseGolden(t *testing.T)   { runGolden(t, SpanClose) }
 func TestSemReleaseGolden(t *testing.T)  { runGolden(t, SemRelease) }
 func TestTxnAtomicGolden(t *testing.T)   { runGolden(t, TxnAtomic) }
 func TestStreamCloseGolden(t *testing.T) { runGolden(t, StreamClose) }
+
+// TestStatsResetScope: the rule binds a non-main package under a cmd
+// directory, where the commands share code, and not a library package.
+func TestStatsResetScope(t *testing.T) {
+	runGoldenFixture(t, StatsReset, "statsreset/cmd/tool")
+	if diags := Run(loadFixture(t, "statsreset/lib"), []*Analyzer{StatsReset}); len(diags) != 0 {
+		t.Errorf("statsreset flagged a library package: %v", diags)
+	}
+}
 
 // moduleLint is the one place a test run loads and lints the whole module:
 // every package with its _test.go files (external _test packages surface as

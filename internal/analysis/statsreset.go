@@ -5,10 +5,12 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // StatsReset enforces counter-reset discipline in experiment code (package
-// main): a snapshot of the I/O statistics — PoolStats, DiskStats, or the
+// main, and any package under a cmd directory, where the commands share
+// code): a snapshot of the I/O statistics — PoolStats, DiskStats, or the
 // database-level aggregates — is only meaningful after the measurement
 // window was opened with a Flush/DropAll/DropCache or a counter reset.
 // A snapshot with no preceding reset in the same function silently folds
@@ -16,7 +18,7 @@ import (
 // figures, corrupting every experiment built on them.
 var StatsReset = &Analyzer{
 	Name: "statsreset",
-	Doc:  "in package main, flag I/O statistics snapshots with no preceding Flush/DropAll/DropCache/Reset call in the same function",
+	Doc:  "in package main and packages under cmd/, flag I/O statistics snapshots with no preceding Flush/DropAll/DropCache/Reset call in the same function",
 	Run:  runStatsReset,
 }
 
@@ -33,7 +35,7 @@ var (
 )
 
 func runStatsReset(pass *Pass) {
-	if pass.Pkg.Name() != "main" {
+	if pass.Pkg.Name() != "main" && !strings.Contains("/"+pass.Pkg.Path()+"/", "/cmd/") {
 		return // the discipline binds experiment binaries, not the library
 	}
 	// measured reports whether fn is a method of one of the instrumented

@@ -46,38 +46,7 @@ func (db *Database) registerMetrics() {
 		m.CounterFunc(name, help, func() float64 { return float64(fn()) }, labels...)
 	}
 
-	pool := db.pool
-	count("spatialjoin_pool_logical_reads_total", "Page fetches served by the buffer pool.",
-		func() int64 { return pool.Stats().LogicalReads })
-	count("spatialjoin_pool_misses_total", "Pool fetches that went to the disk (physical reads).",
-		func() int64 { return pool.Stats().Misses })
-	count("spatialjoin_pool_evictions_total", "Frames evicted by the pool's LRU policy.",
-		func() int64 { return pool.Stats().Evictions })
-	count("spatialjoin_pool_read_retries_total", "Physical page reads retried after a transient fault.",
-		func() int64 { return pool.Stats().ReadRetries })
-	count("spatialjoin_pool_write_retries_total", "Physical page writes retried after a transient fault.",
-		func() int64 { return pool.Stats().WriteRetries })
-	count("spatialjoin_pool_wal_syncs_total", "WAL syncs forced by dirty-frame write-back.",
-		func() int64 { return pool.Stats().WALSyncs })
-	m.GaugeFunc("spatialjoin_pool_hit_ratio", "Fraction of pool fetches served without disk I/O.",
-		func() float64 {
-			s := pool.Stats()
-			if s.LogicalReads == 0 {
-				return 0
-			}
-			return 1 - float64(s.Misses)/float64(s.LogicalReads)
-		})
-
-	disk := pool.Disk()
-	count("spatialjoin_disk_reads_total", "Physical page reads at the device, including fault retries.",
-		func() int64 { return disk.Stats().Reads })
-	count("spatialjoin_disk_writes_total", "Physical page writes at the device, including fault retries.",
-		func() int64 { return disk.Stats().Writes })
-	count("spatialjoin_disk_read_faults_total", "Injected or detected read faults at the device.",
-		func() int64 { return disk.Stats().ReadFaults })
-	count("spatialjoin_disk_write_faults_total", "Injected or detected write faults at the device.",
-		func() int64 { return disk.Stats().WriteFaults })
-
+	db.pool.RegisterMetrics(m)
 	if w := db.wal; w != nil {
 		count("spatialjoin_wal_records_total", "Records appended to the write-ahead log.",
 			func() int64 { return w.Stats().Records })
@@ -114,7 +83,7 @@ func (db *Database) registerMetrics() {
 			func() float64 {
 				n := 0
 				for _, s := range w.Segments() {
-					n += disk.NumPages(s.File)
+					n += db.pool.Disk().NumPages(s.File)
 				}
 				return float64(n)
 			})

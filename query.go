@@ -248,6 +248,9 @@ type JoinIndex struct {
 	op   Operator
 	ix   *joinindex.Index
 	file *storage.HeapFile
+	// probe holds the other tuple's rectangle while an insert is checked
+	// against it; mutations are serialized, so one scratch serves all.
+	probe Rect
 }
 
 // registration is the catalog record naming ji's pair file: logged when ji
@@ -354,7 +357,7 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 // into collection c: the new object is checked against the entire other
 // collection (the paper's U_III cost). Each probe reads only the other
 // tuple's shape, θ's operand, straight from its record
-// (relation.Relation.Spatial), a rectangle into one scratch. θ is an
+// (relation.Relation.Spatial), a rectangle into the index's scratch. θ is an
 // interface method, so it gets a copy of shape boxed here, and only when a
 // join index exists: the caller's box stays on its stack.
 func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) error {
@@ -373,13 +376,12 @@ func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) er
 		obj = s
 	}
 	for _, ji := range db.joinIndices {
-		var dst Rect
 		// Both branches run for a self-join index (ji.r == ji.s == c). The
 		// R branch already decided (id, id), so the S branch skips it: θ
 		// runs once and the pair is written once.
 		if ji.r == c {
 			_, err := ji.ix.MaintainInsertR(id, ji.s.rel.Len(), func(sid int) (bool, error) {
-				other, err := ji.s.rel.Spatial(sid, ji.s.table.Col, nil, &dst)
+				other, err := ji.s.rel.Spatial(sid, ji.s.table.Col, nil, &ji.probe)
 				if err != nil {
 					return false, err
 				}
@@ -397,7 +399,7 @@ func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) er
 				if ji.r == c && rid == id {
 					return false, nil
 				}
-				other, err := ji.r.rel.Spatial(rid, ji.r.table.Col, nil, &dst)
+				other, err := ji.r.rel.Spatial(rid, ji.r.table.Col, nil, &ji.probe)
 				if err != nil {
 					return false, err
 				}

@@ -93,26 +93,20 @@ type Match = core.Match
 // ZOverlapJoin computes {(i, j) | rs[i] overlaps ss[j]} with Orenstein's
 // z-order sort-merge algorithm — the one spatial operator for which a
 // sort-merge strategy works (§2.2 of the paper) — on a single worker.
-// See ZOverlapJoinWorkers.
+// See ZOverlapJoinCtx.
 func ZOverlapJoin(rs, ss []Rect, world Rect, level uint) ([]Match, error) {
-	return ZOverlapJoinWorkers(rs, ss, world, level, 1)
+	return ZOverlapJoinCtx(context.Background(), rs, ss, world, level, 1)
 }
 
-// ZOverlapJoinWorkers computes {(i, j) | rs[i] overlaps ss[j]} with
-// Orenstein's z-order sort-merge algorithm. world must cover all
-// rectangles; level sets the grid resolution (cells per side = 2^level).
-// Duplicate candidate reports are suppressed and candidates verified
-// exactly.
+// ZOverlapJoinCtx computes {(i, j) | rs[i] overlaps ss[j]} with Orenstein's
+// z-order sort-merge algorithm. world must cover all rectangles; level sets
+// the grid resolution (cells per side = 2^level). Duplicate candidate
+// reports are suppressed and candidates verified exactly.
 //
 // With workers > 1 (≤ 0 meaning GOMAXPROCS) the world is tile-partitioned
 // into vertical strips joined concurrently, with pairs straddling a strip
 // boundary reported exactly once. The match set is identical for every
-// worker count and is returned canonically sorted by (R, S).
-func ZOverlapJoinWorkers(rs, ss []Rect, world Rect, level uint, workers int) ([]Match, error) {
-	return ZOverlapJoinCtx(context.Background(), rs, ss, world, level, workers)
-}
-
-// ZOverlapJoinCtx is ZOverlapJoinWorkers bounded by a context: cancellation
+// worker count and is returned canonically sorted by (R, S). Cancellation
 // between partition strips aborts the join with ctx.Err().
 func ZOverlapJoinCtx(ctx context.Context, rs, ss []Rect, world Rect, level uint, workers int) ([]Match, error) {
 	g, err := zorder.NewGrid(world, level)
