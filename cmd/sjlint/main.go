@@ -6,7 +6,6 @@
 //	floateq        no raw ==/!= on float geometry values
 //	statsreset     experiment binaries reset I/O counters before a snapshot
 //	thetapair      every θ-operator declares its Θ filter, a Name and a registry entry
-//	pinunpin       successful BufferPool.Pin reaches Unpin on every path
 //	lockbalance    manual Lock/Unlock balance; no double-lock
 //	spanclose      obs spans are ended on every outcome
 //	semrelease     admission tokens are released on every path

@@ -91,7 +91,6 @@ func All() []*Analyzer {
 		FloatEq,
 		StatsReset,
 		ThetaPair,
-		PinUnpin,
 		LockBalance,
 		SpanClose,
 		SemRelease,

@@ -7,11 +7,11 @@ import (
 )
 
 func TestByName(t *testing.T) {
-	got, err := ByName("floateq, pinunpin")
+	got, err := ByName("floateq, lockbalance")
 	if err != nil {
 		t.Fatalf("ByName: %v", err)
 	}
-	if len(got) != 2 || got[0].Name != "floateq" || got[1].Name != "pinunpin" {
+	if len(got) != 2 || got[0].Name != "floateq" || got[1].Name != "lockbalance" {
 		t.Fatalf("ByName returned %v", got)
 	}
 	if _, err := ByName("nosuch"); err == nil {
@@ -91,7 +91,7 @@ func TestIgnoreDirectiveParsing(t *testing.T) {
 			if !ig.suppresses(d) {
 				t.Errorf("directive at %s:%d does not suppress next-line diagnostic", key.file, key.line)
 			}
-			d.Analyzer = "pinunpin"
+			d.Analyzer = "lockbalance"
 			if ig.suppresses(d) {
 				t.Errorf("directive at %s:%d suppresses an analyzer it does not name", key.file, key.line)
 			}

@@ -51,3 +51,62 @@ func isBlank(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "_"
 }
+
+// stmtCall extracts the single call of an expression or assignment
+// statement, with the assignment's left-hand sides when present.
+func stmtCall(stmt ast.Stmt) (*ast.CallExpr, []ast.Expr) {
+	switch s := stmt.(type) {
+	case *ast.ExprStmt:
+		call, _ := ast.Unparen(s.X).(*ast.CallExpr)
+		return call, nil
+	case *ast.AssignStmt:
+		if len(s.Rhs) != 1 {
+			return nil, nil
+		}
+		call, _ := ast.Unparen(s.Rhs[0]).(*ast.CallExpr)
+		return call, s.Lhs
+	}
+	return nil, nil
+}
+
+// identObj resolves an assignment target identifier to its object; blank
+// and non-identifier targets yield nil.
+func identObj(pass *Pass, e ast.Expr) types.Object {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if obj := pass.Info.Defs[id]; obj != nil {
+		return obj
+	}
+	return pass.Info.Uses[id]
+}
+
+// callRecv returns the receiver expression of a selector call.
+func callRecv(call *ast.CallExpr) ast.Expr {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	return sel.X
+}
+
+// isMethodOf reports whether fn is the named method on the named type
+// (through any pointers) of the given package.
+func isMethodOf(fn *types.Func, pkgPath, typeName, method string) bool {
+	if fn == nil || fn.Name() != method || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	named := namedOf(sig.Recv().Type())
+	return named != nil && named.Obj().Name() == typeName
+}
+
+// exprText renders an expression to its canonical source-ish text, the
+// textual identity the paired analyzers key resources by.
+func exprText(e ast.Expr) string {
+	return types.ExprString(e)
+}

@@ -117,7 +117,6 @@ func runGoldenFixture(t *testing.T, a *Analyzer, name string) {
 func TestFloatEqGolden(t *testing.T)     { runGolden(t, FloatEq) }
 func TestStatsResetGolden(t *testing.T)  { runGolden(t, StatsReset) }
 func TestThetaPairGolden(t *testing.T)   { runGolden(t, ThetaPair) }
-func TestPinUnpinGolden(t *testing.T)    { runGolden(t, PinUnpin) }
 func TestLockBalanceGolden(t *testing.T) { runGolden(t, LockBalance) }
 func TestSpanCloseGolden(t *testing.T)   { runGolden(t, SpanClose) }
 func TestSemReleaseGolden(t *testing.T)  { runGolden(t, SemRelease) }

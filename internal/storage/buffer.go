@@ -38,11 +38,11 @@ func (s PoolStats) HitRatio() float64 {
 }
 
 // BufferPool caches up to Capacity pages in memory with exact LRU
-// replacement. Pages can be pinned (the paper locks index roots in main
-// memory); pinned pages are never evicted. BufferPool is safe for
-// concurrent use: the frame table is guarded by a mutex, while the activity
-// counters are atomics so concurrent readers can snapshot statistics
-// without serializing on the frame lock.
+// replacement. BufferPool is safe for concurrent use: the frame table and
+// the page bytes are guarded by a mutex — a page is read inside Read and
+// written inside Write, each under it — while the activity counters are
+// atomics so concurrent readers can snapshot statistics without
+// serializing on the frame lock.
 //
 // The frame table is one array of Capacity frames, allocated with the pool
 // and never moved; the recency order is a doubly-linked list threaded
@@ -50,8 +50,8 @@ func (s PoolStats) HitRatio() float64 {
 // finds a resident page's frame. A frame's page buffer is allocated when
 // the frame is first filled and then stays with the pool: a miss reads into
 // a spare buffer and swaps it with the victim's, so neither a hit nor a
-// steady-state miss allocates. The price is the contract on Fetch: an
-// unpinned page's bytes are only the caller's until the next pool call.
+// steady-state miss allocates. The price is the contract on Fetch: a
+// page's bytes are only the caller's until the next pool call.
 //
 // Every physical transfer is verified end-to-end: pages read from the
 // device are checked against the device's recorded checksum, so a page
@@ -119,15 +119,14 @@ type frame struct {
 	recLSN     int64
 	redoLSN    int64
 	prev, next int32
-	pins       int32
 	dirty      bool
 	anchored   bool
 }
 
 // pageTouch is one page of the open transaction's write set: the run of
-// consecutive slots appended to it, or whole when the pool was only told
-// "this page changed" and so can describe the change no better than by the
-// page's image.
+// consecutive slots appended to it, or whole once an append fell out of
+// that sequence, so that the pool can describe the change no better than by
+// the page's image.
 type pageTouch struct {
 	frame    int32
 	first, n int32
@@ -305,14 +304,12 @@ func (bp *BufferPool) writePage(id PageID, buf []byte) error {
 	return fmt.Errorf("storage: write of page %v gave up after retries: %w", id, last)
 }
 
-// Fetch returns the page with the given id, loading it from disk on a miss.
-// The returned Page is the frame's own: mutations become durable only after
-// MarkDirty + eviction or Flush, and — because an evicted frame's buffer is
-// reused for the incoming page — its bytes are valid only until the next
-// call into the pool. A caller that dereferences the page (rather than
-// fetching it for the I/O charge alone) holds a Pin while it does, and a
-// caller that writes its bytes must: see Pin. Fetch charges its miss to no
-// query; a query's reads go through Read.
+// Fetch makes the page with the given id resident and most recently used,
+// loading it from disk on a miss, and returns the frame's own Page. It is
+// for the I/O charge alone: an evicted frame's buffer is reused for the
+// incoming page, and writers change page bytes under the pool's lock, so
+// page bytes are read only inside Read and written only inside Write.
+// Fetch charges its miss to no query; a query's reads go through Read.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -323,9 +320,9 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	return &bp.frames[i].page, nil
 }
 
-// Read calls f with the page under the pool's lock, fetched as by Fetch: one
-// lock where Pin and Unpin take two. The page cannot be evicted while f
-// runs, so f reads it without a pin; f must not call into the pool.
+// Read calls f with the page under the pool's lock, fetched as by Fetch. The
+// page can be neither evicted nor written while f runs; f must not call
+// into the pool.
 //
 // reads is the account of the query making the access: a miss increments
 // it under the lock that decided the miss, beside the pool-wide count, so
@@ -340,6 +337,42 @@ func (bp *BufferPool) Read(id PageID, reads *obs.Counter, f func(*Page) error) e
 		return err
 	}
 	return f(&bp.frames[i].page)
+}
+
+// Write calls f with the page under the pool's lock, fetched as by Fetch:
+// the only place page bytes are written. f returns the slot it appended —
+// the one change the engine makes to a page, Page.Insert's — or a negative
+// slot when it left the page unchanged. An appended slot dirties the frame,
+// so it is written back on eviction or Flush; under a WAL the frame also
+// becomes unlogged-dirty and the open transaction's write set remembers the
+// slot, so the transaction layer logs the record rather than the page, and
+// the frame stays in memory until CoverWriteSet reports the covering
+// commit. An error from f is returned and marks nothing; f must not call
+// into the pool.
+func (bp *BufferPool) Write(id PageID, f func(*Page) (slot int, err error)) error {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	i, err := bp.fetchLocked(id, nil)
+	if err != nil {
+		return err
+	}
+	slot, err := f(&bp.frames[i].page)
+	if err != nil || slot < 0 {
+		return err
+	}
+	fr := &bp.frames[i]
+	if bp.wal != nil {
+		if !fr.dirty {
+			// First dirtying since the last write-back: no committed change
+			// is pending yet, so the frame has no redo floor until the
+			// covering transaction reports one via CoverWriteSet.
+			fr.redoLSN = lsnUnlogged
+		}
+		bp.touchLocked(i, fr.recLSN != lsnUnlogged, slot)
+		fr.recLSN = lsnUnlogged
+	}
+	fr.dirty = true
+	return nil
 }
 
 // fetchLocked makes the page resident and most recently used and returns
@@ -382,11 +415,11 @@ func (bp *BufferPool) fetchLocked(id PageID, reads *obs.Counter) (int32, error) 
 // while the pool is filling, else the least recently used evictable one,
 // writing it back if dirty. A victim whose write-back fails permanently is
 // skipped — it stays resident and dirty so the data is not lost — and the
-// next least-recently used unpinned frame is tried instead. Under a WAL,
-// frames dirtied by an open transaction are likewise skipped (no-steal: an
+// next least-recently used frame is tried instead. Under a WAL, frames
+// dirtied by an open transaction are likewise skipped (no-steal: an
 // uncommitted image must never reach the device), and committed frames
 // force the log durable before the write-back. It fails when every frame
-// is pinned or unwritable.
+// is unwritable or held by an open transaction.
 func (bp *BufferPool) freeFrameLocked() (int32, error) {
 	if bp.used < bp.capacity {
 		bp.used++
@@ -395,9 +428,6 @@ func (bp *BufferPool) freeFrameLocked() (int32, error) {
 	var lastErr error
 	for i := bp.tail; i != noFrame; i = bp.frames[i].prev {
 		f := &bp.frames[i]
-		if f.pins > 0 {
-			continue
-		}
 		if f.dirty && bp.wal != nil && f.recLSN == lsnUnlogged {
 			continue
 		}
@@ -415,47 +445,13 @@ func (bp *BufferPool) freeFrameLocked() (int32, error) {
 	if lastErr != nil {
 		return noFrame, fmt.Errorf("storage: buffer pool full and no victim writable: %w", lastErr)
 	}
-	return noFrame, fmt.Errorf("storage: buffer pool exhausted: all %d frames pinned or held by an open transaction", bp.capacity)
+	return noFrame, fmt.Errorf("storage: buffer pool exhausted: all %d frames held by an open transaction", bp.capacity)
 }
 
-// Pin fetches the page and marks it non-evictable until a matching Unpin;
-// the returned Page stays valid for as long as the pin is held. Page bytes
-// are written only under a pin, and the write-backs that may run beside a
-// writer — eviction and the checkpoint's FlushOneDirty — copy a dirty frame
-// to the device only when it is unpinned, so neither reads a page a writer
-// is halfway through. Flush, Close and DropAll run with no writer active.
-func (bp *BufferPool) Pin(id PageID) (*Page, error) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	i, err := bp.fetchLocked(id, nil)
-	if err != nil {
-		return nil, err
-	}
-	bp.frames[i].pins++
-	return &bp.frames[i].page, nil
-}
-
-// Unpin releases one pin on the page. Unpinning a page that is not resident
-// or not pinned is an error, and never drives the pin count negative — a
-// double Unpin cannot make a still-pinned page evictable.
-func (bp *BufferPool) Unpin(id PageID) error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	f := bp.residentLocked(id)
-	if f == nil {
-		return fmt.Errorf("storage: unpin of non-resident page %v", id)
-	}
-	if f.pins == 0 {
-		return fmt.Errorf("storage: unpin of unpinned page %v", id)
-	}
-	f.pins--
-	return nil
-}
-
-// Demote makes a resident page the least recently used, so that unless it
-// is pinned it is the next eviction victim: its reader is done with it. It
-// does no I/O, counts no logical read and charges no query; a page that is
-// not resident is left alone.
+// Demote makes a resident page the least recently used, so that it is the
+// next eviction victim: its reader is done with it. It does no I/O, counts
+// no logical read and charges no query; a page that is not resident is
+// left alone.
 func (bp *BufferPool) Demote(id PageID) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -476,64 +472,21 @@ func (bp *BufferPool) residentLocked(id PageID) *frame {
 	return &bp.frames[i]
 }
 
-// MarkDirty records that the cached copy of the page was modified, so it
-// will be written back on eviction or Flush. Under a WAL the frame becomes
-// unlogged-dirty and joins the open transaction's write set as a whole-page
-// change: pinned in memory until the transaction layer logs its image and
-// reports the covering commit LSN via CoverWriteSet.
-func (bp *BufferPool) MarkDirty(id PageID) error {
-	return bp.markDirty(id, -1)
-}
-
-// MarkAppended is MarkDirty for the one mutation the pool can describe:
-// Page.Insert put a record in the given slot. Under a WAL the write set
-// remembers the slot, so the transaction layer can log the record instead
-// of the page; without one it is exactly MarkDirty.
-func (bp *BufferPool) MarkAppended(id PageID, slot int) error {
-	return bp.markDirty(id, slot)
-}
-
-func (bp *BufferPool) markDirty(id PageID, slot int) error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	i, ok := bp.frameOf(id)
-	if !ok {
-		return fmt.Errorf("storage: MarkDirty of non-resident page %v", id)
-	}
-	f := &bp.frames[i]
-	if bp.wal != nil {
-		if !f.dirty {
-			// First dirtying since the last write-back: no committed change
-			// is pending yet, so the frame has no redo floor until the
-			// covering transaction reports one via CoverWriteSet.
-			f.redoLSN = lsnUnlogged
-		}
-		bp.touchLocked(i, f.recLSN != lsnUnlogged, slot)
-		f.recLSN = lsnUnlogged
-	}
-	f.dirty = true
-	return nil
-}
-
-// touchLocked records a change to frame i in the write set. A frame is in
-// the set exactly while it is unlogged, so fresh says whether to add it.
-// Appends extend the frame's run while they stay consecutive; anything else
-// — a whole-page change, a slot out of sequence — degrades the entry to an
-// image, never to a lost update.
+// touchLocked records an append at slot to frame i in the write set. A
+// frame is in the set exactly while it is unlogged, so fresh says whether to
+// add it. Appends extend the frame's run while they stay consecutive; a slot
+// out of sequence, which the engine's one mutator never produces, degrades
+// the entry to an image, never to a lost update.
 func (bp *BufferPool) touchLocked(i int32, fresh bool, slot int) {
 	if fresh {
-		t := pageTouch{frame: i, whole: true}
-		if slot >= 0 {
-			t = pageTouch{frame: i, first: int32(slot), n: 1}
-		}
-		bp.writeSet = append(bp.writeSet, t)
+		bp.writeSet = append(bp.writeSet, pageTouch{frame: i, first: int32(slot), n: 1})
 		return
 	}
 	// The page a transaction is appending to is almost always the one it
 	// touched last.
 	for k := len(bp.writeSet) - 1; k >= 0; k-- {
 		if t := &bp.writeSet[k]; t.frame == i {
-			if slot >= 0 && !t.whole && int32(slot) == t.first+t.n {
+			if !t.whole && int32(slot) == t.first+t.n {
 				t.n++
 			} else {
 				t.whole = true
@@ -619,20 +572,20 @@ func (bp *BufferPool) DirtyPageTable() []DirtyPage {
 // FlushOneDirty writes back the lowest-PageID committed-dirty frame above
 // prev and returns its id, releasing the frame lock between calls so the
 // checkpointer can interleave with concurrent readers and writers instead
-// of stalling them behind one long stop-the-world flush. Frames held by an
-// open transaction are skipped (no-steal: their bytes may not touch the
-// device), as are pinned frames (a pin holder may be writing the bytes, as
-// an insert does before MarkAppended) and frames re-dirtied behind the
-// cursor — each stays dirty, and the dirty-page table snapshot taken after
-// the incremental pass accounts for all three. ok is false when no eligible
-// frame remains above prev.
+// of stalling them behind one long stop-the-world flush; a writer changes
+// page bytes only under the same lock, so no write-back copies a page an
+// insert is halfway through. Frames held by an open transaction are skipped
+// (no-steal: their bytes may not touch the device), as are frames re-dirtied
+// behind the cursor — each stays dirty, and the dirty-page table snapshot
+// taken after the incremental pass accounts for both. ok is false when no
+// eligible frame remains above prev.
 func (bp *BufferPool) FlushOneDirty(prev PageID) (id PageID, ok bool, err error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	var victim *frame
 	for i := range bp.frames[:bp.used] {
 		f := &bp.frames[i]
-		if !f.dirty || f.recLSN == lsnUnlogged || f.pins > 0 || comparePageIDs(prev, f.id) >= 0 {
+		if !f.dirty || f.recLSN == lsnUnlogged || comparePageIDs(prev, f.id) >= 0 {
 			continue
 		}
 		if victim == nil || comparePageIDs(f.id, victim.id) < 0 {
@@ -707,18 +660,12 @@ func comparePageIDs(a, b PageID) int {
 
 // DropAll flushes and then empties the pool, so the next access to any page
 // is a guaranteed miss. Experiments use it to start measurements cold.
-// Pinned pages may not be dropped. When a write-back fails, frames whose
-// pages were flushed are marked clean (they will not be double-written
-// later), nothing is dropped, and the error is returned — DropAll after a
-// partial failure is safe to retry.
+// When a write-back fails, frames whose pages were flushed are marked clean
+// (they will not be double-written later), nothing is dropped, and the
+// error is returned — DropAll after a partial failure is safe to retry.
 func (bp *BufferPool) DropAll() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	for i := range bp.frames[:bp.used] {
-		if f := &bp.frames[i]; f.pins > 0 {
-			return fmt.Errorf("storage: DropAll with pinned page %v", f.id)
-		}
-	}
 	if err := bp.flushLocked(); err != nil {
 		return err
 	}

@@ -56,7 +56,7 @@ func OpenHeapFile(pool *BufferPool, file FileID, fillFactor float64) (*HeapFile,
 	n := pool.Disk().NumPages(file)
 	for pg := 0; pg < n; pg++ {
 		id := PageID{File: file, Page: int32(pg)}
-		if err := h.withPage(id, func(p *Page) error {
+		if err := pool.Read(id, nil, func(p *Page) error {
 			if p.initialized() {
 				h.lastPage, h.hasPage = id, true
 				h.numRecords += p.NumRecords()
@@ -67,23 +67,6 @@ func OpenHeapFile(pool *BufferPool, file FileID, fillFactor float64) (*HeapFile,
 		}
 	}
 	return h, nil
-}
-
-// withPage runs f on the page while holding a pin on it. The pool reuses an
-// evicted frame's buffer for the page that replaces it, so page bytes may
-// only be dereferenced under a pin — another goroutine's miss (or f's own
-// nested fetches) would otherwise overwrite them mid-read.
-func (h *HeapFile) withPage(id PageID, f func(*Page) error) (err error) {
-	p, err := h.pool.Pin(id)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if uerr := h.pool.Unpin(id); err == nil {
-			err = uerr
-		}
-	}()
-	return f(p)
 }
 
 // File returns the underlying file id.
@@ -130,31 +113,31 @@ func (h *HeapFile) Append(rec []byte) (RID, error) {
 	return rid, err
 }
 
-// insertInto stores rec on the page if it fits under the fill-factor
-// budget, reporting ok = false when it does not. A fresh page — just
-// allocated, so it arrives zeroed — has its header initialized in place
-// first, and a record that does not fit it is an error.
+// insertInto stores rec on the page, in one BufferPool.Write, if it fits
+// under the fill-factor budget, reporting ok = false when it does not. A
+// fresh page — just allocated, so it arrives zeroed — has its header
+// initialized in place first, and a record that does not fit it is an
+// error.
 func (h *HeapFile) insertInto(id PageID, rec []byte, fresh bool) (rid RID, ok bool, err error) {
-	err = h.withPage(id, func(p *Page) error {
+	err = h.pool.Write(id, func(p *Page) (int, error) {
 		if fresh {
 			p.init()
 		} else if h.usedPayload(p)+len(rec)+slotSize > h.budget() || p.FreeSpace() < len(rec) {
-			return nil
+			return -1, nil
 		}
 		slot, err := p.Insert(rec)
 		if err != nil {
 			if err == ErrPageFull && !fresh {
-				return nil
+				return -1, nil
 			}
-			return err
+			return -1, err
 		}
-		if err := h.pool.MarkAppended(id, slot); err != nil {
-			return err
-		}
-		h.numRecords++
 		rid, ok = RID{Page: id, Slot: int32(slot)}, true
-		return nil
+		return slot, nil
 	})
+	if ok {
+		h.numRecords++
+	}
 	return rid, ok, err
 }
 
@@ -180,16 +163,17 @@ func (h *HeapFile) Read(rid RID, reads *obs.Counter, f func(rec []byte) error) e
 // Demote tells the pool the file's page is read out (BufferPool.Demote).
 func (h *HeapFile) Demote(page int) { h.pool.Demote(PageID{File: h.file, Page: int32(page)}) }
 
-// Scan calls f for every record in file order. Scanning fetches each page
-// once and keeps it pinned while its records are visited. f receives the
-// RID and the raw record bytes (valid only during the call); returning
-// false stops the scan.
+// Scan calls f for every record in file order. Scanning reads each page
+// once (BufferPool.Read, charging no query) and visits its records under
+// the pool's lock. f receives the RID and the raw record bytes (valid only
+// during the call) and must not call into the pool; returning false stops
+// the scan.
 func (h *HeapFile) Scan(f func(RID, []byte) bool) error {
 	n := h.NumPages()
 	stop := false
 	for pg := 0; pg < n && !stop; pg++ {
 		id := PageID{File: h.file, Page: int32(pg)}
-		if err := h.withPage(id, func(p *Page) error {
+		if err := h.pool.Read(id, nil, func(p *Page) error {
 			for s := 0; s < p.NumRecords(); s++ {
 				rec, err := p.Record(s)
 				if err != nil {

@@ -104,7 +104,8 @@ func (p *Page) Insert(rec []byte) (slot int, err error) {
 
 // Record returns the bytes of the record in the given slot. The returned
 // slice aliases the page buffer, which the pool recycles: it is valid only
-// while the page is pinned, and callers that keep the bytes must copy.
+// inside the BufferPool.Read that passed the page, and callers that keep
+// the bytes must copy.
 func (p *Page) Record(slot int) ([]byte, error) {
 	if slot < 0 || slot >= p.count() {
 		return nil, fmt.Errorf("storage: slot %d out of range (page has %d records)", slot, p.count())

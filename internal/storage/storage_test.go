@@ -249,6 +249,14 @@ func allocInit(t *testing.T, d *Disk, f FileID) PageID {
 	return id
 }
 
+// insertT appends rec to the page through Write, as a heap file does.
+func insertT(t *testing.T, bp *BufferPool, id PageID, rec string) {
+	t.Helper()
+	if err := bp.Write(id, func(p *Page) (int, error) { return p.Insert([]byte(rec)) }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBufferPoolHitAndMiss(t *testing.T) {
 	d, bp := newPoolT(t, 128, 4)
 	f := d.CreateFile()
@@ -295,65 +303,13 @@ func TestBufferPoolLRUEviction(t *testing.T) {
 	}
 }
 
-func TestBufferPoolPinPreventsEviction(t *testing.T) {
-	d, bp := newPoolT(t, 128, 2)
-	f := d.CreateFile()
-	a := allocInit(t, d, f)
-	b := allocInit(t, d, f)
-	c := allocInit(t, d, f)
-
-	if _, err := bp.Pin(a); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := bp.Unpin(a); err != nil {
-			t.Error(err)
-		}
-	}()
-	bp.Fetch(b)
-	bp.Fetch(c) // must evict b, not pinned a
-	if !bp.Resident(a) {
-		t.Fatal("pinned page was evicted")
-	}
-	if bp.Resident(b) {
-		t.Fatal("b should have been evicted instead")
-	}
-}
-
-func TestBufferPoolAllPinnedFails(t *testing.T) {
-	d, bp := newPoolT(t, 128, 1)
-	f := d.CreateFile()
-	a := allocInit(t, d, f)
-	b := allocInit(t, d, f)
-	//sjlint:ignore pinunpin the frame must stay pinned so Fetch has no victim; the pool is test-scoped
-	bp.Pin(a)
-	if _, err := bp.Fetch(b); err == nil {
-		t.Fatal("fetch must fail when every frame is pinned")
-	}
-}
-
-func TestBufferPoolUnpinErrors(t *testing.T) {
-	d, bp := newPoolT(t, 128, 2)
-	f := d.CreateFile()
-	a := allocInit(t, d, f)
-	if err := bp.Unpin(a); err == nil {
-		t.Fatal("unpin of non-resident page must fail")
-	}
-	bp.Fetch(a)
-	if err := bp.Unpin(a); err == nil {
-		t.Fatal("unpin of unpinned page must fail")
-	}
-}
-
 func TestBufferPoolDirtyWriteBackOnEviction(t *testing.T) {
 	d, bp := newPoolT(t, 128, 1)
 	f := d.CreateFile()
 	a := allocInit(t, d, f)
 	b := allocInit(t, d, f)
 
-	p, _ := bp.Fetch(a)
-	p.Insert([]byte("dirty"))
-	bp.MarkDirty(a)
+	insertT(t, bp, a, "dirty")
 	bp.Fetch(b) // evicts a, must write it back
 
 	buf, _ := d.ReadPage(a)
@@ -367,9 +323,7 @@ func TestBufferPoolFlush(t *testing.T) {
 	d, bp := newPoolT(t, 128, 4)
 	f := d.CreateFile()
 	a := allocInit(t, d, f)
-	p, _ := bp.Fetch(a)
-	p.Insert([]byte("flushed"))
-	bp.MarkDirty(a)
+	insertT(t, bp, a, "flushed")
 	if err := bp.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -392,20 +346,6 @@ func TestBufferPoolDropAll(t *testing.T) {
 	}
 	if bp.Resident(a) {
 		t.Fatal("page still resident after DropAll")
-	}
-	//sjlint:ignore pinunpin pin held deliberately so DropAll has a reason to refuse
-	bp.Pin(a)
-	if err := bp.DropAll(); err == nil {
-		t.Fatal("DropAll must refuse with pinned pages")
-	}
-}
-
-func TestBufferPoolMarkDirtyNonResident(t *testing.T) {
-	d, bp := newPoolT(t, 128, 2)
-	f := d.CreateFile()
-	a := allocInit(t, d, f)
-	if err := bp.MarkDirty(a); err == nil {
-		t.Fatal("MarkDirty of non-resident page must fail")
 	}
 }
 
@@ -675,46 +615,6 @@ func newFlakyPool(t *testing.T, capacity, attempts int) (*flakyDevice, *BufferPo
 	return d, bp
 }
 
-func TestBufferPoolDoubleUnpinNeverGoesNegative(t *testing.T) {
-	d, bp := newPoolT(t, 128, 2)
-	f := d.CreateFile()
-	a := allocInit(t, d, f)
-	b := allocInit(t, d, f)
-	c := allocInit(t, d, f)
-
-	//sjlint:ignore pinunpin deliberately unbalanced: this test walks the pin count through every edge case
-	bp.Pin(a)
-	bp.Pin(a) // pin count 2
-	if err := bp.Unpin(a); err != nil {
-		t.Fatal(err)
-	}
-	// One pin remains: the page must still be unevictable.
-	bp.Fetch(b)
-	if _, err := bp.Fetch(c); err != nil {
-		t.Fatal(err)
-	}
-	if !bp.Resident(a) {
-		t.Fatal("page with a remaining pin was evicted after a partial unpin")
-	}
-	if err := bp.Unpin(a); err != nil {
-		t.Fatal(err)
-	}
-	// Pin count is now 0; a further Unpin must error, not drive it to -1
-	// (which would let a later Pin be cancelled by the stale unpin).
-	if err := bp.Unpin(a); err == nil {
-		t.Fatal("double unpin must fail")
-	}
-	//sjlint:ignore pinunpin final pin intentionally outlives the test to prove the count recovered
-	if _, err := bp.Pin(a); err != nil {
-		t.Fatal(err)
-	}
-	bp.Fetch(b)
-	bp.Fetch(c)
-	if !bp.Resident(a) {
-		t.Fatal("double unpin corrupted the pin count: repinned page was evicted")
-	}
-}
-
 func TestPoolRetriesTransientReadsThenSucceeds(t *testing.T) {
 	d, bp := newFlakyPool(t, 4, 4)
 	f := d.CreateFile()
@@ -788,9 +688,7 @@ func TestEvictionSkipsUnwritableVictim(t *testing.T) {
 	b := allocInit(t, d.Disk, f)
 	c := allocInit(t, d.Disk, f)
 
-	pa, _ := bp.Fetch(a)
-	pa.Insert([]byte("precious"))
-	bp.MarkDirty(a)
+	insertT(t, bp, a, "precious")
 	d.stuckWrite[a] = true
 	bp.Fetch(b) // a is LRU and dirty but unwritable
 	if _, err := bp.Fetch(c); err != nil {
@@ -820,9 +718,7 @@ func TestEvictionFailsTypedWhenNoVictimWritable(t *testing.T) {
 	a := allocInit(t, d.Disk, f)
 	b := allocInit(t, d.Disk, f)
 
-	pa, _ := bp.Fetch(a)
-	pa.Insert([]byte("keep"))
-	bp.MarkDirty(a)
+	insertT(t, bp, a, "keep")
 	d.stuckWrite[a] = true
 	_, err := bp.Fetch(b)
 	if err == nil {
@@ -842,12 +738,8 @@ func TestFlushKeepsFailedFrameDirtyFlushesRest(t *testing.T) {
 	a := allocInit(t, d.Disk, f)
 	b := allocInit(t, d.Disk, f)
 
-	pa, _ := bp.Fetch(a)
-	pa.Insert([]byte("stuck"))
-	bp.MarkDirty(a)
-	pb, _ := bp.Fetch(b)
-	pb.Insert([]byte("fine"))
-	bp.MarkDirty(b)
+	insertT(t, bp, a, "stuck")
+	insertT(t, bp, b, "fine")
 
 	d.stuckWrite[a] = true
 	if err := bp.Flush(); err == nil {
@@ -880,12 +772,8 @@ func TestDropAllPartialFailureIsRetryable(t *testing.T) {
 	a := allocInit(t, d.Disk, f)
 	b := allocInit(t, d.Disk, f)
 
-	pa, _ := bp.Fetch(a)
-	pa.Insert([]byte("held"))
-	bp.MarkDirty(a)
-	pb, _ := bp.Fetch(b)
-	pb.Insert([]byte("safe"))
-	bp.MarkDirty(b)
+	insertT(t, bp, a, "held")
+	insertT(t, bp, b, "safe")
 
 	d.stuckWrite[a] = true
 	if err := bp.DropAll(); err == nil {
@@ -917,9 +805,7 @@ func TestPoolWriteRetriesTransientOnly(t *testing.T) {
 	d, bp := newFlakyPool(t, 4, 4)
 	f := d.CreateFile()
 	a := allocInit(t, d.Disk, f)
-	pa, _ := bp.Fetch(a)
-	pa.Insert([]byte("retried"))
-	bp.MarkDirty(a)
+	insertT(t, bp, a, "retried")
 	d.failWrites[a] = 2
 	if err := bp.Flush(); err != nil {
 		t.Fatalf("flush with 2 transient write faults and budget 4: %v", err)

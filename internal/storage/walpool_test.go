@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"testing"
@@ -61,13 +62,18 @@ func allocPages(t *testing.T, dev Device, n int) []PageID {
 	return ids
 }
 
-// fetchDirty makes the page resident and marks it dirty as a whole.
+// fetchDirty makes the page resident and dirty through Write, reporting
+// slot 1: on a frame just filled that is an append the log has no base
+// for, so the write set asks for the page's image.
 func fetchDirty(t *testing.T, bp *BufferPool, id PageID) {
 	t.Helper()
-	if _, err := bp.Fetch(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.MarkDirty(id); err != nil {
+	writeSlot(t, bp, id, 1)
+}
+
+// writeSlot reports an append at slot to the page through Write.
+func writeSlot(t *testing.T, bp *BufferPool, id PageID, slot int) {
+	t.Helper()
+	if err := bp.Write(id, func(*Page) (int, error) { return slot, nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -141,12 +147,7 @@ func TestUnloggedDirtyBlocksFlushAndEviction(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	if _, err := bp.Fetch(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.MarkDirty(ids[0]); err != nil {
-		t.Fatal(err)
-	}
+	fetchDirty(t, bp, ids[0])
 	if got := drainWriteSet(t, bp); len(got) != 1 || got[0].ID != ids[0] || !got[0].Image {
 		t.Fatalf("write set = %+v, want the image of %v", got, ids[0])
 	}
@@ -199,12 +200,7 @@ func TestFlushSkipsWALSyncWhenAlreadyDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bp.Fetch(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.MarkDirty(id); err != nil {
-		t.Fatal(err)
-	}
+	fetchDirty(t, bp, id)
 	bp.CoverWriteSet(400, 350)
 	if err := bp.Flush(); err != nil {
 		t.Fatal(err)
@@ -278,9 +274,7 @@ func TestDirtyPageTable(t *testing.T) {
 		}
 	}
 	// Re-dirty page 0 under a later transaction: the floor must not rise.
-	if err := bp.MarkDirty(ids[0]); err != nil {
-		t.Fatal(err)
-	}
+	fetchDirty(t, bp, ids[0])
 	bp.CoverWriteSet(900, 850)
 	if got := bp.DirtyPageTable()[0].RedoLSN; got != 90 {
 		t.Errorf("re-dirtied frame's redo floor = %d, want the original 90", got)
@@ -332,52 +326,74 @@ func TestFlushOneDirty(t *testing.T) {
 	}
 }
 
-// TestFlushOneDirtySkipsPinnedFrames checks the checkpoint's flush leaves a
-// pinned committed-dirty frame alone — its pin holder may be writing the
-// bytes, as an insert does before MarkAppended — and that the frame stays in
-// the dirty-page table, so recovery still redoes it. Unpinned, the next
-// sweep writes it back.
-func TestFlushOneDirtySkipsPinnedFrames(t *testing.T) {
-	dev := &orderDevice{Device: NewDisk(64)}
+// TestWriteLeavesAnUnchangedPageClean checks Write's two ways of changing
+// nothing: a negative slot (the page was full) and an error from f. Either
+// leaves the frame clean and out of the open transaction's write set, and
+// the error comes back.
+func TestWriteLeavesAnUnchangedPageClean(t *testing.T) {
+	dev := NewDisk(64)
+	bp, err := NewBufferPool(dev, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.SetWAL(&fakeWAL{})
+	id := allocPages(t, dev, 1)[0]
+	writeSlot(t, bp, id, -1)
+	if bp.Dirty(id) {
+		t.Fatal("a negative slot dirtied the frame")
+	}
+	errFull := errors.New("full")
+	if err := bp.Write(id, func(*Page) (int, error) { return 0, errFull }); !errors.Is(err, errFull) {
+		t.Fatalf("Write = %v, want f's error", err)
+	}
+	if bp.Dirty(id) {
+		t.Fatal("an error from f dirtied the frame")
+	}
+	if got := drainWriteSet(t, bp); len(got) != 0 {
+		t.Fatalf("write set = %+v, want empty", got)
+	}
+	if err := bp.Flush(); err != nil {
+		t.Fatalf("Flush over a clean pool: %v", err)
+	}
+}
+
+// TestWriteRecordsItsSlot checks what Write puts in the write set under a
+// WAL: a returned slot is a one-slot entry, consecutive slots chain into one
+// entry, and a slot out of sequence degrades the entry to an image. An
+// append that starts the page over at slot 0 needs no image even on a frame
+// just filled; one on top of a base the log does not hold does.
+func TestWriteRecordsItsSlot(t *testing.T) {
+	dev := NewDisk(64)
 	bp, err := NewBufferPool(dev, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bp.SetWAL(&fakeWAL{durable: 1 << 30})
 	ids := allocPages(t, dev, 2)
-	for _, id := range ids {
-		fetchDirty(t, bp, id)
-	}
-	bp.CoverWriteSet(100, 50)
-	start := PageID{File: -1, Page: -1}
-	func() {
-		if _, err := bp.Pin(ids[0]); err != nil {
-			t.Fatal(err)
+	a, b := ids[0], ids[1]
+	commit := func(want ...PageWrite) {
+		t.Helper()
+		got := drainWriteSet(t, bp)
+		if len(got) != len(want) {
+			t.Fatalf("write set = %+v, want %+v", got, want)
 		}
-		defer func() {
-			if err := bp.Unpin(ids[0]); err != nil {
-				t.Error(err)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("write set = %+v, want %+v", got, want)
 			}
-		}()
-		if id, ok, err := bp.FlushOneDirty(start); err != nil || !ok || id != ids[1] {
-			t.Fatalf("FlushOneDirty = %v, %v, %v; want %v, the unpinned frame", id, ok, err, ids[1])
 		}
-		if id, ok, err := bp.FlushOneDirty(ids[1]); err != nil || ok {
-			t.Fatalf("FlushOneDirty above %v = %v, %v, %v; want nothing left", ids[1], id, ok, err)
-		}
-		if len(dev.writes) != 1 || !bp.Dirty(ids[0]) {
-			t.Fatalf("device writes %v, pinned frame dirty %v; want only %v written", dev.writes, bp.Dirty(ids[0]), ids[1])
-		}
-		if dpt := bp.DirtyPageTable(); len(dpt) != 1 || dpt[0] != (DirtyPage{ID: ids[0], RedoLSN: 50}) {
-			t.Fatalf("DPT = %v, want the pinned frame at floor 50", dpt)
-		}
-	}()
-	if id, ok, err := bp.FlushOneDirty(start); err != nil || !ok || id != ids[0] {
-		t.Fatalf("FlushOneDirty after Unpin = %v, %v, %v; want %v", id, ok, err, ids[0])
+		bp.CoverWriteSet(100, 50)
 	}
-	if dpt := bp.DirtyPageTable(); len(dpt) != 0 {
-		t.Fatalf("DPT after the unpinned sweep = %v, want empty", dpt)
+	writeSlot(t, bp, a, 0)
+	writeSlot(t, bp, b, 3)
+	commit(PageWrite{ID: a, First: 0, N: 1}, PageWrite{ID: b, First: 3, N: 1, Image: true})
+	for _, slot := range []int{1, 2, 3} {
+		writeSlot(t, bp, a, slot)
 	}
+	commit(PageWrite{ID: a, First: 1, N: 3})
+	writeSlot(t, bp, a, 4)
+	writeSlot(t, bp, a, 6)
+	commit(PageWrite{ID: a, Image: true})
 }
 
 // TestOpenHeapFileSkipsUninitializedPages checks OpenHeapFile tolerates

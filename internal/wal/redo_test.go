@@ -127,12 +127,10 @@ func (w *redoWorld) forward() map[storage.PageID][]byte {
 	w.t.Helper()
 	out := make(map[storage.PageID][]byte)
 	for _, id := range w.pages() {
-		p, err := w.pool.Pin(id)
-		if err != nil {
-			w.t.Fatal(err)
-		}
-		out[id] = bytes.Clone(p.Bytes())
-		if err := w.pool.Unpin(id); err != nil {
+		if err := w.pool.Read(id, nil, func(p *storage.Page) error {
+			out[id] = bytes.Clone(p.Bytes())
+			return nil
+		}); err != nil {
 			w.t.Fatal(err)
 		}
 	}
@@ -424,8 +422,8 @@ func TestImageFirst(t *testing.T) {
 }
 
 // TestUnknownMutationLogsTheImage checks the degrade-to-today path: a page
-// dirtied with a bare MarkDirty, or appended to out of sequence, is a change
-// the pool cannot describe, and the write set asks for its image.
+// appended to out of sequence is a change the pool cannot describe, and the
+// write set asks for its image.
 func TestUnknownMutationLogsTheImage(t *testing.T) {
 	w := newRedoWorld(t, 256, 8, 1)
 	w.insert([]int{0, 0}, [][]byte{{1}, {2}})
@@ -445,35 +443,20 @@ func TestUnknownMutationLogsTheImage(t *testing.T) {
 		}
 		return got[0]
 	}
-	if err := w.pool.MarkAppended(id, 2); err != nil {
-		t.Fatal(err)
+	appended := func(slot int) {
+		t.Helper()
+		if err := w.pool.Write(id, func(*storage.Page) (int, error) { return slot, nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
+	appended(2)
 	if pw := drain(); pw.Image || pw.First != 2 || pw.N != 1 {
 		t.Errorf("in-sequence append on an anchored page: %+v, want slot 2 as an append", pw)
 	}
-	if err := w.pool.MarkDirty(id); err != nil {
-		t.Fatal(err)
-	}
-	if pw := drain(); !pw.Image {
-		t.Errorf("bare MarkDirty: %+v, want an image", pw)
-	}
-	if err := w.pool.MarkAppended(id, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.pool.MarkAppended(id, 5); err != nil {
-		t.Fatal(err)
-	}
+	appended(3)
+	appended(5)
 	if pw := drain(); !pw.Image {
 		t.Errorf("appends out of sequence: %+v, want an image", pw)
-	}
-	if err := w.pool.MarkAppended(id, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.pool.MarkDirty(id); err != nil {
-		t.Fatal(err)
-	}
-	if pw := drain(); !pw.Image {
-		t.Errorf("append then bare MarkDirty: %+v, want an image", pw)
 	}
 }
 

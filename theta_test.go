@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"spatialjoin/internal/relation"
+	"spatialjoin/internal/storage"
 )
 
 // rewriteShape overwrites the stored tuple id of c in place on its heap
@@ -28,27 +29,17 @@ func rewriteShape(t *testing.T, db *Database, c *Collection, id int, payload str
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewrite := func() (err error) {
-		page, err := db.pool.Pin(rid.Page)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if uerr := db.pool.Unpin(rid.Page); err == nil {
-				err = uerr
-			}
-		}()
+	if err := db.pool.Write(rid.Page, func(page *storage.Page) (int, error) {
 		old, err := page.Record(int(rid.Slot))
 		if err != nil {
-			return err
+			return -1, err
 		}
 		if len(old) != len(rec) {
-			return fmt.Errorf("record of %d bytes, rewrite of %d: not in place", len(old), len(rec))
+			return -1, fmt.Errorf("record of %d bytes, rewrite of %d: not in place", len(old), len(rec))
 		}
 		copy(old, rec)
-		return db.pool.MarkDirty(rid.Page)
-	}
-	if err := rewrite(); err != nil {
+		return int(rid.Slot), nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.pool.Flush(); err != nil {
