@@ -277,7 +277,7 @@ func TestSelfJoinIndexPersistsEachPairOnce(t *testing.T) {
 func pairRecords(t *testing.T, ji *JoinIndex) int {
 	t.Helper()
 	n := 0
-	if err := ji.file.Scan(func(storage.RID, []byte) bool { n++; return true }); err != nil {
+	if _, err := storage.OpenHeapFile(ji.r.db.pool, ji.file.File(), 1, func(storage.RID, []byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return n

@@ -255,10 +255,10 @@ func (db *Database) RetainWAL(lsn wal.LSN) {
 }
 
 // reopenCollection rebuilds one collection from its recovered files in one
-// heap scan: the scan that reassigns tuple IDs in heap order also inserts
-// each shape into a fresh R-tree under its ID. Heap order is insertion order
-// for sequentially grown collections, so the tree is the one the inserts
-// built.
+// heap pass (relation.Open): the pass that reassigns tuple IDs in heap order
+// also inserts each shape's bounds into a fresh R-tree under its ID. Heap
+// order is insertion order for sequentially grown collections, so the tree
+// is the one the inserts built.
 func (db *Database) reopenCollection(nc wal.NewCollection) error {
 	if _, dup := db.collections[nc.Name]; dup {
 		return nil
@@ -272,8 +272,8 @@ func (db *Database) reopenCollection(nc wal.NewCollection) error {
 		return err
 	}
 	rel, err := relation.Open(db.pool, nc.Name, sch, nc.HeapFile, db.cfg.FillFactor,
-		func(id int, t relation.Tuple) error {
-			index.Insert(t[1].(Spatial).Bounds(), id)
+		func(id int, bounds Rect) error {
+			index.Insert(bounds, id)
 			return nil
 		})
 	if err != nil {
@@ -288,8 +288,8 @@ func (db *Database) reopenCollection(nc wal.NewCollection) error {
 }
 
 // reopenJoinIndex rebuilds one join index by replaying its recovered pair
-// file into a fresh B+-tree (Add de-duplicates, so the file needs no
-// compaction discipline).
+// file, in the pass that opens it, into a fresh B+-tree (Add de-duplicates,
+// so the file needs no compaction discipline).
 func (db *Database) reopenJoinIndex(nj wal.NewJoinIndex) error {
 	r, ok := db.collections[nj.R]
 	if !ok {
@@ -310,27 +310,15 @@ func (db *Database) reopenJoinIndex(nj wal.NewJoinIndex) error {
 	if err != nil {
 		return err
 	}
-	file, err := storage.OpenHeapFile(db.pool, nj.PairFile, db.cfg.FillFactor)
+	file, err := storage.OpenHeapFile(db.pool, nj.PairFile, db.cfg.FillFactor, func(_ storage.RID, rec []byte) error {
+		rid, sid, err := decodePair(rec)
+		if err == nil {
+			_, err = ix.Add(rid, sid)
+		}
+		return err
+	})
 	if err != nil {
 		return err
-	}
-	var addErr error
-	if err := file.Scan(func(_ storage.RID, rec []byte) bool {
-		rid, sid, err := decodePair(rec)
-		if err != nil {
-			addErr = err
-			return false
-		}
-		if _, err := ix.Add(rid, sid); err != nil {
-			addErr = err
-			return false
-		}
-		return true
-	}); err != nil {
-		return err
-	}
-	if addErr != nil {
-		return addErr
 	}
 	db.joinIndices[joinIndexKey(r, s, op)] = &JoinIndex{
 		r: r, s: s, op: op, ix: ix, file: file,

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -156,24 +157,26 @@ type RecEvent struct {
 	A, B  int64
 }
 
-// recSlot is one ring entry. Every field is atomic and seq is stored last
-// (and zeroed first), so a reader that sees the same non-zero seq before
-// and after reading the payload fields got a consistent event; anything
-// else is a torn slot the reader skips. All accesses are atomic, so the
-// discipline is race-detector-clean without a lock.
+// recSlot is one ring entry. Every field is atomic. A writer claims the
+// slot by setting seq to its own with recBusy, stores the payload and then
+// clears recBusy, so a reader that sees the same published seq before and
+// after reading the payload got a consistent event, and skips anything else.
 type recSlot struct {
-	seq   atomic.Uint64 // the event's Seq; 0 while the slot is being written
+	seq   atomic.Uint64 // the event's Seq, with recBusy while being written
 	time  atomic.Int64
 	kc    atomic.Uint32 // Kind<<8 | Code
 	trace atomic.Uint64
 	a, b  atomic.Int64
 }
 
+const recBusy = 1 << 63
+
 // Recorder is the always-on flight recorder: a fixed-size lock-free ring
-// of structured events. Record is wait-free (a counter increment plus six
-// atomic stores, no allocation) so it can stay armed in production at all
-// times; readers snapshot whatever survives in the ring, skipping entries
-// torn by concurrent writers. Nil-safe throughout.
+// of structured events. Record allocates nothing (a counter increment, a
+// compare-and-swap and six atomic stores), so it can stay armed in
+// production at all times; readers snapshot whatever survives in the ring,
+// skipping slots being written. A slot keeps the newest event recorded
+// into it. Nil-safe throughout.
 type Recorder struct {
 	mask  uint64
 	next  atomic.Uint64
@@ -197,7 +200,16 @@ func (r *Recorder) Record(kind RecKind, code uint8, trace uint64, a, b int64) {
 	}
 	seq := r.next.Add(1)
 	sl := &r.slots[(seq-1)&r.mask]
-	sl.seq.Store(0) // torn until the payload below is complete
+	for {
+		cur := sl.seq.Load()
+		if cur&^recBusy > seq {
+			return // a writer a lap ahead holds the slot: this event is already overwritten
+		}
+		if cur&recBusy == 0 && sl.seq.CompareAndSwap(cur, seq|recBusy) {
+			break
+		}
+		runtime.Gosched() // a writer a lap behind is still storing its payload here
+	}
 	sl.time.Store(time.Now().UnixNano())
 	sl.kc.Store(uint32(kind)<<8 | uint32(code))
 	sl.trace.Store(trace)
@@ -217,7 +229,7 @@ func (r *Recorder) Events() []RecEvent {
 	for i := range r.slots {
 		sl := &r.slots[i]
 		seq := sl.seq.Load()
-		if seq == 0 {
+		if seq == 0 || seq&recBusy != 0 {
 			continue
 		}
 		ev := RecEvent{

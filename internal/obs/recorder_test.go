@@ -286,3 +286,20 @@ func TestDebugEventsEndpoint(t *testing.T) {
 		t.Error("recorded checkpoint_begin event missing from /debug/events")
 	}
 }
+
+// TestRecorderSlotKeepsNewestSeq records seq s+64 and then seq s into the
+// same slot of a 64-slot ring, the order a writer descheduled between
+// taking its sequence number and storing its event produces: the slot
+// keeps s+64 and its payload.
+func TestRecorderSlotKeepsNewestSeq(t *testing.T) {
+	r := NewRecorder(64)
+	const s = 100
+	r.next.Store(s + 64 - 1)
+	r.Record(RecQueryFinish, RecCodeOK, 2, 2_000_000, 14)
+	r.next.Store(s - 1)
+	r.Record(RecQueryFinish, RecCodeOK, 1, 1_000_000, 7)
+	evs := r.Events()
+	if len(evs) != 1 || evs[0].Seq != s+64 || evs[0].Trace != 2 || evs[0].A != 2_000_000 || evs[0].B != 14 {
+		t.Fatalf("slot holds %+v, want the one event seq %d, trace 2", evs, s+64)
+	}
+}

@@ -104,6 +104,32 @@ func (s Schema) Decode(rec []byte) (Tuple, error) {
 	return t, nil
 }
 
+// decodeBounds checks a record as Decode does — every column's length, no
+// trailing bytes — and returns the bounds of its spatial column col without
+// building a Tuple: a rectangle is read in place, other shapes decoded.
+func (s Schema) decodeBounds(rec []byte, col int) (b geom.Rect, err error) {
+	off := 0
+	for i, c := range s.Columns {
+		n, err := valueLen(c.Type, rec[off:])
+		if err != nil {
+			return b, err
+		}
+		if i == col {
+			if tag, hdr, _ := shapeTag(c.Type, rec[off:]); tag == geomTagRect {
+				b = readRect(rec[off+hdr:])
+			} else {
+				v, _, _ := decodeShape(c.Type, rec[off:], nil)
+				b = v.Bounds()
+			}
+		}
+		off += n
+	}
+	if off != len(rec) {
+		return b, fmt.Errorf("relation: %d trailing bytes after decoding", len(rec)-off)
+	}
+	return b, nil
+}
+
 // decodeSpatial decodes only the spatial column col of a record produced by
 // Encode: the columns before it are skipped by their lengths, the ones
 // after it are not read, and no Tuple is built. A rectangle is stored in
@@ -234,8 +260,7 @@ func decodeShape(typ Type, rec []byte, dst *geom.Rect) (geom.Spatial, int, error
 	case geomTagPoint:
 		return readPoint(rec), hdr + n, nil
 	case geomTagRect:
-		r := geom.Rect{MinX: readFloat(rec), MinY: readFloat(rec[8:]),
-			MaxX: readFloat(rec[16:]), MaxY: readFloat(rec[24:])}
+		r := readRect(rec)
 		if dst == nil {
 			return r, hdr + n, nil
 		}
@@ -250,6 +275,10 @@ func decodeShape(typ Type, rec []byte, dst *geom.Rect) (geom.Spatial, int, error
 	default: // geomTagSegment
 		return geom.Segment{A: readPoint(rec), B: readPoint(rec[16:])}, hdr + n, nil
 	}
+}
+
+func readRect(b []byte) geom.Rect {
+	return geom.Rect{MinX: readFloat(b), MinY: readFloat(b[8:]), MaxX: readFloat(b[16:]), MaxY: readFloat(b[24:])}
 }
 
 func readPoint(b []byte) geom.Point {

@@ -91,32 +91,31 @@ func BulkLoad(pool *storage.BufferPool, name string, schema Schema,
 // Open reattaches to a relation's existing heap file after a restart,
 // reassigning tuple IDs in physical scan order. For relations grown by
 // sequential Insert — the database's collections — physical order equals
-// the original insertion order, so IDs are stable across restarts. The same
-// scan hands visit every tuple with its new ID, in ID order, so whatever a
-// caller derives from the relation (an index) is rebuilt without a second
-// pass; an error from visit stops the scan and is returned.
+// the original insertion order, so IDs are stable across restarts. The
+// heap file's one-pass open hands visit every tuple's new ID, in ID order,
+// with the bounds of its spatial column, which the schema must have: an
+// index is rebuilt as each page is read once, and no Tuple is built. An
+// error from visit stops the pass and is returned.
 func Open(pool *storage.BufferPool, name string, schema Schema,
-	file storage.FileID, fillFactor float64, visit func(id int, t Tuple) error) (*Relation, error) {
+	file storage.FileID, fillFactor float64, visit func(id int, bounds geom.Rect) error) (*Relation, error) {
 
-	h, err := storage.OpenHeapFile(pool, file, fillFactor)
+	col, ok := schema.SpatialColumn()
+	if !ok {
+		return nil, fmt.Errorf("relation %s: schema has no spatial column", name)
+	}
+	r := &Relation{name: name, schema: schema}
+	h, err := storage.OpenHeapFile(pool, file, fillFactor, func(rid storage.RID, rec []byte) error {
+		b, err := schema.decodeBounds(rec, col)
+		if err != nil {
+			return err
+		}
+		r.rids = append(r.rids, rid)
+		return visit(len(r.rids)-1, b)
+	})
 	if err != nil {
 		return nil, err
 	}
-	r := &Relation{name: name, schema: schema, heap: h}
-	var verr error
-	if err := h.Scan(func(rid storage.RID, rec []byte) bool {
-		var t Tuple
-		if t, verr = schema.Decode(rec); verr == nil {
-			verr = visit(len(r.rids), t)
-		}
-		r.rids = append(r.rids, rid)
-		return verr == nil
-	}); err != nil {
-		return nil, err
-	}
-	if verr != nil {
-		return nil, verr
-	}
+	r.heap = h
 	return r, nil
 }
 

@@ -314,15 +314,16 @@ func grown(t *testing.T, pool *storage.BufferPool, n int) *Relation {
 }
 
 // TestRelationScanVisitsAllOnce checks the one relation scan Open makes
-// hands the visitor every tuple once, decoded, under the ID it reassigns —
-// which for a sequentially grown relation is its insertion ID.
+// hands the visitor every tuple once, as its spatial column's bounds, under
+// the ID it reassigns — which for a sequentially grown relation is its
+// insertion ID.
 func TestRelationScanVisitsAllOnce(t *testing.T) {
 	pool := newPool(t)
 	r := grown(t, pool, 70)
 	next := 0
-	o, err := Open(pool, "grown", testSchema(t), r.FileID(), 0.75, func(id int, tup Tuple) error {
-		if id != next || tup[0].(int64) != int64(id) {
-			t.Fatalf("visit %d got id %d holding tuple %v", next, id, tup[0])
+	o, err := Open(pool, "grown", testSchema(t), r.FileID(), 0.75, func(id int, b geom.Rect) error {
+		if want := testTuple(id)[3].(geom.Point).Bounds(); id != next || b != want {
+			t.Fatalf("visit %d got id %d holding bounds %v, want %v", next, id, b, want)
 		}
 		next++
 		return nil
@@ -355,7 +356,7 @@ func TestRelationScanEarlyStop(t *testing.T) {
 	pool := newPool(t)
 	r := grown(t, pool, 30)
 	count := 0
-	Open(pool, "grown", testSchema(t), r.FileID(), 0.75, func(int, Tuple) error {
+	Open(pool, "grown", testSchema(t), r.FileID(), 0.75, func(int, geom.Rect) error {
 		if count++; count == 5 {
 			return fmt.Errorf("stop")
 		}
@@ -372,7 +373,7 @@ func TestRelationScanPropagatesError(t *testing.T) {
 	pool := newPool(t)
 	r := grown(t, pool, 1)
 	wantErr := fmt.Errorf("boom")
-	_, err := Open(pool, "grown", testSchema(t), r.FileID(), 0.75, func(int, Tuple) error { return wantErr })
+	_, err := Open(pool, "grown", testSchema(t), r.FileID(), 0.75, func(int, geom.Rect) error { return wantErr })
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("Open error = %v, want %v", err, wantErr)
 	}
@@ -384,11 +385,11 @@ func TestRelationScanPropagatesError(t *testing.T) {
 func TestOpenRejectsUndecodableTuple(t *testing.T) {
 	pool := newPool(t)
 	r := grown(t, pool, 3)
-	other, err := NewSchema(Column{"id", TypeInt64})
+	other, err := NewSchema(Column{"id", TypeInt64}, Column{"mbr", TypeRect})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Open(pool, "grown", other, r.FileID(), 0.75, func(int, Tuple) error {
+	_, err = Open(pool, "grown", other, r.FileID(), 0.75, func(int, geom.Rect) error {
 		t.Fatal("visitor called with a tuple that does not decode")
 		return nil
 	})

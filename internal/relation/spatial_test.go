@@ -313,3 +313,36 @@ func FuzzSpatialColumn(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeBoundsMatchesDecode checks the bounds-only read Open makes
+// against the full decode, for every geometry tag in every spatial column:
+// it fails exactly where Decode does — on every cut of a record and on a
+// trailing byte — and otherwise returns the Bounds of Decode's value.
+func TestDecodeBoundsMatchesDecode(t *testing.T) {
+	s := layoutSchema(t)
+	for _, tup := range layoutTuples() {
+		whole, err := s.Encode(nil, tup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := [][]byte{append(whole[:len(whole):len(whole)], 0)} // a trailing byte
+		for n := 0; n <= len(whole); n++ {
+			recs = append(recs, whole[:n])
+		}
+		for _, rec := range recs {
+			decoded, decErr := s.Decode(rec)
+			for col, c := range s.Columns {
+				if !c.Type.Spatial() {
+					continue
+				}
+				b, err := s.decodeBounds(rec, col)
+				if (err == nil) != (decErr == nil) {
+					t.Fatalf("%d of %d bytes, column %q: bounds read fails with %v, Decode with %v", len(rec), len(whole), c.Name, err, decErr)
+				}
+				if err == nil && !sameShape(b, decoded[col].(geom.Spatial).Bounds()) {
+					t.Fatalf("column %q: bounds %v, Decode's value bounds %v", c.Name, b, decoded[col].(geom.Spatial).Bounds())
+				}
+			}
+		}
+	}
+}

@@ -40,9 +40,9 @@ func (s PoolStats) HitRatio() float64 {
 // BufferPool caches up to Capacity pages in memory with exact LRU
 // replacement. BufferPool is safe for concurrent use: the frame table and
 // the page bytes are guarded by a mutex — a page is read inside Read and
-// written inside Write, each under it — while the activity counters are
-// atomics so concurrent readers can snapshot statistics without
-// serializing on the frame lock.
+// written inside Write or made inside create, each under it — while the
+// activity counters are atomics so concurrent readers can snapshot
+// statistics without serializing on the frame lock.
 //
 // The frame table is one array of Capacity frames, allocated with the pool
 // and never moved; the recency order is a doubly-linked list threaded
@@ -308,7 +308,7 @@ func (bp *BufferPool) writePage(id PageID, buf []byte) error {
 // loading it from disk on a miss, and returns the frame's own Page. It is
 // for the I/O charge alone: an evicted frame's buffer is reused for the
 // incoming page, and writers change page bytes under the pool's lock, so
-// page bytes are read only inside Read and written only inside Write.
+// page bytes are read only in Read and written only in Write and create.
 // Fetch charges its miss to no query; a query's reads go through Read.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	bp.mu.Lock()
@@ -340,15 +340,15 @@ func (bp *BufferPool) Read(id PageID, reads *obs.Counter, f func(*Page) error) e
 }
 
 // Write calls f with the page under the pool's lock, fetched as by Fetch:
-// the only place page bytes are written. f returns the slot it appended —
-// the one change the engine makes to a page, Page.Insert's — or a negative
-// slot when it left the page unchanged. An appended slot dirties the frame,
-// so it is written back on eviction or Flush; under a WAL the frame also
-// becomes unlogged-dirty and the open transaction's write set remembers the
-// slot, so the transaction layer logs the record rather than the page, and
-// the frame stays in memory until CoverWriteSet reports the covering
-// commit. An error from f is returned and marks nothing; f must not call
-// into the pool.
+// with create, the only place page bytes are written. f returns the slot
+// it appended — the one change the engine makes to a page, Page.Insert's —
+// or a negative slot when it left the page unchanged. An appended slot
+// dirties the frame, so it is written back on eviction or Flush; under a
+// WAL the frame also becomes unlogged-dirty and the open transaction's
+// write set remembers the slot, so the transaction layer logs the record
+// rather than the page, and the frame stays in memory until CoverWriteSet
+// reports the covering commit. An error from f is returned and marks
+// nothing; f must not call into the pool.
 func (bp *BufferPool) Write(id PageID, f func(*Page) (slot int, err error)) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -356,6 +356,44 @@ func (bp *BufferPool) Write(id PageID, f func(*Page) (slot int, err error)) erro
 	if err != nil {
 		return err
 	}
+	return bp.writeLocked(i, f)
+}
+
+// create makes a new page of file by zeroing a frame, not by reading the
+// zeroed page the device allocates, and runs f on its empty slotted page as
+// Write does. It counts no logical read and no miss. Without a frame it
+// allocates nothing.
+func (bp *BufferPool) create(file FileID, f func(*Page) (slot int, err error)) (PageID, error) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	filling := bp.used < bp.capacity
+	i, err := bp.freeFrameLocked()
+	if err != nil {
+		return PageID{}, err
+	}
+	fr := &bp.frames[i]
+	id, err := bp.disk.AllocPage(file)
+	if err != nil {
+		// Hand the frame back: an unused one stays unused, and a victim,
+		// written back clean, holds its page again.
+		if filling {
+			bp.used--
+		} else {
+			bp.setFrame(fr.id, i+1)
+			bp.pushFrontLocked(i)
+			bp.evictions.Add(-1)
+		}
+		return PageID{}, err
+	}
+	*fr = frame{id: id, page: Page{buf: append(fr.page.buf[:0], make([]byte, bp.disk.PageSize())...)}}
+	fr.page.init()
+	bp.setFrame(id, i+1)
+	bp.pushFrontLocked(i)
+	return id, bp.writeLocked(i, f)
+}
+
+// writeLocked runs f on frame i's page and marks the slot it appended.
+func (bp *BufferPool) writeLocked(i int32, f func(*Page) (slot int, err error)) error {
 	slot, err := f(&bp.frames[i].page)
 	if err != nil || slot < 0 {
 		return err

@@ -285,6 +285,12 @@ func (r *refPool) fetch(id PageID) *refFrame {
 	}
 	r.stats.Misses++
 	r.reads = append(r.reads, id)
+	return r.admit(id, r.disk[id])
+}
+
+// admit makes page id, not resident, the most recently used page, holding
+// stamp, after evicting the least recently used page if the pool is full.
+func (r *refPool) admit(id PageID, stamp uint64) *refFrame {
 	if r.lru.Len() >= r.capacity {
 		el := r.lru.Back()
 		f := el.Value.(*refFrame)
@@ -295,7 +301,7 @@ func (r *refPool) fetch(id PageID) *refFrame {
 		delete(r.frames, f.id)
 		r.stats.Evictions++
 	}
-	f := &refFrame{id: id, stamp: r.disk[id]}
+	f := &refFrame{id: id, stamp: stamp}
 	r.frames[id] = r.lru.PushFront(f)
 	return f
 }
@@ -337,7 +343,8 @@ func (d *loggingDevice) WritePage(id PageID, buf []byte) error {
 }
 
 // TestPoolMatchesReferenceLRU replays seeded traces of fetch, read, demote,
-// write, flush and drop-all against the pool and the reference, and after
+// write, create, flush and drop-all against the pool and the reference (a
+// created page is admitted as a miss is, but read from nowhere), and after
 // every operation requires the same outcome, the same counters, the same
 // sequence of device reads (the misses, each one physical read: Misses +
 // ReadRetries == Reads + ReadFaults), the same resident and dirty sets (so
@@ -402,7 +409,7 @@ func TestPoolMatchesReferenceLRU(t *testing.T) {
 						ref.lru.MoveToBack(el)
 						demoted++
 					}
-				case op < 90:
+				case op < 85:
 					what = fmt.Sprintf("write %v", id)
 					stamp++
 					if err := bp.Write(id, func(p *Page) (int, error) {
@@ -413,6 +420,18 @@ func TestPoolMatchesReferenceLRU(t *testing.T) {
 					}
 					f := ref.fetch(id)
 					f.stamp, f.dirty = stamp, true
+				case op < 90:
+					what = "create"
+					stamp++
+					id, err := bp.create(file, func(p *Page) (int, error) {
+						binary.LittleEndian.PutUint64(p.Bytes(), stamp)
+						return 0, nil
+					})
+					if err != nil {
+						t.Fatalf("step %d %s: %v", step, what, err)
+					}
+					ids = append(ids, id)
+					ref.admit(id, stamp).dirty = true
 				case op < 97:
 					what = "flush"
 					if err := bp.Flush(); err != nil {

@@ -16,10 +16,10 @@ type RID struct {
 func (r RID) String() string { return fmt.Sprintf("%v:s%d", r.Page, r.Slot) }
 
 // HeapFile stores variable-length records in slotted pages of one file,
-// appending to the last page and allocating a new page when a record does
-// not fit. A fill factor below 1 reproduces the paper's average space
-// utilization l (Table 3: 0.75) by capping how much of each page's payload
-// may be used.
+// appending to the last page and, when a record does not fit, to a new
+// page the pool makes without a device read. A fill factor below 1
+// reproduces the paper's average space utilization l (Table 3: 0.75) by
+// capping how much of each page's payload may be used.
 type HeapFile struct {
 	pool       *BufferPool
 	file       FileID
@@ -43,12 +43,15 @@ func NewHeapFile(pool *BufferPool, fillFactor float64) (*HeapFile, error) {
 	}, nil
 }
 
-// OpenHeapFile reattaches to an existing heap file after a restart,
-// rebuilding the append state (last page, record count) from the pages on
-// disk. A page whose header is all zeroes was allocated but never written
-// back before a crash; it holds no committed records and appends resume on
-// the last initialized page before it.
-func OpenHeapFile(pool *BufferPool, file FileID, fillFactor float64) (*HeapFile, error) {
+// OpenHeapFile reattaches to an existing heap file after a restart, in one
+// pass that reads each page once: it calls visit with every record in file
+// order (the bytes valid only during the call, under the pool's lock, so
+// visit must not call into the pool) and rebuilds the append state (last
+// page, record count) on the way. A page whose header is all zeroes was
+// allocated but never written back before a crash; it holds no committed
+// records and appends resume on the last initialized page before it. An
+// error from visit stops the pass and is returned.
+func OpenHeapFile(pool *BufferPool, file FileID, fillFactor float64, visit func(RID, []byte) error) (*HeapFile, error) {
 	if fillFactor <= 0 || fillFactor > 1 {
 		return nil, fmt.Errorf("storage: fill factor %g out of (0,1]", fillFactor)
 	}
@@ -60,6 +63,15 @@ func OpenHeapFile(pool *BufferPool, file FileID, fillFactor float64) (*HeapFile,
 			if p.initialized() {
 				h.lastPage, h.hasPage = id, true
 				h.numRecords += p.NumRecords()
+			}
+			for s := 0; s < p.NumRecords(); s++ {
+				rec, err := p.Record(s)
+				if err == nil {
+					err = visit(RID{Page: id, Slot: int32(s)}, rec)
+				}
+				if err != nil {
+					return err
+				}
 			}
 			return nil
 		}); err != nil {
@@ -93,41 +105,38 @@ func (h *HeapFile) CheckRecord(n int) error {
 }
 
 // Append stores rec and returns its RID. Records larger than the per-page
-// budget are rejected (CheckRecord).
+// budget are rejected (CheckRecord). A record that does not fit the last
+// page goes on a new one (BufferPool.create), which becomes the last page
+// once that first write has succeeded.
 func (h *HeapFile) Append(rec []byte) (RID, error) {
 	if err := h.CheckRecord(len(rec)); err != nil {
 		return RID{}, err
 	}
 	if h.hasPage {
-		rid, ok, err := h.insertInto(h.lastPage, rec, false)
+		rid, ok, err := h.insertInto(h.lastPage, rec)
 		if err != nil || ok {
 			return rid, err
 		}
 	}
-	id, err := h.pool.Disk().AllocPage(h.file)
+	id, err := h.pool.create(h.file, func(p *Page) (int, error) { return p.Insert(rec) })
 	if err != nil {
 		return RID{}, err
 	}
 	h.lastPage, h.hasPage = id, true
-	rid, _, err := h.insertInto(id, rec, true)
-	return rid, err
+	h.numRecords++
+	return RID{Page: id}, nil // a new page's first record is slot 0
 }
 
 // insertInto stores rec on the page, in one BufferPool.Write, if it fits
-// under the fill-factor budget, reporting ok = false when it does not. A
-// fresh page — just allocated, so it arrives zeroed — has its header
-// initialized in place first, and a record that does not fit it is an
-// error.
-func (h *HeapFile) insertInto(id PageID, rec []byte, fresh bool) (rid RID, ok bool, err error) {
+// under the fill-factor budget, reporting ok = false when it does not.
+func (h *HeapFile) insertInto(id PageID, rec []byte) (rid RID, ok bool, err error) {
 	err = h.pool.Write(id, func(p *Page) (int, error) {
-		if fresh {
-			p.init()
-		} else if h.usedPayload(p)+len(rec)+slotSize > h.budget() || p.FreeSpace() < len(rec) {
+		if h.usedPayload(p)+len(rec)+slotSize > h.budget() || p.FreeSpace() < len(rec) {
 			return -1, nil
 		}
 		slot, err := p.Insert(rec)
 		if err != nil {
-			if err == ErrPageFull && !fresh {
+			if err == ErrPageFull {
 				return -1, nil
 			}
 			return -1, err
@@ -162,32 +171,3 @@ func (h *HeapFile) Read(rid RID, reads *obs.Counter, f func(rec []byte) error) e
 
 // Demote tells the pool the file's page is read out (BufferPool.Demote).
 func (h *HeapFile) Demote(page int) { h.pool.Demote(PageID{File: h.file, Page: int32(page)}) }
-
-// Scan calls f for every record in file order. Scanning reads each page
-// once (BufferPool.Read, charging no query) and visits its records under
-// the pool's lock. f receives the RID and the raw record bytes (valid only
-// during the call) and must not call into the pool; returning false stops
-// the scan.
-func (h *HeapFile) Scan(f func(RID, []byte) bool) error {
-	n := h.NumPages()
-	stop := false
-	for pg := 0; pg < n && !stop; pg++ {
-		id := PageID{File: h.file, Page: int32(pg)}
-		if err := h.pool.Read(id, nil, func(p *Page) error {
-			for s := 0; s < p.NumRecords(); s++ {
-				rec, err := p.Record(s)
-				if err != nil {
-					return err
-				}
-				if !f(RID{Page: id, Slot: int32(s)}, rec) {
-					stop = true
-					return nil
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}

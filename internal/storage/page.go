@@ -6,7 +6,8 @@
 //
 // The simulation stores real bytes: records written through a HeapFile are
 // durable on the simulated disk and survive buffer-pool eviction, which
-// keeps the executors honest about what re-reading a page costs.
+// keeps the executors honest about what re-reading a page costs. A new
+// page is made in a pool frame, not read: the device promises it zeroed.
 package storage
 
 import (

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -435,10 +437,15 @@ func TestHeapFileScanOrderAndEarlyStop(t *testing.T) {
 		h.Append([]byte{byte(i)})
 	}
 	var seen []byte
-	h.Scan(func(_ RID, rec []byte) bool {
-		seen = append(seen, rec[0])
-		return len(seen) < 10
-	})
+	stop := errors.New("stop")
+	if _, err := OpenHeapFile(bp, h.File(), 1.0, func(_ RID, rec []byte) error {
+		if seen = append(seen, rec[0]); len(seen) == 10 {
+			return stop
+		}
+		return nil
+	}); err != stop {
+		t.Fatalf("open stopped by its visitor returned %v", err)
+	}
 	if len(seen) != 10 {
 		t.Fatalf("early stop failed: saw %d", len(seen))
 	}
@@ -487,7 +494,9 @@ func TestHeapFileScanCountsPageIO(t *testing.T) {
 	bp.Flush()
 	bp.DropAll()
 	bp.ResetStats()
-	h.Scan(func(RID, []byte) bool { return true })
+	if _, err := OpenHeapFile(bp, h.File(), 1.0, func(RID, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
 	s := bp.Stats()
 	if int(s.Misses) != h.NumPages() {
 		t.Fatalf("cold scan misses = %d, want one per page (%d)", s.Misses, h.NumPages())
@@ -855,5 +864,107 @@ func TestRetryPolicyBackoffDeterministicAndBounded(t *testing.T) {
 	}
 	if c := record(43); c[0] == a[0] && c[1] == a[1] && c[2] == a[2] {
 		t.Fatal("different seeds should jitter differently")
+	}
+}
+
+// TestAppendMakesNewPagesWithoutReading appends records that fill new pages
+// through a pool smaller than the file: the pool makes each new page in a
+// frame, so the device reads nothing and the pool counts no miss, and every
+// record reads back from the device once the pool is dropped.
+func TestAppendMakesNewPagesWithoutReading(t *testing.T) {
+	d, bp := newPoolT(t, 256, 2)
+	h, _ := NewHeapFile(bp, 1.0)
+	var rids []RID
+	for i := 0; i < 40; i++ {
+		rid, err := h.Append([]byte(fmt.Sprintf("record-%02d-%s", i, strings.Repeat("x", 40))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if h.NumPages() < 8 {
+		t.Fatalf("40 appends filled %d pages, want at least 8", h.NumPages())
+	}
+	if ds, ps := d.Stats(), bp.Stats(); ds.Reads != 0 || ps.Misses != 0 {
+		t.Fatalf("appends to %d new pages: %d device reads, %d misses, want 0 and 0", h.NumPages(), ds.Reads, ps.Misses)
+	}
+	if err := bp.DropAll(); err != nil {
+		t.Fatal(err)
+	}
+	for i, rid := range rids {
+		rec, err := getRecord(h, rid)
+		if want := fmt.Sprintf("record-%02d-%s", i, strings.Repeat("x", 40)); err != nil || string(rec) != want {
+			t.Fatalf("record %d = %q, %v; want %q", i, rec, err, want)
+		}
+	}
+}
+
+// TestAppendAfterFailedNewPage runs a one-frame pool under a WAL: the open
+// transaction's first append holds the only frame, so the append that needs
+// a new page fails for lack of one and must leave the file appending where
+// it did. Once the transaction is covered, the next Append goes on a new
+// page and its record reads back byte-equal.
+func TestAppendAfterFailedNewPage(t *testing.T) {
+	_, bp := newPoolT(t, 256, 1)
+	bp.SetWAL(&fakeWAL{syncTo: 1})
+	h, _ := NewHeapFile(bp, 1.0)
+	first, second := bytes.Repeat([]byte{'a'}, 150), bytes.Repeat([]byte{'b'}, 150)
+	if _, err := h.Append(first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Append(second); err == nil {
+		t.Fatal("an append needing a second frame succeeded in a one-frame pool held by an open transaction")
+	}
+	drainWriteSet(t, bp)
+	bp.CoverWriteSet(1, 1)
+	rid, err := h.Append(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := getRecord(h, rid)
+	if err != nil || !bytes.Equal(rec, second) || rid.Page.Page != 1 {
+		t.Fatalf("append after the failure stored %v = %q, %v; want page 1 holding %q", rid, rec, err, second)
+	}
+	if h.NumPages() != 2 || h.NumRecords() != 2 {
+		t.Fatalf("the file holds %d pages and %d records, want 2 and 2: the failed append allocated a page", h.NumPages(), h.NumRecords())
+	}
+}
+
+// TestCreateThatCannotAllocateKeepsItsFrame makes create fail at the
+// device's allocation, once while the pool fills and once after it had to
+// evict: the frame goes back, the victim resident again, and the counters
+// and residency are as before.
+func TestCreateThatCannotAllocateKeepsItsFrame(t *testing.T) {
+	bp, ids := filledPool(t, 2, 2)
+	insert := func(p *Page) (int, error) { return p.Insert([]byte("r")) }
+	failed := func(what string) {
+		t.Helper()
+		before := bp.Stats()
+		if _, err := bp.create(FileID(99), insert); err == nil {
+			t.Fatalf("%s: create on an unknown file succeeded", what)
+		}
+		if got := bp.Stats(); got != before {
+			t.Fatalf("%s: failed create moved the stats %+v → %+v", what, before, got)
+		}
+	}
+	failed("filling")
+	for _, id := range ids {
+		if bp.Resident(id) {
+			t.Fatal("a failed create made a page resident")
+		}
+		if _, err := bp.Fetch(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failed("full")
+	if !bp.Resident(ids[0]) || !bp.Resident(ids[1]) {
+		t.Fatalf("failed create: resident %t %t, want both", bp.Resident(ids[0]), bp.Resident(ids[1]))
+	}
+	// The victim handed back, ids[0], is the most recently used now.
+	if _, err := bp.create(ids[0].File, insert); err != nil {
+		t.Fatal(err)
+	}
+	if !bp.Resident(ids[0]) || bp.Resident(ids[1]) {
+		t.Fatal("create after a failed one evicted the wrong page")
 	}
 }

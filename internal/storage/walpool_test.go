@@ -430,19 +430,20 @@ func TestOpenHeapFileSkipsUninitializedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hf2, err := OpenHeapFile(bp2, hf.File(), 1.0)
+	visited := 0
+	hf2, err := OpenHeapFile(bp2, hf.File(), 1.0, func(RID, []byte) error { visited++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hf2.NumRecords() != len(rids) {
-		t.Fatalf("reopened heap has %d records, want %d", hf2.NumRecords(), len(rids))
+	if hf2.NumRecords() != len(rids) || visited != len(rids) {
+		t.Fatalf("reopened heap has %d records and visited %d, want %d", hf2.NumRecords(), visited, len(rids))
 	}
 	// New inserts must go to initialized territory and stay readable.
 	if _, err := hf2.Append([]byte("post-reopen")); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := hf2.Scan(func(RID, []byte) bool { n++; return true }); err != nil {
+	if _, err := OpenHeapFile(bp2, hf.File(), 1.0, func(RID, []byte) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != len(rids)+1 {
