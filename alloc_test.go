@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"spatialjoin/internal/obs"
@@ -169,10 +170,11 @@ func TestJoinIndexMaintenanceReadsOnlyTheOperand(t *testing.T) {
 // TestJoinIndexMaintenanceBoxesOnlyTheOperand inserts the same rectangles
 // into two databases that differ only in a join index over (r, s). The
 // inserts overlap nothing in s, so maintenance writes no pair: its probe
-// reads each s tuple into the index's own scratch rectangle, and θ gets one
-// boxed copy of the new shape. So the join index may cost at most one
-// allocation per insert over the same insert without one, plus 0.05; a
-// scratch declared per insert that escapes costs one more.
+// reads each s tuple into the index's own scratch rectangle, and θ gets the
+// engine's copy of the new shape (boxed only for a polygon or segment). So
+// the join index may cost at most one allocation per insert over the same
+// insert without one, plus 0.05; a scratch declared per insert that escapes
+// costs one more.
 func TestJoinIndexMaintenanceBoxesOnlyTheOperand(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -398,6 +400,113 @@ func TestInsertKeepsTheCallersShape(t *testing.T) {
 			if unboxed > boxed+0.01 && !raceDetector() {
 				t.Errorf("%s insert (WAL %v): %.3f allocations with the shape unboxed, want <= %.3f (boxed beforehand) + 0.01",
 					c.shape, logged, unboxed, boxed)
+			}
+		}
+	}
+}
+
+// TestSelectKeepsTheCallersWindow passes each select's window unboxed at
+// the call site, a Rect or a Point value, through Select and SelectContext,
+// at the tree and the scan strategy. SelectContext reads the selector
+// through a type switch and evaluates a copy in a pooled cell, so the
+// conversion to Spatial stays on the caller's stack: an unboxed select
+// allocates at most what the same select of a window boxed beforehand
+// does, plus 0.01. A Spatial method called on the selector, or the
+// selector handed to θ, leaks it, and moves every caller's box to the heap:
+// one more allocation per select. A *Rect or *Point selector returns
+// exactly what its value returns.
+func TestSelectKeepsTheCallersWindow(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 200
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := db.CreateCollection("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadRandomRects(t, col, 1, 1000)
+	rng := rand.New(rand.NewSource(7))
+	rects := make([]Rect, n)
+	points := make([]Point, n)
+	boxedRects := make([]Spatial, n)
+	boxedPoints := make([]Spatial, n)
+	for i := range rects {
+		x, y := rng.Float64()*900, rng.Float64()*900
+		rects[i] = NewRect(x, y, x+rng.Float64()*80, y+rng.Float64()*80)
+		points[i] = Pt(x, y)
+		boxedRects[i], boxedPoints[i] = rects[i], points[i]
+	}
+	ctx := context.Background()
+	// perSelect returns the allocations per select of n counted selects,
+	// after n warm-up ones, of sel(i).
+	perSelect := func(sel func(i int) error) float64 {
+		return testing.AllocsPerRun(1, func() {
+			for i := 0; i < n; i++ {
+				if err := sel(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / n
+	}
+	for _, strategy := range []Strategy{TreeStrategy, ScanStrategy} {
+		for _, c := range []struct {
+			call           string
+			boxed, unboxed func(i int) error
+		}{
+			{"Rect, Select", func(i int) error {
+				_, _, err := db.Select(col, boxedRects[i], Overlaps(), strategy)
+				return err
+			}, func(i int) error {
+				_, _, err := db.Select(col, rects[i], Overlaps(), strategy)
+				return err
+			}},
+			{"Rect, SelectContext", func(i int) error {
+				_, _, err := db.SelectContext(ctx, col, boxedRects[i], Overlaps(), strategy)
+				return err
+			}, func(i int) error {
+				_, _, err := db.SelectContext(ctx, col, rects[i], Overlaps(), strategy)
+				return err
+			}},
+			{"Point, Select", func(i int) error {
+				_, _, err := db.Select(col, boxedPoints[i], Overlaps(), strategy)
+				return err
+			}, func(i int) error {
+				_, _, err := db.Select(col, points[i], Overlaps(), strategy)
+				return err
+			}},
+			{"Point, SelectContext", func(i int) error {
+				_, _, err := db.SelectContext(ctx, col, boxedPoints[i], Overlaps(), strategy)
+				return err
+			}, func(i int) error {
+				_, _, err := db.SelectContext(ctx, col, points[i], Overlaps(), strategy)
+				return err
+			}},
+		} {
+			boxed, unboxed := perSelect(c.boxed), perSelect(c.unboxed)
+			t.Logf("%s (%v): %.3f allocations boxed beforehand, %.3f unboxed", c.call, strategy, boxed, unboxed)
+			if unboxed > boxed+0.01 && !raceDetector() {
+				t.Errorf("%s (%v): %.3f allocations with the window unboxed, want <= %.3f (boxed beforehand) + 0.01",
+					c.call, strategy, unboxed, boxed)
+			}
+		}
+		for i := range rects {
+			for _, sel := range [][2]Spatial{{rects[i], &rects[i]}, {points[i], &points[i]}} {
+				want, _, err := db.Select(col, sel[0], Overlaps(), strategy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := db.Select(col, sel[1], Overlaps(), strategy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v select of %T %v: IDs %v, its value's %v", strategy, sel[1], sel[0], got, want)
+				}
 			}
 		}
 	}

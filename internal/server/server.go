@@ -3,6 +3,8 @@
 // with per-session contexts, pipelined query execution, graceful shutdown,
 // and admission control that sheds load with typed SERVER_BUSY verdicts
 // instead of queueing unboundedly.
+// A session keeps one idle query goroutine for its next query and starts
+// another only when none is idle, so pipelined queries still overlap.
 //
 // The server executes read-only queries (SELECT and JOIN) against one
 // *spatialjoin.Database, whose read paths are safe for concurrent use; the
@@ -142,7 +144,6 @@ func (m *metrics) queryOutcome(kind string, status wire.Status) {
 
 // Server serves the wire protocol over one database.
 type Server struct {
-	db   *spatialjoin.Database
 	opts Options
 	m    *metrics
 
@@ -208,14 +209,12 @@ func New(db *spatialjoin.Database, opts Options) *Server {
 		opts.BatchSize = wire.MaxMatchesPerFrame
 	}
 	if opts.DB == nil {
-		fixed := db
 		opts.DB = func() (*spatialjoin.Database, func(), error) {
-			return fixed, func() {}, nil
+			return db, func() {}, nil
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		db:        db,
 		opts:      opts,
 		m:         newMetrics(opts.Metrics),
 		baseCtx:   ctx,

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spatialjoin"
@@ -17,30 +18,44 @@ import (
 // session is one client connection: a read loop decoding request frames,
 // query goroutines executing admitted work against the engine, and a
 // write mutex serializing the interleaved response frames of pipelined
-// queries.
+// queries. A finished query goroutine idles for the next query unless one
+// already does: a client that waits for each answer runs on one goroutine.
 type session struct {
 	srv  *Server
 	conn net.Conn
 
-	wmu   sync.Mutex     // serializes response frames
-	out   []byte         // under wmu: the response frame being written
-	wg    sync.WaitGroup // in-flight query goroutines of this session
-	names wire.Names     // the read loop's: collection names decoded so far
+	wmu     sync.Mutex     // serializes response frames
+	out     []byte         // under wmu: the response frame being written
+	wg      sync.WaitGroup // the session's query and stream goroutines
+	names   wire.Names     // the read loop's: collection names decoded so far
+	queries chan query     // unbuffered: the read loop's hand-off to the idle goroutine
+	idle    atomic.Bool    // a query goroutine will receive from queries next
+}
+
+// query is one admitted request, decoded: no reference to the payload.
+type query struct {
+	request uint64
+	kind    string // "select" or "join"
+	sq      wire.SelectRequest
+	jq      wire.JoinRequest
+	derr    error
+	qt      queryTrace
 }
 
 // newSession wraps an accepted connection.
 func newSession(srv *Server, conn net.Conn) *session {
-	return &session{srv: srv, conn: conn}
+	return &session{srv: srv, conn: conn, queries: make(chan query)}
 }
 
 // run is the session loop: it decodes frames until the connection dies or
-// desynchronizes, dispatches requests, and on exit waits for the session's
-// query goroutines before unregistering — Shutdown's sessionWG.Wait
-// therefore transitively waits for every query goroutine. A frame's payload
-// is the reader's buffer, which the next read overwrites, so a query is
-// decoded, and a replication request copied, before its goroutine starts.
+// desynchronizes, dispatches requests, and on exit closes the hand-off and
+// waits for the session's goroutines before unregistering — Shutdown's
+// sessionWG.Wait therefore transitively waits for every query goroutine. A
+// frame's payload is the reader's buffer, which the next read overwrites,
+// so a query is decoded, and a replication request copied, first.
 func (ss *session) run() {
 	defer func() {
+		close(ss.queries)
 		ss.wg.Wait()
 		_ = ss.conn.Close()
 		ss.srv.removeSession(ss)
@@ -158,18 +173,18 @@ func (qt queryTrace) export() []obs.RemoteSpan {
 }
 
 // dispatch decodes one request frame, runs admission control for it and,
-// when admitted, executes it in its own goroutine so the session keeps
-// reading pipelined requests; the goroutine holds the decoded request,
-// never the frame's payload. A payload that does not decode is admitted
-// like any query and answered BAD_REQUEST. A request carrying a sampled
-// trace context gets a server-side trace adopted before admission, so the
-// admission wait is the first server span of the merged tree.
+// when admitted, hands it by value to the idle query goroutine (waiting out
+// its last Done write), or starts one when none is idle, so the session
+// keeps reading pipelined requests. A payload that does not decode is
+// admitted like any query and answered BAD_REQUEST. A request carrying a
+// sampled trace context gets a server-side trace adopted before admission,
+// so the admission wait is the first server span of the merged tree.
 func (ss *session) dispatch(f wire.Frame) {
-	kind, request, join := "select", f.Request, f.Type == wire.TypeJoin
+	kind := "select"
 	var sq wire.SelectRequest
 	var jq wire.JoinRequest
 	var derr error
-	if join {
+	if f.Type == wire.TypeJoin {
 		kind = "join"
 		jq, derr = ss.names.DecodeJoin(f.Payload)
 	} else {
@@ -186,6 +201,7 @@ func (ss *session) dispatch(f wire.Frame) {
 	// wait, so overload degrades into fast typed refusals instead of
 	// unbounded latency.
 	select {
+	//sjlint:ignore semrelease the token goes with its query: runQuery releases it under a defer, on whichever goroutine runs the query
 	case ss.srv.admit <- struct{}{}:
 	default:
 		if ss.srv.opts.AdmitWait <= 0 {
@@ -215,119 +231,129 @@ func (ss *session) dispatch(f wire.Frame) {
 		return
 	}
 	ss.srv.m.activeQ.Add(1)
-	ss.wg.Add(1)
-	go func() {
-		defer func() {
-			ss.srv.m.activeQ.Add(-1)
-			<-ss.srv.admit
-			ss.srv.queryEnd()
-			ss.wg.Done()
-		}()
-		start := time.Now()
-		switch {
-		case derr != nil:
-			ss.badRequest(request, kind, wire.StatusBadRequest, derr.Error())
-		case join:
-			ss.runJoin(request, jq, qt)
-		default:
-			ss.runSelect(request, sq, qt)
-		}
-		ss.srv.m.latency.Observe(time.Since(start).Seconds())
-	}()
-}
-
-// badRequest answers a request whose payload or naming failed validation.
-func (ss *session) badRequest(request uint64, kind string, status wire.Status, msg string) {
-	ss.srv.m.queryOutcome(kind, status)
-	ss.writeDone(request, 0, wire.Done{Status: status, Message: msg})
-}
-
-// acquireDB resolves the database for one query through the provider,
-// answering the typed verdict — STALE, for a replica beyond its lag
-// policy — when the provider refuses.
-func (ss *session) acquireDB(request uint64, kind string) (*spatialjoin.Database, func(), bool) {
-	db, release, err := ss.srv.opts.DB()
-	if err == nil {
-		return db, release, true
+	q := query{request: f.Request, kind: kind, sq: sq, jq: jq, derr: derr, qt: qt}
+	if ss.idle.CompareAndSwap(true, false) {
+		ss.queries <- q
+		return
 	}
+	ss.wg.Add(1)
+	go ss.serveQueries(q)
+}
+
+// serveQueries runs q, then each query handed to it as the idle goroutine.
+func (ss *session) serveQueries(q query) {
+	defer ss.wg.Done()
+	for ok := true; ok && ss.runQuery(q); {
+		q, ok = <-ss.queries
+	}
+}
+
+// runQuery runs one admitted query, on whichever goroutine carries it, and
+// gives back its admission slot. It claims the idle place, unless another
+// goroutine holds it, before it writes the Done, so a client that waits for
+// the Done finds this goroutine idle; it reports whether it claimed it.
+func (ss *session) runQuery(q query) (idle bool) {
+	defer func() {
+		ss.srv.m.activeQ.Add(-1)
+		<-ss.srv.admit
+		ss.srv.queryEnd()
+	}()
+	start := time.Now()
+	var d wire.Done
+	var done bool
+	switch {
+	case q.derr != nil:
+		d, done = ss.badRequest(q.kind, wire.StatusBadRequest, q.derr.Error())
+	case q.kind == "join":
+		d, done = ss.runJoin(q.request, q.jq, q.qt)
+	default:
+		d, done = ss.runSelect(q.request, q.sq, q.qt)
+	}
+	idle = ss.idle.CompareAndSwap(false, true)
+	if done {
+		ss.writeDone(q.request, 0, d)
+	}
+	ss.srv.m.latency.Observe(time.Since(start).Seconds())
+	return idle
+}
+
+// badRequest is the verdict on a request that failed validation.
+func (ss *session) badRequest(kind string, status wire.Status, msg string) (wire.Done, bool) {
+	ss.srv.m.queryOutcome(kind, status)
+	return wire.Done{Status: status, Message: msg}, true
+}
+
+// refused is the verdict (STALE for a lagging replica) on a refused database.
+func (ss *session) refused(kind string, err error) (wire.Done, bool) {
 	status := wire.StatusInternal
 	var se *wire.StatusError
 	if errors.As(err, &se) {
 		status = se.Status
 	}
-	ss.badRequest(request, kind, status, err.Error())
-	return nil, nil, false
+	return ss.badRequest(kind, status, err.Error())
 }
 
 // runSelect executes an admitted SELECT and streams its result.
-func (ss *session) runSelect(request uint64, q wire.SelectRequest, qt queryTrace) {
-	db, release, ok := ss.acquireDB(request, "select")
-	if !ok {
-		return
+func (ss *session) runSelect(request uint64, q wire.SelectRequest, qt queryTrace) (wire.Done, bool) {
+	db, release, err := ss.srv.opts.DB()
+	if err != nil {
+		return ss.refused("select", err)
 	}
 	defer release()
 	col, ok := db.Collection(q.Collection)
 	if !ok {
-		ss.badRequest(request, "select", wire.StatusNotFound, "unknown collection "+q.Collection)
-		return
+		return ss.badRequest("select", wire.StatusNotFound, "unknown collection "+q.Collection)
 	}
 	op, err := q.Op.Operator()
 	if err != nil {
-		ss.badRequest(request, "select", wire.StatusBadRequest, err.Error())
-		return
+		return ss.badRequest("select", wire.StatusBadRequest, err.Error())
 	}
 	strat, err := wireStrategy(q.Strategy)
 	if err != nil {
-		ss.badRequest(request, "select", wire.StatusBadRequest, err.Error())
-		return
+		return ss.badRequest("select", wire.StatusBadRequest, err.Error())
 	}
 	ids, stats, err := db.SelectContext(qt.ctx(ss.srv.baseCtx), col, q.Selector, op, strat)
-	respond(ss, request, "select", wire.TypeIDs, qt, ids, stats, err)
+	return respond(ss, request, "select", wire.TypeIDs, qt, ids, stats, err)
 }
 
 // runJoin executes an admitted JOIN and streams its canonical match set.
-func (ss *session) runJoin(request uint64, q wire.JoinRequest, qt queryTrace) {
-	db, release, ok := ss.acquireDB(request, "join")
-	if !ok {
-		return
+func (ss *session) runJoin(request uint64, q wire.JoinRequest, qt queryTrace) (wire.Done, bool) {
+	db, release, err := ss.srv.opts.DB()
+	if err != nil {
+		return ss.refused("join", err)
 	}
 	defer release()
 	r, ok := db.Collection(q.R)
 	if !ok {
-		ss.badRequest(request, "join", wire.StatusNotFound, "unknown collection "+q.R)
-		return
+		return ss.badRequest("join", wire.StatusNotFound, "unknown collection "+q.R)
 	}
 	s, ok := db.Collection(q.S)
 	if !ok {
-		ss.badRequest(request, "join", wire.StatusNotFound, "unknown collection "+q.S)
-		return
+		return ss.badRequest("join", wire.StatusNotFound, "unknown collection "+q.S)
 	}
 	op, err := q.Op.Operator()
 	if err != nil {
-		ss.badRequest(request, "join", wire.StatusBadRequest, err.Error())
-		return
+		return ss.badRequest("join", wire.StatusBadRequest, err.Error())
 	}
 	strat, err := wireStrategy(q.Strategy)
 	if err != nil {
-		ss.badRequest(request, "join", wire.StatusBadRequest, err.Error())
-		return
+		return ss.badRequest("join", wire.StatusBadRequest, err.Error())
 	}
 	ms, stats, err := db.JoinContext(qt.ctx(ss.srv.baseCtx), r, s, op, strat)
-	respond(ss, request, "join", wire.TypeMatches, qt, ms, stats, err)
+	return respond(ss, request, "join", wire.TypeMatches, qt, ms, stats, err)
 }
 
-// respond answers an executed query: its results in BatchSize frames of
-// type typ, then its Done verdict. A failed batch write ends the response
-// there: the client is gone, so nothing more is encoded or sent.
-func respond[T int | core.Match](ss *session, request uint64, kind string, typ uint8, qt queryTrace, results []T, stats spatialjoin.Stats, err error) {
+// respond streams an executed query's results in BatchSize frames of type
+// typ and returns its Done. A failed batch write ends the response there,
+// done false: the client is gone, so nothing more is encoded or sent.
+func respond[T int | core.Match](ss *session, request uint64, kind string, typ uint8, qt queryTrace, results []T, stats spatialjoin.Stats, err error) (d wire.Done, done bool) {
 	status := statusOf(stats, err, ss.srv.draining.Load())
 	ss.srv.m.queryOutcome(kind, status)
-	d := wire.Done{Status: status, Stats: wireStats(stats)}
+	d = wire.Done{Status: status, Stats: wireStats(stats)}
 	if err != nil {
 		d.Message = err.Error()
 		d.Spans = qt.export()
-		ss.writeDone(request, 0, d)
-		return
+		return d, true
 	}
 	stream := qt.tr.Begin(qt.root, "stream")
 	batch := ss.srv.opts.BatchSize
@@ -335,12 +361,12 @@ func respond[T int | core.Match](ss *session, request uint64, kind string, typ u
 	for off := 0; off < len(results); off += batch {
 		if ss.write(wire.Frame{Type: typ, Request: request}, results[off:min(off+batch, len(results))]) != nil {
 			qt.tr.End(stream)
-			return
+			return d, false
 		}
 		frames++
 	}
 	qt.tr.End(stream, obs.Int("frames", frames), obs.Int("results", int64(len(results))))
 	d.Results = uint64(len(results))
 	d.Spans = qt.export()
-	ss.writeDone(request, 0, d)
+	return d, true
 }

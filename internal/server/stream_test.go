@@ -3,10 +3,13 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,8 +35,9 @@ func raceDetector() bool {
 
 // TestServedSelectAllocations pins what one served select allocates on both
 // sides of the loopback socket: the result's IDs (the client reuses its
-// calls), the server's query goroutine and boxed selector, and the engine's
-// answer. Frames are read into and written from per-connection
+// calls) and the engine's answer. The session runs each query on the
+// goroutine it keeps idle, and the engine copies the selector instead of
+// boxing it. Frames are read into and written from per-connection
 // buffers, so the count does not grow with the frames a query takes; the
 // session interns collection names, so a name longer than one byte (which
 // a string conversion does not get for free) costs what a one-byte one
@@ -77,7 +81,7 @@ func TestServedSelectAllocations(t *testing.T) {
 	if multi != one {
 		t.Errorf("served select of a five-byte name: %.2f allocations, one-byte name %.2f", multi, one)
 	}
-	const ceiling = 4.4 // 4.00 measured, plus 10 %
+	const ceiling = 2.2 // 2.00 measured, plus 10 %
 	if one > ceiling {
 		t.Errorf("served select: %.2f allocations, want <= %g", one, ceiling)
 	}
@@ -289,4 +293,102 @@ func TestAbandonedCallIsNeverReused(t *testing.T) {
 		t.Errorf("select in flight at Close: %v, want %v", err, wire.ErrClientClosed)
 	}
 	close(gl.gate)
+}
+
+// queryGoroutines returns the IDs of the goroutines in a session's query
+// loop, read from a dump of every goroutine's stack.
+func queryGoroutines(buf []byte) []int {
+	var ids []int
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "(*session).serveQueries") {
+			var id int
+			if _, err := fmt.Sscanf(g, "goroutine %d", &id); err == nil {
+				ids = append(ids, id)
+			}
+		}
+	}
+	return ids
+}
+
+// TestSessionKeepsOneIdleQueryGoroutine checks the session's query
+// goroutines. Pipelined selects held at the gate all run at once, each on
+// its own goroutine, and once released they leave at most one idle. Then
+// 500 selects, each sent after the last one's answer, all run on that idle
+// goroutine: no dump of the goroutines, taken after each answer, shows
+// another. After Close and Shutdown the goroutine count settles to what it
+// was before the server started.
+func TestSessionKeepsOneIdleQueryGoroutine(t *testing.T) {
+	db, _, _ := newServerDB(t, false, nil)
+	_, _, world := serverWorkload()
+	base := settledGoroutines()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl := &gatedListener{Listener: ln, gate: make(chan struct{}), conns: make(chan *gatedConn, 2)}
+	srv := server.New(db, server.Options{MaxQueries: 8})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(gl) }()
+	c, err := wire.Dial(gl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := c.Ping(ctx); err != nil {
+		t.Fatal(err)
+	}
+	<-gl.conns
+	buf := make([]byte, 1<<20)
+
+	const k = 4
+	answers := make(chan error, k)
+	for i := 0; i < k; i++ {
+		go func() {
+			res, err := c.Select(ctx, "r", world, wire.Overlaps(), wire.StrategyTree)
+			if err == nil && res.Status != wire.StatusOK {
+				err = fmt.Errorf("status %v", res.Status)
+			}
+			answers <- err
+		}()
+	}
+	waitFor(t, fmt.Sprintf("%d query goroutines at once", k), func() bool { return len(queryGoroutines(buf)) == k })
+	close(gl.gate)
+	for i := 0; i < k; i++ {
+		if err := <-answers; err != nil {
+			t.Fatalf("pipelined select: %v", err)
+		}
+	}
+	waitFor(t, "at most one idle query goroutine", func() bool { return len(queryGoroutines(buf)) <= 1 })
+
+	rng := rand.New(rand.NewSource(51))
+	seen := map[int]bool{}
+	for i := 0; i < 500; i++ {
+		x, y := rng.Float64()*500, rng.Float64()*500
+		window := geom.NewRect(x, y, x+20+rng.Float64()*80, y+20+rng.Float64()*80)
+		res, err := c.Select(ctx, "r", window, wire.Overlaps(), wire.StrategyTree)
+		if err != nil || res.Status != wire.StatusOK {
+			t.Fatalf("select %d: %v, %+v", i, err, res)
+		}
+		for _, id := range queryGoroutines(buf) {
+			seen[id] = true
+		}
+	}
+	if len(seen) != 1 {
+		t.Errorf("500 sequential selects ran on query goroutines %v, want one", seen)
+	}
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-served; err != server.ErrServerClosed {
+		t.Fatalf("Serve: %v", err)
+	}
+	if n := settledGoroutines(); n > base {
+		t.Errorf("%d goroutines after Close and Shutdown, %d before the server started", n, base)
+	}
 }

@@ -26,7 +26,6 @@ type HeapFile struct {
 	fillFactor float64
 	lastPage   PageID
 	hasPage    bool
-	numRecords int
 }
 
 // NewHeapFile creates an empty heap file on the pool's disk. fillFactor must
@@ -46,11 +45,11 @@ func NewHeapFile(pool *BufferPool, fillFactor float64) (*HeapFile, error) {
 // OpenHeapFile reattaches to an existing heap file after a restart, in one
 // pass that reads each page once: it calls visit with every record in file
 // order (the bytes valid only during the call, under the pool's lock, so
-// visit must not call into the pool) and rebuilds the append state (last
-// page, record count) on the way. A page whose header is all zeroes was
-// allocated but never written back before a crash; it holds no committed
-// records and appends resume on the last initialized page before it. An
-// error from visit stops the pass and is returned.
+// visit must not call into the pool) and finds the last page to append to
+// on the way. A page whose header is all zeroes was allocated but never
+// written back before a crash; it holds no committed records and appends
+// resume on the last initialized page before it. An error from visit stops
+// the pass and is returned.
 func OpenHeapFile(pool *BufferPool, file FileID, fillFactor float64, visit func(RID, []byte) error) (*HeapFile, error) {
 	if fillFactor <= 0 || fillFactor > 1 {
 		return nil, fmt.Errorf("storage: fill factor %g out of (0,1]", fillFactor)
@@ -62,7 +61,6 @@ func OpenHeapFile(pool *BufferPool, file FileID, fillFactor float64, visit func(
 		if err := pool.Read(id, nil, func(p *Page) error {
 			if p.initialized() {
 				h.lastPage, h.hasPage = id, true
-				h.numRecords += p.NumRecords()
 			}
 			for s := 0; s < p.NumRecords(); s++ {
 				rec, err := p.Record(s)
@@ -83,9 +81,6 @@ func OpenHeapFile(pool *BufferPool, file FileID, fillFactor float64, visit func(
 
 // File returns the underlying file id.
 func (h *HeapFile) File() FileID { return h.file }
-
-// NumRecords returns the number of records appended so far.
-func (h *HeapFile) NumRecords() int { return h.numRecords }
 
 // NumPages returns the number of pages the file occupies.
 func (h *HeapFile) NumPages() int { return h.pool.Disk().NumPages(h.file) }
@@ -123,7 +118,6 @@ func (h *HeapFile) Append(rec []byte) (RID, error) {
 		return RID{}, err
 	}
 	h.lastPage, h.hasPage = id, true
-	h.numRecords++
 	return RID{Page: id}, nil // a new page's first record is slot 0
 }
 
@@ -144,9 +138,6 @@ func (h *HeapFile) insertInto(id PageID, rec []byte) (rid RID, ok bool, err erro
 		rid, ok = RID{Page: id, Slot: int32(slot)}, true
 		return slot, nil
 	})
-	if ok {
-		h.numRecords++
-	}
 	return rid, ok, err
 }
 

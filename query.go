@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"spatialjoin/internal/core"
 	"spatialjoin/internal/fault"
@@ -48,10 +49,10 @@ func (s Strategy) String() string {
 type Stats = join.Stats
 
 // Select returns the IDs of objects a in c with o θ a, along with the
-// measured work. IndexStrategy is not supported for ad-hoc selectors (a
-// join index relates stored tuples only — the paper's point that a generic
-// search range "is defined ad hoc by the user" and cannot be precomputed);
-// use SelectStored for a stored selector.
+// measured work; SelectContext lists the types o may have. IndexStrategy is
+// not supported for ad-hoc selectors (a join index relates stored tuples
+// only — the paper's point that a generic search range "is defined ad hoc
+// by the user" and cannot be precomputed); use SelectStored for those.
 func (db *Database) Select(c *Collection, o Spatial, op Operator, strategy Strategy) ([]int, Stats, error) {
 	return db.SelectContext(context.Background(), c, o, op, strategy)
 }
@@ -60,10 +61,18 @@ func (db *Database) Select(c *Collection, o Spatial, op Operator, strategy Strat
 // Config.QueryTimeout when set). A tree-strategy selection descends the
 // heap-derived R-tree, which reads no page, and reads an object's heap page
 // when θ evaluates the object; a storage fault on that page surfaces as a
-// typed error, and only where the query reads.
+// typed error, and only where the query reads. The selector, a Rect, Point,
+// Polygon or Segment, or a non-nil *Rect or *Point, is copied through a type
+// switch (shapeCell.hold), so the caller's box of it stays on its stack.
 func (db *Database) SelectContext(ctx context.Context, c *Collection, o Spatial, op Operator, strategy Strategy) ([]int, Stats, error) {
 	if c == nil || o == nil || op == nil {
 		return nil, Stats{}, fmt.Errorf("spatialjoin: nil select argument")
+	}
+	cell := shapeCells.Get().(*shapeCell)
+	defer shapeCells.Put(cell)
+	sel, err := cell.hold(o)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	if err := db.checkUsable(); err != nil {
 		return nil, Stats{}, err
@@ -71,13 +80,13 @@ func (db *Database) SelectContext(ctx context.Context, c *Collection, o Spatial,
 	ctx, cancel := db.queryCtx(ctx)
 	defer cancel()
 	ctx, q := db.beginQuery(ctx, "select", strategy)
-	ids, stats, err := db.selectOnce(ctx, c, o, op, strategy)
+	ids, stats, err := db.selectOnce(ctx, c, sel, op, strategy)
 	if err == nil || strategy != TreeStrategy || !fault.IsPermanent(err) || ctx.Err() != nil {
 		q.end(stats, err)
 		return ids, stats, err
 	}
 	q.downgrade(err)
-	ids, scanStats, err2 := db.selectOnce(ctx, c, o, op, ScanStrategy)
+	ids, scanStats, err2 := db.selectOnce(ctx, c, sel, op, ScanStrategy)
 	if err2 != nil {
 		total := stats.Add(scanStats)
 		err = fmt.Errorf("spatialjoin: scan fallback after %v failure (%v): %w", strategy, err, err2)
@@ -88,6 +97,46 @@ func (db *Database) SelectContext(ctx context.Context, c *Collection, o Spatial,
 	total.Downgrades++
 	q.end(total, nil)
 	return ids, total, nil
+}
+
+// shapeCell holds the engine's copy of a Rect or Point that θ evaluates: a
+// select's selector, or an insert's shape under a join index.
+type shapeCell struct {
+	rect  Rect
+	point Point
+}
+
+var shapeCells = sync.Pool{New: func() any { return new(shapeCell) }}
+
+// hold returns what θ evaluates for o: a pointer into the cell for a Rect or
+// Point, or a boxed copy of a Polygon or Segment. Its errors (a nil pointer,
+// any other type) do not format o, because that would leak it.
+func (cell *shapeCell) hold(o Spatial) (Spatial, error) {
+	switch s := o.(type) {
+	case Rect:
+		cell.rect = s
+		return &cell.rect, nil
+	case *Rect:
+		if s != nil {
+			cell.rect = *s
+			return &cell.rect, nil
+		}
+	case Point:
+		cell.point = s
+		return &cell.point, nil
+	case *Point:
+		if s != nil {
+			cell.point = *s
+			return &cell.point, nil
+		}
+	case Polygon:
+		return s, nil
+	case Segment:
+		return s, nil
+	default:
+		return nil, fmt.Errorf("spatialjoin: a selector must be a Rect, Point, Polygon or Segment")
+	}
+	return nil, fmt.Errorf("spatialjoin: nil select argument")
 }
 
 // selectOnce runs one strategy attempt without degradation.
@@ -358,22 +407,17 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 // collection (the paper's U_III cost). Each probe reads only the other
 // tuple's shape, θ's operand, straight from its record
 // (relation.Relation.Spatial), a rectangle into the index's scratch. θ is an
-// interface method, so it gets a copy of shape boxed here, and only when a
-// join index exists: the caller's box stays on its stack.
+// interface method, so it gets the engine's copy of shape (shapeCell.hold),
+// and only when a join index exists: the caller's box stays on its stack.
 func (db *Database) maintainJoinIndices(c *Collection, id int, shape Spatial) error {
 	if len(db.joinIndices) == 0 {
 		return nil
 	}
-	var obj Spatial
-	switch s := shape.(type) {
-	case Rect:
-		obj = s
-	case Point:
-		obj = s
-	case Polygon:
-		obj = s
-	case Segment:
-		obj = s
+	cell := shapeCells.Get().(*shapeCell)
+	defer shapeCells.Put(cell)
+	obj, err := cell.hold(shape)
+	if err != nil {
+		return err
 	}
 	for _, ji := range db.joinIndices {
 		// Both branches run for a self-join index (ji.r == ji.s == c). The

@@ -309,7 +309,21 @@ func TestSelectErrors(t *testing.T) {
 	if _, _, err := db.Select(c, NewRect(0, 0, 1, 1), Overlaps(), Strategy(9)); err == nil {
 		t.Fatal("unknown strategy must fail")
 	}
+	if _, _, err := db.Select(c, otherSelector{}, Overlaps(), TreeStrategy); err == nil {
+		t.Fatal("a selector of a type the engine does not evaluate must fail")
+	}
+	if _, err := c.Insert(NewRect(0, 0, 2, 2), "after"); err != nil {
+		t.Fatal(err)
+	}
+	if ids, _, err := db.Select(c, NewRect(0, 0, 1, 1), Overlaps(), TreeStrategy); err != nil || len(ids) != 1 {
+		t.Fatalf("select after the refused selector: %v, %v; want one ID", ids, err)
+	}
 }
+
+// otherSelector is a Spatial of a type the engine does not evaluate.
+type otherSelector struct{}
+
+func (otherSelector) Bounds() Rect { return NewRect(0, 0, 1, 1) }
 
 func TestJoinStrategiesAgree(t *testing.T) {
 	db := openT(t)
