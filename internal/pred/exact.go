@@ -23,10 +23,12 @@ const (
 	kindPolygon
 )
 
-// canonical converts any supported Spatial into a shape. Unknown concrete
-// types degrade gracefully to their MBR polygon, which keeps Eval total (the
-// predicate is then exact on the MBR rather than the underlying geometry).
-func canonical(s geom.Spatial) shape {
+// canonical converts any supported Spatial into a shape. A rectangle
+// becomes the polygon of its corners, written into the caller's corners so
+// that it stays off the heap. Unknown concrete types degrade gracefully to
+// their MBR polygon, which keeps Eval total (the predicate is then exact on
+// the MBR rather than the underlying geometry).
+func canonical(s geom.Spatial, corners *[4]geom.Point) shape {
 	switch v := s.(type) {
 	case geom.Point:
 		return shape{kind: kindPoint, pt: v}
@@ -37,12 +39,13 @@ func canonical(s geom.Spatial) shape {
 	case geom.Polygon:
 		return shape{kind: kindPolygon, poly: v}
 	case geom.Rect:
-		return shape{kind: kindPolygon, poly: v.ToPolygon()}
+		*corners = v.Vertices()
 	case *geom.Rect:
-		return shape{kind: kindPolygon, poly: v.ToPolygon()}
+		*corners = v.Vertices()
 	default:
-		return shape{kind: kindPolygon, poly: s.Bounds().ToPolygon()}
+		*corners = s.Bounds().Vertices()
 	}
+	return shape{kind: kindPolygon, poly: corners[:]}
 }
 
 // bothRects reports whether a and b are both plain rectangles, by value or
@@ -70,7 +73,8 @@ func exactIntersects(a, b geom.Spatial) bool {
 	if bothRects(a, b) {
 		return true
 	}
-	sa, sb := canonical(a), canonical(b)
+	var ca, cb [4]geom.Point
+	sa, sb := canonical(a, &ca), canonical(b, &cb)
 	// Normalize so sa.kind ≤ sb.kind, halving the case analysis.
 	if sa.kind > sb.kind {
 		sa, sb = sb, sa
@@ -116,7 +120,8 @@ func exactContains(a, b geom.Spatial) bool {
 	if bothRects(a, b) {
 		return true
 	}
-	sa, sb := canonical(a), canonical(b)
+	var ca, cb [4]geom.Point
+	sa, sb := canonical(a, &ca), canonical(b, &cb)
 	switch sa.kind {
 	case kindPoint:
 		// A point contains only an identical point.
@@ -161,7 +166,8 @@ func exactMinDistance(a, b geom.Spatial) float64 {
 	if exactIntersects(a, b) {
 		return 0
 	}
-	sa, sb := canonical(a), canonical(b)
+	var ca, cb [4]geom.Point
+	sa, sb := canonical(a, &ca), canonical(b, &cb)
 	if sa.kind > sb.kind {
 		sa, sb = sb, sa
 	}

@@ -19,20 +19,16 @@ import (
 	"spatialjoin/internal/wire"
 )
 
+// TestShutdownDrainsInFlightAndLeaksNothing holds a join in flight by
+// holding its answer at the connection, and releases it only once the idle
+// client's query has been refused during the drain: what stays in flight is
+// decided by the test, not by how long the join takes.
 func TestShutdownDrainsInFlightAndLeaksNothing(t *testing.T) {
 	before := settledGoroutines()
 
-	db, r, s := newServerDB(t, false, func(c *spatialjoin.Config) {
-		c.Workers = 1
-		c.Fault = &fault.Options{Seed: 4400, ReadLatency: 10 * time.Millisecond}
-	})
-	// Ground truth while the cache is warm (reads never hit the slow
-	// device), then drop it so the in-flight query is genuinely slow.
+	db, r, s := newServerDB(t, false, func(c *spatialjoin.Config) { c.Workers = 1 })
 	want, _, err := db.Join(r, s, spatialjoin.Overlaps(), spatialjoin.ScanStrategy)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.DropCache(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -41,20 +37,27 @@ func TestShutdownDrainsInFlightAndLeaksNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gl := &gatedListener{Listener: ln, gate: make(chan struct{}), conns: make(chan *gatedConn, 2)}
 	srv := server.New(db, server.Options{Metrics: reg})
 	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
+	go func() { serveDone <- srv.Serve(gl) }()
 	addr := ln.Addr().String()
 
-	slow := dialClient(t, addr)
-	idle := dialClient(t, addr)
+	// A connection's first server write passes the gate and every later
+	// one waits for it. The slow client spends its first on a ping, so its
+	// join's answer waits; the idle client sends nothing before the drain,
+	// so the verdict refusing its query passes.
 	ctx := context.Background()
-	if err := idle.Ping(ctx); err != nil {
+	slow := dialClient(t, addr)
+	if err := slow.Ping(ctx); err != nil {
 		t.Fatal(err)
 	}
+	slowConn := <-gl.conns
+	idle := dialClient(t, addr)
+	<-gl.conns
+	activeConns := reg.Gauge("spatialjoin_server_active_connections", "")
+	waitFor(t, "both sessions open", func() bool { return activeConns.Value() == 2 })
 
-	// A cold tree join over the 4ms-latency device: slow enough that the
-	// whole drain choreography below happens while it is in flight.
 	type joinReply struct {
 		res wire.Result
 		err error
@@ -64,22 +67,23 @@ func TestShutdownDrainsInFlightAndLeaksNothing(t *testing.T) {
 		res, err := slow.Join(ctx, "r", "s", wire.Overlaps(), wire.StrategyTree)
 		slowCh <- joinReply{res, err}
 	}()
+	waitFor(t, "the join's answer at the gate", func() bool {
+		writes, _ := slowConn.counts()
+		return writes > 1
+	})
 	activeQ := reg.Gauge("spatialjoin_server_active_queries", "")
-	waitFor(t, "slow join admitted", func() bool { return activeQ.Value() == 1 })
+	if n := activeQ.Value(); n != 1 {
+		t.Fatalf("active_queries = %d with the join held, want 1", n)
+	}
 
 	shutCh := make(chan error, 1)
 	go func() { shutCh <- srv.Shutdown(context.Background()) }()
 
-	// Shutdown closes the listeners after setting the draining flag, so
-	// once a fresh dial fails we know draining is visible everywhere.
-	waitFor(t, "listener closed", func() bool {
-		c, err := net.Dial("tcp", addr)
-		if err != nil {
-			return true
-		}
-		_ = c.Close()
-		return false
-	})
+	// Shutdown sets the draining flag before it closes the listeners, and
+	// Serve returns once its listener is closed.
+	if err := <-serveDone; err != server.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
 
 	// New work on a surviving session is refused with a typed verdict and
 	// the shed flag — it never touched the engine.
@@ -91,7 +95,8 @@ func TestShutdownDrainsInFlightAndLeaksNothing(t *testing.T) {
 		t.Fatalf("query during drain: status %s flags %#x, want shutting_down+shed", res.Status, res.Flags)
 	}
 
-	// The in-flight query drains to a complete, exact answer.
+	// The in-flight query drains to a complete, exact answer once released.
+	close(gl.gate)
 	reply := <-slowCh
 	if reply.err != nil {
 		t.Fatalf("in-flight join during drain: %v", reply.err)
@@ -104,10 +109,7 @@ func TestShutdownDrainsInFlightAndLeaksNothing(t *testing.T) {
 	if err := <-shutCh; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if err := <-serveDone; err != server.ErrServerClosed {
-		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
-	}
-	if n := reg.Gauge("spatialjoin_server_active_connections", "").Value(); n != 0 {
+	if n := activeConns.Value(); n != 0 {
 		t.Errorf("active_connections = %d after shutdown, want 0", n)
 	}
 	if n := activeQ.Value(); n != 0 {

@@ -47,11 +47,12 @@ func (s PoolStats) HitRatio() float64 {
 // The frame table is one array of Capacity frames, allocated with the pool
 // and never moved; the recency order is a doubly-linked list threaded
 // through the frames by index, and a directory indexed by file and page
-// finds a resident page's frame. A frame's page buffer is allocated when
-// the frame is first filled and then stays with the pool: a miss reads into
-// a spare buffer and swaps it with the victim's, so neither a hit nor a
-// steady-state miss allocates. The price is the contract on Fetch: a
-// page's bytes are only the caller's until the next pool call.
+// finds a resident page's frame. A frame's page buffer is carved from a
+// slab of several pages when the frame is first filled and then stays with
+// the pool: a miss reads into a spare buffer and swaps it with the
+// victim's, so neither a hit nor a steady-state miss allocates. The price
+// is the contract on Fetch: a page's bytes are only the caller's until the
+// next pool call.
 //
 // Every physical transfer is verified end-to-end: pages read from the
 // device are checked against the device's recorded checksum, so a page
@@ -70,6 +71,7 @@ type BufferPool struct {
 	dir        [][]int32   // dir[file][page]: the page's frame + 1, or 0 when not resident
 	head, tail int32       // most and least recently used frame; noFrame when empty
 	spare      []byte      // the buffer the next miss reads into; nil until needed
+	slab       []byte      // uncarved page buffers for frames filled the first time
 	writeSet   []pageTouch // pages the open transaction changed; always empty without a WAL
 
 	logicalReads atomic.Int64
@@ -385,11 +387,29 @@ func (bp *BufferPool) create(file FileID, f func(*Page) (slot int, err error)) (
 		}
 		return PageID{}, err
 	}
-	*fr = frame{id: id, page: Page{buf: append(fr.page.buf[:0], make([]byte, bp.disk.PageSize())...)}}
+	buf := fr.page.buf
+	if buf == nil {
+		buf = bp.carveLocked()
+	}
+	clear(buf)
+	*fr = frame{id: id, page: Page{buf: buf}}
 	fr.page.init()
 	bp.setFrame(id, i+1)
 	bp.pushFrontLocked(i)
 	return id, bp.writeLocked(i, f)
+}
+
+// carveLocked cuts a page buffer from the slab, a fresh one of up to
+// extentPages pages when it is spent. Its capacity is one page, so buffers
+// swapped between frames and the spare never overlap.
+func (bp *BufferPool) carveLocked() []byte {
+	ps := bp.disk.PageSize()
+	if len(bp.slab) < ps {
+		bp.slab = make([]byte, ps*min(extentPages, bp.capacity+1))
+	}
+	buf := bp.slab[:ps:ps]
+	bp.slab = bp.slab[ps:]
+	return buf
 }
 
 // writeLocked runs f on frame i's page and marks the slot it appended.
@@ -429,7 +449,7 @@ func (bp *BufferPool) fetchLocked(id PageID, reads *obs.Counter) (int32, error) 
 	bp.misses.Add(1)
 	reads.Inc()
 	if bp.spare == nil {
-		bp.spare = make([]byte, bp.disk.PageSize())
+		bp.spare = bp.carveLocked()
 	}
 	if err := bp.readPage(id, bp.spare); err != nil {
 		return noFrame, err

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -135,13 +136,26 @@ func IsChecksum(err error) bool {
 type Disk struct {
 	mu       sync.Mutex
 	pageSize int
-	files    map[FileID][][]byte
-	sums     map[PageID]uint32
-	nextFile FileID
+	files    []diskFile // indexed by FileID; IDs are dense and never reused
 	zeroSum  uint32
 
 	reads  atomic.Int64
 	writes atomic.Int64
+}
+
+// extentPages is the number of pages in one extent: a 32-page log segment
+// is four allocations, and a file wastes at most seven pages of its last
+// extent.
+const extentPages = 8
+
+// diskFile is one file. Page p is the k-th pageSize bytes of
+// extents[p/extentPages], k = p%extentPages, and its checksum the k-th
+// little-endian uint32 after that extent's pages. The slots past the last
+// page are zero, so a page allocated there needs no clearing.
+type diskFile struct {
+	extents [][]byte
+	pages   int
+	dropped bool
 }
 
 // NewDisk returns an empty disk with the given page size (DefaultPageSize
@@ -152,8 +166,6 @@ func NewDisk(pageSize int) *Disk {
 	}
 	return &Disk{
 		pageSize: pageSize,
-		files:    make(map[FileID][][]byte),
-		sums:     make(map[PageID]uint32),
 		zeroSum:  PageChecksum(make([]byte, pageSize)),
 	}
 }
@@ -165,17 +177,23 @@ func (d *Disk) PageSize() int { return d.pageSize }
 func (d *Disk) Files() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return int(d.nextFile)
+	return len(d.files)
 }
 
 // CreateFile allocates a new empty file and returns its id.
 func (d *Disk) CreateFile() FileID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	id := d.nextFile
-	d.nextFile++
-	d.files[id] = nil
-	return id
+	d.files = append(d.files, diskFile{})
+	return FileID(len(d.files) - 1)
+}
+
+// file returns file f, or nil when the disk never created it or dropped it.
+func (d *Disk) file(f FileID) *diskFile {
+	if f < 0 || int(f) >= len(d.files) || d.files[f].dropped {
+		return nil
+	}
+	return &d.files[f]
 }
 
 // DropFile deletes a file's pages and their checksums. The ID stays
@@ -183,14 +201,10 @@ func (d *Disk) CreateFile() FileID {
 func (d *Disk) DropFile(f FileID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pages, ok := d.files[f]
-	if !ok {
+	if d.file(f) == nil {
 		return fmt.Errorf("storage: drop of unknown file %d", f)
 	}
-	for p := range pages {
-		delete(d.sums, PageID{File: f, Page: int32(p)})
-	}
-	delete(d.files, f)
+	d.files[f] = diskFile{dropped: true}
 	return nil
 }
 
@@ -200,18 +214,47 @@ func (d *Disk) DropFile(f FileID) error {
 func (d *Disk) resize(f FileID, n int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pages := d.files[f]
-	for p := n; p < len(pages); p++ {
-		delete(d.sums, PageID{File: f, Page: int32(p)})
+	fl := &d.files[f]
+	fl.dropped = false
+	for ; fl.pages > n; fl.pages-- {
+		page, _ := d.locate(PageID{File: f, Page: int32(fl.pages - 1)})
+		clear(page)
 	}
-	if n < len(pages) {
-		pages = pages[:n:n]
+	keep := (fl.pages + extentPages - 1) / extentPages
+	clear(fl.extents[keep:])
+	fl.extents = fl.extents[:keep]
+	for fl.pages < n {
+		d.grow(f)
 	}
-	for p := len(pages); p < n; p++ {
-		pages = append(pages, make([]byte, d.pageSize))
-		d.sums[PageID{File: f, Page: int32(p)}] = d.zeroSum
+}
+
+// grow appends a zero page to file f, with a new extent when the last one
+// is full, and records the zero page's checksum.
+func (d *Disk) grow(f FileID) PageID {
+	fl := &d.files[f]
+	if fl.pages%extentPages == 0 {
+		if fl.extents == nil {
+			fl.extents = make([][]byte, 0, 4) // a log segment's four extents
+		}
+		fl.extents = append(fl.extents, make([]byte, extentPages*(d.pageSize+4)))
 	}
-	d.files[f] = pages
+	fl.pages++
+	id := PageID{File: f, Page: int32(fl.pages - 1)}
+	_, sum := d.locate(id)
+	binary.LittleEndian.PutUint32(sum, d.zeroSum)
+	return id
+}
+
+// locate returns page id and the 4 bytes holding its checksum, or nil when
+// the disk holds no such page.
+func (d *Disk) locate(id PageID) (page, sum []byte) {
+	fl := d.file(id.File)
+	if fl == nil || id.Page < 0 || int(id.Page) >= fl.pages {
+		return nil, nil
+	}
+	ext, k := fl.extents[id.Page/extentPages], int(id.Page%extentPages)
+	off := extentPages*d.pageSize + 4*k
+	return ext[k*d.pageSize : (k+1)*d.pageSize], ext[off : off+4]
 }
 
 // AllocPage appends a fresh zeroed page to the file and returns its id.
@@ -219,21 +262,20 @@ func (d *Disk) resize(f FileID, n int) {
 func (d *Disk) AllocPage(f FileID) (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pages, ok := d.files[f]
-	if !ok {
+	if d.file(f) == nil {
 		return PageID{}, fmt.Errorf("storage: unknown file %d", f)
 	}
-	d.files[f] = append(pages, make([]byte, d.pageSize))
-	id := PageID{File: f, Page: int32(len(pages))}
-	d.sums[id] = d.zeroSum
-	return id, nil
+	return d.grow(f), nil
 }
 
 // NumPages returns the number of pages in file f.
 func (d *Disk) NumPages(f FileID) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.files[f])
+	if fl := d.file(f); fl != nil {
+		return fl.pages
+	}
+	return 0
 }
 
 // ReadPageInto copies the page's content into buf, verifies it against the
@@ -242,19 +284,17 @@ func (d *Disk) NumPages(f FileID) int {
 func (d *Disk) ReadPageInto(id PageID, buf []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pages, ok := d.files[id.File]
-	if !ok || int(id.Page) < 0 || int(id.Page) >= len(pages) {
+	page, sum := d.locate(id)
+	if page == nil {
 		return fmt.Errorf("storage: read of invalid page %v", id)
 	}
 	if len(buf) != d.pageSize {
 		return fmt.Errorf("storage: read of %d-byte page into %d bytes", d.pageSize, len(buf))
 	}
 	d.reads.Add(1)
-	copy(buf, pages[id.Page])
-	if want, ok := d.sums[id]; ok {
-		if got := PageChecksum(buf); got != want {
-			return &ChecksumError{Page: id, Want: want, Got: got}
-		}
+	copy(buf, page)
+	if want, got := binary.LittleEndian.Uint32(sum), PageChecksum(buf); got != want {
+		return &ChecksumError{Page: id, Want: want, Got: got}
 	}
 	return nil
 }
@@ -267,16 +307,16 @@ func (d *Disk) ReadPage(id PageID) ([]byte, error) { return ReadPage(d, id) }
 func (d *Disk) WritePage(id PageID, buf []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pages, ok := d.files[id.File]
-	if !ok || int(id.Page) < 0 || int(id.Page) >= len(pages) {
+	page, sum := d.locate(id)
+	if page == nil {
 		return fmt.Errorf("storage: write of invalid page %v", id)
 	}
 	if len(buf) != d.pageSize {
 		return fmt.Errorf("storage: write of %d bytes to %d-byte page", len(buf), d.pageSize)
 	}
 	d.writes.Add(1)
-	copy(pages[id.Page], buf)
-	d.sums[id] = PageChecksum(buf)
+	copy(page, buf)
+	binary.LittleEndian.PutUint32(sum, PageChecksum(buf))
 	return nil
 }
 
@@ -284,8 +324,11 @@ func (d *Disk) WritePage(id PageID, buf []byte) error {
 func (d *Disk) Checksum(id PageID) (uint32, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sum, ok := d.sums[id]
-	return sum, ok
+	_, sum := d.locate(id)
+	if sum == nil {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(sum), true
 }
 
 // Stats returns a snapshot of the physical I/O counters.
