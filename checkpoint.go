@@ -1,8 +1,11 @@
 package spatialjoin
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"spatialjoin/internal/fault"
@@ -160,22 +163,31 @@ func (db *Database) RecoveryInfo() RecoveryStats { return db.recovered }
 // collection, then of every join index — in deterministic (name, key)
 // order. Caller holds db.mu.
 func (db *Database) manifestLocked() []wal.Record {
-	var m []wal.Record
-	names := make([]string, 0, len(db.collections))
-	for name := range db.collections {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m = append(m, db.collections[name].registration())
-	}
-	keys := make([]string, 0, len(db.joinIndices))
-	for key := range db.joinIndices {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		m = append(m, db.joinIndices[key].registration())
+	m := make([]wal.Record, len(db.catalog))
+	for i, e := range db.catalog {
+		m[i] = e.rec
 	}
 	return m
+}
+
+// catalogEntry is one registration in the checkpoint manifest and the name
+// (collection) or key (join index) it sorts by.
+type catalogEntry struct {
+	key string
+	rec wal.Record
+}
+
+// registerLocked files rec, the registration of the collection or join
+// index under key, at its place in the manifest: collections before join
+// indices, each in key order, so a checkpoint copies the manifest without
+// sorting or encoding it. Caller holds db.mu or has not yet shared db.
+func (db *Database) registerLocked(key string, rec wal.Record) {
+	e := catalogEntry{key: key, rec: rec}
+	i, _ := slices.BinarySearchFunc(db.catalog, e, func(a, b catalogEntry) int {
+		if c := cmp.Compare(a.rec.Type, b.rec.Type); c != 0 {
+			return c
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	db.catalog = slices.Insert(db.catalog, i, e)
 }

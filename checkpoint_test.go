@@ -8,10 +8,12 @@ package spatialjoin
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
 	"spatialjoin/internal/storage"
+	"spatialjoin/internal/wal"
 )
 
 // runSteps drives a workload prefix against db, failing the test on any
@@ -324,4 +326,70 @@ func TestCheckpointConcurrentWithWriters(t *testing.T) {
 		t.Fatalf("Reopen: %v", err)
 	}
 	mustMatch(t, rdb, final, "recovery after concurrent checkpoints")
+}
+
+// TestCheckpointManifestIsKeptSorted: the manifest a checkpoint copies
+// holds every collection's registration in name order, then every join
+// index's in key order, whatever order they were created in, and a
+// Reopen rebuilds it record for record. Building it costs one allocation,
+// with one collection as with eight.
+func TestCheckpointManifestIsKeptSorted(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WAL = true
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	manifest := func(db *Database) []wal.Record {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		return db.manifestLocked()
+	}
+	names := []string{"m", "c", "x", "a", "q", "b", "z", "k"}
+	cols := make(map[string]*Collection)
+	for i, name := range names {
+		if cols[name], err = db.CreateCollection(name); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || i == len(names)-1 {
+			n := i + 1
+			if allocs := testing.AllocsPerRun(100, func() { manifest(db) }); allocs > 1 {
+				t.Errorf("building the manifest of %d collections allocates %.0f times, want ≤ 1", n, allocs)
+			}
+		}
+	}
+	for _, pair := range [][2]string{{"x", "c"}, {"a", "m"}, {"c", "x"}} {
+		if _, _, err := db.BuildJoinIndex(cols[pair[0]], cols[pair[1]], Overlaps()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var want []wal.Record
+	sort.Strings(names)
+	for _, name := range names {
+		want = append(want, cols[name].registration())
+	}
+	var keys []string
+	for key := range db.joinIndices {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		want = append(want, db.joinIndices[key].registration())
+	}
+	if got := manifest(db); !reflect.DeepEqual(got, want) {
+		t.Fatalf("manifest out of order or stale:\n got %v\nwant %v", got, want)
+	}
+
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rdb, _, err := Reopen(cfg, db.Device())
+	if err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	if got := manifest(rdb); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened manifest differs:\n got %v\nwant %v", got, want)
+	}
 }

@@ -10,7 +10,6 @@
 //	spanclose      obs spans are ended on every outcome
 //	semrelease     admission tokens are released on every path
 //	txnatomic      a WAL transaction reaches Commit or Abort on every path
-//	streamclose    replication streams reach Close on every outcome
 //
 // Findings can be suppressed with a trailing or preceding line comment:
 //

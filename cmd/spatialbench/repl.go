@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"text/tabwriter"
+	"time"
 
 	"spatialjoin"
 	"spatialjoin/cmd/internal/cli"
@@ -15,6 +18,9 @@ import (
 	"spatialjoin/internal/storage"
 	"spatialjoin/internal/wire"
 )
+
+// errCaughtUp ends a measured tail stream at its first empty chunk.
+var errCaughtUp = errors.New("tail caught up")
 
 // replRow is one measured catch-up: a replica position fixed right after
 // a seed, a divergence committed behind it, and the bytes each of the
@@ -52,7 +58,9 @@ func measureReplRow(seed int64, base, divergence int) (replRow, error) {
 	if err != nil {
 		return row, err
 	}
-	src, err := repl.NewSource(db, repl.SourceOptions{})
+	// A heartbeat as soon as the tail is idle ends the tail measurement
+	// without waiting out the default interval.
+	src, err := repl.NewSource(db, repl.SourceOptions{HeartbeatEvery: time.Nanosecond})
 	if err != nil {
 		return row, err
 	}
@@ -70,40 +78,28 @@ func measureReplRow(seed int64, base, divergence int) (replRow, error) {
 		return row, err
 	}
 
-	// Tail first: it needs the log the delta's checkpoint would seal.
-	t, err := src.OpenTail(position)
-	if err != nil {
-		return row, err
-	}
-	defer t.Close()
-	for {
-		c, err := t.Next(wire.MaxReplChunk)
-		if err != nil {
-			return row, err
-		}
+	// Tail first: it needs the log the delta's checkpoint would seal. The
+	// first empty chunk says the tail is caught up.
+	err = src.StreamTail(context.Background(), position, func(c wire.WALChunk) error {
 		if len(c.Records) == 0 {
-			break
+			return errCaughtUp
 		}
 		row.tailBytes += len(c.Records)
+		return nil
+	})
+	if !errors.Is(err, errCaughtUp) {
+		return row, err
 	}
 
-	st, err := src.OpenSnap(position)
+	var deltaBuf bytes.Buffer
+	full, err := src.StreamSnap(context.Background(), position, func(c wire.SnapChunk) error {
+		deltaBuf.Write(c.Data)
+		return nil
+	})
 	if err != nil {
 		return row, err
 	}
-	defer st.Close()
-	var deltaBuf bytes.Buffer
-	for {
-		data, err := st.Next(wire.MaxReplChunk)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return row, err
-		}
-		deltaBuf.Write(data)
-	}
-	if st.Full {
+	if full {
 		return row, fmt.Errorf("source shipped a full snapshot where a delta was expected")
 	}
 	row.deltaBytes = deltaBuf.Len()

@@ -104,12 +104,14 @@ type Database struct {
 	wal         *wal.Log    // nil unless Config.WAL
 	collections map[string]*Collection
 	joinIndices map[string]*JoinIndex
+	catalog     []catalogEntry // the checkpoint manifest, kept sorted
 	nextTxn     uint64
 	poisoned    error // set when a WAL transaction died mid-flight
 	closed      bool
 
 	// mu guards the transaction bookkeeping a fuzzy checkpoint must see
-	// atomically: nextTxn, activeTxns and the catalog maps' membership.
+	// atomically: nextTxn, activeTxns, the catalog maps' membership and
+	// the manifest that catalog keeps of them.
 	// Queries and in-transaction page work never hold it.
 	mu sync.Mutex
 	// activeTxns maps every in-flight transaction to its begin LSN, from
@@ -220,6 +222,7 @@ func (db *Database) CreateCollection(name string) (*Collection, error) {
 		return nil, fmt.Errorf("spatialjoin: collection %q already exists", name)
 	}
 	var c *Collection
+	var reg wal.Record
 	err := db.runTxn(func(txn uint64) error {
 		sch, err := collectionSchema()
 		if err != nil {
@@ -238,8 +241,8 @@ func (db *Database) CreateCollection(name string) (*Collection, error) {
 			return err
 		}
 		c = &Collection{db: db, name: name, rel: rel, table: table, index: index}
+		reg = c.registration()
 		if db.wal != nil {
-			reg := c.registration()
 			_, err = db.wal.AppendCatalog(txn, reg.Type, reg.Data)
 			return err
 		}
@@ -250,12 +253,14 @@ func (db *Database) CreateCollection(name string) (*Collection, error) {
 	}
 	db.mu.Lock()
 	db.collections[name] = c
+	db.registerLocked(name, reg)
 	db.mu.Unlock()
 	return c, nil
 }
 
 // registration is the catalog record naming c's heap file: logged when c is
-// created, and carried by every checkpoint manifest after that.
+// created, and carried by every checkpoint manifest after that. It is
+// encoded once per creation or reopen (registerLocked).
 func (c *Collection) registration() wal.Record {
 	return wal.Record{Type: wal.RecNewCollection, Data: wal.EncodeNewCollection(wal.NewCollection{
 		Name: c.name, HeapFile: c.rel.FileID(),

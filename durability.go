@@ -283,7 +283,9 @@ func (db *Database) reopenCollection(nc wal.NewCollection) error {
 	if err != nil {
 		return err
 	}
-	db.collections[nc.Name] = &Collection{db: db, name: nc.Name, rel: rel, table: table, index: index}
+	c := &Collection{db: db, name: nc.Name, rel: rel, table: table, index: index}
+	db.collections[nc.Name] = c
+	db.registerLocked(nc.Name, c.registration())
 	return nil
 }
 
@@ -303,7 +305,8 @@ func (db *Database) reopenJoinIndex(nj wal.NewJoinIndex) error {
 	if err != nil {
 		return err
 	}
-	if _, dup := db.joinIndices[joinIndexKey(r, s, op)]; dup {
+	key := joinIndexKey(r, s, op)
+	if _, dup := db.joinIndices[key]; dup {
 		return nil
 	}
 	ix, err := joinindex.New(db.cfg.JoinIndexOrder)
@@ -320,8 +323,8 @@ func (db *Database) reopenJoinIndex(nj wal.NewJoinIndex) error {
 	if err != nil {
 		return err
 	}
-	db.joinIndices[joinIndexKey(r, s, op)] = &JoinIndex{
-		r: r, s: s, op: op, ix: ix, file: file,
-	}
+	ji := &JoinIndex{r: r, s: s, op: op, ix: ix, file: file}
+	db.joinIndices[key] = ji
+	db.registerLocked(key, ji.registration())
 	return nil
 }

@@ -2,10 +2,10 @@
 // stdlib-only (go/parser, go/ast, go/types) analogue of
 // golang.org/x/tools/go/analysis hosting the domain-specific analyzers that
 // enforce the invariants no test holds on every path: that each acquired
-// resource — a buffer-pool pin, a mutex, a trace span, an admission token,
-// a WAL transaction, a replication stream — is released on every path out
-// of the function (a control-flow graph, cfg.go, and one paired-resource
-// solver, paired.go, carry the six flow-sensitive analyzers), that float
+// resource — a mutex, a trace span, an admission token, a WAL transaction —
+// is released on every path out of the function (a control-flow graph,
+// cfg.go, and one paired-resource solver, paired.go, carry the four
+// flow-sensitive analyzers), that float
 // geometry is compared only through geom's helpers, that every θ-operator
 // of Table 1 carries its Θ filter, and that experiment binaries open a
 // measurement window before they snapshot I/O counters.
@@ -95,7 +95,6 @@ func All() []*Analyzer {
 		SpanClose,
 		SemRelease,
 		TxnAtomic,
-		StreamClose,
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // This file is the control-flow layer of the analysis framework: an
 // intra-procedural CFG builder over go/ast used by the flow-sensitive
-// paired-resource analyzers (lockbalance, spanclose, semrelease, txnatomic,
-// streamclose).
+// paired-resource analyzers (lockbalance, spanclose, semrelease,
+// txnatomic).
 //
 // The CFG is statement-granular. Compound statements never appear inside a
 // block: if/for/range/switch/type-switch/select are lowered to blocks and

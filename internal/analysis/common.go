@@ -13,7 +13,6 @@ const (
 	walPkgPath     = "spatialjoin/internal/wal"
 	geomPkgPath    = "spatialjoin/internal/geom"
 	obsPkgPath     = "spatialjoin/internal/obs"
-	replPkgPath    = "spatialjoin/internal/repl"
 )
 
 // calleeFunc resolves the statically-called function or method of call,

@@ -121,7 +121,6 @@ func TestLockBalanceGolden(t *testing.T) { runGolden(t, LockBalance) }
 func TestSpanCloseGolden(t *testing.T)   { runGolden(t, SpanClose) }
 func TestSemReleaseGolden(t *testing.T)  { runGolden(t, SemRelease) }
 func TestTxnAtomicGolden(t *testing.T)   { runGolden(t, TxnAtomic) }
-func TestStreamCloseGolden(t *testing.T) { runGolden(t, StreamClose) }
 
 // TestStatsResetScope: the rule binds a non-main package under a cmd
 // directory, where the commands share code, and not a library package.

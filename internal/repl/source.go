@@ -14,7 +14,6 @@ package repl
 import (
 	"context"
 	"errors"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,161 +182,35 @@ func (s *Source) Advance() error {
 	return s.catchUpLocked()
 }
 
-// TailStream is one open WAL tail: a cursor over the primary's log from a
-// replica's requested LSN. Every opened stream must be closed.
-type TailStream struct {
-	s    *Source
-	tr   *wal.TailReader
-	once sync.Once
-}
-
-// OpenTail opens a tail stream from the given record-boundary LSN. It
-// fails with wal.ErrTruncatedAway when the log no longer reaches back that
-// far — the caller should tell the replica to resync from a delta.
-func (s *Source) OpenTail(from wal.LSN) (*TailStream, error) {
+// StreamTail serves one tail stream from the given record-boundary LSN
+// through send until the context ends, the source closes, or send fails.
+// It fails with wal.ErrTruncatedAway when the log no longer reaches back
+// that far — the replica should resync from a delta. A chunk with no
+// Records means the stream is caught up; it still carries the primary's
+// durable LSN for lag accounting. Idle periods ship such heartbeat chunks
+// every HeartbeatEvery so the replica's lag reading stays fresh; the first
+// one goes out immediately.
+func (s *Source) StreamTail(ctx context.Context, from wal.LSN, send func(wire.WALChunk) error) error {
 	if s.isClosed() {
-		return nil, ErrSourceClosed
+		return ErrSourceClosed
 	}
 	tr, err := wal.OpenTail(s.dev, from)
 	if err != nil {
-		return nil, err
-	}
-	s.tailStreams.Add(1)
-	return &TailStream{s: s, tr: tr}, nil
-}
-
-// Next returns the next chunk of complete records, up to max bytes. A
-// chunk with no Records means the stream is caught up; it still carries
-// the primary's durable LSN for lag accounting.
-func (t *TailStream) Next(max int) (wire.WALChunk, error) {
-	base, chunk, err := t.tr.Next(max)
-	if err != nil {
-		return wire.WALChunk{}, err
-	}
-	if chunk == nil {
-		base = t.tr.Pos()
-	}
-	return wire.WALChunk{
-		BaseLSN:    uint64(base),
-		DurableLSN: uint64(t.s.db.DurableLSN()),
-		Records:    chunk,
-	}, nil
-}
-
-// Close releases the stream.
-func (t *TailStream) Close() error {
-	t.once.Do(func() { t.s.tailStreams.Add(-1) })
-	return nil
-}
-
-// SnapStream is one snapshot or delta export in flight: the encoding
-// goroutine writes into a pipe the stream reads from. Every opened stream
-// must be closed, which also reaps the goroutine.
-type SnapStream struct {
-	s    *Source
-	r    *io.PipeReader
-	done chan struct{}
-	once sync.Once
-	// Full reports whether the stream carries a full snapshot rather than
-	// a delta (the replica asked from before the tracker's horizon).
-	Full bool
-}
-
-// OpenSnap checkpoints the primary and opens a snapshot stream covering
-// the pages dirtied since the given LSN — or a full device snapshot when
-// since predates the tracker's horizon (in particular, since 0).
-func (s *Source) OpenSnap(since wal.LSN) (*SnapStream, error) {
-	if s.isClosed() {
-		return nil, ErrSourceClosed
-	}
-	if err := s.opts.Checkpoint(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if err := s.catchUpLocked(); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	full := since < s.knownSince
-	var pages []storage.PageID
-	if !full {
-		for id, lsn := range s.lastChange {
-			if lsn >= since {
-				pages = append(pages, id)
-			}
-		}
-	}
-	s.mu.Unlock()
-	if full {
-		s.fullSnaps.Add(1)
-	} else {
-		s.deltas.Add(1)
-	}
-	pr, pw := io.Pipe()
-	st := &SnapStream{s: s, r: pr, done: make(chan struct{}), Full: full}
-	s.snapStreams.Add(1)
-	go func() {
-		defer close(st.done)
-		var err error
-		if full {
-			_, err = s.db.ExportSnapshot(pw)
-		} else {
-			_, err = s.db.ExportDelta(pw, since, pages)
-		}
-		pw.CloseWithError(err)
-	}()
-	return st, nil
-}
-
-// Next returns the next at-most-max bytes of the snapshot stream, or
-// io.EOF at its clean end.
-func (st *SnapStream) Next(max int) ([]byte, error) {
-	buf := make([]byte, max)
-	n, err := io.ReadFull(st.r, buf)
-	if n > 0 {
-		return buf[:n], nil
-	}
-	if err == io.ErrUnexpectedEOF {
-		err = io.EOF
-	}
-	return nil, err
-}
-
-// Close releases the stream, reaping the export goroutine if the stream
-// was abandoned partway.
-func (st *SnapStream) Close() error {
-	st.once.Do(func() {
-		st.r.CloseWithError(ErrSourceClosed)
-		<-st.done
-		st.s.snapStreams.Add(-1)
-	})
-	return nil
-}
-
-// StreamTail serves one tail stream through send until the context ends,
-// the source closes, or send fails. Idle periods ship heartbeat chunks so
-// the replica's lag reading stays fresh; the first heartbeat goes out
-// immediately.
-func (s *Source) StreamTail(ctx context.Context, from wal.LSN, send func(wire.WALChunk) error) error {
-	t, err := s.OpenTail(from)
-	if err != nil {
 		return err
 	}
-	defer t.Close()
+	s.tailStreams.Add(1)
+	defer s.tailStreams.Add(-1)
 	var lastBeat time.Time
 	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-s.closed:
-			return ErrSourceClosed
-		default:
+		if err := s.live(ctx); err != nil {
+			return err
 		}
-		c, err := t.Next(wire.MaxReplChunk)
+		base, records, err := tr.Next(wire.MaxReplChunk)
 		if err != nil {
 			return err
 		}
-		if len(c.Records) == 0 {
+		c := wire.WALChunk{BaseLSN: uint64(base), DurableLSN: uint64(s.db.DurableLSN()), Records: records}
+		if len(records) == 0 {
 			if time.Since(lastBeat) >= s.opts.HeartbeatEvery || lastBeat.IsZero() {
 				if err := send(c); err != nil {
 					return err
@@ -357,42 +230,118 @@ func (s *Source) StreamTail(ctx context.Context, from wal.LSN, send func(wire.WA
 			return err
 		}
 		s.chunks.Add(1)
-		s.bytes.Add(int64(len(c.Records)))
+		s.bytes.Add(int64(len(records)))
 		lastBeat = time.Now()
 	}
 }
 
-// StreamSnap serves one snapshot or delta stream through send and returns
-// when the stream is complete. The boolean reports whether a full
-// snapshot (rather than a delta) was shipped.
+// StreamSnap checkpoints the primary and serves one snapshot stream
+// through send: the pages dirtied since the given LSN, or a full device
+// snapshot when since predates the tracker's horizon (in particular, since
+// 0). It returns when the stream is complete, the context ends, the source
+// closes, or send fails; the boolean reports whether a full snapshot
+// (rather than a delta) was shipped. The export runs on the caller's
+// goroutine and each chunk is sent as it fills: every chunk but the last
+// is wire.MaxReplChunk bytes, and a chunk's Data is valid only until send
+// returns.
 func (s *Source) StreamSnap(ctx context.Context, since wal.LSN, send func(wire.SnapChunk) error) (bool, error) {
-	st, err := s.OpenSnap(since)
+	full, pages, err := s.snapPages(since)
 	if err != nil {
-		return false, err
+		return full, err
 	}
-	defer st.Close()
-	var off uint64
-	for {
-		select {
-		case <-ctx.Done():
-			return st.Full, ctx.Err()
-		case <-s.closed:
-			return st.Full, ErrSourceClosed
-		default:
+	s.snapStreams.Add(1)
+	defer s.snapStreams.Add(-1)
+	w := &chunkWriter{s: s, ctx: ctx, send: send, buf: make([]byte, 0, wire.MaxReplChunk)}
+	if full {
+		_, err = s.db.ExportSnapshot(w)
+	} else {
+		_, err = s.db.ExportDelta(w, since, pages)
+	}
+	if err == nil && len(w.buf) > 0 {
+		err = w.flush()
+	}
+	return full, err
+}
+
+// snapPages checkpoints the primary, catches the dirty-page tracker up and
+// chooses a snapshot stream's page set: full when since predates the
+// tracker's horizon, else the pages changed at or after since.
+func (s *Source) snapPages(since wal.LSN) (bool, []storage.PageID, error) {
+	if s.isClosed() {
+		return false, nil, ErrSourceClosed
+	}
+	if err := s.opts.Checkpoint(); err != nil {
+		return false, nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.catchUpLocked(); err != nil {
+		return false, nil, err
+	}
+	if since < s.knownSince {
+		s.fullSnaps.Add(1)
+		return true, nil, nil
+	}
+	var pages []storage.PageID
+	for id, lsn := range s.lastChange {
+		if lsn >= since {
+			pages = append(pages, id)
 		}
-		data, err := st.Next(wire.MaxReplChunk)
-		if err == io.EOF {
-			return st.Full, nil
+	}
+	s.deltas.Add(1)
+	return false, pages, nil
+}
+
+// chunkWriter cuts an export into wire.MaxReplChunk chunks in one buffer
+// and sends each as it fills. A failed send, an ended context or a closed
+// source fails the Write, which aborts the export with that error.
+type chunkWriter struct {
+	s    *Source
+	ctx  context.Context
+	send func(wire.SnapChunk) error
+	buf  []byte
+	off  uint64
+}
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		k := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf, p = w.buf[:len(w.buf)+k], p[k:]
+		if len(w.buf) == cap(w.buf) {
+			if err := w.flush(); err != nil {
+				return n - len(p), err
+			}
 		}
-		if err != nil {
-			return st.Full, err
-		}
-		if err := send(wire.SnapChunk{Offset: off, Data: data}); err != nil {
-			return st.Full, err
-		}
-		off += uint64(len(data))
-		s.chunks.Add(1)
-		s.bytes.Add(int64(len(data)))
+	}
+	return n, nil
+}
+
+// flush sends the buffered chunk.
+func (w *chunkWriter) flush() error {
+	if err := w.s.live(w.ctx); err != nil {
+		return err
+	}
+	if err := w.send(wire.SnapChunk{Offset: w.off, Data: w.buf}); err != nil {
+		return err
+	}
+	w.off += uint64(len(w.buf))
+	w.s.chunks.Add(1)
+	w.s.bytes.Add(int64(len(w.buf)))
+	w.buf = w.buf[:0]
+	return nil
+}
+
+// live reports why a stream must stop — its context ended or the source
+// closed — or nil while it may go on.
+func (s *Source) live(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-s.closed:
+		return ErrSourceClosed
+	default:
+		return nil
 	}
 }
 

@@ -74,6 +74,9 @@ type Options struct {
 // (repl.Source implements it). StreamTail ships WAL chunks from a record
 // boundary until the context or connection ends; StreamSnap ships one
 // snapshot or delta stream to completion and reports whether it was full.
+// A snapshot chunk's Data is valid only until send returns (the source
+// reuses one buffer per stream); the server's send encodes the chunk
+// before it returns.
 type ReplStreamer interface {
 	StreamTail(ctx context.Context, from wal.LSN, send func(wire.WALChunk) error) error
 	StreamSnap(ctx context.Context, since wal.LSN, send func(wire.SnapChunk) error) (bool, error)

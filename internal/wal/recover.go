@@ -482,28 +482,17 @@ func scanStream(dev storage.Device, head *logHead) (scan, error) {
 func parseStream(base LSN, stream []byte) ([]Record, int64) {
 	var records []Record
 	off := 0
-	for off+recHeaderSize+recTrailer <= len(stream) {
+	for {
+		end, ok := recordEnd(base, stream, off)
+		if !ok {
+			return records, int64(off)
+		}
 		hdr := stream[off:]
-		lsn := LSN(binary.LittleEndian.Uint64(hdr[0:]))
-		typ := RecordType(hdr[8])
-		dataLen := int(binary.LittleEndian.Uint32(hdr[25:]))
-		if lsn != base+LSN(off) || typ < RecHeader || typ >= recTypeEnd || dataLen > maxDataLen {
-			break
-		}
-		end := off + recHeaderSize + dataLen + recTrailer
-		if end > len(stream) {
-			break
-		}
-		body := stream[off : end-recTrailer]
-		want := binary.LittleEndian.Uint32(stream[end-recTrailer:])
-		if storage.PageChecksum(body) != want {
-			break
-		}
-		data := make([]byte, dataLen)
-		copy(data, stream[off+recHeaderSize:end-recTrailer])
+		data := make([]byte, end-recTrailer-off-recHeaderSize)
+		copy(data, stream[off+recHeaderSize:])
 		records = append(records, Record{
-			LSN:  lsn,
-			Type: typ,
+			LSN:  LSN(binary.LittleEndian.Uint64(hdr[0:])),
+			Type: RecordType(hdr[8]),
 			Txn:  binary.LittleEndian.Uint64(hdr[9:]),
 			Page: storage.PageID{
 				File: storage.FileID(binary.LittleEndian.Uint32(hdr[17:])),
@@ -513,7 +502,32 @@ func parseStream(base LSN, stream []byte) ([]Record, int64) {
 		})
 		off = end
 	}
-	return records, int64(off)
+}
+
+// recordEnd reports where the record at stream[off:] ends, or false when no
+// complete, valid record starts there: its LSN must be base+off, its type
+// known, its data length within maxDataLen and inside stream, and its
+// checksum must match. It is the one record-validity rule of every walk
+// over a log stream.
+func recordEnd(base LSN, stream []byte, off int) (int, bool) {
+	if off+recHeaderSize+recTrailer > len(stream) {
+		return 0, false
+	}
+	hdr := stream[off:]
+	lsn := LSN(binary.LittleEndian.Uint64(hdr[0:]))
+	typ := RecordType(hdr[8])
+	dataLen := int(binary.LittleEndian.Uint32(hdr[25:]))
+	if lsn != base+LSN(off) || typ < RecHeader || typ >= recTypeEnd || dataLen > maxDataLen {
+		return 0, false
+	}
+	end := off + recHeaderSize + dataLen + recTrailer
+	if end > len(stream) {
+		return 0, false
+	}
+	if storage.PageChecksum(stream[off:end-recTrailer]) != binary.LittleEndian.Uint32(stream[end-recTrailer:]) {
+		return 0, false
+	}
+	return end, true
 }
 
 // redoPage rebuilds one page in buf from its records to redo — an

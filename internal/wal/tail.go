@@ -8,7 +8,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -264,33 +263,18 @@ func (r *TailReader) absorb(start LSN, payload []byte) error {
 
 // completePrefix returns the length of the longest prefix of stream that
 // parses as complete, checksum-valid records, stopping at the first record
-// boundary past max bytes (0 disables the cap). It is parseStream's
-// validation walk without the decode: the tail path re-validates bytes it
-// never needs to materialize as Records.
+// boundary past max bytes (0 disables the cap). It walks the records as
+// parseStream does, without decoding them: the tail path re-validates bytes
+// it never needs to materialize as Records.
 func completePrefix(base LSN, stream []byte, max int) int {
 	off := 0
-	for off+recHeaderSize+recTrailer <= len(stream) {
-		hdr := stream[off:]
-		lsn := LSN(binary.LittleEndian.Uint64(hdr[0:]))
-		typ := RecordType(hdr[8])
-		dataLen := int(binary.LittleEndian.Uint32(hdr[25:]))
-		if lsn != base+LSN(off) || typ < RecHeader || typ >= recTypeEnd || dataLen > maxDataLen {
-			break
-		}
-		end := off + recHeaderSize + dataLen + recTrailer
-		if end > len(stream) {
-			break
-		}
-		body := stream[off : end-recTrailer]
-		if storage.PageChecksum(body) != binary.LittleEndian.Uint32(stream[end-recTrailer:]) {
-			break
-		}
-		if max > 0 && off > 0 && end > max {
-			break
+	for {
+		end, ok := recordEnd(base, stream, off)
+		if !ok || max > 0 && off > 0 && end > max {
+			return off
 		}
 		off = end
 	}
-	return off
 }
 
 // AppendRaw appends a chunk of pre-encoded records — the bytes a

@@ -372,6 +372,7 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 		return nil, stats, err
 	}
 	var ji *JoinIndex
+	var reg wal.Record
 	err = db.runTxn(func(txn uint64) error {
 		file, err := storage.NewHeapFile(db.pool, db.cfg.FillFactor)
 		if err != nil {
@@ -386,8 +387,8 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 		if werr != nil {
 			return werr
 		}
+		reg = ji.registration()
 		if db.wal != nil {
-			reg := ji.registration()
 			_, err = db.wal.AppendCatalog(txn, reg.Type, reg.Data)
 			return err
 		}
@@ -398,6 +399,7 @@ func (db *Database) BuildJoinIndex(r, s *Collection, op Operator) (*JoinIndex, S
 	}
 	db.mu.Lock()
 	db.joinIndices[key] = ji
+	db.registerLocked(key, reg)
 	db.mu.Unlock()
 	return ji, stats, nil
 }
